@@ -32,7 +32,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .errors import ConvergenceError, DomainError, GeometryError
+from .errors import ConsistencyError, ConvergenceError, DomainError, GeometryError
 from .model import ModelParams, real_roots_y
 from .picard_fuchs import (
     Arc,
@@ -268,7 +268,10 @@ def chebyshev_probe(params: ModelParams, window: tuple[float, float] | None = No
     good = k * rs.y0 * (3.0 * hprobe**2 - (4.0 / 3.0) * rs.y0**2)
     bad = k * hprobe * (3.0 * hprobe**2 - (4.0 / 3.0) * rs.y0**2)
     identity_gap = abs(lhs - bad) / max(abs(lhs), 1e-300)
-    assert abs(lhs - good) <= 1e-10 * max(abs(lhs), 1.0)
+    if not abs(lhs - good) <= 1e-10 * max(abs(lhs), 1.0):
+        raise ConsistencyError(
+            f"-4h + (3 kappa h^2 - 4) y0 = {lhs!r} differs from "
+            f"kappa y0 (3h^2 - (4/3) y0^2) = {good!r} at h={hprobe!r}")
 
     in_half_line = h_star < hs_level
     in_annulus = params.center_h < h_star < hs_level

@@ -415,7 +415,7 @@ class Oval:
     form: HamiltonianForm
     params: ModelParams = field(repr=False)
     min_x: float = 0.0
-    by_continuation: bool = False
+    _bbox: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def h(self) -> float:
@@ -462,11 +462,9 @@ class Oval:
     def bounding_box(self):
         """Tight box around the oval with the four extremes located exactly
         (bisection on the sign of the tangent component), so that no sliver
-        of the region is clipped."""
-        if self.by_continuation:
-            xs, ys = self.points[:, 0], self.points[:, 1]
-            pad = 1e-6 * max(xs.max() - xs.min(), ys.max() - ys.min())
-            return xs.min() - pad, xs.max() + pad, ys.min() - pad, ys.max() + pad
+        of the region is clipped.  Computed once per oval."""
+        if self._bbox is not None:
+            return self._bbox
         theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
         x, y, dx, dy = self.point_tangent(theta)
 
@@ -492,20 +490,21 @@ class Oval:
         y0, y1 = refine(y, dy, False), refine(y, dy, True)
         pad_x = 1e-12 * (x1 - x0) + 1e-300
         pad_y = 1e-12 * (y1 - y0) + 1e-300
-        return x0 - pad_x, x1 + pad_x, y0 - pad_y, y1 + pad_y
+        self._bbox = (x0 - pad_x, x1 + pad_x, y0 - pad_y, y1 + pad_y)
+        return self._bbox
 
 
 def oval(h: float, params: ModelParams, tol: float = 1e-9,
          form: HamiltonianForm = HamiltonianForm.SYMMETRIC_FORM,
          center: tuple[float, float] | None = None,
-         n_min: int = 256, force_continuation: bool = False) -> Oval:
+         n_min: int = 256) -> Oval:
     """Construct the closed, positively oriented level oval around the center.
 
-    Ray shooting from the center is the primary method: on each ray the
-    restriction of the cubic is solved exactly and the first positive root is
-    the boundary, valid because the oval is star-shaped about the center on
-    the whole annulus (validated per oval; a violation triggers
-    predictor-corrector continuation along the curve).
+    On each ray from the center the restriction of the cubic is solved
+    exactly and the first positive root is the boundary, valid because the
+    oval is star-shaped about the center on the annulus.  The star shape is
+    validated per oval; a level where it fails raises DegenerateLevelError
+    (seen only in the cubic picture within about 0.5% of the saddle level).
     """
     form = HamiltonianForm(form)
     lp = level_classify(h, params)
@@ -516,17 +515,17 @@ def oval(h: float, params: ModelParams, tol: float = 1e-9,
         if min(abs(h - params.center_h), abs(h - params.saddle_h)) < ENDPOINT_EXCLUSION:
             raise DegenerateLevelError(f"level h={h} within {ENDPOINT_EXCLUSION} of an endpoint")
         center = (1.0, 1.0)
-    cx, cy = center
 
-    if not force_continuation:
-        theta = np.linspace(0.0, 2.0 * np.pi, n_min, endpoint=False)
-        try:
-            ov = _ray_oval(theta, h, params, form, (cx, cy), tol)
-            if ov is not None:
-                return ov
-        except GeometryError:
-            pass
-    return _continuation_oval(h, params, form, (cx, cy), tol)
+    theta = np.linspace(0.0, 2.0 * np.pi, n_min, endpoint=False)
+    ov = _ray_oval(theta, h, params, form, tuple(center), tol)
+    if ov is None:
+        frac = (h - params.center_h) / (params.saddle_h - params.center_h)
+        raise DegenerateLevelError(
+            f"ray shooting failed at level h={h} ({form.value}, kappa={params.kappa}, "
+            f"{100.0 * frac:.4g}% of the way from the center level to the saddle level); "
+            "cubic_form levels within about 0.5% of the saddle level fall in a window "
+            "where rays from the center do not resolve the oval")
+    return ov
 
 
 def _ray_oval(theta, h, params, form, center, tol):
@@ -546,7 +545,7 @@ def _ray_oval(theta, h, params, form, center, tol):
         scale = np.maximum(np.abs(r), np.abs(np.roll(r, -1))) + 1e-300
         bad = np.abs(rm - chord) > np.maximum(50.0 * tol, 5e-3) * scale
         # a genuine branch jump shows as an O(1) defect that refinement
-        # cannot shrink; flag it for the continuation fallback
+        # cannot shrink: the oval is not star-shaped about the center
         if np.any(np.abs(rm - chord) > 0.45 * scale):
             return None
         if not np.any(bad) or theta.size > 65536:
@@ -574,70 +573,4 @@ def _ray_oval(theta, h, params, form, center, tol):
         form=form,
         params=params,
         min_x=float(np.min(x)),
-    )
-
-
-def _continuation_oval(h, params, form, center, tol):
-    """Predictor-corrector march along {H = level}; fallback for levels where
-    ray shooting is not valid.  Returns a densely sampled polyline oval."""
-
-    def Hval(x, y):
-        if form is HamiltonianForm.SYMMETRIC_FORM:
-            return hamiltonian(form, (x, y), params) - h
-        return hamiltonian(form, (x, y), params, h=h)
-
-    def newton(x, y):
-        for _ in range(50):
-            gx, gy = _grad(x, y, h, params, form)
-            g2 = gx * gx + gy * gy
-            if g2 == 0.0:
-                raise GeometryError("gradient vanished during continuation")
-            f = Hval(x, y)
-            x -= f * gx / g2
-            y -= f * gy / g2
-            if abs(f) < 1e-14 * max(1.0, abs(h)):
-                return x, y
-        raise GeometryError("Newton correction failed to converge")
-
-    # seed on the ray theta = 0 (bisection: H - level changes sign going out)
-    r_hi = 1e-6
-    while Hval(center[0] + r_hi, center[1]) < 0.0:
-        r_hi *= 2.0
-        if r_hi > 1e9:
-            raise GeometryError("failed to bracket the oval along theta = 0")
-    x0, y0 = newton(center[0] + r_hi, center[1])
-
-    pts = [(x0, y0)]
-    x, y = x0, y0
-    step = tol ** 0.25 * 1e-1 + 1e-4
-    total_turn = 0.0
-    prev_dir = None
-    for _ in range(2_000_000):
-        gx, gy = _grad(x, y, h, params, form)
-        norm = math.hypot(gx, gy)
-        tx, ty = -gy / norm, gx / norm  # positive orientation
-        xn, yn = newton(x + step * tx, y + step * ty)
-        d = math.atan2(yn - y, xn - x)
-        if prev_dir is not None:
-            dd = (d - prev_dir + math.pi) % (2.0 * math.pi) - math.pi
-            total_turn += dd
-        prev_dir = d
-        x, y = xn, yn
-        pts.append((x, y))
-        if abs(total_turn) > 2.0 * math.pi - 0.5 and math.hypot(x - x0, y - y0) < 2.0 * step:
-            break
-    else:
-        raise GeometryError("continuation did not close the oval")
-    pts.append((x0, y0))
-    arr = np.asarray(pts)
-    return Oval(
-        level=level_classify(h, params),
-        points=arr,
-        orientation="positive",
-        closure_gap=float(math.hypot(x - x0, y - y0)),
-        center=center,
-        form=form,
-        params=params,
-        min_x=float(np.min(arr[:, 0])),
-        by_continuation=True,
     )

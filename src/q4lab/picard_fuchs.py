@@ -278,12 +278,6 @@ def l2_chain_factor(s: float, params: ModelParams) -> float:
     return 24.0 * math.sqrt(params.kappa * s)
 
 
-def s_derivatives_of_h(s: float, params: ModelParams):
-    """(ds/dh, d2s/dh2) evaluated through h(s) on the annulus branch."""
-    k = params.kappa
-    return -3.0 * math.sqrt(k * s), 4.5 * k
-
-
 # ---------------------------------------------------------------------------
 # the 2x2 hypergeometric-type system in s and complex continuation
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ symmetric picture (region {H(x, y) < h}).  Two independent methods:
               tests on H; boundary cells are finished with exact per-column
               slices (the vertical restriction of H is a depressed cubic in
               y, solved in closed form) and adaptive Gauss-Kronrod in x.
+              The geometry (box, cells, slice ends) does not depend on the
+              index (i, j), so it is built once per oval and shared across
+              indices; only the adaptive quadrature runs per index.
 
 Both methods localize to the connected component of the region containing
 the center, using the exact star-shaped membership test of the oval.  The
@@ -86,8 +89,10 @@ _moment_cache: dict = {}
 
 
 def clear_caches() -> None:
+    global _area2d_geometry
     _oval_cache.clear()
     _moment_cache.clear()
+    _area2d_geometry = None
 
 
 def cached_oval(h: float, kappa: float, form: HamiltonianForm) -> Oval:
@@ -195,17 +200,14 @@ def _depressed_real_roots(p: np.ndarray, q: np.ndarray):
     return roots, count
 
 
-def _slice_integrals(xs: np.ndarray, ylo: float, yhi: float, j: int, h: float,
-                     params: ModelParams, form: HamiltonianForm, ov: Oval):
-    """For each column x, the integral of y^j over
-    {y in [ylo, yhi] : level function < 0} restricted to the oval component."""
+def _slice_segments(xs: np.ndarray, ylo: float, yhi: float, ov: Oval):
+    """For each column x, the parts of {y in [ylo, yhi] : level function < 0}
+    that belong to the oval component, as a list of (keep, lo, hi): the
+    columns holding a segment and that segment's clipped ends."""
+    params, form, h = ov.params, ov.form, ov.h
     a, p, q = _y_cubic_coeffs(xs, h, params, form)
     roots, count = _depressed_real_roots(p / a, q / a)
 
-    def anti(y):
-        return y ** (j + 1) / (j + 1)
-
-    out = np.zeros_like(xs)
     # negative set of the cubic (positive leading coefficient):
     # one real root r0:    (-inf, r0)
     # three roots r0<r1<r2: (-inf, r0) u (r1, r2)
@@ -216,6 +218,7 @@ def _slice_integrals(xs: np.ndarray, ylo: float, yhi: float, j: int, h: float,
     lo1 = np.where(has3, roots[:, 1], np.nan)
     hi1 = np.where(has3, roots[:, 2], np.nan)
     segs.append((lo1, hi1))
+    out = []
     for lo, hi in segs:
         lo_c = np.maximum(lo, ylo)
         hi_c = np.minimum(hi, yhi)
@@ -227,7 +230,19 @@ def _slice_integrals(xs: np.ndarray, ylo: float, yhi: float, j: int, h: float,
         keep[valid] &= ov.contains(xs[valid], mid[valid])
         if not np.any(keep):
             continue
-        out[keep] += anti(hi_c[keep]) - anti(lo_c[keep])
+        out.append((keep, lo_c[keep], hi_c[keep]))
+    return out
+
+
+def _slice_integrals(segments, j: int, n: int):
+    """Integral of y^j over each column's segments (see _slice_segments)."""
+
+    def anti(y):
+        return y ** (j + 1) / (j + 1)
+
+    out = np.zeros(n)
+    for keep, lo, hi in segments:
+        out[keep] += anti(hi) - anti(lo)
     return out
 
 
@@ -296,54 +311,86 @@ def _piece_gk(fx, a: float, b: float, fold_lo: bool, fold_hi: bool, tol_rel: flo
     return _adaptive_gk(fx, a, b, tol_rel, max_panels=200, initial=2)
 
 
-def _moment_area2d(i: int, j: int, ov: Oval, tol: float, max_depth: int = 4):
-    params, form, h = ov.params, ov.form, ov.h
-    x0, x1, y0, y1 = ov.bounding_box()
-    total = 0.0
-    err = 0.0
+class _Area2dGeometry:
+    """Everything area2d needs from one oval that does not depend on the
+    moment index (i, j): the quadtree leaves in walk order, and a memo of
+    the slice geometry per GK panel keyed by the panel's nodes and the cell
+    rows.  Built once per oval and shared by all indices; the adaptive GK
+    per index reads it, so every value is the one a fresh walk would give."""
 
-    def boundary_cell(cx0, cx1, cy0, cy1):
-        nonlocal total, err
+    MAX_DEPTH = 4
 
-        def fx(xs):
-            return xs**i * _slice_integrals(xs, cy0, cy1, j, h, params, form, ov)
+    def __init__(self, ov: Oval):
+        self.oval = ov
+        # (x0, x1, y0, y1, pieces): pieces is None for a cell inside the
+        # region, else the (a, b, fold_lo, fold_hi) x-pieces of a boundary cell
+        self.leaves = []
+        self.slices = {}
+        x0, x1, y0, y1 = ov.bounding_box()
+        self._walk(x0, x1, y0, y1, 0)
 
-        brk, fold_xs = _x_breakpoints(ov, cy0, cy1)
-        near_fold = lambda x: fold_xs.size > 0 and np.min(
-            np.abs(fold_xs - x)) < 1e-9 * (1.0 + abs(x))
-        inner = sorted(x for x in brk if cx0 + 1e-13 < x < cx1 - 1e-13)
-        cuts = [cx0] + inner + [cx1]
-        for a_, b_ in zip(cuts[:-1], cuts[1:]):
-            if b_ - a_ < 1e-13:
-                continue
-            v, e = _piece_gk(fx, a_, b_, near_fold(a_), near_fold(b_), 0.02 * tol)
-            total += v
-            err += e
-
-    def cell(cx0, cx1, cy0, cy1, depth):
-        nonlocal total
+    def _walk(self, cx0, cx1, cy0, cy1, depth):
+        ov = self.oval
         gx = np.linspace(cx0, cx1, 5)
         gy = np.linspace(cy0, cy1, 5)
         X, Y = np.meshgrid(gx, gy)
-        if form is HamiltonianForm.SYMMETRIC_FORM:
-            S = hamiltonian(form, (X, Y), params) - h
+        if ov.form is HamiltonianForm.SYMMETRIC_FORM:
+            S = hamiltonian(ov.form, (X, Y), ov.params) - ov.h
         else:
-            S = hamiltonian(form, (X, Y), params, h=h)
+            S = hamiltonian(ov.form, (X, Y), ov.params, h=ov.h)
         if np.all(S > 0.0):
             return
         if np.all(S < 0.0) and bool(ov.contains(0.5 * (cx0 + cx1), 0.5 * (cy0 + cy1))):
-            total += _rect_moment(i, j, cx0, cx1, cy0, cy1)
+            self.leaves.append((cx0, cx1, cy0, cy1, None))
             return
-        if depth < max_depth:
+        if depth < self.MAX_DEPTH:
             mx, my = 0.5 * (cx0 + cx1), 0.5 * (cy0 + cy1)
-            cell(cx0, mx, cy0, my, depth + 1)
-            cell(mx, cx1, cy0, my, depth + 1)
-            cell(cx0, mx, my, cy1, depth + 1)
-            cell(mx, cx1, my, cy1, depth + 1)
+            self._walk(cx0, mx, cy0, my, depth + 1)
+            self._walk(mx, cx1, cy0, my, depth + 1)
+            self._walk(cx0, mx, my, cy1, depth + 1)
+            self._walk(mx, cx1, my, cy1, depth + 1)
             return
-        boundary_cell(cx0, cx1, cy0, cy1)
+        brk, fold_xs = _x_breakpoints(ov, cy0, cy1)
+        near_fold = lambda x: bool(fold_xs.size > 0 and np.min(
+            np.abs(fold_xs - x)) < 1e-9 * (1.0 + abs(x)))
+        inner = sorted(x for x in brk if cx0 + 1e-13 < x < cx1 - 1e-13)
+        cuts = [cx0] + inner + [cx1]
+        pieces = [(a_, b_, near_fold(a_), near_fold(b_))
+                  for a_, b_ in zip(cuts[:-1], cuts[1:]) if b_ - a_ >= 1e-13]
+        self.leaves.append((cx0, cx1, cy0, cy1, pieces))
 
-    cell(x0, x1, y0, y1, 0)
+    def segments(self, xs: np.ndarray, cy0: float, cy1: float):
+        key = (xs.tobytes(), cy0, cy1)
+        segs = self.slices.get(key)
+        if segs is None:
+            segs = self.slices[key] = _slice_segments(xs, cy0, cy1, self.oval)
+        return segs
+
+
+# the geometry of the most recently integrated oval only, so memory stays
+# bounded; callers integrate all indices at one level before moving on
+_area2d_geometry: _Area2dGeometry | None = None
+
+
+def _moment_area2d(i: int, j: int, ov: Oval, tol: float):
+    global _area2d_geometry
+    if _area2d_geometry is None or _area2d_geometry.oval is not ov:
+        _area2d_geometry = _Area2dGeometry(ov)
+    geo = _area2d_geometry
+    total = 0.0
+    err = 0.0
+    for cx0, cx1, cy0, cy1, pieces in geo.leaves:
+        if pieces is None:
+            total += _rect_moment(i, j, cx0, cx1, cy0, cy1)
+            continue
+
+        def fx(xs, cy0=cy0, cy1=cy1):
+            return xs**i * _slice_integrals(geo.segments(xs, cy0, cy1), j, xs.shape[0])
+
+        for a_, b_, fold_lo, fold_hi in pieces:
+            v, e = _piece_gk(fx, a_, b_, fold_lo, fold_hi, 0.02 * tol)
+            total += v
+            err += e
     return total, err
 
 

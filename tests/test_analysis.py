@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from q4lab import DomainError, make_params
+from q4lab import ConsistencyError, DomainError, make_params
 from q4lab.analysis import (
     L2Frame,
     PolyPair,
@@ -105,6 +105,16 @@ class TestResidueSolutionProbe:
         assert abs(rep.saddle_y0 - rep.saddle_y0_claimed) > 0.05
         # the identity prefactor is y0, not h
         assert rep.identity_gap > 1e-4
+
+    def test_broken_identity_raises(self, p4, monkeypatch):
+        # a y0 off the defining cubic breaks -4h + (3kh^2-4) y0 =
+        # kappa y0 (3h^2 - (4/3) y0^2); the check must survive python -O
+        import q4lab.analysis as an
+        exact = an.residue_solution
+        monkeypatch.setattr(an, "residue_solution", lambda h, params: replace(
+            exact(h, params), y0=exact(h, params).y0 * (1.0 + 1e-6)))
+        with pytest.raises(ConsistencyError):
+            chebyshev_probe(p4, grid=64)
 
     def test_rotation_under_pi_on_annulus(self):
         # the solution space stays Chebyshev on the annulus window even for

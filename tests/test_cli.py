@@ -90,6 +90,15 @@ class TestCommands:
         b = (tmp_path / "b" / "sweep.csv").read_bytes()
         assert a == b
 
+    def test_sweep_bytes_independent_of_workers(self, tmp_path):
+        cfg = dict(kappa_list=[2.0, 4.0], mu_mode="random_sphere", trials=10, seed=7)
+        run("sweep", RunConfig(**cfg, workers=1, output_dir=str(tmp_path / "w1")))
+        run("sweep", RunConfig(**cfg, workers=2, output_dir=str(tmp_path / "w2")))
+        a = (tmp_path / "w1" / "sweep.csv").read_bytes()
+        b = (tmp_path / "w2" / "sweep.csv").read_bytes()
+        assert a.count(b"\n") == 21  # header + 2 kappas x 10 trials
+        assert a == b
+
     def test_entry_point_runs(self, tmp_path):
         out = subprocess.run(
             [sys.executable, "-m", "q4lab.cli", "coeffs", "--kappa", "4",

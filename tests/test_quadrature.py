@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import q4lab.quadrature as quad
 from q4lab import DomainError, HamiltonianForm, SingularityError, make_params
-from q4lab.model import interior_levels
+from q4lab.model import Oval, interior_levels, oval
 from q4lab.quadrature import (
     MomentIndex,
+    clear_caches,
     curve_discriminant,
     moment,
     moment_value,
@@ -92,6 +94,48 @@ class TestMomentOracle:
     def test_rejects_bad_tol(self, p4):
         with pytest.raises(DomainError):
             moment(MomentIndex(0, 0), -0.5, p4, tol=-1.0)
+
+
+class TestArea2dGeometry:
+    """area2d builds each oval's geometry once and shares it across indices;
+    the values must not depend on which indices came before."""
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_values_independent_of_index_order(self, kappa, monkeypatch):
+        p = make_params(kappa)
+        h = interior_levels(p, 1, 0.5, 0.5)[0]
+
+        def run(indices):
+            clear_caches()
+            return {ij: moment(MomentIndex(*ij), h, p, "area2d", 1e-8) for ij in indices}
+
+        forward = run(BASIS)
+        backward = run(BASIS[::-1])
+        alone = run([(1, 1)])
+        # reference: every panel solves its slices afresh, as a walk per
+        # moment does
+        monkeypatch.setattr(quad._Area2dGeometry, "segments",
+                            lambda self, xs, y0, y1: quad._slice_segments(xs, y0, y1, self.oval))
+        fresh = run([(1, 1)])
+        clear_caches()
+        for ij in BASIS:
+            assert backward[ij].value == forward[ij].value
+            assert backward[ij].err_estimate == forward[ij].err_estimate
+        for other in (alone, fresh):
+            assert other[(1, 1)].value == forward[(1, 1)].value
+            assert other[(1, 1)].err_estimate == forward[(1, 1)].err_estimate
+
+    def test_bounding_box_computed_once(self, p4, monkeypatch):
+        ov = oval(-0.5, p4)
+        calls = []
+        point_tangent = Oval.point_tangent
+        monkeypatch.setattr(Oval, "point_tangent",
+                            lambda self, th: calls.append(1) or point_tangent(self, th))
+        box = ov.bounding_box()
+        assert len(calls) > 4 * 60  # four extremes, 60 bisection steps each
+        n = len(calls)
+        assert ov.bounding_box() == box
+        assert len(calls) == n
 
 
 class TestResidue:

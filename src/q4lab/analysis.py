@@ -11,6 +11,10 @@ traversed positively: the winding of F = (P J1 + Q J2)/J1 along the four
 boundary pieces equals the zero count of P J1 + Q J2 inside, and is the
 empirical content of the 2n bound for the spaces V_n.
 
+J is evaluated in closed form (``hypergeometric_J``) on the real line and
+on the keyhole; continuation of (J, W) along the same keyhole pieces
+(``keyhole_by_continuation``) is kept as the independent check.
+
 The Chebyshev probe studies the residue solution f(h) of L2 x = 0 given by
 the residue of the underlying differential at (0, y0(h)): it checks
 L2(f) = 0 by finite differences, locates f's zero against the closed-form
@@ -20,7 +24,7 @@ falls relative to the two intervals of interest.  No nonvanishing claim is
 asserted; the probe measures it, alongside a direct projective-rotation
 measurement of the solution frame (a two-dimensional solution space is
 Chebyshev on a window iff the frame direction sweeps less than a half
-turn).
+turn); the frame is built from hypergeometric solutions of L2 in s.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.special import hyp2f1
 
 from .errors import ConsistencyError, ConvergenceError, DomainError, GeometryError
 from .model import ModelParams, real_roots_y
@@ -70,12 +75,10 @@ def _cheb_grid(a: float, b: float, n: int) -> np.ndarray:
 
 
 def _eval_f(f, xs: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(xs), dtype=float)
-        if vals.shape == xs.shape:
-            return vals
-    except Exception:
-        pass
+    """f on the array xs in one call, per point only if f returns another shape."""
+    vals = np.asarray(f(xs), dtype=float)
+    if vals.shape == xs.shape:
+        return vals
     return np.array([float(f(x)) for x in xs])
 
 
@@ -133,12 +136,31 @@ def residue_zero_level(params: ModelParams) -> float:
     return -(2.0 / 3.0) * math.sqrt(5.0 / params.kappa)
 
 
+def _l2_kummer_pair(h, kappa: float) -> np.ndarray:
+    """[[u1, u2], [u1', u2']] along the levels h, shape (2, 2, n): in
+    s = (9 kappa / 4) h^2, L2 is Gauss's equation with (a, b, c) =
+    (-1/6, -5/6, -1/2), and u1 = 2F1(-1/6, -5/6; 1/2; 1 - s), u2 = sqrt(s - 1)
+    2F1(-1/3, 1/3; 3/2; 1 - s) is its Kummer pair at s = 1, real for s > 1
+    (left of the saddle level).  ' is d/dh, with ds/dh = 9 kappa h / 2."""
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    s = 2.25 * kappa * h * h
+    w = 1.0 - s
+    r = np.sqrt(s - 1.0)
+    f2 = hyp2f1(-1.0 / 3.0, 1.0 / 3.0, 1.5, w)
+    du1 = -(5.0 / 18.0) * hyp2f1(5.0 / 6.0, 1.0 / 6.0, 1.5, w)
+    du2 = 0.5 * f2 / r + (2.0 / 27.0) * r * hyp2f1(2.0 / 3.0, 4.0 / 3.0, 2.5, w)
+    dsdh = 4.5 * kappa * h
+    return np.array([[hyp2f1(-1.0 / 6.0, -5.0 / 6.0, 0.5, w), r * f2],
+                     [du1 * dsdh, du2 * dsdh]])
+
+
 class L2Frame:
     """Fundamental solution frame of L2 x = 0 on a window left of the
-    saddle level, integrated densely from the window midpoint."""
+    saddle level: the Kummer pair at s = 1 (``_l2_kummer_pair``) recombined
+    so that x1(mid) = 1, x1'(mid) = 0, x2(mid) = 0, x2'(mid) = 1 at the
+    window midpoint."""
 
-    def __init__(self, params: ModelParams, window: tuple[float, float],
-                 tol: float = 1e-12):
+    def __init__(self, params: ModelParams, window: tuple[float, float]):
         a, b = window
         if not (a < b <= params.saddle_h - 1e-12):
             raise DomainError("window must sit left of the saddle level")
@@ -146,33 +168,13 @@ class L2Frame:
             raise DomainError("window crosses the singular level h = 0")
         self.params = params
         self.window = window
-        k = params.kappa
-
-        def rhs(h, y):
-            x1, d1, x2, d2 = y
-            a2 = h * (9.0 * k * h * h - 4.0)
-            a1 = -(9.0 * k * h * h - 8.0)
-            a0 = 5.0 * k * h
-            return [d1, -(a1 * d1 + a0 * x1) / a2, d2, -(a1 * d2 + a0 * x2) / a2]
-
-        mid = 0.5 * (a + b)
-        y0 = [1.0, 0.0, 0.0, 1.0]
-        kw = dict(method="DOP853", rtol=tol, atol=1e-14, dense_output=True)
-        self._left = solve_ivp(rhs, (mid, a), y0, **kw)
-        self._right = solve_ivp(rhs, (mid, b), y0, **kw)
-        if not (self._left.success and self._right.success):
-            raise ConvergenceError("L2 frame integration failed")
-        self.mid = mid
+        self.mid = 0.5 * (a + b)
+        self._to_frame = np.linalg.inv(_l2_kummer_pair(self.mid, params.kappa)[:, :, 0])
 
     def frame(self, h):
-        h = np.atleast_1d(np.asarray(h, dtype=float))
-        out = np.empty((4, h.size))
-        left = h <= self.mid
-        if np.any(left):
-            out[:, left] = self._left.sol(h[left])
-        if np.any(~left):
-            out[:, ~left] = self._right.sol(h[~left])
-        return out
+        """Rows x1, x1', x2, x2' at the levels h."""
+        pair = _l2_kummer_pair(h, self.params.kappa)
+        return np.einsum("ijn,jk->kin", pair, self._to_frame).reshape(4, -1)
 
     def rotation_span(self, n: int = 4096) -> float:
         """Total sweep (radians) of the direction of (x1, x2)(h); the
@@ -335,77 +337,100 @@ class WindingReport:
     winding: int
     residual: float
     min_abs_J1: float
-    closure_drift: float
     bound_ok: bool
     max_arg_step: float
     edge_im_agreement: float
 
 
+def hypergeometric_J(s, params: ModelParams) -> np.ndarray:
+    """J = (J1, J2) = (I00', I11') at real or complex s off the cut (-inf, 1]:
+
+        J1 = pi / sqrt(kappa - 1) * 2F1(1/6, 5/6; 1; z),
+        J1' = -pi / sqrt(kappa - 1) * (5/36) / (kappa - 1) * 2F1(7/6, 11/6; 2; z),
+        J2 = (6 (s - 1)(s - kappa) J1' - (1 - s) J1) / (kappa - 1),
+
+    with z = (kappa - s) / (kappa - 1); returns a (2, n) array."""
+    k = params.kappa
+    s = np.atleast_1d(np.asarray(s))
+    z = (k - s) / (k - 1.0)
+    c = math.pi / math.sqrt(k - 1.0)
+    J1 = c * hyp2f1(1.0 / 6.0, 5.0 / 6.0, 1.0, z)
+    dJ1 = -c * (5.0 / 36.0) / (k - 1.0) * hyp2f1(7.0 / 6.0, 11.0 / 6.0, 2.0, z)
+    J2 = (6.0 * (s - 1.0) * (s - k) * dJ1 - (1.0 - s) * J1) / (k - 1.0)
+    return np.array([J1, J2])
+
+
+def _keyhole_pieces(epsilon: float) -> dict:
+    """The boundary of D_eps in positive traversal order, as piece name ->
+    (path pieces, samples per path piece).  The cut edges run at
+    Im s = +-eps^2, their breakpoints clustered geometrically toward s = 1."""
+    if not (0.0 < epsilon < 0.05):
+        raise DomainError("epsilon out of range")
+    eps, dlt = epsilon, epsilon**2
+    R = 1.0 / eps
+    a_small = math.asin(dlt / eps)
+
+    def edge_nodes(sign):
+        gaps = np.geomspace(R + 1.0, eps, 28)
+        xs = 1.0 - gaps
+        xs[-1] = 1.0 - math.sqrt(eps * eps - dlt * dlt)
+        return [complex(x, sign * dlt) for x in xs]
+
+    upper = edge_nodes(+1.0)
+    lower = edge_nodes(-1.0)[::-1]
+    return {
+        "cut_upper": ([Line(a, b) for a, b in zip(upper[:-1], upper[1:])], 257),
+        "small_circle": ([Arc(1.0 + 0j, eps, math.pi - a_small, -(math.pi - a_small))],
+                         4 * 257),
+        "cut_lower": ([Line(a, b) for a, b in zip(lower[:-1], lower[1:])], 257),
+        # counterclockwise from just below the negative real axis back to
+        # just above it
+        "big_circle": ([Arc(0j, R, math.atan2(-dlt, -R), math.atan2(dlt, -R))],
+                       16 * 257),
+    }
+
+
 class KeyholeContour:
-    """Continuation of (J, W) around the keyhole boundary of D_eps, cached
-    per (kappa, eps); per-element winding counts then reduce to array
-    arithmetic on the stored samples."""
+    """J sampled around the keyhole boundary of D_eps, cached per
+    (kappa, eps); per-element winding counts then reduce to array
+    arithmetic on the stored samples.  ``samples[name]`` is (s, J) for
+    each boundary piece, J in closed form (``hypergeometric_J``)."""
 
-    def __init__(self, params: ModelParams, epsilon: float = 1e-3,
-                 delta: float | None = None, tol: float = 1e-11,
-                 samples: int = 257):
-        if not (0.0 < epsilon < 0.05):
-            raise DomainError("epsilon out of range")
-        self.params = params
-        self.epsilon = epsilon
-        self.delta = epsilon**2 if delta is None else delta
-        k = params.kappa
-        eps, dlt = self.epsilon, self.delta
-        R = 1.0 / eps
-        a_small = math.asin(dlt / eps)
-
-        s_mid = math.sqrt(k)  # geometric midpoint of (1, kappa)
-        state = initial_jstate(s_mid, params)
-        self.det_W0 = state.det_W
-        lift = max(0.25, 4.0 * eps)
-        start = complex(-R, dlt)
-        pre = [Line(complex(s_mid), complex(s_mid, lift)),
-               Line(complex(s_mid, lift), complex(-R, lift)),
-               Line(complex(-R, lift), start)]
-        state = continue_state(pre, state, params, tol=tol, eps_min=min(0.5 * eps, 1e-4))
-        self.start_state = state
-
-        # geometric breakpoints along the cut edges, clustered toward s = 1
-        def edge_nodes(sign):
-            gaps = np.geomspace(R + 1.0, eps, 28)
-            xs = 1.0 - gaps
-            xs[-1] = 1.0 - math.sqrt(eps * eps - dlt * dlt)
-            return [complex(x, sign * dlt) for x in xs]
-
-        upper = edge_nodes(+1.0)
-        lower = edge_nodes(-1.0)[::-1]
-        segs = {
-            "cut_upper": [Line(a, b) for a, b in zip(upper[:-1], upper[1:])],
-            "small_circle": [Arc(1.0 + 0j, eps, math.pi - a_small,
-                                 -(math.pi - a_small))],
-            "cut_lower": [Line(a, b) for a, b in zip(lower[:-1], lower[1:])],
-            # counterclockwise from just below the negative real axis back
-            # to just above it
-            "big_circle": [Arc(0j, R, math.atan2(-dlt, -R),
-                               math.atan2(dlt, -R))],
-        }
-        # traversal order with positive orientation of the keyhole
+    def __init__(self, params: ModelParams, epsilon: float = 1e-3):
         self.samples = {}
-        eps_min = min(0.45 * eps, 1e-4)
-        per_piece = {"cut_upper": samples, "cut_lower": samples,
-                     "small_circle": 4 * samples, "big_circle": 16 * samples}
-        for name in ("cut_upper", "small_circle", "cut_lower", "big_circle"):
-            state, recs = continue_state(segs[name], state, params, tol=tol,
-                                         eps_min=eps_min,
-                                         samples_per_piece=per_piece[name])
-            s_all = np.concatenate([r[0] for r in recs])
-            J_all = np.concatenate([r[1] for r in recs], axis=1)
-            W_all = np.concatenate([r[2] for r in recs], axis=2)
-            self.samples[name] = (s_all, J_all, W_all)
-        self.end_state = state
-        j0 = self.start_state.J
-        self.closure_drift = float(np.max(np.abs(state.J - j0)) / np.max(np.abs(j0)))
-        self.det_drift = abs(state.det_W - self.det_W0) / abs(self.det_W0)
+        for name, (pieces, n) in _keyhole_pieces(epsilon).items():
+            t = np.linspace(0.0, 1.0, n)
+            s = np.concatenate([piece.point(t) for piece in pieces])
+            self.samples[name] = (s, hypergeometric_J(s, params))
+
+
+def keyhole_by_continuation(params: ModelParams, epsilon: float = 1e-3):
+    """The keyhole samples by continuation of (J, W) once around the
+    boundary from the quadrature oracle at s = sqrt(kappa), the independent
+    check of ``KeyholeContour``.  Returns (samples, closure_drift,
+    det_drift): the samples at the same s points, and the relative change
+    of J and of the constant det W once around the closed boundary."""
+    pieces = _keyhole_pieces(epsilon)
+    R, start = 1.0 / epsilon, complex(-1.0 / epsilon, epsilon**2)
+    s_mid = math.sqrt(params.kappa)  # geometric midpoint of (1, kappa)
+    state = initial_jstate(s_mid, params)
+    det_W0 = state.det_W
+    lift = max(0.25, 4.0 * epsilon)
+    pre = [Line(complex(s_mid), complex(s_mid, lift)),
+           Line(complex(s_mid, lift), complex(-R, lift)),
+           Line(complex(-R, lift), start)]
+    state = continue_state(pre, state, params, tol=1e-11,
+                           eps_min=min(0.5 * epsilon, 1e-4))
+    j0 = state.J
+    samples = {}
+    for name, (path, n) in pieces.items():
+        state, recs = continue_state(path, state, params, tol=1e-11,
+                                     eps_min=min(0.45 * epsilon, 1e-4),
+                                     samples_per_piece=n)
+        samples[name] = (np.concatenate([r[0] for r in recs]),
+                         np.concatenate([r[1] for r in recs], axis=1))
+    closure_drift = float(np.max(np.abs(state.J - j0)) / np.max(np.abs(j0)))
+    return samples, closure_drift, abs(state.det_W - det_W0) / abs(det_W0)
 
 
 _contour_cache: dict = {}
@@ -442,8 +467,7 @@ def winding_count(pair: PolyPair, params: ModelParams,
     min_j1 = math.inf
     max_step = 0.0
     edge_gap = 0.0
-    for name in ("cut_upper", "small_circle", "cut_lower", "big_circle"):
-        s, J, W = ct.samples[name]
+    for name, (s, J) in ct.samples.items():
         J1, J2 = J[0], J[1]
         amin = float(np.min(np.abs(J1)))
         min_j1 = min(min_j1, amin)
@@ -465,7 +489,7 @@ def winding_count(pair: PolyPair, params: ModelParams,
     residual = abs(total / (2.0 * math.pi) - w)
     return WindingReport(
         n=pair.n, epsilon=epsilon, segments=segments, winding=w,
-        residual=residual, min_abs_J1=min_j1, closure_drift=ct.closure_drift,
+        residual=residual, min_abs_J1=min_j1,
         bound_ok=w <= 2 * pair.n, max_arg_step=max_step,
         edge_im_agreement=edge_gap,
     )
@@ -476,49 +500,22 @@ def winding_count(pair: PolyPair, params: ModelParams,
 # ---------------------------------------------------------------------------
 
 class JTable:
-    """J = (J1, J2) tabulated densely on (1 + margin, kappa - margin) by
-    propagating the hypergeometric-type system from the geometric midpoint
-    initialized with oracle data."""
+    """J = (J1, J2) on the real interval (1 + margin, kappa - margin), the
+    margin relative to kappa - 1, evaluated in closed form
+    (``hypergeometric_J``)."""
 
-    def __init__(self, params: ModelParams, margin: float = 1e-3,
-                 tol: float = 1e-12):
+    def __init__(self, params: ModelParams, margin: float = 1e-3):
         k = params.kappa
+        self.params = params
         self.lo = 1.0 + margin * (k - 1.0)
         self.hi = k - margin * (k - 1.0)
-        s_mid = math.sqrt(k)
-        st = initial_jstate(s_mid, params)
-        y0 = np.array([st.J[0].real, st.J[1].real])
-
-        def rhs(s, y):
-            N = np.array([[1.0 - s, k - 1.0], [1.0 - s, s - 1.0]])
-            return N @ y / (6.0 * (s - 1.0) * (s - k))
-
-        kw = dict(method="DOP853", rtol=tol, atol=1e-14, dense_output=True)
-        self._left = solve_ivp(rhs, (s_mid, self.lo), y0, **kw)
-        self._right = solve_ivp(rhs, (s_mid, self.hi), y0, **kw)
-        if not (self._left.success and self._right.success):
-            raise ConvergenceError("J tabulation failed")
-        self.mid = s_mid
 
     def J(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty((2, s.size))
-        left = s <= self.mid
-        if np.any(left):
-            out[:, left] = self._left.sol(s[left])
-        if np.any(~left):
-            out[:, ~left] = self._right.sol(s[~left])
-        return out
-
-
-_jtable_cache: dict = {}
+        return hypergeometric_J(np.asarray(s, dtype=float), self.params)
 
 
 def j_table(params: ModelParams, margin: float = 1e-3) -> JTable:
-    key = (params.kappa, margin)
-    if key not in _jtable_cache:
-        _jtable_cache[key] = JTable(params, margin)
-    return _jtable_cache[key]
+    return JTable(params, margin)
 
 
 def random_poly_pair(n: int, rng) -> PolyPair:

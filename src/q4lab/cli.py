@@ -322,8 +322,8 @@ def _cmd_winding(cfg: RunConfig, out: Path) -> int:
 
 
 def _sweep_one_kappa(args):
-    kappa, trials, child_entropy, grid = args
-    rng = np.random.default_rng(np.random.SeedSequence(child_entropy))
+    kappa, trials, seed_seq, grid = args
+    rng = np.random.default_rng(seed_seq)
     p0 = make_params(kappa)
     rows = []
     for t in range(trials):
@@ -337,7 +337,7 @@ def _sweep_one_kappa(args):
 
 def _cmd_sweep(cfg: RunConfig, out: Path) -> int:
     children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.kappa_list))
-    jobs = [(kappa, cfg.trials, child.entropy, cfg.grid)
+    jobs = [(kappa, cfg.trials, child, cfg.grid)
             for kappa, child in zip(cfg.kappa_list, children)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:

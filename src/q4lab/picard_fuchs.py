@@ -383,7 +383,7 @@ def continue_state(pieces, state0: JState, params: ModelParams,
     Integrates the realified linear system with an embedded Runge-Kutta
     pair (DOP853), the step capped by 0.1 / (||A|| |dz/dt|) along each
     piece.  With ``samples_per_piece`` set, returns per-piece sample arrays
-    (s values, J values, W values) for argument tracking.
+    (s values, J values) for argument tracking.
     """
     k = params.kappa
     X = np.concatenate([state0.J, state0.W.reshape(-1)])
@@ -417,8 +417,7 @@ def continue_state(pieces, state0: JState, params: ModelParams,
         if not sol.success:
             raise ConvergenceError(f"continuation failed on {piece}: {sol.message}")
         if samples_per_piece:
-            Y = sol.y[:6] + 1j * sol.y[6:]
-            out_samples.append((piece.point(sol.t), Y[:2], Y[2:].reshape(2, 2, -1)))
+            out_samples.append((piece.point(sol.t), sol.y[:2] + 1j * sol.y[6:8]))
         Xr = sol.y[:, -1]
 
     Xc = Xr[:6] + 1j * Xr[6:]

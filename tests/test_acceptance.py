@@ -28,6 +28,8 @@ from q4lab.melnikov import eval_R, extract_R_coeffs, get_propagation
 from q4lab.analysis import (
     chebyshev_probe,
     inhomogeneous_bound_sample,
+    keyhole_by_continuation,
+    keyhole_contour,
     sweep_bounds,
     vn_sample_test,
 )
@@ -217,6 +219,16 @@ def test_c08_vn_sampling():
         details.append(f"n={n}: real<={out['max_real_zeros']} "
                        f"wind<={out['max_winding']} (bound {2 * n}) "
                        f"res {out['worst_residual']:.2e}")
+    # the closed-form keyhole samples against continuation of (J, W)
+    samples, _, _ = keyhole_by_continuation(p4)
+    worst = 0.0
+    for name, (s, J) in keyhole_contour(p4).samples.items():
+        s_ode, J_ode = samples[name]
+        ok = ok and np.array_equal(s, s_ode)
+        worst = max(worst, float(np.max(np.max(np.abs(J - J_ode), axis=0)
+                                        / np.max(np.abs(J_ode), axis=0))))
+    ok = ok and worst <= 1e-10
+    details.append(f"keyhole J closed form vs continuation {worst:.1e} (tol 1e-10)")
     _line(8, ok, "; ".join(details) + " [200 pairs each, kappa=4]")
 
 

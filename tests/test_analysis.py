@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from q4lab import ConsistencyError, DomainError, make_params
 from q4lab.analysis import (
@@ -13,6 +14,8 @@ from q4lab.analysis import (
     bound_pipeline,
     chebyshev_probe,
     count_zeros,
+    j_table,
+    keyhole_by_continuation,
     keyhole_contour,
     frame_rotation_probe,
     inhomogeneous_bound_sample,
@@ -23,6 +26,7 @@ from q4lab.analysis import (
     vn_sample_test,
     winding_count,
 )
+from q4lab.picard_fuchs import initial_jstate
 
 
 class TestCountZeros:
@@ -72,6 +76,17 @@ class TestCountZeros:
     def test_bad_interval(self):
         with pytest.raises(DomainError):
             count_zeros(lambda x: x, (1.0, -1.0))
+
+    def test_error_in_f_propagates_after_one_call(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            raise DomainError("outside the domain of f")
+
+        with pytest.raises(DomainError, match="outside the domain of f"):
+            count_zeros(f, (0.0, 1.0))
+        assert len(calls) == 1
 
 
 class TestResidueSolutionProbe:
@@ -133,9 +148,9 @@ class TestWinding:
             "cut_upper", "small_circle", "cut_lower", "big_circle"}
 
     def test_contour_closure_and_wronskian(self, p4):
-        ct = keyhole_contour(p4)
-        assert ct.closure_drift < 1e-8
-        assert ct.det_drift < 1e-8
+        _, closure_drift, det_drift = keyhole_by_continuation(p4)
+        assert closure_drift < 1e-8
+        assert det_drift < 1e-8
 
     def test_n1_bound_over_random_pairs(self, p4, rng):
         maxw = 0
@@ -148,7 +163,6 @@ class TestWinding:
         assert maxw <= 2
 
     def test_winding_at_least_real_zeros(self, p4, rng):
-        from q4lab.analysis import j_table
         tab = j_table(p4)
         for _ in range(20):
             pair = random_poly_pair(2, rng)
@@ -190,7 +204,6 @@ class TestVnSampling:
         assert not out["violations"]
 
     def test_pure_J1_element_never_vanishes(self, p4):
-        from q4lab.analysis import j_table
         tab = j_table(p4)
         zr = count_zeros(lambda s: tab.J(s)[0], (tab.lo, tab.hi), grid=512)
         assert zr.count == 0
@@ -253,3 +266,91 @@ class TestZeroBoundProbes:
     def test_frame_window_validation(self, p4):
         with pytest.raises(DomainError):
             L2Frame(p4, (p4.saddle_h + 0.01, p4.saddle_h + 0.1))
+
+
+def _l2_frame_by_ode(params, window, hs):
+    """The L2 frame by DOP853 integration from the window midpoint: the
+    independent route for L2Frame's closed form."""
+    k = params.kappa
+
+    def rhs(h, y):
+        x1, d1, x2, d2 = y
+        a2 = h * (9.0 * k * h * h - 4.0)
+        a1 = -(9.0 * k * h * h - 8.0)
+        a0 = 5.0 * k * h
+        return [d1, -(a1 * d1 + a0 * x1) / a2, d2, -(a1 * d2 + a0 * x2) / a2]
+
+    mid = 0.5 * (window[0] + window[1])
+    kw = dict(method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True)
+    out = np.empty((4, hs.size))
+    for end, part in ((window[0], hs <= mid), (window[1], hs > mid)):
+        sol = solve_ivp(rhs, (mid, end), [1.0, 0.0, 0.0, 1.0], **kw)
+        assert sol.success
+        out[:, part] = sol.sol(hs[part])
+    return out
+
+
+def _rotation_span(frame):
+    theta = np.unwrap(np.arctan2(frame[2], frame[0]))
+    return float(theta.max() - theta.min())
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_J_matches_quadrature_oracle(self, kappa):
+        p = make_params(kappa)
+        tab = j_table(p)
+        for s in (math.sqrt(kappa), 1.0 + 0.1 * (kappa - 1.0), kappa - 0.1 * (kappa - 1.0)):
+            oracle = initial_jstate(s, p).J.real
+            closed = tab.J(s)[:, 0]
+            assert np.max(np.abs(closed - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("kappa", [1.5, 9.0])
+    def test_keyhole_samples_match_continuation(self, kappa):
+        p = make_params(kappa)
+        ct = keyhole_contour(p)
+        samples, _, _ = keyhole_by_continuation(p)
+        assert list(samples) == list(ct.samples)
+        for name, (s, J) in samples.items():
+            s_cf, J_cf = ct.samples[name]
+            assert np.array_equal(s_cf, s)
+            rel = np.max(np.abs(J_cf - J), axis=0) / np.max(np.abs(J), axis=0)
+            assert rel.max() <= 1e-10, name
+
+    @pytest.mark.parametrize("kappa", [1.5, 2.0, 4.0, 9.0])
+    def test_l2_frame_matches_ode(self, kappa):
+        p = make_params(kappa)
+        hs_level = p.saddle_h
+        for window in ((p.center_h + 1e-6, hs_level - 1e-6),
+                       (residue_zero_level(p) - 1.0, hs_level - 1e-6 * abs(hs_level))):
+            hs = np.linspace(window[0], window[1], 4096)
+            fr = L2Frame(p, window)
+            closed, ode = fr.frame(hs), _l2_frame_by_ode(p, window, hs)
+            assert np.max(np.abs(closed[[0, 2]] - ode[[0, 2]])) <= 1e-10
+            for row in (1, 3):
+                scale = np.max(np.abs(ode[row]))
+                assert np.max(np.abs(closed[row] - ode[row])) <= 1e-8 * scale
+            assert fr.rotation_span() == pytest.approx(_rotation_span(ode), abs=1e-10)
+
+    def test_l2_frame_probe_annulus_window(self):
+        # the window chebyshev_probe measures, 1e-9 from both critical levels
+        p = make_params(9.0)
+        window = (p.center_h + 1e-9, p.saddle_h - 1e-9)
+        hs = np.linspace(window[0], window[1], 4096)
+        fr = L2Frame(p, window)
+        closed, ode = fr.frame(hs), _l2_frame_by_ode(p, window, hs)
+        assert np.max(np.abs(closed[[0, 2]] - ode[[0, 2]])) <= 1e-10
+        assert fr.rotation_span() == pytest.approx(_rotation_span(ode), abs=1e-10)
+
+    def test_production_paths_integrate_no_ode(self, monkeypatch):
+        import q4lab.analysis as an
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ODE integration on a closed-form path")
+
+        monkeypatch.setattr(an, "solve_ivp", refuse)
+        monkeypatch.setattr(an, "continue_state", refuse)
+        monkeypatch.setattr(an, "_contour_cache", {})
+        p = make_params(3.3)
+        chebyshev_probe(p, grid=64)
+        vn_sample_test(1, 2, p, seed=0, grid=64)

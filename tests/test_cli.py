@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from q4lab.cli import RunConfig, main, run
+from q4lab.cli import RunConfig, _mu_draws, main, run
 
 
 def read_report(path):
@@ -98,6 +98,21 @@ class TestCommands:
         b = (tmp_path / "w2" / "sweep.csv").read_bytes()
         assert a.count(b"\n") == 21  # header + 2 kappas x 10 trials
         assert a == b
+
+    def test_sweep_kappas_draw_distinct_streams(self, tmp_path):
+        # each kappa draws from its own spawned child of the seed, the
+        # stream zeros --mu_mode random_sphere uses for that kappa
+        cfg = RunConfig(kappa_list=[2.0, 4.0], mu_mode="random_sphere", trials=4,
+                        seed=7, output_dir=str(tmp_path))
+        run("sweep", cfg)
+        rows = read_report(tmp_path / "sweep.csv")
+        mus = {}
+        for r in rows:
+            mus.setdefault(float(r["kappa"]), []).append(
+                tuple(float(r[f"mu{i}"]) for i in range(1, 5)))
+        assert mus[2.0] != mus[4.0]
+        assert mus[2.0] == _mu_draws(cfg, 0)
+        assert mus[4.0] == _mu_draws(cfg, 1)
 
     def test_entry_point_runs(self, tmp_path):
         out = subprocess.run(

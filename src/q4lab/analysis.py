@@ -29,8 +29,9 @@ turn); the frame is built from hypergeometric solutions of L2 in s.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -38,7 +39,7 @@ from scipy.optimize import brentq
 from scipy.special import hyp2f1
 
 from .errors import ConsistencyError, ConvergenceError, DomainError, GeometryError
-from .model import ModelParams, real_roots_y
+from .model import ModelParams, make_params, real_roots_y
 from .picard_fuchs import (
     Arc,
     Line,
@@ -136,6 +137,22 @@ def residue_zero_level(params: ModelParams) -> float:
     return -(2.0 / 3.0) * math.sqrt(5.0 / params.kappa)
 
 
+def _s_minus_one(h, kappa: float):
+    """s - 1 = (9 kappa / 4) h^2 - 1 at the double h and kappa, with the
+    products compensated so that no digits cancel near the saddle (s = 1)."""
+    def split(x):  # Veltkamp: x = hi + lo, halves of 26 bits
+        hi = 134217729.0 * x - (134217729.0 * x - x)
+        return hi, x - hi
+
+    def two_product(a, b):  # Dekker: p + e = a b exactly
+        (ah, al), (bh, bl), p = split(a), split(b), a * b
+        return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+    (c, c_err), (hh, hh_err) = two_product(2.25, kappa), two_product(h, h)
+    s, s_err = two_product(c, hh)
+    return (s - 1.0) + (s_err + c * hh_err + c_err * hh)
+
+
 def _l2_kummer_pair(h, kappa: float) -> np.ndarray:
     """[[u1, u2], [u1', u2']] along the levels h, shape (2, 2, n): in
     s = (9 kappa / 4) h^2, L2 is Gauss's equation with (a, b, c) =
@@ -143,9 +160,9 @@ def _l2_kummer_pair(h, kappa: float) -> np.ndarray:
     2F1(-1/3, 1/3; 3/2; 1 - s) is its Kummer pair at s = 1, real for s > 1
     (left of the saddle level).  ' is d/dh, with ds/dh = 9 kappa h / 2."""
     h = np.atleast_1d(np.asarray(h, dtype=float))
-    s = 2.25 * kappa * h * h
-    w = 1.0 - s
-    r = np.sqrt(s - 1.0)
+    sm1 = _s_minus_one(h, kappa)
+    w = -sm1
+    r = np.sqrt(sm1)
     f2 = hyp2f1(-1.0 / 3.0, 1.0 / 3.0, 1.5, w)
     du1 = -(5.0 / 18.0) * hyp2f1(5.0 / 6.0, 1.0 / 6.0, 1.5, w)
     du2 = 0.5 * f2 / r + (2.0 / 27.0) * r * hyp2f1(2.0 / 3.0, 4.0 / 3.0, 2.5, w)
@@ -573,7 +590,9 @@ def vn_sample_test(n: int, trials: int, params: ModelParams, seed: int,
 class BoundScanner:
     """Per-kappa precomputation for fast zero counts of I, G and R over
     many weight vectors: each function is linear in the weights, so a
-    4 x grid basis matrix reduces one trial to a matvec plus sign scan."""
+    4 x grid basis matrix reduces one trial to a matvec plus sign scan.
+    Refinement points get the same rows from ``_basis``: G and R from one
+    stacked ``derivs`` call, R for all four unit weights in one broadcast."""
 
     def __init__(self, params: ModelParams, grid: int = 512,
                  margin_rel: float = 1e-6):
@@ -585,54 +604,34 @@ class BoundScanner:
         self.window = (hc + margin_rel * w, hs - margin_rel * w)
         self.grid = max(int(grid), 64)
         self.hs = _cheb_grid(*self.window, self.grid)
-        k = params.kappa
-        V = self.prop.values(self.hs)
-        D = self.prop.derivs(self.hs)
-        h = self.hs
-        self.I_basis = np.stack([
-            h * V[0], V[1], V[2], 2.0 * V[4] + 3.0 * k * h * V[5]])
-        J1, J2 = D[0], D[3]
-        self.G_basis = np.stack([
-            h * h * J1, J2, J1, -4.0 * h * D[4] + (3.0 * k * h * h - 4.0) * D[5]])
-        self.R_basis = np.stack(
-            [self._R_unit_row(m, h, J1, J2) for m in range(4)])
+        self.basis = {which: self._basis(which, self.hs) for which in "IGR"}
 
-    def _R_unit_row(self, m: int, h, J1, J2):
-        unit = np.zeros(4)
-        unit[m] = 1.0
-        av, bv = self.rc.a_values(unit), self.rc.b_values(unit)
+    def _R_rows(self, h, J1, J2):
+        """The R template of each unit weight at the levels h, shape (4, n)."""
+        A = self.rc.a_float[:, :, None]
+        B = self.rc.b_float[:, :, None]
         den = (9.0 * h * h - 4.0) ** 2 * (9.0 * self.params.kappa * h * h - 4.0)
-        num = h * ((av[0] + av[1] * h**2 + av[2] * h**4 + av[3] * h**6) * J1
-                   + (bv[0] + bv[1] * h**2 + bv[2] * h**4) * J2)
+        num = h * ((A[0] + A[1] * h**2 + A[2] * h**4 + A[3] * h**6) * J1
+                   + (B[0] + B[1] * h**2 + B[2] * h**4) * J2)
         return num / den
 
-    def _pointwise(self, which: str, mu: np.ndarray):
+    def _basis(self, which: str, h):
+        """Rows of I, G or R for the four unit weights at the levels h."""
         k = self.params.kappa
-
-        def f(h):
-            h = np.atleast_1d(np.asarray(h, dtype=float))
-            if which == "I":
-                V = self.prop.values(h)
-                basis = np.stack([h * V[0], V[1], V[2], 2.0 * V[4] + 3.0 * k * h * V[5]])
-                return mu @ basis
-            D = self.prop.derivs(h)
-            J1, J2 = D[0], D[3]
-            if which == "G":
-                basis = np.stack([h * h * J1, J2, J1,
-                                  -4.0 * h * D[4] + (3.0 * k * h * h - 4.0) * D[5]])
-                return mu @ basis
-            # same arithmetic path as the precomputed grid rows
-            basis = np.stack([self._R_unit_row(m, h, J1, J2) for m in range(4)])
-            return mu @ basis
-
-        return f
+        if which == "I":
+            V = self.prop.values(h)
+            return np.stack([h * V[0], V[1], V[2], 2.0 * V[4] + 3.0 * k * h * V[5]])
+        D = self.prop.derivs(h)
+        J1, J2 = D[0], D[3]
+        if which == "G":
+            return np.stack([h * h * J1, J2, J1,
+                             -4.0 * h * D[4] + (3.0 * k * h * h - 4.0) * D[5]])
+        return self._R_rows(h, J1, J2)
 
     def count(self, which: str, mu, tol: float = 1e-9) -> ZeroReport:
         mu = np.asarray(mu, dtype=float)
-        basis = {"I": self.I_basis, "G": self.G_basis, "R": self.R_basis}[which]
-        fs = mu @ basis
-        return _count_from_scan(self.hs, fs, self._pointwise(which, mu),
-                                self.window, tol)
+        fvec = lambda h: mu @ self._basis(which, np.atleast_1d(np.asarray(h, dtype=float)))
+        return _count_from_scan(self.hs, mu @ self.basis[which], fvec, self.window, tol)
 
 
 def _count_from_scan(xs, fs, fvec, interval, tol) -> ZeroReport:
@@ -642,7 +641,9 @@ def _count_from_scan(xs, fs, fvec, interval, tol) -> ZeroReport:
     if scale == 0.0:
         report.identically_zero = True
         return report
-    f1 = lambda x: float(np.atleast_1d(fvec(np.array([x])))[0])
+    # memoised: brentq starts from the bracket ends the scan loop has just
+    # evaluated
+    f1 = functools.cache(lambda x: float(np.atleast_1d(fvec(np.array([x])))[0]))
     xtol = max(tol * (interval[1] - interval[0]), 1e-15)
     zeros = []
     for idx in np.nonzero(fs[:-1] * fs[1:] < 0)[0]:
@@ -664,11 +665,8 @@ def _count_from_scan(xs, fs, fvec, interval, tol) -> ZeroReport:
     # quadratic; a tangency is declared when the fitted minimum value sits
     # at zero within tolerance (nodes themselves never land on it)
     absf = np.abs(fs)
-    for idx in range(1, xs.size - 1):
-        if not (absf[idx] <= absf[idx - 1] and absf[idx] <= absf[idx + 1]):
-            continue
-        if fs[idx] == 0.0:
-            continue
+    is_min = (absf[1:-1] <= absf[:-2]) & (absf[1:-1] <= absf[2:]) & (fs[1:-1] != 0.0)
+    for idx in np.nonzero(is_min)[0] + 1:
         if any(xs[idx - 1] <= z["location"] <= xs[idx + 1] for z in zeros):
             continue
         x0, delta = xs[idx], 0.5 * (xs[idx + 1] - xs[idx - 1])
@@ -771,7 +769,7 @@ def _reconstruction_error(sc: BoundScanner, mu, muG) -> float:
 
     def G_of(h):
         h = np.atleast_1d(np.asarray(h, dtype=float))
-        D = np.stack([prop.derivs(float(x)) for x in h], axis=1)
+        D = prop.derivs(h)
         return (muG[0] * h * h * D[0] + muG[2] * D[0] + muG[1] * D[3]
                 + muG[3] * (-4.0 * h * D[4] + (3.0 * k * h * h - 4.0) * D[5]))
 
@@ -792,23 +790,28 @@ def _reconstruction_error(sc: BoundScanner, mu, muG) -> float:
     return worst
 
 
+def unit_sphere_weights(seed_seq, trials: int) -> np.ndarray:
+    """``trials`` weight vectors uniform on the unit sphere in R^4, shape
+    (trials, 4): each row is a standard normal draw of four over its own
+    norm, the draws taken in row order from ``default_rng(seed_seq)``."""
+    draws = np.random.default_rng(seed_seq).normal(size=(trials, 4))
+    return np.array([mu / np.linalg.norm(mu) for mu in draws]).reshape(trials, 4)
+
+
+def sweep_kappa(kappa: float, seed_seq, trials: int, grid: int = 512) -> list[BoundReport]:
+    """bound_pipeline, without the reconstruction check, at one kappa for
+    each of ``unit_sphere_weights(seed_seq, trials)`` in order."""
+    base = make_params(kappa)
+    return [bound_pipeline(replace(base, mu=tuple(mu)), grid=grid, check_reconstruction=False)
+            for mu in unit_sphere_weights(seed_seq, trials)]
+
+
 def sweep_bounds(kappas, trials: int, seed: int, grid: int = 512) -> list[BoundReport]:
     """Monte-Carlo bound_pipeline over weight vectors uniform on the unit
     sphere, deterministic per (seed, kappa order, trial index)."""
-    from dataclasses import replace
-
-    from .model import make_params
-    reports = []
     children = np.random.SeedSequence(seed).spawn(len(kappas))
-    for kap, child in zip(kappas, children):
-        rng = np.random.default_rng(child)
-        base = make_params(kap)
-        for _ in range(trials):
-            mu = rng.normal(size=4)
-            mu /= np.linalg.norm(mu)
-            reports.append(bound_pipeline(
-                replace(base, mu=tuple(mu)), grid=grid, check_reconstruction=False))
-    return reports
+    return [br for kap, child in zip(kappas, children)
+            for br in sweep_kappa(kap, child, trials, grid)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import argparse
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -250,12 +250,7 @@ def _mu_draws(cfg: RunConfig, kappa_idx: int):
     if cfg.mu_mode == "explicit":
         return [tuple(cfg.mu)]
     children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.kappa_list))
-    rng = np.random.default_rng(children[kappa_idx])
-    draws = []
-    for _ in range(cfg.trials):
-        mu = rng.normal(size=4)
-        draws.append(tuple(mu / np.linalg.norm(mu)))
-    return draws
+    return [tuple(mu) for mu in analysis.unit_sphere_weights(children[kappa_idx], cfg.trials)]
 
 
 def _cmd_zeros(cfg: RunConfig, out: Path) -> int:
@@ -323,16 +318,8 @@ def _cmd_winding(cfg: RunConfig, out: Path) -> int:
 
 def _sweep_one_kappa(args):
     kappa, trials, seed_seq, grid = args
-    rng = np.random.default_rng(seed_seq)
-    p0 = make_params(kappa)
-    rows = []
-    for t in range(trials):
-        mu = rng.normal(size=4)
-        mu /= np.linalg.norm(mu)
-        br = analysis.bound_pipeline(replace(p0, mu=tuple(mu)), grid=grid,
-                                     check_reconstruction=False)
-        rows.append((kappa, t, mu, br.count_I, br.count_G, br.count_R, br.chain_ok))
-    return rows
+    return [(kappa, t, br.mu, br.count_I, br.count_G, br.count_R, br.chain_ok)
+            for t, br in enumerate(analysis.sweep_kappa(kappa, seed_seq, trials, grid))]
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path) -> int:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -149,17 +150,26 @@ def _pair_L2(p: RatF, q: RatF, kf: Fraction, M):
 @dataclass(frozen=True)
 class RCoefficients:
     """Exact coefficients of the R template for one kappa: a_j, b_j as
-    linear forms over the G-stage weights (nu1..nu4), Fraction entries."""
+    linear forms over the G-stage weights (nu1..nu4), Fraction entries;
+    ``a_float``, ``b_float`` hold them as float matrices, converted once."""
 
     kappa: float
     a: tuple  # 4 linear forms, each a 4-tuple of Fractions
     b: tuple  # 3 linear forms
 
+    @cached_property
+    def a_float(self) -> np.ndarray:
+        return np.array(self.a, dtype=float)
+
+    @cached_property
+    def b_float(self) -> np.ndarray:
+        return np.array(self.b, dtype=float)
+
     def a_values(self, mu) -> np.ndarray:
-        return np.array([sum(float(c) * m for c, m in zip(row, mu)) for row in self.a])
+        return np.array([sum(c * m for c, m in zip(row, mu)) for row in self.a_float])
 
     def b_values(self, mu) -> np.ndarray:
-        return np.array([sum(float(c) * m for c, m in zip(row, mu)) for row in self.b])
+        return np.array([sum(c * m for c, m in zip(row, mu)) for row in self.b_float])
 
     def template(self, h: float, J1: float, J2: float, mu) -> float:
         """Evaluate the rational template of R with these coefficients."""

@@ -85,13 +85,6 @@ class ModelParams:
     def center_h(self) -> float:
         return -2.0 / 3.0
 
-    def interior_window(self, margin: float = 0.0) -> tuple[float, float]:
-        """The open annulus level interval, optionally shrunk by a relative
-        margin on both ends."""
-        lo, hi = self.center_h, self.saddle_h
-        pad = margin * (hi - lo)
-        return lo + pad, hi - pad
-
 
 def make_params(kappa: float, mu=(0.0, 0.0, 0.0, 0.0)) -> ModelParams:
     """Build the parameter record for a given kappa > 1.
@@ -115,10 +108,6 @@ def make_params(kappa: float, mu=(0.0, 0.0, 0.0, 0.0)) -> ModelParams:
 # ---------------------------------------------------------------------------
 # First-integral forms
 # ---------------------------------------------------------------------------
-
-def Y_of(x: float, y: float, params: ModelParams) -> float:
-    return params.c * x - (2.0 + params.b) * y
-
 
 def phi(x, y, params: ModelParams):
     Y = params.c * x - (2.0 + params.b) * y

@@ -43,6 +43,7 @@ from .model import ModelParams, h_from_s
 from .quadrature import basis_values
 
 BASIS_INDICES = ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (-1, 1))
+COND_LIMIT = 1e12  # cond(B) above which the derivatives are refused
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ def pf_residuals(pf: PFVector, params: ModelParams) -> np.ndarray:
 
 
 def pf_derivatives(h: float, values, params: ModelParams,
-                   cond_limit: float = 1e12) -> np.ndarray:
+                   cond_limit: float = COND_LIMIT) -> np.ndarray:
     """The unique primed six-vector solving the system at (h, kappa).
 
     Raises SingularityError near the critical levels where B is singular,
@@ -188,13 +189,21 @@ class PFPropagation:
         return out[:, 0] if scalar else out
 
     def derivs(self, h):
+        """The primed six-vector at a scalar level, or (6, n) at n levels:
+        B is affine in h, so the n matrices B(0) + h B' get one batched cond
+        check and one batched solve (per level the same as ``pf_derivatives``)."""
         h = np.asarray(h, dtype=float)
         if h.ndim == 0:
             return pf_derivatives(float(h), self.values(h), self.params)
         vals = self.values(h)
-        return np.stack([
-            pf_derivatives(float(hh), vals[:, i], self.params)
-            for i, hh in enumerate(h)], axis=1)
+        B = pf_matrix(0.0, self.params) + h[:, None, None] * _B_PRIME
+        cond = np.linalg.cond(B)
+        bad = ~np.isfinite(cond) | (cond > COND_LIMIT)
+        if np.any(bad):
+            i = np.argmax(bad)
+            raise SingularityError(
+                f"Picard-Fuchs matrix nearly singular at h={h[i]}: cond(B) = {cond[i]:.3e}")
+        return np.linalg.solve(B, vals.T[:, :, None])[:, :, 0].T
 
     def chain(self, h: float):
         return pf_derivative_chain(float(h), self.values(float(h)), self.params)

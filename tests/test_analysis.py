@@ -1,4 +1,6 @@
+import copy
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
-from q4lab import ConsistencyError, DomainError, make_params
+import q4lab.analysis as an
+from q4lab import ConsistencyError, DomainError, SingularityError, make_params
 from q4lab.analysis import (
+    BoundScanner,
     L2Frame,
     PolyPair,
     bound_pipeline,
@@ -23,10 +28,12 @@ from q4lab.analysis import (
     residue_solution,
     residue_zero_level,
     sweep_bounds,
+    unit_sphere_weights,
     vn_sample_test,
     winding_count,
 )
-from q4lab.picard_fuchs import initial_jstate
+from q4lab.melnikov import get_propagation
+from q4lab.picard_fuchs import initial_jstate, pf_derivatives, pf_matrix
 
 
 class TestCountZeros:
@@ -354,3 +361,151 @@ class TestClosedForms:
         p = make_params(3.3)
         chebyshev_probe(p, grid=64)
         vn_sample_test(1, 2, p, seed=0, grid=64)
+
+
+class _PointwiseScanner(BoundScanner):
+    """BoundScanner on the per-point route: one pf_derivatives solve per
+    level, and the R row of each unit weight from rc.a_values/b_values."""
+
+    def _derivs(self, h):
+        V = self.prop.values(h)
+        return np.stack([pf_derivatives(float(x), V[:, i], self.params)
+                         for i, x in enumerate(h)], axis=1)
+
+    def _basis(self, which, h):
+        if which == "I":
+            return super()._basis(which, h)
+        k = self.params.kappa
+        D = self._derivs(h)
+        J1, J2 = D[0], D[3]
+        if which == "G":
+            return np.stack([h * h * J1, J2, J1,
+                             -4.0 * h * D[4] + (3.0 * k * h * h - 4.0) * D[5]])
+        den = (9.0 * h * h - 4.0) ** 2 * (9.0 * k * h * h - 4.0)
+        rows = []
+        for unit in np.eye(4):
+            av, bv = self.rc.a_values(unit), self.rc.b_values(unit)
+            num = h * ((av[0] + av[1] * h**2 + av[2] * h**4 + av[3] * h**6) * J1
+                       + (bv[0] + bv[1] * h**2 + bv[2] * h**4) * J2)
+            rows.append(num / den)
+        return np.stack(rows)
+
+
+def _pipeline_digest(br):
+    rec = br.reconstruction_rel_err
+    out = [br.count_I, br.count_G, br.count_R, br.violations,
+           None if rec is None else float(rec).hex()]
+    for which in "IGR":
+        rep = br.reports[which]
+        out.append([(float(z["location"]).hex(), z["multiplicity_estimate"])
+                    for z in rep.zeros])
+        out.append(rep.warnings)
+    return out
+
+
+class TestScannerBatching:
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_pipeline_matches_pointwise_route(self, kappa, monkeypatch):
+        p = make_params(kappa)
+        oracle = _PointwiseScanner(p)
+        # the reconstruction check reads array derivs from the scanner's prop
+        oracle.prop = copy.copy(oracle.prop)
+        oracle.prop.derivs = oracle._derivs
+        fast = an.bound_scanner(p, 512)
+        for which in "IGR":
+            assert np.array_equal(fast.basis[which], oracle.basis[which])
+        weights = unit_sphere_weights(np.random.SeedSequence(int(10 * kappa)), 40)
+        for t, mu in enumerate(weights):
+            q = replace(p, mu=tuple(mu))
+            check = t % 10 == 0
+            got = bound_pipeline(q, check_reconstruction=check)
+            with monkeypatch.context() as m:
+                m.setattr(an, "bound_scanner", lambda params, grid: oracle)
+                want = bound_pipeline(q, check_reconstruction=check)
+            assert _pipeline_digest(got) == _pipeline_digest(want), t
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_stacked_derivs_equal_pointwise_solves(self, kappa):
+        p = make_params(kappa)
+        hs = an.bound_scanner(p, 512).hs
+        prop = get_propagation(p)
+        V = prop.values(hs)
+        pointwise = np.stack([pf_derivatives(float(h), V[:, i], p)
+                              for i, h in enumerate(hs)], axis=1)
+        assert np.array_equal(prop.derivs(hs), pointwise)
+
+    def test_stacked_derivs_refuse_singular_level(self):
+        p = make_params(4.0)
+        h_bad = p.center_h
+        assert np.linalg.cond(pf_matrix(h_bad, p)) > 1e12
+        prop = copy.copy(get_propagation(p))
+        prop.lo = h_bad - 0.01  # let values() reach the singular level
+        with pytest.raises(SingularityError, match=re.escape(f"h={h_bad}:")):
+            prop.derivs(np.array([-0.5, h_bad, -0.45]))
+
+    def test_scan_evaluates_no_level_twice(self, monkeypatch):
+        # the bracket ends are memoised, so no level is evaluated twice and
+        # a bracket costs one pointwise call per evaluation brentq makes
+        p = make_params(4.0)
+        sc = an.bound_scanner(p, 512)
+        brentq_calls = []
+
+        def counted_brentq(f, a, b, **kw):
+            root, res = brentq(f, a, b, full_output=True, **kw)
+            brentq_calls.append(res.function_calls)
+            return root
+
+        monkeypatch.setattr(an, "brentq", counted_brentq)
+        for mu in unit_sphere_weights(np.random.SeedSequence(7), 30):
+            muG = an.mu_G_from_eq211(mu, p.kappa)
+            for which, w in (("I", mu), ("G", muG), ("R", muG)):
+                calls = []
+
+                def fvec(h):
+                    calls.append(np.atleast_1d(np.asarray(h, dtype=float)))
+                    return w @ sc._basis(which, calls[-1])
+
+                fs = w @ sc.basis[which]
+                del brentq_calls[:]
+                an._count_from_scan(sc.hs, fs, fvec, sc.window, 1e-9)
+                seen = np.concatenate(calls).tolist() if calls else []
+                assert len(seen) == len(set(seen))
+                pointwise = sum(c.size == 1 for c in calls)
+                unbracketed = int(np.sum(fs[:-1] * fs[1:] < 0)) - len(brentq_calls)
+                assert pointwise == sum(brentq_calls) + 2 * unbracketed
+
+    def test_unit_sphere_weights_match_per_draw_formula(self):
+        for seed_seq in (np.random.SeedSequence(3), np.random.SeedSequence(42).spawn(4)[2]):
+            rng = np.random.default_rng(seed_seq)
+            per_draw = []
+            for _ in range(25):
+                mu = rng.normal(size=4)
+                per_draw.append(mu / np.linalg.norm(mu))
+            assert (unit_sphere_weights(seed_seq, 25) == np.array(per_draw)).all()
+        assert unit_sphere_weights(np.random.SeedSequence(3), 0).shape == (0, 4)
+
+
+class TestKummerPairNearSaddle:
+    @pytest.mark.parametrize("kappa", [2.0, 4.0, 7.3])
+    @pytest.mark.parametrize("offset", [1e-9, 1e-6, 1e-3])
+    def test_matches_mpmath(self, kappa, offset):
+        # s - 1 is formed with compensated products, so the entries keep
+        # full precision right below the saddle level (s = 1)
+        import mpmath as mp
+
+        h = make_params(kappa).saddle_h - offset
+        got = an._l2_kummer_pair(h, kappa)[:, :, 0]
+        with mp.workdps(40):
+            third, sixth = mp.mpf(1) / 3, mp.mpf(1) / 6
+            s = mp.mpf(9) / 4 * mp.mpf(kappa) * mp.mpf(h) ** 2
+            w, r = 1 - s, mp.sqrt(s - 1)
+            f2 = mp.hyp2f1(-third, third, 1.5, w)
+            du1 = -mp.mpf(5) / 18 * mp.hyp2f1(5 * sixth, sixth, 1.5, w)
+            du2 = f2 / (2 * r) + mp.mpf(2) / 27 * r * mp.hyp2f1(2 * third, 4 * third, 2.5, w)
+            dsdh = mp.mpf(9) / 2 * mp.mpf(kappa) * mp.mpf(h)
+            want = [[mp.hyp2f1(-sixth, -5 * sixth, 0.5, w), r * f2],
+                    [du1 * dsdh, du2 * dsdh]]
+            for i in range(2):
+                for j in range(2):
+                    rel = abs((mp.mpf(got[i, j]) - want[i][j]) / want[i][j])
+                    assert rel <= 1e-13, (i, j, float(rel))

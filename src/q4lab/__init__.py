@@ -7,6 +7,8 @@ extraction of the rational-function coefficients of R, Chebyshev-property
 probes for L2, and argument-principle zero counting in the complex domain.
 """
 
+import logging as _logging
+
 from .errors import (
     ConsistencyError,
     ConvergenceError,
@@ -89,6 +91,10 @@ from .dynamics import (
     vector_field_rhs,
 )
 from .cli import RunConfig, run
+
+# diagnostics (e.g. quadrature panel saturation) go to the "q4lab" logger
+# and print nothing unless the application configures logging
+_logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

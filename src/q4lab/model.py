@@ -302,34 +302,23 @@ def _smallest_positive_roots(C, Q, L, K):
     with no positive real root come back NaN.
     """
     C = np.atleast_1d(np.asarray(C, dtype=float))
-    Q, L, K = (np.broadcast_to(np.asarray(a, dtype=float), C.shape).copy() for a in (Q, L, K))
-    n = C.shape[0]
-    out = np.full(n, np.nan)
+    Q, L, K = (np.broadcast_to(np.asarray(a, dtype=float), C.shape) for a in (Q, L, K))
 
     cubic = np.abs(C) > 1e-14 * (np.abs(Q) + np.abs(L) + np.abs(K))
-    if np.any(cubic):
-        comp = np.zeros((int(cubic.sum()), 3, 3))
-        comp[:, 1, 0] = 1.0
-        comp[:, 2, 1] = 1.0
-        comp[:, 0, 2] = -K[cubic] / C[cubic]
-        comp[:, 1, 2] = -L[cubic] / C[cubic]
-        comp[:, 2, 2] = -Q[cubic] / C[cubic]
-        ev = np.linalg.eigvals(comp)
-        scale = 1.0 + np.abs(ev.real)
-        ev = np.where(np.abs(ev.imag) < 1e-9 * scale, ev.real, np.nan)
-        ev = np.where(ev > 1e-300, ev, np.nan)
-        with np.errstate(invalid="ignore"):
-            out[cubic] = np.nanmin(ev, axis=1)
-    quad = ~cubic
-    if np.any(quad):
+    if cubic.all():
+        out = _smallest_positive_eigvals(C, Q, L, K)
+    else:
+        out = np.full(C.shape[0], np.nan)
+        if np.any(cubic):
+            out[cubic] = _smallest_positive_eigvals(C[cubic], Q[cubic], L[cubic], K[cubic])
+        quad = ~cubic
         disc = L[quad] ** 2 - 4.0 * Q[quad] * K[quad]
         ok = (disc >= 0.0) & (np.abs(Q[quad]) > 0.0)
         r1 = np.where(ok, (-L[quad] + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * Q[quad]), np.nan)
         r2 = np.where(ok, (-L[quad] - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * Q[quad]), np.nan)
         rr = np.stack([r1, r2], axis=1)
         rr = np.where(rr > 1e-300, rr, np.nan)
-        with np.errstate(invalid="ignore"):
-            out[quad] = np.nanmin(rr, axis=1)
+        out[quad] = np.fmin.reduce(rr, axis=1)
 
     # Newton polish on the original cubic (2 guarded steps, then 1 final)
     for _ in range(3):
@@ -338,6 +327,20 @@ def _smallest_positive_roots(C, Q, L, K):
         step = np.where(fder != 0.0, fval / fder, 0.0)
         out = out - np.clip(step, -0.5 * np.abs(out), 0.5 * np.abs(out))
     return out
+
+
+def _smallest_positive_eigvals(C, Q, L, K):
+    """Smallest positive real eigenvalue of each cubic's 3x3 companion
+    matrix (NaN where there is none); the unpolished roots."""
+    comp = np.zeros((C.shape[0], 3, 3))
+    comp[:, 1, 0] = 1.0
+    comp[:, 2, 1] = 1.0
+    comp[:, 0, 2] = -K / C
+    comp[:, 1, 2] = -L / C
+    comp[:, 2, 2] = -Q / C
+    ev = np.linalg.eigvals(comp)
+    real = np.abs(ev.imag) < 1e-9 * (1.0 + np.abs(ev.real))
+    return np.fmin.reduce(np.where(real & (ev.real > 1e-300), ev.real, np.nan), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +408,7 @@ class Oval:
     params: ModelParams = field(repr=False)
     min_x: float = 0.0
     _bbox: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _tangents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def h(self) -> float:
@@ -422,9 +426,18 @@ class Oval:
         """Point on the oval and d(point)/d(theta), both exact to rounding.
 
         The radius derivative comes from implicit differentiation of
-        H(center + r e(theta)) = level.
+        H(center + r e(theta)) = level.  Memoised per oval by the angle
+        array's bytes and shape, since the green integrals of all indices
+        request the same Gauss-Kronrod nodes; the arrays are read-only.
         """
         theta = np.asarray(theta, dtype=float)
+        key = (theta.tobytes(), theta.shape)
+        hit = self._tangents.get(key)
+        if hit is None:
+            hit = self._tangents[key] = self._point_tangent(theta)
+        return hit
+
+    def _point_tangent(self, theta):
         r = self.r_theta(theta)
         c, s = np.cos(theta), np.sin(theta)
         x = self.center[0] + r * c
@@ -435,6 +448,8 @@ class Oval:
         rp = -Fth / Fr
         dx = rp * c - r * s
         dy = rp * s + r * c
+        for a in (x, y, dx, dy):
+            a.flags.writeable = False
         return x, y, dx, dy
 
     def contains(self, x, y) -> np.ndarray:
@@ -451,32 +466,28 @@ class Oval:
     def bounding_box(self):
         """Tight box around the oval with the four extremes located exactly
         (bisection on the sign of the tangent component), so that no sliver
-        of the region is clipped.  Computed once per oval."""
+        of the region is clipped.  The four bisections run in lockstep, one
+        ray solve on four angles per step: 62 solves in all.  Computed once
+        per oval."""
         if self._bbox is not None:
             return self._bbox
         theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-        x, y, dx, dy = self.point_tangent(theta)
-
-        def refine(vals, dvals, pick_max):
-            k0 = int(np.argmax(vals) if pick_max else np.argmin(vals))
-            lo, hi = theta[k0 - 1], theta[(k0 + 1) % theta.size]
-            if hi < lo:
-                hi += 2.0 * np.pi
-            dlo = dvals[k0 - 1]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                _, _, ddx, ddy = self.point_tangent(np.array([mid]))
-                dmid = (ddx if dvals is dx else ddy)[0]
-                if (dmid > 0) == (dlo > 0):
-                    lo, dlo = mid, dmid
-                else:
-                    hi = mid
+        x, y, dx, dy = self._point_tangent(theta)
+        # x min, x max, y min, y max; each brackets its grid extreme by the
+        # neighbouring nodes and bisects on dx (x extremes) or dy (y extremes)
+        on_x = np.array([True, True, False, False])
+        k0 = np.array([np.argmin(x), np.argmax(x), np.argmin(y), np.argmax(y)])
+        lo, hi = theta[k0 - 1], theta[(k0 + 1) % theta.size]
+        hi = np.where(hi < lo, hi + 2.0 * np.pi, hi)
+        dlo = np.where(on_x, dx[k0 - 1], dy[k0 - 1])
+        for _ in range(60):
             mid = 0.5 * (lo + hi)
-            px, py, _, _ = self.point_tangent(np.array([mid]))
-            return (px if dvals is dx else py)[0]
-
-        x0, x1 = refine(x, dx, False), refine(x, dx, True)
-        y0, y1 = refine(y, dy, False), refine(y, dy, True)
+            _, _, ddx, ddy = self._point_tangent(mid)
+            dmid = np.where(on_x, ddx, ddy)
+            same = (dmid > 0) == (dlo > 0)
+            lo, dlo, hi = np.where(same, mid, lo), np.where(same, dmid, dlo), np.where(same, hi, mid)
+        px, py, _, _ = self._point_tangent(0.5 * (lo + hi))
+        x0, x1, y0, y1 = px[0], px[1], py[2], py[3]
         pad_x = 1e-12 * (x1 - x0) + 1e-300
         pad_y = 1e-12 * (y1 - y0) + 1e-300
         self._bbox = (x0 - pad_x, x1 + pad_x, y0 - pad_y, y1 + pad_y)
@@ -493,7 +504,9 @@ def oval(h: float, params: ModelParams, tol: float = 1e-9,
     exactly and the first positive root is the boundary, valid because the
     oval is star-shaped about the center on the annulus.  The star shape is
     validated per oval; a level where it fails raises DegenerateLevelError
-    (seen only in the cubic picture within about 0.5% of the saddle level).
+    naming the check that failed.  This is seen only in the cubic picture
+    close to the saddle level, and not on one interval of levels (at kappa
+    100 levels 99.8% and 99.99% of the way to the saddle fail, 99.9% passes).
     """
     form = HamiltonianForm(form)
     lp = level_classify(h, params)
@@ -506,37 +519,50 @@ def oval(h: float, params: ModelParams, tol: float = 1e-9,
         center = (1.0, 1.0)
 
     theta = np.linspace(0.0, 2.0 * np.pi, n_min, endpoint=False)
-    ov = _ray_oval(theta, h, params, form, tuple(center), tol)
-    if ov is None:
+    try:
+        return _ray_oval(theta, h, params, form, tuple(center), tol)
+    except DegenerateLevelError as exc:
         frac = (h - params.center_h) / (params.saddle_h - params.center_h)
         raise DegenerateLevelError(
             f"ray shooting failed at level h={h} ({form.value}, kappa={params.kappa}, "
-            f"{100.0 * frac:.4g}% of the way from the center level to the saddle level); "
-            "cubic_form levels within about 0.5% of the saddle level fall in a window "
-            "where rays from the center do not resolve the oval")
-    return ov
+            f"{100.0 * frac:.4g}% of the way from the center level to the saddle level): "
+            f"{exc}; rays from the center do not resolve the oval") from None
+
+
+def _check_roots(r, theta):
+    bad = ~np.isfinite(r) | (r <= 0.0)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise DegenerateLevelError(
+            f"non-finite or non-positive root r={r[k]:.6g} on the ray at theta={theta[k]:.10g}")
 
 
 def _ray_oval(theta, h, params, form, center, tol):
+    """The oval through ray shooting; raises DegenerateLevelError naming the
+    check that failed: a non-finite or non-positive ray root, an O(1) branch
+    jump between neighbouring rays, or a vertex residual above 1e-8*scale."""
     C, Q, L, K = _ray_poly_coeffs(theta, h, params, form, center)
     r = _smallest_positive_roots(C, Q, L, K)
-    if np.any(~np.isfinite(r)) or np.any(r <= 0.0):
-        return None
+    _check_roots(r, theta)
     # adaptive angular refinement until the chord midpoint stays on the curve
     for _ in range(8):
         thm = 0.5 * (theta + np.roll(theta, -1))
         thm[-1] = 0.5 * (theta[-1] + theta[0] + 2.0 * np.pi)
         Cm, Qm, Lm, Km = _ray_poly_coeffs(thm, h, params, form, center)
         rm = _smallest_positive_roots(Cm, Qm, Lm, Km)
-        if np.any(~np.isfinite(rm)):
-            return None
+        _check_roots(rm, thm)
         chord = 0.5 * (r + np.roll(r, -1))
         scale = np.maximum(np.abs(r), np.abs(np.roll(r, -1))) + 1e-300
-        bad = np.abs(rm - chord) > np.maximum(50.0 * tol, 5e-3) * scale
+        defect = np.abs(rm - chord)
+        bad = defect > np.maximum(50.0 * tol, 5e-3) * scale
         # a genuine branch jump shows as an O(1) defect that refinement
         # cannot shrink: the oval is not star-shaped about the center
-        if np.any(np.abs(rm - chord) > 0.45 * scale):
-            return None
+        jump = defect > 0.45 * scale
+        if np.any(jump):
+            k = int(np.argmax(jump))
+            raise DegenerateLevelError(
+                f"branch jump at theta={thm[k]:.10g}: the ray root is off the chord of its "
+                f"neighbours by {defect[k] / scale[k]:.3g} of the radius (limit 0.45)")
         if not np.any(bad) or theta.size > 65536:
             break
         theta = np.sort(np.concatenate([theta, thm[bad]]))
@@ -550,8 +576,11 @@ def _ray_oval(theta, h, params, form, center, tol):
     else:
         resid = np.abs(hamiltonian(form, (x, y), params, h=h))
     scale = max(abs(h), 1.0)
-    if np.max(resid) > 1e-8 * scale:
-        return None
+    k = int(np.argmax(resid))
+    if resid[k] > 1e-8 * scale:
+        raise DegenerateLevelError(
+            f"vertex residual {resid[k]:.3e} at theta={theta[k]:.10g} above "
+            f"1e-8*scale = {1e-8 * scale:.3e}")
     pts = np.column_stack([np.append(x, x[0]), np.append(y, y[0])])
     return Oval(
         level=level_classify(h, params),

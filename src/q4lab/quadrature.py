@@ -8,14 +8,18 @@ symmetric picture (region {H(x, y) < h}).  Two independent methods:
 
 * ``green``   reduce to a contour integral over the oval by Green's theorem
               and integrate with adaptive Gauss-Kronrod panels in the ray
-              angle; the primary method.
+              angle; the primary method.  The ray geometry (point and
+              tangent at each panel node) is memoised on the oval, so the
+              indices share the ray solves of the panels they have in common.
 * ``area2d``  adaptive cell subdivision over a tight bounding box with sign
               tests on H; boundary cells are finished with exact per-column
               slices (the vertical restriction of H is a depressed cubic in
               y, solved in closed form) and adaptive Gauss-Kronrod in x.
-              The geometry (box, cells, slice ends) does not depend on the
-              index (i, j), so it is built once per oval and shared across
-              indices; only the adaptive quadrature runs per index.
+              The geometry (box, cells, breakpoints, slice ends) does not
+              depend on the index (i, j), so it is built once per oval and
+              shared across indices: the fold roots are solved once per
+              oval and the row crossings once per row.  Only the adaptive
+              quadrature runs per index.
 
 Both methods localize to the connected component of the region containing
 the center, using the exact star-shaped membership test of the oval.  The
@@ -26,6 +30,7 @@ and a discriminant detecting singular level curves.
 from __future__ import annotations
 
 import heapq
+import logging
 import math
 from dataclasses import dataclass
 
@@ -40,6 +45,8 @@ from .model import (
     make_params,
     oval,
 )
+
+logger = logging.getLogger(__name__)
 
 # Gauss-Kronrod 15 nodes on [-1, 1] and weights, with the embedded Gauss-7
 # weights on the odd-indexed nodes.
@@ -89,7 +96,11 @@ _moment_cache: dict = {}
 
 
 def clear_caches() -> None:
+    """Drop the cached ovals with their memos, the moments and the area2d
+    geometry."""
     global _area2d_geometry
+    for ov in _oval_cache.values():
+        ov._tangents.clear()
     _oval_cache.clear()
     _moment_cache.clear()
     _area2d_geometry = None
@@ -113,7 +124,10 @@ def _gk_panel(f, a: float, b: float):
 
 def _adaptive_gk(f, a: float, b: float, tol: float, max_panels: int = 4000,
                  initial: int = 8):
-    """Globally adaptive GK quadrature of a vectorized integrand."""
+    """Globally adaptive GK quadrature of a vectorized integrand.
+
+    A call that stops at ``max_panels`` above its tolerance returns what it
+    has and logs one WARNING on the ``q4lab.quadrature`` logger."""
     edges = np.linspace(a, b, initial + 1)
     heap = []
     total, err = 0.0, 0.0
@@ -133,6 +147,10 @@ def _adaptive_gk(f, a: float, b: float, tol: float, max_panels: int = 4000,
         heapq.heappush(heap, (-e1, lo, mid, v1))
         heapq.heappush(heap, (-e2, mid, hi, v2))
         n += 1
+    if err > tol * max(abs(total), 1e-300):
+        logger.warning("adaptive GK on [%r, %r] stopped at max_panels=%d: error estimate "
+                       "%.3e above the target %.3e (relative tol %.3e)",
+                       a, b, n, err, tol * max(abs(total), 1e-300), tol)
     return total, err
 
 
@@ -256,16 +274,13 @@ def _rect_moment(i: int, j: int, x0, x1, y0, y1):
     return ix * iy
 
 
-def _x_breakpoints(ov: Oval, cy0: float, cy1: float):
-    """x-values inside the box where the per-column slice integrand loses
-    smoothness: fold points of the level curve (vertical tangents, double
-    y-roots) and crossings of the curve through the cell rows y = cy0/cy1.
-    The restriction of the level function to a row is again a cubic in x."""
+def _fold_xs(ov: Oval) -> np.ndarray:
+    """Real x of the fold points of the level curve (vertical tangents,
+    double y-roots): the real roots of the x-discriminant
+    D(x) = -4 a p^3 - 27 a^2 q^2 of the vertical slice cubic (degree 6)."""
     params, form, h = ov.params, ov.form, ov.h
     k = params.kappa
     km = k - 1.0
-    pts = []
-    # fold points: x-discriminant D(x) = -4 a p^3 - 27 a^2 q^2 (degree 6)
     a = k / 3.0
     if form is HamiltonianForm.SYMMETRIC_FORM:
         p3 = np.polynomial.polynomial.polypow([-1.0, 0.0, -km], 3)
@@ -275,19 +290,24 @@ def _x_breakpoints(ov: Oval, cy0: float, cy1: float):
         q = np.array([(2.0 / 3.0) * km, 0.0, 0.0, -h])
     q2 = np.polynomial.polynomial.polymul(q, q)
     D = -4.0 * a * np.pad(p3, (0, 7 - p3.size)) - 27.0 * a * a * q2
-    fold_pts = np.roots(D[::-1])
-    fold_xs = fold_pts[np.abs(fold_pts.imag) < 1e-9 * (1.0 + np.abs(fold_pts.real))].real
-    pts.extend(fold_xs)
-    # row crossings
-    for yrow in (cy0, cy1):
-        if form is HamiltonianForm.SYMMETRIC_FORM:
-            c3 = [(2.0 / 3.0) * km, -km * yrow, 0.0, (k / 3.0) * yrow**3 - yrow - h]
-        else:
-            c3 = [-h, -yrow, 0.0, (k / 3.0) * yrow**3 - km * yrow + (2.0 / 3.0) * km]
-        pts.extend(np.roots(c3))
-    pts = np.asarray(pts)
-    real = pts[np.abs(pts.imag) < 1e-9 * (1.0 + np.abs(pts.real))].real
-    return np.unique(real), np.unique(fold_xs)
+    return _real_parts(np.roots(D[::-1]))
+
+
+def _row_crossings(ov: Oval, yrow: float) -> np.ndarray:
+    """Real x where the level curve crosses the row y = yrow: the restriction
+    of the level function to a row is again a cubic in x."""
+    params, form, h = ov.params, ov.form, ov.h
+    k = params.kappa
+    km = k - 1.0
+    if form is HamiltonianForm.SYMMETRIC_FORM:
+        c3 = [(2.0 / 3.0) * km, -km * yrow, 0.0, (k / 3.0) * yrow**3 - yrow - h]
+    else:
+        c3 = [-h, -yrow, 0.0, (k / 3.0) * yrow**3 - km * yrow + (2.0 / 3.0) * km]
+    return _real_parts(np.roots(c3))
+
+
+def _real_parts(pts: np.ndarray) -> np.ndarray:
+    return pts[np.abs(pts.imag) < 1e-9 * (1.0 + np.abs(pts.real))].real
 
 
 def _piece_gk(fx, a: float, b: float, fold_lo: bool, fold_hi: bool, tol_rel: float):
@@ -313,8 +333,9 @@ def _piece_gk(fx, a: float, b: float, fold_lo: bool, fold_hi: bool, tol_rel: flo
 
 class _Area2dGeometry:
     """Everything area2d needs from one oval that does not depend on the
-    moment index (i, j): the quadtree leaves in walk order, and a memo of
-    the slice geometry per GK panel keyed by the panel's nodes and the cell
+    moment index (i, j): the quadtree leaves in walk order, the fold roots
+    and the row crossings behind the leaves' x-pieces, and a memo of the
+    slice geometry per GK panel keyed by the panel's nodes and the cell
     rows.  Built once per oval and shared by all indices; the adaptive GK
     per index reads it, so every value is the one a fresh walk would give."""
 
@@ -326,6 +347,8 @@ class _Area2dGeometry:
         # region, else the (a, b, fold_lo, fold_hi) x-pieces of a boundary cell
         self.leaves = []
         self.slices = {}
+        self.fold_xs = _fold_xs(ov)
+        self.crossings = {}  # row y -> _row_crossings(ov, y)
         x0, x1, y0, y1 = ov.bounding_box()
         self._walk(x0, x1, y0, y1, 0)
 
@@ -350,7 +373,7 @@ class _Area2dGeometry:
             self._walk(cx0, mx, my, cy1, depth + 1)
             self._walk(mx, cx1, my, cy1, depth + 1)
             return
-        brk, fold_xs = _x_breakpoints(ov, cy0, cy1)
+        brk, fold_xs = self.breakpoints(cy0, cy1), self.fold_xs
         near_fold = lambda x: bool(fold_xs.size > 0 and np.min(
             np.abs(fold_xs - x)) < 1e-9 * (1.0 + abs(x)))
         inner = sorted(x for x in brk if cx0 + 1e-13 < x < cx1 - 1e-13)
@@ -358,6 +381,19 @@ class _Area2dGeometry:
         pieces = [(a_, b_, near_fold(a_), near_fold(b_))
                   for a_, b_ in zip(cuts[:-1], cuts[1:]) if b_ - a_ >= 1e-13]
         self.leaves.append((cx0, cx1, cy0, cy1, pieces))
+
+    def breakpoints(self, cy0: float, cy1: float) -> np.ndarray:
+        """Sorted x-values where the slice integrand of a cell between the
+        rows cy0 and cy1 loses smoothness: fold points of the level curve
+        and crossings of the curve through the two rows, from the fold
+        roots solved once per oval and the crossings solved once per row."""
+        rows = []
+        for y in (cy0, cy1):
+            cross = self.crossings.get(y)
+            if cross is None:
+                cross = self.crossings[y] = _row_crossings(self.oval, y)
+            rows.append(cross)
+        return np.unique(np.concatenate([self.fold_xs, *rows]))
 
     def segments(self, xs: np.ndarray, cy0: float, cy1: float):
         key = (xs.tobytes(), cy0, cy1)

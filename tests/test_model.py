@@ -226,11 +226,26 @@ class TestOval:
 
     def test_cubic_form_next_to_saddle_rejected(self):
         # rays from the center do not resolve the cubic-form oval at 99.9%
-        # of the way to the saddle; the level is reported, not patched up
+        # of the way to the saddle; the level is reported, not patched up,
+        # and the error names the check that failed and where
         p = make_params(4.0)
         h = p.center_h + 0.999 * (p.saddle_h - p.center_h)
-        with pytest.raises(DegenerateLevelError, match="cubic_form"):
+        with pytest.raises(DegenerateLevelError, match="cubic_form") as exc:
             oval(h, p, form=HamiltonianForm.CUBIC_FORM)
+        assert "branch jump at theta=" in str(exc.value)
+        assert "limit 0.45" in str(exc.value)
+
+    @pytest.mark.parametrize("doctor, check", [
+        (lambda r: np.where(np.arange(r.size) == 3, np.nan, r), "non-finite or non-positive root"),
+        (lambda r: 1.001 * r, "vertex residual"),
+    ])
+    def test_ray_shooting_failure_names_check(self, p4, monkeypatch, doctor, check):
+        import q4lab.model as model
+        kernel = model._smallest_positive_roots
+        monkeypatch.setattr(model, "_smallest_positive_roots", lambda *a: doctor(kernel(*a)))
+        with pytest.raises(DegenerateLevelError, match=check) as exc:
+            oval(-0.5, p4)
+        assert "theta=" in str(exc.value)
 
     def test_cubic_form_oval(self, p4):
         ov = oval(-0.5, p4, form=HamiltonianForm.CUBIC_FORM)

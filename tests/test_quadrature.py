@@ -1,10 +1,17 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
 import q4lab.quadrature as quad
-from q4lab import DomainError, HamiltonianForm, SingularityError, make_params
+from q4lab import (
+    DegenerateLevelError,
+    DomainError,
+    HamiltonianForm,
+    SingularityError,
+    make_params,
+)
 from q4lab.model import Oval, interior_levels, oval
 from q4lab.quadrature import (
     MomentIndex,
@@ -126,16 +133,192 @@ class TestArea2dGeometry:
             assert other[(1, 1)].err_estimate == forward[(1, 1)].err_estimate
 
     def test_bounding_box_computed_once(self, p4, monkeypatch):
+        # one ray solve on the 512-angle grid, 60 lockstep bisection steps on
+        # the four extremes, one solve at the four final midpoints
+        import q4lab.model as model
         ov = oval(-0.5, p4)
         calls = []
-        point_tangent = Oval.point_tangent
-        monkeypatch.setattr(Oval, "point_tangent",
-                            lambda self, th: calls.append(1) or point_tangent(self, th))
+        kernel = model._smallest_positive_roots
+        monkeypatch.setattr(model, "_smallest_positive_roots",
+                            lambda *a: calls.append(1) or kernel(*a))
         box = ov.bounding_box()
-        assert len(calls) > 4 * 60  # four extremes, 60 bisection steps each
-        n = len(calls)
+        assert len(calls) == 62
         assert ov.bounding_box() == box
-        assert len(calls) == n
+        assert len(calls) == 62
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    @pytest.mark.parametrize("level", [0.08, 0.5, 0.92])
+    def test_bounding_box_matches_sequential_bisection(self, kappa, level):
+        # reference: the four extremes bisected one after another on single
+        # angles; the lockstep bisection must give the same four sides
+        p = make_params(kappa)
+        h = interior_levels(p, 1, level, level)[0]
+        theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+
+        def sequential(ov):
+            x, y, dx, dy = ov.point_tangent(theta)
+
+            def refine(vals, dvals, pick_max):
+                k0 = int(np.argmax(vals) if pick_max else np.argmin(vals))
+                lo, hi = theta[k0 - 1], theta[(k0 + 1) % theta.size]
+                if hi < lo:
+                    hi += 2.0 * np.pi
+                dlo = dvals[k0 - 1]
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    _, _, ddx, ddy = ov.point_tangent(np.array([mid]))
+                    dmid = (ddx if dvals is dx else ddy)[0]
+                    if (dmid > 0) == (dlo > 0):
+                        lo, dlo = mid, dmid
+                    else:
+                        hi = mid
+                px, py, _, _ = ov.point_tangent(np.array([0.5 * (lo + hi)]))
+                return (px if dvals is dx else py)[0]
+
+            x0, x1 = refine(x, dx, False), refine(x, dx, True)
+            y0, y1 = refine(y, dy, False), refine(y, dy, True)
+            pad_x = 1e-12 * (x1 - x0) + 1e-300
+            pad_y = 1e-12 * (y1 - y0) + 1e-300
+            return (x0 - pad_x, x1 + pad_x, y0 - pad_y, y1 + pad_y)
+
+        compared = 0
+        for form in (HamiltonianForm.SYMMETRIC_FORM, HamiltonianForm.CUBIC_FORM):
+            try:
+                ov = oval(h, p, form=form)
+            except DegenerateLevelError:
+                continue
+            lockstep = ov.bounding_box()
+            ref = sequential(oval(h, p, form=form))
+            assert all(a == b for a, b in zip(lockstep, ref)), (form, lockstep, ref)
+            compared += 1
+        assert compared >= 1
+
+    @staticmethod
+    def _x_breakpoints(ov, cy0, cy1):
+        # reference: fold roots and both row crossings solved afresh per cell
+        params, form, h = ov.params, ov.form, ov.h
+        k = params.kappa
+        km = k - 1.0
+        pts = []
+        a = k / 3.0
+        if form is HamiltonianForm.SYMMETRIC_FORM:
+            p3 = np.polynomial.polynomial.polypow([-1.0, 0.0, -km], 3)
+            q = np.array([-h, 0.0, 0.0, (2.0 / 3.0) * km])
+        else:
+            p3 = np.polynomial.polynomial.polypow([-km, 0.0, -1.0], 3)
+            q = np.array([(2.0 / 3.0) * km, 0.0, 0.0, -h])
+        q2 = np.polynomial.polynomial.polymul(q, q)
+        D = -4.0 * a * np.pad(p3, (0, 7 - p3.size)) - 27.0 * a * a * q2
+        fold_pts = np.roots(D[::-1])
+        fold_xs = fold_pts[np.abs(fold_pts.imag) < 1e-9 * (1.0 + np.abs(fold_pts.real))].real
+        pts.extend(fold_xs)
+        for yrow in (cy0, cy1):
+            if form is HamiltonianForm.SYMMETRIC_FORM:
+                c3 = [(2.0 / 3.0) * km, -km * yrow, 0.0, (k / 3.0) * yrow**3 - yrow - h]
+            else:
+                c3 = [-h, -yrow, 0.0, (k / 3.0) * yrow**3 - km * yrow + (2.0 / 3.0) * km]
+            pts.extend(np.roots(c3))
+        pts = np.asarray(pts)
+        real = pts[np.abs(pts.imag) < 1e-9 * (1.0 + np.abs(pts.real))].real
+        return np.unique(real), np.unique(fold_xs)
+
+    @pytest.mark.parametrize("form", [HamiltonianForm.SYMMETRIC_FORM, HamiltonianForm.CUBIC_FORM])
+    def test_breakpoints_match_fresh_computation(self, p4, monkeypatch, form):
+        # fold roots once per oval, row crossings once per row: every
+        # boundary leaf sees what a per-cell computation gives
+        ov = oval(-0.55, p4, form=form)
+        roots = []
+        np_roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda c: roots.append(1) or np_roots(c))
+        geo = quad._Area2dGeometry(ov)
+        assert len(roots) == 1 + len(geo.crossings)
+        assert len(geo.crossings) <= 2 ** geo.MAX_DEPTH + 1
+        boundary = [leaf for leaf in geo.leaves if leaf[4] is not None]
+        assert boundary
+        for _, _, cy0, cy1, _ in boundary:
+            ref_brk, ref_fold = self._x_breakpoints(ov, cy0, cy1)
+            assert np.array_equal(geo.breakpoints(cy0, cy1), ref_brk)
+            assert np.array_equal(np.unique(geo.fold_xs), ref_fold)
+
+
+class TestRayGeometryMemo:
+    """Ovals memoise point_tangent per angle array, shared by the green
+    integrals of all indices; values must not depend on the memo state."""
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_green_values_independent_of_memo_state(self, kappa, monkeypatch):
+        p = make_params(kappa)
+        h = interior_levels(p, 1, 0.5, 0.5)[0]
+
+        def run(indices):
+            return {ij: moment(MomentIndex(*ij), h, p, "green", 1e-10) for ij in indices}
+
+        clear_caches()
+        forward = run(BASIS)
+        quad._moment_cache.clear()  # the ovals keep their filled memos
+        warm = run(BASIS[::-1])
+        clear_caches()
+        backward = run(BASIS[::-1])
+        clear_caches()
+        alone = run([(1, 1)])
+        # reference: every node solves its rays afresh
+        clear_caches()
+        monkeypatch.setattr(Oval, "point_tangent", Oval._point_tangent)
+        fresh = run(BASIS)
+        clear_caches()
+        for other in (warm, backward, fresh):
+            for ij in BASIS:
+                assert other[ij].value == forward[ij].value
+                assert other[ij].err_estimate == forward[ij].err_estimate
+        assert alone[(1, 1)].value == forward[(1, 1)].value
+        assert alone[(1, 1)].err_estimate == forward[(1, 1)].err_estimate
+
+    def test_point_tangent_read_only(self, p4):
+        ov = oval(-0.5, p4)
+        theta = np.linspace(0.0, 1.0, 7)
+        arrays = ov.point_tangent(theta)
+        assert ov.point_tangent(theta.copy()) is arrays
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        # the same bytes in another shape are a separate entry
+        assert ov.point_tangent(theta[0]) is not ov.point_tangent(theta[:1])
+
+    def test_clear_caches_drops_memos(self, p4):
+        clear_caches()
+        h = -0.51
+        moment(MomentIndex(1, 0), h, p4, "green", 1e-10)
+        moment(MomentIndex(1, 0), h, p4, "area2d", 1e-8)
+        ov = quad.cached_oval(h, p4.kappa, HamiltonianForm.SYMMETRIC_FORM)
+        assert ov._tangents
+        assert quad._area2d_geometry is not None
+        clear_caches()
+        assert not ov._tangents
+        assert not quad._oval_cache and not quad._moment_cache
+        assert quad._area2d_geometry is None
+
+
+class TestPanelSaturation:
+    def test_saturated_call_logs_one_warning(self, caplog):
+        # a kink inside one panel: 9 panels cannot reach 1e-14
+        with caplog.at_level(logging.WARNING, logger="q4lab"):
+            value, err = quad._adaptive_gk(np.abs, -1.0, 2.0, 1e-14, max_panels=9)
+        records = [r for r in caplog.records if r.name == "q4lab.quadrature"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        assert "max_panels=9" in records[0].getMessage()
+        assert err > 1e-14 * abs(value)
+        assert value == pytest.approx(2.5, rel=1e-4)
+
+    def test_converged_call_is_silent(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="q4lab"):
+            quad._adaptive_gk(np.cos, 0.0, 1.0, 1e-12)
+        assert not [r for r in caplog.records if r.name.startswith("q4lab")]
+
+    def test_package_logger_has_null_handler(self):
+        handlers = logging.getLogger("q4lab").handlers
+        assert any(isinstance(hd, logging.NullHandler) for hd in handlers)
 
 
 class TestResidue:

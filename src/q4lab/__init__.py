@@ -58,17 +58,18 @@ from .reduction import (
 )
 from .picard_fuchs import (
     JState,
+    MomentBasis,
     PFPropagation,
     PFVector,
     apply_L1,
     apply_L2,
     apply_s_operator,
     derivative_formulas,
+    hypergeometric_J,
     infinity_exponents,
     initial_jstate,
     pf_derivatives,
     pf_residuals,
-    propagate,
     propagate_J,
 )
 from .melnikov import RCoefficients, eval_G, eval_R, extract_R_coeffs

@@ -36,18 +36,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.special import hyp2f1
 
 from .errors import ConsistencyError, ConvergenceError, DomainError, GeometryError
 from .model import ModelParams, make_params, real_roots_y
 from .picard_fuchs import (
     Arc,
     Line,
+    _l2_kummer_pair,
     apply_L2,
     continue_state,
+    hypergeometric_J,
     initial_jstate,
 )
-from .melnikov import extract_R_coeffs, get_propagation
+from .melnikov import extract_R_coeffs, get_moment_basis
 from .reduction import mu_G_from_eq211
 
 # ---------------------------------------------------------------------------
@@ -135,40 +136,6 @@ def residue_zero_level(params: ModelParams) -> float:
     y0 from -4h + (3 kappa h^2 - 4) y0 = 0 through the defining cubic gives
     y0^2 = 5/kappa, hence h* = -(2/3) sqrt(5/kappa)."""
     return -(2.0 / 3.0) * math.sqrt(5.0 / params.kappa)
-
-
-def _s_minus_one(h, kappa: float):
-    """s - 1 = (9 kappa / 4) h^2 - 1 at the double h and kappa, with the
-    products compensated so that no digits cancel near the saddle (s = 1)."""
-    def split(x):  # Veltkamp: x = hi + lo, halves of 26 bits
-        hi = 134217729.0 * x - (134217729.0 * x - x)
-        return hi, x - hi
-
-    def two_product(a, b):  # Dekker: p + e = a b exactly
-        (ah, al), (bh, bl), p = split(a), split(b), a * b
-        return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-    (c, c_err), (hh, hh_err) = two_product(2.25, kappa), two_product(h, h)
-    s, s_err = two_product(c, hh)
-    return (s - 1.0) + (s_err + c * hh_err + c_err * hh)
-
-
-def _l2_kummer_pair(h, kappa: float) -> np.ndarray:
-    """[[u1, u2], [u1', u2']] along the levels h, shape (2, 2, n): in
-    s = (9 kappa / 4) h^2, L2 is Gauss's equation with (a, b, c) =
-    (-1/6, -5/6, -1/2), and u1 = 2F1(-1/6, -5/6; 1/2; 1 - s), u2 = sqrt(s - 1)
-    2F1(-1/3, 1/3; 3/2; 1 - s) is its Kummer pair at s = 1, real for s > 1
-    (left of the saddle level).  ' is d/dh, with ds/dh = 9 kappa h / 2."""
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    sm1 = _s_minus_one(h, kappa)
-    w = -sm1
-    r = np.sqrt(sm1)
-    f2 = hyp2f1(-1.0 / 3.0, 1.0 / 3.0, 1.5, w)
-    du1 = -(5.0 / 18.0) * hyp2f1(5.0 / 6.0, 1.0 / 6.0, 1.5, w)
-    du2 = 0.5 * f2 / r + (2.0 / 27.0) * r * hyp2f1(2.0 / 3.0, 4.0 / 3.0, 2.5, w)
-    dsdh = 4.5 * kappa * h
-    return np.array([[hyp2f1(-1.0 / 6.0, -5.0 / 6.0, 0.5, w), r * f2],
-                     [du1 * dsdh, du2 * dsdh]])
 
 
 class L2Frame:
@@ -357,24 +324,6 @@ class WindingReport:
     bound_ok: bool
     max_arg_step: float
     edge_im_agreement: float
-
-
-def hypergeometric_J(s, params: ModelParams) -> np.ndarray:
-    """J = (J1, J2) = (I00', I11') at real or complex s off the cut (-inf, 1]:
-
-        J1 = pi / sqrt(kappa - 1) * 2F1(1/6, 5/6; 1; z),
-        J1' = -pi / sqrt(kappa - 1) * (5/36) / (kappa - 1) * 2F1(7/6, 11/6; 2; z),
-        J2 = (6 (s - 1)(s - kappa) J1' - (1 - s) J1) / (kappa - 1),
-
-    with z = (kappa - s) / (kappa - 1); returns a (2, n) array."""
-    k = params.kappa
-    s = np.atleast_1d(np.asarray(s))
-    z = (k - s) / (k - 1.0)
-    c = math.pi / math.sqrt(k - 1.0)
-    J1 = c * hyp2f1(1.0 / 6.0, 5.0 / 6.0, 1.0, z)
-    dJ1 = -c * (5.0 / 36.0) / (k - 1.0) * hyp2f1(7.0 / 6.0, 11.0 / 6.0, 2.0, z)
-    J2 = (6.0 * (s - 1.0) * (s - k) * dJ1 - (1.0 - s) * J1) / (k - 1.0)
-    return np.array([J1, J2])
 
 
 def _keyhole_pieces(epsilon: float) -> dict:
@@ -591,13 +540,15 @@ class BoundScanner:
     """Per-kappa precomputation for fast zero counts of I, G and R over
     many weight vectors: each function is linear in the weights, so a
     4 x grid basis matrix reduces one trial to a matvec plus sign scan.
-    Refinement points get the same rows from ``_basis``: G and R from one
-    stacked ``derivs`` call, R for all four unit weights in one broadcast."""
+    Refinement points get the same rows from ``_basis``.  The rows come
+    from the per-kappa ``MomentBasis`` (``prop``): R needs only the
+    closed-form J, G also JJ, and I the series values; no ODE is solved.
+    ``PFPropagation`` is the independent check of these rows."""
 
     def __init__(self, params: ModelParams, grid: int = 512,
                  margin_rel: float = 1e-6):
         self.params = params
-        self.prop = get_propagation(params)
+        self.prop = get_moment_basis(params)
         self.rc = extract_R_coeffs(params)
         hc, hs = params.center_h, params.saddle_h
         w = hs - hc
@@ -606,27 +557,16 @@ class BoundScanner:
         self.hs = _cheb_grid(*self.window, self.grid)
         self.basis = {which: self._basis(which, self.hs) for which in "IGR"}
 
-    def _R_rows(self, h, J1, J2):
-        """The R template of each unit weight at the levels h, shape (4, n)."""
-        A = self.rc.a_float[:, :, None]
-        B = self.rc.b_float[:, :, None]
-        den = (9.0 * h * h - 4.0) ** 2 * (9.0 * self.params.kappa * h * h - 4.0)
-        num = h * ((A[0] + A[1] * h**2 + A[2] * h**4 + A[3] * h**6) * J1
-                   + (B[0] + B[1] * h**2 + B[2] * h**4) * J2)
-        return num / den
-
     def _basis(self, which: str, h):
         """Rows of I, G or R for the four unit weights at the levels h."""
         k = self.params.kappa
         if which == "I":
             V = self.prop.values(h)
             return np.stack([h * V[0], V[1], V[2], 2.0 * V[4] + 3.0 * k * h * V[5]])
-        D = self.prop.derivs(h)
-        J1, J2 = D[0], D[3]
+        J1, J2 = self.prop.J(h)
         if which == "G":
-            return np.stack([h * h * J1, J2, J1,
-                             -4.0 * h * D[4] + (3.0 * k * h * h - 4.0) * D[5]])
-        return self._R_rows(h, J1, J2)
+            return np.stack([h * h * J1, J2, J1, self.prop.JJ(h, J2)])
+        return self.rc.unit_rows(h, J1, J2)
 
     def count(self, which: str, mu, tol: float = 1e-9) -> ZeroReport:
         mu = np.asarray(mu, dtype=float)
@@ -673,7 +613,7 @@ def _count_from_scan(xs, fs, fvec, interval, tol) -> ZeroReport:
         fmin, curv = fs[idx], 0.0
         for _ in range(3):
             delta = min(delta, x0 - interval[0], interval[1] - x0)
-            if delta <= 0.0:
+            if not x0 - delta < x0 < x0 + delta:  # the stencil collapsed
                 break
             st = np.array([x0 - delta, x0, x0 + delta])
             fv = fvec(st)
@@ -761,29 +701,21 @@ def _reconstruction_error(sc: BoundScanner, mu, muG) -> float:
     """Check I(h) = h * int_{-2/3}^h xi^-2 G(xi) d xi against the moment
     route, at three interior levels."""
     from .quadrature import _adaptive_gk
-    params = sc.params
-    prop = sc.prop
-    k = params.kappa
-    hc = params.center_h
-    lo = prop.lo
+    hc = sc.params.center_h
+    lo = sc.prop.lo
 
     def G_of(h):
-        h = np.atleast_1d(np.asarray(h, dtype=float))
-        D = prop.derivs(h)
-        return (muG[0] * h * h * D[0] + muG[2] * D[0] + muG[1] * D[3]
-                + muG[3] * (-4.0 * h * D[4] + (3.0 * k * h * h - 4.0) * D[5]))
+        return muG @ sc._basis("G", np.atleast_1d(np.asarray(h, dtype=float)))
 
     def I_of(h):
-        V = prop.values(float(h))
-        return (mu[0] * h * V[0] + mu[1] * V[1] + mu[2] * V[2]
-                + mu[3] * (2.0 * V[4] + 3.0 * k * h * V[5]))
+        return float(mu @ sc._basis("I", np.array([h]))[:, 0])
 
     worst = 0.0
     scale = max(abs(I_of(0.5 * (sc.window[0] + sc.window[1]))), 1e-12)
     for q in (0.3, 0.55, 0.8):
         h = sc.window[0] + q * (sc.window[1] - sc.window[0])
         integral, _ = _adaptive_gk(lambda x: G_of(x) / x**2, lo, h, 1e-10)
-        # the sliver between the true endpoint -2/3 and the propagation edge
+        # the sliver between the true endpoint -2/3 and the basis window edge
         integral += float(G_of(lo)[0]) * (1.0 / hc - 1.0 / lo)
         rec = h * integral
         worst = max(worst, abs(rec - I_of(h)) / scale)

@@ -214,8 +214,8 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> int:
             r2 = melnikov.eval_R(h, p, "pf_numeric")
             res = abs(r1 - r2) / max(abs(r1), abs(r2), 1e-300)
             rep.add(kappa, h, "R:dual-route", res, tol, res <= tol)
-            d = prop.derivs(h)
-            rt = rc.template(h, d[0], d[3], p.mu)
+            J1, J2 = picard_fuchs.levels_J(h, p)[:, 0]
+            rt = rc.template(h, J1, J2, p.mu)
             res = abs(rt - r1) / max(abs(r1), 1e-300)
             rep.add(kappa, h, "R:exact-template", res, 1e-10, res <= 1e-10)
         # Wronskian and exponents

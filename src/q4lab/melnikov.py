@@ -14,14 +14,17 @@ canonical stage).  R = L2(G) collapses to
              + (b0 + b1 h^2 + b2 h^4) J2 ] / [ (9h^2-4)^2 (9 kappa h^2-4) ]
 
 with a_j, b_j linear in nu.  Two independent numerical routes to R are
-implemented (the closed-form derivative formulas versus differentiation of
-the propagated six-moment ODE), plus a once-per-kappa exact symbolic
-extraction of (a_j, b_j) over Fraction arithmetic that never leaves this
-package.
+implemented: the closed-form derivative formulas on the closed-form J
+(``direct``) against differentiation of the six-moment ODE propagated by
+DOP853 (``pf_numeric``), plus a once-per-kappa exact symbolic extraction of
+(a_j, b_j) over Fraction arithmetic that never leaves this package.  G is
+evaluated on ``MomentBasis`` (closed-form J and series moments), so neither
+G nor the direct R solves an ODE.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,44 +34,63 @@ import numpy as np
 from .errors import ConsistencyError, DomainError
 from .model import ModelParams
 from .picard_fuchs import (
+    MomentBasis,
     PFPropagation,
     PFVector,
     apply_L2,
     derivative_formulas,
+    levels_J,
 )
 from .ratfunc import Poly, RatF
 
+CENTER_Z = 0.25     # below this z the unit rows of R use the center expansion
+CENTER_TERMS = 30   # its Taylor terms in z
+
 _prop_cache: dict[float, PFPropagation] = {}
+_basis_cache: dict[float, MomentBasis] = {}
 _coeff_cache: dict[float, "RCoefficients"] = {}
 
 
 def get_propagation(params: ModelParams) -> PFPropagation:
     """Dense six-moment propagation across the annulus window, cached per
-    kappa (moments never depend on the perturbation weights)."""
+    kappa (moments never depend on the perturbation weights); the ODE
+    route, kept as the independent check."""
     key = params.kappa
     if key not in _prop_cache:
         _prop_cache[key] = PFPropagation(params)
     return _prop_cache[key]
 
 
+def get_moment_basis(params: ModelParams) -> MomentBasis:
+    """The six moments without an ODE solver (``MomentBasis``), cached per
+    kappa."""
+    key = params.kappa
+    if key not in _basis_cache:
+        _basis_cache[key] = MomentBasis(params)
+    return _basis_cache[key]
+
+
 def clear_caches() -> None:
     _prop_cache.clear()
+    _basis_cache.clear()
     _coeff_cache.clear()
 
 
 def eval_G(h: float, params: ModelParams, pf: PFVector | None = None) -> float:
     """G(h) for the G-stage weights stored on ``params``.
 
-    ``pf`` supplies the derivative data at level h; omitted, it is taken
-    from the cached propagation.
+    ``pf`` supplies the derivative data at level h; omitted, J and JJ are
+    taken from the cached ``MomentBasis``.
     """
-    if pf is None:
-        pf = get_propagation(params).pf_vector(h)
-    elif pf.h != h:
-        raise DomainError(f"pf is at level {pf.h}, not {h}")
-    d = pf.derivs
     n1, n2, n3, n4 = params.mu
     k = params.kappa
+    if pf is None:
+        basis = get_moment_basis(params)
+        J1, J2 = basis.J(h)
+        return (n1 * h * h + n3) * J1 + n2 * J2 + n4 * basis.JJ(h, J2)
+    if pf.h != h:
+        raise DomainError(f"pf is at level {pf.h}, not {h}")
+    d = pf.derivs
     return ((n1 * h * h + n3) * d[0] + n2 * d[3]
             + n4 * (-4.0 * h * d[4] + (3.0 * k * h * h - 4.0) * d[5]))
 
@@ -98,18 +120,17 @@ def eval_R(h: float, params: ModelParams, route: str = "direct",
     ``direct``      L2 applied termwise to the normal form, using
                     the closed second/third derivative formulas for the
                     J-dependent terms and the closed-form image identity for the
-                    L2-image of JJ.
+                    L2-image of JJ, on the closed-form J (``levels_J``).
     ``pf_numeric``  apply_L2 on (G, G', G'') obtained by differentiating
-                    the closed six-moment linear ODE.
+                    the closed six-moment linear ODE along ``prop`` (default:
+                    the cached DOP853 propagation).
     """
-    prop = prop or get_propagation(params)
     k = params.kappa
     if route == "pf_numeric":
         return apply_L2(*eval_G_prime(h, params, prop), h, params)
     if route != "direct":
         raise DomainError(f"unknown route {route!r}")
-    d = prop.derivs(h)
-    J1, J2 = d[0], d[3]
+    J1, J2 = levels_J(h, params)[:, 0]
     n1, n2, n3, n4 = params.mu
     i200, i211 = derivative_formulas("second", h, J1, J2, params)
     i300, i311 = derivative_formulas("third", h, J1, J2, params)
@@ -147,6 +168,26 @@ def _pair_L2(p: RatF, q: RatF, kf: Fraction, M):
     return (c0 * p - c1 * p1 + c2 * p2, c0 * q - c1 * q1 + c2 * q2)
 
 
+def j_matrix(kf: Fraction):
+    """(M11, M12, M21, M22) with J' = M J at kappa = kf, from the closed
+    formulas for (I00'', I11'') in terms of (J1, J2)."""
+    d1 = Poly([-4, 0, 9])           # 9h^2 - 4
+    delta = d1 * Poly([-4, 0, 9 * kf])
+    return (RatF(Poly([0, -3]), d1), RatF(Poly([0, 12 * (kf - 1)]), delta),
+            RatF(Poly([0, -3]), d1), RatF(Poly([0, 3]), d1))
+
+
+def jj_image(kf: Fraction, M):
+    """L2(JJ) as a (p, q) pair: the closed-form image identity through
+    I11'' and I11'''."""
+    d2pair = _pair_derive(RatF(0), RatF(1), M)
+    d3pair = _pair_derive(*d2pair, M)
+    c_third = RatF(Poly([0, -4, 0, 9 * kf])) * Fraction(4, 3) * (kf - 1)
+    c_second = RatF(Poly([8, 0, 6 * kf])) * Fraction(4, 3) * (kf - 1)
+    return (c_third * d3pair[0] + c_second * d2pair[0],
+            c_third * d3pair[1] + c_second * d2pair[1])
+
+
 @dataclass(frozen=True)
 class RCoefficients:
     """Exact coefficients of the R template for one kappa: a_j, b_j as
@@ -170,6 +211,65 @@ class RCoefficients:
 
     def b_values(self, mu) -> np.ndarray:
         return np.array([sum(c * m for c, m in zip(row, mu)) for row in self.b_float])
+
+    @cached_property
+    def center_series(self) -> np.ndarray:
+        """Taylor coefficients in z = (kappa - s) / (kappa - 1) of the
+        template numerator A J1 + B J2 over c z^2, one row per unit weight,
+        shape (4, CENTER_TERMS), c = pi / sqrt(kappa - 1).
+
+        At the center z = 0, h^2 = (4/9)(1 - q z) with q = (kappa - 1)/kappa,
+        J1 / c = sum alpha_n z^n and J2 / c = (1 - z) J1 / c + (5/6) z
+        sum beta_n z^n are the 2F1 series of ``levels_J``, and the
+        template's (9h^2 - 4)^2 is (4 q z)^2.  So the numerator's z^0 and z^1
+        terms cancel exactly (ConsistencyError otherwise); in floating point
+        that cancellation leaves the template no digits next to the center.
+        """
+        kf = Fraction(self.kappa)
+        q = (kf - 1) / kf
+        n = CENTER_TERMS + 2
+        alpha, beta = [Fraction(1)], [Fraction(1)]
+        for j in range(n - 1):
+            sixth, five_sixths = Fraction(1, 6) + j, Fraction(5, 6) + j
+            alpha.append(alpha[-1] * sixth * five_sixths / (j + 1) ** 2)
+            beta.append(beta[-1] * five_sixths * sixth / ((j + 2) * (j + 1)))
+        gamma = [alpha[0]] + [alpha[j] - alpha[j - 1] + Fraction(5, 6) * beta[j - 1]
+                              for j in range(1, n)]
+        h2 = Poly([Fraction(4, 9), Fraction(-4, 9) * q])
+        powers = [Poly([1])]
+        for _ in range(3):
+            powers.append(powers[-1] * h2)
+        rows = []
+        for m in range(4):
+            A = sum((powers[i] * self.a[i][m] for i in range(4)), Poly([0]))
+            B = sum((powers[i] * self.b[i][m] for i in range(3)), Poly([0]))
+            num = (A * Poly(alpha) + B * Poly(gamma)).c + (Fraction(0),) * n
+            if num[0] != 0 or num[1] != 0:
+                raise ConsistencyError(
+                    f"R numerator of unit weight {m + 1} does not vanish to second "
+                    f"order at the center: z^0 {num[0]}, z^1 {num[1]}")
+            rows.append([float(x) for x in num[2:n]])
+        return np.array(rows)
+
+    def unit_rows(self, h, J1, J2) -> np.ndarray:
+        """The R template of each unit weight at the levels h, shape (4, n):
+        from ``center_series`` where z < CENTER_Z, else directly.  Each level
+        is evaluated alone, so its row does not depend on the other levels."""
+        k = self.kappa
+        A = self.a_float[:, :, None]
+        B = self.b_float[:, :, None]
+        den = (9.0 * h * h - 4.0) ** 2 * (9.0 * k * h * h - 4.0)
+        rows = h * ((A[0] + A[1] * h**2 + A[2] * h**4 + A[3] * h**6) * J1
+                    + (B[0] + B[1] * h**2 + B[2] * h**4) * J2) / den
+        z = k * (1.0 - 1.5 * h) * (1.0 + 1.5 * h) / (k - 1.0)
+        near = z < CENTER_Z
+        if np.any(near):
+            hn, zp = h[near], z[near][:, None, None] ** np.arange(CENTER_TERMS)
+            series = (self.center_series * zp).sum(axis=-1).T
+            c = math.pi / math.sqrt(k - 1.0)
+            rows[:, near] = (hn * k * k * c * series
+                             / (16.0 * (k - 1.0) ** 2 * (9.0 * k * hn * hn - 4.0)))
+        return rows
 
     def template(self, h: float, J1: float, J2: float, mu) -> float:
         """Evaluate the rational template of R with these coefficients."""
@@ -200,16 +300,9 @@ def extract_R_coeffs(params: ModelParams) -> RCoefficients:
     if key in _coeff_cache:
         return _coeff_cache[key]
     kf = Fraction(params.kappa)
-    h = Poly.x()
     d1 = Poly([-4, 0, 9])           # 9h^2 - 4
     d2 = Poly([-4, 0, 9 * kf])      # 9 kappa h^2 - 4
-    delta = d1 * d2
-    M = (
-        RatF(Poly([0, -3]), d1),                      # M11 = -3h/(9h^2-4)
-        RatF(Poly([0, 12 * (kf - 1)]), delta),        # M12
-        RatF(Poly([0, -3]), d1),                      # M21
-        RatF(Poly([0, 3]), d1),                       # M22
-    )
+    M = j_matrix(kf)
     zero, one = RatF(0), RatF(1)
     h2 = RatF(Poly([0, 0, 1]))
 
@@ -218,13 +311,7 @@ def extract_R_coeffs(params: ModelParams) -> RCoefficients:
     pairs.append(_pair_L2(h2, zero, kf, M))
     pairs.append(_pair_L2(zero, one, kf, M))
     pairs.append(_pair_L2(one, zero, kf, M))
-    # nu4: the L2-image of JJ, expressed through I11'' and I11'''
-    d2pair = _pair_derive(zero, one, M)          # I11'' as p J1 + q J2
-    d3pair = _pair_derive(*d2pair, M)            # I11'''
-    c_third = RatF(Poly([0, -4, 0, 9 * kf])) * Fraction(4, 3) * (kf - 1)
-    c_second = RatF(Poly([8, 0, 6 * kf])) * Fraction(4, 3) * (kf - 1)
-    pairs.append((c_third * d3pair[0] + c_second * d2pair[0],
-                  c_third * d3pair[1] + c_second * d2pair[1]))
+    pairs.append(jj_image(kf, M))
 
     dstd = RatF(d1 * d1 * d2)
     a_rows, b_rows = [[], [], [], []], [[], [], []]

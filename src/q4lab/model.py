@@ -415,12 +415,15 @@ class Oval:
         return self.level.h
 
     def r_theta(self, theta):
-        C, Q, L, K = _ray_poly_coeffs(np.asarray(theta, dtype=float), self.h, self.params,
+        """Ray radius at each angle, in the shape of an angle array of two or
+        more dimensions (a scalar or 1-d array gives a 1-d array)."""
+        theta = np.asarray(theta, dtype=float)
+        C, Q, L, K = _ray_poly_coeffs(theta.reshape(-1), self.h, self.params,
                                       self.form, self.center)
         r = _smallest_positive_roots(C, Q, L, K)
         if np.any(~np.isfinite(r)):
             raise GeometryError("ray from the center failed to bracket the oval")
-        return r
+        return r.reshape(theta.shape) if theta.ndim > 1 else r
 
     def point_tangent(self, theta):
         """Point on the oval and d(point)/d(theta), both exact to rounding.

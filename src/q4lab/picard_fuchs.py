@@ -16,13 +16,22 @@ exactly away from the critical levels (det B is a multiple of
 by exact matrix calculus, never by finite differences (FD appears only in
 cross-check tests).
 
+The moments across the annulus come by two independent routes from the
+same quadrature oracle value at the window midpoint: ``MomentBasis``
+(J = (I00', I11') in closed form, V from exact Taylor expansions of
+V = B V'), which the bound pipeline uses, and ``PFPropagation`` (DOP853),
+kept as the check.  The other moments have no closed form of that kind:
+I10' is not a polynomial combination of J1 and J2, nor is JJ modulo the
+kernel of L2 (``MomentBasis``).
+
 Also here: the derived 2x2 second-order system for (J1, J2) =
 (I00', I11'), the closed-form second/third derivative formulas,
 the operators L1 = h d/dh - 1 and
 L2 = 5 kappa h - (9 kappa h^2 - 8) d/dh + h (9 kappa h^2 - 4) d^2/dh^2,
-the hypergeometric change of variable s = (9 kappa / 4) h^2, and analytic
-continuation of J = (J1, J2) with a fundamental matrix along paths in the
-complex s-plane (the system 6 (s-1)(s-kappa) dJ/ds = N(s) J).
+the hypergeometric change of variable s = (9 kappa / 4) h^2, J and the
+Kummer pair of L2 as 2F1 functions of s, and analytic continuation of
+J = (J1, J2) with a fundamental matrix along paths in the complex s-plane
+(the system 6 (s-1)(s-kappa) dJ/ds = N(s) J).
 """
 
 from __future__ import annotations
@@ -32,8 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.special import hyp2f1
 
 from .errors import (
+    ConsistencyError,
     ConvergenceError,
     DomainError,
     PathProximityError,
@@ -120,32 +131,6 @@ def pf_derivative_chain(h: float, values, params: ModelParams):
     return d1, d2, d3
 
 
-def _check_no_singularity_between(a: float, b: float, params: ModelParams):
-    k = params.kappa
-    lo, hi = min(a, b), max(a, b)
-    for hs in (-2.0 / 3.0, 2.0 / 3.0, -2.0 / (3.0 * math.sqrt(k)), 2.0 / (3.0 * math.sqrt(k))):
-        if lo - 1e-13 <= hs <= hi + 1e-13:
-            raise SingularityError(
-                f"propagation interval [{lo}, {hi}] crosses the singular level h={hs}")
-
-
-def propagate(from_h: float, values0, to_h: float, params: ModelParams,
-              tol: float = 1e-12) -> np.ndarray:
-    """Propagate the six-moment vector along the linear ODE from one level
-    to another inside a singularity-free window."""
-    if from_h == to_h:
-        return np.asarray(values0, dtype=float).copy()
-    _check_no_singularity_between(from_h, to_h, params)
-    sol = solve_ivp(
-        lambda hh, v: np.linalg.solve(pf_matrix(hh, params), v),
-        (from_h, to_h), np.asarray(values0, dtype=float),
-        method="DOP853", rtol=tol, atol=1e-3 * tol * np.max(np.abs(values0)) + 1e-300,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"propagation failed: {sol.message}")
-    return sol.y[:, -1]
-
-
 class PFPropagation:
     """Dense propagation of the six moments across a window, initialized
     from the quadrature oracle at the window midpoint (both window endpoints
@@ -208,9 +193,141 @@ class PFPropagation:
     def chain(self, h: float):
         return pf_derivative_chain(float(h), self.values(float(h)), self.params)
 
-    def pf_vector(self, h: float) -> PFVector:
-        v = self.values(float(h))
-        return PFVector(h=float(h), values=v, derivs=pf_derivatives(float(h), v, self.params))
+
+SERIES_ORDER = 40     # Taylor terms kept per expansion
+SERIES_STEP = 0.4     # continuation step, as a fraction of the convergence radius
+ROW_CHECK_TOL = 1e-8  # rows 2 and 3 of V = B V' against closed-form J
+
+
+class MomentBasis:
+    """The six moments across the same window as ``PFPropagation``, with no
+    ODE solver: J = (I00', I11') in closed form (``levels_J``) and the values
+    V from Taylor expansions of V = B(h) V'.
+
+    B is affine in h, so the Taylor coefficients of V about a center c follow
+    exactly from (n+1) B(c) v_{n+1} = (1 - n B') v_n.  Each series converges
+    out to the nearest critical level; the expansions are continued from
+    the quadrature oracle at the window midpoint (the call ``PFPropagation``
+    makes) to both window ends in steps of ``SERIES_STEP`` of that radius,
+    and a level is summed about the center nearest in those units (at most
+    a quarter of a radius away).  The other four derivatives follow from
+    rows 0, 1, 4 and 5 of V = B V' with J in closed form; rows 2 and 3 are
+    checked at the midpoint and at both ends, and a residual above
+    ``ROW_CHECK_TOL`` raises ConsistencyError.
+
+    The series stand in for closed forms that do not exist: I10' is not
+    p J1 + q J2, nor JJ that plus a solution of L2 x = 0, for polynomials
+    p, q (exact linear algebra over ``ratfunc``, degree 10 at kappa = 4;
+    tests/test_melnikov.py::TestNoClosedFormBeyondJ).
+    """
+
+    def __init__(self, params: ModelParams, margin: float = 1e-8,
+                 oracle_tol: float = 1e-10):
+        self.params = params
+        hc, hs = params.center_h, params.saddle_h
+        self.lo, self.hi = hc + margin, hs - margin
+        if not (hc < self.lo < self.hi < hs):
+            raise DomainError("MomentBasis window must sit inside the annulus interval")
+        self.h_mid = 0.5 * (self.lo + self.hi)
+        root_k = math.sqrt(params.kappa)
+        self._critical = np.array([-2.0 / 3.0, 2.0 / 3.0, -2.0 / (3.0 * root_k),
+                                   2.0 / (3.0 * root_k)])
+        mid = self._expand(self.h_mid, basis_values(self.h_mid, params, tol=oracle_tol))
+        chain = self._continue(mid, self.lo)[::-1] + [mid] + self._continue(mid, self.hi)
+        c = np.array([e[0] for e in chain])
+        r = np.array([e[1] for e in chain])
+        self._centers, self._radii = c, r
+        self._coef = np.stack([e[2].T for e in chain])  # (centers, 6, order + 1)
+        # each level goes to the center nearest in units of its radius
+        self._breaks = (c[:-1] * r[1:] + c[1:] * r[:-1]) / (r[:-1] + r[1:])
+        for h in (self.lo, self.h_mid, self.hi):
+            self._check_rows(h)
+
+    def _expand(self, c: float, v):
+        """(c, r, a): the scaled Taylor coefficients a_n = v_n r^n, n <= order,
+        of V about c, with r the distance from c to the nearest critical level."""
+        r = float(np.min(np.abs(self._critical - c)))
+        X = r * np.linalg.inv(pf_matrix(c, self.params))
+        XB = X @ _B_PRIME
+        a = np.empty((SERIES_ORDER + 1, 6))
+        a[0] = v
+        for n in range(SERIES_ORDER):
+            a[n + 1] = (X - n * XB) @ a[n] / (n + 1)
+        return c, r, a
+
+    def _continue(self, start, end: float) -> list:
+        """Expansions from ``start`` toward ``end`` until one covers it."""
+        powers = np.arange(SERIES_ORDER + 1)
+        c, r, a = start
+        step = math.copysign(SERIES_STEP, end - c)
+        out = []
+        while abs(end - c) > SERIES_STEP / (2.0 - SERIES_STEP) * r:
+            c, r, a = self._expand(c + step * r, step ** powers @ a)
+            out.append((c, r, a))
+        return out
+
+    def _levels(self, h):
+        h = np.asarray(h, dtype=float)
+        hv = np.atleast_1d(h)
+        if not self.lo - 1e-12 <= hv.min() <= hv.max() <= self.hi + 1e-12:
+            raise DomainError("level outside the expanded window")
+        return h.ndim == 0, hv
+
+    def values(self, h):
+        """V at a scalar level, shape (6,), or at n levels, shape (6, n).
+        Each level's sum is formed alone, so a level's values do not depend
+        on the other levels in the call."""
+        scalar, hv = self._levels(h)
+        out = np.empty((6, hv.size))
+        powers = np.arange(SERIES_ORDER + 1)
+        for a in range(0, hv.size, 64):  # caps the (levels, 6, order + 1) temporary
+            block = hv[a:a + 64]
+            i = np.searchsorted(self._breaks, block)
+            terms = self._coef[i]  # a gathered copy
+            terms *= (((block - self._centers[i]) / self._radii[i])[:, None] ** powers)[:, None, :]
+            out[:, a:a + 64] = terms.sum(axis=-1).T
+        return out[:, 0] if scalar else out
+
+    def J(self, h):
+        """(J1, J2) in closed form, shape (2,) or (2, n)."""
+        scalar, hv = self._levels(h)
+        out = levels_J(hv, self.params)
+        return out[:, 0] if scalar else out
+
+    def JJ(self, h, J2=None):
+        """-4h I-10' + (3 kappa h^2 - 4) I-11' from rows 1, 4 and 5 of
+        V = B V': 2 (kappa h I-11 - I-10) - 2 (kappa - 1)(I10 - (2/3) J2).
+        The 2x2 solve for I-10', I-11' would divide by 9 kappa h^2 - 4, which
+        vanishes at the saddle level; this form does not."""
+        k = self.params.kappa
+        V = self.values(h)
+        J2 = self.J(h)[1] if J2 is None else J2
+        return 2.0 * (k * h * V[5] - V[4]) - 2.0 * (k - 1.0) * (V[1] - (2.0 / 3.0) * J2)
+
+    def derivs(self, h):
+        """V' at a scalar level, shape (6,), or at n levels, shape (6, n):
+        J in closed form, I10' and I01' from rows 1 and 0 of V = B V', and
+        (I-10', I-11') from the 2x2 block of rows 4 and 5."""
+        k = self.params.kappa
+        h = np.asarray(h, dtype=float)
+        V, (J1, J2) = self.values(h), self.J(h)
+        d10 = (V[1] - (2.0 / 3.0) * J2) / h
+        d01 = V[0] - 1.5 * h * J1
+        rhs = V[5] - (k - 1.0) / k * d10
+        det = 4.5 * h * h - 2.0 / k
+        return np.stack([J1, d10, d01, J2, (1.5 * h * V[4] - 2.0 * rhs) / det,
+                         (3.0 * h * rhs - V[4] / k) / det])
+
+    def _check_rows(self, h: float):
+        B = pf_matrix(h, self.params)
+        v, d = self.values(h), self.derivs(h)
+        for row in (2, 3):
+            terms = np.append(B[row] * d, v[row])
+            res = abs(v[row] - B[row] @ d) / np.max(np.abs(terms))
+            if not res <= ROW_CHECK_TOL:
+                raise ConsistencyError(
+                    f"row {row} of V = B V' misses by {res:.3e} (relative) at h={h}: "
+                    f"the moment series and closed-form J disagree")
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +402,80 @@ def l2_chain_factor(s: float, params: ModelParams) -> float:
     24 sqrt(kappa s) times the s-operator; the factor never vanishes on
     (1, kappa), so zero counts transfer unchanged."""
     return 24.0 * math.sqrt(params.kappa * s)
+
+
+# ---------------------------------------------------------------------------
+# closed forms: J = (I00', I11') and the Kummer pair of L2
+# ---------------------------------------------------------------------------
+
+def hypergeometric_J(s, params: ModelParams) -> np.ndarray:
+    """J = (J1, J2) = (I00', I11') at real or complex s off the cut (-inf, 1]:
+
+        J1 = pi / sqrt(kappa - 1) * 2F1(1/6, 5/6; 1; z),
+        J1' = -pi / sqrt(kappa - 1) * (5/36) / (kappa - 1) * 2F1(7/6, 11/6; 2; z),
+        J2 = (6 (s - 1)(s - kappa) J1' - (1 - s) J1) / (kappa - 1),
+
+    with z = (kappa - s) / (kappa - 1); returns a (2, n) array."""
+    k = params.kappa
+    s = np.atleast_1d(np.asarray(s))
+    z = (k - s) / (k - 1.0)
+    c = math.pi / math.sqrt(k - 1.0)
+    J1 = c * hyp2f1(1.0 / 6.0, 5.0 / 6.0, 1.0, z)
+    dJ1 = -c * (5.0 / 36.0) / (k - 1.0) * hyp2f1(7.0 / 6.0, 11.0 / 6.0, 2.0, z)
+    J2 = (6.0 * (s - 1.0) * (s - k) * dJ1 - (1.0 - s) * J1) / (k - 1.0)
+    return np.array([J1, J2])
+
+
+def levels_J(h, params: ModelParams) -> np.ndarray:
+    """J at the levels h, s = (9 kappa / 4) h^2, shape (2, n).  Euler's
+    transformation 2F1(7/6, 11/6; 2; z) = 2F1(5/6, 1/6; 2; z) / (1 - z)
+    turns ``hypergeometric_J``'s J2 into
+
+        J2 = (1 - z) J1 + (5/6) pi / sqrt(kappa - 1) * z 2F1(5/6, 1/6; 2; z),
+
+    so J2 keeps its digits next to the saddle level, where z -> 1."""
+    k = params.kappa
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    w = (2.25 * k * h * h - 1.0) / (k - 1.0)  # 1 - z
+    z = 1.0 - w
+    c = math.pi / math.sqrt(k - 1.0)
+    J1 = c * hyp2f1(1.0 / 6.0, 5.0 / 6.0, 1.0, z)
+    J2 = w * J1 + (5.0 / 6.0) * c * z * hyp2f1(5.0 / 6.0, 1.0 / 6.0, 2.0, z)
+    return np.array([J1, J2])
+
+
+def _s_minus_one(h, kappa: float):
+    """s - 1 = (9 kappa / 4) h^2 - 1 at the double h and kappa, with the
+    products compensated so that no digits cancel near the saddle (s = 1)."""
+    def split(x):  # Veltkamp: x = hi + lo, halves of 26 bits
+        hi = 134217729.0 * x - (134217729.0 * x - x)
+        return hi, x - hi
+
+    def two_product(a, b):  # Dekker: p + e = a b exactly
+        (ah, al), (bh, bl), p = split(a), split(b), a * b
+        return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+    (c, c_err), (hh, hh_err) = two_product(2.25, kappa), two_product(h, h)
+    s, s_err = two_product(c, hh)
+    return (s - 1.0) + (s_err + c * hh_err + c_err * hh)
+
+
+def _l2_kummer_pair(h, kappa: float) -> np.ndarray:
+    """[[u1, u2], [u1', u2']] along the levels h, shape (2, 2, n): in
+    s = (9 kappa / 4) h^2, L2 is Gauss's equation with (a, b, c) =
+    (-1/6, -5/6, -1/2), and u1 = 2F1(-1/6, -5/6; 1/2; 1 - s), u2 = sqrt(s - 1)
+    2F1(-1/3, 1/3; 3/2; 1 - s) is its Kummer pair at s = 1, real for s > 1
+    (left of the saddle level).  ' is d/dh, with ds/dh = 9 kappa h / 2."""
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    sm1 = _s_minus_one(h, kappa)
+    w = -sm1
+    r = np.sqrt(sm1)
+    f2 = hyp2f1(-1.0 / 3.0, 1.0 / 3.0, 1.5, w)
+    du1 = -(5.0 / 18.0) * hyp2f1(5.0 / 6.0, 1.0 / 6.0, 1.5, w)
+    du2 = 0.5 * f2 / r + (2.0 / 27.0) * r * hyp2f1(2.0 / 3.0, 4.0 / 3.0, 2.5, w)
+    dsdh = 4.5 * kappa * h
+    return np.array([[hyp2f1(-1.0 / 6.0, -5.0 / 6.0, 0.5, w), r * f2],
+                     [du1 * dsdh, du2 * dsdh]])
 
 
 # ---------------------------------------------------------------------------

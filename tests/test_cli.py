@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import subprocess
 import sys
 
@@ -98,6 +99,19 @@ class TestCommands:
         b = (tmp_path / "w2" / "sweep.csv").read_bytes()
         assert a.count(b"\n") == 21  # header + 2 kappas x 10 trials
         assert a == b
+
+    def test_sweep_golden_bytes(self, tmp_path):
+        # sweep.csv holds counts only, so a change to how the moments are
+        # evaluated must leave its bytes alone.  Against the DOP853 route
+        # (digest 266100fa...), count_R of nine trials (kappa 1.5: 1, 5, 6,
+        # 49, 67; 4: 40, 59; 9: 68, 87) went from 1 to 0: that route placed a
+        # zero of R next to the center where 40-digit R has none
+        # (test_analysis.py::TestCenterExpansion)
+        cfg = RunConfig(kappa_list=[1.5, 4.0, 9.0], mu_mode="random_sphere", trials=100,
+                        seed=7, output_dir=str(tmp_path))
+        run("sweep", cfg)
+        digest = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+        assert digest == "c814d7f74564ee849b16868cfc0072ee9ef74b2dd6872f7d6ca1abd80888daad"
 
     def test_sweep_kappas_draw_distinct_streams(self, tmp_path):
         # each kappa draws from its own spawned child of the seed, the

@@ -5,17 +5,24 @@ import numpy as np
 import pytest
 
 from q4lab import make_params
-from q4lab.errors import DomainError
+from q4lab.errors import ConsistencyError, DomainError
 from q4lab.model import interior_levels
-from q4lab.picard_fuchs import apply_L1
+from q4lab.picard_fuchs import PFVector, apply_L1
 from q4lab.reduction import assemble_I, mu_G_from_eq211
 from q4lab.melnikov import (
+    CENTER_TERMS,
+    _pair_derive,
+    _pair_L2,
     eval_G,
     eval_G_prime,
     eval_R,
     extract_R_coeffs,
+    get_moment_basis,
     get_propagation,
+    j_matrix,
+    jj_image,
 )
+from q4lab.ratfunc import Poly, RatF
 
 
 class TestEvalG:
@@ -34,9 +41,11 @@ class TestEvalG:
 
     def test_pure_nu2_is_J2(self, p4):
         pG = replace(p4, mu=(0.0, 1.0, 0.0, 0.0))
-        prop = get_propagation(p4)
+        basis, prop = get_moment_basis(p4), get_propagation(p4)
         for h in (-0.5, -0.6):
-            assert eval_G(h, pG) == pytest.approx(prop.derivs(h)[3], rel=1e-12)
+            assert eval_G(h, pG) == basis.J(h)[1]
+            # the DOP853 route carries the propagation's own error (3e-12 at -0.6)
+            assert eval_G(h, pG) == pytest.approx(prop.derivs(h)[3], rel=1e-10)
 
     def test_J2_positive_on_annulus(self, p4):
         # I11' is (a multiple of) a complete elliptic integral of the second
@@ -47,7 +56,7 @@ class TestEvalG:
 
     def test_pf_level_mismatch(self, p4):
         prop = get_propagation(p4)
-        pf = prop.pf_vector(-0.5)
+        pf = PFVector(h=-0.5, values=prop.values(-0.5), derivs=prop.derivs(-0.5))
         with pytest.raises(DomainError):
             eval_G(-0.51, p4, pf)
 
@@ -114,6 +123,16 @@ class TestExtraction:
                 rd = eval_R(h, pN, "direct")
                 assert rt == pytest.approx(rd, rel=1e-10)
 
+    def test_center_series_needs_the_double_zero(self, p4):
+        # the exact coefficients cancel the template's (9h^2 - 4)^2; a
+        # perturbed coefficient leaves a z^0 term behind
+        rc = extract_R_coeffs(p4)
+        assert rc.center_series.shape == (4, CENTER_TERMS)
+        a = [list(row) for row in rc.a]
+        a[0][0] += Fraction(1, 10**6)
+        with pytest.raises(ConsistencyError, match="unit weight 1"):
+            replace(rc, a=tuple(tuple(row) for row in a)).center_series
+
     def test_integer_coefficients_at_kappa4(self, p4):
         # at kappa = 4 every entry is an exact integer; freeze two of them
         rc = extract_R_coeffs(p4)
@@ -132,3 +151,68 @@ class TestExtraction:
 
     def test_cached(self, p4):
         assert extract_R_coeffs(p4) is extract_R_coeffs(p4)
+
+
+def _rank(rows) -> int:
+    """Rank of a matrix of Fractions, by exact elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _closes(op, target, degree: int, clear) -> bool:
+    """Whether op(p, q) = target, both sides (p, q) pairs standing for
+    p J1 + q J2, has a solution with p, q polynomials of degree <= degree:
+    the exact linear system for their coefficients, cleared of
+    denominators by ``clear``, is consistent."""
+    monos = [RatF(Poly([0] * i + [1])) for i in range(degree + 1)]
+    cols = [[(r * clear).as_poly() for r in pair]
+            for pair in [op(m, RatF(0)) for m in monos] + [op(RatF(0), m) for m in monos]]
+    rhs = [(r * clear).as_poly() for r in target]
+    n = 1 + max(p.degree for pair in cols + [rhs] for p in pair)
+
+    def flat(pair):
+        return [p.c[d] if d <= p.degree else Fraction(0) for p in pair for d in range(n)]
+
+    A = [list(row) for row in zip(*[flat(col) for col in cols])]
+    return _rank(A) == _rank([row + [b] for row, b in zip(A, flat(rhs))])
+
+
+class TestNoClosedFormBeyondJ:
+    # I10' and JJ are not polynomial combinations of J1, J2 (JJ not even
+    # modulo the kernel of L2): the substitution into their defining
+    # equations, with the J' = M J of extract_R_coeffs, is inconsistent
+    kf = Fraction(4)
+    M = j_matrix(kf)
+    d1 = Poly([-4, 0, 9])
+    d2 = Poly([-4, 0, 36])
+
+    def derive(self, p, q):
+        return _pair_derive(p, q, self.M)
+
+    def test_method_finds_a_closed_form_that_exists(self):
+        h2 = RatF(Poly([0, 0, 1]))
+        target = self.derive(h2, RatF(Poly([1, 1])))
+        assert _closes(self.derive, target, 6, RatF(self.d1 * self.d2))
+
+    def test_I10_prime_is_not_closed(self):
+        # row 1 of V = B V' differentiated: I10'' = 2 (J1 - J2) / (9h^2 - 4)
+        two = RatF(2, self.d1)
+        assert not _closes(self.derive, (two, -two), 10, RatF(self.d1 * self.d2))
+
+    def test_JJ_is_not_closed_modulo_L2_kernel(self):
+        op = lambda p, q: _pair_L2(p, q, self.kf, self.M)
+        dd = self.d1 * self.d2
+        clear = RatF(dd * dd * dd)
+        assert _closes(op, op(RatF(Poly([0, 1])), RatF(1)), 8, clear)
+        assert not _closes(op, jj_image(self.kf, self.M), 10, clear)

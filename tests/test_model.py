@@ -194,6 +194,20 @@ class TestOval:
         assert np.all(r < 5e-4)
         assert np.all(r > 1e-6)
 
+    def test_angle_arrays_keep_their_shape(self, p4):
+        ov = oval(-0.5, p4)
+        flat = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+        for shape in ((12, 1), (3, 4), (2, 3, 2)):
+            grid = flat.reshape(shape)
+            assert (ov.r_theta(grid) == ov.r_theta(flat).reshape(shape)).all()
+            for got, want in zip(ov.point_tangent(grid), ov.point_tangent(flat)):
+                assert got.shape == shape
+                assert (got == want.reshape(shape)).all()
+        # a 2-d grid of points around the center (1, 1), well inside
+        grid = flat.reshape(3, 4)
+        inside = ov.contains(1.0 + 1e-3 * np.cos(grid), 1.0 + 1e-3 * np.sin(grid))
+        assert inside.shape == (3, 4) and inside.all()
+
     def test_vertices_on_level(self, p4):
         ov = oval(-0.5, p4)
         x, y = ov.points[:, 0], ov.points[:, 1]

@@ -5,10 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from q4lab import DomainError, PathProximityError, SingularityError, make_params
+import q4lab.picard_fuchs as pf
+from q4lab import (
+    ConsistencyError,
+    DomainError,
+    PathProximityError,
+    SingularityError,
+    make_params,
+)
+from q4lab.analysis import bound_scanner
 from q4lab.quadrature import basis_values
 from q4lab.picard_fuchs import (
     Arc,
+    MomentBasis,
     PFPropagation,
     PFVector,
     apply_L1,
@@ -19,12 +28,11 @@ from q4lab.picard_fuchs import (
     infinity_exponents,
     initial_jstate,
     l2_chain_factor,
-    pf_derivative_chain,
+    levels_J,
     pf_derivatives,
     pf_matrix,
     pf_residuals,
     pfs_residuals,
-    propagate,
     propagate_J,
 )
 
@@ -88,8 +96,9 @@ class TestSixEquationSystem:
 
 
 class TestPropagation:
-    def test_identity(self, p4, oracle4):
-        assert np.array_equal(propagate(H0, oracle4, H0, p4), oracle4)
+    def test_identity(self, p4, prop4):
+        # the dense output returns the oracle's vector at the midpoint
+        assert np.array_equal(prop4.values(prop4.h_mid), basis_values(prop4.h_mid, p4))
 
     def test_oracle_cross_check(self, p4, prop4):
         for q in (0.1, 0.25, 0.5, 0.75, 0.9):
@@ -98,19 +107,16 @@ class TestPropagation:
             rel = np.max(np.abs(prop4.values(h) - ref) / np.abs(ref))
             assert rel < 1e-6
 
-    def test_back_and_forth(self, p4, oracle4):
-        v = propagate(-0.55, propagate(H0, oracle4, -0.55, p4), H0, p4)
-        assert np.max(np.abs(v - oracle4) / np.abs(oracle4)) < 1e-9
+    def test_refuses_singularity_crossing(self, p4, prop4):
+        with pytest.raises(DomainError):
+            PFPropagation(p4, lo=-0.8, hi=H0)
+        with pytest.raises(DomainError):
+            prop4.values(-0.8)
 
-    def test_refuses_singularity_crossing(self, p4, oracle4):
-        with pytest.raises(SingularityError):
-            propagate(H0, oracle4, -0.8, p4)
-
-    def test_chain_matches_fd(self, p4, oracle4):
-        d1, d2, d3 = pf_derivative_chain(H0, oracle4, p4)
+    def test_chain_matches_fd(self, p4, prop4):
+        d1, d2, d3 = prop4.chain(H0)
         dh = 1e-6
-        vp = propagate(H0, oracle4, H0 + dh, p4)
-        vm = propagate(H0, oracle4, H0 - dh, p4)
+        vp, vm = prop4.values(H0 + dh), prop4.values(H0 - dh)
         fd1 = (vp - vm) / (2 * dh)
         assert np.max(np.abs(d1 - fd1) / np.abs(d1)) < 1e-8
         fd2 = (pf_derivatives(H0 + dh, vp, p4) - pf_derivatives(H0 - dh, vm, p4)) / (2 * dh)
@@ -296,3 +302,84 @@ class TestContinuation:
         st0 = initial_jstate(2.5, p4)
         assert st0.J[0].real > 0
         assert abs(st0.J[0].imag) == 0
+
+
+def _mp_J(h, kappa):
+    """J at the double level h with 40 digits, from the 2F1 forms."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        k = mp.mpf(kappa)
+        z = (k - mp.mpf(9) / 4 * k * mp.mpf(h) ** 2) / (k - 1)
+        c = mp.pi / mp.sqrt(k - 1)
+        J1 = c * mp.hyp2f1(mp.mpf(1) / 6, mp.mpf(5) / 6, 1, z)
+        J2 = (1 - z) * J1 + mp.mpf(5) / 6 * c * z * mp.hyp2f1(mp.mpf(5) / 6, mp.mpf(1) / 6, 2, z)
+        return [J1, J2]
+
+
+class TestMomentBasis:
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_matches_dop853(self, kappa):
+        # 257 levels of the scanner grid, its first and last nodes included
+        p = make_params(kappa)
+        basis, ode = MomentBasis(p), PFPropagation(p)
+        grid = bound_scanner(p).hs
+        hs = np.append(grid[::2], grid[-1])
+        Va, Vb = ode.values(hs), basis.values(hs)
+        assert np.all(np.max(np.abs(Vb - Va), axis=1) <= 1e-10 * np.max(np.abs(Va), axis=1))
+        # the DOP853 derivatives are a solve with B(h), which loses digits as
+        # cond(B) grows toward both ends; compare where cond(B) <= 1e6 ...
+        Da, Db = ode.derivs(hs), basis.derivs(hs)
+        cond = np.array([np.linalg.cond(pf_matrix(h, p)) for h in hs])
+        inner = cond <= 1e6
+        assert inner.sum() >= hs.size - 4
+        sup = np.max(np.abs(Da), axis=1)
+        assert np.all(np.max(np.abs(Db - Da)[:, inner], axis=1) <= 1e-10 * sup)
+        # ... and at the grid ends check J against 40 digits, and rows 2 and 3
+        # of V = B V', which the basis does not use
+        for h in grid[[0, -1]]:
+            J, want = basis.J(h), _mp_J(h, kappa)
+            assert all(abs(float((x - w) / w)) <= 1e-10 for x, w in zip(J, want))
+            v, d, B = basis.values(h), basis.derivs(h), pf_matrix(h, p)
+            for row in (2, 3):
+                scale = np.max(np.abs(np.append(B[row] * d, v[row])))
+                assert abs(v[row] - B[row] @ d) <= 1e-10 * scale
+
+    def test_levels_J_matches_hypergeometric_J(self, p4):
+        hs = np.linspace(p4.center_h + 1e-3, p4.saddle_h - 1e-3, 101)
+        a, b = levels_J(hs, p4), pf.hypergeometric_J(2.25 * p4.kappa * hs * hs, p4)
+        assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-13
+
+    def test_levels_J_keeps_digits_at_the_saddle(self):
+        # J2 through Euler's transformation: no digits lost as z -> 1
+        for kappa in (1.5, 4.0, 30.0):
+            p = make_params(kappa)
+            for off in (1e-8, 1e-6):
+                J, want = levels_J(p.saddle_h - off, p)[:, 0], _mp_J(p.saddle_h - off, kappa)
+                assert abs(float((J[1] - want[1]) / want[1])) <= 1e-14
+                assert abs(float((J[0] - want[0]) / want[0])) <= 1e-9
+
+    def test_midpoint_is_the_oracle_and_shapes(self, p4):
+        basis = MomentBasis(p4)
+        assert np.array_equal(basis.values(basis.h_mid), basis_values(basis.h_mid, p4))
+        assert basis.values(-0.5).shape == (6,) and basis.derivs(-0.5).shape == (6,)
+        assert basis.values(np.array([-0.6, -0.5])).shape == (6, 2)
+        assert basis.derivs(np.array([-0.6, -0.5])).shape == (6, 2)
+        with pytest.raises(DomainError):
+            basis.values(p4.saddle_h)
+
+    def test_JJ_matches_derivs(self, p4):
+        basis = MomentBasis(p4)
+        hs = np.linspace(-0.65, -0.35, 31)
+        d = basis.derivs(hs)
+        JJ = -4.0 * hs * d[4] + (3.0 * p4.kappa * hs * hs - 4.0) * d[5]
+        assert np.max(np.abs(basis.JJ(hs) - JJ)) <= 1e-12 * np.max(np.abs(JJ))
+
+    def test_perturbed_system_raises(self, p4, monkeypatch):
+        # a wrong dB/dh continues the series along another ODE; rows 2 and 3
+        # against the closed-form J catch it at the window ends
+        perturbed = pf._B_PRIME.copy()
+        perturbed[0, 0] *= 1.0 + 1e-5
+        monkeypatch.setattr(pf, "_B_PRIME", perturbed)
+        with pytest.raises(ConsistencyError, match="row 2"):
+            MomentBasis(p4)

@@ -55,6 +55,10 @@ from .quadrature import basis_values
 
 BASIS_INDICES = ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (-1, 1))
 COND_LIMIT = 1e12  # cond(B) above which the derivatives are refused
+# Both moment routes span the annulus less WINDOW_MARGIN at each end and start
+# from one quadrature oracle call at its midpoint, so they share its cache.
+WINDOW_MARGIN = 1e-8
+ORACLE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -141,16 +145,15 @@ class PFPropagation:
     """
 
     def __init__(self, params: ModelParams, lo: float | None = None,
-                 hi: float | None = None, tol: float = 1e-12,
-                 margin: float = 1e-8, oracle_tol: float = 1e-10):
+                 hi: float | None = None, tol: float = 1e-12):
         self.params = params
         hc, hs = params.center_h, params.saddle_h
-        self.lo = hc + margin if lo is None else lo
-        self.hi = hs - margin if hi is None else hi
+        self.lo = hc + WINDOW_MARGIN if lo is None else lo
+        self.hi = hs - WINDOW_MARGIN if hi is None else hi
         if not (hc < self.lo < self.hi < hs):
             raise DomainError("PFPropagation window must sit inside the annulus interval")
         self.h_mid = 0.5 * (self.lo + self.hi)
-        self.v_mid = basis_values(self.h_mid, params, tol=oracle_tol)
+        self.v_mid = basis_values(self.h_mid, params, tol=ORACLE_TOL)
         rhs = lambda hh, v: np.linalg.solve(pf_matrix(hh, params), v)
         kw = dict(method="DOP853", rtol=tol, dense_output=True,
                   atol=1e-3 * tol * np.max(np.abs(self.v_mid)))
@@ -221,18 +224,17 @@ class MomentBasis:
     tests/test_melnikov.py::TestNoClosedFormBeyondJ).
     """
 
-    def __init__(self, params: ModelParams, margin: float = 1e-8,
-                 oracle_tol: float = 1e-10):
+    def __init__(self, params: ModelParams):
         self.params = params
         hc, hs = params.center_h, params.saddle_h
-        self.lo, self.hi = hc + margin, hs - margin
+        self.lo, self.hi = hc + WINDOW_MARGIN, hs - WINDOW_MARGIN
         if not (hc < self.lo < self.hi < hs):
             raise DomainError("MomentBasis window must sit inside the annulus interval")
         self.h_mid = 0.5 * (self.lo + self.hi)
         root_k = math.sqrt(params.kappa)
         self._critical = np.array([-2.0 / 3.0, 2.0 / 3.0, -2.0 / (3.0 * root_k),
                                    2.0 / (3.0 * root_k)])
-        mid = self._expand(self.h_mid, basis_values(self.h_mid, params, tol=oracle_tol))
+        mid = self._expand(self.h_mid, basis_values(self.h_mid, params, tol=ORACLE_TOL))
         chain = self._continue(mid, self.lo)[::-1] + [mid] + self._continue(mid, self.hi)
         c = np.array([e[0] for e in chain])
         r = np.array([e[1] for e in chain])
@@ -504,14 +506,14 @@ def pfs2_matrix(s, kappa: float):
     return N / (6.0 * (s - 1.0) * (s - kappa))
 
 
-def initial_jstate(s0: float, params: ModelParams, oracle_tol: float = 1e-10) -> JState:
+def initial_jstate(s0: float, params: ModelParams) -> JState:
     """JState at a real s0 in (1, kappa) from the quadrature oracle: the
     first column of W is the geometric solution J, the second the unit
     vector (0, 1) (independent since J1 != 0)."""
     if not (1.0 < s0 < params.kappa):
         raise DomainError(f"s0={s0} outside (1, kappa)")
     h0 = h_from_s(s0, params)
-    d = pf_derivatives(h0, basis_values(h0, params, tol=oracle_tol), params)
+    d = pf_derivatives(h0, basis_values(h0, params, tol=ORACLE_TOL), params)
     J = np.array([d[0], d[3]], dtype=complex)
     W = np.array([[J[0], 0.0], [J[1], 1.0]], dtype=complex)
     return JState(s=complex(s0), J=J, W=W)

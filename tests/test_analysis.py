@@ -95,6 +95,22 @@ class TestCountZeros:
             count_zeros(f, (0.0, 1.0))
         assert len(calls) == 1
 
+    def test_tangency_stencil_collapses_at_window_end(self):
+        # the grid's first node sits one ulp inside the window; the scanned
+        # minimum is at node 1, but pointwise |f| falls toward the window
+        # start (as rounding noise does where a function vanishes at the
+        # end).  The quadratic fit clamps its vertex to node 0, halves in to
+        # a one-ulp stencil and then one below an ulp, where it must stop
+        # instead of fitting three equal abscissae
+        a, b = 1.0, 2.0
+        ulp = np.spacing(a)
+        xs = np.linspace(a, b, 9)
+        xs[0] = a + ulp
+        fs = 1.0 + (xs - xs[1]) ** 2
+        fvec = lambda x: 1.0 + ((np.asarray(x) - a) / ulp) ** 2
+        zr = an._count_from_scan(xs, fs, fvec, (a, b), 1e-9)
+        assert zr.count == 0 and zr.refined
+
 
 class TestResidueSolutionProbe:
     def test_boundary_value(self, p4):

@@ -5,6 +5,12 @@ two independent quadratures, the six-equation Picard-Fuchs system and its
 derived 2x2 systems, the operator chain I -> G = L1(I) -> R = L2(G), exact
 extraction of the rational-function coefficients of R, Chebyshev-property
 probes for L2, and argument-principle zero counting in the complex domain.
+
+Everything that depends on kappa alone (ovals, moments, the area2d geometry,
+the moment propagation and basis, the R coefficients, keyhole contours and
+bound scanners) is built once per process in a ``functools`` cache keyed by
+kappa, plus the level, index, grid or epsilon where they matter, and never
+by the weights; :func:`clear_caches` empties them all.
 """
 
 import logging as _logging
@@ -92,6 +98,17 @@ from .dynamics import (
     vector_field_rhs,
 )
 from .cli import RunConfig, run
+from . import analysis, melnikov, quadrature
+
+
+def clear_caches() -> None:
+    """Empty every per-kappa cache; each one's ``cache_info()`` reports its
+    hits, misses and size."""
+    for cache in (quadrature.cached_oval, quadrature._moment, quadrature._area2d_geometry,
+                  melnikov._propagation, melnikov._moment_basis, melnikov._r_coeffs,
+                  analysis._keyhole, analysis._scanner):
+        cache.cache_clear()
+
 
 # diagnostics (e.g. quadrature panel saturation) go to the "q4lab" logger
 # and print nothing unless the application configures logging

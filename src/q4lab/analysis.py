@@ -25,6 +25,9 @@ asserted; the probe measures it, alongside a direct projective-rotation
 measurement of the solution frame (a two-dimensional solution space is
 Chebyshev on a window iff the frame direction sweeps less than a half
 turn); the frame is built from hypergeometric solutions of L2 in s.
+
+``keyhole_contour`` and ``bound_scanner`` build once per (kappa, epsilon) and
+(kappa, grid) from ``make_params(kappa)``, in ``functools`` caches.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ from .picard_fuchs import (
 )
 from .melnikov import extract_R_coeffs, get_moment_basis
 from .reduction import mu_G_from_eq211
+
+J_MARGIN = 1e-3      # JTable spans (1, kappa) less this fraction of kappa - 1 at each end
+SCAN_MARGIN = 1e-6   # the scanner's window: the annulus less this fraction at each end
+RHS_DEGREE = 6       # degree of inhomogeneous_bound_sample's random right-hand sides
 
 # ---------------------------------------------------------------------------
 # real zero counting
@@ -399,14 +406,13 @@ def keyhole_by_continuation(params: ModelParams, epsilon: float = 1e-3):
     return samples, closure_drift, abs(state.det_W - det_W0) / abs(det_W0)
 
 
-_contour_cache: dict = {}
-
-
 def keyhole_contour(params: ModelParams, epsilon: float = 1e-3) -> KeyholeContour:
-    key = (params.kappa, epsilon)
-    if key not in _contour_cache:
-        _contour_cache[key] = KeyholeContour(params, epsilon)
-    return _contour_cache[key]
+    return _keyhole(params.kappa, epsilon)
+
+
+@functools.cache
+def _keyhole(kappa: float, epsilon: float) -> KeyholeContour:
+    return KeyholeContour(make_params(kappa), epsilon)
 
 
 def _arg_increment(z: np.ndarray):
@@ -467,21 +473,21 @@ def winding_count(pair: PolyPair, params: ModelParams,
 
 class JTable:
     """J = (J1, J2) on the real interval (1 + margin, kappa - margin), the
-    margin relative to kappa - 1, evaluated in closed form
+    margin ``J_MARGIN`` relative to kappa - 1, evaluated in closed form
     (``hypergeometric_J``)."""
 
-    def __init__(self, params: ModelParams, margin: float = 1e-3):
+    def __init__(self, params: ModelParams):
         k = params.kappa
         self.params = params
-        self.lo = 1.0 + margin * (k - 1.0)
-        self.hi = k - margin * (k - 1.0)
+        self.lo = 1.0 + J_MARGIN * (k - 1.0)
+        self.hi = k - J_MARGIN * (k - 1.0)
 
     def J(self, s):
         return hypergeometric_J(np.asarray(s, dtype=float), self.params)
 
 
-def j_table(params: ModelParams, margin: float = 1e-3) -> JTable:
-    return JTable(params, margin)
+def j_table(params: ModelParams) -> JTable:
+    return JTable(params)
 
 
 def random_poly_pair(n: int, rng) -> PolyPair:
@@ -491,8 +497,7 @@ def random_poly_pair(n: int, rng) -> PolyPair:
 
 
 def vn_sample_test(n: int, trials: int, params: ModelParams, seed: int,
-                   grid: int = 512, with_winding: bool = True,
-                   epsilon: float = 1e-3) -> dict:
+                   grid: int = 512, epsilon: float = 1e-3) -> dict:
     """Random sampling of V_n: real-zero counts on (1, kappa) and winding
     counts on the keyhole domain, against the dimension bound 2n."""
     if not (1 <= n <= 4):
@@ -512,18 +517,16 @@ def vn_sample_test(n: int, trials: int, params: ModelParams, seed: int,
             return pair.eval_P(s).real * J[0] + pair.eval_Q(s).real * J[1]
 
         zr = count_zeros(V, (tab.lo, tab.hi), grid=grid)
+        wr = winding_count(pair, params, epsilon)
         max_real = max(max_real, zr.count)
-        row = {"trial": t, "real_zeros": zr.count}
-        if with_winding:
-            wr = winding_count(pair, params, epsilon)
-            max_winding = max(max_winding, wr.winding)
-            worst_residual = max(worst_residual, wr.residual)
-            row.update({"winding": wr.winding, "residual": wr.residual})
-            if not wr.bound_ok:
-                violations.append({"trial": t, "kind": "winding", "value": wr.winding})
+        max_winding = max(max_winding, wr.winding)
+        worst_residual = max(worst_residual, wr.residual)
+        if not wr.bound_ok:
+            violations.append({"trial": t, "kind": "winding", "value": wr.winding})
         if zr.count > 2 * n:
             violations.append({"trial": t, "kind": "real", "value": zr.count})
-        rows.append(row)
+        rows.append({"trial": t, "real_zeros": zr.count, "winding": wr.winding,
+                     "residual": wr.residual})
     return {
         "n": n, "trials": trials, "kappa": params.kappa,
         "max_real_zeros": max_real, "max_winding": max_winding,
@@ -545,14 +548,13 @@ class BoundScanner:
     closed-form J, G also JJ, and I the series values; no ODE is solved.
     ``PFPropagation`` is the independent check of these rows."""
 
-    def __init__(self, params: ModelParams, grid: int = 512,
-                 margin_rel: float = 1e-6):
+    def __init__(self, params: ModelParams, grid: int = 512):
         self.params = params
         self.prop = get_moment_basis(params)
         self.rc = extract_R_coeffs(params)
         hc, hs = params.center_h, params.saddle_h
         w = hs - hc
-        self.window = (hc + margin_rel * w, hs - margin_rel * w)
+        self.window = (hc + SCAN_MARGIN * w, hs - SCAN_MARGIN * w)
         self.grid = max(int(grid), 64)
         self.hs = _cheb_grid(*self.window, self.grid)
         self.basis = {which: self._basis(which, self.hs) for which in "IGR"}
@@ -639,14 +641,13 @@ def _count_from_scan(xs, fs, fvec, interval, tol) -> ZeroReport:
     return report
 
 
-_scanner_cache: dict = {}
-
-
 def bound_scanner(params: ModelParams, grid: int = 512) -> BoundScanner:
-    key = (params.kappa, grid)
-    if key not in _scanner_cache:
-        _scanner_cache[key] = BoundScanner(params, grid)
-    return _scanner_cache[key]
+    return _scanner(params.kappa, grid)
+
+
+@functools.cache
+def _scanner(kappa: float, grid: int) -> BoundScanner:
+    return BoundScanner(make_params(kappa), grid)
 
 
 @dataclass
@@ -777,11 +778,10 @@ def frame_rotation_probe(params: ModelParams, window: tuple[float, float],
 
 
 def inhomogeneous_bound_sample(params: ModelParams, window: tuple[float, float],
-                 trials: int = 100, seed: int = 0, grid: int = 512,
-                 rhs_degree: int = 6) -> dict:
+                 trials: int = 100, seed: int = 0, grid: int = 512) -> dict:
     """Sample solutions of the non-homogeneous equation L2(G) = R by
     variation of parameters on the numerically integrated frame, for random
-    polynomial right-hand sides with k <= rhs_degree zeros, and test
+    polynomial right-hand sides with k <= RHS_DEGREE zeros, and test
     count(G) <= k + 2."""
     a, b = window
     k = params.kappa
@@ -792,7 +792,7 @@ def inhomogeneous_bound_sample(params: ModelParams, window: tuple[float, float],
     violations = []
     rows = []
     for t in range(trials):
-        coeffs = rng.normal(size=rhs_degree + 1)
+        coeffs = rng.normal(size=RHS_DEGREE + 1)
         Rpoly = np.polynomial.Polynomial(coeffs)
         kzeros = count_zeros(lambda x: Rpoly(np.asarray(x)), window, grid=grid).count
 

@@ -23,6 +23,11 @@ from scipy.integrate import solve_ivp
 from .errors import ConvergenceError, DomainError, GeometryError
 from .model import ModelParams, hamiltonian, in_omega
 
+BLOWUP_RADIUS = 50.0   # integrate_orbit aborts once |z| passes this
+PERIOD_TOL = 1e-12     # find_period's DOP853 rtol and atol
+PERIOD_T_MAX = 200.0   # find_period gives up after this time
+EDGE_R_MAX = 2.0       # basin_edge_radius brackets the separatrix below this radius
+
 
 def vector_field_rhs(z: complex, params: ModelParams) -> complex:
     return -1j * z + 4.0 * z * z + 2.0 * (z * z.conjugate()).real + params.alpha * z.conjugate() ** 2
@@ -50,8 +55,7 @@ class Orbit:
 
 
 def integrate_orbit(z0: complex, t_end: float, params: ModelParams,
-                    tol: float = 1e-12, n_samples: int = 1000,
-                    blowup_radius: float = 50.0) -> Orbit:
+                    tol: float = 1e-12, n_samples: int = 1000) -> Orbit:
     """Adaptive high-order integration with dense sampling at a fixed
     stride; a blow-up event (|z| exceeding the bound) aborts with an error
     for initial data outside the bounded basin."""
@@ -60,22 +64,21 @@ def integrate_orbit(z0: complex, t_end: float, params: ModelParams,
     z0 = complex(z0)
 
     def blowup(t, u, p=params):
-        return u[0] * u[0] + u[1] * u[1] - blowup_radius**2
+        return u[0] * u[0] + u[1] * u[1] - BLOWUP_RADIUS**2
     blowup.terminal = True
 
     sol = solve_ivp(_rhs_xy, (0.0, t_end), [z0.real, z0.imag], args=(params,),
                     method="DOP853", rtol=tol, atol=tol,
                     t_eval=np.linspace(0.0, t_end, n_samples), events=blowup)
     if sol.status == 1:
-        raise GeometryError(f"orbit from {z0} blew up past |z| = {blowup_radius}")
+        raise GeometryError(f"orbit from {z0} blew up past |z| = {BLOWUP_RADIUS}")
     if not sol.success:
         raise ConvergenceError(f"orbit integration failed: {sol.message}")
     return Orbit(t=sol.t, z=sol.y[0] + 1j * sol.y[1], params=params,
                  integrator_tol=tol)
 
 
-def find_period(z0: complex, params: ModelParams, tol: float = 1e-12,
-                t_max: float = 200.0) -> tuple[float, float]:
+def find_period(z0: complex, params: ModelParams) -> tuple[float, float]:
     """Period of the closed orbit through z0 by a Poincare section through
     z0 (the ray from the origin), and the return gap |z(T) - z0|."""
     z0 = complex(z0)
@@ -87,8 +90,8 @@ def find_period(z0: complex, params: ModelParams, tol: float = 1e-12,
 
     section.direction = -1.0  # the rotation near the origin is clockwise
 
-    sol = solve_ivp(_rhs_xy, (1e-6, t_max), [z0.real, z0.imag], args=(params,),
-                    method="DOP853", rtol=tol, atol=tol, events=section,
+    sol = solve_ivp(_rhs_xy, (1e-6, PERIOD_T_MAX), [z0.real, z0.imag], args=(params,),
+                    method="DOP853", rtol=PERIOD_TOL, atol=PERIOD_TOL, events=section,
                     dense_output=True)
     if not sol.success:
         raise ConvergenceError(f"period search failed: {sol.message}")
@@ -96,7 +99,7 @@ def find_period(z0: complex, params: ModelParams, tol: float = 1e-12,
         if te > 1e-3 and ue[0] * z0.real + ue[1] * z0.imag > 0:
             gap = abs(complex(ue[0], ue[1]) - z0)
             return float(te), float(gap)
-    raise ConvergenceError(f"no period found through {z0} within t = {t_max}")
+    raise ConvergenceError(f"no period found through {z0} within t = {PERIOD_T_MAX}")
 
 
 @dataclass
@@ -135,7 +138,7 @@ def orbit_rows(orbit: Orbit):
             for t, z, d in zip(orbit.t, orbit.z, drift)]
 
 
-def basin_edge_radius(theta: float, params: ModelParams, r_max: float = 2.0) -> float:
+def basin_edge_radius(theta: float, params: ModelParams) -> float:
     """Radius along the ray arg z = theta where the level -sqrt(Hcal)
     reaches the saddle value, i.e. where the separatrix is crossed."""
     target = params.saddle_h
@@ -150,7 +153,7 @@ def basin_edge_radius(theta: float, params: ModelParams, r_max: float = 2.0) -> 
 
     lo, hi = 1e-9, None
     r = 1e-3
-    while r < r_max:
+    while r < EDGE_R_MAX:
         val = level(r)
         if val is None or val >= target:
             hi = r

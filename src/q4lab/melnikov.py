@@ -20,19 +20,24 @@ DOP853 (``pf_numeric``), plus a once-per-kappa exact symbolic extraction of
 (a_j, b_j) over Fraction arithmetic that never leaves this package.  G is
 evaluated on ``MomentBasis`` (closed-form J and series moments), so neither
 G nor the direct R solves an ODE.
+
+The propagation, the moment basis and the R coefficients are built once per
+kappa from ``make_params(kappa)`` and kept in ``functools`` caches behind
+``get_propagation``, ``get_moment_basis`` and ``extract_R_coeffs``, so a
+cached object never holds a caller's weights.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .model import ModelParams
+from .model import ModelParams, make_params
 from .picard_fuchs import (
     MomentBasis,
     PFPropagation,
@@ -46,34 +51,28 @@ from .ratfunc import Poly, RatF
 CENTER_Z = 0.25     # below this z the unit rows of R use the center expansion
 CENTER_TERMS = 30   # its Taylor terms in z
 
-_prop_cache: dict[float, PFPropagation] = {}
-_basis_cache: dict[float, MomentBasis] = {}
-_coeff_cache: dict[float, "RCoefficients"] = {}
-
 
 def get_propagation(params: ModelParams) -> PFPropagation:
     """Dense six-moment propagation across the annulus window, cached per
     kappa (moments never depend on the perturbation weights); the ODE
     route, kept as the independent check."""
-    key = params.kappa
-    if key not in _prop_cache:
-        _prop_cache[key] = PFPropagation(params)
-    return _prop_cache[key]
+    return _propagation(params.kappa)
+
+
+@functools.cache
+def _propagation(kappa: float) -> PFPropagation:
+    return PFPropagation(make_params(kappa))
 
 
 def get_moment_basis(params: ModelParams) -> MomentBasis:
     """The six moments without an ODE solver (``MomentBasis``), cached per
     kappa."""
-    key = params.kappa
-    if key not in _basis_cache:
-        _basis_cache[key] = MomentBasis(params)
-    return _basis_cache[key]
+    return _moment_basis(params.kappa)
 
 
-def clear_caches() -> None:
-    _prop_cache.clear()
-    _basis_cache.clear()
-    _coeff_cache.clear()
+@functools.cache
+def _moment_basis(kappa: float) -> MomentBasis:
+    return MomentBasis(make_params(kappa))
 
 
 def eval_G(h: float, params: ModelParams, pf: PFVector | None = None) -> float:
@@ -198,11 +197,11 @@ class RCoefficients:
     a: tuple  # 4 linear forms, each a 4-tuple of Fractions
     b: tuple  # 3 linear forms
 
-    @cached_property
+    @functools.cached_property
     def a_float(self) -> np.ndarray:
         return np.array(self.a, dtype=float)
 
-    @cached_property
+    @functools.cached_property
     def b_float(self) -> np.ndarray:
         return np.array(self.b, dtype=float)
 
@@ -212,7 +211,7 @@ class RCoefficients:
     def b_values(self, mu) -> np.ndarray:
         return np.array([sum(c * m for c, m in zip(row, mu)) for row in self.b_float])
 
-    @cached_property
+    @functools.cached_property
     def center_series(self) -> np.ndarray:
         """Taylor coefficients in z = (kappa - s) / (kappa - 1) of the
         template numerator A J1 + B J2 over c z^2, one row per unit weight,
@@ -296,10 +295,12 @@ def extract_R_coeffs(params: ModelParams) -> RCoefficients:
     L2(G) exactly, over Fractions, and clear denominators to the rational
     template.  Raises ConsistencyError if the rational function fails to
     cancel to the template's denominator and parity."""
-    key = params.kappa
-    if key in _coeff_cache:
-        return _coeff_cache[key]
-    kf = Fraction(params.kappa)
+    return _r_coeffs(params.kappa)
+
+
+@functools.cache
+def _r_coeffs(kappa: float) -> RCoefficients:
+    kf = Fraction(kappa)
     d1 = Poly([-4, 0, 9])           # 9h^2 - 4
     d2 = Poly([-4, 0, 9 * kf])      # 9 kappa h^2 - 4
     M = j_matrix(kf)
@@ -335,8 +336,5 @@ def extract_R_coeffs(params: ModelParams) -> RCoefficients:
         for idx in range(3):
             b_rows[idx].append(qnum.c[2 * idx + 1] if qnum.degree >= 2 * idx + 1 else Fraction(0))
 
-    rc = RCoefficients(kappa=params.kappa,
-                       a=tuple(tuple(row) for row in a_rows),
-                       b=tuple(tuple(row) for row in b_rows))
-    _coeff_cache[key] = rc
-    return rc
+    return RCoefficients(kappa=kappa, a=tuple(tuple(row) for row in a_rows),
+                         b=tuple(tuple(row) for row in b_rows))

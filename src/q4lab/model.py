@@ -389,9 +389,9 @@ def _grad(x, y, h, params: ModelParams, form: HamiltonianForm):
     return Hx, Hy
 
 
-@dataclass
+@dataclass(eq=False)
 class Oval:
-    """A closed level oval in one of the cubic pictures.
+    """A closed level oval in one of the cubic pictures, hashed by identity.
 
     ``points`` is a closed polyline (first vertex repeated at the end) that
     witnesses the geometry; quadratures never interpolate it but evaluate

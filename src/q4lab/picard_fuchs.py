@@ -59,6 +59,7 @@ COND_LIMIT = 1e12  # cond(B) above which the derivatives are refused
 # from one quadrature oracle call at its midpoint, so they share its cache.
 WINDOW_MARGIN = 1e-8
 ORACLE_TOL = 1e-10
+PROPAGATION_TOL = 1e-12  # PFPropagation's DOP853 rtol
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,7 @@ def pf_residuals(pf: PFVector, params: ModelParams) -> np.ndarray:
     return pf.values - pf_matrix(pf.h, params) @ pf.derivs
 
 
-def pf_derivatives(h: float, values, params: ModelParams,
-                   cond_limit: float = COND_LIMIT) -> np.ndarray:
+def pf_derivatives(h: float, values, params: ModelParams) -> np.ndarray:
     """The unique primed six-vector solving the system at (h, kappa).
 
     Raises SingularityError near the critical levels where B is singular,
@@ -107,7 +107,7 @@ def pf_derivatives(h: float, values, params: ModelParams,
     """
     B = pf_matrix(h, params)
     cond = np.linalg.cond(B)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularityError(
             f"Picard-Fuchs matrix nearly singular at h={h}: cond(B) = {cond:.3e}")
     return np.linalg.solve(B, np.asarray(values, dtype=float))
@@ -144,19 +144,17 @@ class PFPropagation:
     the exact ODE chain, for vectorized evaluation on level grids.
     """
 
-    def __init__(self, params: ModelParams, lo: float | None = None,
-                 hi: float | None = None, tol: float = 1e-12):
+    def __init__(self, params: ModelParams):
         self.params = params
         hc, hs = params.center_h, params.saddle_h
-        self.lo = hc + WINDOW_MARGIN if lo is None else lo
-        self.hi = hs - WINDOW_MARGIN if hi is None else hi
+        self.lo, self.hi = hc + WINDOW_MARGIN, hs - WINDOW_MARGIN
         if not (hc < self.lo < self.hi < hs):
             raise DomainError("PFPropagation window must sit inside the annulus interval")
         self.h_mid = 0.5 * (self.lo + self.hi)
         self.v_mid = basis_values(self.h_mid, params, tol=ORACLE_TOL)
         rhs = lambda hh, v: np.linalg.solve(pf_matrix(hh, params), v)
-        kw = dict(method="DOP853", rtol=tol, dense_output=True,
-                  atol=1e-3 * tol * np.max(np.abs(self.v_mid)))
+        kw = dict(method="DOP853", rtol=PROPAGATION_TOL, dense_output=True,
+                  atol=1e-3 * PROPAGATION_TOL * np.max(np.abs(self.v_mid)))
         self._left = solve_ivp(rhs, (self.h_mid, self.lo), self.v_mid, **kw)
         self._right = solve_ivp(rhs, (self.h_mid, self.hi), self.v_mid, **kw)
         if not (self._left.success and self._right.success):
@@ -642,18 +640,17 @@ def propagate_J(path, J0: JState, params: ModelParams, tol: float = 1e-11,
     return continue_state(pieces, J0, params, tol=tol, eps_min=eps_min)
 
 
-def infinity_exponents(params: ModelParams, s1_mult: float = 1e3,
-                       s2_mult: float = 1e5, tol: float = 1e-12):
+def infinity_exponents(params: ModelParams):
     """Growth exponents of the two characteristic solutions at s = infinity,
-    fitted from the eigenvalues of the transfer matrix between two radii on
-    the real axis beyond kappa (expected {-1/6, +1/6})."""
+    fitted from the eigenvalues of the transfer matrix between the radii
+    1e3 kappa and 1e5 kappa on the real axis (expected {-1/6, +1/6})."""
     k = params.kappa
-    s0, s1, s2 = 10.0 * k, s1_mult * k, s2_mult * k
+    s0, s1, s2 = 10.0 * k, 1e3 * k, 1e5 * k
     W = np.eye(2, dtype=complex)
     state = JState(s=complex(s0), J=W[:, 0].copy(), W=W)
-    state = continue_state([Line(complex(s0), complex(s1))], state, params, tol=tol)
+    state = continue_state([Line(complex(s0), complex(s1))], state, params, tol=1e-12)
     W1 = state.W.copy()
-    state = continue_state([Line(complex(s1), complex(s2))], state, params, tol=tol)
+    state = continue_state([Line(complex(s1), complex(s2))], state, params, tol=1e-12)
     T = state.W @ np.linalg.inv(W1)
     ev = np.linalg.eigvals(T)
     return np.sort(np.log(np.abs(ev)) / math.log(s2 / s1))

@@ -25,10 +25,15 @@ Both methods localize to the connected component of the region containing
 the center, using the exact star-shaped membership test of the oval.  The
 module also evaluates the residues of the underlying third-kind differential
 and a discriminant detecting singular level curves.
+
+Ovals are cached per (h, kappa, form) and moments per (index, h, kappa,
+method, tol) in ``functools`` caches, and area2d keeps the geometry of the
+last oval it integrated; ``q4lab.clear_caches`` empties all three.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import logging
 import math
@@ -91,26 +96,9 @@ class MomentValue:
     err_estimate: float
 
 
-_oval_cache: dict = {}
-_moment_cache: dict = {}
-
-
-def clear_caches() -> None:
-    """Drop the cached ovals with their memos, the moments and the area2d
-    geometry."""
-    global _area2d_geometry
-    for ov in _oval_cache.values():
-        ov._tangents.clear()
-    _oval_cache.clear()
-    _moment_cache.clear()
-    _area2d_geometry = None
-
-
+@functools.cache
 def cached_oval(h: float, kappa: float, form: HamiltonianForm) -> Oval:
-    key = (h, kappa, form)
-    if key not in _oval_cache:
-        _oval_cache[key] = oval(h, make_params(kappa), form=form)
-    return _oval_cache[key]
+    return oval(h, make_params(kappa), form=form)
 
 
 def _gk_panel(f, a: float, b: float):
@@ -405,14 +393,11 @@ class _Area2dGeometry:
 
 # the geometry of the most recently integrated oval only, so memory stays
 # bounded; callers integrate all indices at one level before moving on
-_area2d_geometry: _Area2dGeometry | None = None
+_area2d_geometry = functools.lru_cache(maxsize=1)(_Area2dGeometry)
 
 
 def _moment_area2d(i: int, j: int, ov: Oval, tol: float):
-    global _area2d_geometry
-    if _area2d_geometry is None or _area2d_geometry.oval is not ov:
-        _area2d_geometry = _Area2dGeometry(ov)
-    geo = _area2d_geometry
+    geo = _area2d_geometry(ov)
     total = 0.0
     err = 0.0
     for cx0, cx1, cy0, cy1, pieces in geo.leaves:
@@ -439,10 +424,13 @@ def moment(index: MomentIndex, h: float, params: ModelParams,
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    key = (index.i, index.j, index.form, h, params.kappa, method, tol)
-    if key in _moment_cache:
-        return _moment_cache[key]
-    ov = cached_oval(h, params.kappa, index.form)
+    return _moment(index, h, params.kappa, method, tol)
+
+
+@functools.cache
+def _moment(index: MomentIndex, h: float, kappa: float, method: str,
+            tol: float) -> MomentValue:
+    ov = cached_oval(h, kappa, index.form)
     if index.i < 0 and ov.min_x <= 1e-6:
         raise DomainError(
             f"negative power x^{index.i}: oval reaches x = {ov.min_x}, too close to 0")
@@ -457,9 +445,7 @@ def moment(index: MomentIndex, h: float, params: ModelParams,
     if err > 100.0 * tol * max(abs(value), 1e-12):
         raise ConvergenceError(
             f"moment {index} at h={h}: error estimate {err:.2e} above target")
-    mv = MomentValue(index=index, h=h, value=value, method=method, err_estimate=err)
-    _moment_cache[key] = mv
-    return mv
+    return MomentValue(index=index, h=h, value=value, method=method, err_estimate=err)
 
 
 def moment_value(i: int, j: int, h: float, params: ModelParams,

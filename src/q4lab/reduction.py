@@ -32,6 +32,8 @@ actually vanishes.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,41 +75,34 @@ def recurrence_residual(kind: str, i: int, j: int, h: float, params: ModelParams
     kappa (i+j+5) I_{i,j+3} - (i+j+5) I_{i+2,j+1}
     - (kappa-1)(i+3j+7) I_{i,j+1} + 2 (kappa-1)(j+1) I_{i,j} = 0.
     """
-    k = params.kappa
-    M = lambda a, b: moment_value(a, b, h, params, form=CUBIC, tol=tol)
-    if kind == "eq25":
-        return ((k / 3.0) * (j + 4) * M(i, j + 3) - (j + 2) * M(i + 2, j + 1)
-                - h * (j + 1) * M(i + 3, j) - (k - 1.0) * (j + 2) * M(i, j + 1)
-                + (2.0 / 3.0) * (k - 1.0) * (j + 1) * M(i, j))
-    if kind == "eq26":
-        return ((k / 3.0) * (i + 1) * M(i, j + 3) - (i + 3) * M(i + 2, j + 1)
-                - h * (i + 4) * M(i + 3, j) - (k - 1.0) * (i + 1) * M(i, j + 1)
-                + (2.0 / 3.0) * (k - 1.0) * (i + 1) * M(i, j))
-    if kind == "combined":
-        return (k * (i + j + 5) * M(i, j + 3) - (i + j + 5) * M(i + 2, j + 1)
-                - (k - 1.0) * (i + 3 * j + 7) * M(i, j + 1)
-                + 2.0 * (k - 1.0) * (j + 1) * M(i, j))
-    raise DomainError(f"unknown recurrence kind {kind!r}")
+    # a left fold, not sum(): from Python 3.12 sum() compensates float sums
+    return functools.reduce(operator.add, _recurrence_terms(kind, i, j, h, params, tol))
 
 
 def recurrence_scale(kind: str, i: int, j: int, h: float, params: ModelParams,
                      tol: float = 1e-10) -> float:
     """Largest absolute term of the recurrence, for relative residuals."""
+    return max(abs(t) for t in _recurrence_terms(kind, i, j, h, params, tol))
+
+
+def _recurrence_terms(kind: str, i: int, j: int, h: float, params: ModelParams,
+                      tol: float) -> list[float]:
+    """The signed terms of the recurrence's left side, in its order."""
     k = params.kappa
     M = lambda a, b: moment_value(a, b, h, params, form=CUBIC, tol=tol)
     if kind == "eq25":
-        terms = [(k / 3.0) * (j + 4) * M(i, j + 3), (j + 2) * M(i + 2, j + 1),
-                 h * (j + 1) * M(i + 3, j), (k - 1.0) * (j + 2) * M(i, j + 1),
-                 (2.0 / 3.0) * (k - 1.0) * (j + 1) * M(i, j)]
-    elif kind == "eq26":
-        terms = [(k / 3.0) * (i + 1) * M(i, j + 3), (i + 3) * M(i + 2, j + 1),
-                 h * (i + 4) * M(i + 3, j), (k - 1.0) * (i + 1) * M(i, j + 1),
-                 (2.0 / 3.0) * (k - 1.0) * (i + 1) * M(i, j)]
-    else:
-        terms = [k * (i + j + 5) * M(i, j + 3), (i + j + 5) * M(i + 2, j + 1),
-                 (k - 1.0) * (i + 3 * j + 7) * M(i, j + 1),
-                 2.0 * (k - 1.0) * (j + 1) * M(i, j)]
-    return max(abs(t) for t in terms)
+        return [(k / 3.0) * (j + 4) * M(i, j + 3), -(j + 2) * M(i + 2, j + 1),
+                -h * (j + 1) * M(i + 3, j), -(k - 1.0) * (j + 2) * M(i, j + 1),
+                (2.0 / 3.0) * (k - 1.0) * (j + 1) * M(i, j)]
+    if kind == "eq26":
+        return [(k / 3.0) * (i + 1) * M(i, j + 3), -(i + 3) * M(i + 2, j + 1),
+                -h * (i + 4) * M(i + 3, j), -(k - 1.0) * (i + 1) * M(i, j + 1),
+                (2.0 / 3.0) * (k - 1.0) * (i + 1) * M(i, j)]
+    if kind == "combined":
+        return [k * (i + j + 5) * M(i, j + 3), -(i + j + 5) * M(i + 2, j + 1),
+                -(k - 1.0) * (i + 3 * j + 7) * M(i, j + 1),
+                2.0 * (k - 1.0) * (j + 1) * M(i, j)]
+    raise DomainError(f"unknown recurrence kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

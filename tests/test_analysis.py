@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 import q4lab.analysis as an
-from q4lab import ConsistencyError, DomainError, SingularityError, make_params
+from q4lab import ConsistencyError, DomainError, SingularityError, clear_caches, make_params
 from q4lab.analysis import (
     BoundScanner,
     L2Frame,
@@ -373,7 +373,7 @@ class TestClosedForms:
 
         monkeypatch.setattr(an, "solve_ivp", refuse)
         monkeypatch.setattr(an, "continue_state", refuse)
-        monkeypatch.setattr(an, "_contour_cache", {})
+        clear_caches()
         p = make_params(3.3)
         chebyshev_probe(p, grid=64)
         vn_sample_test(1, 2, p, seed=0, grid=64)
@@ -388,9 +388,7 @@ class TestClosedForms:
 
         monkeypatch.setattr(pf, "solve_ivp", refuse)
         monkeypatch.setattr(an, "solve_ivp", refuse)
-        for cache in ("_prop_cache", "_basis_cache", "_coeff_cache"):
-            monkeypatch.setattr(mk, cache, {})
-        monkeypatch.setattr(an, "_scanner_cache", {})
+        clear_caches()
         p = make_params(3.3, mu=(0.4, -0.2, 0.7, 0.5))
         assert bound_pipeline(p).reconstruction_rel_err <= 1e-6
         an.sweep_kappa(2.2, np.random.SeedSequence(1), 3)
@@ -398,7 +396,7 @@ class TestClosedForms:
                                       output_dir=str(tmp_path))) == 0
         mk.eval_G(-0.5, p)
         mk.eval_R(-0.5, p, "direct")
-        assert not mk._prop_cache
+        assert mk._propagation.cache_info().misses == 0  # no PFPropagation requested
 
 
 def _mp_R_rows(h, kappa, rc):

@@ -109,7 +109,7 @@ class TestPropagation:
 
     def test_refuses_singularity_crossing(self, p4, prop4):
         with pytest.raises(DomainError):
-            PFPropagation(p4, lo=-0.8, hi=H0)
+            PFPropagation(make_params(1.0 + 1e-12))  # no room between the critical levels
         with pytest.raises(DomainError):
             prop4.values(-0.8)
 

@@ -10,12 +10,12 @@ from q4lab import (
     DomainError,
     HamiltonianForm,
     SingularityError,
+    clear_caches,
     make_params,
 )
 from q4lab.model import Oval, interior_levels, oval
 from q4lab.quadrature import (
     MomentIndex,
-    clear_caches,
     curve_discriminant,
     moment,
     moment_value,
@@ -255,7 +255,7 @@ class TestRayGeometryMemo:
 
         clear_caches()
         forward = run(BASIS)
-        quad._moment_cache.clear()  # the ovals keep their filled memos
+        quad._moment.cache_clear()  # the ovals keep their filled memos
         warm = run(BASIS[::-1])
         clear_caches()
         backward = run(BASIS[::-1])
@@ -292,11 +292,13 @@ class TestRayGeometryMemo:
         moment(MomentIndex(1, 0), h, p4, "area2d", 1e-8)
         ov = quad.cached_oval(h, p4.kappa, HamiltonianForm.SYMMETRIC_FORM)
         assert ov._tangents
-        assert quad._area2d_geometry is not None
+        assert quad._area2d_geometry.cache_info().currsize == 1
         clear_caches()
-        assert not ov._tangents
-        assert not quad._oval_cache and not quad._moment_cache
-        assert quad._area2d_geometry is None
+        for cache in (quad.cached_oval, quad._moment, quad._area2d_geometry):
+            assert cache.cache_info().currsize == 0
+        # the next caller gets a fresh oval, with an empty memo
+        fresh = quad.cached_oval(h, p4.kappa, HamiltonianForm.SYMMETRIC_FORM)
+        assert fresh is not ov and not fresh._tangents
 
 
 class TestPanelSaturation:

@@ -50,6 +50,12 @@ class TestRecurrences:
         with pytest.raises(DomainError):
             recurrence_residual("eq27", 0, 0, H0, p4)
 
+    def test_unknown_kind_scale(self, p4):
+        # the scale shares the residual's term lists; an unknown kind is not
+        # scored as "combined"
+        with pytest.raises(DomainError, match="eq27"):
+            recurrence_scale("eq27", 0, 0, H0, p4)
+
 
 class TestMomentReduce:
     @pytest.mark.parametrize("ij", [(1, 2), (2, 1), (3, 0), (0, 3), (-1, 4)])

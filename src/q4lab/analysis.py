@@ -2,7 +2,8 @@
 
 Real zero counts come from sign scanning on Chebyshev-distributed grids
 with bracket refinement, plus a heuristic even-multiplicity detector
-(local quadratic fit at interior near-tangencies).  Complex zero counts
+(local quadratic fit at interior near-tangencies); ``count_zeros`` takes a
+vectorised f and refuses one that returns another shape.  Complex zero counts
 come from the argument principle on the keyhole domain
 
     D_eps = (C \\ (-inf, 1])  with  |s - 1| > eps,  |s| < 1/eps,
@@ -11,9 +12,11 @@ traversed positively: the winding of F = (P J1 + Q J2)/J1 along the four
 boundary pieces equals the zero count of P J1 + Q J2 inside, and is the
 empirical content of the 2n bound for the spaces V_n.
 
-J is evaluated in closed form (``hypergeometric_J``) on the real line and
-on the keyhole; continuation of (J, W) along the same keyhole pieces
-(``keyhole_by_continuation``) is kept as the independent check.
+One closed form gives J everywhere: ``hypergeometric_J`` (J2 through
+Euler's transformation) on the J table's real interval, on the keyhole, and
+at the scanner's levels through ``MomentBasis``; continuation of (J, W) along
+the same keyhole pieces (``keyhole_by_continuation``) is kept as the
+independent check.
 
 The Chebyshev probe studies the residue solution f(h) of L2 x = 0 given by
 the residue of the underlying differential at (0, y0(h)): it checks
@@ -84,11 +87,12 @@ def _cheb_grid(a: float, b: float, n: int) -> np.ndarray:
 
 
 def _eval_f(f, xs: np.ndarray) -> np.ndarray:
-    """f on the array xs in one call, per point only if f returns another shape."""
+    """f on the array xs in one call; f must be vectorised."""
     vals = np.asarray(f(xs), dtype=float)
-    if vals.shape == xs.shape:
-        return vals
-    return np.array([float(f(x)) for x in xs])
+    if vals.shape != xs.shape:
+        raise DomainError(f"f returned shape {vals.shape} on levels of shape {xs.shape}: "
+                          f"count_zeros needs a vectorised f")
+    return vals
 
 
 def count_zeros(f, interval: tuple[float, float], grid: int = 256,

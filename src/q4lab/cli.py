@@ -18,14 +18,14 @@ import argparse
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, dynamics, melnikov, picard_fuchs, quadrature, reduction
 from .errors import Q4Error
-from .model import HamiltonianForm, interior_levels, make_params
+from .model import HamiltonianForm, interior_levels, make_params, s_from_h
 
 PASS, FLAG = "pass", "flag"
 
@@ -196,13 +196,9 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> int:
             scale = 3 * kappa * abs(h) * max(abs(d1[0]), abs(d1[3]))
             res = np.max(np.abs(pfs)) / scale
             rep.add(kappa, h, "pf:pfs-system", res, tol, res <= tol)
-            # L2 J identity
-            J = -4 * h * d1[4] + (3 * kappa * h * h - 4) * d1[5]
-            J1 = (-4 * d1[4] - 4 * h * d2[4] + 6 * kappa * h * d1[5]
-                  + (3 * kappa * h * h - 4) * d2[5])
-            J2 = (-8 * d2[4] - 4 * h * d3[4] + 6 * kappa * d1[5]
-                  + 12 * kappa * h * d2[5] + (3 * kappa * h * h - 4) * d3[5])
-            lhs = picard_fuchs.apply_L2(J, J1, J2, h, p)
+            # L2 JJ identity: G of the unit weight nu4 is JJ
+            JJ = melnikov.eval_G_prime(h, replace(p, mu=(0.0, 0.0, 0.0, 1.0)))
+            lhs = picard_fuchs.apply_L2(*JJ, h, p)
             rhs = (4 / 3) * (kappa - 1) * (h * (9 * kappa * h * h - 4) * d3[3]
                                            + (6 * kappa * h * h + 8) * d2[3])
             res = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
@@ -214,7 +210,7 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> int:
             r2 = melnikov.eval_R(h, p, "pf_numeric")
             res = abs(r1 - r2) / max(abs(r1), abs(r2), 1e-300)
             rep.add(kappa, h, "R:dual-route", res, tol, res <= tol)
-            J1, J2 = picard_fuchs.levels_J(h, p)[:, 0]
+            J1, J2 = picard_fuchs.hypergeometric_J(s_from_h(h, p), p)[:, 0]
             rt = rc.template(h, J1, J2, p.mu)
             res = abs(rt - r1) / max(abs(r1), 1e-300)
             rep.add(kappa, h, "R:exact-template", res, 1e-10, res <= 1e-10)

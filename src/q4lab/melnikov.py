@@ -37,14 +37,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .model import ModelParams, make_params
+from .model import ModelParams, make_params, s_from_h
 from .picard_fuchs import (
     MomentBasis,
     PFPropagation,
-    PFVector,
     apply_L2,
     derivative_formulas,
-    levels_J,
+    hypergeometric_J,
 )
 from .ratfunc import Poly, RatF
 
@@ -75,29 +74,19 @@ def _moment_basis(kappa: float) -> MomentBasis:
     return MomentBasis(make_params(kappa))
 
 
-def eval_G(h: float, params: ModelParams, pf: PFVector | None = None) -> float:
-    """G(h) for the G-stage weights stored on ``params``.
-
-    ``pf`` supplies the derivative data at level h; omitted, J and JJ are
-    taken from the cached ``MomentBasis``.
-    """
+def eval_G(h: float, params: ModelParams) -> float:
+    """G(h) for the G-stage weights stored on ``params``, with J and JJ from
+    the cached ``MomentBasis``."""
     n1, n2, n3, n4 = params.mu
-    k = params.kappa
-    if pf is None:
-        basis = get_moment_basis(params)
-        J1, J2 = basis.J(h)
-        return (n1 * h * h + n3) * J1 + n2 * J2 + n4 * basis.JJ(h, J2)
-    if pf.h != h:
-        raise DomainError(f"pf is at level {pf.h}, not {h}")
-    d = pf.derivs
-    return ((n1 * h * h + n3) * d[0] + n2 * d[3]
-            + n4 * (-4.0 * h * d[4] + (3.0 * k * h * h - 4.0) * d[5]))
+    basis = get_moment_basis(params)
+    J1, J2 = basis.J(h)
+    return (n1 * h * h + n3) * J1 + n2 * J2 + n4 * basis.JJ(h, J2)
 
 
-def eval_G_prime(h: float, params: ModelParams, prop: PFPropagation | None = None):
-    """(G, G', G'') by exact differentiation of the six-moment ODE."""
-    prop = prop or get_propagation(params)
-    d1, d2, d3 = prop.chain(h)
+def eval_G_prime(h: float, params: ModelParams):
+    """(G, G', G'') by exact differentiation of the six-moment ODE along the
+    cached DOP853 propagation."""
+    d1, d2, d3 = get_propagation(params).chain(h)
     n1, n2, n3, n4 = params.mu
     k = params.kappa
     G = ((n1 * h * h + n3) * d1[0] + n2 * d1[3]
@@ -112,24 +101,24 @@ def eval_G_prime(h: float, params: ModelParams, prop: PFPropagation | None = Non
     return G, Gp, Gpp
 
 
-def eval_R(h: float, params: ModelParams, route: str = "direct",
-           prop: PFPropagation | None = None) -> float:
+def eval_R(h: float, params: ModelParams, route: str = "direct") -> float:
     """R(h) = L2(G)(h) by one of two independent routes.
 
     ``direct``      L2 applied termwise to the normal form, using
                     the closed second/third derivative formulas for the
                     J-dependent terms and the closed-form image identity for the
-                    L2-image of JJ, on the closed-form J (``levels_J``).
+                    L2-image of JJ, on the closed-form J
+                    (``hypergeometric_J`` at s = ``s_from_h(h)``).
     ``pf_numeric``  apply_L2 on (G, G', G'') obtained by differentiating
-                    the closed six-moment linear ODE along ``prop`` (default:
-                    the cached DOP853 propagation).
+                    the closed six-moment linear ODE along the cached DOP853
+                    propagation (``eval_G_prime``).
     """
     k = params.kappa
     if route == "pf_numeric":
-        return apply_L2(*eval_G_prime(h, params, prop), h, params)
+        return apply_L2(*eval_G_prime(h, params), h, params)
     if route != "direct":
         raise DomainError(f"unknown route {route!r}")
-    J1, J2 = levels_J(h, params)[:, 0]
+    J1, J2 = hypergeometric_J(s_from_h(h, params), params)[:, 0]
     n1, n2, n3, n4 = params.mu
     i200, i211 = derivative_formulas("second", h, J1, J2, params)
     i300, i311 = derivative_formulas("third", h, J1, J2, params)
@@ -219,7 +208,7 @@ class RCoefficients:
 
         At the center z = 0, h^2 = (4/9)(1 - q z) with q = (kappa - 1)/kappa,
         J1 / c = sum alpha_n z^n and J2 / c = (1 - z) J1 / c + (5/6) z
-        sum beta_n z^n are the 2F1 series of ``levels_J``, and the
+        sum beta_n z^n are the 2F1 series of ``hypergeometric_J``, and the
         template's (9h^2 - 4)^2 is (4 q z)^2.  So the numerator's z^0 and z^1
         terms cancel exactly (ConsistencyError otherwise); in floating point
         that cancellation leaves the template no digits next to the center.

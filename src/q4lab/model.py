@@ -44,6 +44,8 @@ from .errors import (
 # Ovals refuse levels closer than this to a window endpoint: the oval is a
 # point at the center level and a homoclinic loop at the saddle level.
 ENDPOINT_EXCLUSION = 1e-10
+ENDPOINT_TOL = 1e-12      # level_classify's relative width of the two endpoint classes
+CHORD_DEFECT_TOL = 5e-3   # an oval's rays are refined where a chord misses by more (relative)
 
 
 class HamiltonianForm(str, Enum):
@@ -200,17 +202,16 @@ class LevelPoint:
     window: Window
 
 
-def level_classify(h: float, params: ModelParams, tol: float = 1e-12) -> LevelPoint:
+def level_classify(h: float, params: ModelParams) -> LevelPoint:
     if not math.isfinite(h):
         raise DomainError("level h must be finite")
-    k = params.kappa
     t = h / (8.0 * (2.0 - params.b))
-    s = (9.0 * k / 4.0) * h * h
+    s = s_from_h(h, params)
     hc, hs = params.center_h, params.saddle_h
     scale = max(1.0, abs(h))
-    if abs(h - hc) <= tol * scale:
+    if abs(h - hc) <= ENDPOINT_TOL * scale:
         window = Window.CENTER_END
-    elif abs(h - hs) <= tol * scale:
+    elif abs(h - hs) <= ENDPOINT_TOL * scale:
         window = Window.SADDLE_END
     elif hc < h < hs:
         window = Window.INTERIOR
@@ -497,7 +498,7 @@ class Oval:
         return self._bbox
 
 
-def oval(h: float, params: ModelParams, tol: float = 1e-9,
+def oval(h: float, params: ModelParams,
          form: HamiltonianForm = HamiltonianForm.SYMMETRIC_FORM,
          center: tuple[float, float] | None = None,
          n_min: int = 256) -> Oval:
@@ -523,7 +524,7 @@ def oval(h: float, params: ModelParams, tol: float = 1e-9,
 
     theta = np.linspace(0.0, 2.0 * np.pi, n_min, endpoint=False)
     try:
-        return _ray_oval(theta, h, params, form, tuple(center), tol)
+        return _ray_oval(theta, h, params, form, tuple(center))
     except DegenerateLevelError as exc:
         frac = (h - params.center_h) / (params.saddle_h - params.center_h)
         raise DegenerateLevelError(
@@ -540,7 +541,7 @@ def _check_roots(r, theta):
             f"non-finite or non-positive root r={r[k]:.6g} on the ray at theta={theta[k]:.10g}")
 
 
-def _ray_oval(theta, h, params, form, center, tol):
+def _ray_oval(theta, h, params, form, center):
     """The oval through ray shooting; raises DegenerateLevelError naming the
     check that failed: a non-finite or non-positive ray root, an O(1) branch
     jump between neighbouring rays, or a vertex residual above 1e-8*scale."""
@@ -557,7 +558,7 @@ def _ray_oval(theta, h, params, form, center, tol):
         chord = 0.5 * (r + np.roll(r, -1))
         scale = np.maximum(np.abs(r), np.abs(np.roll(r, -1))) + 1e-300
         defect = np.abs(rm - chord)
-        bad = defect > np.maximum(50.0 * tol, 5e-3) * scale
+        bad = defect > CHORD_DEFECT_TOL * scale
         # a genuine branch jump shows as an O(1) defect that refinement
         # cannot shrink: the oval is not star-shaped about the center
         jump = defect > 0.45 * scale

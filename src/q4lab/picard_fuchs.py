@@ -50,7 +50,7 @@ from .errors import (
     PathProximityError,
     SingularityError,
 )
-from .model import ModelParams, h_from_s
+from .model import ModelParams, h_from_s, s_from_h
 from .quadrature import basis_values
 
 BASIS_INDICES = ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (-1, 1))
@@ -202,8 +202,8 @@ ROW_CHECK_TOL = 1e-8  # rows 2 and 3 of V = B V' against closed-form J
 
 class MomentBasis:
     """The six moments across the same window as ``PFPropagation``, with no
-    ODE solver: J = (I00', I11') in closed form (``levels_J``) and the values
-    V from Taylor expansions of V = B(h) V'.
+    ODE solver: J = (I00', I11') in closed form (``hypergeometric_J`` at
+    s = ``s_from_h(h)``) and the values V from Taylor expansions of V = B V'.
 
     B is affine in h, so the Taylor coefficients of V about a center c follow
     exactly from (n+1) B(c) v_{n+1} = (1 - n B') v_n.  Each series converges
@@ -291,7 +291,7 @@ class MomentBasis:
     def J(self, h):
         """(J1, J2) in closed form, shape (2,) or (2, n)."""
         scalar, hv = self._levels(h)
-        out = levels_J(hv, self.params)
+        out = hypergeometric_J(s_from_h(hv, self.params), self.params)
         return out[:, 0] if scalar else out
 
     def JJ(self, h, J2=None):
@@ -411,32 +411,18 @@ def l2_chain_factor(s: float, params: ModelParams) -> float:
 def hypergeometric_J(s, params: ModelParams) -> np.ndarray:
     """J = (J1, J2) = (I00', I11') at real or complex s off the cut (-inf, 1]:
 
-        J1 = pi / sqrt(kappa - 1) * 2F1(1/6, 5/6; 1; z),
-        J1' = -pi / sqrt(kappa - 1) * (5/36) / (kappa - 1) * 2F1(7/6, 11/6; 2; z),
-        J2 = (6 (s - 1)(s - kappa) J1' - (1 - s) J1) / (kappa - 1),
+        J1 = c 2F1(1/6, 5/6; 1; z),
+        J2 = w J1 + (5/6) c z 2F1(5/6, 1/6; 2; z),
 
-    with z = (kappa - s) / (kappa - 1); returns a (2, n) array."""
+    with c = pi / sqrt(kappa - 1), w = (s - 1) / (kappa - 1) and z = 1 - w;
+    returns a (2, n) array.  J2 is (6 (s - 1)(s - kappa) J1' + (s - 1) J1) /
+    (kappa - 1) with J1' = -(5/36) c / (kappa - 1) 2F1(7/6, 11/6; 2; z) turned
+    by Euler's transformation 2F1(7/6, 11/6; 2; z) = 2F1(5/6, 1/6; 2; z) / w
+    (DLMF 15.8.1), so J2 keeps its digits next to the saddle (z -> 1) and
+    around the keyhole.  Real levels h enter as s = ``s_from_h(h, params)``."""
     k = params.kappa
     s = np.atleast_1d(np.asarray(s))
-    z = (k - s) / (k - 1.0)
-    c = math.pi / math.sqrt(k - 1.0)
-    J1 = c * hyp2f1(1.0 / 6.0, 5.0 / 6.0, 1.0, z)
-    dJ1 = -c * (5.0 / 36.0) / (k - 1.0) * hyp2f1(7.0 / 6.0, 11.0 / 6.0, 2.0, z)
-    J2 = (6.0 * (s - 1.0) * (s - k) * dJ1 - (1.0 - s) * J1) / (k - 1.0)
-    return np.array([J1, J2])
-
-
-def levels_J(h, params: ModelParams) -> np.ndarray:
-    """J at the levels h, s = (9 kappa / 4) h^2, shape (2, n).  Euler's
-    transformation 2F1(7/6, 11/6; 2; z) = 2F1(5/6, 1/6; 2; z) / (1 - z)
-    turns ``hypergeometric_J``'s J2 into
-
-        J2 = (1 - z) J1 + (5/6) pi / sqrt(kappa - 1) * z 2F1(5/6, 1/6; 2; z),
-
-    so J2 keeps its digits next to the saddle level, where z -> 1."""
-    k = params.kappa
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    w = (2.25 * k * h * h - 1.0) / (k - 1.0)  # 1 - z
+    w = (s - 1.0) / (k - 1.0)
     z = 1.0 - w
     c = math.pi / math.sqrt(k - 1.0)
     J1 = c * hyp2f1(1.0 / 6.0, 5.0 / 6.0, 1.0, z)

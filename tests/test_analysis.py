@@ -95,6 +95,17 @@ class TestCountZeros:
             count_zeros(f, (0.0, 1.0))
         assert len(calls) == 1
 
+    def test_f_of_another_shape_is_refused(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 0.5  # one value for the whole grid
+
+        with pytest.raises(DomainError, match=r"shape \(\) on levels of shape \(256,\)"):
+            count_zeros(f, (0.0, 1.0))
+        assert len(calls) == 1
+
     def test_tangency_stencil_collapses_at_window_end(self):
         # the grid's first node sits one ulp inside the window; the scanned
         # minimum is at node 1, but pointwise |f| falls toward the window

@@ -7,7 +7,7 @@ import pytest
 from q4lab import make_params
 from q4lab.errors import ConsistencyError, DomainError
 from q4lab.model import interior_levels
-from q4lab.picard_fuchs import PFVector, apply_L1
+from q4lab.picard_fuchs import apply_L1
 from q4lab.reduction import assemble_I, mu_G_from_eq211
 from q4lab.melnikov import (
     CENTER_TERMS,
@@ -54,12 +54,6 @@ class TestEvalG:
         pG = replace(p4, mu=(0.0, 1.0, 0.0, 0.0))
         for h in interior_levels(p4, 16, 0.02, 0.98):
             assert eval_G(h, pG) > 0
-
-    def test_pf_level_mismatch(self, p4):
-        prop = get_propagation(p4)
-        pf = PFVector(h=-0.5, values=prop.values(-0.5), derivs=prop.derivs(-0.5))
-        with pytest.raises(DomainError):
-            eval_G(-0.51, p4, pf)
 
     def test_G_prime_consistent_with_fd(self, rng):
         mu = tuple(rng.normal(size=4))

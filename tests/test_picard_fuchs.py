@@ -13,7 +13,8 @@ from q4lab import (
     SingularityError,
     make_params,
 )
-from q4lab.analysis import bound_scanner
+from q4lab.analysis import bound_scanner, j_table, keyhole_contour
+from q4lab.model import s_from_h
 from q4lab.quadrature import basis_values
 from q4lab.picard_fuchs import (
     Arc,
@@ -28,7 +29,6 @@ from q4lab.picard_fuchs import (
     infinity_exponents,
     initial_jstate,
     l2_chain_factor,
-    levels_J,
     pf_derivatives,
     pf_matrix,
     pf_residuals,
@@ -304,17 +304,49 @@ class TestContinuation:
         assert abs(st0.J[0].imag) == 0
 
 
+def _mp_J_at_s(s, kappa):
+    """J at the double (real or complex) s with 40 digits, from the 2F1 forms."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        k = mp.mpf(kappa)
+        z = (k - s) / (k - 1)
+        c = mp.pi / mp.sqrt(k - 1)
+        J1 = c * mp.hyp2f1(mp.mpf(1) / 6, mp.mpf(5) / 6, 1, z)
+        J2 = (1 - z) * J1 + mp.mpf(5) / 6 * c * z * mp.hyp2f1(mp.mpf(5) / 6, mp.mpf(1) / 6, 2, z)
+        return [J1, J2]
+
+
 def _mp_J(h, kappa):
     """J at the double level h with 40 digits, from the 2F1 forms."""
     import mpmath as mp
 
     with mp.workdps(40):
-        k = mp.mpf(kappa)
-        z = (k - mp.mpf(9) / 4 * k * mp.mpf(h) ** 2) / (k - 1)
-        c = mp.pi / mp.sqrt(k - 1)
-        J1 = c * mp.hyp2f1(mp.mpf(1) / 6, mp.mpf(5) / 6, 1, z)
-        J2 = (1 - z) * J1 + mp.mpf(5) / 6 * c * z * mp.hyp2f1(mp.mpf(5) / 6, mp.mpf(1) / 6, 2, z)
-        return [J1, J2]
+        return _mp_J_at_s(mp.mpf(9) / 4 * mp.mpf(kappa) * mp.mpf(h) ** 2, kappa)
+
+
+class TestHypergeometricJ:
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_matches_40_digits_on_keyhole_and_table(self, kappa):
+        # 120 points on each keyhole piece and on the J table's interval.
+        # Measured worst relative errors, keyhole: 1.4e-13 (kappa 1.5),
+        # 4.0e-14 (4), 5.9e-14 (9); table: 8.3e-15.  J2 written with
+        # 2F1(7/6, 11/6; 2; z) cancels and missed by 5.9e-13, 6.7e-13 and
+        # 8.9e-13 on the keyhole, 3.7e-14 on the table at kappa 4.
+        import mpmath as mp
+
+        p = make_params(kappa)
+        tab = j_table(p)
+        s_tab = np.linspace(tab.lo, tab.hi, 120)
+        pieces = dict(keyhole_contour(p).samples, table=(s_tab, tab.J(s_tab)))
+        for name, (s, J) in pieces.items():
+            worst = 0.0
+            for i in np.linspace(0, s.size - 1, 120).round().astype(int):
+                with mp.workdps(40):
+                    want = _mp_J_at_s(mp.mpc(complex(s[i])), kappa)
+                    worst = max(worst, *(float(abs((mp.mpc(complex(x)) - w) / w))
+                                         for x, w in zip(J[:, i], want)))
+            assert worst <= (2e-14 if name == "table" else 3e-13), (name, worst)
 
 
 class TestMomentBasis:
@@ -345,17 +377,21 @@ class TestMomentBasis:
                 scale = np.max(np.abs(np.append(B[row] * d, v[row])))
                 assert abs(v[row] - B[row] @ d) <= 1e-10 * scale
 
-    def test_levels_J_matches_hypergeometric_J(self, p4):
-        hs = np.linspace(p4.center_h + 1e-3, p4.saddle_h - 1e-3, 101)
-        a, b = levels_J(hs, p4), pf.hypergeometric_J(2.25 * p4.kappa * hs * hs, p4)
-        assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-13
+    def test_J_is_hypergeometric_J_at_the_levels(self):
+        for kappa in (1.5, 4.0, 9.0):
+            p = make_params(kappa)
+            hs, basis = bound_scanner(p).hs, MomentBasis(p)
+            assert np.array_equal(basis.J(hs), pf.hypergeometric_J(s_from_h(hs, p), p))
+            assert np.array_equal(basis.J(hs[7]),
+                                  pf.hypergeometric_J(s_from_h(hs[7], p), p)[:, 0])
 
-    def test_levels_J_keeps_digits_at_the_saddle(self):
+    def test_J_keeps_digits_at_the_saddle(self):
         # J2 through Euler's transformation: no digits lost as z -> 1
         for kappa in (1.5, 4.0, 30.0):
             p = make_params(kappa)
             for off in (1e-8, 1e-6):
-                J, want = levels_J(p.saddle_h - off, p)[:, 0], _mp_J(p.saddle_h - off, kappa)
+                h = p.saddle_h - off
+                J, want = pf.hypergeometric_J(s_from_h(h, p), p)[:, 0], _mp_J(h, kappa)
                 assert abs(float((J[1] - want[1]) / want[1])) <= 1e-14
                 assert abs(float((J[0] - want[0]) / want[0])) <= 1e-9
 

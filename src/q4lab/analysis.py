@@ -1,10 +1,14 @@
 """Zero counting, Chebyshev-property probes, and the bound pipeline.
 
-Real zero counts come from sign scanning on Chebyshev-distributed grids
-with bracket refinement, plus a heuristic even-multiplicity detector
-(local quadratic fit at interior near-tangencies); ``count_zeros`` takes a
-vectorised f and refuses one that returns another shape.  Complex zero counts
-come from the argument principle on the keyhole domain
+Real zero counts come from sign scanning on Chebyshev-distributed grids,
+plus a heuristic even-multiplicity detector (a closed-form quadratic fit at
+interior near-tangencies); ``count_zeros`` takes a vectorised f and refuses
+one that returns another shape.  The count and the tangency fits are made
+at once; where the sign changes lie (brentq in each bracket) and the
+unresolved-cluster warnings that depend on it are found when a report's
+zeros are first read, so a caller that reads counts only never refines a
+root.  Complex zero counts come from the argument principle on the keyhole
+domain
 
     D_eps = (C \\ (-inf, 1])  with  |s - 1| > eps,  |s| < 1/eps,
 
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -67,13 +72,36 @@ RHS_DEGREE = 6       # degree of inhomogeneous_bound_sample's random right-hand 
 
 @dataclass
 class ZeroReport:
+    """A zero count and, found on first read, where the zeros are.
+
+    ``count`` is known when the report is made; ``zeros`` (location and
+    multiplicity estimate, sorted by location), ``locations`` and the
+    unresolved-cluster ``warnings`` are found by ``_locate`` the first time
+    one of them is read, and kept.  ``_locate`` keeps f and calls it again
+    on that first read, so f must not change before then (a closure over a
+    loop variable that has since moved on would place the roots of another
+    function).  A failure while locating is raised by that read and not
+    kept.  Equality of reports compares the count fields only, not the
+    zeros or warnings."""
+
     interval: tuple[float, float]
-    zeros: list[dict] = field(default_factory=list)
     count: int = 0
     grid_size: int = 0
-    refined: bool = False
     identically_zero: bool = False
-    warnings: list[str] = field(default_factory=list)
+    _locate: Callable[[], tuple[list[dict], list[str]]] | None = field(
+        default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def _found(self) -> tuple[list[dict], list[str]]:
+        return self._locate() if self._locate is not None else ([], [])
+
+    @property
+    def zeros(self) -> list[dict]:
+        return self._found[0]
+
+    @property
+    def warnings(self) -> list[str]:
+        return self._found[1]
 
     @property
     def locations(self) -> list[float]:
@@ -99,11 +127,19 @@ def count_zeros(f, interval: tuple[float, float], grid: int = 256,
                 tol: float = 1e-9) -> ZeroReport:
     """Count zeros of f on the open interval, with multiplicity heuristics.
 
-    Sign changes between Chebyshev nodes are refined by bisection/secant
-    (brentq); interior near-tangencies (|f| below tol * scale at a local
-    minimum without sign change) are fitted by a local quadratic and
-    counted with multiplicity two.  Zeros closer than the refinement
-    tolerance trigger an unresolved-cluster warning.
+    Computed at once: each sign change between Chebyshev nodes and each node
+    where f is exactly zero counts one zero; each interior minimum of |f|
+    with no sign change in the brackets on either side and no zero at its
+    neighbours is fitted by a quadratic through three values of f, and
+    counted with multiplicity two when the fitted minimum is below
+    tol * scale.  Found when ``zeros``, ``locations`` or ``warnings`` is
+    first read: each sign change's location, refined by brentq to tol times
+    the interval's length, and an unresolved-cluster warning for zeros
+    closer than twice that.  The report keeps f and calls it again on that
+    first read, so f must not change before then; equality of reports
+    compares the count fields only.  The skip rule reads the grid, not the
+    located zeros; the two differ only where a refined root lands exactly on
+    a node.
     """
     a, b = interval
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
@@ -581,68 +617,94 @@ class BoundScanner:
 
 
 def _count_from_scan(xs, fs, fvec, interval, tol) -> ZeroReport:
-    """Shared scan-and-refine logic against precomputed grid values."""
-    report = ZeroReport(interval=interval, grid_size=xs.size)
+    """Count the zeros of f from its values fs on the increasing grid xs,
+    by the rules of ``count_zeros``; only the tangency fits evaluate f.  A
+    minimum is also skipped when a tangency already fitted lies between its
+    neighbours.  The report keeps each bracket's ends and the zeros found
+    here for ``_locate_zeros``."""
     scale = float(np.max(np.abs(fs)))
     if scale == 0.0:
-        report.identically_zero = True
-        return report
-    # memoised: brentq starts from the bracket ends the scan loop has just
-    # evaluated
-    f1 = functools.cache(lambda x: float(np.atleast_1d(fvec(np.array([x])))[0]))
+        return ZeroReport(interval=interval, grid_size=xs.size, identically_zero=True)
+    change = fs[:-1] * fs[1:] < 0
+    at_node = fs == 0.0
+    brackets = [(xs[i], xs[i + 1], fs[i], fs[i + 1]) for i in np.nonzero(change)[0]]
+    nodes = [{"location": float(xs[i]), "multiplicity_estimate": 1}
+             for i in np.nonzero(at_node)[0]]
+    tangencies = []
+    absf = np.abs(fs)
+    is_min = (absf[1:-1] <= absf[:-2]) & (absf[1:-1] <= absf[2:]) & ~at_node[1:-1]
+    beside_zero = change[:-1] | change[1:] | at_node[:-2] | at_node[2:]
+    bound = max(tol * scale, 64 * np.finfo(float).eps * scale)
+    for idx in np.nonzero(is_min & ~beside_zero)[0] + 1:
+        lo, hi = xs[idx - 1], xs[idx + 1]
+        if any(lo <= z["location"] <= hi for z in tangencies):
+            continue
+        x0 = _tangency(fvec, xs[idx], fs[idx], (lo, hi), interval, bound)
+        if x0 is not None:
+            tangencies.append({"location": x0, "multiplicity_estimate": 2})
     xtol = max(tol * (interval[1] - interval[0]), 1e-15)
+    return ZeroReport(interval=interval, grid_size=xs.size,
+                      count=len(brackets) + len(nodes) + 2 * len(tangencies),
+                      _locate=functools.partial(_locate_zeros, brackets, nodes + tangencies,
+                                                fvec, xtol))
+
+
+def _tangency(fvec, x0, f0, span, interval, bound) -> float | None:
+    """Where f touches zero near the scanned minimum x0 of |f| (value f0),
+    or None.  Three times: the quadratic through f at x0 - delta, x0,
+    x0 + delta (Newton's divided differences on the offsets from x0) moves
+    x0 to its vertex, clamped to ``span``, and delta shrinks eightfold.  A
+    tangency needs a curvature of f0's sign and a vertex value within
+    ``bound`` of zero (nodes themselves never land on it)."""
+    delta = 0.5 * (span[1] - span[0])
+    fmin, curv = f0, 0.0
+    for _ in range(3):
+        delta = min(delta, x0 - interval[0], interval[1] - x0)
+        if not x0 - delta < x0 < x0 + delta:  # the stencil collapsed
+            break
+        st = np.array([x0 - delta, x0, x0 + delta])
+        fl, fc, fr = fv = fvec(st)
+        if not np.all(np.isfinite(fv)):
+            raise DomainError(f"f evaluated non-finite at the tangency stencil {st}")
+        tl, tr = st[0] - x0, st[2] - x0
+        slope = (fc - fl) / -tl
+        c2 = ((fr - fc) / tr - slope) / (tr - tl)
+        if c2 == 0.0 or c2 * f0 < 0:
+            break
+        c1 = slope - c2 * tl
+        t = -c1 / (2 * c2)
+        x0 = float(min(max(x0 + t, span[0]), span[1]))
+        t = min(max(t, -delta), delta)
+        fmin, curv = fc + t * (c1 + c2 * t), c2
+        delta /= 8.0
+    return x0 if curv * f0 > 0 and abs(fmin) <= bound else None
+
+
+def _locate_zeros(brackets, found, fvec, xtol) -> tuple[list[dict], list[str]]:
+    """The zeros of a report, sorted by location, and its cluster warnings:
+    each bracket's sign change is refined by brentq on f at single points,
+    memoised so that brentq starts from the bracket ends just evaluated;
+    ``found`` holds the zeros the count located already."""
+    f1 = functools.cache(lambda x: float(np.atleast_1d(fvec(np.array([x])))[0]))
     zeros = []
-    for idx in np.nonzero(fs[:-1] * fs[1:] < 0)[0]:
-        fa, fb = f1(xs[idx]), f1(xs[idx + 1])
+    for xa, xb, ga, gb in brackets:
+        fa, fb = f1(xa), f1(xb)
         if fa == 0.0:
-            root = xs[idx]
+            root = xa
         elif fb == 0.0:
-            root = xs[idx + 1]
+            root = xb
         elif fa * fb < 0.0:
-            root = brentq(f1, xs[idx], xs[idx + 1], xtol=xtol, rtol=1e-14)
+            root = brentq(f1, xa, xb, xtol=xtol, rtol=1e-14)
         else:
             # the scanned sign change is not reproduced pointwise: a grazing
             # zero at rounding level; place it by linear interpolation
-            root = xs[idx] + fs[idx] / (fs[idx] - fs[idx + 1]) * (xs[idx + 1] - xs[idx])
+            root = xa + ga / (ga - gb) * (xb - xa)
         zeros.append({"location": float(root), "multiplicity_estimate": 1})
-    for idx in np.nonzero(fs == 0.0)[0]:
-        zeros.append({"location": float(xs[idx]), "multiplicity_estimate": 1})
-    # interior near-tangencies away from detected sign changes: fit a local
-    # quadratic; a tangency is declared when the fitted minimum value sits
-    # at zero within tolerance (nodes themselves never land on it)
-    absf = np.abs(fs)
-    is_min = (absf[1:-1] <= absf[:-2]) & (absf[1:-1] <= absf[2:]) & (fs[1:-1] != 0.0)
-    for idx in np.nonzero(is_min)[0] + 1:
-        if any(xs[idx - 1] <= z["location"] <= xs[idx + 1] for z in zeros):
-            continue
-        x0, delta = xs[idx], 0.5 * (xs[idx + 1] - xs[idx - 1])
-        fmin, curv = fs[idx], 0.0
-        for _ in range(3):
-            delta = min(delta, x0 - interval[0], interval[1] - x0)
-            if not x0 - delta < x0 < x0 + delta:  # the stencil collapsed
-                break
-            st = np.array([x0 - delta, x0, x0 + delta])
-            fv = fvec(st)
-            coef = np.polyfit(st - x0, fv, 2)
-            if coef[0] == 0.0 or coef[0] * fs[idx] < 0:
-                break
-            x0 = float(x0 - coef[1] / (2 * coef[0]))
-            x0 = min(max(x0, xs[idx - 1]), xs[idx + 1])
-            fmin = float(np.polyval(coef, np.clip(-coef[1] / (2 * coef[0]),
-                                                   -delta, delta)))
-            curv = coef[0]
-            delta /= 8.0
-        if curv * fs[idx] > 0 and abs(fmin) <= max(tol * scale, 64 * np.finfo(float).eps * scale):
-            zeros.append({"location": float(x0), "multiplicity_estimate": 2})
-    zeros.sort(key=lambda z: z["location"])
-    for za, zb in zip(zeros[:-1], zeros[1:]):
-        if zb["location"] - za["location"] < 2 * xtol:
-            report.warnings.append(
-                f"unresolved cluster near {za['location']:.12g}")
-    report.zeros = zeros
-    report.count = sum(z["multiplicity_estimate"] for z in zeros)
-    report.refined = True
-    return report
+    zeros = sorted(zeros + found, key=lambda z: z["location"])
+    warnings = [f"unresolved cluster near {za['location']:.12g}"
+                for za, zb in zip(zeros[:-1], zeros[1:])
+                if zb["location"] - za["location"] < 2 * xtol]
+    return zeros, warnings
 
 
 def bound_scanner(params: ModelParams, grid: int = 512) -> BoundScanner:

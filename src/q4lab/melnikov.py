@@ -241,8 +241,10 @@ class RCoefficients:
 
     def unit_rows(self, h, J1, J2) -> np.ndarray:
         """The R template of each unit weight at the levels h, shape (4, n):
-        from ``center_series`` where z < CENTER_Z, else directly.  Each level
-        is evaluated alone, so its row does not depend on the other levels."""
+        from ``center_series`` where z < CENTER_Z, else directly.  A row can
+        differ in its last bits with the layout of h, since ``np.power`` takes
+        other loops on contiguous and on strided arrays; the tests check that
+        rows on the scanner's grid (a reversed view) equal one-level calls."""
         k = self.kappa
         A = self.a_float[:, :, None]
         B = self.b_float[:, :, None]

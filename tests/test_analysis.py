@@ -120,7 +120,28 @@ class TestCountZeros:
         fs = 1.0 + (xs - xs[1]) ** 2
         fvec = lambda x: 1.0 + ((np.asarray(x) - a) / ulp) ** 2
         zr = an._count_from_scan(xs, fs, fvec, (a, b), 1e-9)
-        assert zr.count == 0 and zr.refined
+        assert zr.count == 0 and zr.zeros == []
+
+    def test_non_finite_tangency_stencil_is_refused(self):
+        # finite on the scan grid, NaN between its nodes, where the fit of
+        # the minimum at -0.5 samples f
+        xs = an._cheb_grid(-0.6, -0.4, 256)
+        f = lambda h: np.where(np.isin(h, xs), (np.asarray(h) + 0.5) ** 2, np.nan)
+        with pytest.raises(DomainError, match="non-finite at the tangency stencil"):
+            count_zeros(f, (-0.6, -0.4), grid=256)
+
+    def test_cluster_across_a_node_warns_on_read(self):
+        # two simple roots 1e-12 apart on either side of a grid node: two
+        # sign changes, located closer than the bracket tolerance
+        node = an._cheb_grid(-1.0, 1.0, 64)[20]
+        r1, r2 = node - 5e-13, node + 5e-13
+        zr = count_zeros(lambda h: (np.asarray(h) - r1) * (np.asarray(h) - r2),
+                         (-1.0, 1.0), grid=64)
+        assert zr.count == 2
+        assert zr.locations[0] <= node <= zr.locations[1]
+        assert zr.locations == pytest.approx([r1, r2], abs=1e-12)
+        assert len(zr.warnings) == 1
+        assert zr.warnings[0].startswith("unresolved cluster near ")
 
 
 class TestResidueSolutionProbe:
@@ -567,12 +588,71 @@ class TestScannerBatching:
 
                 fs = w @ sc.basis[which]
                 del brentq_calls[:]
-                an._count_from_scan(sc.hs, fs, fvec, sc.window, 1e-9)
+                rep = an._count_from_scan(sc.hs, fs, fvec, sc.window, 1e-9)
+                # the count evaluates f at single points only when the zeros
+                # are read
+                assert not any(c.size == 1 for c in calls) and not brentq_calls
+                rep.zeros
                 seen = np.concatenate(calls).tolist() if calls else []
                 assert len(seen) == len(set(seen))
                 pointwise = sum(c.size == 1 for c in calls)
                 unbracketed = int(np.sum(fs[:-1] * fs[1:] < 0)) - len(brentq_calls)
                 assert pointwise == sum(brentq_calls) + 2 * unbracketed
+
+    def test_sweep_counts_locate_no_root(self, monkeypatch):
+        # a count comes from the brackets; brentq runs when the zeros are read
+        kappas, seq = (1.5, 4.0, 9.0), np.random.SeedSequence(11)
+        counts = lambda reps: [(br.count_I, br.count_G, br.count_R) for br in reps]
+        want = {k: counts(an.sweep_kappa(k, seq, 50)) for k in kappas}
+
+        class Refused(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Refused
+
+        monkeypatch.setattr(an, "brentq", refuse)
+        for k in kappas:
+            got = an.sweep_kappa(k, seq, 50)
+            assert counts(got) == want[k]
+        rep = next(r for br in got for r in br.reports.values() if r.count)
+        with pytest.raises(Refused):
+            rep.zeros
+
+    def test_located_zeros_match_the_count(self):
+        # reading the zeros finds what was counted: the multiplicities add up
+        # to the count, each sign change's zero lies in its bracket, and a
+        # second read returns the same list
+        def check(rep, xs, fs):
+            zeros = rep.zeros
+            assert rep.count == sum(z["multiplicity_estimate"] for z in zeros)
+            simple = [z["location"] for z in zeros if z["multiplicity_estimate"] == 1]
+            for x in xs[fs == 0.0]:
+                simple.remove(x)
+            brackets = np.nonzero(fs[:-1] * fs[1:] < 0)[0]
+            assert len(simple) == brackets.size
+            for loc, i in zip(sorted(simple), brackets):
+                assert xs[i] <= loc <= xs[i + 1]
+            assert rep.zeros == zeros and rep.locations == [z["location"] for z in zeros]
+
+        for ki, kappa in enumerate((1.5, 4.0, 9.0)):
+            p = make_params(kappa)
+            sc = an.bound_scanner(p, 512)
+            for mu in unit_sphere_weights(np.random.SeedSequence(20 + ki), 200):
+                muG = an.mu_G_from_eq211(mu, kappa)
+                for which, w in (("I", mu), ("G", muG), ("R", muG)):
+                    check(sc.count(which, w), sc.hs, w @ sc.basis[which])
+            tab = j_table(p)
+            xs = an._cheb_grid(tab.lo, tab.hi, 512)
+            rng = np.random.default_rng(ki)
+            for t in range(40):
+                pair = random_poly_pair(1 + t % 4, rng)
+
+                def V(s):
+                    J = tab.J(s)
+                    return pair.eval_P(s).real * J[0] + pair.eval_Q(s).real * J[1]
+
+                check(count_zeros(V, (tab.lo, tab.hi), grid=512), xs, V(xs))
 
     def test_unit_sphere_weights_match_per_draw_formula(self):
         for seed_seq in (np.random.SeedSequence(3), np.random.SeedSequence(42).spawn(4)[2]):

@@ -11,7 +11,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 import q4lab.analysis as an
-from q4lab import ConsistencyError, DomainError, SingularityError, clear_caches, make_params
+from q4lab import (ConsistencyError, ConvergenceError, DomainError, SingularityError,
+                   clear_caches, make_params)
 from q4lab.analysis import (
     BoundScanner,
     L2Frame,
@@ -129,6 +130,10 @@ class TestCountZeros:
         f = lambda h: np.where(np.isin(h, xs), (np.asarray(h) + 0.5) ** 2, np.nan)
         with pytest.raises(DomainError, match="non-finite at the tangency stencil"):
             count_zeros(f, (-0.6, -0.4), grid=256)
+
+    def test_grid_below_64_is_refused(self):
+        with pytest.raises(DomainError, match="at least 64 nodes, got 63"):
+            count_zeros(lambda h: np.asarray(h) + 0.5, (-0.6, -0.4), grid=63)
 
     def test_cluster_across_a_node_warns_on_read(self):
         # two simple roots 1e-12 apart on either side of a grid node: two
@@ -291,6 +296,12 @@ class TestBoundPipeline:
         assert max(r.count_G for r in reports) <= 8
         assert max(r.count_R for r in reports) <= 6
 
+    def test_scanner_grid_below_64_is_refused(self, p4):
+        with pytest.raises(DomainError, match="at least 64 nodes, got 10"):
+            BoundScanner(p4, grid=10)
+        with pytest.raises(DomainError):
+            bound_pipeline(p4, grid=63)
+
     def test_sweep_deterministic(self):
         a = sweep_bounds([2.0], trials=5, seed=9)
         b = sweep_bounds([2.0], trials=5, seed=9)
@@ -343,6 +354,42 @@ def _l2_frame_by_ode(params, window, hs):
         assert sol.success
         out[:, part] = sol.sol(hs[part])
     return out
+
+
+def _variation_by_ode(params, window, R, c):
+    """G solving L2(G) = R with (G, G')(mid) = c, by DOP853 integration of
+    the frame and the two variation integrals from the window midpoint, with
+    the Wronskian of the integrated frame: the independent route for the
+    closed-form variation of parameters."""
+    k = params.kappa
+
+    def rhs(h, y):
+        x1, d1, x2, d2, q1, q2 = y
+        a2 = h * (9.0 * k * h * h - 4.0)
+        a1 = -(9.0 * k * h * h - 8.0)
+        a0 = 5.0 * k * h
+        rr = R(h) / (a2 * (x1 * d2 - d1 * x2))
+        return [d1, -(a1 * d1 + a0 * x1) / a2, d2, -(a1 * d2 + a0 * x2) / a2, x2 * rr, x1 * rr]
+
+    mid = 0.5 * (window[0] + window[1])
+    kw = dict(method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
+    left, right = (solve_ivp(rhs, (mid, end), [1.0, 0.0, 0.0, 1.0, 0.0, 0.0], **kw)
+                   for end in window)
+    assert left.success and right.success
+
+    def G(h):
+        h = np.atleast_1d(h)
+        x1, _, x2, _, q1, q2 = np.where(h <= mid, left.sol(h), right.sol(h))
+        return x1 * (c[0] - q1) + x2 * (c[1] + q2)
+    return G
+
+
+def _sample_draws(trials, seed):
+    """inhomogeneous_bound_sample's right-hand side R and (G, G')(mid) per
+    trial, drawn in its order."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    for _ in range(trials):
+        yield np.polynomial.Polynomial(rng.normal(size=an.RHS_DEGREE + 1)), rng.normal(size=2)
 
 
 def _rotation_span(frame):
@@ -398,8 +445,6 @@ class TestClosedForms:
         assert fr.rotation_span() == pytest.approx(_rotation_span(ode), abs=1e-10)
 
     def test_production_paths_integrate_no_ode(self, monkeypatch):
-        import q4lab.analysis as an
-
         def refuse(*args, **kwargs):
             raise AssertionError("ODE integration on a closed-form path")
 
@@ -407,8 +452,11 @@ class TestClosedForms:
         monkeypatch.setattr(an, "continue_state", refuse)
         clear_caches()
         p = make_params(3.3)
+        window = (p.center_h + 1e-6, p.saddle_h - 1e-6)
         chebyshev_probe(p, grid=64)
         vn_sample_test(1, 2, p, seed=0, grid=64)
+        inhomogeneous_bound_sample(p, window, trials=2, grid=64)
+        frame_rotation_probe(p, window, trials=2, grid=64)
 
     def test_bound_path_solves_no_ode(self, monkeypatch, tmp_path):
         import q4lab.melnikov as mk
@@ -429,6 +477,47 @@ class TestClosedForms:
         mk.eval_G(-0.5, p)
         mk.eval_R(-0.5, p, "direct")
         assert mk._propagation.cache_info().misses == 0  # no PFPropagation requested
+
+
+class TestVariationOfParameters:
+    """The closed-form variation of parameters of inhomogeneous_bound_sample
+    (c09) against DOP853, on c09's window."""
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_rows_and_G_match_ode(self, kappa):
+        p = make_params(kappa)
+        window = (p.center_h + 1e-6, p.saddle_h - 1e-6)
+        frame, hs = L2Frame(p, window), an._cheb_grid(*window, 512)
+        want = []
+        for R, c in _sample_draws(20, seed=909):
+            ode = _variation_by_ode(p, window, R, c)
+            G = ode(hs)
+            assert np.max(np.abs(an._variation_solution(frame, R, c)(hs) - G)) \
+                <= 1e-12 * np.max(np.abs(G))
+            want.append((count_zeros(R, window, grid=512).count,
+                         count_zeros(ode, window, grid=512).count))
+        out = inhomogeneous_bound_sample(p, window, trials=20, seed=909)
+        assert [(r["k"], r["count_G"]) for r in out["rows"]] == want
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_abel_wronskian(self, kappa):
+        p = make_params(kappa)
+        window = (p.center_h + 1e-6, p.saddle_h - 1e-6)
+        frame = L2Frame(p, window)
+        hs = np.linspace(*window, 4096)
+        x1, d1, x2, d2 = frame.frame(hs)
+        abel = frame.abel * hs**2 / np.sqrt(9.0 * kappa * hs**2 - 4.0)
+        assert np.max(np.abs(abel / (x1 * d2 - d1 * x2) - 1.0)) <= 1e-10
+
+    def test_unresolved_tail_raises(self, monkeypatch):
+        # at kappa = 100 the variation integrals need degree 128
+        p = make_params(100.0)
+        window = (p.center_h + 1e-6, p.saddle_h - 1e-6)
+        monkeypatch.setattr(an, "VOP_MAX_DEGREE", 64)
+        with pytest.raises(ConvergenceError, match="tail above 1e-13 at degree 64"):
+            inhomogeneous_bound_sample(p, window, trials=1, grid=64)
+        monkeypatch.setattr(an, "VOP_MAX_DEGREE", 128)
+        assert len(inhomogeneous_bound_sample(p, window, trials=1, grid=64)["rows"]) == 1
 
 
 def _mp_R_rows(h, kappa, rc):

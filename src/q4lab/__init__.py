@@ -7,10 +7,10 @@ extraction of the rational-function coefficients of R, Chebyshev-property
 probes for L2, and argument-principle zero counting in the complex domain.
 
 Everything that depends on kappa alone (ovals, moments, the area2d geometry,
-the moment propagation and basis, the R coefficients, keyhole contours and
-bound scanners) is built once per process in a ``functools`` cache keyed by
-kappa, plus the level, index, grid or epsilon where they matter, and never
-by the weights; :func:`clear_caches` empties them all.
+the moment propagation and basis, the R coefficients, keyhole contours, J
+tables and bound scanners) is built once per process in a ``functools``
+cache keyed by kappa, plus the level, index, grid or epsilon where they
+matter, and never by the weights; :func:`clear_caches` empties them all.
 """
 
 import logging as _logging
@@ -69,7 +69,6 @@ from .picard_fuchs import (
     PFVector,
     apply_L1,
     apply_L2,
-    apply_s_operator,
     derivative_formulas,
     hypergeometric_J,
     infinity_exponents,
@@ -106,7 +105,7 @@ def clear_caches() -> None:
     hits, misses and size."""
     for cache in (quadrature.cached_oval, quadrature._moment, quadrature._area2d_geometry,
                   melnikov._propagation, melnikov._moment_basis, melnikov._r_coeffs,
-                  analysis._keyhole, analysis._scanner):
+                  analysis._keyhole, analysis._j_table, analysis._scanner):
         cache.cache_clear()
 
 

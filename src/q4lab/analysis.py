@@ -35,8 +35,10 @@ turn); the frame is built from hypergeometric solutions of L2 in s.  The
 same frame, with Abel's Wronskian, solves L2(G) = R by variation of
 parameters, without an ODE solver, for the count(G) <= k + 2 sample.
 
-``keyhole_contour`` and ``bound_scanner`` build once per (kappa, epsilon) and
-(kappa, grid) from ``make_params(kappa)``, in ``functools`` caches.
+``keyhole_contour``, ``j_table`` and ``bound_scanner`` build once per
+(kappa, epsilon), kappa and (kappa, grid), in ``functools`` caches.  The contour
+keeps the winding count's terms in J alone, the J table and the L2 frame their
+values on scan grids (``_GridMemo``): the same operations, so the same bits.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from .reduction import mu_G_from_eq211
 
 J_MARGIN = 1e-3      # JTable spans (1, kappa) less this fraction of kappa - 1 at each end
 SCAN_MARGIN = 1e-6   # the scanner's window: the annulus less this fraction at each end
+GRID_MIN = 64        # fewest levels of a scan grid; _GridMemo keeps values on such arrays
 RHS_DEGREE = 6       # degree of inhomogeneous_bound_sample's random right-hand sides
 VOP_MAX_DEGREE = 1024  # cap on the Chebyshev degree of its variation integrals
 
@@ -114,11 +117,35 @@ class ZeroReport:
 
 
 def _cheb_grid(a: float, b: float, n: int) -> np.ndarray:
-    if n < 64:
-        raise DomainError(f"a scan grid needs at least 64 nodes, got {n}")
+    if n < GRID_MIN:
+        raise DomainError(f"a scan grid needs at least {GRID_MIN} nodes, got {n}")
     k = np.arange(n)
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * k / (n - 1))
     return nodes[::-1]
+
+
+class _GridMemo:
+    """f at arrays of at least GRID_MIN levels (scan grids, Chebyshev nodes),
+    kept read-only for the last KEEP arrays by shape and bytes: the same
+    grid again gets what f gave it the first time.  Shorter arrays (tangency
+    stencils, single points) go to f every time."""
+
+    KEEP = 4
+
+    def __init__(self, f):
+        self.f, self.kept = f, {}
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.size < GRID_MIN:
+            return self.f(x)
+        key = (x.shape, x.tobytes())
+        if key not in self.kept:
+            if len(self.kept) == self.KEEP:
+                del self.kept[next(iter(self.kept))]
+            self.kept[key] = self.f(x)
+            self.kept[key].flags.writeable = False
+        return self.kept[key]
 
 
 def _eval_f(f, xs: np.ndarray) -> np.ndarray:
@@ -209,11 +236,9 @@ class L2Frame:
         # Abel's formula for L2, W'/W = (9 kappa h^2 - 8) / (h (9 kappa h^2 - 4)), gives
         # the Wronskian x1 x2' - x1' x2 = C h^2 / sqrt(9 kappa h^2 - 4); W(mid) = 1 fixes C
         self.abel = 2.0 * math.sqrt(_s_minus_one(self.mid, params.kappa)) / self.mid**2
-
-    def frame(self, h):
-        """Rows x1, x1', x2, x2' at the levels h."""
-        pair = _l2_kummer_pair(h, self.params.kappa)
-        return np.einsum("ijn,jk->kin", pair, self._to_frame).reshape(4, -1)
+        # frame(h): rows x1, x1', x2, x2' at the levels h, kept on grids for the trials
+        self.frame = _GridMemo(lambda h: np.einsum(
+            "ijn,jk->kin", _l2_kummer_pair(h, params.kappa), self._to_frame).reshape(4, -1))
 
     def rotation_span(self, n: int = 4096) -> float:
         """Total sweep (radians) of the direction of (x1, x2)(h); the
@@ -415,14 +440,20 @@ class KeyholeContour:
     """J sampled around the keyhole boundary of D_eps, cached per
     (kappa, eps); per-element winding counts then reduce to array
     arithmetic on the stored samples.  ``samples[name]`` is (s, J) for
-    each boundary piece, J in closed form (``hypergeometric_J``)."""
+    each boundary piece, J in closed form (``hypergeometric_J``).
+    ``pieces[name]`` is (s, J1, J2, min |J1|, edge), edge being the cut
+    edges' (Im(J2 conj(J1)), |J1|^2) and None elsewhere: ``winding_count``'s
+    terms in J alone, formed once here by the same operations."""
 
     def __init__(self, params: ModelParams, epsilon: float = 1e-3):
-        self.samples = {}
+        self.samples, self.pieces = {}, {}
         for name, (pieces, n) in _keyhole_pieces(epsilon).items():
             t = np.linspace(0.0, 1.0, n)
             s = np.concatenate([piece.point(t) for piece in pieces])
-            self.samples[name] = (s, hypergeometric_J(s, params))
+            J1, J2 = J = hypergeometric_J(s, params)
+            self.samples[name] = (s, J)
+            edge = ((J2 * np.conj(J1)).imag, np.abs(J1) ** 2) if name.startswith("cut") else None
+            self.pieces[name] = (s, J1, J2, float(np.min(np.abs(J1))), edge)
 
 
 def keyhole_by_continuation(params: ModelParams, epsilon: float = 1e-3):
@@ -463,13 +494,14 @@ def _keyhole(kappa: float, epsilon: float) -> KeyholeContour:
     return KeyholeContour(make_params(kappa), epsilon)
 
 
-def _arg_increment(z: np.ndarray):
-    """Total continuous argument increment along a sampled curve, plus the
-    largest single-step jump (for refinement diagnostics)."""
-    ang = np.angle(z)
-    steps = np.diff(ang)
-    steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
-    return float(np.sum(steps)), float(np.max(np.abs(steps))) if steps.size else 0.0
+def _wrap(steps: np.ndarray) -> np.ndarray:
+    """(steps + pi) % (2 pi) - pi bit for bit for steps in [-2 pi, 2 pi], at a
+    tenth of the float %'s cost: x = steps + pi is in [-pi, 3 pi], where the
+    remainder is x - 2 pi from 2 pi up (exact by Sterbenz) and x + 2 pi below 0."""
+    x = steps + np.pi
+    x[x >= 2.0 * np.pi] -= 2.0 * np.pi
+    x[x < 0.0] += 2.0 * np.pi
+    return x - np.pi
 
 
 def winding_count(pair: PolyPair, params: ModelParams,
@@ -487,22 +519,21 @@ def winding_count(pair: PolyPair, params: ModelParams,
     min_j1 = math.inf
     max_step = 0.0
     edge_gap = 0.0
-    for name, (s, J) in ct.samples.items():
-        J1, J2 = J[0], J[1]
-        amin = float(np.min(np.abs(J1)))
+    for name, (s, J1, J2, amin, edge) in ct.pieces.items():
         min_j1 = min(min_j1, amin)
         if amin == 0.0:
             raise GeometryError("J1 vanishes on the contour; F undefined")
         P = pair.eval_P(s)
         Q = pair.eval_Q(s)
         F = (P * J1 + Q * J2) / J1
-        if name.startswith("cut"):
-            imf = Q.real * (J2 * np.conj(J1)).imag / np.abs(J1) ** 2
+        if edge is not None:
+            imf = Q.real * edge[0] / edge[1]
             edge_gap = max(edge_gap, float(np.max(np.abs(imf - F.imag))
                                            / (np.max(np.abs(F)) + 1e-300)))
             F = F.real + 1j * imf
-        inc, step = _arg_increment(F)
-        max_step = max(max_step, step)
+        steps = _wrap(np.diff(np.angle(F)))
+        inc = float(np.sum(steps))
+        max_step = max(max_step, float(np.max(np.abs(steps))))
         total += inc
         segments.append({"name": name, "arg_increment": inc})
     w = int(round(total / (2.0 * math.pi)))
@@ -521,21 +552,23 @@ def winding_count(pair: PolyPair, params: ModelParams,
 
 class JTable:
     """J = (J1, J2) on the real interval (1 + margin, kappa - margin), the
-    margin ``J_MARGIN`` relative to kappa - 1, evaluated in closed form
-    (``hypergeometric_J``)."""
+    margin ``J_MARGIN`` relative to kappa - 1, in closed form (``hypergeometric_J``);
+    one table per kappa (``j_table``), its ``J(s)`` kept on scan grids (``_GridMemo``)."""
 
     def __init__(self, params: ModelParams):
         k = params.kappa
-        self.params = params
         self.lo = 1.0 + J_MARGIN * (k - 1.0)
         self.hi = k - J_MARGIN * (k - 1.0)
-
-    def J(self, s):
-        return hypergeometric_J(np.asarray(s, dtype=float), self.params)
+        self.J = _GridMemo(lambda s: hypergeometric_J(s, params))
 
 
 def j_table(params: ModelParams) -> JTable:
-    return JTable(params)
+    return _j_table(params.kappa)
+
+
+@functools.cache
+def _j_table(kappa: float) -> JTable:
+    return JTable(make_params(kappa))
 
 
 def random_poly_pair(n: int, rng) -> PolyPair:

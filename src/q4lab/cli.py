@@ -188,7 +188,7 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> int:
             rep.add(kappa, h, "pf:solve-residual", res, 1e-12, res <= 1e-12)
             rel = np.max(np.abs(prop.values(h) - v) / np.abs(v))
             rep.add(kappa, h, "pf:propagation-vs-oracle", rel, tol, rel <= tol)
-            d1, d2, d3 = prop.chain(h)
+            d1, d2, d3 = chain = prop.chain(h)
             f2 = picard_fuchs.derivative_formulas("second", h, d1[0], d1[3], p)
             res = abs(f2[0] - d2[0]) / max(abs(d2[0]), 1e-300)
             rep.add(kappa, h, "pf:I00''-formula", res, tol, res <= tol)
@@ -197,7 +197,7 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> int:
             res = np.max(np.abs(pfs)) / scale
             rep.add(kappa, h, "pf:pfs-system", res, tol, res <= tol)
             # L2 JJ identity: G of the unit weight nu4 is JJ
-            JJ = melnikov.eval_G_prime(h, replace(p, mu=(0.0, 0.0, 0.0, 1.0)))
+            JJ = melnikov.G_from_chain(h, chain, replace(p, mu=(0.0, 0.0, 0.0, 1.0)))
             lhs = picard_fuchs.apply_L2(*JJ, h, p)
             rhs = (4 / 3) * (kappa - 1) * (h * (9 * kappa * h * h - 4) * d3[3]
                                            + (6 * kappa * h * h + 8) * d2[3])

@@ -86,7 +86,12 @@ def eval_G(h: float, params: ModelParams) -> float:
 def eval_G_prime(h: float, params: ModelParams):
     """(G, G', G'') by exact differentiation of the six-moment ODE along the
     cached DOP853 propagation."""
-    d1, d2, d3 = get_propagation(params).chain(h)
+    return G_from_chain(h, get_propagation(params).chain(h), params)
+
+
+def G_from_chain(h: float, chain, params: ModelParams):
+    """(G, G', G'') at h for the weights on ``params``, from ``PFPropagation.chain(h)``."""
+    d1, d2, d3 = chain
     n1, n2, n3, n4 = params.mu
     k = params.kappa
     G = ((n1 * h * h + n3) * d1[0] + n2 * d1[3]

@@ -391,19 +391,6 @@ def apply_L2(g: float, g1: float, g2: float, h: float, params: ModelParams) -> f
             + h * (9.0 * k * h * h - 4.0) * g2)
 
 
-def apply_s_operator(g, g1, g2, s):
-    """The hypergeometric-type operator in the variable s:
-    s (1 - s) d^2/ds^2 - (1/2) d/ds - 5/36."""
-    return s * (1.0 - s) * g2 - 0.5 * g1 - (5.0 / 36.0) * g
-
-
-def l2_chain_factor(s: float, params: ModelParams) -> float:
-    """Under h = -(2/3) sqrt(s/kappa) the operator L2 in h equals
-    24 sqrt(kappa s) times the s-operator; the factor never vanishes on
-    (1, kappa), so zero counts transfer unchanged."""
-    return 24.0 * math.sqrt(params.kappa * s)
-
-
 # ---------------------------------------------------------------------------
 # closed forms: J = (I00', I11') and the Kummer pair of L2
 # ---------------------------------------------------------------------------

@@ -278,6 +278,100 @@ class TestVnSampling:
             vn_sample_test(0, 5, p4, seed=0)
 
 
+def _winding_count_per_element(pair, params, epsilon):
+    """``winding_count`` as it was before the contour kept its terms in J
+    alone: every term formed per element from the samples, and the wrap by
+    the float %."""
+    ct = keyhole_contour(params, epsilon)
+    segments, total, min_j1, max_step, edge_gap = [], 0.0, math.inf, 0.0, 0.0
+    for name, (s, J) in ct.samples.items():
+        J1, J2 = J[0], J[1]
+        amin = float(np.min(np.abs(J1)))
+        min_j1 = min(min_j1, amin)
+        P = pair.eval_P(s)
+        Q = pair.eval_Q(s)
+        F = (P * J1 + Q * J2) / J1
+        if name.startswith("cut"):
+            imf = Q.real * (J2 * np.conj(J1)).imag / np.abs(J1) ** 2
+            edge_gap = max(edge_gap, float(np.max(np.abs(imf - F.imag))
+                                           / (np.max(np.abs(F)) + 1e-300)))
+            F = F.real + 1j * imf
+        steps = np.diff(np.angle(F))
+        steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
+        inc = float(np.sum(steps))
+        max_step = max(max_step, float(np.max(np.abs(steps))))
+        total += inc
+        segments.append({"name": name, "arg_increment": inc})
+    w = int(round(total / (2.0 * math.pi)))
+    return an.WindingReport(
+        n=pair.n, epsilon=epsilon, segments=segments, winding=w,
+        residual=abs(total / (2.0 * math.pi) - w), min_abs_J1=min_j1,
+        bound_ok=w <= 2 * pair.n, max_arg_step=max_step, edge_im_agreement=edge_gap)
+
+
+class TestCachedTerms:
+    """The keyhole's terms in J alone, the wrap without the float % and the
+    grid memo of the J table and the L2 frame change no bit of any count."""
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    @pytest.mark.parametrize("epsilon", [5e-4, 1e-3, 2e-3])
+    def test_winding_equals_per_element_loop(self, kappa, epsilon):
+        p = make_params(kappa)
+        rng = np.random.default_rng(np.random.SeedSequence([int(kappa * 10), int(epsilon * 1e4)]))
+        for t in range(23):  # 207 pairs over the nine cases
+            pair = random_poly_pair(t % 5, rng)
+            got, want = winding_count(pair, p, epsilon), _winding_count_per_element(pair, p, epsilon)
+            assert vars(got) == vars(want), (t, pair)
+
+    def test_wrap_equals_float_remainder(self):
+        two_pi = 2.0 * np.pi
+
+        def around(c, n=40):
+            lo = hi = c
+            out = [c]
+            for _ in range(n):
+                lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+                out += [lo, hi]
+            return out
+
+        # steps + pi then runs over -pi, +-0, pi, 2 pi - ulp, 2 pi and 3 pi
+        special = [v for c in (-two_pi, -np.pi, 0.0, -0.0, np.pi, two_pi) for v in around(c)]
+        angles = np.random.default_rng(5).uniform(-np.pi, np.pi, 200_001)
+        steps = np.concatenate([special, np.diff(angles)])
+        steps = steps[np.abs(steps) <= two_pi]
+        x = steps + np.pi
+        for edge in (-np.pi, 0.0, np.pi, np.nextafter(two_pi, 0.0), two_pi, 3.0 * np.pi):
+            assert (x == edge).any(), edge
+        want = (steps + np.pi) % two_pi - np.pi
+        assert np.array_equal(an._wrap(steps).view(np.int64), want.view(np.int64))
+
+    def test_j_memo_keeps_grids_only(self, p4):
+        from q4lab.picard_fuchs import hypergeometric_J
+        tab = an.JTable(p4)
+        xs = an._cheb_grid(tab.lo, tab.hi, 512)
+        first = tab.J(xs)
+        assert not first.flags.writeable
+        assert np.array_equal(first, hypergeometric_J(xs, p4))
+        assert tab.J(xs.copy()) is first  # keyed by the bytes, not the layout
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.0
+        stencil = xs[100:103]
+        assert np.array_equal(tab.J(stencil), hypergeometric_J(stencil, p4))
+        assert tab.J(stencil).flags.writeable and len(tab.J.kept) == 1
+        for n in range(64, 70):
+            tab.J(an._cheb_grid(tab.lo, tab.hi, n))
+        assert len(tab.J.kept) == an._GridMemo.KEEP
+
+    def test_frame_memo_equals_fresh_rows(self, p4):
+        window = (p4.center_h + 1e-6, p4.saddle_h - 1e-6)
+        hs = an._cheb_grid(*window, 512)
+        frame = L2Frame(p4, window)
+        rows = frame.frame(hs)
+        assert frame.frame(hs) is rows and not rows.flags.writeable
+        assert np.array_equal(rows, L2Frame(p4, window).frame(hs.copy()))
+        assert frame.frame(hs[:3]).flags.writeable
+
+
 class TestBoundPipeline:
     def test_zero_weights(self, p4):
         br = bound_pipeline(replace(p4, mu=(0.0, 0.0, 0.0, 0.0)))

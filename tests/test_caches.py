@@ -28,8 +28,9 @@ def test_clear_caches_empties_every_cache():
     melnikov.get_propagation(p)
     analysis.bound_pipeline(p, grid=64, check_reconstruction=False)
     analysis.winding_count(analysis.PolyPair(P=(1.0, 0.5), Q=(0.2,)), p)
+    analysis.j_table(p)
     caches = _module_caches()
-    assert len(caches) == 8, sorted(caches)
+    assert len(caches) == 9, sorted(caches)
     assert all(c.cache_info().currsize > 0 for c in caches.values()), {
         name: c.cache_info() for name, c in caches.items()}
     clear_caches()
@@ -41,7 +42,7 @@ def test_cached_objects_depend_on_kappa_alone():
     a = make_params(2.5, mu=(1.0, 0.0, 0.0, 0.0))
     b = make_params(2.5, mu=(0.0, -2.0, 0.5, 1.0))
     for front_door in (melnikov.get_moment_basis, melnikov.extract_R_coeffs,
-                       analysis.keyhole_contour):
+                       analysis.keyhole_contour, analysis.j_table):
         assert front_door(a) is front_door(b)
     sc = analysis.bound_scanner(a, 128)
     assert sc is analysis.bound_scanner(b, 128)
@@ -62,9 +63,11 @@ def test_zeros_bytes_cold_and_warm(tmp_path):
     for command in ("sweep", "winding"):
         run(command, RunConfig(kappa_list=[1.5, 4.0], mu_mode="random_sphere", trials=2,
                                seed=9, output_dir=str(tmp_path / command)))
-    # filled by the other commands: the scanners and the keyhole contours
+    # filled by the other commands: the scanners, the keyhole contours and
+    # the J tables
     assert analysis._scanner.cache_info().currsize == 2
     assert analysis._keyhole.cache_info().currsize == 2
+    assert analysis._j_table.cache_info().currsize == 2
     warm = zeros("warm")
     assert warm == cold
     assert cold.count(b"count:R") == 6

@@ -124,6 +124,16 @@ class TestCommands:
             >= self.R_ZERO_AT_CENTER_DROPPED
         assert hashlib.sha256(data).hexdigest() == self.GOLDEN_SHA256
 
+    # winding.csv from the per-element keyhole loop, before the contour kept
+    # its terms in J alone and the J table its values on the scan grid
+    WINDING_GOLDEN_SHA256 = "0c3ef06fc79339621c6187fdebfc51ee1676d102b0d74d247c4531c142dade67"
+
+    def test_winding_golden_bytes(self, tmp_path):
+        cfg = RunConfig(kappa_list=[2.0, 7.0], trials=20, seed=7, output_dir=str(tmp_path))
+        assert run("winding", cfg) == 0
+        data = (tmp_path / "winding.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.WINDING_GOLDEN_SHA256
+
     def test_sweep_kappas_draw_distinct_streams(self, tmp_path):
         # each kappa draws from its own spawned child of the seed, the
         # stream zeros --mu_mode random_sphere uses for that kappa

@@ -23,12 +23,10 @@ from q4lab.picard_fuchs import (
     PFVector,
     apply_L1,
     apply_L2,
-    apply_s_operator,
     continue_state,
     derivative_formulas,
     infinity_exponents,
     initial_jstate,
-    l2_chain_factor,
     pf_derivatives,
     pf_matrix,
     pf_residuals,
@@ -37,6 +35,19 @@ from q4lab.picard_fuchs import (
 )
 
 H0 = -0.5
+
+
+def apply_s_operator(g, g1, g2, s):
+    """The hypergeometric-type operator in the variable s:
+    s (1 - s) d^2/ds^2 - (1/2) d/ds - 5/36."""
+    return s * (1.0 - s) * g2 - 0.5 * g1 - (5.0 / 36.0) * g
+
+
+def l2_chain_factor(s: float, params) -> float:
+    """Under h = -(2/3) sqrt(s/kappa) the operator L2 in h equals
+    24 sqrt(kappa s) times the s-operator; the factor never vanishes on
+    (1, kappa), so zero counts transfer unchanged."""
+    return 24.0 * math.sqrt(params.kappa * s)
 
 
 @pytest.fixture(scope="module")

@@ -96,7 +96,6 @@ from .dynamics import (
     integrate_orbit,
     vector_field_rhs,
 )
-from .cli import RunConfig, run
 from . import analysis, melnikov, quadrature
 
 
@@ -113,5 +112,14 @@ def clear_caches() -> None:
 # and print nothing unless the application configures logging
 _logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name: str):
+    # the cli loads on first use, so that ``python -m q4lab.cli`` runs it fresh
+    if name in ("RunConfig", "run"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + ["RunConfig", "run"]
 __version__ = "0.1.0"

@@ -11,15 +11,15 @@ symmetric picture (region {H(x, y) < h}).  Two independent methods:
               angle; the primary method.  The ray geometry (point and
               tangent at each panel node) is memoised on the oval, so the
               indices share the ray solves of the panels they have in common.
-* ``area2d``  adaptive cell subdivision over a tight bounding box with sign
-              tests on H; boundary cells are finished with exact per-column
-              slices (the vertical restriction of H is a depressed cubic in
-              y, solved in closed form) and adaptive Gauss-Kronrod in x.
-              The geometry (box, cells, breakpoints, slice ends) does not
-              depend on the index (i, j), so it is built once per oval and
-              shared across indices: the fold roots are solved once per
-              oval and the row crossings once per row.  Only the adaptive
-              quadrature runs per index.
+* ``area2d``  cell subdivision over a tight bounding box with sign tests on
+              H, one depth at a time; boundary cells are finished with exact
+              per-column slices (the vertical restriction of H is a depressed
+              cubic in y, solved in closed form) and Gauss-Kronrod in x.  The
+              geometry (cells, breakpoints, initial panels) does not depend
+              on the index (i, j), so it is built once per oval.  Per index,
+              inner cells are summed exactly and all boundary panels form one
+              globally adaptive pass with one error budget for the moment,
+              refined in one batch per round.
 
 Both methods localize to the connected component of the region containing
 the center, using the exact star-shaped membership test of the oval.  The
@@ -110,13 +110,12 @@ def _gk_panel(f, a: float, b: float):
     return k, abs(k - g)
 
 
-def _adaptive_gk(f, a: float, b: float, tol: float, max_panels: int = 4000,
-                 initial: int = 8):
+def _adaptive_gk(f, a: float, b: float, tol: float, max_panels: int = 4000):
     """Globally adaptive GK quadrature of a vectorized integrand.
 
     A call that stops at ``max_panels`` above its tolerance returns what it
     has and logs one WARNING on the ``q4lab.quadrature`` logger."""
-    edges = np.linspace(a, b, initial + 1)
+    edges = np.linspace(a, b, 9)
     heap = []
     total, err = 0.0, 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -124,7 +123,7 @@ def _adaptive_gk(f, a: float, b: float, tol: float, max_panels: int = 4000,
         heapq.heappush(heap, (-e, lo, hi, v))
         total += v
         err += e
-    n = initial
+    n = edges.size - 1
     while err > tol * max(abs(total), 1e-300) and n < max_panels:
         e0, lo, hi, v = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -162,23 +161,19 @@ def _moment_green(i: int, j: int, ov: Oval, tol: float):
 # area2d: quadtree with exact vertical slices on boundary cells
 # ---------------------------------------------------------------------------
 
-def _y_cubic_coeffs(xs: np.ndarray, h: float, params: ModelParams, form: HamiltonianForm):
+def _slice_cubic(ov: Oval):
     """Depressed cubic a y^3 + p(x) y + q(x) for the vertical restriction of
-    the level function (value < 0 inside the region)."""
-    k = params.kappa
-    a = k / 3.0
-    if form is HamiltonianForm.SYMMETRIC_FORM:
-        p = -(1.0 + (k - 1.0) * xs * xs)
-        q = (2.0 / 3.0) * (k - 1.0) * xs**3 - h
-    else:
-        p = -(xs * xs + (k - 1.0))
-        q = (2.0 / 3.0) * (k - 1.0) - h * xs**3
-    return a, p, q
+    the level function (value < 0 inside the region): a and the coefficients
+    of p and q in ascending powers of x."""
+    km = ov.params.kappa - 1.0
+    if ov.form is HamiltonianForm.SYMMETRIC_FORM:
+        return ov.params.kappa / 3.0, [-1.0, 0.0, -km], [-ov.h, 0.0, 0.0, (2.0 / 3.0) * km]
+    return ov.params.kappa / 3.0, [-km, 0.0, -1.0], [(2.0 / 3.0) * km, 0.0, 0.0, -ov.h]
 
 
 def _depressed_real_roots(p: np.ndarray, q: np.ndarray):
-    """Real roots of t^3 + p t + q = 0, vectorized; returns (roots[n,3],
-    count[n]) with roots sorted ascending and NaN padding."""
+    """Real roots of t^3 + p t + q = 0, vectorized; returns roots[n, 3]
+    sorted ascending, with NaN in columns 1 and 2 where one root is real."""
     n = p.shape[0]
     roots = np.full((n, 3), np.nan)
     disc = -4.0 * p**3 - 27.0 * q * q
@@ -201,83 +196,35 @@ def _depressed_real_roots(p: np.ndarray, q: np.ndarray):
         fp = 3.0 * roots * roots + p[:, None]
         with np.errstate(invalid="ignore", divide="ignore"):
             roots = roots - np.where(np.abs(fp) > 0, f / fp, 0.0)
-    roots = np.sort(roots, axis=1)  # NaN sorts last
-    count = np.where(three, 3, 1)
-    return roots, count
+    return np.sort(roots, axis=1)  # NaN sorts last
 
 
-def _slice_segments(xs: np.ndarray, ylo: float, yhi: float, ov: Oval):
+def _slice_segments(xs: np.ndarray, ylo, yhi, ov: Oval):
     """For each column x, the parts of {y in [ylo, yhi] : level function < 0}
-    that belong to the oval component, as a list of (keep, lo, hi): the
-    columns holding a segment and that segment's clipped ends."""
-    params, form, h = ov.params, ov.form, ov.h
-    a, p, q = _y_cubic_coeffs(xs, h, params, form)
-    roots, count = _depressed_real_roots(p / a, q / a)
-
+    that belong to the oval component: (lo, hi), each of shape (2,) +
+    xs.shape, the clipped ends of a column's at most two segments, with
+    lo = hi = 0 where a column has no such segment.  The row bounds ylo and
+    yhi broadcast against xs, so every node can carry its own cell rows."""
+    a, p, q = _slice_cubic(ov)
+    p, q = (np.polynomial.polynomial.polyval(xs.ravel(), c) / a for c in (p, q))
+    r = _depressed_real_roots(p, q).T.reshape((3,) + xs.shape)
     # negative set of the cubic (positive leading coefficient):
-    # one real root r0:    (-inf, r0)
+    # one real root r0:    (-inf, r0)      (r1 = r2 = NaN)
     # three roots r0<r1<r2: (-inf, r0) u (r1, r2)
-    lo0 = np.full_like(xs, -np.inf)
-    hi0 = roots[:, 0]
-    segs = [(lo0, hi0)]
-    has3 = count == 3
-    lo1 = np.where(has3, roots[:, 1], np.nan)
-    hi1 = np.where(has3, roots[:, 2], np.nan)
-    segs.append((lo1, hi1))
-    out = []
-    for lo, hi in segs:
-        lo_c = np.maximum(lo, ylo)
-        hi_c = np.minimum(hi, yhi)
-        valid = np.isfinite(lo_c) & np.isfinite(hi_c) & (hi_c > lo_c)
-        if not np.any(valid):
-            continue
-        mid = 0.5 * (lo_c + hi_c)
-        keep = valid.copy()
-        keep[valid] &= ov.contains(xs[valid], mid[valid])
-        if not np.any(keep):
-            continue
-        out.append((keep, lo_c[keep], hi_c[keep]))
-    return out
-
-
-def _slice_integrals(segments, j: int, n: int):
-    """Integral of y^j over each column's segments (see _slice_segments)."""
-
-    def anti(y):
-        return y ** (j + 1) / (j + 1)
-
-    out = np.zeros(n)
-    for keep, lo, hi in segments:
-        out[keep] += anti(hi) - anti(lo)
-    return out
-
-
-def _rect_moment(i: int, j: int, x0, x1, y0, y1):
-    """Exact iint x^i y^j over a rectangle (x0 > 0 when i <= -1)."""
-    if i == -1:
-        ix = math.log(x1 / x0)
-    else:
-        ix = (x1 ** (i + 1) - x0 ** (i + 1)) / (i + 1)
-    iy = (y1 ** (j + 1) - y0 ** (j + 1)) / (j + 1)
-    return ix * iy
+    lo = np.maximum(np.stack([np.full(xs.shape, -np.inf), r[1]]), ylo)
+    hi = np.minimum(np.stack([r[0], r[2]]), yhi)
+    keep = np.isfinite(lo) & np.isfinite(hi) & (hi > lo)
+    keep[keep] = ov.contains(np.broadcast_to(xs, lo.shape)[keep], 0.5 * (lo + hi)[keep])
+    return np.where(keep, lo, 0.0), np.where(keep, hi, 0.0)
 
 
 def _fold_xs(ov: Oval) -> np.ndarray:
     """Real x of the fold points of the level curve (vertical tangents,
     double y-roots): the real roots of the x-discriminant
     D(x) = -4 a p^3 - 27 a^2 q^2 of the vertical slice cubic (degree 6)."""
-    params, form, h = ov.params, ov.form, ov.h
-    k = params.kappa
-    km = k - 1.0
-    a = k / 3.0
-    if form is HamiltonianForm.SYMMETRIC_FORM:
-        p3 = np.polynomial.polynomial.polypow([-1.0, 0.0, -km], 3)
-        q = np.array([-h, 0.0, 0.0, (2.0 / 3.0) * km])
-    else:
-        p3 = np.polynomial.polynomial.polypow([-km, 0.0, -1.0], 3)
-        q = np.array([(2.0 / 3.0) * km, 0.0, 0.0, -h])
-    q2 = np.polynomial.polynomial.polymul(q, q)
-    D = -4.0 * a * np.pad(p3, (0, 7 - p3.size)) - 27.0 * a * a * q2
+    a, p, q = _slice_cubic(ov)
+    P = np.polynomial.polynomial
+    D = -4.0 * a * P.polypow(p, 3) - 27.0 * a * a * P.polymul(q, q)
     return _real_parts(np.roots(D[::-1]))
 
 
@@ -298,77 +245,88 @@ def _real_parts(pts: np.ndarray) -> np.ndarray:
     return pts[np.abs(pts.imag) < 1e-9 * (1.0 + np.abs(pts.real))].real
 
 
-def _piece_gk(fx, a: float, b: float, fold_lo: bool, fold_hi: bool, tol_rel: float):
-    """GK integration of fx over [a, b] with square-root substitutions at
-    fold endpoints, where the slice measure behaves like sqrt(x - a)."""
-    if b <= a:
-        return 0.0, 0.0
-    if fold_lo and fold_hi:
-        mid = 0.5 * (a + b)
-        v1, e1 = _piece_gk(fx, a, mid, True, False, tol_rel)
-        v2, e2 = _piece_gk(fx, mid, b, False, True, tol_rel)
-        return v1 + v2, e1 + e2
-    if fold_lo:
-        w = math.sqrt(b - a)
-        g = lambda t: 2.0 * t * fx(a + t * t)
-        return _adaptive_gk(g, 0.0, w, tol_rel, max_panels=200, initial=2)
-    if fold_hi:
-        w = math.sqrt(b - a)
-        g = lambda t: 2.0 * t * fx(b - t * t)
-        return _adaptive_gk(g, 0.0, w, tol_rel, max_panels=200, initial=2)
-    return _adaptive_gk(fx, a, b, tol_rel, max_panels=200, initial=2)
-
-
 class _Area2dGeometry:
     """Everything area2d needs from one oval that does not depend on the
-    moment index (i, j): the quadtree leaves in walk order, the fold roots
-    and the row crossings behind the leaves' x-pieces, and a memo of the
-    slice geometry per GK panel keyed by the panel's nodes and the cell
-    rows.  Built once per oval and shared by all indices; the adaptive GK
-    per index reads it, so every value is the one a fresh walk would give."""
+    moment index (i, j): the quadtree leaves in depth-first order, the fold
+    roots and row crossings behind the boundary leaves' x-pieces, the pieces
+    as runs, and the nodes, weights and slice ends of each run's two initial
+    GK panels.  Built once per oval and shared by all indices; the panels an
+    index refines get theirs from :meth:`panel_nodes`, so every value is the
+    one a fresh build would give.  A run is a piece in the panel variable t:
+    x = t on [t0, t1], or x = base + sign t^2 on [0, t1] at a fold, where the
+    slice measure behaves like sqrt(|x - base|); a piece with folds at both
+    ends is split at its midpoint into two runs."""
 
     MAX_DEPTH = 4
 
     def __init__(self, ov: Oval):
         self.oval = ov
-        # (x0, x1, y0, y1, pieces): pieces is None for a cell inside the
-        # region, else the (a, b, fold_lo, fold_hi) x-pieces of a boundary cell
-        self.leaves = []
-        self.slices = {}
         self.fold_xs = _fold_xs(ov)
         self.crossings = {}  # row y -> _row_crossings(ov, y)
-        x0, x1, y0, y1 = ov.bounding_box()
-        self._walk(x0, x1, y0, y1, 0)
+        # (x0, x1, y0, y1, pieces): pieces is None for a cell inside the
+        # region, else the (a, b, fold_lo, fold_hi) x-pieces of a boundary cell
+        self.leaves = self._walk(np.array([ov.bounding_box()]))
+        self.rects = np.array([leaf[:4] for leaf in self.leaves
+                               if leaf[4] is None]).reshape(-1, 4).T
+        runs = []  # (t0, t1, base, sign, y0, y1); sign 0 for x = t
+        for _, _, y0, y1, pieces in self.leaves:
+            for a, b, fold_lo, fold_hi in pieces or ():
+                if fold_lo and fold_hi:
+                    mid = 0.5 * (a + b)
+                    runs += [(0.0, math.sqrt(mid - a), a, 1.0, y0, y1),
+                             (0.0, math.sqrt(b - mid), b, -1.0, y0, y1)]
+                elif fold_lo or fold_hi:
+                    base, sign = (a, 1.0) if fold_lo else (b, -1.0)
+                    runs.append((0.0, math.sqrt(b - a), base, sign, y0, y1))
+                else:
+                    runs.append((a, b, 0.0, 0.0, y0, y1))
+        t0, t1, self.base, self.sign, self.y0, self.y1 = np.array(runs).reshape(-1, 6).T
+        mid = 0.5 * (t0 + t1)
+        # (run, t_lo, t_hi) of each initial panel, and their geometry
+        self.panels = (np.tile(np.arange(t0.size), 2), np.concatenate([t0, mid]),
+                       np.concatenate([mid, t1]))
+        self.nodes = self.panel_nodes(*self.panels)
 
-    def _walk(self, cx0, cx1, cy0, cy1, depth):
+    def _walk(self, cells: np.ndarray) -> list:
+        """Quadtree leaves of the box, classified one depth at a time: a
+        cell whose 5x5 samples of the level function are all positive is
+        dropped, one whose samples are all negative and whose center lies
+        in the oval's component is an inner leaf, and any other is split in
+        four, or becomes a boundary leaf at MAX_DEPTH.  Sorting by quadrant
+        path gives the depth-first order of a recursive walk."""
         ov = self.oval
-        gx = np.linspace(cx0, cx1, 5)
-        gy = np.linspace(cy0, cy1, 5)
-        X, Y = np.meshgrid(gx, gy)
-        if ov.form is HamiltonianForm.SYMMETRIC_FORM:
-            S = hamiltonian(ov.form, (X, Y), ov.params) - ov.h
-        else:
-            S = hamiltonian(ov.form, (X, Y), ov.params, h=ov.h)
-        if np.all(S > 0.0):
-            return
-        if np.all(S < 0.0) and bool(ov.contains(0.5 * (cx0 + cx1), 0.5 * (cy0 + cy1))):
-            self.leaves.append((cx0, cx1, cy0, cy1, None))
-            return
-        if depth < self.MAX_DEPTH:
-            mx, my = 0.5 * (cx0 + cx1), 0.5 * (cy0 + cy1)
-            self._walk(cx0, mx, cy0, my, depth + 1)
-            self._walk(mx, cx1, cy0, my, depth + 1)
-            self._walk(cx0, mx, my, cy1, depth + 1)
-            self._walk(mx, cx1, my, cy1, depth + 1)
-            return
+        keys = np.zeros(1, dtype=np.int64)
+        shift = ov.h if ov.form is HamiltonianForm.SYMMETRIC_FORM else 0.0  # level function
+        found = []  # (base-4 quadrant path padded to MAX_DEPTH digits, cell, boundary)
+        for depth in range(self.MAX_DEPTH + 1):
+            X = np.linspace(cells[:, 0], cells[:, 1], 5, axis=1)[:, None, :]
+            Y = np.linspace(cells[:, 2], cells[:, 3], 5, axis=1)[:, :, None]
+            S = hamiltonian(ov.form, (X, Y), ov.params, h=ov.h) - shift
+            inner = np.all(S < 0.0, axis=(1, 2))
+            inner[inner] = ov.contains(0.5 * (cells[inner, 0] + cells[inner, 1]),
+                                       0.5 * (cells[inner, 2] + cells[inner, 3]))
+            split = ~inner & ~np.all(S > 0.0, axis=(1, 2))
+            leaf = inner | split if depth == self.MAX_DEPTH else inner
+            found += zip((keys[leaf] * 4 ** (self.MAX_DEPTH - depth)).tolist(),
+                         cells[leaf].tolist(), split[leaf].tolist())
+            x0, x1, y0, y1 = cells[split & ~leaf].T
+            mx, my = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+            cells = np.stack([np.stack([x0, mx, y0, my], 1), np.stack([mx, x1, y0, my], 1),
+                              np.stack([x0, mx, my, y1], 1), np.stack([mx, x1, my, y1], 1)],
+                             axis=1).reshape(-1, 4)
+            keys = (4 * keys[split & ~leaf, None] + np.arange(4)).ravel()
+        return [(*c, self._pieces(*c) if b else None) for _, c, b in sorted(found)]
+
+    def _pieces(self, cx0, cx1, cy0, cy1) -> list:
+        """The (a, b, fold_lo, fold_hi) x-pieces of a boundary cell, cut at
+        its breakpoints and flagged where they end at a fold."""
         brk, fold_xs = self.breakpoints(cy0, cy1), self.fold_xs
         near_fold = lambda x: bool(fold_xs.size > 0 and np.min(
             np.abs(fold_xs - x)) < 1e-9 * (1.0 + abs(x)))
         inner = sorted(x for x in brk if cx0 + 1e-13 < x < cx1 - 1e-13)
         cuts = [cx0] + inner + [cx1]
-        pieces = [(a_, b_, near_fold(a_), near_fold(b_))
-                  for a_, b_ in zip(cuts[:-1], cuts[1:]) if b_ - a_ >= 1e-13]
-        self.leaves.append((cx0, cx1, cy0, cy1, pieces))
+        return [(a_, b_, near_fold(a_), near_fold(b_))
+                for a_, b_ in zip(cuts[:-1], cuts[1:]) if b_ - a_ >= 1e-13]
 
     def breakpoints(self, cy0: float, cy1: float) -> np.ndarray:
         """Sorted x-values where the slice integrand of a cell between the
@@ -383,41 +341,75 @@ class _Area2dGeometry:
             rows.append(cross)
         return np.unique(np.concatenate([self.fold_xs, *rows]))
 
-    def segments(self, xs: np.ndarray, cy0: float, cy1: float):
-        key = (xs.tobytes(), cy0, cy1)
-        segs = self.slices.get(key)
-        if segs is None:
-            segs = self.slices[key] = _slice_segments(xs, cy0, cy1, self.oval)
-        return segs
+    def panel_nodes(self, run: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray):
+        """GK15 nodes x (P, 15) of the panels [t_lo, t_hi] of the given
+        runs, their weights w (half-width times dx/dt) and the dense slice
+        ends (lo, hi) of shape (2, P, 15) at the nodes, in one call."""
+        half = 0.5 * (t_hi - t_lo)[:, None]
+        t = 0.5 * (t_lo + t_hi)[:, None] + half * _XGK
+        fold = (self.sign[run] != 0.0)[:, None]
+        x = np.where(fold, self.base[run, None] + self.sign[run, None] * t * t, t)
+        w = half * np.where(fold, 2.0 * t, 1.0)
+        lo, hi = _slice_segments(x, self.y0[run, None], self.y1[run, None], self.oval)
+        return x, w, lo, hi
 
 
 # the geometry of the most recently integrated oval only, so memory stays
 # bounded; callers integrate all indices at one level before moving on
 _area2d_geometry = functools.lru_cache(maxsize=1)(_Area2dGeometry)
 
+# boundary panels after which an area2d moment stops refining; c01's grid
+# ends below 400 at tol 1e-8, and below 1e-13 rounding limits the estimate
+AREA2D_MAX_PANELS = 2000
+
+
+def _panels_gk(i: int, j: int, nodes):
+    """GK15(7) value and error estimate of x^i y^j on each panel."""
+    x, w, lo, hi = nodes
+    fx = x**i * w * (hi ** (j + 1) - lo ** (j + 1)).sum(axis=0) / (j + 1)
+    k = fx @ _WGK
+    return k, np.abs(k - fx[:, 1::2] @ _WG)
+
 
 def _moment_area2d(i: int, j: int, ov: Oval, tol: float):
+    """Inner rectangles exactly, plus one globally adaptive GK pass over all
+    boundary panels (QUADPACK's QAG criterion): the panels share one error
+    budget, 0.02 tol |moment|, and each round halves, in one batch, every
+    panel whose error estimate is above an even share of the budget."""
     geo = _area2d_geometry(ov)
-    total = 0.0
-    err = 0.0
-    for cx0, cx1, cy0, cy1, pieces in geo.leaves:
-        if pieces is None:
-            total += _rect_moment(i, j, cx0, cx1, cy0, cy1)
-            continue
-
-        def fx(xs, cy0=cy0, cy1=cy1):
-            return xs**i * _slice_integrals(geo.segments(xs, cy0, cy1), j, xs.shape[0])
-
-        for a_, b_, fold_lo, fold_hi in pieces:
-            v, e = _piece_gk(fx, a_, b_, fold_lo, fold_hi, 0.02 * tol)
-            total += v
-            err += e
-    return total, err
+    x0, x1, y0, y1 = geo.rects  # exact over the inner cells (x0 > 0 when i <= -1)
+    ix = np.log(x1 / x0) if i == -1 else (x1 ** (i + 1) - x0 ** (i + 1)) / (i + 1)
+    rects = float(np.sum(ix * (y1 ** (j + 1) - y0 ** (j + 1)))) / (j + 1)
+    run, lo, hi = geo.panels
+    value, err = _panels_gk(i, j, geo.nodes)
+    while True:
+        total = rects + float(np.sum(value))
+        target = 0.02 * tol * max(abs(total), 1e-300)
+        est = float(np.sum(err))
+        if not est > target or run.size >= AREA2D_MAX_PANELS:
+            break
+        split = err > target / run.size
+        split[np.argmax(err)] = True  # the worst panel, should rounding leave none above
+        mid = 0.5 * (lo[split] + hi[split])
+        halves = (np.tile(run[split], 2), np.concatenate([lo[split], mid]),
+                  np.concatenate([mid, hi[split]]))
+        v, e = _panels_gk(i, j, geo.panel_nodes(*halves))
+        run, lo, hi = (np.concatenate([a[~split], b]) for a, b in zip((run, lo, hi), halves))
+        value, err = np.concatenate([value[~split], v]), np.concatenate([err[~split], e])
+    if est > target:
+        logger.warning("area2d I_%d_%d at h=%.17g stopped at %d panels: error estimate %.3e "
+                       "above the target %.3e (relative tol %.3e)",
+                       i, j, ov.h, run.size, est, target, 0.02 * tol)
+    return total, est
 
 
 def moment(index: MomentIndex, h: float, params: ModelParams,
            method: str = "green", tol: float = 1e-8) -> MomentValue:
     """Evaluate one moment integral at level h to a relative tolerance.
+
+    The tolerance is relative to the whole moment: green's contour integral
+    runs to tol |I|, and area2d spends one error budget of 0.02 tol |I| on
+    all of its boundary panels together.
 
     Results are cached per (index, h, kappa, method, tol): ovals and moments
     depend on kappa only, never on the perturbation weights.

@@ -156,3 +156,5 @@ class TestCommands:
             capture_output=True, text=True)
         assert out.returncode == 0
         assert "exit 0" in out.stdout
+        # the package does not import q4lab.cli before runpy executes it
+        assert "RuntimeWarning" not in out.stderr

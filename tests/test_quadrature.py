@@ -108,7 +108,7 @@ class TestArea2dGeometry:
     the values must not depend on which indices came before."""
 
     @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
-    def test_values_independent_of_index_order(self, kappa, monkeypatch):
+    def test_values_independent_of_index_order(self, kappa):
         p = make_params(kappa)
         h = interior_levels(p, 1, 0.5, 0.5)[0]
 
@@ -118,19 +118,83 @@ class TestArea2dGeometry:
 
         forward = run(BASIS)
         backward = run(BASIS[::-1])
-        alone = run([(1, 1)])
-        # reference: every panel solves its slices afresh, as a walk per
-        # moment does
-        monkeypatch.setattr(quad._Area2dGeometry, "segments",
-                            lambda self, xs, y0, y1: quad._slice_segments(xs, y0, y1, self.oval))
-        fresh = run([(1, 1)])
-        clear_caches()
+        # reference: every index alone, on a geometry built afresh
+        alone = {}
         for ij in BASIS:
-            assert backward[ij].value == forward[ij].value
-            assert backward[ij].err_estimate == forward[ij].err_estimate
-        for other in (alone, fresh):
-            assert other[(1, 1)].value == forward[(1, 1)].value
-            assert other[(1, 1)].err_estimate == forward[(1, 1)].err_estimate
+            alone.update(run([ij]))
+        clear_caches()
+        for other in (backward, alone):
+            for ij in BASIS:
+                assert other[ij].value == forward[ij].value
+                assert other[ij].err_estimate == forward[ij].err_estimate
+
+    @staticmethod
+    def _recursive_walk(geo, cx0, cx1, cy0, cy1, depth, leaves):
+        # reference: the cell-by-cell depth-first walk
+        ov = geo.oval
+        gx = np.linspace(cx0, cx1, 5)
+        gy = np.linspace(cy0, cy1, 5)
+        X, Y = np.meshgrid(gx, gy)
+        if ov.form is HamiltonianForm.SYMMETRIC_FORM:
+            S = quad.hamiltonian(ov.form, (X, Y), ov.params) - ov.h
+        else:
+            S = quad.hamiltonian(ov.form, (X, Y), ov.params, h=ov.h)
+        if np.all(S > 0.0):
+            return leaves
+        if np.all(S < 0.0) and bool(ov.contains(0.5 * (cx0 + cx1), 0.5 * (cy0 + cy1))):
+            leaves.append((cx0, cx1, cy0, cy1, None))
+            return leaves
+        if depth < geo.MAX_DEPTH:
+            mx, my = 0.5 * (cx0 + cx1), 0.5 * (cy0 + cy1)
+            for cell in ((cx0, mx, cy0, my), (mx, cx1, cy0, my),
+                         (cx0, mx, my, cy1), (mx, cx1, my, cy1)):
+                TestArea2dGeometry._recursive_walk(geo, *cell, depth + 1, leaves)
+            return leaves
+        brk, fold_xs = geo.breakpoints(cy0, cy1), geo.fold_xs
+        near_fold = lambda x: bool(fold_xs.size > 0 and np.min(
+            np.abs(fold_xs - x)) < 1e-9 * (1.0 + abs(x)))
+        inner = sorted(x for x in brk if cx0 + 1e-13 < x < cx1 - 1e-13)
+        cuts = [cx0] + inner + [cx1]
+        pieces = [(a_, b_, near_fold(a_), near_fold(b_))
+                  for a_, b_ in zip(cuts[:-1], cuts[1:]) if b_ - a_ >= 1e-13]
+        leaves.append((cx0, cx1, cy0, cy1, pieces))
+        return leaves
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_batched_walk_equals_recursive_walk(self, kappa):
+        p = make_params(kappa)
+        compared = 0
+        for level in (0.08, 0.5, 0.92):
+            h = interior_levels(p, 1, level, level)[0]
+            for form in (HamiltonianForm.SYMMETRIC_FORM, HamiltonianForm.CUBIC_FORM):
+                try:
+                    ov = oval(h, p, form=form)
+                except DegenerateLevelError:
+                    continue
+                geo = quad._Area2dGeometry(ov)
+                ref = self._recursive_walk(geo, *ov.bounding_box(), 0, [])
+                assert any(leaf[4] is None for leaf in ref)
+                assert any(leaf[4] for leaf in ref)
+                assert geo.leaves == ref
+                compared += 1
+        assert compared >= 3
+
+    @pytest.mark.parametrize("kappa", [1.5, 2.0, 4.0, 9.0])
+    def test_c01_grid_matches_tight_green_silently(self, kappa, caplog):
+        # the global error budget: area2d at 1e-8 within 1e-10 of green at
+        # 1e-13 on c01's 12 levels, with no panel-saturation WARNING
+        p = make_params(kappa)
+        clear_caches()
+        worst = 0.0
+        with caplog.at_level(logging.WARNING, logger="q4lab"):
+            for h in interior_levels(p, 12, 0.08, 0.92):
+                for ij in BASIS:
+                    g = moment(MomentIndex(*ij), h, p, "green", 1e-13)
+                    a = moment(MomentIndex(*ij), h, p, "area2d", 1e-8)
+                    worst = max(worst, abs(a.value - g.value) / abs(g.value))
+        clear_caches()
+        assert worst <= 1e-10
+        assert not [r for r in caplog.records if r.name == "q4lab.quadrature"]
 
     def test_bounding_box_computed_once(self, p4, monkeypatch):
         # one ray solve on the 512-angle grid, 60 lockstep bisection steps on
@@ -312,6 +376,17 @@ class TestPanelSaturation:
         assert "max_panels=9" in records[0].getMessage()
         assert err > 1e-14 * abs(value)
         assert value == pytest.approx(2.5, rel=1e-4)
+
+    def test_saturated_area2d_moment_logs_one_warning(self, p4, caplog, monkeypatch):
+        monkeypatch.setattr(quad, "AREA2D_MAX_PANELS", 1)
+        ov = quad.cached_oval(-0.5, p4.kappa, HamiltonianForm.SYMMETRIC_FORM)
+        with caplog.at_level(logging.WARNING, logger="q4lab"):
+            value, err = quad._moment_area2d(1, 1, ov, 1e-12)
+        records = [r for r in caplog.records if r.name == "q4lab.quadrature"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        assert "area2d I_1_1" in records[0].getMessage()
+        assert err > 0.02 * 1e-12 * abs(value)
 
     def test_converged_call_is_silent(self, caplog):
         with caplog.at_level(logging.WARNING, logger="q4lab"):

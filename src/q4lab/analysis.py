@@ -7,7 +7,13 @@ one that returns another shape.  The count and the tangency fits are made
 at once; where the sign changes lie (brentq in each bracket) and the
 unresolved-cluster warnings that depend on it are found when a report's
 zeros are first read, so a caller that reads counts only never refines a
-root.  Complex zero counts come from the argument principle on the keyhole
+root.  The bound scanner also skips every fit that a per-cell variation
+bound proves empty: ``_variation`` bounds how far each row of I, G and R
+moves over the cells the fits can reach (Taylor's form on exact derivative
+rows, with sound enclosures of the second derivative), and a minimum whose
+|f| exceeds the fit's possible reach cannot fit to zero
+(``_count_from_scan``), so the counts are those of running every fit.
+Complex zero counts come from the argument principle on the keyhole
 domain
 
     D_eps = (C \\ (-inf, 1])  with  |s - 1| > eps,  |s| < 1/eps,
@@ -52,6 +58,7 @@ import numpy as np
 # not called: perfbench/tracing.py counts calls through this name, and tests refuse it
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.optimize import brentq
+from scipy.special import hyp2f1
 
 from .errors import ConsistencyError, ConvergenceError, DomainError, GeometryError
 from .model import ModelParams, make_params, real_roots_y
@@ -65,7 +72,7 @@ from .picard_fuchs import (
     hypergeometric_J,
     initial_jstate,
 )
-from .melnikov import extract_R_coeffs, get_moment_basis
+from .melnikov import CENTER_Z, center_z, extract_R_coeffs, get_moment_basis
 from .reduction import mu_G_from_eq211
 
 J_MARGIN = 1e-3      # JTable spans (1, kappa) less this fraction of kappa - 1 at each end
@@ -73,6 +80,13 @@ SCAN_MARGIN = 1e-6   # the scanner's window: the annulus less this fraction at e
 GRID_MIN = 64        # fewest levels of a scan grid; _GridMemo keeps values on such arrays
 RHS_DEGREE = 6       # degree of inhomogeneous_bound_sample's random right-hand sides
 VOP_MAX_DEGREE = 1024  # cap on the Chebyshev degree of its variation integrals
+# the scanner's skip of tangency fits (``_variation``, ``_count_from_scan``)
+REACH = 1.25           # a fitted value moves at most 1 + 2/8 cell variations from f(x_i)
+ROW_ROUNDING = 1e-12   # a row's float error, relative to the bound of its terms' moduli
+VAR_SAFETY = 1e-6      # relative margin on each variation bound, for its own rounding
+EPS = np.finfo(float).eps
+FIT_SLACK = 256 * EPS  # fit and matvec rounding, relative to |f| bounds
+SERIES_BOUND_TERMS = 256  # terms of R's whole center series summed in its bound
 
 # ---------------------------------------------------------------------------
 # real zero counting
@@ -173,7 +187,8 @@ def count_zeros(f, interval: tuple[float, float], grid: int = 256,
     first read, so f must not change before then; equality of reports
     compares the count fields only.  The skip rule reads the grid, not the
     located zeros; the two differ only where a refined root lands exactly on
-    a node.
+    a node.  Every fit runs here: a generic f has no variation bound, so the
+    skip that ``BoundScanner.count`` proves for its rows does not apply.
     """
     a, b = interval
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
@@ -620,6 +635,276 @@ def vn_sample_test(n: int, trials: int, params: ModelParams, seed: int,
 # the bound pipeline (empirical bound chain)
 # ---------------------------------------------------------------------------
 
+class _Jet:
+    """A function and its first two h-derivatives, three arrays with one
+    entry per level or per cell.  A signed jet holds the values at levels.
+    A magnitude jet (``mag``) holds upper bounds of |f|, |f'| and |f''| over
+    cells; its arithmetic is the same sum, Leibniz and chain rules with
+    every term counted positive, so its results are bounds again."""
+
+    __slots__ = ("f", "mag")
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+
+    def __init__(self, f, mag: bool):
+        self.f, self.mag = tuple(f), mag
+
+    def _jet(self, o) -> _Jet:
+        return o if isinstance(o, _Jet) else _Jet((abs(o) if self.mag else o, 0.0, 0.0), self.mag)
+
+    def __add__(self, o):
+        return _Jet([a + b for a, b in zip(self.f, self._jet(o).f)], self.mag)
+
+    def __neg__(self):
+        return self if self.mag else _Jet([-a for a in self.f], False)
+
+    def __sub__(self, o):
+        return self + -self._jet(o)
+
+    def __rsub__(self, o):
+        return self._jet(o) - self
+
+    def __mul__(self, o):
+        (a, a1, a2), (b, b1, b2) = self.f, self._jet(o).f
+        return _Jet((a * b, a1 * b + a * b1, a2 * b + 2.0 * a1 * b1 + a * b2), self.mag)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def of(self, z: _Jet) -> _Jet:
+        """This jet in z composed with z(h), a jet in h."""
+        (g, g1, g2), (_, z1, z2) = self.f, z.f
+        return _Jet((g, g1 * z1, g2 * z1 * z1 + g1 * z2), self.mag)
+
+
+# derivatives of J1 / c = F(1/6, 5/6; 1; z) and of F(5/6, 1/6; 2; z), the second
+# piece of J2, as (scale, a, b, c): d^k/dz^k = scale * F(a, b; c; z)
+_F_DERIVS = (((1.0, 1 / 6, 5 / 6, 1.0), (5 / 36, 7 / 6, 11 / 6, 2.0),
+              (5 / 36 * 77 / 72, 13 / 6, 17 / 6, 3.0)),
+             ((1.0, 5 / 6, 1 / 6, 2.0), (5 / 72, 11 / 6, 7 / 6, 3.0),
+              (5 / 72 * 77 / 108, 17 / 6, 13 / 6, 4.0)))
+
+
+def _stack(jets) -> _Jet:
+    """Jets of one kind stacked into one whose arrays have a leading row axis."""
+    shape = np.broadcast_shapes(*(np.shape(y) for j in jets for y in j.f))
+    return _Jet([np.stack([np.broadcast_to(j.f[c], shape) for j in jets]) for c in range(3)],
+                jets[0].mag)
+
+
+def _series_jet(coef, z, mag: bool) -> _Jet:
+    """Rows sum_n coef[:, n] z^n and their first two z-derivatives at z,
+    shape (rows, levels); with ``mag``, of |coef| (bounds for |z'| <= z)."""
+    n = np.arange(coef.shape[1])
+    c = np.abs(coef) if mag else coef
+    zp = np.vander(z, n.size, increasing=True)
+    return _Jet([(c * f)[:, k:] @ zp[:, :n.size - k].T
+                 for k, f in enumerate((1.0, n, n * (n - 1.0)))], mag)
+
+
+def _full_center_series(k: float, rc, z) -> _Jet:
+    """A magnitude jet in z, at z in [0, 1), of S(z) = sum_{n >= 0} s_n z^n for
+    the unit weights: the whole series of which ``center_series`` keeps
+    CENTER_TERMS terms, so R's template is the center formula with S at every
+    z < 1, and this jet bounds the template without the cancellation of its
+    direct form.  s_n = num_{n+2}, num = A alpha + B gamma as in
+    ``center_series``, is formed in float for n < N = SERIES_BOUND_TERMS with
+    ROW_ROUNDING times its terms' moduli added; past that, alpha_j and beta_j
+    decrease and |gamma_j| <= alpha_{j-1} + beta_{j-1}, so |s_n| <= sigma =
+    sum |A_i| alpha_{N-1} + sum |B_i| (alpha_{N-1} + beta_{N-1}), and the tail
+    is sigma times the derivatives of z^N / (1 - z)."""
+    N = SERIES_BOUND_TERMS
+    j = np.arange(N + 1.0)
+    alpha = np.cumprod(np.append(1.0, (j + 1 / 6) * (j + 5 / 6) / (j + 1) ** 2))
+    beta = np.cumprod(np.append(1.0, (j + 5 / 6) * (j + 1 / 6) / ((j + 2) * (j + 1))))
+    gamma = np.append(1.0, alpha[1:] - alpha[:-1] + 5 / 6 * beta[:-1])
+    # A and B of each unit weight as polynomials in z, h^2 = (4/9)(1 - (kappa - 1) z / kappa)
+    h2 = [4 / 9, -4 / 9 * (k - 1.0) / k]
+    powers = np.array([np.pad(np.polynomial.polynomial.polypow(h2, i), (0, 3 - i))
+                       for i in range(4)])
+    A, B = rc.a_float.T @ powers, rc.b_float.T @ powers[:3]
+    conv = lambda P, q: np.array([np.convolve(row, q)[2:N + 2] for row in P])
+    s_abs = (np.abs(conv(A, alpha) + conv(B, gamma))
+             + ROW_ROUNDING * (conv(np.abs(A), alpha) + conv(np.abs(B), np.abs(gamma))))
+    sigma = np.abs(A).sum(axis=1) * alpha[N - 1] + np.abs(B).sum(axis=1) * (alpha[N - 1]
+                                                                             + beta[N - 1])
+    head = _series_jet(s_abs, z, True)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = np.where(z < 1.0, 1.0 / (1.0 - z), np.inf)
+        zN = z ** (N - 2)
+        tail = (z * z * zN * w, (N * z + z * z * w) * zN * w,
+                (N * (N - 1.0) + (2 * N * z + 2 * z * z * w) * w) * zN * w)
+    return _Jet([hd + sigma[:, None] * tl for hd, tl in zip(head.f, tail)], True)
+
+
+def _row_ingredients(sc: BoundScanner, h, cells=None) -> dict:
+    """Signed jets at the levels h, or, given ``cells`` = (lo, hi), magnitude
+    jets over each [lo, hi] (h the levels x_i inside them), of what the rows
+    are made of: h, J1, J2, V (six jets), 1/(9h^2 - 4), 1/(9 kappa h^2 - 4),
+    and the center series S of the unit weights composed with z(h) (on cells
+    also the whole series, S_full).
+
+    The bounds: J1 / c and F(5/6, 1/6; 2; z) have positive Taylor
+    coefficients in z, so they and their derivatives grow with z on [0, 1) and
+    are largest at the cell's largest z; J2 / c = (1 - z) J1 / c + (5/6) z
+    F(5/6, 1/6; 2; z) is bounded piece by piece.  9h^2 - 4 and 9 kappa h^2 - 4
+    are monotone and of one sign on h < 0 between the critical levels, so
+    their smallest moduli are at a cell end.  S and the moment expansions are
+    polynomials, whose absolute series at the largest |z| or |t| bound every
+    derivative; every expansion a cell reaches is bounded on its part of the
+    cell."""
+    mag, k, mb = cells is not None, sc.params.kappa, sc.prop
+    kq = k / (k - 1.0)
+    if mag:
+        lo, hi = cells
+        H = _Jet((np.maximum(np.abs(lo), np.abs(hi)), 1.0, 0.0), True)
+        zl, zh = center_z(lo, k), center_z(hi, k)
+        zlo, z = np.minimum(zl, zh), np.maximum(zl, zh)
+        one_minus_z = _Jet((1.0 - zlo, 1.0, 0.0), True)
+    else:
+        H = _Jet((h, 1.0, 0.0), False)
+        z = center_z(h, k)
+        one_minus_z = _Jet((1.0 - z, -1.0, 0.0), False)
+    Z = kq - 2.25 * kq * H * H
+    F1, F2 = (_Jet([s * hyp2f1(a, b, c, z) for s, a, b, c in rows], mag) for rows in _F_DERIVS)
+    cJ = math.pi / math.sqrt(k - 1.0)
+
+    def inverse(alpha):  # 1 / (alpha h^2 - 4)
+        u = alpha * H * H - 4.0
+        if mag:
+            r = 1.0 / np.minimum(*(np.abs(alpha * x * x - 4.0) for x in (lo, hi)))
+            return _Jet((r, u.f[1] * r * r, (2.0 * u.f[1] ** 2 * r + u.f[2]) * r * r), True)
+        r = 1.0 / u.f[0]
+        return _Jet((r, -u.f[1] * r * r, (2.0 * u.f[1] ** 2 * r - u.f[2]) * r * r), False)
+
+    if mag:
+        # every (cell, expansion) pair that meets, bounded on the part it meets
+        first, last = (np.searchsorted(mb._breaks, x) for x in (lo, hi))
+        count = last - first + 1
+        start = np.cumsum(count) - count
+        cell = np.repeat(np.arange(lo.size), count)
+        e = first[cell] + np.arange(cell.size) - start[cell]
+        ends = np.concatenate(([-np.inf], mb._breaks, [np.inf]))
+        a, b = np.maximum(lo[cell], ends[e]), np.minimum(hi[cell], ends[e + 1])
+        far = np.where(np.abs(a - mb._centers[e]) > np.abs(b - mb._centers[e]), a, b)
+        T = np.maximum.reduceat(mb.taylor(far, e, absolute=True), start, axis=-1)
+    else:
+        T = mb.taylor(h, np.searchsorted(mb._breaks, h))
+    out = dict(h=H, J1=cJ * F1.of(Z),
+               J2=cJ * (one_minus_z * F1 + 5.0 / 6.0 * _Jet((z, 1.0, 0.0), mag) * F2).of(Z),
+               V=[_Jet(T[:, j], mag) for j in range(6)], inv1=inverse(9.0),
+               inv2=inverse(9.0 * k), S=_series_jet(sc.rc.center_series, z, mag).of(Z))
+    if mag:
+        out["S_full"] = _full_center_series(k, sc.rc, z).of(Z)
+    return out
+
+
+def _rows(which: str, L: dict, sc: BoundScanner, center: str = "") -> _Jet:
+    """The four unit-weight rows of I, G or R as one jet of shape (4, n), by
+    the formulas of ``BoundScanner._basis``; for R the direct template or,
+    with ``center`` naming a series of L ("S", or "S_full" on cells), the
+    center formula of ``RCoefficients.unit_rows``."""
+    k, h, V = sc.params.kappa, L["h"], L["V"]
+    if which == "I":
+        return _stack([h * V[0], V[1], V[2], 2.0 * V[4] + 3.0 * k * h * V[5]])
+    J1, J2 = L["J1"], L["J2"]
+    if which == "G":
+        JJ = 2.0 * (k * h * V[5] - V[4]) - 2.0 * (k - 1.0) * (V[1] - (2.0 / 3.0) * J2)
+        return _stack([h * h * J1, J2, J1, JJ])
+    if center:
+        c = math.pi / math.sqrt(k - 1.0)
+        return k * k * c / (16.0 * (k - 1.0) ** 2) * h * L[center] * L["inv2"]
+    a, b = sc.rc.a_float[:, :, None], sc.rc.b_float[:, :, None]
+    h2 = h * h
+    return (h * ((a[0] + a[1] * h2 + a[2] * h2 * h2 + a[3] * h2 * h2 * h2) * J1
+                 + (b[0] + b[1] * h2 + b[2] * h2 * h2) * J2)
+            * L["inv1"] * L["inv1"] * L["inv2"])
+
+
+def _point_rows(sc: BoundScanner, h) -> dict:
+    """Signed jets of the four rows of I, G and R at the levels h, each in
+    the representation that ``BoundScanner._basis`` evaluates there."""
+    L = _row_ingredients(sc, h)
+    out = {which: _rows(which, L, sc) for which in "IGR"}
+    near = center_z(h, sc.params.kappa) < CENTER_Z
+    out["R"] = _Jet([np.where(near, c, r) for c, r in zip(_rows("R", L, sc, "S").f, out["R"].f)],
+                    False)
+    return out
+
+
+def _variation(sc: BoundScanner) -> tuple[dict, dict]:
+    """(var, mag) for I, G and R, each of shape (4, grid): var[j, i] bounds
+    sup |row_j(x) - row_j(x_i)| over the cell W_i that the tangency fit at an
+    interior node x_i can reach, and mag[j, i] bounds |row_j| there (NaN at
+    the two end nodes, which have no fit).
+
+    W_i is [x_i - s, x_i + s] with [x_{i-1} - s/8, x_{i+1} + s/8], s =
+    (x_{i+1} - x_{i-1}) / 2, clipped to the scan window and widened by four
+    ulps; d is its largest distance from x_i.  Taylor's form gives
+
+        |row(x) - row(x_i)| <= |row'(x_i)| d + sup_W |row''| d^2 / 2
+
+    for one representation.  Where W_i crosses a switch of the evaluated
+    function (a break of the moment expansions, or R's switch to its center
+    series at z = CENTER_Z), following the derivative across it adds the
+    jump of the value and d times the jump of the derivative, with sup |row''|
+    taken over every piece.  row'(x_i) is the exact derivative of the
+    representation evaluated at x_i (signed jets); sup |row''| and |row| come
+    from magnitude jets, and for R's template sup |row''| is the smaller of
+    its direct form's bound and the whole center series' bound.  Floating
+    point: a row is taken to be evaluated to within ROW_ROUNDING times its
+    magnitude bound, so var adds that twice (once per end) and, for the
+    first-order term's own rounding, ROW_ROUNDING d times the bound of
+    |row'|; the sum is scaled by 1 + VAR_SAFETY for the rounding of forming
+    the bound itself."""
+    xs, (a, b) = sc.hs, sc.window
+    x = xs[1:-1]
+    s = 0.5 * (xs[2:] - xs[:-2])
+    pad = 4.0 * np.spacing(max(abs(a), abs(b)))
+    lo = np.maximum(a, np.minimum(x - s, xs[:-2] - s / 8.0)) - pad
+    hi = np.minimum(b, np.maximum(x + s, xs[2:] + s / 8.0)) + pad
+    d = np.maximum(x - lo, hi - x)
+    P, M = _point_rows(sc, x), _row_ingredients(sc, x, (lo, hi))
+    mb, k = sc.prop, sc.params.kappa
+
+    # the jumps of V at the moment expansions' breaks, as magnitude jets
+    e = np.arange(mb._breaks.size)
+    dV = np.abs(mb.taylor(mb._breaks, e + 1) - mb.taylor(mb._breaks, e))
+    zero = _Jet((0.0, 0.0, 0.0), True)
+    at_breaks = dict(h=_Jet((np.abs(mb._breaks), 1.0, 0.0), True), J1=zero, J2=zero,
+                     V=[_Jet((dV[0, j], dV[1, j], 0.0), True) for j in range(6)])
+    first = np.searchsorted(mb._breaks, lo)
+    last = np.searchsorted(mb._breaks, hi, side="right")
+    # R's switch to the center series
+    b_switch = -(2.0 / 3.0) * math.sqrt(1.0 - CENTER_Z * (k - 1.0) / k)
+    at_switch = _row_ingredients(sc, np.array([b_switch]))
+    zl, zh = center_z(lo, k), center_z(hi, k)
+    has_center, has_direct = np.minimum(zl, zh) < CENTER_Z, np.maximum(zl, zh) >= CENTER_Z
+
+    var, mag = {}, {}
+    for which in "IGR":
+        p, m = P[which], _rows(which, M, sc)
+        if which == "R":
+            full = _rows("R", M, sc, "S_full")
+            direct = (m.f[0], m.f[1], np.minimum(m.f[2], full.f[2]))
+            m = _Jet([np.where(has_center & has_direct, np.maximum(c, r), np.where(has_center, c, r))
+                      for c, r in zip(_rows("R", M, sc, "S").f, direct)], True)
+            u, v = _rows("R", at_switch, sc, "S"), _rows("R", at_switch, sc)
+            crosses = (lo <= b_switch) & (b_switch <= hi)
+            jump = np.where(crosses, np.abs(u.f[0] - v.f[0]) + d * np.abs(u.f[1] - v.f[1]), 0.0)
+        else:
+            r = _rows(which, at_breaks, sc)
+            c0, c1 = (np.concatenate((np.zeros((4, 1)),
+                                      np.cumsum(np.broadcast_to(y, (4, e.size)), axis=1)), axis=1)
+                      for y in r.f[:2])
+            jump = c0[:, last] - c0[:, first] + d * (c1[:, last] - c1[:, first])
+        v = ((1.0 + VAR_SAFETY) * (np.abs(p.f[1]) * d + 0.5 * m.f[2] * d * d
+                                   + ROW_ROUNDING * m.f[1] * d + jump)
+             + 2.0 * ROW_ROUNDING * m.f[0])
+        edge = np.full((4, 1), np.nan)
+        var[which] = np.hstack([edge, v, edge])
+        mag[which] = np.hstack([edge, np.broadcast_to(m.f[0], v.shape), edge])
+    return var, mag
+
+
 class BoundScanner:
     """Per-kappa precomputation for fast zero counts of I, G and R over
     many weight vectors: each function is linear in the weights, so a
@@ -627,7 +912,15 @@ class BoundScanner:
     Refinement points get the same rows from ``_basis``.  The rows come
     from the per-kappa ``MomentBasis`` (``prop``): R needs only the
     closed-form J, G also JJ, and I the series values; no ODE is solved.
-    ``PFPropagation`` is the independent check of these rows."""
+    ``PFPropagation`` is the independent check of these rows.
+
+    With the rows come ``var`` and ``mag`` (``_variation``): per row and
+    interior node, bounds of how far the row moves over the cell that a
+    tangency fit there can reach, and of its modulus.  ``reach`` = REACH var
+    plus FIT_SLACK (var + mag) turns them into the skip test of
+    ``_count_from_scan``: a fit at x_i is left out when |f(x_i)| exceeds
+    |mu| @ reach[:, i] plus the fit's bound, which proves it would find no
+    tangency, so the counts equal those of running every fit."""
 
     def __init__(self, params: ModelParams, grid: int = 512):
         self.params = params
@@ -638,6 +931,9 @@ class BoundScanner:
         self.window = (hc + SCAN_MARGIN * w, hs - SCAN_MARGIN * w)
         self.hs = _cheb_grid(*self.window, grid)
         self.basis = {which: self._basis(which, self.hs) for which in "IGR"}
+        self.var, self.mag = _variation(self)
+        self.reach = {which: (REACH + FIT_SLACK) * self.var[which] + FIT_SLACK * self.mag[which]
+                      for which in "IGR"}
 
     def _basis(self, which: str, h):
         """Rows of I, G or R for the four unit weights at the levels h."""
@@ -651,31 +947,55 @@ class BoundScanner:
         return self.rc.unit_rows(h, J1, J2)
 
     def count(self, which: str, mu, tol: float = 1e-9) -> ZeroReport:
+        """Zeros of mu @ rows of I, G or R on the window, by ``_count_from_scan``
+        with the scanner's skip of the fits that ``reach`` proves empty."""
         mu = np.asarray(mu, dtype=float)
+        if mu.shape != (4,) or not np.isfinite(mu).all():
+            raise DomainError(f"weights must be four finite numbers, got {mu}")
+        fs = mu @ self.basis[which]
+        if not np.isfinite(fs).all():
+            raise DomainError(f"{which} evaluated non-finite on the scan grid")
         fvec = lambda h: mu @ self._basis(which, np.atleast_1d(np.asarray(h, dtype=float)))
-        return _count_from_scan(self.hs, mu @ self.basis[which], fvec, self.window, tol)
+        return _count_from_scan(self.hs, fs, fvec, self.window, tol,
+                                reach=np.abs(mu) @ self.reach[which])
 
 
-def _count_from_scan(xs, fs, fvec, interval, tol) -> ZeroReport:
+def _count_from_scan(xs, fs, fvec, interval, tol, reach=None) -> ZeroReport:
     """Count the zeros of f from its values fs on the increasing grid xs,
     by the rules of ``count_zeros``; only the tangency fits evaluate f.  A
     minimum is also skipped when a tangency already fitted lies between its
-    neighbours.  The report keeps each bracket's ends and the zeros found
-    here for ``_locate_zeros``."""
-    scale = float(np.max(np.abs(fs)))
+    neighbours, and, given ``reach`` (one entry per node), when
+    |f(x_i)| > reach_i + bound: ``_tangency`` would return None there.
+
+    The proof of the skip: on a stencil (x - delta, x, x + delta), t in
+    [-delta, delta], the fitted quadratic's value is sum_k L_k f_k with
+    Lagrange weights L = (u (u - 1) / 2, 1 - u^2, u (u + 1) / 2), u = t /
+    delta; they sum to 1 and at most one is negative, by at most 1/8.  So if
+    every stencil value has f(x_i)'s sign and modulus in [m, M], each fitted
+    value has that sign and modulus at least m - (M - m) / 8.  Every stencil
+    of the fit at x_i lies in the cell W_i of ``_variation``, where
+    |f - f(x_i)| <= V_i = sum_j |mu_j| var[j, i]; m = |f(x_i)| - V_i and
+    M = |f(x_i)| + V_i give fitted values of modulus above |f(x_i)| - REACH
+    V_i, and ``BoundScanner.reach`` adds FIT_SLACK for the rounding of the
+    matvec and the fit.  A fit returns a tangency only for a fitted value
+    within bound of zero.  NaN or inf in reach never skips.  The report
+    keeps the brackets' and zero nodes' indices and the zeros found here
+    for ``_locate_zeros``."""
+    absf = np.abs(fs)
+    scale = float(absf.max())
     if scale == 0.0:
         return ZeroReport(interval=interval, grid_size=xs.size, identically_zero=True)
     change = fs[:-1] * fs[1:] < 0
     at_node = fs == 0.0
-    brackets = [(xs[i], xs[i + 1], fs[i], fs[i + 1]) for i in np.nonzero(change)[0]]
-    nodes = [{"location": float(xs[i]), "multiplicity_estimate": 1}
-             for i in np.nonzero(at_node)[0]]
+    brackets, nodes = change.nonzero()[0], at_node.nonzero()[0]
     tangencies = []
-    absf = np.abs(fs)
     is_min = (absf[1:-1] <= absf[:-2]) & (absf[1:-1] <= absf[2:]) & ~at_node[1:-1]
     beside_zero = change[:-1] | change[1:] | at_node[:-2] | at_node[2:]
-    bound = max(tol * scale, 64 * np.finfo(float).eps * scale)
-    for idx in np.nonzero(is_min & ~beside_zero)[0] + 1:
+    bound = max(tol * scale, 64 * EPS * scale)
+    fits = (is_min & ~beside_zero).nonzero()[0] + 1
+    if reach is not None:
+        fits = fits[~(absf[fits] > reach[fits] + bound)]
+    for idx in fits:
         lo, hi = xs[idx - 1], xs[idx + 1]
         if any(lo <= z["location"] <= hi for z in tangencies):
             continue
@@ -684,9 +1004,9 @@ def _count_from_scan(xs, fs, fvec, interval, tol) -> ZeroReport:
             tangencies.append({"location": x0, "multiplicity_estimate": 2})
     xtol = max(tol * (interval[1] - interval[0]), 1e-15)
     return ZeroReport(interval=interval, grid_size=xs.size,
-                      count=len(brackets) + len(nodes) + 2 * len(tangencies),
-                      _locate=functools.partial(_locate_zeros, brackets, nodes + tangencies,
-                                                fvec, xtol))
+                      count=brackets.size + nodes.size + 2 * len(tangencies),
+                      _locate=functools.partial(_locate_zeros, xs, fs, brackets, nodes,
+                                                tangencies, fvec, xtol))
 
 
 def _tangency(fvec, x0, f0, span, interval, bound) -> float | None:
@@ -720,14 +1040,17 @@ def _tangency(fvec, x0, f0, span, interval, bound) -> float | None:
     return x0 if curv * f0 > 0 and abs(fmin) <= bound else None
 
 
-def _locate_zeros(brackets, found, fvec, xtol) -> tuple[list[dict], list[str]]:
+def _locate_zeros(xs, fs, brackets, nodes, tangencies, fvec,
+                  xtol) -> tuple[list[dict], list[str]]:
     """The zeros of a report, sorted by location, and its cluster warnings:
-    each bracket's sign change is refined by brentq on f at single points,
-    memoised so that brentq starts from the bracket ends just evaluated;
-    ``found`` holds the zeros the count located already."""
+    the sign change in each bracket (xs[i], xs[i + 1]) is refined by brentq
+    on f at single points, memoised so that brentq starts from the bracket
+    ends just evaluated; each zero node counts as found, and so does each
+    tangency the count fitted."""
     f1 = functools.cache(lambda x: float(np.atleast_1d(fvec(np.array([x])))[0]))
     zeros = []
-    for xa, xb, ga, gb in brackets:
+    for i in brackets:
+        xa, xb, ga, gb = xs[i], xs[i + 1], fs[i], fs[i + 1]
         fa, fb = f1(xa), f1(xb)
         if fa == 0.0:
             root = xa
@@ -740,7 +1063,8 @@ def _locate_zeros(brackets, found, fvec, xtol) -> tuple[list[dict], list[str]]:
             # zero at rounding level; place it by linear interpolation
             root = xa + ga / (ga - gb) * (xb - xa)
         zeros.append({"location": float(root), "multiplicity_estimate": 1})
-    zeros = sorted(zeros + found, key=lambda z: z["location"])
+    found = [{"location": float(xs[i]), "multiplicity_estimate": 1} for i in nodes]
+    zeros = sorted(zeros + found + tangencies, key=lambda z: z["location"])
     warnings = [f"unresolved cluster near {za['location']:.12g}"
                 for za, zb in zip(zeros[:-1], zeros[1:])
                 if zb["location"] - za["location"] < 2 * xtol]

@@ -57,6 +57,8 @@ class RunConfig:
     def validate(self):
         if any(k <= 1.0 or not math.isfinite(k) for k in self.kappa_list):
             raise ValueError("every kappa must be finite and > 1")
+        if not all(math.isfinite(m) for m in self.mu):
+            raise ValueError("every weight in mu must be finite")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.tol <= 0.0:

@@ -145,6 +145,12 @@ def eval_R(h: float, params: ModelParams, route: str = "direct") -> float:
 # exact extraction of the rational-template coefficients of R
 # ---------------------------------------------------------------------------
 
+def center_z(h, kappa: float):
+    """z = (kappa - s) / (kappa - 1) at the levels h, the variable of the
+    center series; ``unit_rows`` switches to that series where z < CENTER_Z."""
+    return kappa * (1.0 - 1.5 * h) * (1.0 + 1.5 * h) / (kappa - 1.0)
+
+
 def _pair_derive(p: RatF, q: RatF, M):
     """d/dh of p J1 + q J2 as a new (p, q) pair, via J' = M J."""
     M11, M12, M21, M22 = M
@@ -256,7 +262,7 @@ class RCoefficients:
         den = (9.0 * h * h - 4.0) ** 2 * (9.0 * k * h * h - 4.0)
         rows = h * ((A[0] + A[1] * h**2 + A[2] * h**4 + A[3] * h**6) * J1
                     + (B[0] + B[1] * h**2 + B[2] * h**4) * J2) / den
-        z = k * (1.0 - 1.5 * h) * (1.0 + 1.5 * h) / (k - 1.0)
+        z = center_z(h, k)
         near = z < CENTER_Z
         if np.any(near):
             hn, zp = h[near], z[near][:, None, None] ** np.arange(CENTER_TERMS)

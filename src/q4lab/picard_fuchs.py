@@ -288,6 +288,21 @@ class MomentBasis:
             out[:, a:a + 64] = terms.sum(axis=-1).T
         return out[:, 0] if scalar else out
 
+    def taylor(self, h, e, absolute: bool = False) -> np.ndarray:
+        """V, V' and V'' of expansion e (an index per level) at the levels h,
+        shape (3, 6, n): the polynomials that ``values`` sums, differentiated
+        term by term.  With ``absolute``, every term is taken in modulus, so
+        the result bounds |V^(k)| of that expansion wherever |h - c| <= |h_i - c|."""
+        n = np.arange(SERIES_ORDER + 1)
+        r = self._radii[e]
+        t = (np.asarray(h, dtype=float) - self._centers[e]) / r
+        coef = np.abs(self._coef[e]) if absolute else self._coef[e]
+        tp = np.vander(np.abs(t) if absolute else t, n.size, increasing=True)
+        out = np.empty((3, 6, t.size))
+        for k, f in enumerate((np.ones(n.size), n, n * (n - 1.0))):
+            out[k] = (coef[:, :, k:] @ (tp[:, :n.size - k] * f[k:])[:, :, None])[..., 0].T / r ** k
+        return out
+
     def J(self, h):
         """(J1, J2) in closed form, shape (2,) or (2, n)."""
         scalar, hv = self._levels(h)

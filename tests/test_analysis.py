@@ -670,11 +670,13 @@ class TestCenterExpansion:
 class _OdeRouteScanner(BoundScanner):
     """BoundScanner on the DOP853 route: I from the propagated values, G and
     R from the propagated derivatives (a batched 6x6 solve per level), R
-    through the same ``unit_rows`` as the scanner."""
+    through the same ``unit_rows`` as the scanner.  Every tangency fit runs:
+    the scanner's skip is proven for the series rows, not for these."""
 
     def __init__(self, params):
         self.ode = get_propagation(params)
         super().__init__(params)
+        self.reach = {w: np.full_like(r, np.nan) for w, r in self.reach.items()}
 
     def _basis(self, which, h):
         k = self.params.kappa
@@ -846,6 +848,118 @@ class TestScannerBatching:
                 per_draw.append(mu / np.linalg.norm(mu))
             assert (unit_sphere_weights(seed_seq, 25) == np.array(per_draw)).all()
         assert unit_sphere_weights(np.random.SeedSequence(3), 0).shape == (0, 4)
+
+
+def _fit_cells(xs, window):
+    """(lo, hi) of W_i for the interior nodes: [x_i - s, x_i + s] with
+    [x_{i-1} - s/8, x_{i+1} + s/8], s = (x_{i+1} - x_{i-1}) / 2, clipped to the
+    window: every level a tangency fit at x_i evaluates."""
+    x, s = xs[1:-1], 0.5 * (xs[2:] - xs[:-2])
+    lo = np.maximum(window[0], np.minimum(x - s, xs[:-2] - s / 8))
+    hi = np.minimum(window[1], np.maximum(x + s, xs[2:] + s / 8))
+    return lo, hi
+
+
+def _fit_bound(fs):
+    scale = np.max(np.abs(fs))
+    return max(1e-9 * scale, 64 * np.finfo(float).eps * scale)
+
+
+class TestVariationBound:
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_bound_holds_on_every_cell(self, kappa):
+        # every row, every interior node: 33 levels across W_i, 257 in the
+        # eight cells by each window end (the last ones by the saddle)
+        sc = an.bound_scanner(make_params(kappa), 512)
+        lo, hi = _fit_cells(sc.hs, sc.window)
+        n = lo.size
+        for which in "IGR":
+            var = sc.var[which][:, 1:-1]
+            assert np.all(np.isfinite(var)) and np.all(var > 0)
+            assert np.all(np.isnan(sc.var[which][:, [0, -1]]))
+            for cells, m in ((np.arange(n), 33), (np.r_[0:8, n - 8:n], 257)):
+                q = np.linspace(0.0, 1.0, m)
+                pts = lo[cells, None] + (hi - lo)[cells, None] * q
+                rows = sc._basis(which, pts.ravel()).reshape(4, cells.size, m)
+                moved = np.abs(rows - sc.basis[which][:, cells + 1, None]).max(axis=-1)
+                assert np.all(moved <= var[:, cells]), (which, np.max(moved / var[:, cells]))
+                assert np.all(np.abs(rows).max(axis=-1) <= sc.mag[which][:, cells + 1])
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_skip_counts_equal_every_fit_run(self, kappa, monkeypatch):
+        # the skip only leaves out fits that return None: counts and zeros
+        # equal those of the scanner with every fit run, on 600 trials
+        sc = an.bound_scanner(make_params(kappa), 512)
+        every_fit = copy.copy(sc)
+        every_fit.reach = {w: np.full_like(r, np.inf) for w, r in sc.reach.items()}
+        fits, real = [], an._tangency
+
+        def counted(*args, **kwargs):
+            fits[-1] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(an, "_tangency", counted)
+        skipped = total = 0
+        for mu in unit_sphere_weights(np.random.SeedSequence(int(100 * kappa)), 600):
+            muG = an.mu_G_from_eq211(mu, kappa)
+            for which, w in (("I", mu), ("G", muG), ("R", muG)):
+                fits.append(0)
+                got = sc.count(which, w)
+                fits.append(0)
+                want = every_fit.count(which, w)
+                assert got.count == want.count, (which, mu)
+                assert got.zeros == want.zeros
+                total += fits[-1]
+                skipped += fits[-1] - fits[-2]
+        assert total > 100
+        assert skipped >= 0.9 * total, (skipped, total)
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    @pytest.mark.parametrize("which", ["G", "R"])
+    def test_skip_never_fires_by_a_double_zero(self, kappa, which):
+        # mu in the null space of [row(a); row'(a)] puts a double zero of
+        # mu @ rows at a, mid-cell; the fits next to it must run.  Today's fit
+        # counts it twice
+        sc = an.bound_scanner(make_params(kappa), 512)
+        for i in (3, 60, 200, 256, 400, 505):
+            a = 0.5 * (sc.hs[i] + sc.hs[i + 1])
+            row = an._point_rows(sc, np.array([a]))[which]
+            mu = np.linalg.svd(np.stack([row.f[0][:, 0], row.f[1][:, 0]]))[2][-1]
+            fs = mu @ sc.basis[which]
+            reach = np.abs(mu) @ sc.reach[which]
+            assert np.all(np.abs(fs[i:i + 2]) <= reach[i:i + 2] + _fit_bound(fs)), i
+            zeros = sc.count(which, mu).zeros
+            assert any(z["multiplicity_estimate"] == 2 and sc.hs[i - 1] <= z["location"]
+                       <= sc.hs[i + 2] for z in zeros), (i, zeros)
+
+    def test_reach_factor_is_attained(self):
+        # f within V of f(x_i) on the cell, at f(x_i) + V left of x_i and
+        # f(x_i) - V from x_i on: the first fit's vertex lies at delta / 2,
+        # where the left value weighs -1/8, so it fits f(x_i) - (5/4) V.  With
+        # f(x_i) = (5/4) V that is a tangency, which the skip must leave in
+        xs = np.linspace(-1.0, 1.0, 65)
+        i, V = 40, 1e-3
+        f0 = 1.25 * V
+        fs = f0 + (xs - xs[i]) ** 2
+        fvec = lambda x: np.where(np.asarray(x) >= xs[i], f0 - V, f0 + V)
+        reach = np.full(xs.size, (an.REACH + an.FIT_SLACK) * V + an.FIT_SLACK * (f0 + V))
+        every = an._count_from_scan(xs, fs, fvec, (-1.0, 1.0), 1e-9)
+        assert every.count == 2
+        assert an._count_from_scan(xs, fs, fvec, (-1.0, 1.0), 1e-9, reach=reach).count == 2
+        # a little further from zero the fit finds nothing, and the skip leaves it out
+        fs_far = fs + 4e-9
+        far = lambda x: fvec(x) + 4e-9
+        assert an._count_from_scan(xs, fs_far, far, (-1.0, 1.0), 1e-9).count == 0
+        assert np.abs(fs_far[i]) > reach[i] + _fit_bound(fs_far)
+
+    def test_non_finite_weights_are_refused(self, p4):
+        sc = an.bound_scanner(p4, 512)
+        for mu in ([np.nan, 1.0, 0.0, 0.0], [1.0, np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]):
+            for which in "IGR":
+                with pytest.raises(DomainError, match="four finite numbers"):
+                    sc.count(which, mu)
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="non-finite"):
+            sc.count("R", [1e308, 1e308, 1e308, 1e308])
 
 
 class TestKummerPairNearSaddle:

@@ -43,6 +43,16 @@ class TestConfig:
     def test_bad_mu_exits_1(self, tmp_path):
         assert main(["zeros", "--mu", "1,2,3", "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("mu", ["nan,1,0,0", "1,inf,0,0", "1,0,0,-inf"])
+    def test_non_finite_mu_exits_1(self, tmp_path, capsys, mu):
+        # NaN weights once counted no zero of I, G or R and passed every check
+        out = tmp_path / "o"
+        assert main(["zeros", "--kappa", "4", "--mu", mu, "--out", str(out)]) == 1
+        assert "every weight in mu must be finite" in capsys.readouterr().err
+        assert not (out / "zeros.csv").exists()
+        with pytest.raises(ValueError, match="must be finite"):
+            RunConfig(mu=(1.0, float("nan"), 0.0, 0.0)).validate()
+
     def test_grid_below_64_exits_1(self, tmp_path, capsys):
         assert main(["sweep", "--kappa", "4", "--trials", "2", "--grid", "10",
                      "--out", str(tmp_path / "o")]) == 1

@@ -10,7 +10,8 @@ its level ties back to the cubic-picture level through h = -sqrt(Hcal)
 (the annulus corresponds to Hcal in (4/(9 kappa), 4/9), i.e. h in
 (-2/3, -2/(3 sqrt(kappa)))).  This module integrates orbits, detects
 periods by a Poincare section through the initial point, and reports
-conservation drift.
+conservation drift.  The period search stops at the orbit's first return
+to the section; ``PERIOD_T_MAX`` is only the time at which it gives up.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .model import ModelParams, hamiltonian, in_omega
 
 BLOWUP_RADIUS = 50.0   # integrate_orbit aborts once |z| passes this
 PERIOD_TOL = 1e-12     # find_period's DOP853 rtol and atol
-PERIOD_T_MAX = 200.0   # find_period gives up after this time
+PERIOD_T_MAX = 200.0   # find_period gives up if no return comes by this time
 EDGE_R_MAX = 2.0       # basin_edge_radius brackets the separatrix below this radius
 
 
@@ -80,7 +81,16 @@ def integrate_orbit(z0: complex, t_end: float, params: ModelParams,
 
 def find_period(z0: complex, params: ModelParams) -> tuple[float, float]:
     """Period of the closed orbit through z0 by a Poincare section through
-    z0 (the ray from the origin), and the return gap |z(T) - z0|."""
+    z0 (the ray from the origin), and the return gap |z(T) - z0|.
+
+    The integration stops at the second downward crossing of the section:
+    z0 lies on it, so the first step flags the start, and the second
+    crossing is the return.  The steps up to the return are those of a run
+    to ``PERIOD_T_MAX``, and the event is located on the same step
+    interpolant, so (T, gap) is that run's answer bit for bit; the search
+    gives up at ``PERIOD_T_MAX``.  The event count needs SciPy's integer
+    ``terminal``; a SciPy that reads 2 as True stops at the start crossing,
+    which raises ConvergenceError."""
     z0 = complex(z0)
     if z0 == 0:
         raise DomainError("the origin is an equilibrium, not a periodic orbit")
@@ -89,12 +99,16 @@ def find_period(z0: complex, params: ModelParams) -> tuple[float, float]:
         return u[1] * z0.real - u[0] * z0.imag  # Im(z conj(z0))
 
     section.direction = -1.0  # the rotation near the origin is clockwise
+    section.terminal = 2      # the start crossing, then the return
 
     sol = solve_ivp(_rhs_xy, (1e-6, PERIOD_T_MAX), [z0.real, z0.imag], args=(params,),
-                    method="DOP853", rtol=PERIOD_TOL, atol=PERIOD_TOL, events=section,
-                    dense_output=True)
+                    method="DOP853", rtol=PERIOD_TOL, atol=PERIOD_TOL, events=section)
     if not sol.success:
         raise ConvergenceError(f"period search failed: {sol.message}")
+    if sol.status == 1 and len(sol.t_events[0]) < 2:
+        raise ConvergenceError(
+            "period search stopped at the start crossing: this SciPy reads the "
+            "integer event.terminal as True (q4lab needs scipy>=1.17.1)")
     for te, ue in zip(sol.t_events[0], sol.y_events[0]):
         if te > 1e-3 and ue[0] * z0.real + ue[1] * z0.imag > 0:
             gap = abs(complex(ue[0], ue[1]) - z0)

@@ -98,6 +98,16 @@ class TestCommands:
             header = fh.readline().strip()
         assert header == "t,re_z,im_z,drift"
 
+    # orbit.csv of the period search that integrated to PERIOD_T_MAX: stopping
+    # at the first return must leave T, and so every sample, bit for bit
+    ORBIT_GOLDEN_SHA256 = "fff42056ab64d90eedfacf3831008245c0143cb4a3e83c20dc209a4620e89113"
+
+    def test_dyn_golden_bytes(self, tmp_path):
+        cfg = RunConfig(kappa_list=[1.7, 4.0, 8.5], output_dir=str(tmp_path))
+        assert run("dyn", cfg) == 0
+        data = (tmp_path / "orbit.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.ORBIT_GOLDEN_SHA256
+
     def test_sweep_deterministic_bytes(self, tmp_path):
         cfg = dict(kappa_list=[2.0], mu_mode="random_sphere", trials=12, seed=42)
         run("sweep", RunConfig(**cfg, output_dir=str(tmp_path / "a")))

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from q4lab import DomainError, GeometryError, make_params
+import q4lab.dynamics as dynamics
+from q4lab import ConvergenceError, DomainError, GeometryError, make_params
 from q4lab.model import hamiltonian, level_classify
 from q4lab.dynamics import (
+    PERIOD_T_MAX,
+    PERIOD_TOL,
+    _rhs_xy,
     basin_edge_radius,
     conservation_report,
     find_period,
@@ -13,6 +17,25 @@ from q4lab.dynamics import (
     orbit_rows,
     vector_field_rhs,
 )
+
+
+def _find_period_to_t_max(z0, params):
+    """find_period as it was before it stopped at the return: every section
+    crossing up to PERIOD_T_MAX, then the first one that is a return."""
+    from scipy.integrate import solve_ivp
+
+    def section(t, u, p=params):
+        return u[1] * z0.real - u[0] * z0.imag
+
+    section.direction = -1.0
+    sol = solve_ivp(_rhs_xy, (1e-6, PERIOD_T_MAX), [z0.real, z0.imag], args=(params,),
+                    method="DOP853", rtol=PERIOD_TOL, atol=PERIOD_TOL, events=section,
+                    dense_output=True)
+    assert sol.success
+    for te, ue in zip(sol.t_events[0], sol.y_events[0]):
+        if te > 1e-3 and ue[0] * z0.real + ue[1] * z0.imag > 0:
+            return float(te), float(abs(complex(ue[0], ue[1]) - z0))
+    raise AssertionError(f"no return through {z0}")
 
 
 class TestVectorField:
@@ -72,6 +95,34 @@ class TestOrbits:
     def test_period_requires_nonzero_start(self, p4):
         with pytest.raises(DomainError):
             find_period(0j, p4)
+
+    @pytest.mark.parametrize("kappa", [1.05, 1.7, 4.0, 8.5, 20.0])
+    def test_period_equals_run_to_t_max(self, kappa):
+        # stopping at the return keeps the steps and the event root-find, so
+        # (T, gap) is bit for bit that of the run to PERIOD_T_MAX
+        p = make_params(kappa)
+        r = basin_edge_radius(0.0, p)
+        for z0 in (0.05 * r, 0.6 * r, 0.9 * r, 0.3 * r * np.exp(-1.9j)):
+            assert find_period(z0, p) == _find_period_to_t_max(z0, p)
+
+    def test_period_without_return_raises(self, p4):
+        with pytest.raises(ConvergenceError):
+            find_period(2.0 + 0j, p4)  # outside the basin: the orbit escapes
+
+    def test_period_refuses_boolean_terminal(self, p4, monkeypatch):
+        # a SciPy that reads the integer terminal as True stops at the start
+        # crossing; that must be an error, never a period
+        real = dynamics.solve_ivp
+
+        def old_scipy(*args, events, **kw):
+            def event(t, u, *params):
+                return events(t, u, *params)
+            event.direction, event.terminal = events.direction, bool(events.terminal)
+            return real(*args, events=event, **kw)
+
+        monkeypatch.setattr(dynamics, "solve_ivp", old_scipy)
+        with pytest.raises(ConvergenceError, match="integer event.terminal"):
+            find_period(0.06 + 0j, p4)
 
 
 class TestConservation:

@@ -6,8 +6,8 @@ import pytest
 
 from q4lab import make_params
 from q4lab.errors import ConsistencyError, DomainError
-from q4lab.model import interior_levels
-from q4lab.picard_fuchs import apply_L1
+from q4lab.model import interior_levels, s_from_h
+from q4lab.picard_fuchs import apply_L1, hypergeometric_J
 from q4lab.reduction import assemble_I, mu_G_from_eq211
 from q4lab.melnikov import (
     CENTER_TERMS,
@@ -104,17 +104,19 @@ class TestExtraction:
         assert all(len(row) == 4 for row in rc.a + rc.b)
         assert all(isinstance(c, Fraction) for row in rc.a + rc.b for c in row)
 
-    def test_reproduces_eval_R(self, rng):
-        # the headline cross-check: exact template against the numeric route
+    def test_reproduces_eval_R(self):
+        # the headline cross-check: exact template against the numeric route,
+        # with J in closed form as verify's R:exact-template row feeds it
+        # (the DOP853 J of PFPropagation is checked by pf:propagation-vs-oracle)
+        rng = np.random.default_rng(20241107)
         p = make_params(4.0)
         rc = extract_R_coeffs(p)
-        prop = get_propagation(p)
         for _ in range(3):
             nu = tuple(rng.normal(size=4))
             pN = replace(p, mu=nu)
             for h in interior_levels(p, 10, 0.05, 0.95):
-                d = prop.derivs(h)
-                rt = rc.template(h, d[0], d[3], nu)
+                J1, J2 = hypergeometric_J(s_from_h(h, p), p)[:, 0]
+                rt = rc.template(h, J1, J2, nu)
                 rd = eval_R(h, pN, "direct")
                 assert rt == pytest.approx(rd, rel=1e-10)
 

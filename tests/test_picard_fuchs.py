@@ -18,6 +18,9 @@ from q4lab.model import s_from_h
 from q4lab.quadrature import basis_values
 from q4lab.picard_fuchs import (
     Arc,
+    JState,
+    Line,
+    LogLine,
     MomentBasis,
     PFPropagation,
     PFVector,
@@ -292,6 +295,49 @@ class TestContinuation:
             lo, hi = infinity_exponents(make_params(kappa))
             assert abs(hi - 1 / 6) < 1e-3
             assert abs(lo + 1 / 6) < 1e-3
+
+    @staticmethod
+    def _exponents_along_lines(p):
+        # infinity_exponents as it was, continued along straight Line pieces
+        s0, s1, s2 = 10.0 * p.kappa, 1e3 * p.kappa, 1e5 * p.kappa
+        W = np.eye(2, dtype=complex)
+        state = JState(s=complex(s0), J=W[:, 0].copy(), W=W)
+        state = continue_state([Line(complex(s0), complex(s1))], state, p, tol=1e-12)
+        W1 = state.W.copy()
+        state = continue_state([Line(complex(s1), complex(s2))], state, p, tol=1e-12)
+        ev = np.linalg.eigvals(state.W @ np.linalg.inv(W1))
+        return np.sort(np.log(np.abs(ev)) / math.log(s2 / s1))
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0, 20.0])
+    def test_exponents_symmetric_and_match_line_route(self, kappa):
+        # det W is constant (trace A = 0), so the exponents are exactly
+        # opposite; the Line route kept that only to 1.2e-14
+        p = make_params(kappa)
+        lo, hi = infinity_exponents(p)
+        assert abs(hi + lo) <= 1e-15
+        assert np.max(np.abs(np.array([lo, hi]) - self._exponents_along_lines(p))) <= 1e-12
+
+    def test_log_line_geometry(self):
+        piece = LogLine(2.0 + 0j, 8.0 + 0j)
+        assert piece.point(0.0) == 2.0 and piece.point(1.0) == pytest.approx(8.0, rel=1e-15)
+        assert piece.point(0.5) == pytest.approx(4.0, rel=1e-15)
+        t, dt = 0.3, 1e-6
+        fd = (piece.point(t + dt) - piece.point(t - dt)) / (2 * dt)
+        assert piece.velocity(t) == pytest.approx(fd, rel=1e-8)
+
+    @pytest.mark.parametrize("a, b", [(2.0, -8.0), (2.0, 8.0j), (1.0 + 1.0j, 3.0), (0.0, 5.0)])
+    def test_log_line_needs_one_ray(self, a, b):
+        with pytest.raises(DomainError, match="one ray"):
+            LogLine(complex(a), complex(b))
+
+    def test_log_line_proximity_guard(self, p4):
+        # the ray passes 5e-5 from s = 1, and the nearest of the 257 samples
+        # is 1.8e-3 away: only the exact point-to-segment distance sees it
+        w = 1.0 + 5e-5j
+        state = JState(s=0.6 * w, J=np.array([1.0, 0.0], dtype=complex),
+                       W=np.eye(2, dtype=complex))
+        with pytest.raises(PathProximityError, match="singular point s=\\(1"):
+            continue_state([LogLine(0.6 * w, 1.7 * w)], state, p4)
 
     def test_proximity_guard(self, p4):
         st0 = initial_jstate(2.5, p4)

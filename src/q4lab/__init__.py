@@ -2,8 +2,8 @@
 
 Everything here is desk-scale numerics: moment integrals over level ovals by
 two independent quadratures, the six-equation Picard-Fuchs system and its
-derived 2x2 systems, the operator chain I -> G = L1(I) -> R = L2(G), exact
-extraction of the rational-function coefficients of R, Chebyshev-property
+derived 2x2 systems, the operator chain I -> G = L1(I) -> R = L2(G), the
+exact rational-template coefficients of R in closed form, Chebyshev-property
 probes for L2, and argument-principle zero counting in the complex domain.
 
 Everything that depends on kappa alone (ovals, moments, the area2d geometry,

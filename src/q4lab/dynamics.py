@@ -40,6 +40,15 @@ def _rhs_xy(t, u, params: ModelParams):
     return [w.real, w.imag]
 
 
+def _blowup(t, u, params: ModelParams):
+    """Terminal event: |z| reaches BLOWUP_RADIUS, so the start lies outside
+    the bounded basin."""
+    return u[0] * u[0] + u[1] * u[1] - BLOWUP_RADIUS**2
+
+
+_blowup.terminal = True
+
+
 @dataclass
 class Orbit:
     """Samples (t_k, z_k) of one trajectory; the integrator keeps the local
@@ -63,14 +72,9 @@ def integrate_orbit(z0: complex, t_end: float, params: ModelParams,
     if tol <= 0.0:
         raise DomainError("tol must be positive")
     z0 = complex(z0)
-
-    def blowup(t, u, p=params):
-        return u[0] * u[0] + u[1] * u[1] - BLOWUP_RADIUS**2
-    blowup.terminal = True
-
     sol = solve_ivp(_rhs_xy, (0.0, t_end), [z0.real, z0.imag], args=(params,),
                     method="DOP853", rtol=tol, atol=tol,
-                    t_eval=np.linspace(0.0, t_end, n_samples), events=blowup)
+                    t_eval=np.linspace(0.0, t_end, n_samples), events=_blowup)
     if sol.status == 1:
         raise GeometryError(f"orbit from {z0} blew up past |z| = {BLOWUP_RADIUS}")
     if not sol.success:
@@ -88,9 +92,10 @@ def find_period(z0: complex, params: ModelParams) -> tuple[float, float]:
     crossing is the return.  The steps up to the return are those of a run
     to ``PERIOD_T_MAX``, and the event is located on the same step
     interpolant, so (T, gap) is that run's answer bit for bit; the search
-    gives up at ``PERIOD_T_MAX``.  The event count needs SciPy's integer
-    ``terminal``; a SciPy that reads 2 as True stops at the start crossing,
-    which raises ConvergenceError."""
+    gives up at ``PERIOD_T_MAX``.  A start outside the bounded basin hits
+    the blow-up event of ``integrate_orbit`` and raises GeometryError.  The
+    event count needs SciPy's integer ``terminal``; a SciPy that reads 2 as
+    True stops at the start crossing, which raises ConvergenceError."""
     z0 = complex(z0)
     if z0 == 0:
         raise DomainError("the origin is an equilibrium, not a periodic orbit")
@@ -102,7 +107,10 @@ def find_period(z0: complex, params: ModelParams) -> tuple[float, float]:
     section.terminal = 2      # the start crossing, then the return
 
     sol = solve_ivp(_rhs_xy, (1e-6, PERIOD_T_MAX), [z0.real, z0.imag], args=(params,),
-                    method="DOP853", rtol=PERIOD_TOL, atol=PERIOD_TOL, events=section)
+                    method="DOP853", rtol=PERIOD_TOL, atol=PERIOD_TOL,
+                    events=[section, _blowup])
+    if len(sol.t_events[1]):
+        raise GeometryError(f"period search from {z0} escaped past |z| = {BLOWUP_RADIUS}")
     if not sol.success:
         raise ConvergenceError(f"period search failed: {sol.message}")
     if sol.status == 1 and len(sol.t_events[0]) < 2:

@@ -1,5 +1,5 @@
-"""Assembly of G = L1(I) and R = L2(G), and exact extraction of R's
-rational-function coefficients.
+"""Assembly of G = L1(I) and R = L2(G), and the exact coefficients of R's
+rational template in closed form.
 
 With the derivative pair J1 = I00', J2 = I11' and the combination
 JJ = -4h I-10' + (3 kappa h^2 - 4) I-11', the normal form is
@@ -16,8 +16,9 @@ canonical stage).  R = L2(G) collapses to
 with a_j, b_j linear in nu.  Two independent numerical routes to R are
 implemented: the closed-form derivative formulas on the closed-form J
 (``direct``) against differentiation of the six-moment ODE propagated by
-DOP853 (``pf_numeric``), plus a once-per-kappa exact symbolic extraction of
-(a_j, b_j) over Fraction arithmetic that never leaves this package.  G is
+DOP853 (``pf_numeric``).  The exact (a_j, b_j) are integer cubics in kappa
+(``_A_TABLE``, ``_B_TABLE``), evaluated at Fraction(kappa); the test suite
+derives the table from the exact substitution into L2(G).  G is
 evaluated on ``MomentBasis`` (closed-form J and series moments), so neither
 G nor the direct R solves an ODE.
 
@@ -45,7 +46,6 @@ from .picard_fuchs import (
     derivative_formulas,
     hypergeometric_J,
 )
-from .ratfunc import Poly, RatF
 
 CENTER_Z = 0.25     # below this z the unit rows of R use the center expansion
 CENTER_TERMS = 30   # its Taylor terms in z
@@ -142,7 +142,7 @@ def eval_R(h: float, params: ModelParams, route: str = "direct") -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact extraction of the rational-template coefficients of R
+# the rational-template coefficients of R in closed form
 # ---------------------------------------------------------------------------
 
 def center_z(h, kappa: float):
@@ -151,47 +151,51 @@ def center_z(h, kappa: float):
     return kappa * (1.0 - 1.5 * h) * (1.0 + 1.5 * h) / (kappa - 1.0)
 
 
-def _pair_derive(p: RatF, q: RatF, M):
-    """d/dh of p J1 + q J2 as a new (p, q) pair, via J' = M J."""
-    M11, M12, M21, M22 = M
-    return (p.deriv() + p * M11 + q * M21, q.deriv() + p * M12 + q * M22)
+# Entry [j][m] = (c0, c1, c2, c3) is the coefficient of nu_{m+1} in a_j (b_j)
+# as the integer cubic c0 + c1 kappa + c2 kappa^2 + c3 kappa^3.  The table is
+# the exact substitution of J' = M J into L2(G), cleared to the template's
+# denominator, interpolated through kappa = 2..6 (the kappa^4 terms vanish);
+# tests/test_melnikov.py::TestTemplateTable rederives it that way and checks
+# it at other kappas.
+_A_TABLE = (
+    ((-512, 0, 0, 0), (-192, 0, 0, 0), (-192, -320, 0, 0), (256, -256, 0, 0)),
+    ((2880, 832, 0, 0), (1296, 432, 0, 0), (1296, 2016, 720, 0), (-1728, 2112, -384, 0)),
+    ((-3024, -6624, 720, 0), (0, -4860, 0, 0), (0, -6804, -3564, 0), (0, 4320, -6480, 2160)),
+    ((0, 6804, 324, 0), (0, 0, 4374, 0), (0, 0, 8748, 0), (0, 0, -972, 972)),
+)
+_B_TABLE = (
+    ((0, 0, 0, 0), (192, -320, 0, 0), (192, -192, 0, 0), (-256, 256, 0, 0)),
+    ((-576, 576, 0, 0), (-1296, 1152, 720, 0), (-1296, 432, 864, 0), (1728, -2304, 576, 0)),
+    ((432, 432, -864, 0), (0, 2916, -3564, 0), (0, 3888, -3888, 0), (0, -3888, 6480, -2592)),
+)
 
 
-def _pair_L2(p: RatF, q: RatF, kf: Fraction, M):
-    h = RatF(Poly.x())
-    p1, q1 = _pair_derive(p, q, M)
-    p2, q2 = _pair_derive(p1, q1, M)
-    c0 = 5 * kf * h
-    c1 = RatF(Poly([-8, 0, 9 * kf]))
-    c2 = h * RatF(Poly([-4, 0, 9 * kf]))
-    return (c0 * p - c1 * p1 + c2 * p2, c0 * q - c1 * q1 + c2 * q2)
+def _center_2f1(n: int):
+    """The first n Taylor coefficients in z of J1 / c (alpha) and J2 / c
+    (gamma), as integers over their common denominator: J1 / c = F(1/6, 5/6;
+    1; z) and J2 / c = (1 - z) J1 / c + (5/6) z F(5/6, 1/6; 2; z), with beta
+    the coefficients of the latter 2F1."""
+    alpha, beta = [Fraction(1)], [Fraction(1)]
+    for j in range(n - 1):
+        sixth, five_sixths = Fraction(1, 6) + j, Fraction(5, 6) + j
+        alpha.append(alpha[-1] * sixth * five_sixths / (j + 1) ** 2)
+        beta.append(beta[-1] * five_sixths * sixth / ((j + 2) * (j + 1)))
+    gamma = [alpha[0]] + [alpha[j] - alpha[j - 1] + Fraction(5, 6) * beta[j - 1]
+                          for j in range(1, n)]
+    den = math.lcm(*(x.denominator for x in alpha + gamma))
+    return (tuple(int(x * den) for x in alpha), tuple(int(x * den) for x in gamma), den)
 
 
-def j_matrix(kf: Fraction):
-    """(M11, M12, M21, M22) with J' = M J at kappa = kf, from the closed
-    formulas for (I00'', I11'') in terms of (J1, J2)."""
-    d1 = Poly([-4, 0, 9])           # 9h^2 - 4
-    delta = d1 * Poly([-4, 0, 9 * kf])
-    return (RatF(Poly([0, -3]), d1), RatF(Poly([0, 12 * (kf - 1)]), delta),
-            RatF(Poly([0, -3]), d1), RatF(Poly([0, 3]), d1))
-
-
-def jj_image(kf: Fraction, M):
-    """L2(JJ) as a (p, q) pair: the closed-form image identity through
-    I11'' and I11'''."""
-    d2pair = _pair_derive(RatF(0), RatF(1), M)
-    d3pair = _pair_derive(*d2pair, M)
-    c_third = RatF(Poly([0, -4, 0, 9 * kf])) * Fraction(4, 3) * (kf - 1)
-    c_second = RatF(Poly([8, 0, 6 * kf])) * Fraction(4, 3) * (kf - 1)
-    return (c_third * d3pair[0] + c_second * d2pair[0],
-            c_third * d3pair[1] + c_second * d2pair[1])
+_ALPHA, _GAMMA, _ALPHA_GAMMA_DEN = _center_2f1(CENTER_TERMS + 2)
 
 
 @dataclass(frozen=True)
 class RCoefficients:
     """Exact coefficients of the R template for one kappa: a_j, b_j as
-    linear forms over the G-stage weights (nu1..nu4), Fraction entries;
-    ``a_float``, ``b_float`` hold them as float matrices, converted once."""
+    linear forms over the G-stage weights (nu1..nu4), Fraction entries
+    (``extract_R_coeffs`` fills them from the closed-form table; any
+    Fractions are accepted); ``a_float``, ``b_float`` hold them as float
+    matrices, converted once."""
 
     kappa: float
     a: tuple  # 4 linear forms, each a 4-tuple of Fractions
@@ -223,31 +227,37 @@ class RCoefficients:
         template's (9h^2 - 4)^2 is (4 q z)^2.  So the numerator's z^0 and z^1
         terms cancel exactly (ConsistencyError otherwise); in floating point
         that cancellation leaves the template no digits next to the center.
+
+        The sums run in Python integers over one common denominator: that of
+        alpha and gamma (module constants), (9 N)^3 for kappa = N / D, and
+        the lcm of this object's a, b denominators.  Each entry is one
+        correctly rounded integer division, so the floats are those of the
+        exact Fractions.
         """
-        kf = Fraction(self.kappa)
-        q = (kf - 1) / kf
+        num, den = Fraction(self.kappa).as_integer_ratio()
+        # (9 num)^3 h^(2i) = 4^i (9 num)^(3 - i) (num + (den - num) z)^i
+        h2 = [[4**i * (9 * num) ** (3 - i) * math.comb(i, t) * num ** (i - t) * (den - num) ** t
+               for t in range(i + 1)] for i in range(4)]
+        scale = math.lcm(*(c.denominator for row in self.a + self.b for c in row))
+        total = scale * (9 * num) ** 3 * _ALPHA_GAMMA_DEN
         n = CENTER_TERMS + 2
-        alpha, beta = [Fraction(1)], [Fraction(1)]
-        for j in range(n - 1):
-            sixth, five_sixths = Fraction(1, 6) + j, Fraction(5, 6) + j
-            alpha.append(alpha[-1] * sixth * five_sixths / (j + 1) ** 2)
-            beta.append(beta[-1] * five_sixths * sixth / ((j + 2) * (j + 1)))
-        gamma = [alpha[0]] + [alpha[j] - alpha[j - 1] + Fraction(5, 6) * beta[j - 1]
-                              for j in range(1, n)]
-        h2 = Poly([Fraction(4, 9), Fraction(-4, 9) * q])
-        powers = [Poly([1])]
-        for _ in range(3):
-            powers.append(powers[-1] * h2)
         rows = []
         for m in range(4):
-            A = sum((powers[i] * self.a[i][m] for i in range(4)), Poly([0]))
-            B = sum((powers[i] * self.b[i][m] for i in range(3)), Poly([0]))
-            num = (A * Poly(alpha) + B * Poly(gamma)).c + (Fraction(0),) * n
-            if num[0] != 0 or num[1] != 0:
+            A, B = [0] * 4, [0] * 3
+            for coefs, poly in ((self.a, A), (self.b, B)):
+                for i, row in enumerate(coefs):
+                    c = row[m].numerator * (scale // row[m].denominator)
+                    for t, e in enumerate(h2[i]):
+                        poly[t] += c * e
+            out = [sum(A[t] * _ALPHA[k - t] for t in range(min(k, 3) + 1))
+                   + sum(B[t] * _GAMMA[k - t] for t in range(min(k, 2) + 1))
+                   for k in range(n)]
+            if out[0] != 0 or out[1] != 0:
                 raise ConsistencyError(
-                    f"R numerator of unit weight {m + 1} does not vanish to second "
-                    f"order at the center: z^0 {num[0]}, z^1 {num[1]}")
-            rows.append([float(x) for x in num[2:n]])
+                    f"R numerator of unit weight {m + 1} does not vanish to second order "
+                    f"at the center: z^0 {Fraction(out[0], total)}, "
+                    f"z^1 {Fraction(out[1], total)}")
+            rows.append([x / total for x in out[2:]])
         return np.array(rows)
 
     def unit_rows(self, h, J1, J2) -> np.ndarray:
@@ -293,50 +303,17 @@ class RCoefficients:
 
 
 def extract_R_coeffs(params: ModelParams) -> RCoefficients:
-    """Carry out the substitution of the closed derivative formulas into
-    L2(G) exactly, over Fractions, and clear denominators to the rational
-    template.  Raises ConsistencyError if the rational function fails to
-    cancel to the template's denominator and parity."""
+    """The exact R-template coefficients at kappa: the integer cubics of
+    ``_A_TABLE`` and ``_B_TABLE`` evaluated at Fraction(kappa)."""
     return _r_coeffs(params.kappa)
 
 
 @functools.cache
 def _r_coeffs(kappa: float) -> RCoefficients:
     kf = Fraction(kappa)
-    d1 = Poly([-4, 0, 9])           # 9h^2 - 4
-    d2 = Poly([-4, 0, 9 * kf])      # 9 kappa h^2 - 4
-    M = j_matrix(kf)
-    zero, one = RatF(0), RatF(1)
-    h2 = RatF(Poly([0, 0, 1]))
 
-    pairs = []
-    # nu1, nu2, nu3 terms go through L2 directly
-    pairs.append(_pair_L2(h2, zero, kf, M))
-    pairs.append(_pair_L2(zero, one, kf, M))
-    pairs.append(_pair_L2(one, zero, kf, M))
-    pairs.append(jj_image(kf, M))
+    def rows(table):
+        return tuple(tuple(((c3 * kf + c2) * kf + c1) * kf + c0 for c0, c1, c2, c3 in row)
+                     for row in table)
 
-    dstd = RatF(d1 * d1 * d2)
-    a_rows, b_rows = [[], [], [], []], [[], [], []]
-    for p, q in pairs:
-        cleared = []
-        for r in (p, q):
-            rp = r * dstd
-            if not rp.is_poly():
-                raise ConsistencyError(
-                    f"R numerator failed to cancel to the template denominator: {rp.den!r}")
-            cleared.append(rp.as_poly())
-        pnum, qnum = cleared
-        if pnum.degree > 7 or qnum.degree > 5:
-            raise ConsistencyError("R numerator exceeds the template degrees")
-        for poly in (pnum, qnum):
-            for pw, coef in enumerate(poly.c):
-                if pw % 2 == 0 and coef != 0:
-                    raise ConsistencyError("R numerator has an even-power term")
-        for idx in range(4):
-            a_rows[idx].append(pnum.c[2 * idx + 1] if pnum.degree >= 2 * idx + 1 else Fraction(0))
-        for idx in range(3):
-            b_rows[idx].append(qnum.c[2 * idx + 1] if qnum.degree >= 2 * idx + 1 else Fraction(0))
-
-    return RCoefficients(kappa=kappa, a=tuple(tuple(row) for row in a_rows),
-                         b=tuple(tuple(row) for row in b_rows))
+    return RCoefficients(kappa=kappa, a=rows(_A_TABLE), b=rows(_B_TABLE))

@@ -154,6 +154,16 @@ class TestCommands:
         data = (tmp_path / "winding.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == self.WINDING_GOLDEN_SHA256
 
+    # coeffs.txt prints the exact R-template Fractions; recorded from the
+    # generic rational-function extraction, before the closed-form table
+    COEFFS_GOLDEN_SHA256 = "327be679eacbc6f92fb9bfb8a553cc56a9cc8f174094abc201e3fa6cfc5e38b9"
+
+    def test_coeffs_golden_bytes(self, tmp_path):
+        assert main(["coeffs", "--kappa", "1.5", "--kappa", "4", "--kappa", "9",
+                     "--out", str(tmp_path)]) == 0
+        data = (tmp_path / "coeffs.txt").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.COEFFS_GOLDEN_SHA256
+
     def test_sweep_kappas_draw_distinct_streams(self, tmp_path):
         # each kappa draws from its own spawned child of the seed, the
         # stream zeros --mu_mode random_sphere uses for that kappa

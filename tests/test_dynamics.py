@@ -106,8 +106,10 @@ class TestOrbits:
             assert find_period(z0, p) == _find_period_to_t_max(z0, p)
 
     def test_period_without_return_raises(self, p4):
-        with pytest.raises(ConvergenceError):
-            find_period(2.0 + 0j, p4)  # outside the basin: the orbit escapes
+        # outside the basin the orbit escapes: the blow-up event names that,
+        # before DOP853's step size collapses on the way to infinity
+        with pytest.raises(GeometryError, match="escaped"):
+            find_period(2.0 + 0j, p4)
 
     def test_period_refuses_boolean_terminal(self, p4, monkeypatch):
         # a SciPy that reads the integer terminal as True stops at the start
@@ -115,10 +117,13 @@ class TestOrbits:
         real = dynamics.solve_ivp
 
         def old_scipy(*args, events, **kw):
-            def event(t, u, *params):
-                return events(t, u, *params)
-            event.direction, event.terminal = events.direction, bool(events.terminal)
-            return real(*args, events=event, **kw)
+            def boolean(ev):
+                def event(t, u, *params):
+                    return ev(t, u, *params)
+                event.direction = getattr(ev, "direction", 0.0)
+                event.terminal = bool(ev.terminal)
+                return event
+            return real(*args, events=[boolean(ev) for ev in events], **kw)
 
         monkeypatch.setattr(dynamics, "solve_ivp", old_scipy)
         with pytest.raises(ConvergenceError, match="integer event.terminal"):

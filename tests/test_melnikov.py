@@ -10,19 +10,147 @@ from q4lab.model import interior_levels, s_from_h
 from q4lab.picard_fuchs import apply_L1, hypergeometric_J
 from q4lab.reduction import assemble_I, mu_G_from_eq211
 from q4lab.melnikov import (
+    _A_TABLE,
+    _B_TABLE,
     CENTER_TERMS,
-    _pair_derive,
-    _pair_L2,
+    RCoefficients,
     eval_G,
     eval_G_prime,
     eval_R,
     extract_R_coeffs,
     get_moment_basis,
     get_propagation,
-    j_matrix,
-    jj_image,
 )
 from q4lab.ratfunc import Poly, RatF
+
+
+# ---------------------------------------------------------------------------
+# the generic extraction of the R template over ratfunc: the oracle from
+# which melnikov's closed-form table is derived
+# ---------------------------------------------------------------------------
+
+def _pair_derive(p: RatF, q: RatF, M):
+    """d/dh of p J1 + q J2 as a new (p, q) pair, via J' = M J."""
+    M11, M12, M21, M22 = M
+    return (p.deriv() + p * M11 + q * M21, q.deriv() + p * M12 + q * M22)
+
+
+def _pair_L2(p: RatF, q: RatF, kf: Fraction, M):
+    h = RatF(Poly.x())
+    p1, q1 = _pair_derive(p, q, M)
+    p2, q2 = _pair_derive(p1, q1, M)
+    c0 = 5 * kf * h
+    c1 = RatF(Poly([-8, 0, 9 * kf]))
+    c2 = h * RatF(Poly([-4, 0, 9 * kf]))
+    return (c0 * p - c1 * p1 + c2 * p2, c0 * q - c1 * q1 + c2 * q2)
+
+
+def j_matrix(kf: Fraction):
+    """(M11, M12, M21, M22) with J' = M J at kappa = kf, from the closed
+    formulas for (I00'', I11'') in terms of (J1, J2)."""
+    d1 = Poly([-4, 0, 9])           # 9h^2 - 4
+    delta = d1 * Poly([-4, 0, 9 * kf])
+    return (RatF(Poly([0, -3]), d1), RatF(Poly([0, 12 * (kf - 1)]), delta),
+            RatF(Poly([0, -3]), d1), RatF(Poly([0, 3]), d1))
+
+
+def jj_image(kf: Fraction, M):
+    """L2(JJ) as a (p, q) pair: the closed-form image identity through
+    I11'' and I11'''."""
+    d2pair = _pair_derive(RatF(0), RatF(1), M)
+    d3pair = _pair_derive(*d2pair, M)
+    c_third = RatF(Poly([0, -4, 0, 9 * kf])) * Fraction(4, 3) * (kf - 1)
+    c_second = RatF(Poly([8, 0, 6 * kf])) * Fraction(4, 3) * (kf - 1)
+    return (c_third * d3pair[0] + c_second * d2pair[0],
+            c_third * d3pair[1] + c_second * d2pair[1])
+
+
+def generic_r_coeffs(kf: Fraction):
+    """(a, b) of the R template at kappa = kf: the closed derivative formulas
+    substituted into L2(G) exactly and cleared to the template's denominator.
+    Raises ConsistencyError if the result fails to cancel to that
+    denominator, exceeds its degrees or has an even power of h."""
+    d1 = Poly([-4, 0, 9])           # 9h^2 - 4
+    d2 = Poly([-4, 0, 9 * kf])      # 9 kappa h^2 - 4
+    M = j_matrix(kf)
+    zero, one = RatF(0), RatF(1)
+    h2 = RatF(Poly([0, 0, 1]))
+    # nu1, nu2, nu3 terms go through L2 directly, nu4 through the JJ image
+    pairs = [_pair_L2(h2, zero, kf, M), _pair_L2(zero, one, kf, M),
+             _pair_L2(one, zero, kf, M), jj_image(kf, M)]
+
+    dstd = RatF(d1 * d1 * d2)
+    a_rows, b_rows = [[], [], [], []], [[], [], []]
+    for p, q in pairs:
+        cleared = []
+        for r in (p, q):
+            rp = r * dstd
+            if not rp.is_poly():
+                raise ConsistencyError(
+                    f"R numerator failed to cancel to the template denominator: {rp.den!r}")
+            cleared.append(rp.as_poly())
+        pnum, qnum = cleared
+        if pnum.degree > 7 or qnum.degree > 5:
+            raise ConsistencyError("R numerator exceeds the template degrees")
+        for poly in (pnum, qnum):
+            for pw, coef in enumerate(poly.c):
+                if pw % 2 == 0 and coef != 0:
+                    raise ConsistencyError("R numerator has an even-power term")
+        for idx in range(4):
+            a_rows[idx].append(pnum.c[2 * idx + 1] if pnum.degree >= 2 * idx + 1 else Fraction(0))
+        for idx in range(3):
+            b_rows[idx].append(qnum.c[2 * idx + 1] if qnum.degree >= 2 * idx + 1 else Fraction(0))
+    return tuple(tuple(row) for row in a_rows), tuple(tuple(row) for row in b_rows)
+
+
+def poly_center_series(rc: RCoefficients) -> np.ndarray:
+    """``RCoefficients.center_series`` by Fraction polynomial products over
+    ``ratfunc.Poly``, term by term as the series is defined."""
+    kf = Fraction(rc.kappa)
+    q = (kf - 1) / kf
+    n = CENTER_TERMS + 2
+    alpha, beta = [Fraction(1)], [Fraction(1)]
+    for j in range(n - 1):
+        sixth, five_sixths = Fraction(1, 6) + j, Fraction(5, 6) + j
+        alpha.append(alpha[-1] * sixth * five_sixths / (j + 1) ** 2)
+        beta.append(beta[-1] * five_sixths * sixth / ((j + 2) * (j + 1)))
+    gamma = [alpha[0]] + [alpha[j] - alpha[j - 1] + Fraction(5, 6) * beta[j - 1]
+                          for j in range(1, n)]
+    h2 = Poly([Fraction(4, 9), Fraction(-4, 9) * q])
+    powers = [Poly([1])]
+    for _ in range(3):
+        powers.append(powers[-1] * h2)
+    rows = []
+    for m in range(4):
+        A = sum((powers[i] * rc.a[i][m] for i in range(4)), Poly([0]))
+        B = sum((powers[i] * rc.b[i][m] for i in range(3)), Poly([0]))
+        num = (A * Poly(alpha) + B * Poly(gamma)).c + (Fraction(0),) * n
+        if num[0] != 0 or num[1] != 0:
+            raise ConsistencyError(f"unit weight {m + 1} has no double zero at the center")
+        rows.append([float(x) for x in num[2:n]])
+    return np.array(rows)
+
+
+def _interpolate(xs, ys):
+    """Exact coefficients c_0..c_{n-1} of the polynomial through (xs, ys)."""
+    coef = [Fraction(0)] * len(xs)
+    for i, xi in enumerate(xs):
+        basis, scale = [Fraction(1)], Fraction(1)
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis = [Fraction(0)] + basis
+                for t in range(len(basis) - 1):
+                    basis[t] -= xj * basis[t + 1]
+                scale *= xi - xj
+        for t, b in enumerate(basis):
+            coef[t] += ys[i] * b / scale
+    return coef
+
+
+# kappas at which the closed forms meet the generic routes: dyadic, integer,
+# next to 1, large, and seeded random floats
+CHECK_KAPPAS = [1.5, 4.0, 9.0, 1.0 + 2.0**-40, 1000.0] + [
+    float(k) for k in np.random.default_rng(20261018).uniform(1.01, 50.0, size=10)]
 
 
 class TestEvalG:
@@ -148,6 +276,39 @@ class TestExtraction:
 
     def test_cached(self, p4):
         assert extract_R_coeffs(p4) is extract_R_coeffs(p4)
+
+
+class TestTemplateTable:
+    def test_table_is_the_generic_extraction_interpolated(self):
+        # five kappas fix a quartic; its kappa^4 terms vanish, and its lower
+        # terms are the table's integer cubics
+        ks = [Fraction(k) for k in (2, 3, 4, 5, 6)]
+        generic = [generic_r_coeffs(k) for k in ks]
+        for side, table in enumerate((_A_TABLE, _B_TABLE)):
+            for j, row in enumerate(table):
+                for m, entry in enumerate(row):
+                    coef = _interpolate(ks, [g[side][j][m] for g in generic])
+                    assert coef[4] == 0
+                    assert tuple(coef[:4]) == entry
+                    assert all(type(c) is int for c in entry)
+
+    @pytest.mark.parametrize("kappa", CHECK_KAPPAS)
+    def test_table_equals_generic_extraction(self, kappa):
+        rc = extract_R_coeffs(make_params(kappa))
+        assert (rc.a, rc.b) == generic_r_coeffs(Fraction(kappa))
+        assert all(isinstance(c, Fraction) for row in rc.a + rc.b for c in row)
+
+    @pytest.mark.parametrize("kappa", CHECK_KAPPAS)
+    def test_center_series_bits_equal_poly_route(self, kappa):
+        rc = extract_R_coeffs(make_params(kappa))
+        # entries with denominators of their own: the integer route must not
+        # assume the table's powers of kappa's denominator
+        w = Fraction(3, 7**5)
+        scaled = replace(rc, a=tuple(tuple(c * w for c in row) for row in rc.a),
+                         b=tuple(tuple(c * w for c in row) for row in rc.b))
+        for r in (rc, scaled):
+            got, want = r.center_series, poly_center_series(r)
+            assert [x.hex() for x in got.ravel()] == [x.hex() for x in want.ravel()]
 
 
 def _rank(rows) -> int:

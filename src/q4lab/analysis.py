@@ -3,16 +3,20 @@
 Real zero counts come from sign scanning on Chebyshev-distributed grids,
 plus a heuristic even-multiplicity detector (a closed-form quadratic fit at
 interior near-tangencies); ``count_zeros`` takes a vectorised f and refuses
-one that returns another shape.  The count and the tangency fits are made
-at once; where the sign changes lie (brentq in each bracket) and the
-unresolved-cluster warnings that depend on it are found when a report's
-zeros are first read, so a caller that reads counts only never refines a
-root.  The bound scanner also skips every fit that a per-cell variation
-bound proves empty: ``_variation`` bounds how far each row of I, G and R
-moves over the cells the fits can reach (Taylor's form on exact derivative
-rows, with sound enclosures of the second derivative), and a minimum whose
-|f| exceeds the fit's possible reach cannot fit to zero
-(``_count_from_scan``), so the counts are those of running every fit.
+one that returns another shape.  Every count in the lab is one row of
+``_count_from_scan``, which scans the rows of an (n, grid) array of values
+at once: ``count_zeros`` passes one row, ``bound_pipeline`` the three rows
+I, G and R of one trial, and ``sweep_kappa`` the rows of SWEEP_CHUNK trials.
+The count and the tangency fits are made at once; where the sign changes
+lie (brentq in each bracket) and the unresolved-cluster warnings that
+depend on it are found when a report's zeros are first read, so a caller
+that reads counts only never refines a root.  The bound scanner also skips
+every fit that a per-cell variation bound proves empty: ``_variation``
+bounds how far each row of I, G and R moves over the cells the fits can
+reach (Taylor's form on exact derivative rows, with sound enclosures of the
+second derivative), and a minimum whose |f| exceeds the fit's possible
+reach cannot fit to zero (``_count_from_scan``), so the counts are those of
+running every fit.
 Complex zero counts come from the argument principle on the keyhole
 domain
 
@@ -52,7 +56,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 # not called: perfbench/tracing.py counts calls through this name, and tests refuse it
@@ -87,6 +91,7 @@ VAR_SAFETY = 1e-6      # relative margin on each variation bound, for its own ro
 EPS = np.finfo(float).eps
 FIT_SLACK = 256 * EPS  # fit and matvec rounding, relative to |f| bounds
 SERIES_BOUND_TERMS = 256  # terms of R's whole center series summed in its bound
+SWEEP_CHUNK = 64       # trials whose I, G and R rows sweep_kappa scans as one array
 
 # ---------------------------------------------------------------------------
 # real zero counting
@@ -195,10 +200,8 @@ def count_zeros(f, interval: tuple[float, float], grid: int = 256,
         raise DomainError(f"bad interval {interval}")
     xs = _cheb_grid(a, b, grid)
     fs = _eval_f(f, xs)
-    if np.any(~np.isfinite(fs)):
-        raise DomainError("f evaluated non-finite on the scan grid")
     fvec = lambda x: _eval_f(f, np.asarray(x, dtype=float))
-    return _count_from_scan(xs, fs, fvec, (a, b), tol)
+    return _count_from_scan(xs, fs[None], lambda r: fvec, (a, b), tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +265,6 @@ class L2Frame:
         fr = self.frame(hs)
         theta = np.unwrap(np.arctan2(fr[2], fr[0]))
         return float(theta.max() - theta.min())
-
-    def solution(self, c1: float, c2: float):
-        def sol(h):
-            fr = self.frame(h)
-            return c1 * fr[0] + c2 * fr[2]
-        return sol
 
 
 @dataclass
@@ -908,11 +905,12 @@ def _variation(sc: BoundScanner) -> tuple[dict, dict]:
 class BoundScanner:
     """Per-kappa precomputation for fast zero counts of I, G and R over
     many weight vectors: each function is linear in the weights, so a
-    4 x grid basis matrix reduces one trial to a matvec plus sign scan.
-    Refinement points get the same rows from ``_basis``.  The rows come
-    from the per-kappa ``MomentBasis`` (``prop``): R needs only the
-    closed-form J, G also JJ, and I the series values; no ODE is solved.
-    ``PFPropagation`` is the independent check of these rows.
+    4 x grid basis matrix gives a function's values on the grid as one
+    matvec, and ``scan`` counts the zeros of many such rows in one
+    ``_count_from_scan``.  Refinement points get the same rows from
+    ``_basis``.  The rows come from the per-kappa ``MomentBasis`` (``prop``):
+    R needs only the closed-form J, G also JJ, and I the series values; no
+    ODE is solved.  ``PFPropagation`` is the independent check of these rows.
 
     With the rows come ``var`` and ``mag`` (``_variation``): per row and
     interior node, bounds of how far the row moves over the cell that a
@@ -920,7 +918,8 @@ class BoundScanner:
     plus FIT_SLACK (var + mag) turns them into the skip test of
     ``_count_from_scan``: a fit at x_i is left out when |f(x_i)| exceeds
     |mu| @ reach[:, i] plus the fit's bound, which proves it would find no
-    tangency, so the counts equal those of running every fit."""
+    tangency, so the counts equal those of running every fit.  The reach is
+    formed only at the nodes where a fit is a candidate."""
 
     def __init__(self, params: ModelParams, grid: int = 512):
         self.params = params
@@ -930,7 +929,8 @@ class BoundScanner:
         w = hs - hc
         self.window = (hc + SCAN_MARGIN * w, hs - SCAN_MARGIN * w)
         self.hs = _cheb_grid(*self.window, grid)
-        self.basis = {which: self._basis(which, self.hs) for which in "IGR"}
+        self.rows = np.stack([self._basis(which, self.hs) for which in "IGR"])
+        self.basis = dict(zip("IGR", self.rows))
         self.var, self.mag = _variation(self)
         self.reach = {which: (REACH + FIT_SLACK) * self.var[which] + FIT_SLACK * self.mag[which]
                       for which in "IGR"}
@@ -946,26 +946,49 @@ class BoundScanner:
             return np.stack([h * h * J1, J2, J1, self.prop.JJ(h, J2)])
         return self.rc.unit_rows(h, J1, J2)
 
+    def _f(self, which: str, mu, h):
+        return mu @ self._basis(which, np.atleast_1d(np.asarray(h, dtype=float)))
+
     def count(self, which: str, mu, tol: float = 1e-9) -> ZeroReport:
-        """Zeros of mu @ rows of I, G or R on the window, by ``_count_from_scan``
-        with the scanner's skip of the fits that ``reach`` proves empty."""
+        """Zeros of mu @ rows of I, G or R on the window: ``scan`` of one row."""
         mu = np.asarray(mu, dtype=float)
-        if mu.shape != (4,) or not np.isfinite(mu).all():
+        if mu.shape != (4,):
             raise DomainError(f"weights must be four finite numbers, got {mu}")
-        fs = mu @ self.basis[which]
-        if not np.isfinite(fs).all():
-            raise DomainError(f"{which} evaluated non-finite on the scan grid")
-        fvec = lambda h: mu @ self._basis(which, np.atleast_1d(np.asarray(h, dtype=float)))
-        return _count_from_scan(self.hs, fs, fvec, self.window, tol,
-                                reach=np.abs(mu) @ self.reach[which])
+        return self.scan(mu.reshape(1, 1, 4), which, tol)[0]
+
+    def scan(self, weights, which: str = "IGR", tol: float = 1e-9) -> list[ZeroReport]:
+        """Zeros on the window of weights[t, j] @ rows of which[j] for every
+        trial t and function j of ``weights`` (shape (T, len(which), 4)), in
+        that order, by one ``_count_from_scan`` of all of them.  The values of
+        each are its own ``mu @ basis[which[j]]``: numpy evaluates the
+        stacked (1, 4) @ (4, grid) products one at a time by the same
+        matrix-vector product, bit for bit (a (T, 4) @ (4, grid) product is
+        not), so a count does not depend on what is scanned with it."""
+        weights = np.asarray(weights, dtype=float)
+        T, k = weights.shape[:2]
+        names, mus = which * T, weights.reshape(T * k, 4)
+        if not np.isfinite(mus).all():
+            bad = np.isfinite(mus).all(axis=1).argmin()
+            raise DomainError(f"weights must be four finite numbers, got {mus[bad]}")
+        basis = self.rows if which == "IGR" else np.stack([self.basis[c] for c in which])
+        fs = np.matmul(weights.reshape(T, k, 1, 4), basis).reshape(T * k, -1)
+        return _count_from_scan(
+            self.hs, fs, lambda r: functools.partial(self._f, names[r], mus[r]), self.window,
+            tol, lambda r, i: np.abs(mus[r]) @ self.reach[names[r]][:, i], names)
 
 
-def _count_from_scan(xs, fs, fvec, interval, tol, reach=None) -> ZeroReport:
-    """Count the zeros of f from its values fs on the increasing grid xs,
-    by the rules of ``count_zeros``; only the tangency fits evaluate f.  A
-    minimum is also skipped when a tangency already fitted lies between its
-    neighbours, and, given ``reach`` (one entry per node), when
-    |f(x_i)| > reach_i + bound: ``_tangency`` would return None there.
+def _count_from_scan(xs, fs, fvec, interval, tol, reach=None, names="f") -> list[ZeroReport]:
+    """Count the zeros of each row r of fs, the values of the function
+    ``fvec(r)`` on the increasing grid xs, by the rules of ``count_zeros``:
+    one report per row.  Sign changes, zero nodes, the scale and the
+    candidate minima (``is_min & ~beside_zero``) of all the rows come from a
+    fixed number of array operations on fs as one flat array, with the pairs
+    across row ends masked out; only the tangency fits evaluate f, row by
+    row.  A row with a non-finite value is refused, named ``names[r]``.  A
+    minimum is also skipped when a tangency already fitted in its row lies
+    between its neighbours, and, given ``reach`` (a function of a candidate's
+    row and node), when |f(x_i)| > reach(r, i) + bound: ``_tangency`` would
+    return None there.
 
     The proof of the skip: on a stencil (x - delta, x, x + delta), t in
     [-delta, delta], the fitted quadratic's value is sum_k L_k f_k with
@@ -977,36 +1000,57 @@ def _count_from_scan(xs, fs, fvec, interval, tol, reach=None) -> ZeroReport:
     |f - f(x_i)| <= V_i = sum_j |mu_j| var[j, i]; m = |f(x_i)| - V_i and
     M = |f(x_i)| + V_i give fitted values of modulus above |f(x_i)| - REACH
     V_i, and ``BoundScanner.reach`` adds FIT_SLACK for the rounding of the
-    matvec and the fit.  A fit returns a tangency only for a fitted value
-    within bound of zero.  NaN or inf in reach never skips.  The report
-    keeps the brackets' and zero nodes' indices and the zeros found here
-    for ``_locate_zeros``."""
-    absf = np.abs(fs)
-    scale = float(absf.max())
-    if scale == 0.0:
-        return ZeroReport(interval=interval, grid_size=xs.size, identically_zero=True)
-    change = fs[:-1] * fs[1:] < 0
-    at_node = fs == 0.0
-    brackets, nodes = change.nonzero()[0], at_node.nonzero()[0]
-    tangencies = []
-    is_min = (absf[1:-1] <= absf[:-2]) & (absf[1:-1] <= absf[2:]) & ~at_node[1:-1]
-    beside_zero = change[:-1] | change[1:] | at_node[:-2] | at_node[2:]
-    bound = max(tol * scale, 64 * EPS * scale)
-    fits = (is_min & ~beside_zero).nonzero()[0] + 1
-    if reach is not None:
-        fits = fits[~(absf[fits] > reach[fits] + bound)]
-    for idx in fits:
-        lo, hi = xs[idx - 1], xs[idx + 1]
-        if any(lo <= z["location"] <= hi for z in tangencies):
+    matvec and the fit.  The scanner forms |mu| @ reach[:, i] at each
+    candidate alone, a sum of four nonnegative products whose rounding
+    differs from that of a matvec over every node by a few ulps, far inside
+    FIT_SLACK (256 eps), so the skip stays sound.  A fit returns a tangency
+    only for a fitted value within bound of zero.  NaN or inf in reach never
+    skips.  Each report keeps its own row, f and fitted tangencies for
+    ``_locate_zeros``."""
+    n, N = fs.shape
+    f = fs.ravel()
+    absf = np.abs(f)
+    scale = absf.reshape(n, N).max(axis=1).tolist()
+    for r, s in enumerate(scale):
+        if not math.isfinite(s):
+            raise DomainError(f"{names[r]} evaluated non-finite on the scan grid")
+    change = np.empty(n * N, dtype=bool)  # change[k]: a sign change from node k to k + 1
+    np.less(f[:-1] * f[1:], 0.0, out=change[:-1])
+    change[N - 1::N] = False
+    count = change.reshape(n, N).sum(axis=1)
+    # fits[k - 1]: node k is an interior minimum of |f| (True > False) with no
+    # sign change beside it; the first and last node of each row are not
+    mid = absf[1:-1]
+    fits = (mid <= np.minimum(absf[:-2], absf[2:])) > (change[:-2] | change[1:-1])
+    fits[N - 2::N] = fits[N - 1::N] = False
+    if not f.all():
+        at_node = f == 0.0
+        count += at_node.reshape(n, N).sum(axis=1)
+        fits &= ~(at_node[1:-1] | at_node[:-2] | at_node[2:])
+    tangencies = {}
+    for k in fits.nonzero()[0].tolist():
+        r, idx = divmod(k + 1, N)
+        bound = max(tol * scale[r], 64 * EPS * scale[r])
+        if reach is not None and abs(fs[r, idx]) > reach(r, idx) + bound:
             continue
-        x0 = _tangency(fvec, xs[idx], fs[idx], (lo, hi), interval, bound)
+        found = tangencies.setdefault(r, [])
+        lo, hi = xs[idx - 1], xs[idx + 1]
+        if any(lo <= z["location"] <= hi for z in found):
+            continue
+        x0 = _tangency(fvec(r), xs[idx], fs[r, idx], (lo, hi), interval, bound)
         if x0 is not None:
-            tangencies.append({"location": x0, "multiplicity_estimate": 2})
+            found.append({"location": x0, "multiplicity_estimate": 2})
     xtol = max(tol * (interval[1] - interval[0]), 1e-15)
-    return ZeroReport(interval=interval, grid_size=xs.size,
-                      count=brackets.size + nodes.size + 2 * len(tangencies),
-                      _locate=functools.partial(_locate_zeros, xs, fs, brackets, nodes,
-                                                tangencies, fvec, xtol))
+    reports = []
+    for r, (c, s) in enumerate(zip(count.tolist(), scale)):
+        if s == 0.0:
+            reports.append(ZeroReport(interval=interval, grid_size=N, identically_zero=True))
+            continue
+        found = tangencies.get(r, [])
+        reports.append(ZeroReport(
+            interval=interval, grid_size=N, count=c + 2 * len(found),
+            _locate=functools.partial(_locate_zeros, xs, fs[r], found, fvec, r, xtol)))
+    return reports
 
 
 def _tangency(fvec, x0, f0, span, interval, bound) -> float | None:
@@ -1040,16 +1084,16 @@ def _tangency(fvec, x0, f0, span, interval, bound) -> float | None:
     return x0 if curv * f0 > 0 and abs(fmin) <= bound else None
 
 
-def _locate_zeros(xs, fs, brackets, nodes, tangencies, fvec,
-                  xtol) -> tuple[list[dict], list[str]]:
-    """The zeros of a report, sorted by location, and its cluster warnings:
-    the sign change in each bracket (xs[i], xs[i + 1]) is refined by brentq
-    on f at single points, memoised so that brentq starts from the bracket
-    ends just evaluated; each zero node counts as found, and so does each
-    tangency the count fitted."""
-    f1 = functools.cache(lambda x: float(np.atleast_1d(fvec(np.array([x])))[0]))
+def _locate_zeros(xs, fs, tangencies, fvec, r, xtol) -> tuple[list[dict], list[str]]:
+    """The zeros of the function fvec(r) with values fs on xs, sorted by
+    location, and its cluster warnings: the sign change in each bracket
+    (xs[i], xs[i + 1]) is refined by brentq on f at single points, memoised
+    so that brentq starts from the bracket ends just evaluated; each zero node
+    counts as found, and so does each tangency the count fitted."""
+    f = fvec(r)
+    f1 = functools.cache(lambda x: float(np.atleast_1d(f(np.array([x])))[0]))
     zeros = []
-    for i in brackets:
+    for i in (fs[:-1] * fs[1:] < 0).nonzero()[0]:
         xa, xb, ga, gb = xs[i], xs[i + 1], fs[i], fs[i + 1]
         fa, fb = f1(xa), f1(xb)
         if fa == 0.0:
@@ -1063,7 +1107,8 @@ def _locate_zeros(xs, fs, brackets, nodes, tangencies, fvec,
             # zero at rounding level; place it by linear interpolation
             root = xa + ga / (ga - gb) * (xb - xa)
         zeros.append({"location": float(root), "multiplicity_estimate": 1})
-    found = [{"location": float(xs[i]), "multiplicity_estimate": 1} for i in nodes]
+    found = [{"location": float(xs[i]), "multiplicity_estimate": 1}
+             for i in (fs == 0.0).nonzero()[0]]
     zeros = sorted(zeros + found + tangencies, key=lambda z: z["location"])
     warnings = [f"unresolved cluster near {za['location']:.12g}"
                 for za, zb in zip(zeros[:-1], zeros[1:])
@@ -1102,30 +1147,37 @@ def bound_pipeline(params: ModelParams, grid: int = 512,
     sc = bound_scanner(params, grid)
     mu = np.asarray(params.mu, dtype=float)
     muG = mu_G_from_eq211(mu, params.kappa)
-    rep_I = sc.count("I", mu)
-    rep_G = sc.count("G", muG)
-    rep_R = sc.count("R", muG)
-    violations = []
-    if rep_R.count > 6:
-        violations.append(f"count(R) = {rep_R.count} > 6")
-    if rep_G.count > rep_R.count + 2:
-        violations.append(f"count(G) = {rep_G.count} > count(R) + 2 = {rep_R.count + 2}")
-    if rep_I.count > rep_G.count:
-        violations.append(f"count(I) = {rep_I.count} > count(G) = {rep_G.count}")
-    if rep_G.count > 8:
-        violations.append(f"count(G) = {rep_G.count} > 8")
-
-    rec_err = None
+    br = _bound_reports(sc, mu[None], muG[None])[0]
     if check_reconstruction and np.any(mu != 0.0):
-        rec_err = _reconstruction_error(sc, mu, muG)
+        br.reconstruction_rel_err = _reconstruction_error(sc, mu, muG)
+    return br
 
-    return BoundReport(
-        kappa=params.kappa, mu=tuple(mu), count_I=rep_I.count,
-        count_G=rep_G.count, count_R=rep_R.count,
-        chain_ok=not violations, violations=violations,
-        reconstruction_rel_err=rec_err,
-        reports={"I": rep_I, "G": rep_G, "R": rep_R},
-    )
+
+def _bound_reports(sc: BoundScanner, weights, weights_G) -> list[BoundReport]:
+    """The bound chain, without the reconstruction check, for each row of
+    ``weights`` (eq211-stage mu) and of ``weights_G`` (its ``mu_G_from_eq211``):
+    the I, G and R rows of every trial in one ``BoundScanner.scan``."""
+    reps = sc.scan(np.concatenate((weights, weights_G, weights_G), axis=1).reshape(-1, 3, 4))
+    out = []
+    for t, mu in enumerate(weights):
+        rep_I, rep_G, rep_R = reps[3 * t:3 * t + 3]
+        violations = []
+        if rep_R.count > 6:
+            violations.append(f"count(R) = {rep_R.count} > 6")
+        if rep_G.count > rep_R.count + 2:
+            violations.append(f"count(G) = {rep_G.count} > count(R) + 2 = {rep_R.count + 2}")
+        if rep_I.count > rep_G.count:
+            violations.append(f"count(I) = {rep_I.count} > count(G) = {rep_G.count}")
+        if rep_G.count > 8:
+            violations.append(f"count(G) = {rep_G.count} > 8")
+        out.append(BoundReport(
+            kappa=sc.params.kappa, mu=tuple(mu), count_I=rep_I.count,
+            count_G=rep_G.count, count_R=rep_R.count,
+            chain_ok=not violations, violations=violations,
+            reconstruction_rel_err=None,
+            reports={"I": rep_I, "G": rep_G, "R": rep_R},
+        ))
+    return out
 
 
 def _reconstruction_error(sc: BoundScanner, mu, muG) -> float:
@@ -1163,10 +1215,14 @@ def unit_sphere_weights(seed_seq, trials: int) -> np.ndarray:
 
 def sweep_kappa(kappa: float, seed_seq, trials: int, grid: int = 512) -> list[BoundReport]:
     """bound_pipeline, without the reconstruction check, at one kappa for
-    each of ``unit_sphere_weights(seed_seq, trials)`` in order."""
-    base = make_params(kappa)
-    return [bound_pipeline(replace(base, mu=tuple(mu)), grid=grid, check_reconstruction=False)
-            for mu in unit_sphere_weights(seed_seq, trials)]
+    each of ``unit_sphere_weights(seed_seq, trials)`` in order, SWEEP_CHUNK
+    trials to a scan."""
+    sc = bound_scanner(make_params(kappa), grid)
+    weights = unit_sphere_weights(seed_seq, trials)
+    weights_G = mu_G_from_eq211(weights.T, kappa).T
+    return [br for i in range(0, trials, SWEEP_CHUNK)
+            for br in _bound_reports(sc, weights[i:i + SWEEP_CHUNK],
+                                     weights_G[i:i + SWEEP_CHUNK])]
 
 
 def sweep_bounds(kappas, trials: int, seed: int, grid: int = 512) -> list[BoundReport]:
@@ -1178,28 +1234,8 @@ def sweep_bounds(kappas, trials: int, seed: int, grid: int = 512) -> list[BoundR
 
 
 # ---------------------------------------------------------------------------
-# executable forms of the two zero-bound criteria
+# the executable form of the count(G) <= k + 2 criterion
 # ---------------------------------------------------------------------------
-
-def frame_rotation_probe(params: ModelParams, window: tuple[float, float],
-                trials: int = 40, seed: int = 0, grid: int = 512) -> dict:
-    """Executable Chebyshev criterion for L2 on a window: measure the frame
-    rotation (nonvanishing solution exists iff the sweep stays under pi)
-    and cross-check by zero counts of random solutions."""
-    frame = L2Frame(params, window)
-    span = frame.rotation_span()
-    exists_nonvanishing = span < math.pi - 1e-9
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = [count_zeros(frame.solution(*c / np.linalg.norm(c)), window, grid=grid).count
-              for c in rng.normal(size=(trials, 2))]
-    max_count = max(counts, default=0)
-    return {
-        "kappa": params.kappa, "window": window, "rotation_span": span,
-        "exists_nonvanishing": exists_nonvanishing,
-        "max_solution_zeros": max_count, "all_sampled_vanish": 0 not in counts,
-        "consistent": (not exists_nonvanishing) or max_count <= 1,
-    }
-
 
 def _variation_solution(frame: L2Frame, R, c):
     """The solution G of L2(G) = R with (G, G')(mid) = c, R a polynomial in

@@ -218,7 +218,7 @@ class MomentBasis:
 
     The series stand in for closed forms that do not exist: I10' is not
     p J1 + q J2, nor JJ that plus a solution of L2 x = 0, for polynomials
-    p, q (exact linear algebra over ``ratfunc``, degree 10 at kappa = 4;
+    p, q (exact linear algebra over ``tests/ratfunc.py``, degree 10 at kappa = 4;
     tests/test_melnikov.py::TestNoClosedFormBeyondJ).
     """
 

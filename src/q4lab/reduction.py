@@ -214,7 +214,8 @@ def mu_eq210_from_eq211(mu, kappa: float) -> np.ndarray:
 def mu_G_from_eq211(mu, kappa: float) -> np.ndarray:
     """Weights of G(h) = h I' - I in the normal form
     (nu1 h^2 + nu3) I00' + nu2 I11' + nu4 (-4h I-10' + (3 kappa h^2 - 4) I-11')
-    for I given in the eq211 stage."""
+    for I given in the eq211 stage; mu may also be a (4, T) array of weight
+    columns, each mapped by the same operations."""
     k = kappa
     m1, m2, m3, m4 = mu
     return np.array([

@@ -1,7 +1,8 @@
 """Small exact univariate rational-function layer over Fraction.
 
-Just enough ring arithmetic for the closed-form coefficient extraction in
-:mod:`q4lab.melnikov`: dense polynomials with Fraction coefficients,
+Just enough ring arithmetic for the tests' generic extraction of the R
+template, the oracle of :mod:`q4lab.melnikov`'s integer cubic table, and
+for their closed-form checks: dense polynomials with Fraction coefficients,
 rational functions normalized by gcd cancellation with monic denominator,
 derivatives, and exact division checks.  Degrees stay tiny (< 25), so no
 cleverness is needed or wanted.

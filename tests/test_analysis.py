@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+import frozen_scan
 import q4lab.analysis as an
 from q4lab import (ConsistencyError, ConvergenceError, DomainError, SingularityError,
                    clear_caches, make_params)
@@ -23,7 +24,6 @@ from q4lab.analysis import (
     j_table,
     keyhole_by_continuation,
     keyhole_contour,
-    frame_rotation_probe,
     inhomogeneous_bound_sample,
     random_poly_pair,
     residue_solution,
@@ -120,7 +120,7 @@ class TestCountZeros:
         xs[0] = a + ulp
         fs = 1.0 + (xs - xs[1]) ** 2
         fvec = lambda x: 1.0 + ((np.asarray(x) - a) / ulp) ** 2
-        zr = an._count_from_scan(xs, fs, fvec, (a, b), 1e-9)
+        zr, = an._count_from_scan(xs, fs[None], lambda r: fvec, (a, b), 1e-9)
         assert zr.count == 0 and zr.zeros == []
 
     def test_non_finite_tangency_stencil_is_refused(self):
@@ -401,6 +401,28 @@ class TestBoundPipeline:
         b = sweep_bounds([2.0], trials=5, seed=9)
         assert [(r.mu, r.count_I, r.count_G, r.count_R) for r in a] == \
                [(r.mu, r.count_I, r.count_G, r.count_R) for r in b]
+
+
+def frame_rotation_probe(params, window, trials=40, seed=0, grid=512):
+    """Executable Chebyshev criterion for L2 on a window: measure the frame
+    rotation (a nonvanishing solution exists iff the sweep stays under pi)
+    and cross-check by zero counts of random solutions c1 x1 + c2 x2."""
+    frame = L2Frame(params, window)
+    span = frame.rotation_span()
+    exists_nonvanishing = span < math.pi - 1e-9
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    counts = []
+    for c in rng.normal(size=(trials, 2)):
+        c1, c2 = c / np.linalg.norm(c)
+
+        def sol(h):
+            fr = frame.frame(h)
+            return c1 * fr[0] + c2 * fr[2]
+        counts.append(count_zeros(sol, window, grid=grid).count)
+    max_count = max(counts, default=0)
+    return {"rotation_span": span, "exists_nonvanishing": exists_nonvanishing,
+            "max_solution_zeros": max_count,
+            "consistent": (not exists_nonvanishing) or max_count <= 1}
 
 
 class TestZeroBoundProbes:
@@ -773,7 +795,7 @@ class TestScannerBatching:
 
                 fs = w @ sc.basis[which]
                 del brentq_calls[:]
-                rep = an._count_from_scan(sc.hs, fs, fvec, sc.window, 1e-9)
+                rep, = an._count_from_scan(sc.hs, fs[None], lambda r: fvec, sc.window, 1e-9)
                 # the count evaluates f at single points only when the zeros
                 # are read
                 assert not any(c.size == 1 for c in calls) and not brentq_calls
@@ -850,6 +872,57 @@ class TestScannerBatching:
         assert unit_sphere_weights(np.random.SeedSequence(3), 0).shape == (0, 4)
 
 
+def _chain_summary(br):
+    """A bound report as ``frozen_scan.bound_chain`` gives it."""
+    out = [br.mu, br.count_I, br.count_G, br.count_R, br.violations]
+    for which in "IGR":
+        out += [br.reports[which].zeros, br.reports[which].warnings]
+    return tuple(out)
+
+
+class TestBatchedScan:
+    """The batched scan (one ``_count_from_scan`` over the rows of a trial,
+    or of a chunk of trials) against the frozen per-function scan."""
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_pipeline_and_sweep_equal_per_function_scan(self, kappa, monkeypatch):
+        # 2,000 trials; the sweep's reports are read after it returns, so each
+        # must locate its own trial's zeros.  Every trial's zeros are compared
+        # for bound_pipeline and chunks of 256 and T, every tenth for smaller
+        # chunks (1, 7 and SWEEP_CHUNK); the counts and violations of every
+        # trial for all of them
+        trials, seq, p = 2000, np.random.SeedSequence(int(100 * kappa) + 1), make_params(kappa)
+        sc = an.bound_scanner(p, 512)
+        weights = unit_sphere_weights(seq, trials)
+        want = [frozen_scan.bound_chain(sc, mu) for mu in weights]
+        got = [bound_pipeline(replace(p, mu=tuple(mu)), check_reconstruction=False)
+               for mu in weights]
+        assert [_chain_summary(br) for br in got] == want
+        for chunk in sorted({1, 7, an.SWEEP_CHUNK, 256, trials}):
+            monkeypatch.setattr(an, "SWEEP_CHUNK", chunk)
+            got = an.sweep_kappa(kappa, seq, trials)
+            step = 10 if chunk < 256 else 1
+            assert [(br.mu, br.count_I, br.count_G, br.count_R, br.violations) for br in got] \
+                == [w[:5] for w in want], chunk
+            assert [_chain_summary(br) for br in got[::step]] == want[::step], chunk
+
+    def test_scan_rows_are_per_row_matvecs(self, monkeypatch):
+        # each row of a chunk is its own per-row mu @ basis, bit for bit
+        kappa = 4.0
+        sc = an.bound_scanner(make_params(kappa), 512)
+        rows, real = [], an._count_from_scan
+        monkeypatch.setattr(an, "_count_from_scan",
+                            lambda xs, fs, *a, **kw: rows.append(fs) or real(xs, fs, *a, **kw))
+        seq, chunk = np.random.SeedSequence(77), an.SWEEP_CHUNK
+        an.sweep_kappa(kappa, seq, 300)
+        assert [len(fs) for fs in rows] == [3 * min(chunk, 300 - i) for i in range(0, 300, chunk)]
+        for t, mu in enumerate(unit_sphere_weights(seq, 300)):
+            muG = an.mu_G_from_eq211(mu, kappa)
+            fs = rows[t // chunk][3 * (t % chunk):3 * (t % chunk) + 3]
+            assert np.array_equal(fs, np.stack([mu @ sc.basis["I"], muG @ sc.basis["G"],
+                                                muG @ sc.basis["R"]])), t
+
+
 def _fit_cells(xs, window):
     """(lo, hi) of W_i for the interior nodes: [x_i - s, x_i + s] with
     [x_{i-1} - s/8, x_{i+1} + s/8], s = (x_{i+1} - x_{i-1}) / 2, clipped to the
@@ -919,18 +992,22 @@ class TestVariationBound:
     def test_skip_never_fires_by_a_double_zero(self, kappa, which):
         # mu in the null space of [row(a); row'(a)] puts a double zero of
         # mu @ rows at a, mid-cell; the fits next to it must run.  Today's fit
-        # counts it twice
+        # counts it twice, alone and in one batched scan of all six
         sc = an.bound_scanner(make_params(kappa), 512)
-        for i in (3, 60, 200, 256, 400, 505):
+        nodes, mus = (3, 60, 200, 256, 400, 505), []
+        for i in nodes:
             a = 0.5 * (sc.hs[i] + sc.hs[i + 1])
             row = an._point_rows(sc, np.array([a]))[which]
             mu = np.linalg.svd(np.stack([row.f[0][:, 0], row.f[1][:, 0]]))[2][-1]
             fs = mu @ sc.basis[which]
             reach = np.abs(mu) @ sc.reach[which]
             assert np.all(np.abs(fs[i:i + 2]) <= reach[i:i + 2] + _fit_bound(fs)), i
-            zeros = sc.count(which, mu).zeros
+            mus.append(mu)
+        batched = sc.scan(np.reshape(mus, (-1, 1, 4)), which)
+        for i, mu, rep in zip(nodes, mus, batched):
+            assert rep.count == sc.count(which, mu).count
             assert any(z["multiplicity_estimate"] == 2 and sc.hs[i - 1] <= z["location"]
-                       <= sc.hs[i + 2] for z in zeros), (i, zeros)
+                       <= sc.hs[i + 2] for z in rep.zeros), (i, rep.zeros)
 
     def test_reach_factor_is_attained(self):
         # f within V of f(x_i) on the cell, at f(x_i) + V left of x_i and
@@ -943,13 +1020,14 @@ class TestVariationBound:
         fs = f0 + (xs - xs[i]) ** 2
         fvec = lambda x: np.where(np.asarray(x) >= xs[i], f0 - V, f0 + V)
         reach = np.full(xs.size, (an.REACH + an.FIT_SLACK) * V + an.FIT_SLACK * (f0 + V))
-        every = an._count_from_scan(xs, fs, fvec, (-1.0, 1.0), 1e-9)
-        assert every.count == 2
-        assert an._count_from_scan(xs, fs, fvec, (-1.0, 1.0), 1e-9, reach=reach).count == 2
+        scan = lambda fs, f, **kw: an._count_from_scan(xs, fs[None], lambda r: f, (-1.0, 1.0),
+                                                        1e-9, **kw)[0]
+        assert scan(fs, fvec).count == 2
+        assert scan(fs, fvec, reach=lambda r, i: reach[i]).count == 2
         # a little further from zero the fit finds nothing, and the skip leaves it out
         fs_far = fs + 4e-9
         far = lambda x: fvec(x) + 4e-9
-        assert an._count_from_scan(xs, fs_far, far, (-1.0, 1.0), 1e-9).count == 0
+        assert scan(fs_far, far).count == 0
         assert np.abs(fs_far[i]) > reach[i] + _fit_bound(fs_far)
 
     def test_non_finite_weights_are_refused(self, p4):

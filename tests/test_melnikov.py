@@ -21,7 +21,7 @@ from q4lab.melnikov import (
     get_moment_basis,
     get_propagation,
 )
-from q4lab.ratfunc import Poly, RatF
+from ratfunc import Poly, RatF
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ tracer = Tracer("names")
 install(tracer)  # raises AttributeError for a traced name that is gone
 p = make_params(4.0, mu=(1.0, 0.5, -0.5, 0.25))
 analysis.bound_pipeline(p, grid=64, check_reconstruction=False)
+analysis.bound_scanner(p, 64).count("R", p.mu)  # bound_pipeline scans without count
 melnikov.get_propagation(p)
 tab = analysis.j_table(p)
 analysis.count_zeros(lambda s: tab.J(s)[0] - 1.0, (tab.lo, tab.hi), grid=64)

@@ -77,6 +77,7 @@ from .picard_fuchs import (
     initial_jstate,
 )
 from .melnikov import CENTER_Z, center_z, extract_R_coeffs, get_moment_basis
+from .quadrature import _adaptive_gk
 from .reduction import mu_G_from_eq211
 
 J_MARGIN = 1e-3      # JTable spans (1, kappa) less this fraction of kappa - 1 at each end
@@ -1183,12 +1184,11 @@ def _bound_reports(sc: BoundScanner, weights, weights_G) -> list[BoundReport]:
 def _reconstruction_error(sc: BoundScanner, mu, muG) -> float:
     """Check I(h) = h * int_{-2/3}^h xi^-2 G(xi) d xi against the moment
     route, at three interior levels."""
-    from .quadrature import _adaptive_gk
     hc = sc.params.center_h
     lo = sc.prop.lo
 
-    def G_of(h):
-        return muG @ sc._basis("G", np.atleast_1d(np.asarray(h, dtype=float)))
+    def G_of(h):  # flat, as MomentBasis takes 1-d levels
+        return muG @ sc._basis("G", np.ravel(h))
 
     def I_of(h):
         return float(mu @ sc._basis("I", np.array([h]))[:, 0])
@@ -1197,7 +1197,7 @@ def _reconstruction_error(sc: BoundScanner, mu, muG) -> float:
     scale = max(abs(I_of(0.5 * (sc.window[0] + sc.window[1]))), 1e-12)
     for q in (0.3, 0.55, 0.8):
         h = sc.window[0] + q * (sc.window[1] - sc.window[0])
-        integral, _ = _adaptive_gk(lambda x: G_of(x) / x**2, lo, h, 1e-10)
+        integral, _ = _adaptive_gk(lambda x: G_of(x).reshape(x.shape) / x**2, lo, h, 1e-10)
         # the sliver between the true endpoint -2/3 and the basis window edge
         integral += float(G_of(lo)[0]) * (1.0 / hc - 1.0 / lo)
         rec = h * integral
@@ -1208,9 +1208,10 @@ def _reconstruction_error(sc: BoundScanner, mu, muG) -> float:
 def unit_sphere_weights(seed_seq, trials: int) -> np.ndarray:
     """``trials`` weight vectors uniform on the unit sphere in R^4, shape
     (trials, 4): each row is a standard normal draw of four over its own
-    norm, the draws taken in row order from ``default_rng(seed_seq)``."""
+    norm, the draws taken in row order from ``default_rng(seed_seq)``; the
+    stacked dot products keep ``np.linalg.norm``'s bits, ``axis=1`` would not."""
     draws = np.random.default_rng(seed_seq).normal(size=(trials, 4))
-    return np.array([mu / np.linalg.norm(mu) for mu in draws]).reshape(trials, 4)
+    return draws / np.sqrt((draws[:, None, :] @ draws[:, :, None])[:, 0, 0])[:, None]
 
 
 def sweep_kappa(kappa: float, seed_seq, trials: int, grid: int = 512) -> list[BoundReport]:

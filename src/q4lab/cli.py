@@ -57,12 +57,16 @@ class RunConfig:
     def validate(self):
         if any(k <= 1.0 or not math.isfinite(k) for k in self.kappa_list):
             raise ValueError("every kappa must be finite and > 1")
+        if len(self.mu) != 4:
+            raise ValueError(f"mu needs four weights, got {len(self.mu)}")
         if not all(math.isfinite(m) for m in self.mu):
             raise ValueError("every weight in mu must be finite")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.mu_mode not in ("explicit", "random_sphere"):
             raise ValueError(f"unknown mu_mode {self.mu_mode!r}")
 
@@ -102,8 +106,6 @@ def _config_from(args) -> RunConfig:
         cfg.kappa_list = [float(k) for k in args.kappa]
     if args.mu is not None:
         cfg.mu = tuple(float(x) for x in args.mu.split(","))
-        if len(cfg.mu) != 4:
-            raise ValueError("--mu needs four comma-separated values")
         cfg.mu_mode = "explicit"
     for name in ("trials", "seed", "grid", "tol", "workers"):
         val = getattr(args, name, None)

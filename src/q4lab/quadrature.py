@@ -17,9 +17,10 @@ symmetric picture (region {H(x, y) < h}).  Two independent methods:
               cubic in y, solved in closed form) and Gauss-Kronrod in x.  The
               geometry (cells, breakpoints, initial panels) does not depend
               on the index (i, j), so it is built once per oval.  Per index,
-              inner cells are summed exactly and all boundary panels form one
-              globally adaptive pass with one error budget for the moment,
-              refined in one batch per round.
+              inner cells are summed exactly, and the boundary panels refined.
+
+Both refine their panels in one batched, globally adaptive GK loop,
+``_gk_refine``, which ``analysis``'s I-reconstruction check also uses.
 
 Both methods localize to the connected component of the region containing
 the center, using the exact star-shaped membership test of the oval.  The
@@ -34,7 +35,6 @@ last oval it integrated; ``q4lab.clear_caches`` empties all three.
 from __future__ import annotations
 
 import functools
-import heapq
 import logging
 import math
 from dataclasses import dataclass
@@ -101,58 +101,64 @@ def cached_oval(h: float, kappa: float, form: HamiltonianForm) -> Oval:
     return oval(h, make_params(kappa), form=form)
 
 
-def _gk_panel(f, a: float, b: float):
-    """One Gauss-Kronrod 15(7) panel; returns (integral, error estimate)."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    fx = f(mid + half * _XGK)
-    k = half * float(np.dot(_WGK, fx))
-    g = half * float(np.dot(_WG, fx[1::2]))
-    return k, abs(k - g)
+def _gk_sums(fx: np.ndarray):
+    """GK15(7) value and error estimate of each panel from its weighted
+    integrand values fx (P, 15), the weights holding the half-width."""
+    k = fx @ _WGK
+    return k, np.abs(k - fx[:, 1::2] @ _WG)
+
+
+def _gk_refine(evaluate, panels: tuple, value: np.ndarray, err: np.ndarray,
+               offset: float, rel: float, max_panels: int, what: str):
+    """offset plus the GK sum over panels (arrays of any tags, then the ends
+    lo and hi; ``evaluate(*panels)`` gives each one's value and error), to
+    one error budget rel |integral| (QUADPACK's QAG criterion).  Each round
+    halves every panel above an even share of the budget, and the worst one.
+    Stopped at ``max_panels`` above budget, it logs one WARNING."""
+    while True:
+        total = offset + float(np.sum(value))
+        target = rel * max(abs(total), 1e-300)
+        est = float(np.sum(err))
+        if not est > target or value.size >= max_panels:
+            break
+        split = err > target / value.size
+        split[np.argmax(err)] = True  # the worst panel, should rounding leave none above
+        *tags, lo, hi = (a[split] for a in panels)
+        mid = 0.5 * (lo + hi)
+        halves = (*(np.tile(t, 2) for t in tags), np.concatenate([lo, mid]),
+                  np.concatenate([mid, hi]))
+        v, e = evaluate(*halves)
+        panels = tuple(np.concatenate([a[~split], b]) for a, b in zip(panels, halves))
+        value, err = np.concatenate([value[~split], v]), np.concatenate([err[~split], e])
+    if est > target:
+        logger.warning("%s stopped at %d panels (max_panels=%d): error estimate %.3e above "
+                       "the target %.3e (relative budget %.3e)",
+                       what, value.size, max_panels, est, target, rel)
+    return total, est
 
 
 def _adaptive_gk(f, a: float, b: float, tol: float, max_panels: int = 4000):
-    """Globally adaptive GK quadrature of a vectorized integrand.
+    """f over [a, b] to tol |integral| from 8 equal panels; f takes the
+    (P, 15) nodes of each round's P new panels."""
+    def evaluate(lo, hi):
+        half = 0.5 * (hi - lo)[:, None]
+        return _gk_sums(half * f(0.5 * (lo + hi)[:, None] + half * _XGK))
 
-    A call that stops at ``max_panels`` above its tolerance returns what it
-    has and logs one WARNING on the ``q4lab.quadrature`` logger."""
     edges = np.linspace(a, b, 9)
-    heap = []
-    total, err = 0.0, 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e = _gk_panel(f, lo, hi)
-        heapq.heappush(heap, (-e, lo, hi, v))
-        total += v
-        err += e
-    n = edges.size - 1
-    while err > tol * max(abs(total), 1e-300) and n < max_panels:
-        e0, lo, hi, v = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _gk_panel(f, lo, mid)
-        v2, e2 = _gk_panel(f, mid, hi)
-        total += v1 + v2 - v
-        err += e1 + e2 + e0  # e0 stored negated
-        heapq.heappush(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
-        n += 1
-    if err > tol * max(abs(total), 1e-300):
-        logger.warning("adaptive GK on [%r, %r] stopped at max_panels=%d: error estimate "
-                       "%.3e above the target %.3e (relative tol %.3e)",
-                       a, b, n, err, tol * max(abs(total), 1e-300), tol)
-    return total, err
+    panels = (edges[:-1], edges[1:])
+    return _gk_refine(evaluate, panels, *evaluate(*panels), 0.0, tol, max_panels,
+                      f"adaptive GK on [{a!r}, {b!r}]")
 
 
 def _moment_green(i: int, j: int, ov: Oval, tol: float):
     if i == -1 and j == -1:
         raise DomainError("index (-1, -1) has no polynomial antiderivative")
 
-    if i != -1:
-        def integrand(theta):
-            x, y, _, dy = ov.point_tangent(theta)
+    def integrand(theta):
+        x, y, dx, dy = ov.point_tangent(theta)
+        if i != -1:
             return x ** (i + 1) * y**j / (i + 1) * dy
-    else:
-        def integrand(theta):
-            x, y, dx, _ = ov.point_tangent(theta)
-            return -(x**i) * y ** (j + 1) / (j + 1) * dx
+        return -(x**i) * y ** (j + 1) / (j + 1) * dx
 
     return _adaptive_gk(integrand, 0.0, 2.0 * math.pi, tol)
 
@@ -366,50 +372,29 @@ AREA2D_MAX_PANELS = 2000
 def _panels_gk(i: int, j: int, nodes):
     """GK15(7) value and error estimate of x^i y^j on each panel."""
     x, w, lo, hi = nodes
-    fx = x**i * w * (hi ** (j + 1) - lo ** (j + 1)).sum(axis=0) / (j + 1)
-    k = fx @ _WGK
-    return k, np.abs(k - fx[:, 1::2] @ _WG)
+    return _gk_sums(x**i * w * (hi ** (j + 1) - lo ** (j + 1)).sum(axis=0) / (j + 1))
 
 
 def _moment_area2d(i: int, j: int, ov: Oval, tol: float):
     """Inner rectangles exactly, plus one globally adaptive GK pass over all
-    boundary panels (QUADPACK's QAG criterion): the panels share one error
-    budget, 0.02 tol |moment|, and each round halves, in one batch, every
-    panel whose error estimate is above an even share of the budget."""
+    boundary panels, with an error budget of 0.02 tol |moment|."""
     geo = _area2d_geometry(ov)
     x0, x1, y0, y1 = geo.rects  # exact over the inner cells (x0 > 0 when i <= -1)
     ix = np.log(x1 / x0) if i == -1 else (x1 ** (i + 1) - x0 ** (i + 1)) / (i + 1)
     rects = float(np.sum(ix * (y1 ** (j + 1) - y0 ** (j + 1)))) / (j + 1)
-    run, lo, hi = geo.panels
-    value, err = _panels_gk(i, j, geo.nodes)
-    while True:
-        total = rects + float(np.sum(value))
-        target = 0.02 * tol * max(abs(total), 1e-300)
-        est = float(np.sum(err))
-        if not est > target or run.size >= AREA2D_MAX_PANELS:
-            break
-        split = err > target / run.size
-        split[np.argmax(err)] = True  # the worst panel, should rounding leave none above
-        mid = 0.5 * (lo[split] + hi[split])
-        halves = (np.tile(run[split], 2), np.concatenate([lo[split], mid]),
-                  np.concatenate([mid, hi[split]]))
-        v, e = _panels_gk(i, j, geo.panel_nodes(*halves))
-        run, lo, hi = (np.concatenate([a[~split], b]) for a, b in zip((run, lo, hi), halves))
-        value, err = np.concatenate([value[~split], v]), np.concatenate([err[~split], e])
-    if est > target:
-        logger.warning("area2d I_%d_%d at h=%.17g stopped at %d panels: error estimate %.3e "
-                       "above the target %.3e (relative tol %.3e)",
-                       i, j, ov.h, run.size, est, target, 0.02 * tol)
-    return total, est
+    return _gk_refine(lambda *panels: _panels_gk(i, j, geo.panel_nodes(*panels)),
+                      geo.panels, *_panels_gk(i, j, geo.nodes), rects, 0.02 * tol,
+                      AREA2D_MAX_PANELS, f"area2d I_{i}_{j} at h={ov.h!r}")
 
 
 def moment(index: MomentIndex, h: float, params: ModelParams,
            method: str = "green", tol: float = 1e-8) -> MomentValue:
     """Evaluate one moment integral at level h to a relative tolerance.
 
-    The tolerance is relative to the whole moment: green's contour integral
-    runs to tol |I|, and area2d spends one error budget of 0.02 tol |I| on
-    all of its boundary panels together.
+    The tolerance is relative to the whole moment, and each method spends
+    it as one error budget shared by all of its panels: green's angle panels
+    get tol |I| and at most 4000 panels, area2d's boundary panels 0.02 tol |I|
+    and at most AREA2D_MAX_PANELS.
 
     Results are cached per (index, h, kappa, method, tol): ovals and moments
     depend on kappa only, never on the perturbation weights.

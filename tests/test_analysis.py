@@ -862,13 +862,17 @@ class TestScannerBatching:
                 check(count_zeros(V, (tab.lo, tab.hi), grid=512), xs, V(xs))
 
     def test_unit_sphere_weights_match_per_draw_formula(self):
-        for seed_seq in (np.random.SeedSequence(3), np.random.SeedSequence(42).spawn(4)[2]):
+        # 120,000 draws: the batched norm must keep the per-draw norm's bits,
+        # which np.linalg.norm(axis=1) misses in about one row in eight
+        seeds = (np.random.SeedSequence(3), np.random.SeedSequence(42).spawn(4)[2],
+                 np.random.SeedSequence(7), np.random.SeedSequence(2024))
+        for seed_seq in seeds:
             rng = np.random.default_rng(seed_seq)
             per_draw = []
-            for _ in range(25):
+            for _ in range(30_000):
                 mu = rng.normal(size=4)
                 per_draw.append(mu / np.linalg.norm(mu))
-            assert (unit_sphere_weights(seed_seq, 25) == np.array(per_draw)).all()
+            assert (unit_sphere_weights(seed_seq, 30_000) == np.array(per_draw)).all()
         assert unit_sphere_weights(np.random.SeedSequence(3), 0).shape == (0, 4)
 
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from q4lab.cli import RunConfig, _mu_draws, main, run
+from q4lab.cli import CSV_NAMES, RunConfig, _mu_draws, main, run
 
 
 def read_report(path):
@@ -42,6 +42,24 @@ class TestConfig:
 
     def test_bad_mu_exits_1(self, tmp_path):
         assert main(["zeros", "--mu", "1,2,3", "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("command,mu", [("coeffs", "1,2,3,4,5"), ("zeros", "1,2,3")])
+    def test_config_file_mu_needs_four_weights(self, tmp_path, capsys, command, mu):
+        # a config file's mu once skipped the check that only --mu had
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(f"mu = {mu}\n")
+        assert main([command, "--config", str(cfgfile), "--kappa", "4",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "config error: mu needs four weights" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="four weights"):
+            RunConfig(mu=(1.0, 2.0, 3.0)).validate()
+
+    def test_zero_workers_exits_1(self, tmp_path, capsys):
+        # --workers 0 once ran serially without a word
+        assert main(["sweep", "--kappa", "4", "--trials", "2", "--workers", "0",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "config error: workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("mu", ["nan,1,0,0", "1,inf,0,0", "1,0,0,-inf"])
     def test_non_finite_mu_exits_1(self, tmp_path, capsys, mu):
@@ -163,6 +181,18 @@ class TestCommands:
                      "--out", str(tmp_path)]) == 0
         data = (tmp_path / "coeffs.txt").read_bytes()
         assert hashlib.sha256(data).hexdigest() == self.COEFFS_GOLDEN_SHA256
+
+    # green's moments and every row built on them, after green moved onto
+    # the batched GK loop and the Picard-Fuchs solves took a refinement step
+    MOMENTS_GOLDEN_SHA256 = "9aaf5d2821cb6293c950e763654f7908a73dd7f3ff875f0484f7fbea1ef131ed"
+    RESIDUALS_GOLDEN_SHA256 = "1f4c8bdb724df0e2f22bfaf409c9a91ffd10f3b143fba1137b53882e8a542390"
+
+    @pytest.mark.parametrize("command", ["moments", "verify"])
+    def test_moments_and_residuals_golden_bytes(self, tmp_path, command):
+        assert main([command, "--kappa", "4", "--out", str(tmp_path)]) == 0
+        data = (tmp_path / CSV_NAMES[command]).read_bytes()
+        want = self.MOMENTS_GOLDEN_SHA256 if command == "moments" else self.RESIDUALS_GOLDEN_SHA256
+        assert hashlib.sha256(data).hexdigest() == want
 
     def test_sweep_kappas_draw_distinct_streams(self, tmp_path):
         # each kappa draws from its own spawned child of the seed, the

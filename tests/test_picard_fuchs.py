@@ -452,6 +452,36 @@ class TestMomentBasis:
                 assert abs(float((J[1] - want[1]) / want[1])) <= 1e-14
                 assert abs(float((J[0] - want[0]) / want[0])) <= 1e-9
 
+    def test_dop853_derivs_do_not_hang_on_the_oracle_bits(self, monkeypatch):
+        # with plain solves, moving the midpoint oracle by an ulp or two put
+        # the DOP853 derivatives 1e-10 to 5e-10 of their sup off the basis in
+        # most draws at kappa 1.5 (cond(B) up to 1e6); refined, 1e-11
+        p = make_params(1.5)
+        grid = bound_scanner(p).hs
+        hs = np.append(grid[::2], grid[-1])
+        inner = np.array([np.linalg.cond(pf_matrix(h, p)) for h in hs]) <= 1e6
+        oracle = pf.basis_values
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            steps = rng.integers(-2, 3, size=6) * 2.0**-53
+            monkeypatch.setattr(pf, "basis_values",
+                                lambda h, params, tol: oracle(h, params, tol=tol) * (1 + steps))
+            Da, Db = PFPropagation(p).derivs(hs), MomentBasis(p).derivs(hs)
+            sup = np.max(np.abs(Da), axis=1)
+            assert np.all(np.max(np.abs(Db - Da)[:, inner], axis=1) <= 5e-11 * sup)
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_dop853_J_at_the_scanner_end_nodes(self, kappa):
+        # the end nodes, cond(B) 1e7: J within 2e-9 of 40 digits (5.5e-8 at
+        # kappa 1.5 before the solves were refined)
+        p = make_params(kappa)
+        grid = bound_scanner(p).hs
+        d = PFPropagation(p).derivs(grid[[0, -1]])
+        for col, h in enumerate(grid[[0, -1]]):
+            want = _mp_J(h, kappa)
+            for got, w in zip(d[[0, 3], col], want):
+                assert abs(float((got - w) / w)) <= 2e-9
+
     def test_midpoint_is_the_oracle_and_shapes(self, p4):
         basis = MomentBasis(p4)
         assert np.array_equal(basis.values(basis.h_mid), basis_values(basis.h_mid, p4))

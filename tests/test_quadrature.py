@@ -305,6 +305,77 @@ class TestArea2dGeometry:
             assert np.array_equal(np.unique(geo.fold_xs), ref_fold)
 
 
+class TestOneGKEngine:
+    """green, area2d and the reconstruction check share one batched GK loop
+    (``_gk_refine``); area2d kept its bits through the move."""
+
+    # area2d at tol 1e-8, recorded before the loop was shared: (kappa, level
+    # fraction of the annulus) -> float.hex of the six BASIS moments
+    AREA2D_HEX = {
+        (1.5, 0.08): (
+            "0x1.66712efb4a499p-5", "0x1.63c2ce3cd4daap-5", "0x1.658e4cfbc15aep-5",
+            "0x1.63c35d126d2e0p-5", "0x1.6be96f3d2795ap-5", "0x1.6a1afd1b9624cp-5"),
+        (1.5, 0.5): (
+            "0x1.2355b4cfdbd06p-2", "0x1.13ed3e6f7a656p-2", "0x1.1e828cf1f707cp-2",
+            "0x1.1400b48f4dcaap-2", "0x1.475b846bda11cp-2", "0x1.3c2deeca0590fp-2"),
+        (1.5, 0.92): (
+            "0x1.1ea176e3d6c40p-1", "0x1.f6ff755cc2e0ep-2", "0x1.14a3e7bb9797dp-1",
+            "0x1.f79373520b810p-2", "0x1.8fafd7311e5fcp-1", "0x1.70e4cd2322a14p-1"),
+        (4.0, 0.08): (
+            "0x1.8f3dac038b29fp-5", "0x1.8ba212ac75d6fp-5", "0x1.8c8ba0d1cbef9p-5",
+            "0x1.8ba42153ba197p-5", "0x1.96a07e3691d76p-5", "0x1.911c649794f38p-5"),
+        (4.0, 0.5): (
+            "0x1.46dac56684f9fp-2", "0x1.3250fe8ccfa92p-2", "0x1.37e93dce5c3ebp-2",
+            "0x1.329a8911c8e66p-2", "0x1.781a542708abap-2", "0x1.5471381021acdp-2"),
+        (4.0, 0.92): (
+            "0x1.4415635c07feep-1", "0x1.16769eca14012p-1", "0x1.24a790ba792d1p-1",
+            "0x1.17951fbca361ap-1", "0x1.df754b457270fp-1", "0x1.7755b7b066babp-1"),
+        (9.0, 0.08): (
+            "0x1.46496f4b87f71p-5", "0x1.42f88c468c244p-5", "0x1.43585329bc3c8p-5",
+            "0x1.42fb136a83a8ep-5", "0x1.4d17fd6bec48cp-5", "0x1.470e5ceb75cc5p-5"),
+        (9.0, 0.5): (
+            "0x1.0ca48c66efc14p-2", "0x1.f3760b5dc3c57p-3", "0x1.f8318e0ef942dp-3",
+            "0x1.f42e39e80f40ep-3", "0x1.3af7655cf8fc1p-2", "0x1.128c234a63d23p-2"),
+        (9.0, 0.92): (
+            "0x1.0c410e166fbeep-1", "0x1.c513afc15fb9bp-2", "0x1.d1d77925d8b61p-2",
+            "0x1.c7f0a9c55a83dp-2", "0x1.a261139935e69p-1", "0x1.2582f920c04bep-1"),
+    }
+
+    def test_area2d_bits_unchanged(self):
+        clear_caches()
+        for (kappa, level), expected in self.AREA2D_HEX.items():
+            p = make_params(kappa)
+            h = interior_levels(p, 1, level, level)[0]
+            got = tuple(moment(MomentIndex(*ij), h, p, "area2d", 1e-8).value.hex()
+                        for ij in BASIS)
+            assert got == expected, (kappa, level)
+        clear_caches()
+
+    @pytest.mark.parametrize("kappa", [1.5, 2.0, 4.0, 9.0])
+    def test_green_matches_tight_green_on_c01_grid(self, kappa):
+        p = make_params(kappa)
+        clear_caches()
+        worst = 0.0
+        for h in interior_levels(p, 12, 0.08, 0.92):
+            for ij in BASIS:
+                g = moment(MomentIndex(*ij), h, p, "green", 1e-10).value
+                ref = moment(MomentIndex(*ij), h, p, "green", 1e-14).value
+                worst = max(worst, abs(g - ref) / abs(ref))
+        clear_caches()
+        assert worst <= 1e-13
+
+    def test_green_nodes_go_to_the_ray_solver_per_round(self, p4, monkeypatch):
+        # each round's new panels reach point_tangent as one (P, 15) array
+        ov = oval(-0.5, p4)
+        shapes = []
+        solve = Oval._point_tangent
+        monkeypatch.setattr(Oval, "_point_tangent",
+                            lambda self, th: shapes.append(th.shape) or solve(self, th))
+        quad._moment_green(1, 1, ov, 1e-12)
+        assert shapes[0] == (8, 15)
+        assert len(shapes) > 1 and all(len(sh) == 2 and sh[1] == 15 for sh in shapes)
+
+
 class TestRayGeometryMemo:
     """Ovals memoise point_tangent per angle array, shared by the green
     integrals of all indices; values must not depend on the memo state."""
@@ -387,6 +458,18 @@ class TestPanelSaturation:
         assert records[0].levelno == logging.WARNING
         assert "area2d I_1_1" in records[0].getMessage()
         assert err > 0.02 * 1e-12 * abs(value)
+
+    def test_saturated_green_moment_logs_one_warning(self, p4, caplog):
+        # tol 1e-17 is below rounding, so green runs into its 4000 panels
+        ov = quad.cached_oval(-0.5, p4.kappa, HamiltonianForm.SYMMETRIC_FORM)
+        with caplog.at_level(logging.WARNING, logger="q4lab"):
+            value, err = quad._moment_green(1, 1, ov, 1e-17)
+        records = [r for r in caplog.records if r.name == "q4lab.quadrature"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        assert "max_panels=4000" in records[0].getMessage()
+        assert err > 1e-17 * abs(value)
+        assert value == pytest.approx(moment_value(1, 1, -0.5, p4), rel=1e-13)
 
     def test_converged_call_is_silent(self, caplog):
         with caplog.at_level(logging.WARNING, logger="q4lab"):

@@ -47,8 +47,8 @@ parameters, without an ODE solver, for the count(G) <= k + 2 sample.
 
 ``keyhole_contour``, ``j_table`` and ``bound_scanner`` build once per
 (kappa, epsilon), kappa and (kappa, grid), in ``functools`` caches.  The contour
-keeps the winding count's terms in J alone, the J table and the L2 frame their
-values on scan grids (``_GridMemo``): the same operations, so the same bits.
+keeps the terms of the winding count's F (s^k, J2 / J1); the J table and the L2
+frame keep their values on scan grids (``_GridMemo``), the same bits each time.
 """
 
 from __future__ import annotations
@@ -401,9 +401,7 @@ class PolyPair:
         return np.polynomial.polynomial.polyval(s, np.asarray(self.P))
 
     def eval_Q(self, s):
-        if not self.Q:
-            return np.zeros_like(np.asarray(s, dtype=complex))
-        return np.polynomial.polynomial.polyval(s, np.asarray(self.Q))
+        return np.polynomial.polynomial.polyval(s, np.asarray(self.Q or (0.0,)))
 
 
 @dataclass
@@ -450,23 +448,34 @@ def _keyhole_pieces(epsilon: float) -> dict:
 
 
 class KeyholeContour:
-    """J sampled around the keyhole boundary of D_eps, cached per
-    (kappa, eps); per-element winding counts then reduce to array
-    arithmetic on the stored samples.  ``samples[name]`` is (s, J) for
-    each boundary piece, J in closed form (``hypergeometric_J``).
-    ``pieces[name]`` is (s, J1, J2, min |J1|, edge), edge being the cut
-    edges' (Im(J2 conj(J1)), |J1|^2) and None elsewhere: ``winding_count``'s
-    terms in J alone, formed once here by the same operations."""
+    """J around the keyhole boundary of D_eps, cached per (kappa, eps), with
+    the terms ``winding_count`` builds F from.  Every piece's samples lie in
+    one array, ``s`` and ``J`` = (J1, J2), the two cut edges first;
+    ``bounds[name]`` is a piece's (start, stop) there, in traversal order, and
+    ``samples[name]`` its (s, J) views.  Beside them: rho = J2 / J1, the
+    edges' ``ratio`` Im(J2 conj(J1)) / |J1|^2, ``min_abs_J1``, and s^k as real
+    (2N,) views (``powers``), each formed once as s^(k-1) s when a pair first
+    needs it, so their bits do not depend on which pair came first."""
 
     def __init__(self, params: ModelParams, epsilon: float = 1e-3):
-        self.samples, self.pieces = {}, {}
-        for name, (pieces, n) in _keyhole_pieces(epsilon).items():
-            t = np.linspace(0.0, 1.0, n)
-            s = np.concatenate([piece.point(t) for piece in pieces])
-            J1, J2 = J = hypergeometric_J(s, params)
-            self.samples[name] = (s, J)
-            edge = ((J2 * np.conj(J1)).imag, np.abs(J1) ** 2) if name.startswith("cut") else None
-            self.pieces[name] = (s, J1, J2, float(np.min(np.abs(J1))), edge)
+        pieces = {name: np.concatenate([piece.point(np.linspace(0.0, 1.0, n)) for piece in path])
+                  for name, (path, n) in _keyhole_pieces(epsilon).items()}
+        order = sorted(pieces, key=lambda name: not name.startswith("cut"))
+        self.s = np.concatenate([pieces[name] for name in order])
+        self.J = J1, J2 = hypergeometric_J(self.s, params)
+        starts = dict(zip(order, np.cumsum([0] + [pieces[name].size for name in order]).tolist()))
+        self.bounds = {name: (starts[name], starts[name] + s.size) for name, s in pieces.items()}
+        self.samples = {name: (self.s[a:b], self.J[:, a:b]) for name, (a, b) in self.bounds.items()}
+        e = slice(0, starts[order[2]])  # the two cut edges
+        self.ratio = (J2[e] * np.conj(J1[e])).imag / np.abs(J1[e]) ** 2
+        self.rho, self.min_abs_J1 = J2 / J1, float(np.min(np.abs(J1)))
+        self._powers = [self.s.view(float)]
+
+    def powers(self, n: int) -> list[np.ndarray]:
+        """s^1 ... s^n, each a real (2N,) view (re, im interleaved)."""
+        while len(self._powers) < n:
+            self._powers.append((self._powers[-1].view(complex) * self.s).view(float))
+        return self._powers[:n]
 
 
 def keyhole_by_continuation(params: ModelParams, epsilon: float = 1e-3):
@@ -517,46 +526,51 @@ def _wrap(steps: np.ndarray) -> np.ndarray:
     return x - np.pi
 
 
+def _real_sum(c: tuple, cols: list, n: int) -> np.ndarray:
+    """c[0] + c[1] s + ... + c[m] s^m at n samples, complex, from the real
+    views cols[k - 1] of s^k: numpy terms in order of k, so no BLAS sets the bits."""
+    if len(c) < 2:
+        return np.full(n, c[0] if c else 0.0, dtype=complex)
+    acc = c[1] * cols[0]
+    acc[::2] += c[0]
+    for ck, col in zip(c[2:], cols[1:]):
+        acc += ck * col
+    return acc.view(complex)
+
+
 def winding_count(pair: PolyPair, params: ModelParams,
                   epsilon: float = 1e-3) -> WindingReport:
     """Argument-principle zero count of P J1 + Q J2 on the keyhole domain.
 
-    On the cut edges the imaginary part of F is assembled from the
-    pointwise conjugate-pair fundamental matrix, Im F =
-    Q Im(J2 conj(J1)) / |J1|^2, matching the boundary analysis; elsewhere F
-    is used directly.
+    F = P + Q J2 / J1, with P and Q real sums over the contour's s^k.  On the
+    cut edges the imaginary part of F is assembled from the pointwise
+    conjugate-pair fundamental matrix, Im F = Q Im(J2 conj(J1)) / |J1|^2,
+    matching the boundary analysis; elsewhere F is used directly.  Piece by
+    piece: whole-contour temporaries (300 kB) would be fresh pages each call.
     """
     ct = keyhole_contour(params, epsilon)
-    segments = []
-    total = 0.0
-    min_j1 = math.inf
-    max_step = 0.0
-    edge_gap = 0.0
-    for name, (s, J1, J2, amin, edge) in ct.pieces.items():
-        min_j1 = min(min_j1, amin)
-        if amin == 0.0:
-            raise GeometryError("J1 vanishes on the contour; F undefined")
-        P = pair.eval_P(s)
-        Q = pair.eval_Q(s)
-        F = (P * J1 + Q * J2) / J1
-        if edge is not None:
-            imf = Q.real * edge[0] / edge[1]
-            edge_gap = max(edge_gap, float(np.max(np.abs(imf - F.imag))
+    if ct.min_abs_J1 == 0.0:
+        raise GeometryError("J1 vanishes on the contour; F undefined")
+    powers = ct.powers(pair.n)
+    segments, total, max_step, edge_gap = [], 0.0, 0.0, 0.0
+    for name, (a, b) in ct.bounds.items():
+        cols = [col[2 * a:2 * b] for col in powers]
+        P, Q = (_real_sum(c, cols, b - a) for c in (pair.P, pair.Q))
+        F = P + Q * ct.rho[a:b]
+        im = F.imag
+        if name.startswith("cut"):
+            im = Q.real * ct.ratio[a:b]
+            edge_gap = max(edge_gap, float(np.max(np.abs(im - F.imag))
                                            / (np.max(np.abs(F)) + 1e-300)))
-            F = F.real + 1j * imf
-        steps = _wrap(np.diff(np.angle(F)))
+        steps = _wrap(np.diff(np.arctan2(im, F.real)))
         inc = float(np.sum(steps))
         max_step = max(max_step, float(np.max(np.abs(steps))))
         total += inc
         segments.append({"name": name, "arg_increment": inc})
     w = int(round(total / (2.0 * math.pi)))
-    residual = abs(total / (2.0 * math.pi) - w)
-    return WindingReport(
-        n=pair.n, epsilon=epsilon, segments=segments, winding=w,
-        residual=residual, min_abs_J1=min_j1,
-        bound_ok=w <= 2 * pair.n, max_arg_step=max_step,
-        edge_im_agreement=edge_gap,
-    )
+    return WindingReport(n=pair.n, epsilon=epsilon, segments=segments, winding=w,
+                         residual=abs(total / (2.0 * math.pi) - w), edge_im_agreement=edge_gap,
+                         min_abs_J1=ct.min_abs_J1, bound_ok=w <= 2 * pair.n, max_arg_step=max_step)
 
 
 # ---------------------------------------------------------------------------

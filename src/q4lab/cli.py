@@ -98,21 +98,18 @@ def _config_from(args) -> RunConfig:
         for key in ("tol", "epsilon"):
             if key in raw:
                 setattr(cfg, key, float(raw[key]))
-        if "mu_mode" in raw:
-            cfg.mu_mode = raw["mu_mode"]
-        if "output_dir" in raw:
-            cfg.output_dir = raw["output_dir"]
+        for key in ("mu_mode", "output_dir"):
+            if key in raw:
+                setattr(cfg, key, raw[key])
     if args.kappa:
         cfg.kappa_list = [float(k) for k in args.kappa]
     if args.mu is not None:
         cfg.mu = tuple(float(x) for x in args.mu.split(","))
         cfg.mu_mode = "explicit"
-    for name in ("trials", "seed", "grid", "tol", "workers"):
+    for name in ("trials", "seed", "grid", "tol", "epsilon", "workers"):
         val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)
-    if getattr(args, "epsilon", None) is not None:
-        cfg.epsilon = args.epsilon
     if args.out is not None:
         cfg.output_dir = args.out
     cfg.validate()

@@ -113,8 +113,8 @@ def _gk_refine(evaluate, panels: tuple, value: np.ndarray, err: np.ndarray,
     """offset plus the GK sum over panels (arrays of any tags, then the ends
     lo and hi; ``evaluate(*panels)`` gives each one's value and error), to
     one error budget rel |integral| (QUADPACK's QAG criterion).  Each round
-    halves every panel above an even share of the budget, and the worst one.
-    Stopped at ``max_panels`` above budget, it logs one WARNING."""
+    halves every panel above an even share of the budget, and the worst one,
+    as many as ``max_panels`` has room for; stopped there, it logs one WARNING."""
     while True:
         total = offset + float(np.sum(value))
         target = rel * max(abs(total), 1e-300)
@@ -123,6 +123,9 @@ def _gk_refine(evaluate, panels: tuple, value: np.ndarray, err: np.ndarray,
             break
         split = err > target / value.size
         split[np.argmax(err)] = True  # the worst panel, should rounding leave none above
+        room = max_panels - value.size
+        if np.count_nonzero(split) > room:  # the worst first, to end at max_panels
+            split = np.isin(np.arange(err.size), np.argsort(-err, kind="stable")[:room])
         *tags, lo, hi = (a[split] for a in panels)
         mid = 0.5 * (lo + hi)
         halves = (*(np.tile(t, 2) for t in tags), np.concatenate([lo, mid]),

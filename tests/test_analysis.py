@@ -279,9 +279,9 @@ class TestVnSampling:
 
 
 def _winding_count_per_element(pair, params, epsilon):
-    """``winding_count`` as it was before the contour kept its terms in J
-    alone: every term formed per element from the samples, and the wrap by
-    the float %."""
+    """``winding_count`` as it was before the contour kept its terms: P and
+    Q by Horner, F = (P J1 + Q J2) / J1 and every term formed per element
+    from the samples, and the wrap by the float %."""
     ct = keyhole_contour(params, epsilon)
     segments, total, min_j1, max_step, edge_gap = [], 0.0, math.inf, 0.0, 0.0
     for name, (s, J) in ct.samples.items():
@@ -309,19 +309,77 @@ def _winding_count_per_element(pair, params, epsilon):
         bound_ok=w <= 2 * pair.n, max_arg_step=max_step, edge_im_agreement=edge_gap)
 
 
+_PI_LD = np.arccos(np.longdouble(-1.0))
+
+
+def _arg_increments_longdouble(pair, params, epsilon):
+    """Each piece's argument increment of F from the same J samples, in
+    np.clongdouble: P and Q by Horner, F = P + Q J2 / J1, and on the cut
+    edges Im F = Re Q Im(J2 conj(J1)) / |J1|^2, as ``winding_count``."""
+    out = []
+    for name, (s, J) in keyhole_contour(params, epsilon).samples.items():
+        s, J1, J2 = (np.asarray(x, dtype=np.clongdouble) for x in (s, J[0], J[1]))
+        P, Q = np.zeros_like(s), np.zeros_like(s)
+        for c in reversed(pair.P):
+            P = P * s + np.longdouble(c)
+        for c in reversed(pair.Q):
+            Q = Q * s + np.longdouble(c)
+        F = P + Q * (J2 / J1)
+        im = F.imag
+        if name.startswith("cut"):
+            im = Q.real * (J2 * np.conj(J1)).imag / (J1.real**2 + J1.imag**2)
+        steps = (np.diff(np.arctan2(im, F.real)) + _PI_LD) % (2 * _PI_LD) - _PI_LD
+        out.append(np.sum(steps))
+    return out
+
+
 class TestCachedTerms:
-    """The keyhole's terms in J alone, the wrap without the float % and the
-    grid memo of the J table and the L2 frame change no bit of any count."""
+    """The keyhole's cached terms (columns s^k, rho = J2 / J1, the edges'
+    ratio) move only the last bits of F, never a count; the wrap without the
+    float % and the grid memo of the J table and the L2 frame change no bit."""
 
     @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
     @pytest.mark.parametrize("epsilon", [5e-4, 1e-3, 2e-3])
     def test_winding_equals_per_element_loop(self, kappa, epsilon):
+        # P + Q rho from cached columns of s^k rounds differently from Horner
+        # and (P J1 + Q J2) / J1, so the float fields move in the last bits:
+        # both routes are held to a long-double reference instead
         p = make_params(kappa)
         rng = np.random.default_rng(np.random.SeedSequence([int(kappa * 10), int(epsilon * 1e4)]))
         for t in range(23):  # 207 pairs over the nine cases
             pair = random_poly_pair(t % 5, rng)
             got, want = winding_count(pair, p, epsilon), _winding_count_per_element(pair, p, epsilon)
-            assert vars(got) == vars(want), (t, pair)
+            for field in ("winding", "bound_ok", "n", "epsilon", "min_abs_J1"):
+                assert getattr(got, field) == getattr(want, field), (t, pair, field)
+            assert [g["name"] for g in got.segments] == [w["name"] for w in want.segments]
+            ref = _arg_increments_longdouble(pair, p, epsilon)
+            for report in (got, want):
+                for seg, r in zip(report.segments, ref, strict=True):
+                    assert abs(seg["arg_increment"] - float(r)) <= 1e-12, (t, pair, seg["name"])
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_winding_counts_equal_per_element_loop(self, kappa):
+        p = make_params(kappa)
+        rng = np.random.default_rng(np.random.SeedSequence([int(kappa * 10), 18]))
+        for t in range(700):  # 2,100 pairs over the three kappas
+            pair = random_poly_pair(1 + t % 4, rng)
+            got, want = winding_count(pair, p), _winding_count_per_element(pair, p, 1e-3)
+            assert got.winding == want.winding, (t, pair)
+
+    def test_contour_state_leaks_no_bit(self):
+        # the columns s^k grow on demand and the caches empty; a pair's report
+        # must not see either
+        p = make_params(3.3)
+        rng = np.random.default_rng(33)
+        pairs = [random_poly_pair(n, rng) for n in (1, 3)]
+        clear_caches()
+        fresh = [vars(winding_count(pair, p)) for pair in pairs]
+        for _ in range(3):
+            winding_count(random_poly_pair(4, rng), p)
+        assert len(keyhole_contour(p)._powers) == 4
+        assert [vars(winding_count(pair, p)) for pair in pairs] == fresh
+        clear_caches()
+        assert [vars(winding_count(pair, p)) for pair in pairs] == fresh
 
     def test_wrap_equals_float_remainder(self):
         two_pi = 2.0 * np.pi

@@ -162,9 +162,10 @@ class TestCommands:
             >= self.R_ZERO_AT_CENTER_DROPPED
         assert hashlib.sha256(data).hexdigest() == self.GOLDEN_SHA256
 
-    # winding.csv from the per-element keyhole loop, before the contour kept
-    # its terms in J alone and the J table its values on the scan grid
-    WINDING_GOLDEN_SHA256 = "0c3ef06fc79339621c6187fdebfc51ee1676d102b0d74d247c4531c142dade67"
+    # winding.csv with F = P + Q J2 / J1 summed from the contour's columns of
+    # s^k; against Horner and (P J1 + Q J2) / J1 only the six
+    # worst-integrality-residual rows moved, by at most 1.2e-14
+    WINDING_GOLDEN_SHA256 = "9a4ff21363ff8c4405c8d67ec18dd1072c78f2db811fb0ed64aad220cecd897d"
 
     def test_winding_golden_bytes(self, tmp_path):
         cfg = RunConfig(kappa_list=[2.0, 7.0], trials=20, seed=7, output_dir=str(tmp_path))

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -468,6 +469,9 @@ class TestPanelSaturation:
         assert len(records) == 1
         assert records[0].levelno == logging.WARNING
         assert "max_panels=4000" in records[0].getMessage()
+        # the last round splits only as many panels as the cap has room for
+        panels = int(re.search(r"stopped at (\d+) panels", records[0].getMessage()).group(1))
+        assert panels <= 4000
         assert err > 1e-17 * abs(value)
         assert value == pytest.approx(moment_value(1, 1, -0.5, p4), rel=1e-13)
 

@@ -65,7 +65,7 @@ from scipy.optimize import brentq
 from scipy.special import hyp2f1
 
 from .errors import ConsistencyError, ConvergenceError, DomainError, GeometryError
-from .model import ModelParams, make_params, real_roots_y
+from .model import ModelParams, cubic_real_roots, make_params, real_roots_y
 from .picard_fuchs import (
     Arc,
     Line,
@@ -225,9 +225,12 @@ def residue_solution(h: float, params: ModelParams) -> ResidueSolution:
     if len(roots) != 1:
         raise DomainError(f"expected a unique real root at h={h}, got {roots}")
     y0 = roots[0][0]
-    k = params.kappa
-    f = (-4.0 * h + (3.0 * k * h * h - 4.0) * y0) / (k * y0 * y0 - 1.0)
-    return ResidueSolution(h=h, y0=y0, f=f)
+    return ResidueSolution(h=h, y0=y0, f=_residue_at(h, y0, params.kappa))
+
+
+def _residue_at(h, y0, k: float):
+    """f = (-4 h + (3 kappa h^2 - 4) y0) / (kappa y0^2 - 1), the residue at (0, y0)."""
+    return (-4.0 * h + (3.0 * k * h * h - 4.0) * y0) / (k * y0 * y0 - 1.0)
 
 
 def residue_zero_level(params: ModelParams) -> float:
@@ -306,27 +309,30 @@ def chebyshev_probe(params: ModelParams, window: tuple[float, float] | None = No
     if not (a < b < hs_level):
         raise DomainError("probe window must sit left of the saddle level")
 
-    # L2(f) residual by centered finite differences on the exact f; the
-    # stencil must stay strictly below the saddle level
-    f_of = lambda h: residue_solution(h, params).f
-    inset = 3e-4 * max(abs(a), abs(b), 1.0)
-    hgrid = np.linspace(a + inset, b - inset, 20)
-    worst = 0.0
-    rows = []
-    for h in hgrid:
-        dh = 1e-4 * max(abs(h), 1.0)
-        fm2, fm1, f0, fp1, fp2 = (f_of(h + m * dh) for m in (-2, -1, 0, 1, 2))
-        g1 = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * dh)
-        g2 = (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * dh * dh)
-        val = apply_L2(f0, g1, g2, h, params)
-        scale = max(abs(5 * k * h * f0), abs((9 * k * h * h - 8) * g1),
-                    abs(h * (9 * k * h * h - 4) * g2))
-        rel = abs(val) / scale
-        worst = max(worst, rel)
-        rows.append({"h": h, "f": f0, "L2f_rel": rel})
+    def f_of(h):  # f on an array of levels, from one solve of the level cubic
+        y = cubic_real_roots(k / 3.0, 0.0, -1.0, -h)
+        if not np.isnan(y[:, 1:]).all():
+            raise DomainError("the residue solution needs a unique real root y0")
+        return _residue_at(h, y[:, 0].reshape(h.shape), k)
 
-    zr = count_zeros(lambda hh: np.array([f_of(x) for x in np.atleast_1d(hh)]),
-                     window, grid=grid, tol=tol)
+    # L2(f) residual by centered finite differences on the exact f, on all
+    # 20 five-point stencils at once; they must stay strictly below the
+    # saddle level
+    inset = 3e-4 * max(abs(a), abs(b), 1.0)
+    h = np.linspace(a + inset, b - inset, 20)
+    dh = 1e-4 * np.maximum(np.abs(h), 1.0)
+    fm2, fm1, f0, fp1, fp2 = f_of(h + np.arange(-2, 3)[:, None] * dh)
+    g1 = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * dh)
+    g2 = (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * dh * dh)
+    val = apply_L2(f0, g1, g2, h, params)
+    scale = np.maximum.reduce([np.abs(5 * k * h * f0), np.abs((9 * k * h * h - 8) * g1),
+                               np.abs(h * (9 * k * h * h - 4) * g2)])
+    rel = np.abs(val) / scale
+    worst = float(rel.max())
+    rows = [{"h": hh, "f": ff, "L2f_rel": rr}
+            for hh, ff, rr in zip(h.tolist(), f0.tolist(), rel.tolist())]
+
+    zr = count_zeros(f_of, window, grid=grid, tol=tol)
     located, err = None, None
     for z in zr.zeros:
         e = abs(z["location"] - h_star)

@@ -229,11 +229,10 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_moments(cfg: RunConfig, out: Path) -> int:
     rep = Report()
-    indices = [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (-1, 1)]
     for kappa in cfg.kappa_list:
         p = make_params(kappa)
         for h in interior_levels(p, 8, 0.08, 0.92):
-            for ij in indices:
+            for ij in quadrature.BASIS_INDICES:
                 g = quadrature.moment(quadrature.MomentIndex(*ij), h, p, "green", 1e-10)
                 a = quadrature.moment(quadrature.MomentIndex(*ij), h, p, "area2d", 1e-8)
                 rel = abs(g.value - a.value) / max(abs(a.value), 1e-300)

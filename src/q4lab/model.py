@@ -22,8 +22,9 @@ In both the cubic and the symmetric picture the period annulus surrounds
 the center (1, 1) and corresponds to levels h in (-2/3, -2/(3 sqrt(kappa))),
 where kappa = 4 / (2 + b) > 1.  This module owns the parameter record, the
 four first-integral forms, the coordinate change, critical levels, level
-classification, real roots of the boundary cubic, and the construction of
-level ovals used by every quadrature downstream.
+classification, the one closed-form solver for the real roots of every
+cubic in the lab, and the construction of level ovals used by every
+quadrature downstream.
 """
 
 from __future__ import annotations
@@ -245,103 +246,79 @@ def h_from_s(s: float, params: ModelParams) -> float:
 # Cubic utilities
 # ---------------------------------------------------------------------------
 
+def cubic_real_roots(a3, a2, a1, a0) -> np.ndarray:
+    """Real roots of a3 x^3 + a2 x^2 + a1 x + a0 (a3 nonzero; scalars or
+    arrays of one shape), flattened: shape (n, 3), ascending, NaN for each
+    complex root (so a single real root sits in column 0).
+
+    The depressed cubic t^3 + 3 P t + 2 R (x = t - a2 / (3 a3)) is solved in
+    the trigonometric form where D = R^2 + P^3 < 0 (three real roots), else
+    in Cardano's form without cancellation; two Newton steps on the original
+    cubic polish each root.  Every cubic of the lab is solved here.
+    """
+    a3, a2, a1, a0 = (np.reshape(a, (-1, 1)) for a in (a3, a2, a1, a0))
+    da3, da2 = 3.0 * a3, 2.0 * a2  # the derivative's leading coefficients
+    b, c = a2 / da3, a1 / da3
+    bb = b * b
+    P = c - bb
+    R = b * (bb - 1.5 * c) + a0 / (2.0 * a3)
+    D = R * R + P * P * P
+    root = np.sqrt(np.abs(D))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # t = 2 sqrt(-P) cos(phi - 2 pi k / 3), (-P)^1.5 (cos, sin)(3 phi) = (-R, sqrt(-D))
+        phi = np.arctan2(root, -R) / 3.0
+        trig = 2.0 * np.sqrt(-P) * np.cos(phi - (2.0 * np.pi / 3.0) * np.arange(3))
+        u = np.copysign(np.cbrt(np.abs(R) + root), -R)
+        cardano = np.where(u != 0.0, u - P / u, 0.0) * [1.0, np.nan, np.nan]
+        x = np.where(D < 0.0, trig, cardano) - b
+        for _ in range(2):
+            f = ((a3 * x + a2) * x + a1) * x + a0
+            fp = (da3 * x + da2) * x + a1
+            x = x - np.where(fp != 0.0, f / fp, 0.0)
+    return np.sort(x, axis=1)  # NaN sorts last
+
+
 def real_roots_y(h: float, params: ModelParams) -> list[tuple[float, int]]:
     """All real roots of (kappa/3) y^3 - y = h, ascending, as
-    (root, multiplicity) pairs.
+    (root, multiplicity) pairs, from :func:`cubic_real_roots`.
 
     For h below the saddle level -2/(3 sqrt(kappa)) there is exactly one
     real root; between the two fold values +-2/(3 sqrt(kappa)) there are
-    three.  Exact fold levels report a double root.
+    three.  Levels within 1e-12 (relative discriminant) of a fold report a
+    double root at -sign(h)/sqrt(kappa) and the simple root beside it.
     """
     if not math.isfinite(h):
         raise DomainError("h must be finite")
     k = params.kappa
-    # depressed cubic y^3 + P y + Q with P = -3/k, Q = -3h/k
-    P = -3.0 / k
-    Q = -3.0 * h / k
-    disc = -4.0 * P**3 - 27.0 * Q * Q
-    scale = max(abs(4.0 * P**3), abs(27.0 * Q * Q), 1e-300)
-    f = lambda y: (k / 3.0) * y**3 - y - h
-    fp = lambda y: k * y * y - 1.0
-
-    def polish(y0: float) -> float:
-        y = y0
-        for _ in range(3):
-            d = fp(y)
-            if d == 0.0:
-                break
-            y -= f(y) / d
-        return y
-
-    if abs(disc) <= 1e-12 * scale:
-        # double root a (of the depressed cubic), simple root -2a
-        a = -3.0 * Q / (2.0 * P)
-        simple = polish(-2.0 * a)
-        # polish the double root on the derivative
-        a = math.copysign(math.sqrt(max(-P / 3.0, 0.0)), a)
-        roots = sorted([(simple, 1), (a, 2)])
-        return roots
-    if disc > 0.0:
-        # three distinct real roots, trigonometric form
-        m = 2.0 * math.sqrt(-P / 3.0)
-        arg = 3.0 * Q / (P * m)
-        arg = min(1.0, max(-1.0, arg))
-        theta = math.acos(arg)
-        ys = sorted(polish(m * math.cos((theta - 2.0 * math.pi * j) / 3.0)) for j in range(3))
-        return [(y, 1) for y in ys]
-    # one real root, Cardano
-    cbrt = lambda v: math.copysign(abs(v) ** (1.0 / 3.0), v)
-    u = math.sqrt(Q * Q / 4.0 + P**3 / 27.0)
-    y = cbrt(-Q / 2.0 + u) + cbrt(-Q / 2.0 - u)
-    return [(polish(y), 1)]
+    ys = cubic_real_roots(k / 3.0, 0.0, -1.0, -h)[0]
+    # discriminant of the depressed cubic y^3 + P y + Q, P = -3/k, Q = -3h/k
+    P, Q = -3.0 / k, -3.0 * h / k
+    if abs(-4.0 * P**3 - 27.0 * Q * Q) <= 1e-12 * max(abs(4.0 * P**3), 27.0 * Q * Q, 1e-300):
+        # the simple root lies below a positive double root (h < 0), above a negative one
+        double = math.copysign(math.sqrt(-P / 3.0), -h)
+        simple = ys[0] if double > 0.0 else np.nanmax(ys)
+        return sorted([(float(simple), 1), (double, 2)])
+    return [(float(y), 1) for y in ys[np.isfinite(ys)]]
 
 
 def _smallest_positive_roots(C, Q, L, K):
-    """Vectorized smallest positive real root of C r^3 + Q r^2 + L r + K.
-
-    Batched companion-matrix eigenvalues followed by Newton polish; entries
-    with no positive real root come back NaN.
-    """
-    C = np.atleast_1d(np.asarray(C, dtype=float))
-    Q, L, K = (np.broadcast_to(np.asarray(a, dtype=float), C.shape) for a in (Q, L, K))
-
-    cubic = np.abs(C) > 1e-14 * (np.abs(Q) + np.abs(L) + np.abs(K))
-    if cubic.all():
-        out = _smallest_positive_eigvals(C, Q, L, K)
-    else:
-        out = np.full(C.shape[0], np.nan)
-        if np.any(cubic):
-            out[cubic] = _smallest_positive_eigvals(C[cubic], Q[cubic], L[cubic], K[cubic])
-        quad = ~cubic
-        disc = L[quad] ** 2 - 4.0 * Q[quad] * K[quad]
-        ok = (disc >= 0.0) & (np.abs(Q[quad]) > 0.0)
-        r1 = np.where(ok, (-L[quad] + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * Q[quad]), np.nan)
-        r2 = np.where(ok, (-L[quad] - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * Q[quad]), np.nan)
-        rr = np.stack([r1, r2], axis=1)
-        rr = np.where(rr > 1e-300, rr, np.nan)
-        out[quad] = np.fmin.reduce(rr, axis=1)
+    """Vectorized smallest positive real root r of C r^3 + Q r^2 + L r + K,
+    NaN where there is none: 1/u for the largest positive root u of the
+    reversed cubic K u^3 + L u^2 + Q u + C, whose leading coefficient
+    K = H(center) - level never vanishes on the annulus (C does, where the
+    ray cubic drops to a quadratic), then three guarded Newton steps in r."""
+    u = cubic_real_roots(K, L, Q, C)
+    out = 1.0 / np.fmax.reduce(np.where(u > 0.0, u, np.nan), axis=1)
 
     # Newton polish on the original cubic (2 guarded steps, then 1 final)
+    dC, dQ = 3.0 * C, 2.0 * Q
     for _ in range(3):
         fval = ((C * out + Q) * out + L) * out + K
-        fder = (3.0 * C * out + 2.0 * Q) * out + L
+        fder = (dC * out + dQ) * out + L
         step = np.where(fder != 0.0, fval / fder, 0.0)
-        out = out - np.clip(step, -0.5 * np.abs(out), 0.5 * np.abs(out))
+        half = 0.5 * np.abs(out)
+        out = out - np.minimum(np.maximum(step, -half), half)
     return out
-
-
-def _smallest_positive_eigvals(C, Q, L, K):
-    """Smallest positive real eigenvalue of each cubic's 3x3 companion
-    matrix (NaN where there is none); the unpolished roots."""
-    comp = np.zeros((C.shape[0], 3, 3))
-    comp[:, 1, 0] = 1.0
-    comp[:, 2, 1] = 1.0
-    comp[:, 0, 2] = -K / C
-    comp[:, 1, 2] = -L / C
-    comp[:, 2, 2] = -Q / C
-    ev = np.linalg.eigvals(comp)
-    real = np.abs(ev.imag) < 1e-9 * (1.0 + np.abs(ev.real))
-    return np.fmin.reduce(np.where(real & (ev.real > 1e-300), ev.real, np.nan), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +488,8 @@ def oval(h: float, params: ModelParams,
     naming the check that failed.  This is seen only in the cubic picture
     close to the saddle level, and not on one interval of levels (at kappa
     100 levels 99.8% and 99.99% of the way to the saddle fail, 99.9% passes).
+    Companion-matrix eigenvalues refused the same levels as the closed-form
+    ray roots, so the window comes from the geometry, not the root solver.
     """
     form = HamiltonianForm(form)
     lp = level_classify(h, params)

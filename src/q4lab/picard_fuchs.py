@@ -53,7 +53,6 @@ from .errors import (
 from .model import ModelParams, h_from_s, s_from_h
 from .quadrature import basis_values
 
-BASIS_INDICES = ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (-1, 1))
 COND_LIMIT = 1e12  # cond(B) above which the derivatives are refused
 # Both moment routes span the annulus less WINDOW_MARGIN at each end and start
 # from one quadrature oracle call at its midpoint, so they share its cache.

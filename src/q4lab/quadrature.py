@@ -13,11 +13,13 @@ symmetric picture (region {H(x, y) < h}).  Two independent methods:
               indices share the ray solves of the panels they have in common.
 * ``area2d``  cell subdivision over a tight bounding box with sign tests on
               H, one depth at a time; boundary cells are finished with exact
-              per-column slices (the vertical restriction of H is a depressed
-              cubic in y, solved in closed form) and Gauss-Kronrod in x.  The
-              geometry (cells, breakpoints, initial panels) does not depend
-              on the index (i, j), so it is built once per oval.  Per index,
-              inner cells are summed exactly, and the boundary panels refined.
+              per-column slices and Gauss-Kronrod in x, cut where the curve
+              folds (roots of a sextic) or crosses a cell row.  The slices
+              and the row crossings are cubics in y and in x, solved like
+              green's rays by ``model.cubic_real_roots``.  The geometry
+              (cells, breakpoints, initial panels) does not depend on the
+              index (i, j), so it is built once per oval.  Per index, inner
+              cells are summed exactly, and the boundary panels refined.
 
 Both refine their panels in one batched, globally adaptive GK loop,
 ``_gk_refine``, which ``analysis``'s I-reconstruction check also uses.
@@ -46,6 +48,7 @@ from .model import (
     HamiltonianForm,
     ModelParams,
     Oval,
+    cubic_real_roots,
     hamiltonian,
     make_params,
     oval,
@@ -74,6 +77,10 @@ _WG = np.array([
     0.4179591836734694, 0.3818300505051189, 0.2797053914892767,
     0.1294849661688697,
 ])
+
+
+# (i, j) of the six basic moments I00, I10, I01, I11, I-10, I-11
+BASIS_INDICES = ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (-1, 1))
 
 
 @dataclass(frozen=True)
@@ -180,34 +187,6 @@ def _slice_cubic(ov: Oval):
     return ov.params.kappa / 3.0, [-km, 0.0, -1.0], [(2.0 / 3.0) * km, 0.0, 0.0, -ov.h]
 
 
-def _depressed_real_roots(p: np.ndarray, q: np.ndarray):
-    """Real roots of t^3 + p t + q = 0, vectorized; returns roots[n, 3]
-    sorted ascending, with NaN in columns 1 and 2 where one root is real."""
-    n = p.shape[0]
-    roots = np.full((n, 3), np.nan)
-    disc = -4.0 * p**3 - 27.0 * q * q
-    three = disc > 0.0
-    if np.any(three):
-        pt, qt = p[three], q[three]
-        m = 2.0 * np.sqrt(-pt / 3.0)
-        arg = np.clip(3.0 * qt / (pt * m), -1.0, 1.0)
-        th = np.arccos(arg)
-        for jj in range(3):
-            roots[three, jj] = m * np.cos((th - 2.0 * np.pi * jj) / 3.0)
-    one = ~three
-    if np.any(one):
-        po, qo = p[one], q[one]
-        u = np.sqrt(np.maximum(qo * qo / 4.0 + po**3 / 27.0, 0.0))
-        roots[one, 0] = np.cbrt(-qo / 2.0 + u) + np.cbrt(-qo / 2.0 - u)
-    # Newton polish
-    for _ in range(2):
-        f = roots**3 + p[:, None] * roots + q[:, None]
-        fp = 3.0 * roots * roots + p[:, None]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            roots = roots - np.where(np.abs(fp) > 0, f / fp, 0.0)
-    return np.sort(roots, axis=1)  # NaN sorts last
-
-
 def _slice_segments(xs: np.ndarray, ylo, yhi, ov: Oval):
     """For each column x, the parts of {y in [ylo, yhi] : level function < 0}
     that belong to the oval component: (lo, hi), each of shape (2,) +
@@ -215,8 +194,8 @@ def _slice_segments(xs: np.ndarray, ylo, yhi, ov: Oval):
     lo = hi = 0 where a column has no such segment.  The row bounds ylo and
     yhi broadcast against xs, so every node can carry its own cell rows."""
     a, p, q = _slice_cubic(ov)
-    p, q = (np.polynomial.polynomial.polyval(xs.ravel(), c) / a for c in (p, q))
-    r = _depressed_real_roots(p, q).T.reshape((3,) + xs.shape)
+    p, q = (np.polynomial.polynomial.polyval(xs.ravel(), c) for c in (p, q))
+    r = cubic_real_roots(a, 0.0, p, q).T.reshape((3,) + xs.shape)
     # negative set of the cubic (positive leading coefficient):
     # one real root r0:    (-inf, r0)      (r1 = r2 = NaN)
     # three roots r0<r1<r2: (-inf, r0) u (r1, r2)
@@ -234,24 +213,22 @@ def _fold_xs(ov: Oval) -> np.ndarray:
     a, p, q = _slice_cubic(ov)
     P = np.polynomial.polynomial
     D = -4.0 * a * P.polypow(p, 3) - 27.0 * a * a * P.polymul(q, q)
-    return _real_parts(np.roots(D[::-1]))
-
-
-def _row_crossings(ov: Oval, yrow: float) -> np.ndarray:
-    """Real x where the level curve crosses the row y = yrow: the restriction
-    of the level function to a row is again a cubic in x."""
-    params, form, h = ov.params, ov.form, ov.h
-    k = params.kappa
-    km = k - 1.0
-    if form is HamiltonianForm.SYMMETRIC_FORM:
-        c3 = [(2.0 / 3.0) * km, -km * yrow, 0.0, (k / 3.0) * yrow**3 - yrow - h]
-    else:
-        c3 = [-h, -yrow, 0.0, (k / 3.0) * yrow**3 - km * yrow + (2.0 / 3.0) * km]
-    return _real_parts(np.roots(c3))
-
-
-def _real_parts(pts: np.ndarray) -> np.ndarray:
+    pts = np.roots(D[::-1])
     return pts[np.abs(pts.imag) < 1e-9 * (1.0 + np.abs(pts.real))].real
+
+
+def _row_crossings(ov: Oval, rows: np.ndarray) -> list:
+    """Real x where the level curve crosses each row y in ``rows``, one
+    array per row, in one solve: the restriction of the level function to
+    a row is again a cubic in x."""
+    k, h = ov.params.kappa, ov.h
+    km = k - 1.0
+    cube = (k / 3.0) * (rows * rows * rows)  # not rows**3, whose bits vary with the batch
+    if ov.form is HamiltonianForm.SYMMETRIC_FORM:
+        c3 = ((2.0 / 3.0) * km, -km * rows, 0.0, cube - rows - h)
+    else:
+        c3 = (-h, -rows, 0.0, cube - km * rows + (2.0 / 3.0) * km)
+    return [x[np.isfinite(x)] for x in cubic_real_roots(*c3)]
 
 
 class _Area2dGeometry:
@@ -271,10 +248,13 @@ class _Area2dGeometry:
     def __init__(self, ov: Oval):
         self.oval = ov
         self.fold_xs = _fold_xs(ov)
-        self.crossings = {}  # row y -> _row_crossings(ov, y)
+        found = self._walk(np.array([ov.bounding_box()]))
+        # row y -> crossing x, for the two rows of every boundary leaf, in one solve
+        rows = np.unique([c[2:] for c, boundary in found if boundary])
+        self.crossings = dict(zip(rows.tolist(), _row_crossings(ov, rows)))
         # (x0, x1, y0, y1, pieces): pieces is None for a cell inside the
         # region, else the (a, b, fold_lo, fold_hi) x-pieces of a boundary cell
-        self.leaves = self._walk(np.array([ov.bounding_box()]))
+        self.leaves = [(*c, self._pieces(*c) if b else None) for c, b in found]
         self.rects = np.array([leaf[:4] for leaf in self.leaves
                                if leaf[4] is None]).reshape(-1, 4).T
         runs = []  # (t0, t1, base, sign, y0, y1); sign 0 for x = t
@@ -297,12 +277,13 @@ class _Area2dGeometry:
         self.nodes = self.panel_nodes(*self.panels)
 
     def _walk(self, cells: np.ndarray) -> list:
-        """Quadtree leaves of the box, classified one depth at a time: a
-        cell whose 5x5 samples of the level function are all positive is
-        dropped, one whose samples are all negative and whose center lies
-        in the oval's component is an inner leaf, and any other is split in
-        four, or becomes a boundary leaf at MAX_DEPTH.  Sorting by quadrant
-        path gives the depth-first order of a recursive walk."""
+        """Quadtree leaves of the box as (cell, boundary) pairs, classified
+        one depth at a time: a cell whose 5x5 samples of the level function
+        are all positive is dropped, one whose samples are all negative and
+        whose center lies in the oval's component is an inner leaf, and any
+        other is split in four, or becomes a boundary leaf at MAX_DEPTH.
+        Sorting by quadrant path gives the depth-first order of a recursive
+        walk."""
         ov = self.oval
         keys = np.zeros(1, dtype=np.int64)
         shift = ov.h if ov.form is HamiltonianForm.SYMMETRIC_FORM else 0.0  # level function
@@ -324,7 +305,7 @@ class _Area2dGeometry:
                               np.stack([x0, mx, my, y1], 1), np.stack([mx, x1, my, y1], 1)],
                              axis=1).reshape(-1, 4)
             keys = (4 * keys[split & ~leaf, None] + np.arange(4)).ravel()
-        return [(*c, self._pieces(*c) if b else None) for _, c, b in sorted(found)]
+        return [(c, b) for _, c, b in sorted(found)]
 
     def _pieces(self, cx0, cx1, cy0, cy1) -> list:
         """The (a, b, fold_lo, fold_hi) x-pieces of a boundary cell, cut at
@@ -338,17 +319,12 @@ class _Area2dGeometry:
                 for a_, b_ in zip(cuts[:-1], cuts[1:]) if b_ - a_ >= 1e-13]
 
     def breakpoints(self, cy0: float, cy1: float) -> np.ndarray:
-        """Sorted x-values where the slice integrand of a cell between the
-        rows cy0 and cy1 loses smoothness: fold points of the level curve
-        and crossings of the curve through the two rows, from the fold
-        roots solved once per oval and the crossings solved once per row."""
-        rows = []
-        for y in (cy0, cy1):
-            cross = self.crossings.get(y)
-            if cross is None:
-                cross = self.crossings[y] = _row_crossings(self.oval, y)
-            rows.append(cross)
-        return np.unique(np.concatenate([self.fold_xs, *rows]))
+        """Sorted x-values where the slice integrand of a boundary cell
+        between the rows cy0 and cy1 loses smoothness: fold points of the
+        level curve and crossings of the curve through the two rows, from
+        the fold roots and the row crossings solved once per oval."""
+        return np.unique(np.concatenate([self.fold_xs, self.crossings[cy0],
+                                         self.crossings[cy1]]))
 
     def panel_nodes(self, run: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray):
         """GK15 nodes x (P, 15) of the panels [t_lo, t_hi] of the given
@@ -436,10 +412,9 @@ def moment_value(i: int, j: int, h: float, params: ModelParams,
 
 
 def basis_values(h: float, params: ModelParams, tol: float = 1e-10) -> np.ndarray:
-    """The six basic symmetric-form moments
-    (I00, I10, I01, I11, I-10, I-11) at level h, by the green oracle."""
-    idx = [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (-1, 1)]
-    return np.array([moment_value(i, j, h, params, tol=tol) for i, j in idx])
+    """The six basic symmetric-form moments I_{i,j}, (i, j) in BASIS_INDICES,
+    at level h, by the green oracle."""
+    return np.array([moment_value(i, j, h, params, tol=tol) for i, j in BASIS_INDICES])
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from q4lab import (
     real_roots_y,
     s_from_h,
 )
+from q4lab.model import cubic_real_roots
 
 kappas = st.floats(min_value=1.0, max_value=50.0, exclude_min=True,
                    allow_nan=False, allow_infinity=False)
@@ -153,6 +154,63 @@ class TestLevelClassify:
         assert s_from_h(h_from_s(s, p), p) == pytest.approx(s, rel=1e-12)
 
 
+class TestCubicRealRoots:
+    """cubic_real_roots against 40-digit mpmath.polyroots of the same float
+    coefficients: the NaN pattern gives the number of real roots, and a
+    root with no other root within a tenth of its modulus is within 4 ulps."""
+
+    @staticmethod
+    def _assert_matches(coeffs, got):
+        import mpmath as mp
+
+        with mp.workdps(40):
+            for c, row in zip(coeffs, got):
+                roots = mp.polyroots([mp.mpf(float(a)) for a in c], maxsteps=200, extraprec=100)
+                real = sorted(r for r in roots if not isinstance(r, mp.mpc))
+                found = row[np.isfinite(row)]
+                assert found.size == len(real), (c, row, roots)
+                for x, r in zip(found, real):
+                    gap = min(abs(o - r) for o in roots if o is not r)
+                    if gap > 0.1 * abs(r):
+                        assert abs(x - r) <= 4 * np.spacing(abs(float(r))), (c, x, r)
+
+    @pytest.mark.parametrize("form", [HamiltonianForm.SYMMETRIC_FORM, HamiltonianForm.CUBIC_FORM])
+    @pytest.mark.parametrize("kappa", [1.01, 1.5, 4.0, 9.0, 100.0, 1000.0])
+    def test_ray_cubics(self, form, kappa):
+        # the reversed ray cubics K u^3 + L u^2 + Q u + C that build the
+        # ovals, from next to the center level to next to the saddle level
+        import q4lab.model as model
+        p = make_params(kappa)
+        theta = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False) + 0.1
+        for frac in (1e-10, 1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-9):
+            h = p.center_h + frac * (p.saddle_h - p.center_h)
+            C, Q, L, K = model._ray_poly_coeffs(theta, h, p, form, (1.0, 1.0))
+            self._assert_matches(np.stack([K, L, Q, C], axis=1), cubic_real_roots(K, L, Q, C))
+
+    @pytest.mark.parametrize("kappa", [1.01, 4.0, 1000.0])
+    def test_level_cubic_at_and_near_the_folds(self, kappa):
+        # (kappa/3) y^3 - y - h at h = +-2/(3 sqrt(kappa)) (a double root)
+        # and at relative distances 1e-6 and 1e-3 on either side
+        fold = 2.0 / (3.0 * math.sqrt(kappa))
+        h = np.outer([-fold, fold], [1.0, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 + 1e-6, 1.0 + 1e-3]).ravel()
+        near = np.abs(np.abs(h) - fold) > 0.0
+        coeffs = np.stack(np.broadcast_arrays(kappa / 3.0, 0.0, -1.0, -h), axis=1)
+        got = cubic_real_roots(kappa / 3.0, 0.0, -1.0, -h)
+        self._assert_matches(coeffs[near], got[near])
+        # at the folds the simple root 2 sign(h) / sqrt(kappa) is the lowest
+        # or highest one, whether or not the double root splits
+        simple = np.where(h[~near] < 0.0, got[~near, 0], np.nanmax(got[~near], axis=1))
+        assert simple == pytest.approx(2.0 * np.sign(h[~near]) / math.sqrt(kappa), rel=1e-15)
+
+    def test_one_three_and_repeated_roots(self):
+        got = cubic_real_roots([1.0, 1.0, 2.0, 1.0], [-6.0, 0.0, 0.0, 0.0],
+                               [11.0, 0.0, 0.0, 0.0], [-6.0, -8.0, 0.0, 0.0])
+        assert got.shape == (4, 3)
+        assert got[0].tolist() == pytest.approx([1.0, 2.0, 3.0], rel=1e-15)
+        assert got[1, 0] == 2.0 and np.isnan(got[1, 1:]).all()
+        assert got[2, 0] == 0.0 and got[3, 0] == 0.0
+
+
 class TestRealRootsY:
     def test_double_root_level(self, p4):
         roots = real_roots_y(-1 / 3, p4)
@@ -248,6 +306,26 @@ class TestOval:
             oval(h, p, form=HamiltonianForm.CUBIC_FORM)
         assert "branch jump at theta=" in str(exc.value)
         assert "limit 0.45" in str(exc.value)
+
+    def test_cubic_form_rejection_window(self):
+        # "." built, "B" refused with a branch jump, at fractions of the way
+        # from the center level to the saddle level; the window is not
+        # monotone in the level.  The companion-matrix eigenvalue solver gave
+        # the same pattern as cubic_real_roots, so it comes from the geometry
+        fracs = (0.99, 0.995, 0.998, 0.999, 0.9995, 0.9999)
+        rows = []
+        for kappa in (1.01, 1.5, 4.0, 9.0, 100.0):
+            p = make_params(kappa)
+            row = ""
+            for frac in fracs:
+                try:
+                    oval(p.center_h + frac * (p.saddle_h - p.center_h), p,
+                         form=HamiltonianForm.CUBIC_FORM)
+                    row += "."
+                except DegenerateLevelError as exc:
+                    row += "B" if "branch jump" in str(exc) else "?"
+            rows.append(row)
+        assert " / ".join(rows) == ".BBBBB / .....B / ...BBB / ...... / ..B..B"
 
     @pytest.mark.parametrize("doctor, check", [
         (lambda r: np.where(np.arange(r.size) == 3, np.nan, r), "non-finite or non-positive root"),

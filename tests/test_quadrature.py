@@ -14,7 +14,7 @@ from q4lab import (
     clear_caches,
     make_params,
 )
-from q4lab.model import Oval, interior_levels, oval
+from q4lab.model import Oval, cubic_real_roots, interior_levels, oval
 from q4lab.quadrature import (
     MomentIndex,
     curve_discriminant,
@@ -260,11 +260,11 @@ class TestArea2dGeometry:
 
     @staticmethod
     def _x_breakpoints(ov, cy0, cy1):
-        # reference: fold roots and both row crossings solved afresh per cell
+        # reference: fold roots and both row crossings solved afresh per cell,
+        # each row alone
         params, form, h = ov.params, ov.form, ov.h
         k = params.kappa
         km = k - 1.0
-        pts = []
         a = k / 3.0
         if form is HamiltonianForm.SYMMETRIC_FORM:
             p3 = np.polynomial.polynomial.polypow([-1.0, 0.0, -km], 3)
@@ -276,27 +276,29 @@ class TestArea2dGeometry:
         D = -4.0 * a * np.pad(p3, (0, 7 - p3.size)) - 27.0 * a * a * q2
         fold_pts = np.roots(D[::-1])
         fold_xs = fold_pts[np.abs(fold_pts.imag) < 1e-9 * (1.0 + np.abs(fold_pts.real))].real
-        pts.extend(fold_xs)
+        pts = [fold_xs]
         for yrow in (cy0, cy1):
+            cube = (k / 3.0) * (yrow * yrow * yrow)
             if form is HamiltonianForm.SYMMETRIC_FORM:
-                c3 = [(2.0 / 3.0) * km, -km * yrow, 0.0, (k / 3.0) * yrow**3 - yrow - h]
+                c3 = [(2.0 / 3.0) * km, -km * yrow, 0.0, cube - yrow - h]
             else:
-                c3 = [-h, -yrow, 0.0, (k / 3.0) * yrow**3 - km * yrow + (2.0 / 3.0) * km]
-            pts.extend(np.roots(c3))
-        pts = np.asarray(pts)
-        real = pts[np.abs(pts.imag) < 1e-9 * (1.0 + np.abs(pts.real))].real
-        return np.unique(real), np.unique(fold_xs)
+                c3 = [-h, -yrow, 0.0, cube - km * yrow + (2.0 / 3.0) * km]
+            x = cubic_real_roots(*c3)[0]
+            pts.append(x[np.isfinite(x)])
+        return np.unique(np.concatenate(pts)), np.unique(fold_xs)
 
     @pytest.mark.parametrize("form", [HamiltonianForm.SYMMETRIC_FORM, HamiltonianForm.CUBIC_FORM])
     def test_breakpoints_match_fresh_computation(self, p4, monkeypatch, form):
-        # fold roots once per oval, row crossings once per row: every
-        # boundary leaf sees what a per-cell computation gives
+        # fold roots once per oval, the crossings of all rows in one call:
+        # every boundary leaf sees what a per-cell computation gives
         ov = oval(-0.55, p4, form=form)
-        roots = []
-        np_roots = np.roots
+        roots, solves = [], []
+        np_roots, row_crossings = np.roots, quad._row_crossings
         monkeypatch.setattr(np, "roots", lambda c: roots.append(1) or np_roots(c))
+        monkeypatch.setattr(quad, "_row_crossings",
+                            lambda *a: solves.append(1) or row_crossings(*a))
         geo = quad._Area2dGeometry(ov)
-        assert len(roots) == 1 + len(geo.crossings)
+        assert len(roots) == 1 and len(solves) == 1
         assert len(geo.crossings) <= 2 ** geo.MAX_DEPTH + 1
         boundary = [leaf for leaf in geo.leaves if leaf[4] is not None]
         assert boundary
@@ -310,36 +312,38 @@ class TestOneGKEngine:
     """green, area2d and the reconstruction check share one batched GK loop
     (``_gk_refine``); area2d kept its bits through the move."""
 
-    # area2d at tol 1e-8, recorded before the loop was shared: (kappa, level
-    # fraction of the annulus) -> float.hex of the six BASIS moments
+    # area2d at tol 1e-8: (kappa, level fraction of the annulus) -> float.hex
+    # of the six BASIS moments.  Recorded before the loop was shared, and
+    # re-recorded when rays, slices and row crossings moved onto
+    # cubic_real_roots: each value moved by at most 13 ulps (1.8e-15)
     AREA2D_HEX = {
         (1.5, 0.08): (
-            "0x1.66712efb4a499p-5", "0x1.63c2ce3cd4daap-5", "0x1.658e4cfbc15aep-5",
-            "0x1.63c35d126d2e0p-5", "0x1.6be96f3d2795ap-5", "0x1.6a1afd1b9624cp-5"),
+            "0x1.66712efb4a493p-5", "0x1.63c2ce3cd4da4p-5", "0x1.658e4cfbc15a8p-5",
+            "0x1.63c35d126d2dap-5", "0x1.6be96f3d27953p-5", "0x1.6a1afd1b96246p-5"),
         (1.5, 0.5): (
-            "0x1.2355b4cfdbd06p-2", "0x1.13ed3e6f7a656p-2", "0x1.1e828cf1f707cp-2",
-            "0x1.1400b48f4dcaap-2", "0x1.475b846bda11cp-2", "0x1.3c2deeca0590fp-2"),
+            "0x1.2355b4cfdbd05p-2", "0x1.13ed3e6f7a656p-2", "0x1.1e828cf1f707cp-2",
+            "0x1.1400b48f4dcaap-2", "0x1.475b846bda11bp-2", "0x1.3c2deeca0590fp-2"),
         (1.5, 0.92): (
             "0x1.1ea176e3d6c40p-1", "0x1.f6ff755cc2e0ep-2", "0x1.14a3e7bb9797dp-1",
-            "0x1.f79373520b810p-2", "0x1.8fafd7311e5fcp-1", "0x1.70e4cd2322a14p-1"),
+            "0x1.f79373520b80fp-2", "0x1.8fafd7311e5fcp-1", "0x1.70e4cd2322a14p-1"),
         (4.0, 0.08): (
-            "0x1.8f3dac038b29fp-5", "0x1.8ba212ac75d6fp-5", "0x1.8c8ba0d1cbef9p-5",
-            "0x1.8ba42153ba197p-5", "0x1.96a07e3691d76p-5", "0x1.911c649794f38p-5"),
+            "0x1.8f3dac038b2a7p-5", "0x1.8ba212ac75d7bp-5", "0x1.8c8ba0d1cbf02p-5",
+            "0x1.8ba42153ba1a4p-5", "0x1.96a07e3691d7ap-5", "0x1.911c649794f3ep-5"),
         (4.0, 0.5): (
-            "0x1.46dac56684f9fp-2", "0x1.3250fe8ccfa92p-2", "0x1.37e93dce5c3ebp-2",
-            "0x1.329a8911c8e66p-2", "0x1.781a542708abap-2", "0x1.5471381021acdp-2"),
+            "0x1.46dac56684f9ep-2", "0x1.3250fe8ccfa90p-2", "0x1.37e93dce5c3eap-2",
+            "0x1.329a8911c8e64p-2", "0x1.781a542708abap-2", "0x1.5471381021accp-2"),
         (4.0, 0.92): (
-            "0x1.4415635c07feep-1", "0x1.16769eca14012p-1", "0x1.24a790ba792d1p-1",
-            "0x1.17951fbca361ap-1", "0x1.df754b457270fp-1", "0x1.7755b7b066babp-1"),
+            "0x1.4415635c07feep-1", "0x1.16769eca14012p-1", "0x1.24a790ba792d2p-1",
+            "0x1.17951fbca361ap-1", "0x1.df754b4572710p-1", "0x1.7755b7b066bacp-1"),
         (9.0, 0.08): (
-            "0x1.46496f4b87f71p-5", "0x1.42f88c468c244p-5", "0x1.43585329bc3c8p-5",
-            "0x1.42fb136a83a8ep-5", "0x1.4d17fd6bec48cp-5", "0x1.470e5ceb75cc5p-5"),
+            "0x1.46496f4b87f6ep-5", "0x1.42f88c468c242p-5", "0x1.43585329bc3c6p-5",
+            "0x1.42fb136a83a8cp-5", "0x1.4d17fd6bec48ap-5", "0x1.470e5ceb75cc3p-5"),
         (9.0, 0.5): (
-            "0x1.0ca48c66efc14p-2", "0x1.f3760b5dc3c57p-3", "0x1.f8318e0ef942dp-3",
-            "0x1.f42e39e80f40ep-3", "0x1.3af7655cf8fc1p-2", "0x1.128c234a63d23p-2"),
+            "0x1.0ca48c66efc14p-2", "0x1.f3760b5dc3c56p-3", "0x1.f8318e0ef942dp-3",
+            "0x1.f42e39e80f40cp-3", "0x1.3af7655cf8fc2p-2", "0x1.128c234a63d23p-2"),
         (9.0, 0.92): (
-            "0x1.0c410e166fbeep-1", "0x1.c513afc15fb9bp-2", "0x1.d1d77925d8b61p-2",
-            "0x1.c7f0a9c55a83dp-2", "0x1.a261139935e69p-1", "0x1.2582f920c04bep-1"),
+            "0x1.0c410e166fbedp-1", "0x1.c513afc15fb98p-2", "0x1.d1d77925d8b60p-2",
+            "0x1.c7f0a9c55a838p-2", "0x1.a261139935e68p-1", "0x1.2582f920c04bep-1"),
     }
 
     def test_area2d_bits_unchanged(self):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Chebyshev-property findings for the residue solution of L2.
 
-Prints, per kappa: the finite-difference residual of L2(f), the location
+Prints, per kappa: the residual of L2(f) (f' and f'' exact), the location
 of f's zero against the closed-form candidate h* = -(2/3) sqrt(5/kappa),
 where h* falls relative to the interval (-inf, saddle) and the annulus
 interval, the measured versus claimed endpoint value of y0, and the
@@ -28,7 +28,7 @@ def main():
         rep = chebyshev_probe(make_params(kappa))
         contradicted_anywhere |= rep.in_half_line_interval or rep.in_annulus_interval
         print(f"kappa = {kappa}")
-        print(f"  L2(f) FD residual       : {rep.l2_residual:.2e}")
+        print(f"  L2(f) residual          : {rep.l2_residual:.2e}")
         print(f"  zero of f at h*         : {rep.h_star:.12f} "
               f"(located to {rep.locate_error:.1e})")
         print(f"  y0 at the saddle level  : {rep.saddle_y0:.9f}  "

@@ -34,8 +34,9 @@ independent check.
 
 The Chebyshev probe studies the residue solution f(h) of L2 x = 0 given by
 the residue of the underlying differential at (0, y0(h)): it checks
-L2(f) = 0 by finite differences, locates f's zero against the closed-form
-candidate h* = -(2/3) sqrt(5/kappa) (obtained by eliminating y0 from the
+L2(f) = 0 with f' and f'' exact (implicit differentiation of the level
+cubic), locates f's zero against the closed-form candidate
+h* = -(2/3) sqrt(5/kappa) (obtained by eliminating y0 from the
 vanishing condition through the defining cubic), and reports where h*
 falls relative to the two intervals of interest.  No nonvanishing claim is
 asserted; the probe measures it, alongside a direct projective-rotation
@@ -309,21 +310,25 @@ def chebyshev_probe(params: ModelParams, window: tuple[float, float] | None = No
     if not (a < b < hs_level):
         raise DomainError("probe window must sit left of the saddle level")
 
-    def f_of(h):  # f on an array of levels, from one solve of the level cubic
+    def y0_of(h):  # the level cubic's unique real root y0 on an array of levels
         y = cubic_real_roots(k / 3.0, 0.0, -1.0, -h)
         if not np.isnan(y[:, 1:]).all():
             raise DomainError("the residue solution needs a unique real root y0")
-        return _residue_at(h, y[:, 0].reshape(h.shape), k)
+        return y[:, 0].reshape(h.shape)
 
-    # L2(f) residual by centered finite differences on the exact f, on all
-    # 20 five-point stencils at once; they must stay strictly below the
-    # saddle level
+    # L2(f) residual on 20 levels inset in the window, f' and f'' exact: y0' and
+    # y0'' from the level cubic, then the quotient rule on f = N / D, 1/D = y0'
     inset = 3e-4 * max(abs(a), abs(b), 1.0)
     h = np.linspace(a + inset, b - inset, 20)
-    dh = 1e-4 * np.maximum(np.abs(h), 1.0)
-    fm2, fm1, f0, fp1, fp2 = f_of(h + np.arange(-2, 3)[:, None] * dh)
-    g1 = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * dh)
-    g2 = (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * dh * dh)
+    y0 = y0_of(h)
+    y1 = 1.0 / (k * y0 * y0 - 1.0)
+    y2 = -2.0 * k * y0 * y1**3
+    q = 3.0 * k * h * h - 4.0
+    N1, N2 = -4.0 + 6.0 * k * h * y0 + q * y1, 6.0 * k * y0 + 12.0 * k * h * y1 + q * y2
+    D1, D2 = 2.0 * k * y0 * y1, 2.0 * k * (y1 * y1 + y0 * y2)
+    f0 = _residue_at(h, y0, k)
+    g1 = (N1 - f0 * D1) * y1
+    g2 = (N2 - 2.0 * g1 * D1 - f0 * D2) * y1
     val = apply_L2(f0, g1, g2, h, params)
     scale = np.maximum.reduce([np.abs(5 * k * h * f0), np.abs((9 * k * h * h - 8) * g1),
                                np.abs(h * (9 * k * h * h - 4) * g2)])
@@ -332,7 +337,7 @@ def chebyshev_probe(params: ModelParams, window: tuple[float, float] | None = No
     rows = [{"h": hh, "f": ff, "L2f_rel": rr}
             for hh, ff, rr in zip(h.tolist(), f0.tolist(), rel.tolist())]
 
-    zr = count_zeros(f_of, window, grid=grid, tol=tol)
+    zr = count_zeros(lambda h: _residue_at(h, y0_of(h), k), window, grid=grid, tol=tol)
     located, err = None, None
     for z in zr.zeros:
         e = abs(z["location"] - h_star)

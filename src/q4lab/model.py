@@ -332,28 +332,24 @@ def _ray_poly_coeffs(theta, h, params: ModelParams, form: HamiltonianForm, cente
     k = params.kappa
     c, s = np.cos(theta), np.sin(theta)
     cx, cy = center
-    if form is HamiltonianForm.SYMMETRIC_FORM:
-        Hx = 2.0 * (k - 1.0) * cx * (cx - cy)
-        Hy = -(k - 1.0) * cx * cx + k * cy * cy - 1.0
-        Hxx = 2.0 * (k - 1.0) * (2.0 * cx - cy)
-        Hxy = -2.0 * (k - 1.0) * cx
-        Hyy = 2.0 * k * cy
-        Hxxx, Hxxy, Hxyy, Hyyy = 4.0 * (k - 1.0), -2.0 * (k - 1.0), 0.0, 2.0 * k
-        K0 = hamiltonian(form, center, params) - h
-    else:
-        # cubic form: the level h is folded into the polynomial itself
-        Hx = -2.0 * cx * cy - 3.0 * h * cx * cx
-        Hy = k * cy * cy - cx * cx - (k - 1.0)
-        Hxx = -2.0 * cy - 6.0 * h * cx
-        Hxy = -2.0 * cx
-        Hyy = 2.0 * k * cy
-        Hxxx, Hxxy, Hxyy, Hyyy = -6.0 * h, -2.0, 0.0, 2.0 * k
-        K0 = hamiltonian(form, center, params, h=h)
+    Hx, Hy = _grad(cx, cy, h, params, form)
+    Hxx, Hxy, Hyy = _hess(cx, cy, h, params, form)
+    sym = form is HamiltonianForm.SYMMETRIC_FORM
+    Hxxx, Hxxy = (4.0 * (k - 1.0), -2.0 * (k - 1.0)) if sym else (-6.0 * h, -2.0)
+    Hxyy, Hyyy = 0.0, 2.0 * k
+    K0 = _level_fn(cx, cy, h, params, form)
     K = np.full_like(c, K0)
     L = Hx * c + Hy * s
     Q = 0.5 * (Hxx * c * c + 2.0 * Hxy * c * s + Hyy * s * s)
     C = (1.0 / 6.0) * (Hxxx * c**3 + 3.0 * Hxxy * c * c * s + 3.0 * Hxyy * c * s * s + Hyyy * s**3)
     return C, Q, L, K
+
+
+def _level_fn(x, y, h, params: ModelParams, form: HamiltonianForm):
+    """The level function G, zero on the level set and negative inside the
+    oval: H - h in the symmetric picture, H(x, y, h) in the cubic one."""
+    shift = h if form is HamiltonianForm.SYMMETRIC_FORM else 0.0
+    return hamiltonian(form, (x, y), params, h=h) - shift
 
 
 def _grad(x, y, h, params: ModelParams, form: HamiltonianForm):
@@ -365,6 +361,13 @@ def _grad(x, y, h, params: ModelParams, form: HamiltonianForm):
         Hx = -2.0 * x * y - 3.0 * h * x * x
         Hy = k * y * y - x * x - (k - 1.0)
     return Hx, Hy
+
+
+def _hess(x, y, h, params: ModelParams, form: HamiltonianForm):
+    k = params.kappa
+    if form is HamiltonianForm.SYMMETRIC_FORM:
+        return 2.0 * (k - 1.0) * (2.0 * x - y), -2.0 * (k - 1.0) * x, 2.0 * k * y
+    return -2.0 * y - 6.0 * h * x, -2.0 * x, 2.0 * k * y
 
 
 @dataclass(eq=False)
@@ -445,33 +448,38 @@ class Oval:
         return rho < self.r_theta(theta)
 
     def bounding_box(self):
-        """Tight box around the oval with the four extremes located exactly
-        (bisection on the sign of the tangent component), so that no sliver
-        of the region is clipped.  The four bisections run in lockstep, one
-        ray solve on four angles per step: 62 solves in all.  Computed once
-        per oval."""
+        """Tight box around the oval, padded by 1e-12 of its width.  Newton's
+        method in the plane, from the polyline's extreme vertices, solves
+        {G = 0, dG/dy = 0} for the x extremes and {G = 0, dG/dx = 0} for the
+        y extremes of the level function G; one ray solve at the four angles
+        gives the sides.  Raises GeometryError after 8 steps, or for an angle
+        outside its start vertex's polyline neighbours.  Computed once."""
         if self._bbox is not None:
             return self._bbox
-        theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-        x, y, dx, dy = self._point_tangent(theta)
-        # x min, x max, y min, y max; each brackets its grid extreme by the
-        # neighbouring nodes and bisects on dx (x extremes) or dy (y extremes)
-        on_x = np.array([True, True, False, False])
-        k0 = np.array([np.argmin(x), np.argmax(x), np.argmin(y), np.argmax(y)])
-        lo, hi = theta[k0 - 1], theta[(k0 + 1) % theta.size]
-        hi = np.where(hi < lo, hi + 2.0 * np.pi, hi)
-        dlo = np.where(on_x, dx[k0 - 1], dy[k0 - 1])
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            _, _, ddx, ddy = self._point_tangent(mid)
-            dmid = np.where(on_x, ddx, ddy)
-            same = (dmid > 0) == (dlo > 0)
-            lo, dlo, hi = np.where(same, mid, lo), np.where(same, dmid, dlo), np.where(same, hi, mid)
-        px, py, _, _ = self._point_tangent(0.5 * (lo + hi))
-        x0, x1, y0, y1 = px[0], px[1], py[2], py[3]
-        pad_x = 1e-12 * (x1 - x0) + 1e-300
-        pad_y = 1e-12 * (y1 - y0) + 1e-300
-        self._bbox = (x0 - pad_x, x1 + pad_x, y0 - pad_y, y1 + pad_y)
+        vx, vy = self.points[:-1].T
+        on_x = np.array([True, True, False, False])  # x min, x max, y min, y max
+        k0 = np.array([np.argmin(vx), np.argmax(vx), np.argmin(vy), np.argmax(vy)])
+        width = np.where(on_x, np.ptp(vx), np.ptp(vy))
+        x, y, args = vx[k0], vy[k0], (self.h, self.params, self.form)
+        for _ in range(8):
+            (Gx, Gy), (Gxx, Gxy, Gyy) = _grad(x, y, *args), _hess(x, y, *args)
+            # the second equation F = dG/dy (x sides) or dG/dx (y sides), and its gradient
+            F, Fx, Fy = np.where(on_x, [Gy, Gxy, Gyy], [Gx, Gxx, Gxy])
+            G, det = _level_fn(x, y, *args), Gx * Fy - Gy * Fx
+            sx, sy = (G * Fy - Gy * F) / det, (Gx * F - Fx * G) / det
+            x, y = x - sx, y - sy
+            if np.all(np.hypot(sx, sy) < 1e-8 * width):
+                break
+        else:
+            raise GeometryError("Newton did not locate the bounding box in 8 steps")
+        v, p = vx + 1j * vy - complex(*self.center), x + 1j * y - complex(*self.center)
+        turns = np.angle([p / v[k0 - 1], v[(k0 + 1) % v.size] / p])  # >= 0 between the neighbours
+        if not np.all(turns >= 0.0):
+            raise GeometryError("Newton left the polyline neighbours of a bounding-box vertex")
+        px, py, _, _ = self._point_tangent(np.angle(p))
+        side = np.where(on_x, px, py)  # x0, x1, y0, y1
+        pad = 1e-12 * np.repeat(side[1::2] - side[::2], 2) + 1e-300
+        self._bbox = tuple(side + pad * [-1.0, 1.0, -1.0, 1.0])
         return self._bbox
 
 
@@ -554,10 +562,7 @@ def _ray_oval(theta, h, params, form, center):
 
     x = center[0] + r * np.cos(theta)
     y = center[1] + r * np.sin(theta)
-    if form is HamiltonianForm.SYMMETRIC_FORM:
-        resid = np.abs(hamiltonian(form, (x, y), params) - h)
-    else:
-        resid = np.abs(hamiltonian(form, (x, y), params, h=h))
+    resid = np.abs(_level_fn(x, y, h, params, form))
     scale = max(abs(h), 1.0)
     k = int(np.argmax(resid))
     if resid[k] > 1e-8 * scale:

@@ -48,8 +48,8 @@ from .model import (
     HamiltonianForm,
     ModelParams,
     Oval,
+    _level_fn,
     cubic_real_roots,
-    hamiltonian,
     make_params,
     oval,
 )
@@ -286,12 +286,11 @@ class _Area2dGeometry:
         walk."""
         ov = self.oval
         keys = np.zeros(1, dtype=np.int64)
-        shift = ov.h if ov.form is HamiltonianForm.SYMMETRIC_FORM else 0.0  # level function
         found = []  # (base-4 quadrant path padded to MAX_DEPTH digits, cell, boundary)
         for depth in range(self.MAX_DEPTH + 1):
             X = np.linspace(cells[:, 0], cells[:, 1], 5, axis=1)[:, None, :]
             Y = np.linspace(cells[:, 2], cells[:, 3], 5, axis=1)[:, :, None]
-            S = hamiltonian(ov.form, (X, Y), ov.params, h=ov.h) - shift
+            S = _level_fn(X, Y, ov.h, ov.params, ov.form)
             inner = np.all(S < 0.0, axis=(1, 2))
             inner[inner] = ov.contains(0.5 * (cells[inner, 0] + cells[inner, 1]),
                                        0.5 * (cells[inner, 2] + cells[inner, 3]))

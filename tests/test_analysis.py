@@ -181,6 +181,17 @@ class TestResidueSolutionProbe:
         # the identity prefactor is y0, not h
         assert rep.identity_gap > 1e-4
 
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 50.0])
+    def test_l2_residual_is_rounding_only(self, kappa, monkeypatch):
+        # with f' and f'' exact, L2(f) leaves rounding only; an f that is not
+        # the residue solution of L2 still fails the 1e-6 gate
+        p = make_params(kappa)
+        assert chebyshev_probe(p, grid=64).l2_residual <= 1e-13
+        exact = an._residue_at
+        monkeypatch.setattr(an, "_residue_at",
+                            lambda h, y0, k: exact(h, y0, k) * (1.0 + 1e-4 * h))
+        assert chebyshev_probe(p, grid=64).l2_residual > 1e-6
+
     def test_broken_identity_raises(self, p4, monkeypatch):
         # a y0 off the defining cubic breaks -4h + (3kh^2-4) y0 =
         # kappa y0 (3h^2 - (4/3) y0^2); the check must survive python -O

@@ -185,8 +185,10 @@ class TestCommands:
 
     # green's moments and every row built on them, after every ray, slice
     # and row-crossing cubic moved onto cubic_real_roots: green moved by at
-    # most 5.8e-16 relative, and no row changed its status
-    MOMENTS_GOLDEN_SHA256 = "5726ae6a47e57bf9e8c98532059e2e7a9a4915d80cfdf325047ee2937d51b5e0"
+    # most 5.8e-16 relative, and no row changed its status.  Re-pinned when
+    # area2d's bounding box moved from bisection to Newton: 12 of the 48
+    # agreement rows moved (area2d by at most 6 ulps), green did not
+    MOMENTS_GOLDEN_SHA256 = "1060b4936734c0d046bdad0a5477fa2a0ff03ec62e731e31bdbc2accbc78be50"
     RESIDUALS_GOLDEN_SHA256 = "7e29b19a708b9d72b8245c84121093889b7ad7bada8b5a6ac3c26b065b8c1a8d"
 
     @pytest.mark.parametrize("command", ["moments", "verify"])

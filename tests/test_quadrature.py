@@ -9,12 +9,13 @@ import q4lab.quadrature as quad
 from q4lab import (
     DegenerateLevelError,
     DomainError,
+    GeometryError,
     HamiltonianForm,
     SingularityError,
     clear_caches,
     make_params,
 )
-from q4lab.model import Oval, cubic_real_roots, interior_levels, oval
+from q4lab.model import Oval, cubic_real_roots, hamiltonian, interior_levels, oval
 from q4lab.quadrature import (
     MomentIndex,
     curve_discriminant,
@@ -137,9 +138,9 @@ class TestArea2dGeometry:
         gy = np.linspace(cy0, cy1, 5)
         X, Y = np.meshgrid(gx, gy)
         if ov.form is HamiltonianForm.SYMMETRIC_FORM:
-            S = quad.hamiltonian(ov.form, (X, Y), ov.params) - ov.h
+            S = hamiltonian(ov.form, (X, Y), ov.params) - ov.h
         else:
-            S = quad.hamiltonian(ov.form, (X, Y), ov.params, h=ov.h)
+            S = hamiltonian(ov.form, (X, Y), ov.params, h=ov.h)
         if np.all(S > 0.0):
             return leaves
         if np.all(S < 0.0) and bool(ov.contains(0.5 * (cx0 + cx1), 0.5 * (cy0 + cy1))):
@@ -198,8 +199,8 @@ class TestArea2dGeometry:
         assert not [r for r in caplog.records if r.name == "q4lab.quadrature"]
 
     def test_bounding_box_computed_once(self, p4, monkeypatch):
-        # one ray solve on the 512-angle grid, 60 lockstep bisection steps on
-        # the four extremes, one solve at the four final midpoints
+        # Newton works on the level function alone; one ray solve at the four
+        # converged angles gives the sides
         import q4lab.model as model
         ov = oval(-0.5, p4)
         calls = []
@@ -207,15 +208,16 @@ class TestArea2dGeometry:
         monkeypatch.setattr(model, "_smallest_positive_roots",
                             lambda *a: calls.append(1) or kernel(*a))
         box = ov.bounding_box()
-        assert len(calls) == 62
+        assert len(calls) == 1
         assert ov.bounding_box() == box
-        assert len(calls) == 62
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
     @pytest.mark.parametrize("level", [0.08, 0.5, 0.92])
     def test_bounding_box_matches_sequential_bisection(self, kappa, level):
         # reference: the four extremes bisected one after another on single
-        # angles; the lockstep bisection must give the same four sides
+        # angles; Newton does not promise the bisection's bits, but each side
+        # must agree to 1e-14 of the box width
         p = make_params(kappa)
         h = interior_levels(p, 1, level, level)[0]
         theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
@@ -252,11 +254,95 @@ class TestArea2dGeometry:
                 ov = oval(h, p, form=form)
             except DegenerateLevelError:
                 continue
-            lockstep = ov.bounding_box()
+            box = ov.bounding_box()
             ref = sequential(oval(h, p, form=form))
-            assert all(a == b for a, b in zip(lockstep, ref)), (form, lockstep, ref)
+            width = [ref[1] - ref[0]] * 2 + [ref[3] - ref[2]] * 2
+            assert all(abs(a - b) <= 1e-14 * w for a, b, w in zip(box, ref, width)), (
+                form, box, ref)
             compared += 1
         assert compared >= 1
+
+    BOX_KAPPAS = (1.01, 1.5, 4.0, 9.0, 50.0, 1000.0)
+
+    @classmethod
+    def _box_ovals(cls, levels):
+        # every oval that oval() accepts on BOX_KAPPAS x levels, in both forms
+        for kappa in cls.BOX_KAPPAS:
+            p = make_params(kappa)
+            for level in levels:
+                h = interior_levels(p, 1, level, level)[0]
+                for form in (HamiltonianForm.SYMMETRIC_FORM, HamiltonianForm.CUBIC_FORM):
+                    try:
+                        yield oval(h, p, form=form)
+                    except DegenerateLevelError:
+                        continue
+
+    def test_bounding_box_holds_dense_ray_sample(self):
+        # from tiny ovals next to the center to ovals next to the saddle loop:
+        # no box raises, and 65,536 rays of each oval land inside its box
+        theta = np.linspace(0.0, 2.0 * np.pi, 65536, endpoint=False)
+        c, s = np.cos(theta), np.sin(theta)
+        checked = 0
+        for ov in self._box_ovals((1e-4, 0.01, 0.08, 0.5, 0.92, 0.99, 0.999)):
+            x0, x1, y0, y1 = ov.bounding_box()
+            r = ov.r_theta(theta)
+            x, y = ov.center[0] + r * c, ov.center[1] + r * s
+            assert x0 <= x.min() and x.max() <= x1, (ov.params.kappa, ov.h, ov.form)
+            assert y0 <= y.min() and y.max() <= y1, (ov.params.kappa, ov.h, ov.form)
+            checked += 1
+        assert checked >= 80
+
+    def test_bounding_box_holds_exact_extremes(self):
+        # the four extremes to 40 digits (the fold equations solved by mpmath
+        # from the polyline's extreme vertices) lie inside the box, and each
+        # side misses its extreme by no more than the pad
+        import mpmath as mp
+
+        checked = 0
+        with mp.workdps(40):
+            for ov in self._box_ovals((0.08, 0.5, 0.92)):
+                k, h = mp.mpf(ov.params.kappa), mp.mpf(ov.h)
+                if ov.form is HamiltonianForm.SYMMETRIC_FORM:
+                    G = lambda x, y: (2 * (k - 1) * x**3 / 3 - (k - 1) * x**2 * y
+                                      + k * y**3 / 3 - y - h)
+                    Gx = lambda x, y: 2 * (k - 1) * x * (x - y)
+                    Gy = lambda x, y: -(k - 1) * x**2 + k * y**2 - 1
+                else:
+                    G = lambda x, y: (k * y**3 / 3 - x**2 * y - h * x**3 - (k - 1) * y
+                                      + 2 * (k - 1) / 3)
+                    Gx = lambda x, y: -2 * x * y - 3 * h * x**2
+                    Gy = lambda x, y: k * y**2 - x**2 - (k - 1)
+                vx, vy = ov.points[:-1].T
+                starts = [np.argmin(vx), np.argmax(vx), np.argmin(vy), np.argmax(vy)]
+                exact = []
+                for side, k0 in enumerate(starts):
+                    fold = Gy if side < 2 else Gx
+                    x, y = mp.findroot(lambda x, y: (G(x, y), fold(x, y)),
+                                       (mp.mpf(vx[k0]), mp.mpf(vy[k0])))
+                    exact.append(x if side < 2 else y)
+                box = ov.bounding_box()
+                for side, (b, e) in enumerate(zip(box, exact)):
+                    lo = side - side % 2  # the side's pair: x0, x1 or y0, y1
+                    pad = 1e-12 * float(exact[lo + 1] - exact[lo])
+                    outside = float(e - b) if side % 2 == 0 else float(b - e)
+                    assert 0.0 <= outside <= 2.0 * pad, (ov.params.kappa, ov.h, ov.form, side)
+                checked += 1
+        assert checked >= 36
+
+    def test_bounding_box_failures_raise(self, p4, monkeypatch):
+        # no fallback: Newton that has not converged in 8 steps, or ending outside the
+        # polyline neighbours of its start vertex (here a clockwise polyline),
+        # raises GeometryError
+        import q4lab.model as model
+        ov = oval(-0.5, p4)
+        ov.points = ov.points[::-1].copy()
+        with pytest.raises(GeometryError, match="neighbours"):
+            ov.bounding_box()
+        ov = oval(-0.5, p4)
+        hess = model._hess  # a Jacobian off by half: Newton converges only linearly
+        monkeypatch.setattr(model, "_hess", lambda *a: tuple(0.5 * d for d in hess(*a)))
+        with pytest.raises(GeometryError, match="8 steps"):
+            ov.bounding_box()
 
     @staticmethod
     def _x_breakpoints(ov, cy0, cy1):
@@ -315,7 +401,9 @@ class TestOneGKEngine:
     # area2d at tol 1e-8: (kappa, level fraction of the annulus) -> float.hex
     # of the six BASIS moments.  Recorded before the loop was shared, and
     # re-recorded when rays, slices and row crossings moved onto
-    # cubic_real_roots: each value moved by at most 13 ulps (1.8e-15)
+    # cubic_real_roots: each value moved by at most 13 ulps (1.8e-15); and
+    # when the bounding box moved from bisection to Newton: 20 of the 54
+    # values moved, by at most 3 ulps (3.6e-16)
     AREA2D_HEX = {
         (1.5, 0.08): (
             "0x1.66712efb4a493p-5", "0x1.63c2ce3cd4da4p-5", "0x1.658e4cfbc15a8p-5",
@@ -330,20 +418,20 @@ class TestOneGKEngine:
             "0x1.8f3dac038b2a7p-5", "0x1.8ba212ac75d7bp-5", "0x1.8c8ba0d1cbf02p-5",
             "0x1.8ba42153ba1a4p-5", "0x1.96a07e3691d7ap-5", "0x1.911c649794f3ep-5"),
         (4.0, 0.5): (
-            "0x1.46dac56684f9ep-2", "0x1.3250fe8ccfa90p-2", "0x1.37e93dce5c3eap-2",
-            "0x1.329a8911c8e64p-2", "0x1.781a542708abap-2", "0x1.5471381021accp-2"),
+            "0x1.46dac56684f9fp-2", "0x1.3250fe8ccfa91p-2", "0x1.37e93dce5c3eap-2",
+            "0x1.329a8911c8e63p-2", "0x1.781a542708ab8p-2", "0x1.5471381021acbp-2"),
         (4.0, 0.92): (
             "0x1.4415635c07feep-1", "0x1.16769eca14012p-1", "0x1.24a790ba792d2p-1",
-            "0x1.17951fbca361ap-1", "0x1.df754b4572710p-1", "0x1.7755b7b066bacp-1"),
+            "0x1.17951fbca361ap-1", "0x1.df754b4572711p-1", "0x1.7755b7b066babp-1"),
         (9.0, 0.08): (
-            "0x1.46496f4b87f6ep-5", "0x1.42f88c468c242p-5", "0x1.43585329bc3c6p-5",
-            "0x1.42fb136a83a8cp-5", "0x1.4d17fd6bec48ap-5", "0x1.470e5ceb75cc3p-5"),
+            "0x1.46496f4b87f6dp-5", "0x1.42f88c468c240p-5", "0x1.43585329bc3c5p-5",
+            "0x1.42fb136a83a8ap-5", "0x1.4d17fd6bec48ap-5", "0x1.470e5ceb75cc3p-5"),
         (9.0, 0.5): (
-            "0x1.0ca48c66efc14p-2", "0x1.f3760b5dc3c56p-3", "0x1.f8318e0ef942dp-3",
-            "0x1.f42e39e80f40cp-3", "0x1.3af7655cf8fc2p-2", "0x1.128c234a63d23p-2"),
+            "0x1.0ca48c66efc13p-2", "0x1.f3760b5dc3c54p-3", "0x1.f8318e0ef942ap-3",
+            "0x1.f42e39e80f40ap-3", "0x1.3af7655cf8fc0p-2", "0x1.128c234a63d22p-2"),
         (9.0, 0.92): (
-            "0x1.0c410e166fbedp-1", "0x1.c513afc15fb98p-2", "0x1.d1d77925d8b60p-2",
-            "0x1.c7f0a9c55a838p-2", "0x1.a261139935e68p-1", "0x1.2582f920c04bep-1"),
+            "0x1.0c410e166fbeep-1", "0x1.c513afc15fb99p-2", "0x1.d1d77925d8b60p-2",
+            "0x1.c7f0a9c55a83ap-2", "0x1.a261139935e68p-1", "0x1.2582f920c04bep-1"),
     }
 
     def test_area2d_bits_unchanged(self):

@@ -104,7 +104,7 @@ def clear_caches() -> None:
     hits, misses and size."""
     for cache in (quadrature.cached_oval, quadrature._moment, quadrature._area2d_geometry,
                   melnikov._propagation, melnikov._moment_basis, melnikov._r_coeffs,
-                  analysis._keyhole, analysis._j_table, analysis._scanner):
+                  analysis._keyhole, analysis._j_table, analysis._scanner, analysis._cheb_grid):
         cache.cache_clear()
 
 

@@ -137,12 +137,15 @@ class ZeroReport:
         return [z["location"] for z in self.zeros]
 
 
+@functools.lru_cache(maxsize=16)
 def _cheb_grid(a: float, b: float, n: int) -> np.ndarray:
+    """The n Chebyshev nodes of [a, b], ascending, read-only and memoised."""
     if n < GRID_MIN:
         raise DomainError(f"a scan grid needs at least {GRID_MIN} nodes, got {n}")
     k = np.arange(n)
-    nodes = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * k / (n - 1))
-    return nodes[::-1]
+    nodes = (0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * k / (n - 1)))[::-1]
+    nodes.flags.writeable = False
+    return nodes
 
 
 class _GridMemo:
@@ -1234,9 +1237,10 @@ def unit_sphere_weights(seed_seq, trials: int) -> np.ndarray:
     """``trials`` weight vectors uniform on the unit sphere in R^4, shape
     (trials, 4): each row is a standard normal draw of four over its own
     norm, the draws taken in row order from ``default_rng(seed_seq)``; the
-    stacked dot products keep ``np.linalg.norm``'s bits, ``axis=1`` would not."""
-    draws = np.random.default_rng(seed_seq).normal(size=(trials, 4))
-    return draws / np.sqrt((draws[:, None, :] @ draws[:, :, None])[:, 0, 0])[:, None]
+    squares are summed in a fixed order, so no BLAS kernel moves a bit."""
+    d = np.random.default_rng(seed_seq).normal(size=(trials, 4))
+    sq = d * d
+    return d / np.sqrt(((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3])[:, None]
 
 
 def sweep_kappa(kappa: float, seed_seq, trials: int, grid: int = 512) -> list[BoundReport]:

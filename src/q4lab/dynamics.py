@@ -87,15 +87,16 @@ def find_period(z0: complex, params: ModelParams) -> tuple[float, float]:
     """Period of the closed orbit through z0 by a Poincare section through
     z0 (the ray from the origin), and the return gap |z(T) - z0|.
 
-    The integration stops at the second downward crossing of the section:
-    z0 lies on it, so the first step flags the start, and the second
-    crossing is the return.  The steps up to the return are those of a run
-    to ``PERIOD_T_MAX``, and the event is located on the same step
-    interpolant, so (T, gap) is that run's answer bit for bit; the search
-    gives up at ``PERIOD_T_MAX``.  A start outside the bounded basin hits
-    the blow-up event of ``integrate_orbit`` and raises GeometryError.  The
-    event count needs SciPy's integer ``terminal``; a SciPy that reads 2 as
-    True stops at the start crossing, which raises ConvergenceError."""
+    T is the return's event time less the start time 1e-6.  The integration
+    stops at the second downward crossing of the section: z0 lies on it, so
+    the first step flags the start, and the second crossing is the return.
+    The steps up to the return are those of a run to ``PERIOD_T_MAX``, and
+    the event is located on the same step interpolant, so (T, gap) is that
+    run's answer bit for bit; the search gives up at ``PERIOD_T_MAX``.  A
+    start outside the bounded basin hits the blow-up event of
+    ``integrate_orbit`` and raises GeometryError.  The event count needs
+    SciPy's integer ``terminal``; a SciPy that reads 2 as True stops at the
+    start crossing, which raises ConvergenceError."""
     z0 = complex(z0)
     if z0 == 0:
         raise DomainError("the origin is an equilibrium, not a periodic orbit")
@@ -120,7 +121,7 @@ def find_period(z0: complex, params: ModelParams) -> tuple[float, float]:
     for te, ue in zip(sol.t_events[0], sol.y_events[0]):
         if te > 1e-3 and ue[0] * z0.real + ue[1] * z0.imag > 0:
             gap = abs(complex(ue[0], ue[1]) - z0)
-            return float(te), float(gap)
+            return float(te - sol.t[0]), float(gap)
     raise ConvergenceError(f"no period found through {z0} within t = {PERIOD_T_MAX}")
 
 

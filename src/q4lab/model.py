@@ -407,19 +407,25 @@ class Oval:
         return r.reshape(theta.shape) if theta.ndim > 1 else r
 
     def point_tangent(self, theta):
-        """Point on the oval and d(point)/d(theta), both exact to rounding.
+        """Point on the oval and d(point)/d(theta), exact to rounding, as
+        read-only arrays shaped like theta (a scalar gives shape (1,)).
 
         The radius derivative comes from implicit differentiation of
-        H(center + r e(theta)) = level.  Memoised per oval by the angle
-        array's bytes and shape, since the green integrals of all indices
-        request the same Gauss-Kronrod nodes; the arrays are read-only.
+        H(center + r e(theta)) = level.  Memoised per oval and row (green's
+        15 GK nodes of one panel), keyed by the row's bytes; the rows not
+        seen before are solved in one batched call.  The indices refine
+        different subsets of the same panels, so each panel is solved once.
         """
-        theta = np.asarray(theta, dtype=float)
-        key = (theta.tobytes(), theta.shape)
-        hit = self._tangents.get(key)
-        if hit is None:
-            hit = self._tangents[key] = self._point_tangent(theta)
-        return hit
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        rows = theta.reshape(-1, theta.shape[-1])
+        keys = [row.tobytes() for row in rows]
+        new = {k: n for n, k in enumerate(keys) if k not in self._tangents}
+        if new:
+            solved = np.stack(self._point_tangent(rows[list(new.values())]), axis=1)
+            self._tangents.update(zip(new, solved))  # (4, n) per row
+        out = np.stack([self._tangents[k] for k in keys], axis=1).reshape((4,) + theta.shape)
+        out.flags.writeable = False
+        return tuple(out)
 
     def _point_tangent(self, theta):
         r = self.r_theta(theta)
@@ -432,8 +438,6 @@ class Oval:
         rp = -Fth / Fr
         dx = rp * c - r * s
         dy = rp * s + r * c
-        for a in (x, y, dx, dy):
-            a.flags.writeable = False
         return x, y, dx, dy
 
     def contains(self, x, y) -> np.ndarray:

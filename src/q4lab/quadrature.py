@@ -9,17 +9,18 @@ symmetric picture (region {H(x, y) < h}).  Two independent methods:
 * ``green``   reduce to a contour integral over the oval by Green's theorem
               and integrate with adaptive Gauss-Kronrod panels in the ray
               angle; the primary method.  The ray geometry (point and
-              tangent at each panel node) is memoised on the oval, so the
-              indices share the ray solves of the panels they have in common.
+              tangent at the 15 nodes of a panel) is memoised on the oval
+              per panel, so each panel's rays are solved once for all indices.
 * ``area2d``  cell subdivision over a tight bounding box with sign tests on
               H, one depth at a time; boundary cells are finished with exact
               per-column slices and Gauss-Kronrod in x, cut where the curve
               folds (roots of a sextic) or crosses a cell row.  The slices
               and the row crossings are cubics in y and in x, solved like
               green's rays by ``model.cubic_real_roots``.  The geometry
-              (cells, breakpoints, initial panels) does not depend on the
-              index (i, j), so it is built once per oval.  Per index, inner
-              cells are summed exactly, and the boundary panels refined.
+              (cells, breakpoints, initial panels, and each run's slice
+              components) does not depend on the index (i, j), so it is built
+              once per oval.  Per index, inner cells are summed exactly, and
+              the boundary panels refined.
 
 Both refine their panels in one batched, globally adaptive GK loop,
 ``_gk_refine``, which ``analysis``'s I-reconstruction check also uses.
@@ -187,12 +188,14 @@ def _slice_cubic(ov: Oval):
     return ov.params.kappa / 3.0, [-km, 0.0, -1.0], [(2.0 / 3.0) * km, 0.0, 0.0, -ov.h]
 
 
-def _slice_segments(xs: np.ndarray, ylo, yhi, ov: Oval):
+def _slice_segments(xs: np.ndarray, ylo, yhi, ov: Oval, comp=-1):
     """For each column x, the parts of {y in [ylo, yhi] : level function < 0}
     that belong to the oval component: (lo, hi), each of shape (2,) +
     xs.shape, the clipped ends of a column's at most two segments, with
     lo = hi = 0 where a column has no such segment.  The row bounds ylo and
-    yhi broadcast against xs, so every node can carry its own cell rows."""
+    yhi broadcast against xs, so every node can carry its own cell rows.
+    comp, broadcast like the ends, is each segment's component where it is
+    known: 1 in the oval's, 0 in another, -1 tested by ``Oval.contains``."""
     a, p, q = _slice_cubic(ov)
     p, q = (np.polynomial.polynomial.polyval(xs.ravel(), c) for c in (p, q))
     r = cubic_real_roots(a, 0.0, p, q).T.reshape((3,) + xs.shape)
@@ -202,7 +205,10 @@ def _slice_segments(xs: np.ndarray, ylo, yhi, ov: Oval):
     lo = np.maximum(np.stack([np.full(xs.shape, -np.inf), r[1]]), ylo)
     hi = np.minimum(np.stack([r[0], r[2]]), yhi)
     keep = np.isfinite(lo) & np.isfinite(hi) & (hi > lo)
-    keep[keep] = ov.contains(np.broadcast_to(xs, lo.shape)[keep], 0.5 * (lo + hi)[keep])
+    test = keep & (comp < 0)
+    keep &= comp != 0
+    if np.any(test):
+        keep[test] = ov.contains(np.broadcast_to(xs, lo.shape)[test], 0.5 * (lo + hi)[test])
     return np.where(keep, lo, 0.0), np.where(keep, hi, 0.0)
 
 
@@ -254,7 +260,9 @@ class _Area2dGeometry:
         self.crossings = dict(zip(rows.tolist(), _row_crossings(ov, rows)))
         # (x0, x1, y0, y1, pieces): pieces is None for a cell inside the
         # region, else the (a, b, fold_lo, fold_hi) x-pieces of a boundary cell
-        self.leaves = [(*c, self._pieces(*c) if b else None) for c, b in found]
+        strips = {s: self.breakpoints(*s) for s in {tuple(c[2:]) for c, b in found if b}}
+        self.leaves = [(*c, self._pieces(*c[:2], strips[tuple(c[2:])]) if b else None)
+                       for c, b in found]
         self.rects = np.array([leaf[:4] for leaf in self.leaves
                                if leaf[4] is None]).reshape(-1, 4).T
         runs = []  # (t0, t1, base, sign, y0, y1); sign 0 for x = t
@@ -271,6 +279,11 @@ class _Area2dGeometry:
                     runs.append((a, b, 0.0, 0.0, y0, y1))
         t0, t1, self.base, self.sign, self.y0, self.y1 = np.array(runs).reshape(-1, 6).T
         mid = 0.5 * (t0 + t1)
+        # each segment's component, decided once at the run's middle where
+        # the run ends at no fold (see panel_nodes); -1 leaves it to the nodes
+        xm = np.where(self.sign != 0.0, self.base + self.sign * mid * mid, mid)
+        (lo, hi), (lo1, hi1) = (_slice_segments(xm, self.y0, self.y1, ov, c) for c in (-1, 1))
+        self.comp = np.where((hi1 > lo1) & (self.sign == 0.0), hi > lo, -1).astype(np.int8)
         # (run, t_lo, t_hi) of each initial panel, and their geometry
         self.panels = (np.tile(np.arange(t0.size), 2), np.concatenate([t0, mid]),
                        np.concatenate([mid, t1]))
@@ -306,16 +319,16 @@ class _Area2dGeometry:
             keys = (4 * keys[split & ~leaf, None] + np.arange(4)).ravel()
         return [(c, b) for _, c, b in sorted(found)]
 
-    def _pieces(self, cx0, cx1, cy0, cy1) -> list:
+    def _pieces(self, cx0, cx1, brk: np.ndarray) -> list:
         """The (a, b, fold_lo, fold_hi) x-pieces of a boundary cell, cut at
-        its breakpoints and flagged where they end at a fold."""
-        brk, fold_xs = self.breakpoints(cy0, cy1), self.fold_xs
-        near_fold = lambda x: bool(fold_xs.size > 0 and np.min(
-            np.abs(fold_xs - x)) < 1e-9 * (1.0 + abs(x)))
-        inner = sorted(x for x in brk if cx0 + 1e-13 < x < cx1 - 1e-13)
-        cuts = [cx0] + inner + [cx1]
-        return [(a_, b_, near_fold(a_), near_fold(b_))
-                for a_, b_ in zip(cuts[:-1], cuts[1:]) if b_ - a_ >= 1e-13]
+        the breakpoints brk of its row strip and flagged where they end at a
+        fold."""
+        cuts = np.concatenate([[cx0], brk[(brk > cx0 + 1e-13) & (brk < cx1 - 1e-13)], [cx1]])
+        near = np.any(np.abs(cuts[:, None] - self.fold_xs) < 1e-9 * (1.0 + np.abs(cuts[:, None])),
+                      axis=1).tolist()
+        cuts = cuts.tolist()
+        return [(a_, b_, near[k], near[k + 1]) for k, (a_, b_) in enumerate(zip(cuts[:-1], cuts[1:]))
+                if b_ - a_ >= 1e-13]
 
     def breakpoints(self, cy0: float, cy1: float) -> np.ndarray:
         """Sorted x-values where the slice integrand of a boundary cell
@@ -328,13 +341,20 @@ class _Area2dGeometry:
     def panel_nodes(self, run: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray):
         """GK15 nodes x (P, 15) of the panels [t_lo, t_hi] of the given
         runs, their weights w (half-width times dx/dt) and the dense slice
-        ends (lo, hi) of shape (2, P, 15) at the nodes, in one call."""
+        ends (lo, hi) of shape (2, P, 15) at the nodes, in one call.  A run
+        that ends at no fold takes each segment's component from its middle:
+        inside the run no two roots of the slice cubic meet (folds are cuts)
+        and none crosses a row (crossings are cuts), so a segment present at
+        the middle is present along the run and sweeps a connected part of
+        {G < 0}, which lies in one component.  Fold runs, and a segment absent
+        at the middle, are tested per node, where rounding at the fold decides."""
         half = 0.5 * (t_hi - t_lo)[:, None]
         t = 0.5 * (t_lo + t_hi)[:, None] + half * _XGK
         fold = (self.sign[run] != 0.0)[:, None]
         x = np.where(fold, self.base[run, None] + self.sign[run, None] * t * t, t)
         w = half * np.where(fold, 2.0 * t, 1.0)
-        lo, hi = _slice_segments(x, self.y0[run, None], self.y1[run, None], self.oval)
+        lo, hi = _slice_segments(x, self.y0[run, None], self.y1[run, None], self.oval,
+                                 self.comp[:, run, None])
         return x, w, lo, hi
 
 

@@ -135,6 +135,18 @@ class TestCountZeros:
         with pytest.raises(DomainError, match="at least 64 nodes, got 63"):
             count_zeros(lambda h: np.asarray(h) + 0.5, (-0.6, -0.4), grid=63)
 
+    def test_cheb_grid_built_once_read_only(self):
+        # every element of a count scans the same nodes: one array per
+        # (a, b, n), which no caller can write; a short grid still raises
+        grid = an._cheb_grid(-0.6, -0.4, 256)
+        assert an._cheb_grid(-0.6, -0.4, 256) is grid
+        assert an._cheb_grid(-0.6, -0.4, 128) is not grid
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+        for _ in range(2):
+            with pytest.raises(DomainError, match="at least 64 nodes, got 63"):
+                an._cheb_grid(-0.6, -0.4, 63)
+
     def test_cluster_across_a_node_warns_on_read(self):
         # two simple roots 1e-12 apart on either side of a grid node: two
         # sign changes, located closer than the bracket tolerance
@@ -931,8 +943,8 @@ class TestScannerBatching:
                 check(count_zeros(V, (tab.lo, tab.hi), grid=512), xs, V(xs))
 
     def test_unit_sphere_weights_match_per_draw_formula(self):
-        # 120,000 draws: the batched norm must keep the per-draw norm's bits,
-        # which np.linalg.norm(axis=1) misses in about one row in eight
+        # 120,000 draws: the batched norm must keep the bits of the per-draw
+        # norm, its four squares summed in order
         seeds = (np.random.SeedSequence(3), np.random.SeedSequence(42).spawn(4)[2],
                  np.random.SeedSequence(7), np.random.SeedSequence(2024))
         for seed_seq in seeds:
@@ -940,7 +952,8 @@ class TestScannerBatching:
             per_draw = []
             for _ in range(30_000):
                 mu = rng.normal(size=4)
-                per_draw.append(mu / np.linalg.norm(mu))
+                per_draw.append(mu / math.sqrt(((mu[0] * mu[0] + mu[1] * mu[1])
+                                                + mu[2] * mu[2]) + mu[3] * mu[3]))
             assert (unit_sphere_weights(seed_seq, 30_000) == np.array(per_draw)).all()
         assert unit_sphere_weights(np.random.SeedSequence(3), 0).shape == (0, 4)
 

@@ -1,7 +1,10 @@
 import csv
 import hashlib
+import os
+import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,8 +120,10 @@ class TestCommands:
         assert header == "t,re_z,im_z,drift"
 
     # orbit.csv of the period search that integrated to PERIOD_T_MAX: stopping
-    # at the first return must leave T, and so every sample, bit for bit
-    ORBIT_GOLDEN_SHA256 = "fff42056ab64d90eedfacf3831008245c0143cb4a3e83c20dc209a4620e89113"
+    # at the first return must leave T, and so every sample, bit for bit.
+    # Re-pinned when find_period stopped counting its start time 1e-6 in T:
+    # each run lasts 10 T, so every sample time moved
+    ORBIT_GOLDEN_SHA256 = "a0c5999e2a8b693b01b27c3af2608fe0f76ab445fcc19375454a3189e3420ef7"
 
     def test_dyn_golden_bytes(self, tmp_path):
         cfg = RunConfig(kappa_list=[1.7, 4.0, 8.5], output_dir=str(tmp_path))
@@ -147,8 +152,10 @@ class TestCommands:
     # evaluated must leave its bytes alone.  The closed-form rows corrected
     # count_R of these nine trials from 1 to 0: the DOP853 route placed a zero
     # of R next to the center where 40-digit R has none
-    # (test_analysis.py::TestCenterExpansion)
-    GOLDEN_SHA256 = "c814d7f74564ee849b16868cfc0072ee9ef74b2dd6872f7d6ca1abd80888daad"
+    # (test_analysis.py::TestCenterExpansion).  Re-pinned when
+    # unit_sphere_weights summed its four squares in a fixed order instead of
+    # a BLAS dot: 38 of the 300 rows moved, in their weight columns only
+    GOLDEN_SHA256 = "f2e90826fb526cd2afe839fd6da217325dd5fcd5c9b62ef66e43cefb7598bf88"
     R_ZERO_AT_CENTER_DROPPED = {("1.5", t) for t in ("1", "5", "6", "49", "67")} | {
         ("4.0", "40"), ("4.0", "59"), ("9.0", "68"), ("9.0", "87")}
 
@@ -161,6 +168,38 @@ class TestCommands:
         assert {(r["kappa"], r["trial"]) for r in rows if r["count_R"] == "0"} \
             >= self.R_ZERO_AT_CENTER_DROPPED
         assert hashlib.sha256(data).hexdigest() == self.GOLDEN_SHA256
+
+    # `q4lab sweep --kappa 4 --trials 300 --seed 7`, the sweep that CI pins
+    SWEEP_KAPPA4_SHA256 = "e621af73a3af4ed6827c76ecd0f00194898d92af304cdbf7bcde0bbd37eecc8c"
+
+    @staticmethod
+    def _openblas_kernels():
+        """The OpenBLAS kernels this CPU runs, of SkylakeX, Haswell and
+        Prescott, or [] when numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS,
+        whose kernel OPENBLAS_CORETYPE sets at import."""
+        import numpy as np
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if ("DYNAMIC_ARCH" not in blas.get("openblas configuration", "")
+                or platform.machine().lower() not in ("x86_64", "amd64")):
+            return []
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu
+        need = {"SkylakeX": "AVX512_SKX", "Haswell": "AVX2", "Prescott": "SSE3"}
+        return [core for core, feature in need.items() if cpu.get(feature)]
+
+    def test_sweep_bytes_independent_of_blas_kernel(self, tmp_path):
+        kernels = self._openblas_kernels()
+        if len(kernels) < 2:
+            pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS with two kernels to run")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = {}
+        for core in kernels:
+            env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(
+                [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+            subprocess.run([sys.executable, "-m", "q4lab.cli", "sweep", "--kappa", "4",
+                            "--trials", "300", "--seed", "7", "--out", str(tmp_path / core)],
+                           env=env, check=True, capture_output=True)
+            digests[core] = hashlib.sha256((tmp_path / core / "sweep.csv").read_bytes()).hexdigest()
+        assert digests == dict.fromkeys(kernels, self.SWEEP_KAPPA4_SHA256)
 
     # winding.csv with F = P + Q J2 / J1 summed from the contour's columns of
     # s^k; against Horner and (P J1 + Q J2) / J1 only the six

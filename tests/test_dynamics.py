@@ -28,13 +28,14 @@ def _find_period_to_t_max(z0, params):
         return u[1] * z0.real - u[0] * z0.imag
 
     section.direction = -1.0
-    sol = solve_ivp(_rhs_xy, (1e-6, PERIOD_T_MAX), [z0.real, z0.imag], args=(params,),
+    t0 = 1e-6
+    sol = solve_ivp(_rhs_xy, (t0, PERIOD_T_MAX), [z0.real, z0.imag], args=(params,),
                     method="DOP853", rtol=PERIOD_TOL, atol=PERIOD_TOL, events=section,
                     dense_output=True)
     assert sol.success
     for te, ue in zip(sol.t_events[0], sol.y_events[0]):
         if te > 1e-3 and ue[0] * z0.real + ue[1] * z0.imag > 0:
-            return float(te), float(abs(complex(ue[0], ue[1]) - z0))
+            return float(te - t0), float(abs(complex(ue[0], ue[1]) - z0))
     raise AssertionError(f"no return through {z0}")
 
 
@@ -104,6 +105,18 @@ class TestOrbits:
         r = basin_edge_radius(0.0, p)
         for z0 in (0.05 * r, 0.6 * r, 0.9 * r, 0.3 * r * np.exp(-1.9j)):
             assert find_period(z0, p) == _find_period_to_t_max(z0, p)
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_period_equals_moment_derivative(self, kappa):
+        # T(h) = 2 sqrt(kappa - 1) I10'(h) at dyn's start: an independent
+        # route, which sees an offset such as the search's start time 1e-6
+        from q4lab.melnikov import get_moment_basis
+        p = make_params(kappa)
+        z0 = 0.3 * basin_edge_radius(0.0, p)
+        T, _ = find_period(z0, p)
+        h = conservation_report(integrate_orbit(z0, T, p, tol=1e-12)).h_equiv
+        i10 = get_moment_basis(p).derivs(h)[1]
+        assert abs(T - 2.0 * math.sqrt(kappa - 1.0) * i10) / T <= 1e-10
 
     def test_period_without_return_raises(self, p4):
         # outside the basin the orbit escapes: the blow-up event names that,

@@ -181,6 +181,34 @@ class TestArea2dGeometry:
                 compared += 1
         assert compared >= 3
 
+    @pytest.mark.parametrize("kappa", [1.01, 1.5, 4.0, 9.0, 1000.0])
+    def test_run_components_equal_per_node_test(self, kappa):
+        # a run without a fold takes each segment's component from its middle;
+        # the slices must equal those with Oval.contains at every node, here
+        # on the initial panels split in four
+        p = make_params(kappa)
+        compared = decided = 0
+        for level in (0.01, 0.08, 0.5, 0.92, 0.99):
+            h = interior_levels(p, 1, level, level)[0]
+            for form in (HamiltonianForm.SYMMETRIC_FORM, HamiltonianForm.CUBIC_FORM):
+                try:
+                    ov = oval(h, p, form=form)
+                except DegenerateLevelError:
+                    continue
+                geo = quad._Area2dGeometry(ov)
+                assert (geo.comp[:, geo.sign != 0.0] == -1).all()
+                run, lo, hi = geo.panels
+                edges = lo + (hi - lo) * np.arange(5)[:, None] / 4.0
+                run = np.tile(run, 4)
+                x, _, got_lo, got_hi = geo.panel_nodes(run, edges[:-1].ravel(),
+                                                       edges[1:].ravel())
+                ref_lo, ref_hi = quad._slice_segments(x, geo.y0[run, None],
+                                                      geo.y1[run, None], ov)
+                assert np.array_equal(got_lo, ref_lo) and np.array_equal(got_hi, ref_hi)
+                compared += 1
+                decided += np.count_nonzero(geo.comp >= 0)
+        assert compared >= 6 and decided > 0
+
     @pytest.mark.parametrize("kappa", [1.5, 2.0, 4.0, 9.0])
     def test_c01_grid_matches_tight_green_silently(self, kappa, caplog):
         # the global error budget: area2d at 1e-8 within 1e-10 of green at
@@ -470,8 +498,9 @@ class TestOneGKEngine:
 
 
 class TestRayGeometryMemo:
-    """Ovals memoise point_tangent per angle array, shared by the green
-    integrals of all indices; values must not depend on the memo state."""
+    """Ovals memoise point_tangent per row of angles (one GK panel), shared
+    by the green integrals of all indices; values must not depend on the
+    memo state."""
 
     @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
     def test_green_values_independent_of_memo_state(self, kappa, monkeypatch):
@@ -501,17 +530,40 @@ class TestRayGeometryMemo:
         assert alone[(1, 1)].value == forward[(1, 1)].value
         assert alone[(1, 1)].err_estimate == forward[(1, 1)].err_estimate
 
-    def test_point_tangent_read_only(self, p4):
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_each_panel_solved_once_per_oval(self, kappa, monkeypatch):
+        # the six indices refine different subsets of the same panels; each
+        # distinct row of 15 GK angles reaches the ray solver once
+        p = make_params(kappa)
+        ov = oval(interior_levels(p, 1, 0.5, 0.5)[0], p)
+        solved, asked = [], set()
+        solve, memo = Oval._point_tangent, Oval.point_tangent
+        monkeypatch.setattr(Oval, "_point_tangent", lambda self, th: solved.extend(
+            row.tobytes() for row in th) or solve(self, th))
+        monkeypatch.setattr(Oval, "point_tangent", lambda self, th: asked.update(
+            row.tobytes() for row in th) or memo(self, th))
+        for ij in BASIS:
+            quad._moment_green(*ij, ov, 1e-10)
+        assert len(solved) == len(set(solved)) == len(asked)
+
+    def test_point_tangent_read_only(self, p4, monkeypatch):
+        # the memo keeps rows, not arrays: a second request assembles new,
+        # equal arrays from the rows without solving again
         ov = oval(-0.5, p4)
         theta = np.linspace(0.0, 1.0, 7)
         arrays = ov.point_tangent(theta)
-        assert ov.point_tangent(theta.copy()) is arrays
-        for a in arrays:
+        first = ov.point_tangent(theta[:1])
+        monkeypatch.setattr(Oval, "_point_tangent", None)  # any solve would raise
+        again = ov.point_tangent(theta.copy())
+        for a, b in zip(arrays, again):
+            assert (a == b).all()
+        for a in (*arrays, *again):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
-        # the same bytes in another shape are a separate entry
-        assert ov.point_tangent(theta[0]) is not ov.point_tangent(theta[:1])
+        # a scalar is the row of one angle that theta[:1] left in the memo
+        for a, b in zip(first, ov.point_tangent(theta[0])):
+            assert b.shape == (1,) and a == b
 
     def test_clear_caches_drops_memos(self, p4):
         clear_caches()

@@ -327,8 +327,7 @@ class _Area2dGeometry:
         near = np.any(np.abs(cuts[:, None] - self.fold_xs) < 1e-9 * (1.0 + np.abs(cuts[:, None])),
                       axis=1).tolist()
         cuts = cuts.tolist()
-        return [(a_, b_, near[k], near[k + 1]) for k, (a_, b_) in enumerate(zip(cuts[:-1], cuts[1:]))
-                if b_ - a_ >= 1e-13]
+        return [p for p in zip(cuts[:-1], cuts[1:], near[:-1], near[1:]) if p[1] - p[0] >= 1e-13]
 
     def breakpoints(self, cy0: float, cy1: float) -> np.ndarray:
         """Sorted x-values where the slice integrand of a boundary cell
@@ -346,8 +345,10 @@ class _Area2dGeometry:
         inside the run no two roots of the slice cubic meet (folds are cuts)
         and none crosses a row (crossings are cuts), so a segment present at
         the middle is present along the run and sweeps a connected part of
-        {G < 0}, which lies in one component.  Fold runs, and a segment absent
-        at the middle, are tested per node, where rounding at the fold decides."""
+        {G < 0}, which lies in one component.  Fold runs, whose per-node test
+        the pinned moments carry (near the fold it can differ from the
+        middle's by rounding), and a segment absent at the middle are tested
+        per node."""
         half = 0.5 * (t_hi - t_lo)[:, None]
         t = 0.5 * (t_lo + t_hi)[:, None] + half * _XGK
         fold = (self.sign[run] != 0.0)[:, None]

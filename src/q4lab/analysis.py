@@ -24,7 +24,11 @@ domain
 
 traversed positively: the winding of F = (P J1 + Q J2)/J1 along the four
 boundary pieces equals the zero count of P J1 + Q J2 inside, and is the
-empirical content of the 2n bound for the spaces V_n.
+empirical content of the 2n bound for the spaces V_n.  J is real on (1, inf),
+so J(conj s) = conj J(s) by Schwarz reflection, and F(conj s) = conj F(s) for
+real P and Q (G. S. Petrov, Complex zeros of an elliptic integral, Funct.
+Anal. Appl. 21, 1987): ``winding_count`` evaluates F on the upper half of
+the boundary only and takes the lower half's increments from its mirror.
 
 One closed form gives J everywhere: ``hypergeometric_J`` (J2 through
 Euler's transformation) on the J table's real interval, on the keyhole, and
@@ -466,10 +470,11 @@ class KeyholeContour:
     the terms ``winding_count`` builds F from.  Every piece's samples lie in
     one array, ``s`` and ``J`` = (J1, J2), the two cut edges first;
     ``bounds[name]`` is a piece's (start, stop) there, in traversal order, and
-    ``samples[name]`` its (s, J) views.  Beside them: rho = J2 / J1, the
-    edges' ``ratio`` Im(J2 conj(J1)) / |J1|^2, ``min_abs_J1``, and s^k as real
-    (2N,) views (``powers``), each formed once as s^(k-1) s when a pair first
-    needs it, so their bits do not depend on which pair came first."""
+    ``samples[name]`` its (s, J) views.  Beside them: ``min_abs_J1``, and on
+    the upper half (``upper[name]`` is a piece's (start, stop) there) rho =
+    J2 / J1, the upper edge's ``ratio`` Im(J2 conj(J1)) / |J1|^2, and s^k as
+    real (2N,) views (``powers``), each formed once as s^(k-1) s when a pair
+    first needs it, so their bits do not depend on which pair came first."""
 
     def __init__(self, params: ModelParams, epsilon: float = 1e-3):
         pieces = {name: np.concatenate([piece.point(np.linspace(0.0, 1.0, n)) for piece in path])
@@ -480,15 +485,23 @@ class KeyholeContour:
         starts = dict(zip(order, np.cumsum([0] + [pieces[name].size for name in order]).tolist()))
         self.bounds = {name: (starts[name], starts[name] + s.size) for name, s in pieces.items()}
         self.samples = {name: (self.s[a:b], self.J[:, a:b]) for name, (a, b) in self.bounds.items()}
-        e = slice(0, starts[order[2]])  # the two cut edges
-        self.ratio = (J2[e] * np.conj(J1[e])).imag / np.abs(J1[e]) ** 2
-        self.rho, self.min_abs_J1 = J2 / J1, float(np.min(np.abs(J1)))
-        self._powers = [self.s.view(float)]
+        # the upper half: cut_upper, the small circle's first half and the big
+        # circle's second half (each circle has an even count of samples)
+        upper = ("cut_upper", "small_circle", "big_circle")
+        (c0, c1), (m0, m1), (b0, b1) = (self.bounds[name] for name in upper)
+        up = np.r_[c0:c1, m0:(m0 + m1) // 2, (b0 + b1) // 2:b1]
+        ends = np.cumsum([0, c1 - c0, (m1 - m0) // 2, (b1 - b0) // 2]).tolist()
+        self.upper = dict(zip(upper, zip(ends, ends[1:])))
+        self.ratio = (J2[c0:c1] * np.conj(J1[c0:c1])).imag / np.abs(J1[c0:c1]) ** 2
+        self.rho, self.min_abs_J1 = J2[up] / J1[up], float(np.min(np.abs(J1)))
+        self._s_up = self.s[up]
+        self._powers = [self._s_up.view(float)]
 
     def powers(self, n: int) -> list[np.ndarray]:
-        """s^1 ... s^n, each a real (2N,) view (re, im interleaved)."""
+        """s^1 ... s^n on the upper half, each a real (2N,) view (re, im
+        interleaved)."""
         while len(self._powers) < n:
-            self._powers.append((self._powers[-1].view(complex) * self.s).view(float))
+            self._powers.append((self._powers[-1].view(complex) * self._s_up).view(float))
         return self._powers[:n]
 
 
@@ -559,28 +572,39 @@ def winding_count(pair: PolyPair, params: ModelParams,
     F = P + Q J2 / J1, with P and Q real sums over the contour's s^k.  On the
     cut edges the imaginary part of F is assembled from the pointwise
     conjugate-pair fundamental matrix, Im F = Q Im(J2 conj(J1)) / |J1|^2,
-    matching the boundary analysis; elsewhere F is used directly.  Piece by
-    piece: whole-contour temporaries (300 kB) would be fresh pages each call.
+    matching the boundary analysis; elsewhere F is used directly.  F is
+    evaluated on the upper half only: the lower edge has the upper edge's
+    increment, and each circle twice its upper half's plus the step across
+    the real axis, F(s_m) to conj F(s_m), which ``max_arg_step`` includes.
     """
     ct = keyhole_contour(params, epsilon)
     if ct.min_abs_J1 == 0.0:
         raise GeometryError("J1 vanishes on the contour; F undefined")
     powers = ct.powers(pair.n)
-    segments, total, max_step, edge_gap = [], 0.0, 0.0, 0.0
-    for name, (a, b) in ct.bounds.items():
+    inc, max_step, edge_gap = {}, 0.0, 0.0
+    for name, (a, b) in ct.upper.items():
         cols = [col[2 * a:2 * b] for col in powers]
         P, Q = (_real_sum(c, cols, b - a) for c in (pair.P, pair.Q))
         F = P + Q * ct.rho[a:b]
         im = F.imag
-        if name.startswith("cut"):
-            im = Q.real * ct.ratio[a:b]
-            edge_gap = max(edge_gap, float(np.max(np.abs(im - F.imag))
-                                           / (np.max(np.abs(F)) + 1e-300)))
-        steps = _wrap(np.diff(np.arctan2(im, F.real)))
-        inc = float(np.sum(steps))
+        if name == "cut_upper":
+            im = Q.real * ct.ratio
+            edge_gap = float(np.max(np.abs(im - F.imag)) / (np.max(np.abs(F)) + 1e-300))
+        th = np.arctan2(im, F.real)
+        # a circle's lower half retraces its upper half's steps, and one more step
+        # crosses the real axis between F(s_m) and conj F(s_m) = F(conj s_m)
+        if name == "small_circle":
+            th = np.append(th, -th[-1])
+        elif name == "big_circle":
+            th = np.insert(th, 0, -th[0])
+        steps = _wrap(np.diff(th))
         max_step = max(max_step, float(np.max(np.abs(steps))))
-        total += inc
-        segments.append({"name": name, "arg_increment": inc})
+        inc[name] = float(np.sum(steps))
+        if name != "cut_upper":  # both halves, and the crossing step once
+            inc[name] = 2.0 * inc[name] - float(steps[-1] if name == "small_circle" else steps[0])
+    inc["cut_lower"] = inc["cut_upper"]  # F(conj s) = conj F(s), traversed backwards
+    segments = [{"name": name, "arg_increment": inc[name]} for name in ct.bounds]
+    total = sum(seg["arg_increment"] for seg in segments)
     w = int(round(total / (2.0 * math.pi)))
     return WindingReport(n=pair.n, epsilon=epsilon, segments=segments, winding=w,
                          residual=abs(total / (2.0 * math.pi) - w), edge_im_agreement=edge_gap,

@@ -12,10 +12,13 @@ its level ties back to the cubic-picture level through h = -sqrt(Hcal)
 periods by a Poincare section through the initial point, and reports
 conservation drift.  The period search stops at the orbit's first return
 to the section; ``PERIOD_T_MAX`` is only the time at which it gives up.
+Near its edge the annulus is unbounded in the z-plane, so escape is decided
+by the start's level, not its radius (``_escape_events``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +27,7 @@ from scipy.integrate import solve_ivp
 from .errors import ConvergenceError, DomainError, GeometryError
 from .model import ModelParams, hamiltonian, in_omega
 
-BLOWUP_RADIUS = 50.0   # integrate_orbit aborts once |z| passes this
+BLOWUP_RADIUS = 50.0   # a start off the annulus escapes once |z| passes this
 PERIOD_TOL = 1e-12     # find_period's DOP853 rtol and atol
 PERIOD_T_MAX = 200.0   # find_period gives up if no return comes by this time
 EDGE_R_MAX = 2.0       # basin_edge_radius brackets the separatrix below this radius
@@ -49,6 +52,19 @@ def _blowup(t, u, params: ModelParams):
 _blowup.terminal = True
 
 
+def _escape_events(z0: complex, params: ModelParams) -> list:
+    """[_blowup] for a start off the period annulus, else [].  Escape is
+    decided by the start's level: a start in Omega whose level -sqrt(Hcal)
+    lies inside the window is on a closed orbit, and near the saddle level
+    such an orbit reaches far past BLOWUP_RADIUS (|z| = 63 at kappa 4 from
+    0.999 of ``basin_edge_radius``)."""
+    if in_omega(z0.real, z0.imag, params):
+        h = -math.sqrt(hamiltonian("original_rational", (z0.real, z0.imag), params))
+        if params.center_h < h < params.saddle_h:
+            return []
+    return [_blowup]
+
+
 @dataclass
 class Orbit:
     """Samples (t_k, z_k) of one trajectory; the integrator keeps the local
@@ -67,14 +83,15 @@ class Orbit:
 def integrate_orbit(z0: complex, t_end: float, params: ModelParams,
                     tol: float = 1e-12, n_samples: int = 1000) -> Orbit:
     """Adaptive high-order integration with dense sampling at a fixed
-    stride; a blow-up event (|z| exceeding the bound) aborts with an error
-    for initial data outside the bounded basin."""
+    stride; for a start off the annulus (``_escape_events``), a blow-up
+    event (|z| exceeding the bound) aborts with an error."""
     if tol <= 0.0:
         raise DomainError("tol must be positive")
     z0 = complex(z0)
     sol = solve_ivp(_rhs_xy, (0.0, t_end), [z0.real, z0.imag], args=(params,),
                     method="DOP853", rtol=tol, atol=tol,
-                    t_eval=np.linspace(0.0, t_end, n_samples), events=_blowup)
+                    t_eval=np.linspace(0.0, t_end, n_samples),
+                    events=_escape_events(z0, params))
     if sol.status == 1:
         raise GeometryError(f"orbit from {z0} blew up past |z| = {BLOWUP_RADIUS}")
     if not sol.success:
@@ -93,8 +110,8 @@ def find_period(z0: complex, params: ModelParams) -> tuple[float, float]:
     The steps up to the return are those of a run to ``PERIOD_T_MAX``, and
     the event is located on the same step interpolant, so (T, gap) is that
     run's answer bit for bit; the search gives up at ``PERIOD_T_MAX``.  A
-    start outside the bounded basin hits the blow-up event of
-    ``integrate_orbit`` and raises GeometryError.  The event count needs
+    start off the annulus hits the blow-up event of ``integrate_orbit``
+    (``_escape_events``) and raises GeometryError.  The event count needs
     SciPy's integer ``terminal``; a SciPy that reads 2 as True stops at the
     start crossing, which raises ConvergenceError."""
     z0 = complex(z0)
@@ -109,8 +126,8 @@ def find_period(z0: complex, params: ModelParams) -> tuple[float, float]:
 
     sol = solve_ivp(_rhs_xy, (1e-6, PERIOD_T_MAX), [z0.real, z0.imag], args=(params,),
                     method="DOP853", rtol=PERIOD_TOL, atol=PERIOD_TOL,
-                    events=[section, _blowup])
-    if len(sol.t_events[1]):
+                    events=[section, *_escape_events(z0, params)])
+    if len(sol.t_events) > 1 and len(sol.t_events[1]):
         raise GeometryError(f"period search from {z0} escaped past |z| = {BLOWUP_RADIUS}")
     if not sol.success:
         raise ConvergenceError(f"period search failed: {sol.message}")

@@ -356,17 +356,80 @@ def _arg_increments_longdouble(pair, params, epsilon):
     return out
 
 
+def _mirror_images(ct):
+    """Each lower-half piece of the keyhole, (s, J), beside its mirror image
+    on the upper half: cut_lower against cut_upper reversed, and each
+    circle's lower half (Im s < 0) against the circle reversed."""
+    (su, Ju), (sl, Jl) = ct.samples["cut_upper"], ct.samples["cut_lower"]
+    yield "cut_lower", (sl, Jl), (su[::-1], Ju[:, ::-1])
+    for name in ("small_circle", "big_circle"):
+        s, J = ct.samples[name]
+        low = s.imag < 0
+        yield name, (s[low], J[:, low]), (s[::-1][low], J[:, ::-1][:, low])
+
+
+class TestReflection:
+    """J is real on (1, inf), so J(conj s) = conj J(s): the lower half of the
+    keyhole is the mirror image of the upper half, which is all
+    ``winding_count`` reads."""
+
+    # the big circle's angles theta0 + (theta1 - theta0) t round at ulp(pi),
+    # which its radius 1 / eps magnifies: measured 8.6 ulps, 1 elsewhere
+    S_ULPS = {"cut_lower": 1, "small_circle": 1, "big_circle": 16}
+
+    @pytest.mark.parametrize("kappa", [1.05, 1.5, 4.0, 9.0, 50.0])
+    @pytest.mark.parametrize("epsilon", [5e-4, 1e-3, 2e-3])
+    def test_lower_half_mirrors_upper(self, kappa, epsilon):
+        # J relative to the piece's max |J|, measured worst (hypergeometric_J's
+        # own rounding): 3.8e-13 on the edges (kappa 1.05), 3.3e-13 on the
+        # small circle (kappa 50) and 1.0e-12 on the big circle (kappa 1.05)
+        ct = keyhole_contour(make_params(kappa), epsilon)
+        for name, (s, J), (sm, Jm) in _mirror_images(ct):
+            if name != "cut_lower":  # winding_count splits each circle in two halves
+                assert 2 * s.size == ct.samples[name][0].size
+            d = s - np.conj(sm)
+            ulp = np.spacing(np.maximum(np.abs(s), 1.0))
+            assert np.all(np.maximum(np.abs(d.real), np.abs(d.imag)) <= self.S_ULPS[name] * ulp)
+            scale = np.max(np.abs(ct.samples[name][1]))
+            assert np.max(np.abs(J - np.conj(Jm))) <= 2e-12 * scale, name
+
+    @pytest.mark.parametrize("kappa", [1.5, 9.0])
+    def test_lower_half_is_not_read(self, monkeypatch, kappa):
+        # a contour whose J is NaN wherever Im s < 0 gives every field of the
+        # report bit for bit, but min_abs_J1, which is taken over all of J
+        p = make_params(kappa)
+        rng = np.random.default_rng(22)
+        pairs = [random_poly_pair(n, rng) for n in (0, 1, 2, 3, 4, 4)]
+        want = [vars(winding_count(pair, p, 2e-3)) for pair in pairs]
+        closed_form = an.hypergeometric_J
+
+        def lower_half_nan(s, params):
+            J = closed_form(s, params)
+            J[:, s.imag < 0] = np.nan
+            return J
+
+        monkeypatch.setattr(an, "hypergeometric_J", lower_half_nan)
+        ct = an.KeyholeContour(p, 2e-3)
+        assert np.isnan(ct.J).any() and math.isnan(ct.min_abs_J1)
+        monkeypatch.setattr(an, "keyhole_contour", lambda params, epsilon: ct)
+        for pair, w in zip(pairs, want):
+            got = vars(winding_count(pair, p, 2e-3))
+            assert math.isnan(got.pop("min_abs_J1"))
+            assert got == {k: v for k, v in w.items() if k != "min_abs_J1"}, pair
+
+
 class TestCachedTerms:
-    """The keyhole's cached terms (columns s^k, rho = J2 / J1, the edges'
-    ratio) move only the last bits of F, never a count; the wrap without the
+    """The keyhole's cached terms (columns s^k, rho = J2 / J1, the upper
+    edge's ratio) move only the last bits of F, never a count; the wrap without the
     float % and the grid memo of the J table and the L2 frame change no bit."""
 
     @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
     @pytest.mark.parametrize("epsilon", [5e-4, 1e-3, 2e-3])
     def test_winding_equals_per_element_loop(self, kappa, epsilon):
         # P + Q rho from cached columns of s^k rounds differently from Horner
-        # and (P J1 + Q J2) / J1, so the float fields move in the last bits:
-        # both routes are held to a long-double reference instead
+        # and (P J1 + Q J2) / J1, and the lower half's increments come by
+        # reflection, so the float fields move in the last bits: both routes
+        # are held to a long-double reference instead
         p = make_params(kappa)
         rng = np.random.default_rng(np.random.SeedSequence([int(kappa * 10), int(epsilon * 1e4)]))
         for t in range(23):  # 207 pairs over the nine cases

@@ -186,7 +186,9 @@ class TestCommands:
         need = {"SkylakeX": "AVX512_SKX", "Haswell": "AVX2", "Prescott": "SSE3"}
         return [core for core, feature in need.items() if cpu.get(feature)]
 
-    def test_sweep_bytes_independent_of_blas_kernel(self, tmp_path):
+    def _digests_under_kernels(self, tmp_path, args, exit_code=0):
+        """The sha256 of the CSV that ``q4lab <args>`` writes, per OpenBLAS
+        kernel, each run in its own process; skips with fewer than two kernels."""
         kernels = self._openblas_kernels()
         if len(kernels) < 2:
             pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS with two kernels to run")
@@ -195,22 +197,51 @@ class TestCommands:
         for core in kernels:
             env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(
                 [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-            subprocess.run([sys.executable, "-m", "q4lab.cli", "sweep", "--kappa", "4",
-                            "--trials", "300", "--seed", "7", "--out", str(tmp_path / core)],
-                           env=env, check=True, capture_output=True)
-            digests[core] = hashlib.sha256((tmp_path / core / "sweep.csv").read_bytes()).hexdigest()
-        assert digests == dict.fromkeys(kernels, self.SWEEP_KAPPA4_SHA256)
+            done = subprocess.run([sys.executable, "-m", "q4lab.cli", *args,
+                                   "--out", str(tmp_path / core)], env=env, capture_output=True)
+            assert done.returncode == exit_code, (core, done.stderr)
+            digests[core] = hashlib.sha256(
+                (tmp_path / core / CSV_NAMES[args[0]]).read_bytes()).hexdigest()
+        return digests
+
+    def test_sweep_bytes_independent_of_blas_kernel(self, tmp_path):
+        digests = self._digests_under_kernels(
+            tmp_path, ["sweep", "--kappa", "4", "--trials", "300", "--seed", "7"])
+        assert digests == dict.fromkeys(digests, self.SWEEP_KAPPA4_SHA256)
+
+    @pytest.mark.parametrize("command", ["winding", "cheb"])
+    def test_winding_and_cheb_bytes_independent_of_blas_kernel(self, tmp_path, command):
+        # the winding counts and count_zeros, the two halves of a V_n element
+        if command == "winding":
+            args, want, code = (["winding", "--kappa", "2", "--kappa", "7", "--trials", "20",
+                                 "--seed", "7"], self.WINDING_GOLDEN_SHA256, 0)
+        else:
+            args, want, code = ["cheb", "--kappa", "4"], self.CHEB_GOLDEN_SHA256, 2
+        digests = self._digests_under_kernels(tmp_path, args, exit_code=code)
+        assert digests == dict.fromkeys(digests, want)
 
     # winding.csv with F = P + Q J2 / J1 summed from the contour's columns of
     # s^k; against Horner and (P J1 + Q J2) / J1 only the six
-    # worst-integrality-residual rows moved, by at most 1.2e-14
-    WINDING_GOLDEN_SHA256 = "9a4ff21363ff8c4405c8d67ec18dd1072c78f2db811fb0ed64aad220cecd897d"
+    # worst-integrality-residual rows moved, by at most 1.2e-14.  Re-pinned
+    # when F was evaluated on the upper half of the keyhole only: four of
+    # those rows moved (kappa 2, levels 1 and 2; kappa 7, levels 1 and 3), by
+    # at most 1.2e-15
+    WINDING_GOLDEN_SHA256 = "fd2824c946d1efb5bec1b4644d77cddf29e2d35d5ed7b1b799a90827bc1a03ca"
 
     def test_winding_golden_bytes(self, tmp_path):
         cfg = RunConfig(kappa_list=[2.0, 7.0], trials=20, seed=7, output_dir=str(tmp_path))
         assert run("winding", cfg) == 0
         data = (tmp_path / "winding.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == self.WINDING_GOLDEN_SHA256
+
+    # `q4lab cheb --kappa 4`, which exits 2 because the probe flags its findings:
+    # count_zeros locates f's zero, so this pins the other half of a V_n element
+    CHEB_GOLDEN_SHA256 = "0481436397f67a452c18d42c6031e778da6171466eed2f1ecfaa89a62525397e"
+
+    def test_cheb_golden_bytes(self, tmp_path):
+        assert main(["cheb", "--kappa", "4", "--out", str(tmp_path)]) == 2
+        data = (tmp_path / "cheb.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.CHEB_GOLDEN_SHA256
 
     # coeffs.txt prints the exact R-template Fractions; recorded from the
     # generic rational-function extraction, before the closed-form table

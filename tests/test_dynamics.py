@@ -118,6 +118,26 @@ class TestOrbits:
         i10 = get_moment_basis(p).derivs(h)[1]
         assert abs(T - 2.0 * math.sqrt(kappa - 1.0) * i10) / T <= 1e-10
 
+    @pytest.mark.parametrize("kappa", [1.5, 4.0])
+    def test_near_edge_orbit_is_closed(self, kappa):
+        # escape is decided by the start's level, not by its radius: from 0.999
+        # of the edge radius the orbit is closed, and at kappa 4 it reaches
+        # |z| = 63, past BLOWUP_RADIUS; just outside the edge it still escapes
+        from q4lab.melnikov import get_moment_basis
+        p = make_params(kappa)
+        r = basin_edge_radius(0.0, p)
+        z0 = 0.999 * r + 0j
+        T, gap = find_period(z0, p)
+        assert gap <= 1e-6
+        orb = integrate_orbit(z0, T, p, tol=1e-12)
+        assert kappa < 4.0 or np.max(np.abs(orb.z)) > dynamics.BLOWUP_RADIUS
+        i10 = get_moment_basis(p).derivs(conservation_report(orb).h_equiv)[1]
+        assert abs(T - 2.0 * math.sqrt(kappa - 1.0) * i10) / T <= 1e-10
+        with pytest.raises(GeometryError, match="escaped"):
+            find_period(1.01 * r + 0j, p)
+        with pytest.raises(GeometryError, match="blew up"):
+            integrate_orbit(1.01 * r + 0j, 20.0, p)
+
     def test_period_without_return_raises(self, p4):
         # outside the basin the orbit escapes: the blow-up event names that,
         # before DOP853's step size collapses on the way to infinity

@@ -27,14 +27,13 @@ boundary pieces equals the zero count of P J1 + Q J2 inside, and is the
 empirical content of the 2n bound for the spaces V_n.  J is real on (1, inf),
 so J(conj s) = conj J(s) by Schwarz reflection, and F(conj s) = conj F(s) for
 real P and Q (G. S. Petrov, Complex zeros of an elliptic integral, Funct.
-Anal. Appl. 21, 1987): ``winding_count`` evaluates F on the upper half of
-the boundary only and takes the lower half's increments from its mirror.
+Anal. Appl. 21, 1987): the keyhole contour holds the upper half of the
+boundary only, and ``winding_count`` takes the lower half from its mirror.
 
 One closed form gives J everywhere: ``hypergeometric_J`` (J2 through
 Euler's transformation) on the J table's real interval, on the keyhole, and
-at the scanner's levels through ``MomentBasis``; continuation of (J, W) along
-the same keyhole pieces (``keyhole_by_continuation``) is kept as the
-independent check.
+at the scanner's levels through ``MomentBasis``; continuation of (J, W) once
+around the keyhole (``keyhole_by_continuation``) is kept as the check.
 
 The Chebyshev probe studies the residue solution f(h) of L2 x = 0 given by
 the residue of the underlying differential at (0, y0(h)): it checks
@@ -466,42 +465,35 @@ def _keyhole_pieces(epsilon: float) -> dict:
 
 
 class KeyholeContour:
-    """J around the keyhole boundary of D_eps, cached per (kappa, eps), with
-    the terms ``winding_count`` builds F from.  Every piece's samples lie in
-    one array, ``s`` and ``J`` = (J1, J2), the two cut edges first;
-    ``bounds[name]`` is a piece's (start, stop) there, in traversal order, and
-    ``samples[name]`` its (s, J) views.  Beside them: ``min_abs_J1``, and on
-    the upper half (``upper[name]`` is a piece's (start, stop) there) rho =
-    J2 / J1, the upper edge's ``ratio`` Im(J2 conj(J1)) / |J1|^2, and s^k as
+    """J on the upper half of the keyhole boundary of D_eps (the lower half is
+    its mirror), cached per (kappa, eps), with the terms ``winding_count``
+    builds F from.  The half, all of cut_upper and the small circle's first
+    and the big circle's last n // 2 of their n samples, is one array, ``s``
+    and ``J`` = (J1, J2); ``bounds[name]`` is a piece's (start, stop) there,
+    and ``samples[name]`` its (s, J) views.  Beside them: ``min_abs_J1``, rho
+    = J2 / J1, the upper edge's ``ratio`` Im(J2 conj(J1)) / |J1|^2, and s^k as
     real (2N,) views (``powers``), each formed once as s^(k-1) s when a pair
     first needs it, so their bits do not depend on which pair came first."""
 
     def __init__(self, params: ModelParams, epsilon: float = 1e-3):
-        pieces = {name: np.concatenate([piece.point(np.linspace(0.0, 1.0, n)) for piece in path])
-                  for name, (path, n) in _keyhole_pieces(epsilon).items()}
-        order = sorted(pieces, key=lambda name: not name.startswith("cut"))
-        self.s = np.concatenate([pieces[name] for name in order])
+        (lines, n), ((small,), m), _, ((big,), b) = _keyhole_pieces(epsilon).values()
+        half = {"cut_upper": np.concatenate([ln.point(np.linspace(0.0, 1.0, n)) for ln in lines]),
+                "small_circle": small.point(np.linspace(0.0, 1.0, m)[:m // 2]),
+                "big_circle": big.point(np.linspace(0.0, 1.0, b)[b // 2:])}
+        self.s = np.concatenate(list(half.values()))
         self.J = J1, J2 = hypergeometric_J(self.s, params)
-        starts = dict(zip(order, np.cumsum([0] + [pieces[name].size for name in order]).tolist()))
-        self.bounds = {name: (starts[name], starts[name] + s.size) for name, s in pieces.items()}
+        ends = np.cumsum([0] + [s.size for s in half.values()]).tolist()
+        self.bounds = dict(zip(half, zip(ends, ends[1:])))
         self.samples = {name: (self.s[a:b], self.J[:, a:b]) for name, (a, b) in self.bounds.items()}
-        # the upper half: cut_upper, the small circle's first half and the big
-        # circle's second half (each circle has an even count of samples)
-        upper = ("cut_upper", "small_circle", "big_circle")
-        (c0, c1), (m0, m1), (b0, b1) = (self.bounds[name] for name in upper)
-        up = np.r_[c0:c1, m0:(m0 + m1) // 2, (b0 + b1) // 2:b1]
-        ends = np.cumsum([0, c1 - c0, (m1 - m0) // 2, (b1 - b0) // 2]).tolist()
-        self.upper = dict(zip(upper, zip(ends, ends[1:])))
-        self.ratio = (J2[c0:c1] * np.conj(J1[c0:c1])).imag / np.abs(J1[c0:c1]) ** 2
-        self.rho, self.min_abs_J1 = J2[up] / J1[up], float(np.min(np.abs(J1)))
-        self._s_up = self.s[up]
-        self._powers = [self._s_up.view(float)]
+        edge = slice(*self.bounds["cut_upper"])
+        self.ratio = (J2[edge] * np.conj(J1[edge])).imag / np.abs(J1[edge]) ** 2
+        self.rho, self.min_abs_J1 = J2 / J1, float(np.min(np.abs(J1)))
+        self._powers = [self.s.view(float)]
 
     def powers(self, n: int) -> list[np.ndarray]:
-        """s^1 ... s^n on the upper half, each a real (2N,) view (re, im
-        interleaved)."""
+        """s^1 ... s^n, each a real (2N,) view (re, im interleaved)."""
         while len(self._powers) < n:
-            self._powers.append((self._powers[-1].view(complex) * self._s_up).view(float))
+            self._powers.append((self._powers[-1].view(complex) * self.s).view(float))
         return self._powers[:n]
 
 
@@ -509,8 +501,8 @@ def keyhole_by_continuation(params: ModelParams, epsilon: float = 1e-3):
     """The keyhole samples by continuation of (J, W) once around the
     boundary from the quadrature oracle at s = sqrt(kappa), the independent
     check of ``KeyholeContour``.  Returns (samples, closure_drift,
-    det_drift): the samples at the same s points, and the relative change
-    of J and of the constant det W once around the closed boundary."""
+    det_drift): the samples at the points of ``_keyhole_pieces``, and the
+    relative change of J and of det W once around the closed boundary."""
     pieces = _keyhole_pieces(epsilon)
     R, start = 1.0 / epsilon, complex(-1.0 / epsilon, epsilon**2)
     s_mid = math.sqrt(params.kappa)  # geometric midpoint of (1, kappa)
@@ -569,20 +561,20 @@ def winding_count(pair: PolyPair, params: ModelParams,
                   epsilon: float = 1e-3) -> WindingReport:
     """Argument-principle zero count of P J1 + Q J2 on the keyhole domain.
 
-    F = P + Q J2 / J1, with P and Q real sums over the contour's s^k.  On the
-    cut edges the imaginary part of F is assembled from the pointwise
+    F = P + Q J2 / J1 on the contour's upper half, with P and Q real sums
+    over its s^k.  On the upper edge Im F is assembled from the pointwise
     conjugate-pair fundamental matrix, Im F = Q Im(J2 conj(J1)) / |J1|^2,
-    matching the boundary analysis; elsewhere F is used directly.  F is
-    evaluated on the upper half only: the lower edge has the upper edge's
-    increment, and each circle twice its upper half's plus the step across
-    the real axis, F(s_m) to conj F(s_m), which ``max_arg_step`` includes.
+    matching the boundary analysis; elsewhere F is used directly.  By the
+    mirror, the lower edge has the upper edge's increment, and each circle
+    twice its upper half's plus the step across the real axis, F(s_m) to
+    conj F(s_m), which ``max_arg_step`` includes.
     """
     ct = keyhole_contour(params, epsilon)
     if ct.min_abs_J1 == 0.0:
         raise GeometryError("J1 vanishes on the contour; F undefined")
     powers = ct.powers(pair.n)
     inc, max_step, edge_gap = {}, 0.0, 0.0
-    for name, (a, b) in ct.upper.items():
+    for name, (a, b) in ct.bounds.items():
         cols = [col[2 * a:2 * b] for col in powers]
         P, Q = (_real_sum(c, cols, b - a) for c in (pair.P, pair.Q))
         F = P + Q * ct.rho[a:b]
@@ -603,7 +595,8 @@ def winding_count(pair: PolyPair, params: ModelParams,
         if name != "cut_upper":  # both halves, and the crossing step once
             inc[name] = 2.0 * inc[name] - float(steps[-1] if name == "small_circle" else steps[0])
     inc["cut_lower"] = inc["cut_upper"]  # F(conj s) = conj F(s), traversed backwards
-    segments = [{"name": name, "arg_increment": inc[name]} for name in ct.bounds]
+    segments = [{"name": name, "arg_increment": inc[name]}
+                for name in ("cut_upper", "small_circle", "cut_lower", "big_circle")]
     total = sum(seg["arg_increment"] for seg in segments)
     w = int(round(total / (2.0 * math.pi)))
     return WindingReport(n=pair.n, epsilon=epsilon, segments=segments, winding=w,

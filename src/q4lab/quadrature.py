@@ -18,8 +18,9 @@ symmetric picture (region {H(x, y) < h}).  Two independent methods:
               and the row crossings are cubics in y and in x, solved like
               green's rays by ``model.cubic_real_roots``.  The geometry
               (cells, breakpoints, initial panels, and each run's slice
-              components) does not depend on the index (i, j), so it is built
-              once per oval.  Per index, inner cells are summed exactly, and
+              components, taken once at the middle of a run without a fold)
+              does not depend on the index (i, j), so it is built once per
+              oval.  Per index, inner cells are summed exactly, and
               the boundary panels refined.
 
 Both refine their panels in one batched, globally adaptive GK loop,
@@ -345,10 +346,11 @@ class _Area2dGeometry:
         inside the run no two roots of the slice cubic meet (folds are cuts)
         and none crosses a row (crossings are cuts), so a segment present at
         the middle is present along the run and sweeps a connected part of
-        {G < 0}, which lies in one component.  Fold runs, whose per-node test
-        the pinned moments carry (near the fold it can differ from the
-        middle's by rounding), and a segment absent at the middle are tested
-        per node."""
+        {G < 0}, which lies in one component.  Fold runs and a segment absent
+        at the middle are tested per node: a fold run's base is the fold root
+        to rounding, so its first nodes can lie past the true fold, where the
+        float roots of the slice cubic give a spurious segment (up to 2.2e-7
+        long) that the middle would keep and ``Oval.contains`` drops."""
         half = 0.5 * (t_hi - t_lo)[:, None]
         t = 0.5 * (t_lo + t_hi)[:, None] + half * _XGK
         fold = (self.sign[run] != 0.0)[:, None]

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from conftest import keyhole_reference
 from q4lab import make_params
 from q4lab.model import HamiltonianForm, interior_levels
 from q4lab.quadrature import MomentIndex, basis_values, moment, moment_value
@@ -29,7 +30,6 @@ from q4lab.analysis import (
     chebyshev_probe,
     inhomogeneous_bound_sample,
     keyhole_by_continuation,
-    keyhole_contour,
     sweep_bounds,
     vn_sample_test,
 )
@@ -222,7 +222,7 @@ def test_c08_vn_sampling():
     # the closed-form keyhole samples against continuation of (J, W)
     samples, _, _ = keyhole_by_continuation(p4)
     worst = 0.0
-    for name, (s, J) in keyhole_contour(p4).samples.items():
+    for name, (s, J) in keyhole_reference(p4).items():
         s_ode, J_ode = samples[name]
         ok = ok and np.array_equal(s, s_ode)
         worst = max(worst, float(np.max(np.max(np.abs(J - J_ode), axis=0)

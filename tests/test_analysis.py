@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 
 import frozen_scan
 import q4lab.analysis as an
+from conftest import keyhole_reference
 from q4lab import (ConsistencyError, ConvergenceError, DomainError, SingularityError,
                    clear_caches, make_params)
 from q4lab.analysis import (
@@ -302,12 +303,12 @@ class TestVnSampling:
 
 
 def _winding_count_per_element(pair, params, epsilon):
-    """``winding_count`` as it was before the contour kept its terms: P and
-    Q by Horner, F = (P J1 + Q J2) / J1 and every term formed per element
-    from the samples, and the wrap by the float %."""
-    ct = keyhole_contour(params, epsilon)
+    """``winding_count`` as it was before the contour kept its terms, on the
+    whole boundary (``keyhole_reference``): P and Q by Horner,
+    F = (P J1 + Q J2) / J1 and every term formed per element from the
+    samples, and the wrap by the float %."""
     segments, total, min_j1, max_step, edge_gap = [], 0.0, math.inf, 0.0, 0.0
-    for name, (s, J) in ct.samples.items():
+    for name, (s, J) in keyhole_reference(params, epsilon).items():
         J1, J2 = J[0], J[1]
         amin = float(np.min(np.abs(J1)))
         min_j1 = min(min_j1, amin)
@@ -336,11 +337,12 @@ _PI_LD = np.arccos(np.longdouble(-1.0))
 
 
 def _arg_increments_longdouble(pair, params, epsilon):
-    """Each piece's argument increment of F from the same J samples, in
-    np.clongdouble: P and Q by Horner, F = P + Q J2 / J1, and on the cut
-    edges Im F = Re Q Im(J2 conj(J1)) / |J1|^2, as ``winding_count``."""
+    """Each piece's argument increment of F on the whole boundary
+    (``keyhole_reference``), in np.clongdouble: P and Q by Horner,
+    F = P + Q J2 / J1, and on the cut edges
+    Im F = Re Q Im(J2 conj(J1)) / |J1|^2, as ``winding_count``."""
     out = []
-    for name, (s, J) in keyhole_contour(params, epsilon).samples.items():
+    for name, (s, J) in keyhole_reference(params, epsilon).items():
         s, J1, J2 = (np.asarray(x, dtype=np.clongdouble) for x in (s, J[0], J[1]))
         P, Q = np.zeros_like(s), np.zeros_like(s)
         for c in reversed(pair.P):
@@ -356,22 +358,22 @@ def _arg_increments_longdouble(pair, params, epsilon):
     return out
 
 
-def _mirror_images(ct):
+def _mirror_images(ref):
     """Each lower-half piece of the keyhole, (s, J), beside its mirror image
     on the upper half: cut_lower against cut_upper reversed, and each
     circle's lower half (Im s < 0) against the circle reversed."""
-    (su, Ju), (sl, Jl) = ct.samples["cut_upper"], ct.samples["cut_lower"]
+    (su, Ju), (sl, Jl) = ref["cut_upper"], ref["cut_lower"]
     yield "cut_lower", (sl, Jl), (su[::-1], Ju[:, ::-1])
     for name in ("small_circle", "big_circle"):
-        s, J = ct.samples[name]
+        s, J = ref[name]
         low = s.imag < 0
         yield name, (s[low], J[:, low]), (s[::-1][low], J[:, ::-1][:, low])
 
 
 class TestReflection:
     """J is real on (1, inf), so J(conj s) = conj J(s): the lower half of the
-    keyhole is the mirror image of the upper half, which is all
-    ``winding_count`` reads."""
+    keyhole is the mirror image of the upper half, which is all the contour
+    stores and ``winding_count`` reads."""
 
     # the big circle's angles theta0 + (theta1 - theta0) t round at ulp(pi),
     # which its radius 1 / eps magnifies: measured 8.6 ulps, 1 elsewhere
@@ -383,39 +385,34 @@ class TestReflection:
         # J relative to the piece's max |J|, measured worst (hypergeometric_J's
         # own rounding): 3.8e-13 on the edges (kappa 1.05), 3.3e-13 on the
         # small circle (kappa 50) and 1.0e-12 on the big circle (kappa 1.05)
-        ct = keyhole_contour(make_params(kappa), epsilon)
-        for name, (s, J), (sm, Jm) in _mirror_images(ct):
-            if name != "cut_lower":  # winding_count splits each circle in two halves
-                assert 2 * s.size == ct.samples[name][0].size
+        ref = keyhole_reference(make_params(kappa), epsilon)
+        for name, (s, J), (sm, Jm) in _mirror_images(ref):
+            if name != "cut_lower":  # the contour keeps one half of each circle
+                assert 2 * s.size == ref[name][0].size
             d = s - np.conj(sm)
             ulp = np.spacing(np.maximum(np.abs(s), 1.0))
             assert np.all(np.maximum(np.abs(d.real), np.abs(d.imag)) <= self.S_ULPS[name] * ulp)
-            scale = np.max(np.abs(ct.samples[name][1]))
+            scale = np.max(np.abs(ref[name][1]))
             assert np.max(np.abs(J - np.conj(Jm))) <= 2e-12 * scale, name
 
-    @pytest.mark.parametrize("kappa", [1.5, 9.0])
-    def test_lower_half_is_not_read(self, monkeypatch, kappa):
-        # a contour whose J is NaN wherever Im s < 0 gives every field of the
-        # report bit for bit, but min_abs_J1, which is taken over all of J
+    @pytest.mark.parametrize("kappa", [1.05, 1.5, 4.0, 9.0, 50.0])
+    @pytest.mark.parametrize("epsilon", [5e-4, 1e-3, 2e-3])
+    def test_contour_stores_upper_half(self, kappa, epsilon):
+        # all of cut_upper, the small circle's first and the big circle's last
+        # n // 2 samples, each bit for bit as on the whole boundary, since
+        # hypergeometric_J is elementwise; min |J1| as over all four pieces
         p = make_params(kappa)
-        rng = np.random.default_rng(22)
-        pairs = [random_poly_pair(n, rng) for n in (0, 1, 2, 3, 4, 4)]
-        want = [vars(winding_count(pair, p, 2e-3)) for pair in pairs]
-        closed_form = an.hypergeometric_J
-
-        def lower_half_nan(s, params):
-            J = closed_form(s, params)
-            J[:, s.imag < 0] = np.nan
-            return J
-
-        monkeypatch.setattr(an, "hypergeometric_J", lower_half_nan)
-        ct = an.KeyholeContour(p, 2e-3)
-        assert np.isnan(ct.J).any() and math.isnan(ct.min_abs_J1)
-        monkeypatch.setattr(an, "keyhole_contour", lambda params, epsilon: ct)
-        for pair, w in zip(pairs, want):
-            got = vars(winding_count(pair, p, 2e-3))
-            assert math.isnan(got.pop("min_abs_J1"))
-            assert got == {k: v for k, v in w.items() if k != "min_abs_J1"}, pair
+        ct, ref = keyhole_contour(p, epsilon), keyhole_reference(p, epsilon)
+        n_small, n_big = ref["small_circle"][0].size, ref["big_circle"][0].size
+        half = {"cut_upper": slice(None), "small_circle": slice(None, n_small // 2),
+                "big_circle": slice(n_big // 2, None)}
+        assert list(ct.samples) == list(half)
+        for name, part in half.items():
+            s, J = ct.samples[name]
+            assert np.array_equal(s, ref[name][0][part]), name
+            assert np.array_equal(J, ref[name][1][:, part]), name
+        assert ct.s.size == 9509 and np.all(ct.s.imag >= 0)
+        assert ct.min_abs_J1 == min(float(np.min(np.abs(J[0]))) for _, J in ref.values())
 
 
 class TestCachedTerms:
@@ -428,8 +425,9 @@ class TestCachedTerms:
     def test_winding_equals_per_element_loop(self, kappa, epsilon):
         # P + Q rho from cached columns of s^k rounds differently from Horner
         # and (P J1 + Q J2) / J1, and the lower half's increments come by
-        # reflection, so the float fields move in the last bits: both routes
-        # are held to a long-double reference instead
+        # reflection where the per-element loop reads the whole boundary, so
+        # the float fields move in the last bits: both routes are held to a
+        # long-double reference instead
         p = make_params(kappa)
         rng = np.random.default_rng(np.random.SeedSequence([int(kappa * 10), int(epsilon * 1e4)]))
         for t in range(23):  # 207 pairs over the nine cases
@@ -669,12 +667,14 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("kappa", [1.5, 9.0])
     def test_keyhole_samples_match_continuation(self, kappa):
+        # on the whole boundary; the contour stores its upper half bit for bit
+        # (TestReflection::test_contour_stores_upper_half)
         p = make_params(kappa)
-        ct = keyhole_contour(p)
+        ref = keyhole_reference(p)
         samples, _, _ = keyhole_by_continuation(p)
-        assert list(samples) == list(ct.samples)
+        assert list(samples) == list(ref)
         for name, (s, J) in samples.items():
-            s_cf, J_cf = ct.samples[name]
+            s_cf, J_cf = ref[name]
             assert np.array_equal(s_cf, s)
             rel = np.max(np.abs(J_cf - J), axis=0) / np.max(np.abs(J), axis=0)
             assert rel.max() <= 1e-10, name

@@ -186,23 +186,26 @@ class TestCommands:
         need = {"SkylakeX": "AVX512_SKX", "Haswell": "AVX2", "Prescott": "SSE3"}
         return [core for core, feature in need.items() if cpu.get(feature)]
 
-    def _digests_under_kernels(self, tmp_path, args, exit_code=0):
-        """The sha256 of the CSV that ``q4lab <args>`` writes, per OpenBLAS
+    def _csvs_under_kernels(self, tmp_path, args, exit_code=0):
+        """The path of the CSV that ``q4lab <args>`` writes, per OpenBLAS
         kernel, each run in its own process; skips with fewer than two kernels."""
         kernels = self._openblas_kernels()
         if len(kernels) < 2:
             pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS with two kernels to run")
         src = str(Path(__file__).resolve().parents[1] / "src")
-        digests = {}
+        paths = {}
         for core in kernels:
             env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(
                 [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
             done = subprocess.run([sys.executable, "-m", "q4lab.cli", *args,
                                    "--out", str(tmp_path / core)], env=env, capture_output=True)
             assert done.returncode == exit_code, (core, done.stderr)
-            digests[core] = hashlib.sha256(
-                (tmp_path / core / CSV_NAMES[args[0]]).read_bytes()).hexdigest()
-        return digests
+            paths[core] = tmp_path / core / CSV_NAMES[args[0]]
+        return paths
+
+    def _digests_under_kernels(self, tmp_path, args, exit_code=0):
+        return {core: hashlib.sha256(path.read_bytes()).hexdigest()
+                for core, path in self._csvs_under_kernels(tmp_path, args, exit_code).items()}
 
     def test_sweep_bytes_independent_of_blas_kernel(self, tmp_path):
         digests = self._digests_under_kernels(
@@ -219,6 +222,26 @@ class TestCommands:
             args, want, code = ["cheb", "--kappa", "4"], self.CHEB_GOLDEN_SHA256, 2
         digests = self._digests_under_kernels(tmp_path, args, exit_code=code)
         assert digests == dict.fromkeys(digests, want)
+
+    @pytest.mark.parametrize("args", [["verify", "--kappa", "4"], ["moments", "--kappa", "4"],
+                                      ["zeros", "--kappa", "1.5", "--kappa", "4", "--kappa", "9"]],
+                             ids=["verify", "moments", "zeros"])
+    def test_statuses_independent_of_blas_kernel(self, args, tmp_path):
+        # the values in these CSVs still move in their last bits with the
+        # kernel (zeros.csv in its I-reconstruction rows); every row's status
+        # does not, nor any count or chain row of zeros.csv
+        (_, first), *others = ((core, read_report(path)) for core, path
+                               in self._csvs_under_kernels(tmp_path, args).items())
+
+        def statuses(rows):
+            return [[r[c] for c in ("kappa", "level", "quantity", "status")] for r in rows]
+
+        def counts(rows):
+            return [r for r in rows if r["quantity"] == "chain" or r["quantity"].startswith("count:")]
+
+        for core, rows in others:
+            assert statuses(rows) == statuses(first), core
+            assert counts(rows) == counts(first), core
 
     # winding.csv with F = P + Q J2 / J1 summed from the contour's columns of
     # s^k; against Horner and (P J1 + Q J2) / J1 only the six

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import q4lab.picard_fuchs as pf
+from conftest import keyhole_reference
 from q4lab import (
     ConsistencyError,
     DomainError,
@@ -13,7 +14,7 @@ from q4lab import (
     SingularityError,
     make_params,
 )
-from q4lab.analysis import bound_scanner, j_table, keyhole_contour
+from q4lab.analysis import bound_scanner, j_table
 from q4lab.model import s_from_h
 from q4lab.quadrature import basis_values
 from q4lab.picard_fuchs import (
@@ -395,7 +396,7 @@ class TestHypergeometricJ:
         p = make_params(kappa)
         tab = j_table(p)
         s_tab = np.linspace(tab.lo, tab.hi, 120)
-        pieces = dict(keyhole_contour(p).samples, table=(s_tab, tab.J(s_tab)))
+        pieces = dict(keyhole_reference(p), table=(s_tab, tab.J(s_tab)))
         for name, (s, J) in pieces.items():
             worst = 0.0
             for i in np.linspace(0, s.size - 1, 120).round().astype(int):

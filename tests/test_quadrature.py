@@ -27,6 +27,28 @@ from q4lab.quadrature import (
 BASIS = [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (-1, 1)]
 
 
+def _contains_40_digits(ov, x: float, y: float) -> bool:
+    """Whether (x, y) lies in the oval's component, to 40 digits: the level
+    function, a cubic in t along the segment from the center to the point,
+    has no real root in (0, 1]."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        k, h = mp.mpf(ov.params.kappa), mp.mpf(ov.h)
+        cx, cy = map(mp.mpf, ov.center)
+        px, py = mp.mpf(x), mp.mpf(y)
+        if ov.form is HamiltonianForm.SYMMETRIC_FORM:
+            G = lambda x, y: 2 * (k - 1) * x**3 / 3 - (k - 1) * x**2 * y + k * y**3 / 3 - y - h
+        else:
+            G = lambda x, y: k * y**3 / 3 - x**2 * y - h * x**3 - (k - 1) * y + 2 * (k - 1) / 3
+        # the cubic's coefficients from its values at t = 0, 1, 2, 3
+        g = [G(cx + t * (px - cx), cy + t * (py - cy)) for t in range(4)]
+        d1, d2, d3 = g[1] - g[0], g[2] - 2 * g[1] + g[0], g[3] - 3 * g[2] + 3 * g[1] - g[0]
+        roots = mp.polyroots([d3 / 6, d2 / 2 - d3 / 2, d1 - d2 / 2 + d3 / 3, g[0]],
+                             maxsteps=200, extraprec=80)
+        return not any(abs(mp.im(r)) < mp.mpf(10) ** -30 and 0 < mp.re(r) <= 1 for r in roots)
+
+
 class TestMomentOracle:
     def test_area_shrinks_linearly_at_center(self, p4):
         # I00 ~ c (h + 2/3) for a nondegenerate center
@@ -185,7 +207,11 @@ class TestArea2dGeometry:
     def test_run_components_equal_per_node_test(self, kappa):
         # a run without a fold takes each segment's component from its middle;
         # the slices must equal those with Oval.contains at every node, here
-        # on the initial panels split in four
+        # on the initial panels split in four.  Fold runs are tested per node:
+        # their middle's component would keep a segment at 41 segment-nodes
+        # (all at level 0.01 in the symmetric form: 32 at kappa 1.01, 9 at
+        # 1000) where Oval.contains drops it, and a 40-digit membership test
+        # of its midpoint must side with Oval.contains at each one
         p = make_params(kappa)
         compared = decided = 0
         for level in (0.01, 0.08, 0.5, 0.92, 0.99):
@@ -202,9 +228,22 @@ class TestArea2dGeometry:
                 run = np.tile(run, 4)
                 x, _, got_lo, got_hi = geo.panel_nodes(run, edges[:-1].ravel(),
                                                        edges[1:].ravel())
-                ref_lo, ref_hi = quad._slice_segments(x, geo.y0[run, None],
-                                                      geo.y1[run, None], ov)
+                y0, y1 = geo.y0[run, None], geo.y1[run, None]
+                ref_lo, ref_hi = quad._slice_segments(x, y0, y1, ov)
                 assert np.array_equal(got_lo, ref_lo) and np.array_equal(got_hi, ref_hi)
+                # every run's component from its middle, fold runs included
+                mid = geo.panels[2][:geo.sign.size]  # the end of each run's first panel
+                xm = np.where(geo.sign != 0.0, geo.base + geo.sign * mid * mid, mid)
+                (mlo, mhi), (mlo1, mhi1) = (quad._slice_segments(xm, geo.y0, geo.y1, ov, c)
+                                            for c in (-1, 1))
+                comp = np.where(mhi1 > mlo1, mhi > mlo, -1).astype(np.int8)
+                mid_lo, mid_hi = quad._slice_segments(x, y0, y1, ov, comp[:, run, None])
+                differ = (mid_lo != ref_lo) | (mid_hi != ref_hi)
+                assert not differ[:, geo.sign[run] == 0.0].any()
+                assert np.all(mid_hi[differ] > mid_lo[differ]) and not np.any(ref_hi[differ])
+                ym = 0.5 * (mid_lo + mid_hi)
+                for seg, node, k in zip(*np.nonzero(differ)):
+                    assert not _contains_40_digits(ov, x[node, k], ym[seg, node, k])
                 compared += 1
                 decided += np.count_nonzero(geo.comp >= 0)
         assert compared >= 6 and decided > 0

@@ -102,7 +102,7 @@ from . import analysis, melnikov, quadrature
 def clear_caches() -> None:
     """Empty every per-kappa cache; each one's ``cache_info()`` reports its
     hits, misses and size."""
-    for cache in (quadrature.cached_oval, quadrature._moment, quadrature._area2d_geometry,
+    for cache in (quadrature.cached_oval, quadrature._moments, quadrature._area2d_geometry,
                   melnikov._propagation, melnikov._moment_basis, melnikov._r_coeffs,
                   analysis._keyhole, analysis._j_table, analysis._scanner, analysis._cheb_grid):
         cache.cache_clear()

@@ -17,23 +17,23 @@ symmetric picture (region {H(x, y) < h}).  Two independent methods:
               folds (roots of a sextic) or crosses a cell row.  The slices
               and the row crossings are cubics in y and in x, solved like
               green's rays by ``model.cubic_real_roots``.  The geometry
-              (cells, breakpoints, initial panels, and each run's slice
-              components, taken once at the middle of a run without a fold)
-              does not depend on the index (i, j), so it is built once per
-              oval.  Per index, inner cells are summed exactly, and
-              the boundary panels refined.
+              (cells, breakpoints, runs, and each run's slice components,
+              taken once at the middle of a run without a fold) does not
+              depend on the index (i, j), so it is built once per oval.
+              Per index, inner cells are summed exactly, and the boundary
+              panels refined.
 
-Both refine their panels in one batched, globally adaptive GK loop,
-``_gk_refine``, which ``analysis``'s I-reconstruction check also uses.
+Both refine batches of integrals in one GK loop, ``_gk_refine`` (as does the
+I-reconstruction check); the six symmetric-form basis moments are one batch.
 
 Both methods localize to the connected component of the region containing
 the center, using the exact star-shaped membership test of the oval.  The
 module also evaluates the residues of the underlying third-kind differential
 and a discriminant detecting singular level curves.
 
-Ovals are cached per (h, kappa, form) and moments per (index, h, kappa,
-method, tol) in ``functools`` caches, and area2d keeps the geometry of the
-last oval it integrated; ``q4lab.clear_caches`` empties all three.
+Ovals are cached per (h, kappa, form) and moment batches per (indices, h,
+kappa, form, method, tol) in ``functools`` caches, and area2d keeps the
+geometry of the last oval it integrated; ``q4lab.clear_caches`` empties all three.
 """
 
 from __future__ import annotations
@@ -103,6 +103,8 @@ class MomentValue:
     value: float
     method: str
     err_estimate: float
+    panels: int  # GK panels at the end
+    saturated: bool  # stopped at the panel cap with the error above its budget
 
 
 @functools.cache
@@ -117,62 +119,87 @@ def _gk_sums(fx: np.ndarray):
     return k, np.abs(k - fx[:, 1::2] @ _WG)
 
 
-def _gk_refine(evaluate, panels: tuple, value: np.ndarray, err: np.ndarray,
-               offset: float, rel: float, max_panels: int, what: str):
-    """offset plus the GK sum over panels (arrays of any tags, then the ends
-    lo and hi; ``evaluate(*panels)`` gives each one's value and error), to
-    one error budget rel |integral| (QUADPACK's QAG criterion).  Each round
-    halves every panel above an even share of the budget, and the worst one,
-    as many as ``max_panels`` has room for; stopped there, it logs one WARNING."""
+def _gk_refine(nodes, sums, panels: tuple, offsets: list, rel: float, max_panels: int,
+               whats: list) -> list:
+    """Integral k is offsets[k] plus the GK sum over its panels, from shared
+    first panels (arrays of any tags, then the ends lo and hi), to its own
+    budget rel |integral| (QUADPACK's QAG criterion).  Each round halves, per
+    integral, every panel above an even share of the budget, and the worst,
+    as many as ``max_panels`` has room for (stopped there, it logs one
+    WARNING naming whats[k]).  ``nodes(*panels)`` gives the node data of all
+    new panels, each distinct one once, with the panel on axis -2, and
+    ``sums(k, *data)`` integral k's value and error on its own panels.
+    Returns (value, error, panels, saturated) per integral."""
+    data, out = nodes(*panels), [None] * len(offsets)
+    live = {k: (panels, *sums(k, *data)) for k in range(len(offsets))}
     while True:
-        total = offset + float(np.sum(value))
-        target = rel * max(abs(total), 1e-300)
-        est = float(np.sum(err))
-        if not est > target or value.size >= max_panels:
-            break
-        split = err > target / value.size
-        split[np.argmax(err)] = True  # the worst panel, should rounding leave none above
-        room = max_panels - value.size
-        if np.count_nonzero(split) > room:  # the worst first, to end at max_panels
-            split = np.isin(np.arange(err.size), np.argsort(-err, kind="stable")[:room])
-        *tags, lo, hi = (a[split] for a in panels)
-        mid = 0.5 * (lo + hi)
-        halves = (*(np.tile(t, 2) for t in tags), np.concatenate([lo, mid]),
-                  np.concatenate([mid, hi]))
-        v, e = evaluate(*halves)
-        panels = tuple(np.concatenate([a[~split], b]) for a, b in zip(panels, halves))
-        value, err = np.concatenate([value[~split], v]), np.concatenate([err[~split], e])
-    if est > target:
-        logger.warning("%s stopped at %d panels (max_panels=%d): error estimate %.3e above "
-                       "the target %.3e (relative budget %.3e)",
-                       what, value.size, max_panels, est, target, rel)
-    return total, est
+        new = {}
+        for k, (panels, value, err) in list(live.items()):
+            total = offsets[k] + float(np.sum(value))
+            target = rel * max(abs(total), 1e-300)
+            est = float(np.sum(err))
+            if not est > target or value.size >= max_panels:
+                if est > target:
+                    logger.warning("%s stopped at %d panels (max_panels=%d): error estimate "
+                                   "%.3e above the target %.3e (relative budget %.3e)",
+                                   whats[k], value.size, max_panels, est, target, rel)
+                out[k] = (total, est, value.size, est > target)
+                del live[k]
+                continue
+            split = err > target / value.size
+            split[np.argmax(err)] = True  # the worst panel, should rounding leave none above
+            room = max_panels - value.size
+            if np.count_nonzero(split) > room:  # the worst first, to end at max_panels
+                split = np.isin(np.arange(err.size), np.argsort(-err, kind="stable")[:room])
+            *tags, lo, hi = (a[split] for a in panels)
+            mid = 0.5 * (lo + hi)
+            new[k] = (*(np.tile(t, 2) for t in tags), np.concatenate([lo, mid]),
+                      np.concatenate([mid, hi]))
+            live[k] = (tuple(np.concatenate([a[~split], b]) for a, b in zip(panels, new[k])),
+                       value[~split], err[~split])
+        if not new:
+            return out
+        # each new panel's first occurrence (lexsort is stable), and the distinct ones
+        cat = [np.concatenate(a) for a in zip(*new.values())]
+        srt = np.lexsort(cat)
+        lead = np.r_[True, np.any([a[srt[1:]] != a[srt[:-1]] for a in cat], axis=0)]
+        first = np.empty_like(srt)
+        first[srt] = srt[lead][np.cumsum(lead) - 1]
+        distinct, rows = np.unique(first, return_inverse=True)
+        data = nodes(*(a[distinct] for a in cat))
+        for k, r in zip(new, np.split(rows, np.cumsum([h[-1].size for h in new.values()])[:-1])):
+            panels, value, err = live[k]
+            v, e = sums(k, *(d.take(r, axis=-2) for d in data))
+            live[k] = (panels, np.concatenate([value, v]), np.concatenate([err, e]))
 
 
 def _adaptive_gk(f, a: float, b: float, tol: float, max_panels: int = 4000):
     """f over [a, b] to tol |integral| from 8 equal panels; f takes the
     (P, 15) nodes of each round's P new panels."""
-    def evaluate(lo, hi):
+    def nodes(lo, hi):
         half = 0.5 * (hi - lo)[:, None]
-        return _gk_sums(half * f(0.5 * (lo + hi)[:, None] + half * _XGK))
+        return half, f(0.5 * (lo + hi)[:, None] + half * _XGK)
 
     edges = np.linspace(a, b, 9)
-    panels = (edges[:-1], edges[1:])
-    return _gk_refine(evaluate, panels, *evaluate(*panels), 0.0, tol, max_panels,
-                      f"adaptive GK on [{a!r}, {b!r}]")
+    return _gk_refine(nodes, lambda _, half, fx: _gk_sums(half * fx), (edges[:-1], edges[1:]),
+                      [0.0], tol, max_panels, [f"adaptive GK on [{a!r}, {b!r}]"])[0][:2]
 
 
-def _moment_green(i: int, j: int, ov: Oval, tol: float):
-    if i == -1 and j == -1:
-        raise DomainError("index (-1, -1) has no polynomial antiderivative")
+def _moments_green(ijs: tuple, ov: Oval, tol: float) -> list:
+    """The green moments I_ij, (i, j) in ijs, refined as one batch from 8
+    equal angle panels; one ``point_tangent`` call per round."""
+    def nodes(lo, hi):
+        half = 0.5 * (hi - lo)[:, None]
+        return (half, *ov.point_tangent(0.5 * (lo + hi)[:, None] + half * _XGK))
 
-    def integrand(theta):
-        x, y, dx, dy = ov.point_tangent(theta)
-        if i != -1:
-            return x ** (i + 1) * y**j / (i + 1) * dy
-        return -(x**i) * y ** (j + 1) / (j + 1) * dx
+    def sums(k, half, x, y, dx, dy):
+        i, j = ijs[k]
+        f = x ** (i + 1) * y**j / (i + 1) * dy if i != -1 else -(x**i) * y ** (j + 1) / (j + 1) * dx
+        return _gk_sums(half * f)
 
-    return _adaptive_gk(integrand, 0.0, 2.0 * math.pi, tol)
+    edges = np.linspace(0.0, 2.0 * math.pi, 9)
+    return _gk_refine(nodes, sums, (edges[:-1], edges[1:]), [0.0] * len(ijs), tol, 4000,
+                      [f"green I_{i}_{j} at h={ov.h!r}" for i, j in ijs])
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +269,10 @@ class _Area2dGeometry:
     """Everything area2d needs from one oval that does not depend on the
     moment index (i, j): the quadtree leaves in depth-first order, the fold
     roots and row crossings behind the boundary leaves' x-pieces, the pieces
-    as runs, and the nodes, weights and slice ends of each run's two initial
-    GK panels.  Built once per oval and shared by all indices; the panels an
-    index refines get theirs from :meth:`panel_nodes`, so every value is the
-    one a fresh build would give.  A run is a piece in the panel variable t:
+    as runs, and each run's two initial GK panels.  Built once per oval and
+    shared by all indices; every panel gets its nodes, weights and slice ends
+    from :meth:`panel_nodes`, so every value is the one a fresh build would
+    give.  A run is a piece in the panel variable t:
     x = t on [t0, t1], or x = base + sign t^2 on [0, t1] at a fold, where the
     slice measure behaves like sqrt(|x - base|); a piece with folds at both
     ends is split at its midpoint into two runs."""
@@ -255,52 +282,49 @@ class _Area2dGeometry:
     def __init__(self, ov: Oval):
         self.oval = ov
         self.fold_xs = _fold_xs(ov)
-        found = self._walk(np.array([ov.bounding_box()]))
+        self.cells, self.boundary = self._walk(np.array([ov.bounding_box()]))
+        self.rects = self.cells[~self.boundary].T
+        edge = self.cells[self.boundary]
         # row y -> crossing x, for the two rows of every boundary leaf, in one solve
-        rows = np.unique([c[2:] for c, boundary in found if boundary])
+        rows = np.unique(edge[:, 2:])
         self.crossings = dict(zip(rows.tolist(), _row_crossings(ov, rows)))
-        # (x0, x1, y0, y1, pieces): pieces is None for a cell inside the
-        # region, else the (a, b, fold_lo, fold_hi) x-pieces of a boundary cell
-        strips = {s: self.breakpoints(*s) for s in {tuple(c[2:]) for c, b in found if b}}
-        self.leaves = [(*c, self._pieces(*c[:2], strips[tuple(c[2:])]) if b else None)
-                       for c, b in found]
-        self.rects = np.array([leaf[:4] for leaf in self.leaves
-                               if leaf[4] is None]).reshape(-1, 4).T
-        runs = []  # (t0, t1, base, sign, y0, y1); sign 0 for x = t
-        for _, _, y0, y1, pieces in self.leaves:
-            for a, b, fold_lo, fold_hi in pieces or ():
-                if fold_lo and fold_hi:
-                    mid = 0.5 * (a + b)
-                    runs += [(0.0, math.sqrt(mid - a), a, 1.0, y0, y1),
-                             (0.0, math.sqrt(b - mid), b, -1.0, y0, y1)]
-                elif fold_lo or fold_hi:
-                    base, sign = (a, 1.0) if fold_lo else (b, -1.0)
-                    runs.append((0.0, math.sqrt(b - a), base, sign, y0, y1))
-                else:
-                    runs.append((a, b, 0.0, 0.0, y0, y1))
-        t0, t1, self.base, self.sign, self.y0, self.y1 = np.array(runs).reshape(-1, 6).T
+        self.pieces = self._pieces(edge)
+        # the runs (t0, t1, base, sign, y0, y1) of the class docstring; sign 0 for x = t
+        leaf, a, b, fold_lo, fold_hi = self.pieces
+        at = np.repeat(np.arange(a.size), np.where(fold_lo & fold_hi, 2, 1))
+        upper = np.r_[False, at[1:] == at[:-1]]
+        leaf, a, b, fold_lo, fold_hi = (v[at] for v in self.pieces)
+        mid = 0.5 * (a + b)
+        at_a, at_b = fold_lo & ~upper, upper | (fold_hi & ~fold_lo)
+        span = np.where(fold_lo & fold_hi, np.where(upper, b - mid, mid - a), b - a)
+        t0 = np.where(at_a | at_b, 0.0, a)
+        t1 = np.where(at_a | at_b, np.sqrt(span), b)
+        self.base = np.where(at_a, a, np.where(at_b, b, 0.0))
+        self.sign = at_a - at_b.astype(float)
+        self.y0, self.y1 = edge[leaf, 2], edge[leaf, 3]
         mid = 0.5 * (t0 + t1)
         # each segment's component, decided once at the run's middle where
         # the run ends at no fold (see panel_nodes); -1 leaves it to the nodes
         xm = np.where(self.sign != 0.0, self.base + self.sign * mid * mid, mid)
-        (lo, hi), (lo1, hi1) = (_slice_segments(xm, self.y0, self.y1, ov, c) for c in (-1, 1))
-        self.comp = np.where((hi1 > lo1) & (self.sign == 0.0), hi > lo, -1).astype(np.int8)
-        # (run, t_lo, t_hi) of each initial panel, and their geometry
+        lo, hi = _slice_segments(xm, self.y0, self.y1, ov, 1)  # every segment, untested
+        test = (hi > lo) & (self.sign == 0.0)
+        self.comp = np.full(lo.shape, -1, np.int8)
+        self.comp[test] = ov.contains(np.broadcast_to(xm, lo.shape)[test], 0.5 * (lo + hi)[test])
+        # (run, t_lo, t_hi) of each initial panel
         self.panels = (np.tile(np.arange(t0.size), 2), np.concatenate([t0, mid]),
                        np.concatenate([mid, t1]))
-        self.nodes = self.panel_nodes(*self.panels)
 
-    def _walk(self, cells: np.ndarray) -> list:
-        """Quadtree leaves of the box as (cell, boundary) pairs, classified
-        one depth at a time: a cell whose 5x5 samples of the level function
-        are all positive is dropped, one whose samples are all negative and
-        whose center lies in the oval's component is an inner leaf, and any
-        other is split in four, or becomes a boundary leaf at MAX_DEPTH.
-        Sorting by quadrant path gives the depth-first order of a recursive
-        walk."""
+    def _walk(self, cells: np.ndarray) -> tuple:
+        """Quadtree leaves of the box, (n, 4), and which are boundary leaves,
+        classified one depth at a time: a cell whose 5x5 samples of the level
+        function are all positive is dropped, one whose samples are all
+        negative and whose center lies in the oval's component is an inner
+        leaf, and any other is split in four, or becomes a boundary leaf at
+        MAX_DEPTH.  Sorting by quadrant path gives the depth-first order of a
+        recursive walk."""
         ov = self.oval
         keys = np.zeros(1, dtype=np.int64)
-        found = []  # (base-4 quadrant path padded to MAX_DEPTH digits, cell, boundary)
+        found = []  # (base-4 quadrant paths padded to MAX_DEPTH digits, cells, boundary)
         for depth in range(self.MAX_DEPTH + 1):
             X = np.linspace(cells[:, 0], cells[:, 1], 5, axis=1)[:, None, :]
             Y = np.linspace(cells[:, 2], cells[:, 3], 5, axis=1)[:, :, None]
@@ -310,25 +334,31 @@ class _Area2dGeometry:
                                        0.5 * (cells[inner, 2] + cells[inner, 3]))
             split = ~inner & ~np.all(S > 0.0, axis=(1, 2))
             leaf = inner | split if depth == self.MAX_DEPTH else inner
-            found += zip((keys[leaf] * 4 ** (self.MAX_DEPTH - depth)).tolist(),
-                         cells[leaf].tolist(), split[leaf].tolist())
+            found.append((keys[leaf] * 4 ** (self.MAX_DEPTH - depth), cells[leaf], split[leaf]))
             x0, x1, y0, y1 = cells[split & ~leaf].T
             mx, my = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
             cells = np.stack([np.stack([x0, mx, y0, my], 1), np.stack([mx, x1, y0, my], 1),
                               np.stack([x0, mx, my, y1], 1), np.stack([mx, x1, my, y1], 1)],
                              axis=1).reshape(-1, 4)
             keys = (4 * keys[split & ~leaf, None] + np.arange(4)).ravel()
-        return [(c, b) for _, c, b in sorted(found)]
+        keys, cells, boundary = (np.concatenate(a) for a in zip(*found))
+        return cells[np.argsort(keys)], boundary[np.argsort(keys)]
 
-    def _pieces(self, cx0, cx1, brk: np.ndarray) -> list:
-        """The (a, b, fold_lo, fold_hi) x-pieces of a boundary cell, cut at
-        the breakpoints brk of its row strip and flagged where they end at a
-        fold."""
-        cuts = np.concatenate([[cx0], brk[(brk > cx0 + 1e-13) & (brk < cx1 - 1e-13)], [cx1]])
+    def _pieces(self, cells: np.ndarray) -> tuple:
+        """The x-pieces (cell, a, b, fold_lo, fold_hi) of the boundary cells
+        (n, 4), in one array pass: each cell cut at the breakpoints of its row
+        strip, and each end flagged where it lies at a fold."""
+        strips, strip = np.unique(cells[:, 2:], axis=0, return_inverse=True)
+        brk = [self.breakpoints(*s) for s in strips.tolist()]  # NaN pads compare False
+        pad = np.array([np.r_[r, np.full(max(map(len, brk)) - r.size, np.nan)] for r in brk])
+        cuts = np.concatenate([cells[:, :1], pad[strip.reshape(-1)], cells[:, 1:2]], axis=1)
+        keep = (cuts > cuts[:, :1] + 1e-13) & (cuts < cuts[:, -1:] - 1e-13)
+        keep[:, [0, -1]] = True
+        cell, cuts = np.nonzero(keep)[0], cuts[keep]
         near = np.any(np.abs(cuts[:, None] - self.fold_xs) < 1e-9 * (1.0 + np.abs(cuts[:, None])),
-                      axis=1).tolist()
-        cuts = cuts.tolist()
-        return [p for p in zip(cuts[:-1], cuts[1:], near[:-1], near[1:]) if p[1] - p[0] >= 1e-13]
+                      axis=1)
+        ok = (cell[1:] == cell[:-1]) & (cuts[1:] - cuts[:-1] >= 1e-13)
+        return cell[1:][ok], cuts[:-1][ok], cuts[1:][ok], near[:-1][ok], near[1:][ok]
 
     def breakpoints(self, cy0: float, cy1: float) -> np.ndarray:
         """Sorted x-values where the slice integrand of a boundary cell
@@ -376,16 +406,16 @@ def _panels_gk(i: int, j: int, nodes):
     return _gk_sums(x**i * w * (hi ** (j + 1) - lo ** (j + 1)).sum(axis=0) / (j + 1))
 
 
-def _moment_area2d(i: int, j: int, ov: Oval, tol: float):
-    """Inner rectangles exactly, plus one globally adaptive GK pass over all
-    boundary panels, with an error budget of 0.02 tol |moment|."""
+def _moments_area2d(ijs: tuple, ov: Oval, tol: float) -> list:
+    """The area2d moments I_ij, (i, j) in ijs: inner rectangles exactly, plus one
+    batched GK pass over the boundary panels, to 0.02 tol |moment| each."""
     geo = _area2d_geometry(ov)
     x0, x1, y0, y1 = geo.rects  # exact over the inner cells (x0 > 0 when i <= -1)
-    ix = np.log(x1 / x0) if i == -1 else (x1 ** (i + 1) - x0 ** (i + 1)) / (i + 1)
-    rects = float(np.sum(ix * (y1 ** (j + 1) - y0 ** (j + 1)))) / (j + 1)
-    return _gk_refine(lambda *panels: _panels_gk(i, j, geo.panel_nodes(*panels)),
-                      geo.panels, *_panels_gk(i, j, geo.nodes), rects, 0.02 * tol,
-                      AREA2D_MAX_PANELS, f"area2d I_{i}_{j} at h={ov.h!r}")
+    ix = lambda i: np.log(x1 / x0) if i == -1 else (x1 ** (i + 1) - x0 ** (i + 1)) / (i + 1)
+    rects = [float(np.sum(ix(i) * (y1 ** (j + 1) - y0 ** (j + 1)))) / (j + 1) for i, j in ijs]
+    return _gk_refine(geo.panel_nodes, lambda k, *nodes: _panels_gk(*ijs[k], nodes),
+                      geo.panels, rects, 0.02 * tol, AREA2D_MAX_PANELS,
+                      [f"area2d I_{i}_{j} at h={ov.h!r}" for i, j in ijs])
 
 
 def moment(index: MomentIndex, h: float, params: ModelParams,
@@ -397,33 +427,40 @@ def moment(index: MomentIndex, h: float, params: ModelParams,
     get tol |I| and at most 4000 panels, area2d's boundary panels 0.02 tol |I|
     and at most AREA2D_MAX_PANELS.
 
-    Results are cached per (index, h, kappa, method, tol): ovals and moments
-    depend on kappa only, never on the perturbation weights.
+    A symmetric-form basis index (BASIS_INDICES) brings its five siblings,
+    refined as one batch, each to the value it gets alone.  Results are
+    cached per batch, (indices, h, kappa, form, method, tol): ovals and
+    moments depend on kappa only, never on the perturbation weights.
     """
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
     return _moment(index, h, params.kappa, method, tol)
 
 
-@functools.cache
 def _moment(index: MomentIndex, h: float, kappa: float, method: str,
             tol: float) -> MomentValue:
+    if tol <= 0.0:
+        raise DomainError("tol must be positive")
     ov = cached_oval(h, kappa, index.form)
+    ij, bad = (index.i, index.j), {"green": index.i == index.j == -1, "area2d": index.j < 0}
     if index.i < 0 and ov.min_x <= 1e-6:
-        raise DomainError(
-            f"negative power x^{index.i}: oval reaches x = {ov.min_x}, too close to 0")
-    if method == "green":
-        value, err = _moment_green(index.i, index.j, ov, tol)
-    elif method == "area2d":
-        if index.j < 0:
-            raise DomainError("area2d slicing requires j >= 0")
-        value, err = _moment_area2d(index.i, index.j, ov, tol)
-    else:
-        raise DomainError(f"unknown method {method!r}")
+        raise DomainError(f"negative power x^{index.i}: oval reaches x = {ov.min_x} near 0")
+    if bad.get(method, True):  # green has no polynomial antiderivative for (-1, -1)
+        raise DomainError(f"no {method!r} moment I_{index.i}_{index.j} (methods: green, "
+                          "except (-1, -1); area2d, for j >= 0)")
+    batch = tuple(b for b in BASIS_INDICES if b[0] >= 0 or ov.min_x > 1e-6) if (
+        index.form is HamiltonianForm.SYMMETRIC_FORM and ij in BASIS_INDICES) else (ij,)
+    value, err, panels, saturated = _moments(batch, h, kappa, index.form, method, tol)[
+        batch.index(ij)]
     if err > 100.0 * tol * max(abs(value), 1e-12):
         raise ConvergenceError(
             f"moment {index} at h={h}: error estimate {err:.2e} above target")
-    return MomentValue(index=index, h=h, value=value, method=method, err_estimate=err)
+    return MomentValue(index, h, value, method, err, panels, saturated)
+
+
+@functools.cache
+def _moments(ijs: tuple, h: float, kappa: float, form: HamiltonianForm, method: str,
+             tol: float) -> tuple:
+    ov = cached_oval(h, kappa, form)
+    return tuple((_moments_green if method == "green" else _moments_area2d)(ijs, ov, tol))
 
 
 def moment_value(i: int, j: int, h: float, params: ModelParams,
@@ -435,8 +472,10 @@ def moment_value(i: int, j: int, h: float, params: ModelParams,
 
 def basis_values(h: float, params: ModelParams, tol: float = 1e-10) -> np.ndarray:
     """The six basic symmetric-form moments I_{i,j}, (i, j) in BASIS_INDICES,
-    at level h, by the green oracle."""
-    return np.array([moment_value(i, j, h, params, tol=tol) for i, j in BASIS_INDICES])
+    at level h, by the green oracle, refined as one batch (not through
+    :func:`moment`)."""
+    return np.array([_moment(MomentIndex(i, j), h, params.kappa, "green", tol).value
+                     for i, j in BASIS_INDICES])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 
+import q4lab.quadrature as quad
 from q4lab import make_params
 from q4lab.analysis import _keyhole_pieces
 from q4lab.picard_fuchs import hypergeometric_J
@@ -24,6 +25,60 @@ def _keyhole_reference(kappa: float, epsilon: float) -> dict:
         s = np.concatenate([piece.point(np.linspace(0.0, 1.0, n)) for piece in path])
         out[name] = (s, hypergeometric_J(s, params))
     return out
+
+
+def gk_refine_reference(evaluate, panels: tuple, value, err, offset: float, rel: float,
+                        max_panels: int):
+    """One integral's globally adaptive GK loop, as each moment index ran
+    it alone before the indices were refined in batches: (value, error
+    estimate, panels, rounds).  ``evaluate(*panels)`` gives each new
+    panel's value and error; the stopping rule and the split are the
+    batched loop's."""
+    rounds = 0
+    while True:
+        total = offset + float(np.sum(value))
+        target = rel * max(abs(total), 1e-300)
+        est = float(np.sum(err))
+        if not est > target or value.size >= max_panels:
+            return total, est, value.size, rounds
+        split = err > target / value.size
+        split[np.argmax(err)] = True
+        room = max_panels - value.size
+        if np.count_nonzero(split) > room:
+            split = np.isin(np.arange(err.size), np.argsort(-err, kind="stable")[:room])
+        *tags, lo, hi = (a[split] for a in panels)
+        mid = 0.5 * (lo + hi)
+        halves = (*(np.tile(t, 2) for t in tags), np.concatenate([lo, mid]),
+                  np.concatenate([mid, hi]))
+        v, e = evaluate(*halves)
+        panels = tuple(np.concatenate([a[~split], b]) for a, b in zip(panels, halves))
+        value, err = np.concatenate([value[~split], v]), np.concatenate([err[~split], e])
+        rounds += 1
+
+
+def green_reference(i: int, j: int, ov, tol: float):
+    """I_ij by green, refined alone (see ``gk_refine_reference``)."""
+    def evaluate(lo, hi):
+        half = 0.5 * (hi - lo)[:, None]
+        x, y, dx, dy = ov.point_tangent(0.5 * (lo + hi)[:, None] + half * quad._XGK)
+        if i != -1:
+            return quad._gk_sums(half * (x ** (i + 1) * y**j / (i + 1) * dy))
+        return quad._gk_sums(half * (-(x**i) * y ** (j + 1) / (j + 1) * dx))
+
+    edges = np.linspace(0.0, 2.0 * np.pi, 9)
+    panels = (edges[:-1], edges[1:])
+    return gk_refine_reference(evaluate, panels, *evaluate(*panels), 0.0, tol, 4000)
+
+
+def area2d_reference(i: int, j: int, ov, tol: float):
+    """I_ij by area2d, refined alone (see ``gk_refine_reference``)."""
+    geo = quad._Area2dGeometry(ov)
+    x0, x1, y0, y1 = geo.rects
+    ix = np.log(x1 / x0) if i == -1 else (x1 ** (i + 1) - x0 ** (i + 1)) / (i + 1)
+    rects = float(np.sum(ix * (y1 ** (j + 1) - y0 ** (j + 1)))) / (j + 1)
+    evaluate = lambda *panels: quad._panels_gk(i, j, geo.panel_nodes(*panels))
+    return gk_refine_reference(evaluate, geo.panels, *evaluate(*geo.panels), rects,
+                               0.02 * tol, quad.AREA2D_MAX_PANELS)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 _CHECK = """
 import json
 import q4lab
-from q4lab import analysis, melnikov, make_params
+from q4lab import analysis, melnikov, make_params, quadrature
 from tracing import Tracer, install
 
 tracer = Tracer("names")
@@ -21,6 +21,8 @@ p = make_params(4.0, mu=(1.0, 0.5, -0.5, 0.25))
 analysis.bound_pipeline(p, grid=64, check_reconstruction=False)
 analysis.bound_scanner(p, 64).count("R", p.mu)  # bound_pipeline scans without count
 melnikov.get_propagation(p)
+# basis_values refines its batch without moment(), so ask moment() directly
+quadrature.moment(quadrature.MomentIndex(1, 0), -0.5, p, "green", 1e-10)
 tab = analysis.j_table(p)
 analysis.count_zeros(lambda s: tab.J(s)[0] - 1.0, (tab.lo, tab.hi), grid=64)
 analysis.winding_count(analysis.PolyPair(P=(1.0, 0.5), Q=(0.2,)), p)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import q4lab.quadrature as quad
+from conftest import area2d_reference, green_reference
 from q4lab import (
     DegenerateLevelError,
     DomainError,
@@ -74,11 +75,11 @@ class TestMomentOracle:
         # the contour quadrature evaluates the curve exactly at its own
         # nodes; the witness polyline density must not affect the value
         from q4lab.model import oval
-        from q4lab.quadrature import _moment_green
+        from q4lab.quadrature import _moments_green
         a = oval(-0.47, p4, n_min=256)
         b = oval(-0.47, p4, n_min=512)
-        va, _ = _moment_green(1, 1, a, 1e-10)
-        vb, _ = _moment_green(1, 1, b, 1e-10)
+        [(va, *_)] = _moments_green(((1, 1),), a, 1e-10)
+        [(vb, *_)] = _moments_green(((1, 1),), b, 1e-10)
         assert va == pytest.approx(vb, rel=1e-10)
 
     def test_err_estimate_monotone(self, p4):
@@ -97,12 +98,12 @@ class TestMomentOracle:
     def test_symmetry_transfer(self, p4):
         # reflected annulus at level -h: moments pick up (-1)^(i+j)
         from q4lab.model import oval
-        from q4lab.quadrature import _moment_green
+        from q4lab.quadrature import _moments_green
         h = -0.5
         dual = oval(-h, p4, center=(-1.0, -1.0))
         for i, j in BASIS:
             direct = moment_value(i, j, h, p4)
-            refl, _ = _moment_green(i, j, dual, 1e-10)
+            [(refl, *_)] = _moments_green(((i, j),), dual, 1e-10)
             assert refl == pytest.approx((-1.0) ** (i + j) * direct, rel=1e-8)
 
     def test_negative_power_guard(self, p4, monkeypatch):
@@ -153,6 +154,16 @@ class TestArea2dGeometry:
                 assert other[ij].err_estimate == forward[ij].err_estimate
 
     @staticmethod
+    def _leaves(geo):
+        # the geometry's leaf arrays as the recursive walk lists them:
+        # (x0, x1, y0, y1, pieces), pieces None for an inner cell, else the
+        # (a, b, fold_lo, fold_hi) x-pieces of a boundary cell
+        pieces = list(zip(*(v.tolist() for v in geo.pieces)))
+        edge = (np.cumsum(geo.boundary) - 1).tolist()  # each cell's row among the boundary cells
+        return [(*cell, [p[1:] for p in pieces if p[0] == e] if b else None)
+                for cell, b, e in zip(geo.cells.tolist(), geo.boundary.tolist(), edge)]
+
+    @staticmethod
     def _recursive_walk(geo, cx0, cx1, cy0, cy1, depth, leaves):
         # reference: the cell-by-cell depth-first walk
         ov = geo.oval
@@ -199,7 +210,7 @@ class TestArea2dGeometry:
                 ref = self._recursive_walk(geo, *ov.bounding_box(), 0, [])
                 assert any(leaf[4] is None for leaf in ref)
                 assert any(leaf[4] for leaf in ref)
-                assert geo.leaves == ref
+                assert self._leaves(geo) == ref
                 compared += 1
         assert compared >= 3
 
@@ -453,9 +464,9 @@ class TestArea2dGeometry:
         geo = quad._Area2dGeometry(ov)
         assert len(roots) == 1 and len(solves) == 1
         assert len(geo.crossings) <= 2 ** geo.MAX_DEPTH + 1
-        boundary = [leaf for leaf in geo.leaves if leaf[4] is not None]
-        assert boundary
-        for _, _, cy0, cy1, _ in boundary:
+        boundary = geo.cells[geo.boundary]
+        assert boundary.size
+        for _, _, cy0, cy1 in boundary.tolist():
             ref_brk, ref_fold = self._x_breakpoints(ov, cy0, cy1)
             assert np.array_equal(geo.breakpoints(cy0, cy1), ref_brk)
             assert np.array_equal(np.unique(geo.fold_xs), ref_fold)
@@ -531,9 +542,92 @@ class TestOneGKEngine:
         solve = Oval._point_tangent
         monkeypatch.setattr(Oval, "_point_tangent",
                             lambda self, th: shapes.append(th.shape) or solve(self, th))
-        quad._moment_green(1, 1, ov, 1e-12)
+        quad._moments_green(((1, 1),), ov, 1e-12)
         assert shapes[0] == (8, 15)
         assert len(shapes) > 1 and all(len(sh) == 2 and sh[1] == 15 for sh in shapes)
+
+
+class TestBatchedMoments:
+    """The six basis moments of a (level, method, tol) refine as one batch;
+    each keeps its own panels, budget and cap, so each value equals the one
+    it gets refined alone (``conftest``'s per-index reference)."""
+
+    @pytest.mark.parametrize("kappa", [1.01, 1.5, 4.0, 9.0, 1000.0])
+    def test_batch_equals_per_index_refinement(self, kappa, monkeypatch):
+        p = make_params(kappa)
+        compared = 0
+        for level in (0.01, 0.08, 0.5, 0.92, 0.99):
+            h = interior_levels(p, 1, level, level)[0]
+            for form in (HamiltonianForm.SYMMETRIC_FORM, HamiltonianForm.CUBIC_FORM):
+                try:
+                    ov = oval(h, p, form=form)
+                except DegenerateLevelError:
+                    continue
+                ijs = tuple(ij for ij in BASIS if ij[0] >= 0 or ov.min_x > 1e-6)
+                calls = {"nodes": 0, "front": 0, "solve": 0}
+                count = lambda name, f: lambda *a: calls.__setitem__(name, calls[name] + 1) or f(*a)
+                with monkeypatch.context() as m:
+                    m.setattr(quad._Area2dGeometry, "panel_nodes",
+                              count("nodes", quad._Area2dGeometry.panel_nodes))
+                    m.setattr(Oval, "point_tangent", count("front", Oval.point_tangent))
+                    m.setattr(Oval, "_point_tangent", count("solve", Oval._point_tangent))
+                    green = quad._moments_green(ijs, ov, 1e-10)
+                    solves = calls["solve"]
+                    area2d = quad._moments_area2d(ijs, ov, 1e-8)
+                for got, ref_of, name in ((green, green_reference, "front"),
+                                          (area2d, area2d_reference, "nodes")):
+                    refs = [ref_of(*ij, ov, 1e-10 if name == "front" else 1e-8) for ij in ijs]
+                    for ij, (value, err, panels, saturated), ref in zip(ijs, got, refs):
+                        assert (value.hex(), err.hex(), panels) == (
+                            ref[0].hex(), ref[1].hex(), ref[2]), (kappa, level, form, name, ij)
+                        assert not saturated
+                    # one evaluation per round of the slowest index, plus the first
+                    assert calls[name] == 1 + max(ref[3] for ref in refs), (kappa, level, form)
+                # each round's new rows reach the ray solver in one call
+                assert 1 <= solves <= calls["front"]
+                compared += 1
+        assert compared >= 6
+
+    def test_saturated_index_leaves_the_others_alone(self, p4, caplog, monkeypatch):
+        # at this level I_-1_0 needs 296 panels and no other index more than 294
+        h, ijs = interior_levels(p4, 1, 0.92, 0.92)[0], [MomentIndex(*ij) for ij in BASIS]
+        clear_caches()
+        free = [moment(ij, h, p4, "area2d", 1e-10) for ij in ijs]
+        assert not any(m.saturated for m in free)
+        most, cap = sorted(m.panels for m in free)[-2:][::-1]
+        assert most > cap  # one index needs more panels than every other
+        monkeypatch.setattr(quad, "AREA2D_MAX_PANELS", cap)
+        clear_caches()
+        with caplog.at_level(logging.WARNING, logger="q4lab"):
+            capped = [moment(ij, h, p4, "area2d", 1e-10) for ij in ijs]
+        clear_caches()
+        records = [r for r in caplog.records if r.name == "q4lab.quadrature"]
+        [hit] = [n for n, m in enumerate(free) if m.panels == most]
+        assert len(records) == 1
+        assert f"area2d I_{BASIS[hit][0]}_{BASIS[hit][1]} at" in records[0].getMessage()
+        assert [m.saturated for m in capped] == [n == hit for n in range(len(ijs))]
+        assert capped[hit].panels == cap and capped[hit].err_estimate > free[hit].err_estimate
+        for n, (a, b) in enumerate(zip(free, capped)):
+            if n != hit:
+                assert (a.value, a.err_estimate, a.panels) == (b.value, b.err_estimate, b.panels)
+
+    def test_basis_index_brings_its_siblings(self, p4, monkeypatch):
+        # the first basis index refines all six; the others are read back,
+        # and basis_values reads the same batch without going through moment()
+        clear_caches()
+        batches = []
+        refine = quad._moments_green
+        monkeypatch.setattr(quad, "_moments_green",
+                            lambda ijs, ov, tol: batches.append(ijs) or refine(ijs, ov, tol))
+        values = [moment(MomentIndex(*ij), -0.5, p4, "green", 1e-10).value for ij in BASIS]
+        with monkeypatch.context() as m:
+            m.setattr(quad, "moment", None)  # basis_values must not need it
+            assert quad.basis_values(-0.5, p4).tolist() == values
+        assert batches == [tuple(BASIS)]
+        moment_value(2, 0, -0.5, p4)  # not a basis index: a batch of one
+        moment_value(0, 0, -0.5, p4, form=HamiltonianForm.CUBIC_FORM)
+        assert batches[1:] == [((2, 0),), ((0, 0),)]
+        clear_caches()
 
 
 class TestRayGeometryMemo:
@@ -551,7 +645,7 @@ class TestRayGeometryMemo:
 
         clear_caches()
         forward = run(BASIS)
-        quad._moment.cache_clear()  # the ovals keep their filled memos
+        quad._moments.cache_clear()  # the ovals keep their filled memos
         warm = run(BASIS[::-1])
         clear_caches()
         backward = run(BASIS[::-1])
@@ -582,7 +676,7 @@ class TestRayGeometryMemo:
         monkeypatch.setattr(Oval, "point_tangent", lambda self, th: asked.update(
             row.tobytes() for row in th) or memo(self, th))
         for ij in BASIS:
-            quad._moment_green(*ij, ov, 1e-10)
+            quad._moments_green((ij,), ov, 1e-10)
         assert len(solved) == len(set(solved)) == len(asked)
 
     def test_point_tangent_read_only(self, p4, monkeypatch):
@@ -613,7 +707,7 @@ class TestRayGeometryMemo:
         assert ov._tangents
         assert quad._area2d_geometry.cache_info().currsize == 1
         clear_caches()
-        for cache in (quad.cached_oval, quad._moment, quad._area2d_geometry):
+        for cache in (quad.cached_oval, quad._moments, quad._area2d_geometry):
             assert cache.cache_info().currsize == 0
         # the next caller gets a fresh oval, with an empty memo
         fresh = quad.cached_oval(h, p4.kappa, HamiltonianForm.SYMMETRIC_FORM)
@@ -636,7 +730,7 @@ class TestPanelSaturation:
         monkeypatch.setattr(quad, "AREA2D_MAX_PANELS", 1)
         ov = quad.cached_oval(-0.5, p4.kappa, HamiltonianForm.SYMMETRIC_FORM)
         with caplog.at_level(logging.WARNING, logger="q4lab"):
-            value, err = quad._moment_area2d(1, 1, ov, 1e-12)
+            [(value, err, *_)] = quad._moments_area2d(((1, 1),), ov, 1e-12)
         records = [r for r in caplog.records if r.name == "q4lab.quadrature"]
         assert len(records) == 1
         assert records[0].levelno == logging.WARNING
@@ -647,7 +741,7 @@ class TestPanelSaturation:
         # tol 1e-17 is below rounding, so green runs into its 4000 panels
         ov = quad.cached_oval(-0.5, p4.kappa, HamiltonianForm.SYMMETRIC_FORM)
         with caplog.at_level(logging.WARNING, logger="q4lab"):
-            value, err = quad._moment_green(1, 1, ov, 1e-17)
+            [(value, err, *_)] = quad._moments_green(((1, 1),), ov, 1e-17)
         records = [r for r in caplog.records if r.name == "q4lab.quadrature"]
         assert len(records) == 1
         assert records[0].levelno == logging.WARNING

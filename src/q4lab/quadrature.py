@@ -114,9 +114,10 @@ def cached_oval(h: float, kappa: float, form: HamiltonianForm) -> Oval:
 
 def _gk_sums(fx: np.ndarray):
     """GK15(7) value and error estimate of each panel from its weighted
-    integrand values fx (P, 15), the weights holding the half-width."""
-    k = fx @ _WGK
-    return k, np.abs(k - fx[:, 1::2] @ _WG)
+    integrand values fx (P, 15), the weights holding the half-width, summed
+    per row by numpy's add.reduce: a BLAS gemv's bits vary with the kernel."""
+    k = np.add.reduce(fx * _WGK, axis=1)
+    return k, np.abs(k - np.add.reduce(fx[:, 1::2] * _WG, axis=1))
 
 
 def _gk_refine(nodes, sums, panels: tuple, offsets: list, rel: float, max_panels: int,

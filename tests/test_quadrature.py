@@ -481,19 +481,20 @@ class TestOneGKEngine:
     # re-recorded when rays, slices and row crossings moved onto
     # cubic_real_roots: each value moved by at most 13 ulps (1.8e-15); and
     # when the bounding box moved from bisection to Newton: 20 of the 54
-    # values moved, by at most 3 ulps (3.6e-16)
+    # values moved, by at most 3 ulps (3.6e-16); and when the GK sums moved
+    # from a BLAS gemv to numpy's add.reduce: 3 values moved, by 1 ulp each
     AREA2D_HEX = {
         (1.5, 0.08): (
             "0x1.66712efb4a493p-5", "0x1.63c2ce3cd4da4p-5", "0x1.658e4cfbc15a8p-5",
             "0x1.63c35d126d2dap-5", "0x1.6be96f3d27953p-5", "0x1.6a1afd1b96246p-5"),
         (1.5, 0.5): (
             "0x1.2355b4cfdbd05p-2", "0x1.13ed3e6f7a656p-2", "0x1.1e828cf1f707cp-2",
-            "0x1.1400b48f4dcaap-2", "0x1.475b846bda11bp-2", "0x1.3c2deeca0590fp-2"),
+            "0x1.1400b48f4dcaap-2", "0x1.475b846bda11cp-2", "0x1.3c2deeca0590fp-2"),
         (1.5, 0.92): (
             "0x1.1ea176e3d6c40p-1", "0x1.f6ff755cc2e0ep-2", "0x1.14a3e7bb9797dp-1",
             "0x1.f79373520b80fp-2", "0x1.8fafd7311e5fcp-1", "0x1.70e4cd2322a14p-1"),
         (4.0, 0.08): (
-            "0x1.8f3dac038b2a7p-5", "0x1.8ba212ac75d7bp-5", "0x1.8c8ba0d1cbf02p-5",
+            "0x1.8f3dac038b2a7p-5", "0x1.8ba212ac75d7bp-5", "0x1.8c8ba0d1cbf03p-5",
             "0x1.8ba42153ba1a4p-5", "0x1.96a07e3691d7ap-5", "0x1.911c649794f3ep-5"),
         (4.0, 0.5): (
             "0x1.46dac56684f9fp-2", "0x1.3250fe8ccfa91p-2", "0x1.37e93dce5c3eap-2",
@@ -508,7 +509,7 @@ class TestOneGKEngine:
             "0x1.0ca48c66efc13p-2", "0x1.f3760b5dc3c54p-3", "0x1.f8318e0ef942ap-3",
             "0x1.f42e39e80f40ap-3", "0x1.3af7655cf8fc0p-2", "0x1.128c234a63d22p-2"),
         (9.0, 0.92): (
-            "0x1.0c410e166fbeep-1", "0x1.c513afc15fb99p-2", "0x1.d1d77925d8b60p-2",
+            "0x1.0c410e166fbedp-1", "0x1.c513afc15fb99p-2", "0x1.d1d77925d8b60p-2",
             "0x1.c7f0a9c55a83ap-2", "0x1.a261139935e68p-1", "0x1.2582f920c04bep-1"),
     }
 

@@ -20,8 +20,8 @@ symmetric picture (region {H(x, y) < h}).  Two independent methods:
               (cells, breakpoints, runs, and each run's slice components,
               taken once at the middle of a run without a fold) does not
               depend on the index (i, j), so it is built once per oval.
-              Per index, inner cells are summed exactly, and the boundary
-              panels refined.
+              Inner cells are summed exactly per index, and the boundary
+              panels of a batch of indices refined together.
 
 Both refine batches of integrals in one GK loop, ``_gk_refine`` (as does the
 I-reconstruction check); the six symmetric-form basis moments are one batch.
@@ -293,10 +293,10 @@ class _Area2dGeometry:
         # the runs (t0, t1, base, sign, y0, y1) of the class docstring; sign 0 for x = t
         leaf, a, b, fold_lo, fold_hi = self.pieces
         at = np.repeat(np.arange(a.size), np.where(fold_lo & fold_hi, 2, 1))
-        upper = np.r_[False, at[1:] == at[:-1]]
+        upper = np.r_[False, at[1:] == at[:-1]]  # a two-fold piece's second run
         leaf, a, b, fold_lo, fold_hi = (v[at] for v in self.pieces)
         mid = 0.5 * (a + b)
-        at_a, at_b = fold_lo & ~upper, upper | (fold_hi & ~fold_lo)
+        at_a, at_b = fold_lo & ~upper, upper | (fold_hi & ~fold_lo)  # x = a + t^2, b - t^2
         span = np.where(fold_lo & fold_hi, np.where(upper, b - mid, mid - a), b - a)
         t0 = np.where(at_a | at_b, 0.0, a)
         t1 = np.where(at_a | at_b, np.sqrt(span), b)

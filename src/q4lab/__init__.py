@@ -6,8 +6,8 @@ derived 2x2 systems, the operator chain I -> G = L1(I) -> R = L2(G), the
 exact rational-template coefficients of R in closed form, Chebyshev-property
 probes for L2, and argument-principle zero counting in the complex domain.
 
-Everything that depends on kappa alone (ovals, moments, the area2d geometry,
-the moment propagation and basis, the R coefficients, keyhole contours, J
+Everything that depends on kappa alone (ovals, moments, the moment
+propagation and basis, the R coefficients, keyhole contours, J
 tables and bound scanners) is built once per process in a ``functools``
 cache keyed by kappa, plus the level, index, grid or epsilon where they
 matter, and never by the weights; :func:`clear_caches` empties them all.
@@ -102,9 +102,9 @@ from . import analysis, melnikov, quadrature
 def clear_caches() -> None:
     """Empty every per-kappa cache; each one's ``cache_info()`` reports its
     hits, misses and size."""
-    for cache in (quadrature.cached_oval, quadrature._moments, quadrature._area2d_geometry,
-                  melnikov._propagation, melnikov._moment_basis, melnikov._r_coeffs,
-                  analysis._keyhole, analysis._j_table, analysis._scanner, analysis._cheb_grid):
+    for cache in (quadrature.cached_oval, quadrature._moments, melnikov._propagation,
+                  melnikov._moment_basis, melnikov._r_coeffs, analysis._keyhole,
+                  analysis._j_table, analysis._scanner, analysis._cheb_grid):
         cache.cache_clear()
 
 

@@ -440,17 +440,6 @@ class Oval:
         dy = rp * s + r * c
         return x, y, dx, dy
 
-    def contains(self, x, y) -> np.ndarray:
-        """Membership test against the star-shaped region: a point is inside
-        iff its distance from the center is below the ray radius."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        dx = x - self.center[0]
-        dy = y - self.center[1]
-        rho = np.hypot(dx, dy)
-        theta = np.arctan2(dy, dx)
-        return rho < self.r_theta(theta)
-
     def bounding_box(self):
         """Tight box around the oval, padded by 1e-12 of its width.  Newton's
         method in the plane, from the polyline's extreme vertices, solves

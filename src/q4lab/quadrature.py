@@ -11,29 +11,24 @@ symmetric picture (region {H(x, y) < h}).  Two independent methods:
               angle; the primary method.  The ray geometry (point and
               tangent at the 15 nodes of a panel) is memoised on the oval
               per panel, so each panel's rays are solved once for all indices.
-* ``area2d``  cell subdivision over a tight bounding box with sign tests on
-              H, one depth at a time; boundary cells are finished with exact
-              per-column slices and Gauss-Kronrod in x, cut where the curve
-              folds (roots of a sextic) or crosses a cell row.  The slices
-              and the row crossings are cubics in y and in x, solved like
-              green's rays by ``model.cubic_real_roots``.  The geometry
-              (cells, breakpoints, runs, and each run's slice components,
-              taken once at the middle of a run without a fold) does not
-              depend on the index (i, j), so it is built once per oval.
-              Inner cells are summed exactly per index, and the boundary
-              panels of a batch of indices refined together.
+* ``area2d``  one Fubini integral over vertical slices: the oval's slice at
+              x is (r1, r2), the top two roots of the slice cubic, for every
+              x between the two folds (the x-sides of the bounding box), so
+              I_ij = int x^i (r2^(j+1) - r1^(j+1)) / (j+1) dx.  The two runs
+              x = x_min + t^2 and x = x_max - t^2, which meet at the middle,
+              make the integrand analytic in t.  The slices are cubics in y,
+              solved like green's rays by ``model.cubic_real_roots``; one
+              check per oval, that the slice at the center's x holds the
+              center, stands for the premise.
 
 Both refine batches of integrals in one GK loop, ``_gk_refine`` (as does the
 I-reconstruction check); the six symmetric-form basis moments are one batch.
-
-Both methods localize to the connected component of the region containing
-the center, using the exact star-shaped membership test of the oval.  The
-module also evaluates the residues of the underlying third-kind differential
-and a discriminant detecting singular level curves.
+The module also evaluates the residues of the underlying third-kind
+differential and a discriminant detecting singular level curves.
 
 Ovals are cached per (h, kappa, form) and moment batches per (indices, h,
-kappa, form, method, tol) in ``functools`` caches, and area2d keeps the
-geometry of the last oval it integrated; ``q4lab.clear_caches`` empties all three.
+kappa, form, method, tol) in ``functools`` caches; ``q4lab.clear_caches``
+empties both.
 """
 
 from __future__ import annotations
@@ -45,12 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SingularityError
+from .errors import ConvergenceError, DomainError, GeometryError, SingularityError
 from .model import (
     HamiltonianForm,
     ModelParams,
     Oval,
-    _level_fn,
     cubic_real_roots,
     make_params,
     oval,
@@ -204,7 +198,7 @@ def _moments_green(ijs: tuple, ov: Oval, tol: float) -> list:
 
 
 # ---------------------------------------------------------------------------
-# area2d: quadtree with exact vertical slices on boundary cells
+# area2d: vertical slices between the oval's two folds
 # ---------------------------------------------------------------------------
 
 def _slice_cubic(ov: Oval):
@@ -217,205 +211,69 @@ def _slice_cubic(ov: Oval):
     return ov.params.kappa / 3.0, [-km, 0.0, -1.0], [(2.0 / 3.0) * km, 0.0, 0.0, -ov.h]
 
 
-def _slice_segments(xs: np.ndarray, ylo, yhi, ov: Oval, comp=-1):
-    """For each column x, the parts of {y in [ylo, yhi] : level function < 0}
-    that belong to the oval component: (lo, hi), each of shape (2,) +
-    xs.shape, the clipped ends of a column's at most two segments, with
-    lo = hi = 0 where a column has no such segment.  The row bounds ylo and
-    yhi broadcast against xs, so every node can carry its own cell rows.
-    comp, broadcast like the ends, is each segment's component where it is
-    known: 1 in the oval's, 0 in another, -1 tested by ``Oval.contains``."""
+def _slice_ends(ov: Oval, x: np.ndarray):
+    """The middle and top roots (r1, r2) of the slice cubic at each x, in
+    the shape of x: with a > 0, {G < 0} on the line is (-inf, r0) u (r1, r2),
+    and (r1, r2) is the oval's slice.  Where the cubic has one real root
+    (past a fold, to rounding) both ends are 0, an empty slice."""
     a, p, q = _slice_cubic(ov)
-    p, q = (np.polynomial.polynomial.polyval(xs.ravel(), c) for c in (p, q))
-    r = cubic_real_roots(a, 0.0, p, q).T.reshape((3,) + xs.shape)
-    # negative set of the cubic (positive leading coefficient):
-    # one real root r0:    (-inf, r0)      (r1 = r2 = NaN)
-    # three roots r0<r1<r2: (-inf, r0) u (r1, r2)
-    lo = np.maximum(np.stack([np.full(xs.shape, -np.inf), r[1]]), ylo)
-    hi = np.minimum(np.stack([r[0], r[2]]), yhi)
-    keep = np.isfinite(lo) & np.isfinite(hi) & (hi > lo)
-    test = keep & (comp < 0)
-    keep &= comp != 0
-    if np.any(test):
-        keep[test] = ov.contains(np.broadcast_to(xs, lo.shape)[test], 0.5 * (lo + hi)[test])
-    return np.where(keep, lo, 0.0), np.where(keep, hi, 0.0)
+    p, q = (np.polynomial.polynomial.polyval(x.ravel(), c) for c in (p, q))
+    r = np.nan_to_num(cubic_real_roots(a, 0.0, p, q)[:, 1:].T)
+    return tuple(r.reshape((2,) + x.shape))
 
 
-def _fold_xs(ov: Oval) -> np.ndarray:
-    """Real x of the fold points of the level curve (vertical tangents,
-    double y-roots): the real roots of the x-discriminant
-    D(x) = -4 a p^3 - 27 a^2 q^2 of the vertical slice cubic (degree 6)."""
-    a, p, q = _slice_cubic(ov)
-    P = np.polynomial.polynomial
-    D = -4.0 * a * P.polypow(p, 3) - 27.0 * a * a * P.polymul(q, q)
-    pts = np.roots(D[::-1])
-    return pts[np.abs(pts.imag) < 1e-9 * (1.0 + np.abs(pts.real))].real
+def _slice_nodes(ov: Oval, base: np.ndarray, sign: np.ndarray, t_lo: np.ndarray,
+                 t_hi: np.ndarray):
+    """GK15 nodes x (P, 15) of the panels [t_lo, t_hi], each on its run
+    x = base + sign t^2 from a fold, where the slice length behaves like
+    sqrt(|x - base|), so the integrand is analytic in t.  Returns x, the
+    weights w (half-width times |dx/dt|) and the slice ends (r1, r2) at the
+    nodes."""
+    half = 0.5 * (t_hi - t_lo)[:, None]
+    t = 0.5 * (t_lo + t_hi)[:, None] + half * _XGK
+    x = base[:, None] + sign[:, None] * (t * t)
+    return (x, 2.0 * half * t, *_slice_ends(ov, x))
 
 
-def _row_crossings(ov: Oval, rows: np.ndarray) -> list:
-    """Real x where the level curve crosses each row y in ``rows``, one
-    array per row, in one solve: the restriction of the level function to
-    a row is again a cubic in x."""
-    k, h = ov.params.kappa, ov.h
-    km = k - 1.0
-    cube = (k / 3.0) * (rows * rows * rows)  # not rows**3, whose bits vary with the batch
-    if ov.form is HamiltonianForm.SYMMETRIC_FORM:
-        c3 = ((2.0 / 3.0) * km, -km * rows, 0.0, cube - rows - h)
-    else:
-        c3 = (-h, -rows, 0.0, cube - km * rows + (2.0 / 3.0) * km)
-    return [x[np.isfinite(x)] for x in cubic_real_roots(*c3)]
-
-
-class _Area2dGeometry:
-    """Everything area2d needs from one oval that does not depend on the
-    moment index (i, j): the quadtree leaves in depth-first order, the fold
-    roots and row crossings behind the boundary leaves' x-pieces, the pieces
-    as runs, and each run's two initial GK panels.  Built once per oval and
-    shared by all indices; every panel gets its nodes, weights and slice ends
-    from :meth:`panel_nodes`, so every value is the one a fresh build would
-    give.  A run is a piece in the panel variable t:
-    x = t on [t0, t1], or x = base + sign t^2 on [0, t1] at a fold, where the
-    slice measure behaves like sqrt(|x - base|); a piece with folds at both
-    ends is split at its midpoint into two runs."""
-
-    MAX_DEPTH = 4
-
-    def __init__(self, ov: Oval):
-        self.oval = ov
-        self.fold_xs = _fold_xs(ov)
-        self.cells, self.boundary = self._walk(np.array([ov.bounding_box()]))
-        self.rects = self.cells[~self.boundary].T
-        edge = self.cells[self.boundary]
-        # row y -> crossing x, for the two rows of every boundary leaf, in one solve
-        rows = np.unique(edge[:, 2:])
-        self.crossings = dict(zip(rows.tolist(), _row_crossings(ov, rows)))
-        self.pieces = self._pieces(edge)
-        # the runs (t0, t1, base, sign, y0, y1) of the class docstring; sign 0 for x = t
-        leaf, a, b, fold_lo, fold_hi = self.pieces
-        at = np.repeat(np.arange(a.size), np.where(fold_lo & fold_hi, 2, 1))
-        upper = np.r_[False, at[1:] == at[:-1]]  # a two-fold piece's second run
-        leaf, a, b, fold_lo, fold_hi = (v[at] for v in self.pieces)
-        mid = 0.5 * (a + b)
-        at_a, at_b = fold_lo & ~upper, upper | (fold_hi & ~fold_lo)  # x = a + t^2, b - t^2
-        span = np.where(fold_lo & fold_hi, np.where(upper, b - mid, mid - a), b - a)
-        t0 = np.where(at_a | at_b, 0.0, a)
-        t1 = np.where(at_a | at_b, np.sqrt(span), b)
-        self.base = np.where(at_a, a, np.where(at_b, b, 0.0))
-        self.sign = at_a - at_b.astype(float)
-        self.y0, self.y1 = edge[leaf, 2], edge[leaf, 3]
-        mid = 0.5 * (t0 + t1)
-        # each segment's component, decided once at the run's middle where
-        # the run ends at no fold (see panel_nodes); -1 leaves it to the nodes
-        xm = np.where(self.sign != 0.0, self.base + self.sign * mid * mid, mid)
-        lo, hi = _slice_segments(xm, self.y0, self.y1, ov, 1)  # every segment, untested
-        test = (hi > lo) & (self.sign == 0.0)
-        self.comp = np.full(lo.shape, -1, np.int8)
-        self.comp[test] = ov.contains(np.broadcast_to(xm, lo.shape)[test], 0.5 * (lo + hi)[test])
-        # (run, t_lo, t_hi) of each initial panel
-        self.panels = (np.tile(np.arange(t0.size), 2), np.concatenate([t0, mid]),
-                       np.concatenate([mid, t1]))
-
-    def _walk(self, cells: np.ndarray) -> tuple:
-        """Quadtree leaves of the box, (n, 4), and which are boundary leaves,
-        classified one depth at a time: a cell whose 5x5 samples of the level
-        function are all positive is dropped, one whose samples are all
-        negative and whose center lies in the oval's component is an inner
-        leaf, and any other is split in four, or becomes a boundary leaf at
-        MAX_DEPTH.  Sorting by quadrant path gives the depth-first order of a
-        recursive walk."""
-        ov = self.oval
-        keys = np.zeros(1, dtype=np.int64)
-        found = []  # (base-4 quadrant paths padded to MAX_DEPTH digits, cells, boundary)
-        for depth in range(self.MAX_DEPTH + 1):
-            X = np.linspace(cells[:, 0], cells[:, 1], 5, axis=1)[:, None, :]
-            Y = np.linspace(cells[:, 2], cells[:, 3], 5, axis=1)[:, :, None]
-            S = _level_fn(X, Y, ov.h, ov.params, ov.form)
-            inner = np.all(S < 0.0, axis=(1, 2))
-            inner[inner] = ov.contains(0.5 * (cells[inner, 0] + cells[inner, 1]),
-                                       0.5 * (cells[inner, 2] + cells[inner, 3]))
-            split = ~inner & ~np.all(S > 0.0, axis=(1, 2))
-            leaf = inner | split if depth == self.MAX_DEPTH else inner
-            found.append((keys[leaf] * 4 ** (self.MAX_DEPTH - depth), cells[leaf], split[leaf]))
-            x0, x1, y0, y1 = cells[split & ~leaf].T
-            mx, my = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-            cells = np.stack([np.stack([x0, mx, y0, my], 1), np.stack([mx, x1, y0, my], 1),
-                              np.stack([x0, mx, my, y1], 1), np.stack([mx, x1, my, y1], 1)],
-                             axis=1).reshape(-1, 4)
-            keys = (4 * keys[split & ~leaf, None] + np.arange(4)).ravel()
-        keys, cells, boundary = (np.concatenate(a) for a in zip(*found))
-        return cells[np.argsort(keys)], boundary[np.argsort(keys)]
-
-    def _pieces(self, cells: np.ndarray) -> tuple:
-        """The x-pieces (cell, a, b, fold_lo, fold_hi) of the boundary cells
-        (n, 4), in one array pass: each cell cut at the breakpoints of its row
-        strip, and each end flagged where it lies at a fold."""
-        strips, strip = np.unique(cells[:, 2:], axis=0, return_inverse=True)
-        brk = [self.breakpoints(*s) for s in strips.tolist()]  # NaN pads compare False
-        pad = np.array([np.r_[r, np.full(max(map(len, brk)) - r.size, np.nan)] for r in brk])
-        cuts = np.concatenate([cells[:, :1], pad[strip.reshape(-1)], cells[:, 1:2]], axis=1)
-        keep = (cuts > cuts[:, :1] + 1e-13) & (cuts < cuts[:, -1:] - 1e-13)
-        keep[:, [0, -1]] = True
-        cell, cuts = np.nonzero(keep)[0], cuts[keep]
-        near = np.any(np.abs(cuts[:, None] - self.fold_xs) < 1e-9 * (1.0 + np.abs(cuts[:, None])),
-                      axis=1)
-        ok = (cell[1:] == cell[:-1]) & (cuts[1:] - cuts[:-1] >= 1e-13)
-        return cell[1:][ok], cuts[:-1][ok], cuts[1:][ok], near[:-1][ok], near[1:][ok]
-
-    def breakpoints(self, cy0: float, cy1: float) -> np.ndarray:
-        """Sorted x-values where the slice integrand of a boundary cell
-        between the rows cy0 and cy1 loses smoothness: fold points of the
-        level curve and crossings of the curve through the two rows, from
-        the fold roots and the row crossings solved once per oval."""
-        return np.unique(np.concatenate([self.fold_xs, self.crossings[cy0],
-                                         self.crossings[cy1]]))
-
-    def panel_nodes(self, run: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray):
-        """GK15 nodes x (P, 15) of the panels [t_lo, t_hi] of the given
-        runs, their weights w (half-width times dx/dt) and the dense slice
-        ends (lo, hi) of shape (2, P, 15) at the nodes, in one call.  A run
-        that ends at no fold takes each segment's component from its middle:
-        inside the run no two roots of the slice cubic meet (folds are cuts)
-        and none crosses a row (crossings are cuts), so a segment present at
-        the middle is present along the run and sweeps a connected part of
-        {G < 0}, which lies in one component.  Fold runs and a segment absent
-        at the middle are tested per node: a fold run's base is the fold root
-        to rounding, so its first nodes can lie past the true fold, where the
-        float roots of the slice cubic give a spurious segment (up to 2.2e-7
-        long) that the middle would keep and ``Oval.contains`` drops."""
-        half = 0.5 * (t_hi - t_lo)[:, None]
-        t = 0.5 * (t_lo + t_hi)[:, None] + half * _XGK
-        fold = (self.sign[run] != 0.0)[:, None]
-        x = np.where(fold, self.base[run, None] + self.sign[run, None] * t * t, t)
-        w = half * np.where(fold, 2.0 * t, 1.0)
-        lo, hi = _slice_segments(x, self.y0[run, None], self.y1[run, None], self.oval,
-                                 self.comp[:, run, None])
-        return x, w, lo, hi
-
-
-# the geometry of the most recently integrated oval only, so memory stays
-# bounded; callers integrate all indices at one level before moving on
-_area2d_geometry = functools.lru_cache(maxsize=1)(_Area2dGeometry)
-
-# boundary panels after which an area2d moment stops refining; c01's grid
-# ends below 400 at tol 1e-8, and below 1e-13 rounding limits the estimate
+# panels after which an area2d moment stops refining; c01's grid ends on
+# the 8 initial ones at tol 1e-8, and below 1e-13 rounding limits the estimate
 AREA2D_MAX_PANELS = 2000
+AREA2D_RUN_PANELS = 4  # equal initial panels on each of the two runs
 
 
 def _panels_gk(i: int, j: int, nodes):
     """GK15(7) value and error estimate of x^i y^j on each panel."""
-    x, w, lo, hi = nodes
-    return _gk_sums(x**i * w * (hi ** (j + 1) - lo ** (j + 1)).sum(axis=0) / (j + 1))
+    x, w, r1, r2 = nodes
+    return _gk_sums(x**i * w * (r2 ** (j + 1) - r1 ** (j + 1)) / (j + 1))
+
+
+def _area2d_panels(ov: Oval) -> tuple:
+    """The initial panels (base, sign, t_lo, t_hi) of area2d: AREA2D_RUN_PANELS
+    equal ones on each of the runs x = x_min + t^2 and x = x_max - t^2, with
+    x_min and x_max the x-sides of the bounding box, which are the folds;
+    the runs meet at the middle.  Raises GeometryError unless the slice at
+    the center's x holds the center: the slice (r1, r2) is then the oval's,
+    for every x between the folds."""
+    x_min, x_max = ov.bounding_box()[:2]
+    cx, cy = ov.center
+    r1, r2 = _slice_ends(ov, np.array([cx]))
+    if not r1[0] < cy < r2[0]:
+        raise GeometryError(f"the slice ({r1[0]!r}, {r2[0]!r}) at x = {cx!r} misses the "
+                            f"center y = {cy!r} (h={ov.h!r})")
+    edges = np.linspace(0.0, math.sqrt(0.5 * (x_max - x_min)), AREA2D_RUN_PANELS + 1)
+    return (np.repeat([x_min, x_max], AREA2D_RUN_PANELS),
+            np.repeat([1.0, -1.0], AREA2D_RUN_PANELS), np.tile(edges[:-1], 2),
+            np.tile(edges[1:], 2))
 
 
 def _moments_area2d(ijs: tuple, ov: Oval, tol: float) -> list:
-    """The area2d moments I_ij, (i, j) in ijs: inner rectangles exactly, plus one
-    batched GK pass over the boundary panels, to 0.02 tol |moment| each."""
-    geo = _area2d_geometry(ov)
-    x0, x1, y0, y1 = geo.rects  # exact over the inner cells (x0 > 0 when i <= -1)
-    ix = lambda i: np.log(x1 / x0) if i == -1 else (x1 ** (i + 1) - x0 ** (i + 1)) / (i + 1)
-    rects = [float(np.sum(ix(i) * (y1 ** (j + 1) - y0 ** (j + 1)))) / (j + 1) for i, j in ijs]
-    return _gk_refine(geo.panel_nodes, lambda k, *nodes: _panels_gk(*ijs[k], nodes),
-                      geo.panels, rects, 0.02 * tol, AREA2D_MAX_PANELS,
+    """The area2d moments I_ij, (i, j) in ijs, as one Fubini integral over
+    vertical slices, I_ij = int x^i (r2^(j+1) - r1^(j+1)) / (j+1) dx on
+    [x_min, x_max]: one batched GK pass over the two runs' panels, to
+    0.02 tol |moment| each."""
+    return _gk_refine(lambda *panels: _slice_nodes(ov, *panels),
+                      lambda k, *nodes: _panels_gk(*ijs[k], nodes),
+                      _area2d_panels(ov), [0.0] * len(ijs), 0.02 * tol, AREA2D_MAX_PANELS,
                       [f"area2d I_{i}_{j} at h={ov.h!r}" for i, j in ijs])
 
 
@@ -425,7 +283,7 @@ def moment(index: MomentIndex, h: float, params: ModelParams,
 
     The tolerance is relative to the whole moment, and each method spends
     it as one error budget shared by all of its panels: green's angle panels
-    get tol |I| and at most 4000 panels, area2d's boundary panels 0.02 tol |I|
+    get tol |I| and at most 4000 panels, area2d's slice panels 0.02 tol |I|
     and at most AREA2D_MAX_PANELS.
 
     A symmetric-form basis index (BASIS_INDICES) brings its five siblings,

@@ -72,13 +72,10 @@ def green_reference(i: int, j: int, ov, tol: float):
 
 def area2d_reference(i: int, j: int, ov, tol: float):
     """I_ij by area2d, refined alone (see ``gk_refine_reference``)."""
-    geo = quad._Area2dGeometry(ov)
-    x0, x1, y0, y1 = geo.rects
-    ix = np.log(x1 / x0) if i == -1 else (x1 ** (i + 1) - x0 ** (i + 1)) / (i + 1)
-    rects = float(np.sum(ix * (y1 ** (j + 1) - y0 ** (j + 1)))) / (j + 1)
-    evaluate = lambda *panels: quad._panels_gk(i, j, geo.panel_nodes(*panels))
-    return gk_refine_reference(evaluate, geo.panels, *evaluate(*geo.panels), rects,
-                               0.02 * tol, quad.AREA2D_MAX_PANELS)
+    panels = quad._area2d_panels(ov)
+    evaluate = lambda *panels: quad._panels_gk(i, j, quad._slice_nodes(ov, *panels))
+    return gk_refine_reference(evaluate, panels, *evaluate(*panels), 0.0, 0.02 * tol,
+                               quad.AREA2D_MAX_PANELS)
 
 
 @pytest.fixture(scope="session")

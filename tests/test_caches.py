@@ -30,7 +30,7 @@ def test_clear_caches_empties_every_cache():
     analysis.winding_count(analysis.PolyPair(P=(1.0, 0.5), Q=(0.2,)), p)
     analysis.j_table(p)
     caches = _module_caches()
-    assert len(caches) == 10, sorted(caches)
+    assert len(caches) == 9, sorted(caches)
     assert all(c.cache_info().currsize > 0 for c in caches.values()), {
         name: c.cache_info() for name, c in caches.items()}
     clear_caches()

@@ -261,10 +261,6 @@ class TestOval:
             for got, want in zip(ov.point_tangent(grid), ov.point_tangent(flat)):
                 assert got.shape == shape
                 assert (got == want.reshape(shape)).all()
-        # a 2-d grid of points around the center (1, 1), well inside
-        grid = flat.reshape(3, 4)
-        inside = ov.contains(1.0 + 1e-3 * np.cos(grid), 1.0 + 1e-3 * np.sin(grid))
-        assert inside.shape == (3, 4) and inside.all()
 
     def test_vertices_on_level(self, p4):
         ov = oval(-0.5, p4)

@@ -1228,15 +1228,16 @@ def _bound_reports(sc: BoundScanner, weights, weights_G) -> list[BoundReport]:
 
 def _reconstruction_error(sc: BoundScanner, mu, muG) -> float:
     """Check I(h) = h * int_{-2/3}^h xi^-2 G(xi) d xi against the moment
-    route, at three interior levels."""
+    route, at three interior levels.  The weighted rows are summed by numpy's
+    add.reduce in a fixed order: a BLAS gemv's bits vary with the kernel."""
     hc = sc.params.center_h
     lo = sc.prop.lo
 
     def G_of(h):  # flat, as MomentBasis takes 1-d levels
-        return muG @ sc._basis("G", np.ravel(h))
+        return np.add.reduce(muG[:, None] * sc._basis("G", np.ravel(h)))
 
     def I_of(h):
-        return float(mu @ sc._basis("I", np.array([h]))[:, 0])
+        return float(np.add.reduce(mu * sc._basis("I", np.array([h]))[:, 0]))
 
     worst = 0.0
     scale = max(abs(I_of(0.5 * (sc.window[0] + sc.window[1]))), 1e-12)

@@ -11,9 +11,10 @@ satisfy V = B(h) V' with the 6x6 matrix
     I-11 = ((k-1)/k) I10' + (1/k) I-10' + (3h/2) I-11'
 
 so V' = B(h)^{-1} V is a linear ODE in h whose coefficient matrix is regular
-exactly away from the critical levels (det B is a multiple of
-(9h^2-4)(9kh^2-4)^2).  Derivatives of any order follow from the closed ODE
-by exact matrix calculus, never by finite differences (FD appears only in
+exactly away from the critical levels: det B = (3h-2)(3h+2)(9kh^2-4)^2 /
+(144 k^2).  ``pf_solve`` applies B(h)^{-1} in closed form, and derivatives
+of any order follow from the Taylor recursion (n+1) B v_{n+1} = (1 - n B') v_n
+of the closed ODE, never by finite differences (FD appears only in
 cross-check tests).
 
 The moments across the annulus come by two independent routes from the
@@ -50,10 +51,10 @@ from .errors import (
     PathProximityError,
     SingularityError,
 )
-from .model import ModelParams, h_from_s, s_from_h
+from .model import ModelParams, h_from_s, make_params, s_from_h
 from .quadrature import basis_values
 
-COND_LIMIT = 1e12  # cond(B) above which the derivatives are refused
+SINGULAR_GAP = 1e-10  # distance in h to a critical level within which V' is refused
 # Both moment routes span the annulus less WINDOW_MARGIN at each end and start
 # from one quadrature oracle call at its midpoint, so they share its cache.
 WINDOW_MARGIN = 1e-8
@@ -82,15 +83,8 @@ def pf_matrix(h: float, params: ModelParams) -> np.ndarray:
     ])
 
 
-# dB/dh is constant
-_B_PRIME = np.zeros((6, 6))
-_B_PRIME[0, 0] = 1.5
-_B_PRIME[1, 1] = 1.0
-_B_PRIME[2, 2] = 1.0
-_B_PRIME[3, 0] = 3.0 / 8.0
-_B_PRIME[3, 3] = 0.75
-_B_PRIME[4, 4] = 3.0
-_B_PRIME[5, 5] = 1.5
+# dB/dh: B is affine in h, and kappa enters only B(0)
+_B_PRIME = pf_matrix(1.0, make_params(2.0)) - pf_matrix(0.0, make_params(2.0))
 
 
 def pf_residuals(pf: PFVector, params: ModelParams) -> np.ndarray:
@@ -98,47 +92,79 @@ def pf_residuals(pf: PFVector, params: ModelParams) -> np.ndarray:
     return pf.values - pf_matrix(pf.h, params) @ pf.derivs
 
 
-def _refined_solve(B: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """B x = v (or a stack of such systems), refined once with the residual
-    in extended precision: a plain solve is off by up to cond(B) eps."""
-    x = np.linalg.solve(B, v)
-    return x + np.linalg.solve(B, (v - B.astype(np.longdouble) @ x).astype(float))
+def _split(x):  # Veltkamp: x = hi + lo, halves of 26 bits
+    hi = 134217729.0 * x - (134217729.0 * x - x)
+    return hi, x - hi
 
 
-def pf_derivatives(h: float, values, params: ModelParams) -> np.ndarray:
-    """The unique primed six-vector solving the system at (h, kappa).
-
-    Raises SingularityError near the critical levels where B is singular,
-    reporting the condition number.
-    """
-    B = pf_matrix(h, params)
-    cond = np.linalg.cond(B)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularityError(
-            f"Picard-Fuchs matrix nearly singular at h={h}: cond(B) = {cond:.3e}")
-    return _refined_solve(B, np.asarray(values, dtype=float))
+def _two_product(a, b):  # Dekker: p + e = a b exactly
+    (ah, al), (bh, bl), p = _split(a), _split(b), a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def pf_derivative_chain(h: float, values, params: ModelParams):
-    """(V', V'', V''') by exact differentiation of the closed linear ODE
-    V' = X(h) V with X = B^{-1}:
+def _denominators(h, kappa: float):
+    """(3h - 2)(3h + 2) and 9 kappa h^2 - 4, the factors of det B, compensated
+    so that no digits cancel: 3h = p + e exactly, then (p -+ 2) + e."""
+    p, e = _two_product(3.0, h)
+    return ((p - 2.0) + e) * ((p + 2.0) + e), 4.0 * _s_minus_one(h, kappa)
 
-        V''  = (X' + X X) V,            X'  = -X B' X
-        V''' = (X'' + 2 X' X + X X' + X X X) V,   X'' = 2 X B' X B' X
 
-    (B'' = 0 since B is affine in h).  This is the production route to
-    higher derivatives; finite differences serve only as an independent
-    oracle in tests.
-    """
-    v = np.asarray(values, dtype=float)
-    X = np.linalg.inv(pf_matrix(h, params))
-    Bp = _B_PRIME
-    Xp = -X @ Bp @ X
-    Xpp = 2.0 * X @ Bp @ X @ Bp @ X
-    d1 = X @ v
-    d2 = (Xp + X @ X) @ v
-    d3 = (Xpp + 2.0 * Xp @ X + X @ Xp + X @ X @ X) @ v
-    return d1, d2, d3
+def _solve_factored(h, v, kappa: float, d1, d2):
+    """B(h)^{-1} v given (d1, d2) = ``_denominators(h, kappa)``, by B's
+    blocks: rows 1 and 3 over d1, row 0 over d2, row 2 from row 0 of B, and
+    the (I-10, I-11) block, coupled to I10', over d2."""
+    k = kappa
+    v0, v1, v2, v3, v4, v5 = v
+    x1 = (2.0 * v0 + 9.0 * h * v1 - 8.0 * v3) / d1
+    x3 = (12.0 * h * v3 - 3.0 * h * v0 - 6.0 * v1) / d1
+    x0 = (6.0 * k * (h * v0 - v2) + 4.0 * (k - 1.0) * x3) / d2
+    x2 = v0 - 1.5 * h * x0
+    x4 = (3.0 * k * h * v4 - 4.0 * k * v5 + 4.0 * (k - 1.0) * x1) / d2
+    x5 = (6.0 * k * h * v5 - 2.0 * v4 - 6.0 * (k - 1.0) * h * x1) / d2
+    return x0, x1, x2, x3, x4, x5
+
+
+def pf_solve(h, v, kappa: float):
+    """B(h)^{-1} v in closed form, a tuple of six floats (h a float) or of six
+    rows (h n levels, v six rows), with the same bits level by level.  Next to
+    the center it keeps full precision; next to the saddle B^{-1} has a pole
+    where V' has only a log singularity, so a loss of cond(B) eps is inherent."""
+    return _solve_factored(h, v, kappa, *_denominators(h, kappa))
+
+
+def _check_regular(h, kappa: float):
+    """SingularityError when h (or a level of an array) lies within SINGULAR_GAP
+    of a root of 9 a^2 h^2 - 4, a = 1 or sqrt(kappa), by the compensated factors."""
+    d1, d2 = _denominators(h, kappa)
+    a = math.sqrt(kappa)
+    gap = np.ravel(np.minimum(abs(d1) / (3.0 * (3.0 * abs(h) + 2.0)),
+                              abs(d2) / (3.0 * a * (3.0 * a * abs(h) + 2.0))))
+    i = np.argmin(gap >= SINGULAR_GAP)  # the first level refused, NaN included
+    if not gap[i] >= SINGULAR_GAP:
+        raise SingularityError(f"Picard-Fuchs matrix singular at h={float(np.ravel(h)[i])}: "
+                               f"{gap[i]:.3e} from a critical level")
+
+
+def _taylor(c: float, v, kappa: float, order: int, r: float = 1.0) -> list:
+    """a_n = v_n r^n, n <= order: the Taylor coefficients v_n of V about the
+    level c, from (n + 1) B(c) v_{n+1} = (1 - n B') v_n (B is affine in h),
+    in plain floats summed in a fixed order, so no BLAS kernel moves a bit."""
+    d1, d2 = _denominators(c, kappa)
+    b_prime = [(i, j, float(b)) for (i, j), b in np.ndenumerate(_B_PRIME) if b]
+    a = [[float(x) for x in v]]
+    for n in range(order):
+        w = list(a[n])
+        for i, j, b in b_prime:
+            w[i] -= n * b * a[n][j]
+        a.append([r / (n + 1) * x for x in _solve_factored(c, w, kappa, d1, d2)])
+    return a
+
+
+def pf_derivatives(h, values, params: ModelParams) -> np.ndarray:
+    """V' = B(h)^{-1} V at a level, or (6, n) at n levels; SingularityError
+    within SINGULAR_GAP of a critical level."""
+    _check_regular(h, params.kappa)
+    return np.array(pf_solve(h, np.asarray(values, dtype=float), params.kappa))
 
 
 class PFPropagation:
@@ -146,12 +172,11 @@ class PFPropagation:
     from the quadrature oracle at the window midpoint (both window endpoints
     are singular levels, the midpoint is maximally conditioned).
 
-    Provides pointwise values/derivatives of any order up to three through
-    the exact ODE chain, for vectorized evaluation on level grids.
-
-    The derivatives are a solve with B(h): within 1e-6 of the window of an
-    end, cond(B) reaches 1e7 and ``derivs`` loses 6-7 digits (J at the bound
-    scanner's end nodes is 6e-11 to 1.2e-9 off at kappa 1.5, 4 and 9).
+    Provides pointwise values and derivatives up to order three (``derivs``,
+    ``chain``), for vectorized evaluation on level grids.  B^{-1} has a pole
+    at both window ends (cond(B) reaches 1e7 within 1e-6 of the window of an
+    end), so DOP853's error in V is magnified there: J at the bound scanner's
+    end nodes is 1e-10 to 5e-10 off at kappa 1.5, 4 and 9.
     """
 
     def __init__(self, params: ModelParams):
@@ -162,7 +187,7 @@ class PFPropagation:
             raise DomainError("PFPropagation window must sit inside the annulus interval")
         self.h_mid = 0.5 * (self.lo + self.hi)
         self.v_mid = basis_values(self.h_mid, params, tol=ORACLE_TOL)
-        rhs = lambda hh, v: _refined_solve(pf_matrix(hh, params), v)
+        rhs = lambda hh, v: pf_solve(float(hh), v.tolist(), params.kappa)
         kw = dict(method="DOP853", rtol=PROPAGATION_TOL, dense_output=True,
                   atol=1e-3 * PROPAGATION_TOL * np.max(np.abs(self.v_mid)))
         self._left = solve_ivp(rhs, (self.h_mid, self.lo), self.v_mid, **kw)
@@ -185,24 +210,16 @@ class PFPropagation:
         return out[:, 0] if scalar else out
 
     def derivs(self, h):
-        """The primed six-vector at a scalar level, or (6, n) at n levels:
-        B is affine in h, so the n matrices B(0) + h B' get one batched cond
-        check and one batched solve (per level the same as ``pf_derivatives``)."""
-        h = np.asarray(h, dtype=float)
-        if h.ndim == 0:
-            return pf_derivatives(float(h), self.values(h), self.params)
-        vals = self.values(h)
-        B = pf_matrix(0.0, self.params) + h[:, None, None] * _B_PRIME
-        cond = np.linalg.cond(B)
-        bad = ~np.isfinite(cond) | (cond > COND_LIMIT)
-        if np.any(bad):
-            i = np.argmax(bad)
-            raise SingularityError(
-                f"Picard-Fuchs matrix nearly singular at h={h[i]}: cond(B) = {cond[i]:.3e}")
-        return _refined_solve(B, vals.T[:, :, None])[:, :, 0].T
+        """The primed six-vector at a scalar level, or (6, n) at n levels,
+        each level's bits those of ``pf_derivatives`` at that level alone."""
+        return pf_derivatives(h, self.values(h), self.params)
 
     def chain(self, h: float):
-        return pf_derivative_chain(float(h), self.values(float(h)), self.params)
+        """(V', V'', V''') at h: the n! v_n, n = 1, 2, 3, of ``_taylor``."""
+        h, k = float(h), self.params.kappa
+        _check_regular(h, k)
+        a = _taylor(h, self.values(h), k, 3)
+        return tuple(math.factorial(n) * np.array(a[n]) for n in (1, 2, 3))
 
 
 SERIES_ORDER = 40     # Taylor terms kept per expansion
@@ -257,22 +274,17 @@ class MomentBasis:
         """(c, r, a): the scaled Taylor coefficients a_n = v_n r^n, n <= order,
         of V about c, with r the distance from c to the nearest critical level."""
         r = float(np.min(np.abs(self._critical - c)))
-        X = r * np.linalg.inv(pf_matrix(c, self.params))
-        XB = X @ _B_PRIME
-        a = np.empty((SERIES_ORDER + 1, 6))
-        a[0] = v
-        for n in range(SERIES_ORDER):
-            a[n + 1] = (X - n * XB) @ a[n] / (n + 1)
-        return c, r, a
+        return c, r, np.array(_taylor(c, v, self.params.kappa, SERIES_ORDER, r))
 
     def _continue(self, start, end: float) -> list:
-        """Expansions from ``start`` toward ``end`` until one covers it."""
+        """Expansions from ``start`` toward ``end`` until one covers it, each
+        started from the last one summed by add.reduce, not a BLAS gemv."""
         powers = np.arange(SERIES_ORDER + 1)
         c, r, a = start
         step = math.copysign(SERIES_STEP, end - c)
         out = []
         while abs(end - c) > SERIES_STEP / (2.0 - SERIES_STEP) * r:
-            c, r, a = self._expand(c + step * r, step ** powers @ a)
+            c, r, a = self._expand(c + step * r, np.add.reduce(step ** powers[:, None] * a))
             out.append((c, r, a))
         return out
 
@@ -359,17 +371,11 @@ class MomentBasis:
 # closed-form derivative formulas for (J1, J2) = (I00', I11')
 # ---------------------------------------------------------------------------
 
-def _pole_guard(h: float, params: ModelParams):
-    k = params.kappa
-    if abs(9.0 * h * h - 4.0) < 1e-12 or abs(9.0 * k * h * h - 4.0) < 1e-12:
-        raise SingularityError(f"derivative formulas have a pole at h={h}")
-
-
 def derivative_formulas(order: str, h: float, J1: float, J2: float,
                         params: ModelParams) -> np.ndarray:
     """The closed rational expressions for (I00'', I11'') or
     (I00''', I11''') in terms of (J1, J2) = (I00', I11')."""
-    _pole_guard(h, params)
+    _check_regular(h, params.kappa)
     k = params.kappa
     d1 = 9.0 * h * h - 4.0
     d2 = 9.0 * k * h * h - 4.0
@@ -445,16 +451,8 @@ def hypergeometric_J(s, params: ModelParams) -> np.ndarray:
 def _s_minus_one(h, kappa: float):
     """s - 1 = (9 kappa / 4) h^2 - 1 at the double h and kappa, with the
     products compensated so that no digits cancel near the saddle (s = 1)."""
-    def split(x):  # Veltkamp: x = hi + lo, halves of 26 bits
-        hi = 134217729.0 * x - (134217729.0 * x - x)
-        return hi, x - hi
-
-    def two_product(a, b):  # Dekker: p + e = a b exactly
-        (ah, al), (bh, bl), p = split(a), split(b), a * b
-        return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-    (c, c_err), (hh, hh_err) = two_product(2.25, kappa), two_product(h, h)
-    s, s_err = two_product(c, hh)
+    (c, c_err), (hh, hh_err) = _two_product(2.25, kappa), _two_product(h, h)
+    s, s_err = _two_product(c, hh)
     return (s - 1.0) + (s_err + c * hh_err + c_err * hh)
 
 

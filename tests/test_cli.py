@@ -229,25 +229,30 @@ class TestCommands:
         digests = self._digests_under_kernels(tmp_path, ["moments", "--kappa", "4"])
         assert digests == dict.fromkeys(digests, self.MOMENTS_GOLDEN_SHA256)
 
-    @pytest.mark.parametrize("args", [["verify", "--kappa", "4"],
-                                      ["zeros", "--kappa", "1.5", "--kappa", "4", "--kappa", "9"]],
-                             ids=["verify", "zeros"])
-    def test_statuses_independent_of_blas_kernel(self, args, tmp_path):
-        # the values in these CSVs still move in their last bits with the
-        # kernel (zeros.csv in its I-reconstruction rows); every row's status
-        # does not, nor any count or chain row of zeros.csv
-        (_, first), *others = ((core, read_report(path)) for core, path
-                               in self._csvs_under_kernels(tmp_path, args).items())
+    # `q4lab zeros --kappa 1.5 --kappa 4 --kappa 9`: the scanner's rows come
+    # from MomentBasis, whose series apply B(h)^-1 in closed form and sum in a
+    # fixed order, and the I-reconstruction check sums its weighted rows with
+    # add.reduce, so no byte depends on the kernel.  Pinned when B(h)^-1 went
+    # closed form: only the three I-reconstruction rows moved
+    ZEROS_GOLDEN_SHA256 = "1353eb3501b42202f8254f7385900ff3a34dcb88969efe47912dfa49c8254d86"
+
+    def test_zeros_bytes_independent_of_blas_kernel(self, tmp_path):
+        digests = self._digests_under_kernels(
+            tmp_path, ["zeros", "--kappa", "1.5", "--kappa", "4", "--kappa", "9"])
+        assert digests == dict.fromkeys(digests, self.ZEROS_GOLDEN_SHA256)
+
+    def test_statuses_independent_of_blas_kernel(self, tmp_path):
+        # the DOP853 rows of residuals.csv (pf:*, J:*, R:dual-route) still
+        # move in their last bits with the kernel, since scipy's stage sums
+        # are BLAS dots; no row's status does
+        paths = self._csvs_under_kernels(tmp_path, ["verify", "--kappa", "4"])
+        (_, first), *others = ((core, read_report(path)) for core, path in paths.items())
 
         def statuses(rows):
             return [[r[c] for c in ("kappa", "level", "quantity", "status")] for r in rows]
 
-        def counts(rows):
-            return [r for r in rows if r["quantity"] == "chain" or r["quantity"].startswith("count:")]
-
         for core, rows in others:
             assert statuses(rows) == statuses(first), core
-            assert counts(rows) == counts(first), core
 
     # winding.csv with F = P + Q J2 / J1 summed from the contour's columns of
     # s^k; against Horner and (P J1 + Q J2) / J1 only the six
@@ -293,9 +298,11 @@ class TestCommands:
     # residuals.csv 37 of 55 rows moved, all still passing.  Re-pinned when
     # area2d became one slice integral between the oval's folds: 46 of the
     # 48 agreement rows moved (the worst from 7.0e-14 to 4.7e-15), no green
-    # row and no status
+    # row and no status.  residuals.csv re-pinned when B(h)^-1 went closed
+    # form: 19 of 55 rows moved (13 pf:* rows at -0.6, -0.5 and -0.4, five
+    # R:dual-route rows and J:wronskian-real), all still passing
     MOMENTS_GOLDEN_SHA256 = "076642f763442e965dc93e05bb6e4efa90954d31875b7998658a7baa6a5ac088"
-    RESIDUALS_GOLDEN_SHA256 = "c6cea8e37e1776ea8b9a3f1bdb1ac266c083876b526d2e90a2a6d549ef757a6b"
+    RESIDUALS_GOLDEN_SHA256 = "49ee396bcd8a14cf44ab80e172322186c847d61a8f97a7770899a90df34d8596"
 
     @pytest.mark.parametrize("command", ["moments", "verify"])
     def test_moments_and_residuals_golden_bytes(self, tmp_path, command):

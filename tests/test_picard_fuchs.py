@@ -99,7 +99,7 @@ class TestSixEquationSystem:
         assert np.allclose(d2, 3.0 * d1, rtol=1e-13)
 
     def test_singular_matrix_near_critical(self, p4):
-        with pytest.raises(SingularityError, match="cond"):
+        with pytest.raises(SingularityError, match="from a critical level"):
             pf_derivatives(p4.saddle_h + 1e-15, np.ones(6), p4)
 
     def test_det_factorization(self, p4):
@@ -108,6 +108,89 @@ class TestSixEquationSystem:
         for h in (-0.5, -0.41, -0.62):
             expect = (9 * h * h - 4) * (9 * k * h * h - 4) ** 2 / (144 * k * k)
             assert np.linalg.det(pf_matrix(h, p4)) == pytest.approx(expect, rel=1e-12)
+
+
+KAPPAS_SOLVE = [1.01, 1.5, 4.0, 9.0, 1000.0]
+
+
+def _mp_solve(h, v, kappa):
+    """B(h)^-1 v at the doubles h, kappa and v with 50 digits."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        h, k, half = mp.mpf(h), mp.mpf(kappa), mp.mpf(1) / 2
+        B = mp.matrix([
+            [3 * h / 2, 0, 1, 0, 0, 0],
+            [0, h, 0, mp.mpf(2) / 3, 0, 0],
+            [2 / (3 * k), 0, h, 2 * (k - 1) / (3 * k), 0, 0],
+            [3 * h / 8, half, half / 2, 3 * h / 4, 0, 0],
+            [0, 0, 0, 0, 3 * h, 2],
+            [0, (k - 1) / k, 0, 0, 1 / k, 3 * h / 2]])
+        return mp.lu_solve(B, mp.matrix([mp.mpf(float(x)) for x in v]))
+
+
+class TestClosedFormSolve:
+    def test_block_form_is_the_sympy_inverse(self):
+        # B^-1 has 24 nonzero entries: rows 1 and 3 over 9h^2 - 4 alone,
+        # rows 0, 2, 4 and 5 over (9h^2 - 4)(9 kappa h^2 - 4), numerators of
+        # degree <= 3 in h; the block form reproduces every column
+        import sympy as sp
+
+        h, k = sp.symbols("h kappa")
+        R = sp.Rational
+        B = sp.Matrix([
+            [R(3, 2) * h, 0, 1, 0, 0, 0],
+            [0, h, 0, R(2, 3), 0, 0],
+            [2 / (3 * k), 0, h, 2 * (k - 1) / (3 * k), 0, 0],
+            [R(3, 8) * h, R(1, 2), R(1, 4), R(3, 4) * h, 0, 0],
+            [0, 0, 0, 0, 3 * h, 2],
+            [0, (k - 1) / k, 0, 0, 1 / k, R(3, 2) * h]])
+        d1, d2 = 9 * h**2 - 4, 9 * k * h**2 - 4
+        assert sp.factor(B.det() - d1 * d2**2 / (144 * k**2)) == 0
+        inv = B.inv()
+        zeros = {(i, j) for i in range(6) for j in range(6) if sp.simplify(inv[i, j]) == 0}
+        assert zeros == {(i, j) for i in range(4) for j in (4, 5)} | {(1, 2), (3, 2), (4, 2), (5, 2)}
+        for i in range(6):
+            for j in range(6):
+                num = sp.cancel(inv[i, j] * (d1 if i in (1, 3) else d1 * d2))
+                assert num.is_polynomial(h, k) and sp.degree(num, h) <= 3, (i, j)
+        assert sp.simplify(inv[0, 0] - 6 * h * (9 * k * h**2 - 6 * k + 2) / (d1 * d2)) == 0
+        for j in range(6):
+            col = pf._solve_factored(h, list(sp.eye(6)[:, j]), k, d1, d2)
+            for i in range(6):
+                assert sp.simplify(sp.nsimplify(col[i], rational=True) - inv[i, j]) == 0, (i, j)
+
+    @pytest.mark.parametrize("kappa", KAPPAS_SOLVE)
+    def test_matches_50_digits(self, kappa):
+        # the moments at 1e-8 to 1 - 1e-8 of the window: within 4 eps cond(B)
+        # everywhere, and within 1e-14 next to the center, where 3h + 2
+        # cancels
+        p = make_params(kappa)
+        basis = MomentBasis(p)
+        eps = np.finfo(float).eps
+        for q in (1e-8, 1e-6, 0.1, 0.5, 0.9, 1 - 1e-6, 1 - 1e-8):
+            h = basis.lo + q * (basis.hi - basis.lo)
+            v = basis.values(h)
+            got, want = pf.pf_solve(h, v, kappa), _mp_solve(h, v, kappa)
+            err = [abs(float(w - float(g))) for g, w in zip(got, want)]
+            scale = max(abs(float(w)) for w in want)
+            assert max(err) <= 4.0 * eps * np.linalg.cond(pf_matrix(h, p)) * scale, q
+            if q < 1e-5:
+                assert all(e <= 1e-14 * abs(float(w)) for e, w in zip(err, want)), q
+
+    @pytest.mark.parametrize("kappa", KAPPAS_SOLVE)
+    def test_refuses_levels_next_to_critical(self, kappa):
+        # a grid within 1e-9 of both window ends: refused wherever
+        # cond(B) > 1e12 (the earlier gate), and never on the window itself
+        p = make_params(kappa)
+        offsets = np.geomspace(1e-17, 1e-9, 81)
+        for end in (p.center_h, p.saddle_h):
+            for h in np.concatenate([end - offsets, [end], end + offsets]):
+                if np.linalg.cond(pf_matrix(h, p)) > 1e12:
+                    with pytest.raises(SingularityError, match="from a critical level"):
+                        pf_derivatives(float(h), np.ones(6), p)
+        hs = np.linspace(p.center_h + pf.WINDOW_MARGIN, p.saddle_h - pf.WINDOW_MARGIN, 513)
+        assert np.isfinite(pf_derivatives(hs, np.ones((6, hs.size)), p)).all()
 
 
 class TestPropagation:
@@ -417,8 +500,8 @@ class TestMomentBasis:
         hs = np.append(grid[::2], grid[-1])
         Va, Vb = ode.values(hs), basis.values(hs)
         assert np.all(np.max(np.abs(Vb - Va), axis=1) <= 1e-10 * np.max(np.abs(Va), axis=1))
-        # the DOP853 derivatives are a solve with B(h), which loses digits as
-        # cond(B) grows toward both ends; compare where cond(B) <= 1e6 ...
+        # the DOP853 derivatives are B(h)^-1 of its values, whose error grows
+        # with cond(B) toward both ends; compare where cond(B) <= 1e6 ...
         Da, Db = ode.derivs(hs), basis.derivs(hs)
         cond = np.array([np.linalg.cond(pf_matrix(h, p)) for h in hs])
         inner = cond <= 1e6
@@ -454,9 +537,9 @@ class TestMomentBasis:
                 assert abs(float((J[0] - want[0]) / want[0])) <= 1e-9
 
     def test_dop853_derivs_do_not_hang_on_the_oracle_bits(self, monkeypatch):
-        # with plain solves, moving the midpoint oracle by an ulp or two put
-        # the DOP853 derivatives 1e-10 to 5e-10 of their sup off the basis in
-        # most draws at kappa 1.5 (cond(B) up to 1e6); refined, 1e-11
+        # with plain LAPACK solves, moving the midpoint oracle by an ulp or
+        # two put the DOP853 derivatives 1e-10 to 5e-10 of their sup off the
+        # basis in most draws at kappa 1.5 (cond(B) up to 1e6)
         p = make_params(1.5)
         grid = bound_scanner(p).hs
         hs = np.append(grid[::2], grid[-1])
@@ -474,7 +557,8 @@ class TestMomentBasis:
     @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
     def test_dop853_J_at_the_scanner_end_nodes(self, kappa):
         # the end nodes, cond(B) 1e7: J within 2e-9 of 40 digits (5.5e-8 at
-        # kappa 1.5 before the solves were refined)
+        # kappa 1.5 with plain LAPACK solves; 1e-10 to 5e-10 with B^-1 in
+        # closed form, DOP853's error in V magnified by the pole of B^-1)
         p = make_params(kappa)
         grid = bound_scanner(p).hs
         d = PFPropagation(p).derivs(grid[[0, -1]])

@@ -75,6 +75,7 @@ from .picard_fuchs import (
     Line,
     _l2_kummer_pair,
     _s_minus_one,
+    _two_product,
     apply_L2,
     continue_state,
     hypergeometric_J,
@@ -264,7 +265,8 @@ class L2Frame:
         self._to_frame = np.linalg.inv(_l2_kummer_pair(self.mid, params.kappa)[:, :, 0])
         # Abel's formula for L2, W'/W = (9 kappa h^2 - 8) / (h (9 kappa h^2 - 4)), gives
         # the Wronskian x1 x2' - x1' x2 = C h^2 / sqrt(9 kappa h^2 - 4); W(mid) = 1 fixes C
-        self.abel = 2.0 * math.sqrt(_s_minus_one(self.mid, params.kappa)) / self.mid**2
+        sm1 = _s_minus_one(self.mid, _two_product(2.25, params.kappa))
+        self.abel = 2.0 * math.sqrt(sm1) / self.mid**2
         # frame(h): rows x1, x1', x2, x2' at the levels h, kept on grids for the trials
         self.frame = _GridMemo(lambda h: np.einsum(
             "ijn,jk->kin", _l2_kummer_pair(h, params.kappa), self._to_frame).reshape(4, -1))
@@ -1296,7 +1298,7 @@ def _variation_solution(frame: L2Frame, R, c):
     Chebyshev interpolant in t whose degree doubles from 64 until its last
     four coefficients are below 1e-13 of its largest."""
     k = frame.params.kappa
-    t_of = lambda h: np.sqrt(_s_minus_one(np.asarray(h, dtype=float), k))
+    t_of = lambda h: np.sqrt(_s_minus_one(np.asarray(h, dtype=float), _two_product(2.25, k)))
     domain = [t_of(frame.window[1]), t_of(frame.window[0])]  # t falls as h rises
 
     def antiderivative(row):

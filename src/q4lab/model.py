@@ -411,19 +411,20 @@ class Oval:
         read-only arrays shaped like theta (a scalar gives shape (1,)).
 
         The radius derivative comes from implicit differentiation of
-        H(center + r e(theta)) = level.  Memoised per oval and row (green's
-        15 GK nodes of one panel), keyed by the row's bytes; the rows not
-        seen before are solved in one batched call.  The indices refine
-        different subsets of the same panels, so each panel is solved once.
+        H(center + r e(theta)) = level.  Stored per oval and row (green's 15
+        GK nodes of one panel), keyed by the row's bytes, the rows not seen
+        before solved in one call: batches on one oval (a basis batch, then
+        single indices) share panels, and each is solved once.
         """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         rows = theta.reshape(-1, theta.shape[-1])
         keys = [row.tobytes() for row in rows]
         new = {k: n for n, k in enumerate(keys) if k not in self._tangents}
         if new:
-            solved = np.stack(self._point_tangent(rows[list(new.values())]), axis=1)
-            self._tangents.update(zip(new, solved))  # (4, n) per row
-        out = np.stack([self._tangents[k] for k in keys], axis=1).reshape((4,) + theta.shape)
+            solved = np.stack(self._point_tangent(rows[list(new.values())]))
+            self._tangents.update(zip(new, solved.swapaxes(0, 1)))  # (4, n) per row
+        out = (solved if len(new) == len(keys)  # all new: no gather
+               else np.stack([self._tangents[k] for k in keys], axis=1)).reshape((4,) + theta.shape)
         out.flags.writeable = False
         return tuple(out)
 

@@ -102,11 +102,11 @@ def _two_product(a, b):  # Dekker: p + e = a b exactly
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _denominators(h, kappa: float):
-    """(3h - 2)(3h + 2) and 9 kappa h^2 - 4, the factors of det B, compensated
-    so that no digits cancel: 3h = p + e exactly, then (p -+ 2) + e."""
+def _denominators(h, ck):
+    """(3h - 2)(3h + 2) and 9 kappa h^2 - 4, ck = _two_product(2.25, kappa), the
+    factors of det B, compensated: 3h = p + e exactly, then (p -+ 2) + e."""
     p, e = _two_product(3.0, h)
-    return ((p - 2.0) + e) * ((p + 2.0) + e), 4.0 * _s_minus_one(h, kappa)
+    return ((p - 2.0) + e) * ((p + 2.0) + e), 4.0 * _s_minus_one(h, ck)
 
 
 def _solve_factored(h, v, kappa: float, d1, d2):
@@ -129,13 +129,13 @@ def pf_solve(h, v, kappa: float):
     rows (h n levels, v six rows), with the same bits level by level.  Next to
     the center it keeps full precision; next to the saddle B^{-1} has a pole
     where V' has only a log singularity, so a loss of cond(B) eps is inherent."""
-    return _solve_factored(h, v, kappa, *_denominators(h, kappa))
+    return _solve_factored(h, v, kappa, *_denominators(h, _two_product(2.25, kappa)))
 
 
 def _check_regular(h, kappa: float):
     """SingularityError when h (or a level of an array) lies within SINGULAR_GAP
     of a root of 9 a^2 h^2 - 4, a = 1 or sqrt(kappa), by the compensated factors."""
-    d1, d2 = _denominators(h, kappa)
+    d1, d2 = _denominators(h, _two_product(2.25, kappa))
     a = math.sqrt(kappa)
     gap = np.ravel(np.minimum(abs(d1) / (3.0 * (3.0 * abs(h) + 2.0)),
                               abs(d2) / (3.0 * a * (3.0 * a * abs(h) + 2.0))))
@@ -149,7 +149,7 @@ def _taylor(c: float, v, kappa: float, order: int, r: float = 1.0) -> list:
     """a_n = v_n r^n, n <= order: the Taylor coefficients v_n of V about the
     level c, from (n + 1) B(c) v_{n+1} = (1 - n B') v_n (B is affine in h),
     in plain floats summed in a fixed order, so no BLAS kernel moves a bit."""
-    d1, d2 = _denominators(c, kappa)
+    d1, d2 = _denominators(c, _two_product(2.25, kappa))
     b_prime = [(i, j, float(b)) for (i, j), b in np.ndenumerate(_B_PRIME) if b]
     a = [[float(x) for x in v]]
     for n in range(order):
@@ -187,7 +187,8 @@ class PFPropagation:
             raise DomainError("PFPropagation window must sit inside the annulus interval")
         self.h_mid = 0.5 * (self.lo + self.hi)
         self.v_mid = basis_values(self.h_mid, params, tol=ORACLE_TOL)
-        rhs = lambda hh, v: pf_solve(float(hh), v.tolist(), params.kappa)
+        k, ck = params.kappa, _two_product(2.25, params.kappa)  # once, not per call
+        rhs = lambda hh, v: _solve_factored(float(hh), v.tolist(), k, *_denominators(float(hh), ck))
         kw = dict(method="DOP853", rtol=PROPAGATION_TOL, dense_output=True,
                   atol=1e-3 * PROPAGATION_TOL * np.max(np.abs(self.v_mid)))
         self._left = solve_ivp(rhs, (self.h_mid, self.lo), self.v_mid, **kw)
@@ -448,10 +449,10 @@ def hypergeometric_J(s, params: ModelParams) -> np.ndarray:
     return np.array([J1, J2])
 
 
-def _s_minus_one(h, kappa: float):
-    """s - 1 = (9 kappa / 4) h^2 - 1 at the double h and kappa, with the
-    products compensated so that no digits cancel near the saddle (s = 1)."""
-    (c, c_err), (hh, hh_err) = _two_product(2.25, kappa), _two_product(h, h)
+def _s_minus_one(h, ck):
+    """s - 1 = (9 kappa / 4) h^2 - 1 at the double h, ck = _two_product(2.25, kappa),
+    compensated so that no digits cancel near the saddle (s = 1)."""
+    (c, c_err), (hh, hh_err) = ck, _two_product(h, h)
     s, s_err = _two_product(c, hh)
     return (s - 1.0) + (s_err + c * hh_err + c_err * hh)
 
@@ -463,7 +464,7 @@ def _l2_kummer_pair(h, kappa: float) -> np.ndarray:
     2F1(-1/3, 1/3; 3/2; 1 - s) is its Kummer pair at s = 1, real for s > 1
     (left of the saddle level).  ' is d/dh, with ds/dh = 9 kappa h / 2."""
     h = np.atleast_1d(np.asarray(h, dtype=float))
-    sm1 = _s_minus_one(h, kappa)
+    sm1 = _s_minus_one(h, _two_product(2.25, kappa))
     w = -sm1
     r = np.sqrt(sm1)
     f2 = hyp2f1(-1.0 / 3.0, 1.0 / 3.0, 1.5, w)

@@ -9,8 +9,9 @@ symmetric picture (region {H(x, y) < h}).  Two independent methods:
 * ``green``   reduce to a contour integral over the oval by Green's theorem
               and integrate with adaptive Gauss-Kronrod panels in the ray
               angle; the primary method.  The ray geometry (point and
-              tangent at the 15 nodes of a panel) is memoised on the oval
-              per panel, so each panel's rays are solved once for all indices.
+              tangent at the 15 nodes of a panel) is stored on the oval per
+              panel, so batches on one oval (a basis batch, then single
+              indices) solve each panel's rays once.
 * ``area2d``  one Fubini integral over vertical slices: the oval's slice at
               x is (r1, r2), the top two roots of the slice cubic, for every
               x between the two folds (the x-sides of the bounding box), so
@@ -22,7 +23,10 @@ symmetric picture (region {H(x, y) < h}).  Two independent methods:
               center, stands for the premise.
 
 Both refine batches of integrals in one GK loop, ``_gk_refine`` (as does the
-I-reconstruction check); the six symmetric-form basis moments are one batch.
+I-reconstruction check), on one panel set per batch: a panel is halved
+wherever an integral of the batch needs it, as in DCUHRE and SciPy's
+``quad_vec``, and each integral stops at its own budget.  The six
+symmetric-form basis moments are one batch; any other index is a batch of one.
 The module also evaluates the residues of the underlying third-kind
 differential and a discriminant detecting singular level curves.
 
@@ -97,7 +101,7 @@ class MomentValue:
     value: float
     method: str
     err_estimate: float
-    panels: int  # GK panels at the end
+    panels: int  # GK panels at the end, shared by every moment of its batch
     saturated: bool  # stopped at the panel cap with the error above its budget
 
 
@@ -108,64 +112,48 @@ def cached_oval(h: float, kappa: float, form: HamiltonianForm) -> Oval:
 
 def _gk_sums(fx: np.ndarray):
     """GK15(7) value and error estimate of each panel from its weighted
-    integrand values fx (P, 15), the weights holding the half-width, summed
-    per row by numpy's add.reduce: a BLAS gemv's bits vary with the kernel."""
-    k = np.add.reduce(fx * _WGK, axis=1)
-    return k, np.abs(k - np.add.reduce(fx[:, 1::2] * _WG, axis=1))
+    integrand values fx (..., P, 15), the weights holding the half-width,
+    summed over the last axis by numpy's add.reduce: a BLAS gemv's bits vary
+    with the kernel."""
+    k = np.add.reduce(fx * _WGK, axis=-1)
+    return k, np.abs(k - np.add.reduce(fx[..., 1::2] * _WG, axis=-1))
 
 
 def _gk_refine(nodes, sums, panels: tuple, offsets: list, rel: float, max_panels: int,
                whats: list) -> list:
-    """Integral k is offsets[k] plus the GK sum over its panels, from shared
-    first panels (arrays of any tags, then the ends lo and hi), to its own
-    budget rel |integral| (QUADPACK's QAG criterion).  Each round halves, per
-    integral, every panel above an even share of the budget, and the worst,
-    as many as ``max_panels`` has room for (stopped there, it logs one
-    WARNING naming whats[k]).  ``nodes(*panels)`` gives the node data of all
-    new panels, each distinct one once, with the panel on axis -2, and
-    ``sums(k, *data)`` integral k's value and error on its own panels.
-    Returns (value, error, panels, saturated) per integral."""
-    data, out = nodes(*panels), [None] * len(offsets)
-    live = {k: (panels, *sums(k, *data)) for k in range(len(offsets))}
+    """Integral k is offsets[k] plus the GK sum over the batch's one panel set,
+    from first panels (arrays of any tags, then the ends lo and hi), to its own
+    budget rel |integral| (QUADPACK's QAG criterion).  Each round halves every
+    panel where an integral above its budget errs by more than an even share
+    of it, and each such integral's worst; the worst by their largest error go
+    first when ``max_panels`` has less room.  Stopped there, an integral above
+    its budget logs one WARNING naming whats[k].  ``nodes(*panels)`` gives the
+    node data of each round's new panels, ``sums(*data)`` their (integrals,
+    panels) values and errors.  Returns (value, error, panels, saturated) each."""
+    value, err = sums(*nodes(*panels))
     while True:
-        new = {}
-        for k, (panels, value, err) in list(live.items()):
-            total = offsets[k] + float(np.sum(value))
-            target = rel * max(abs(total), 1e-300)
-            est = float(np.sum(err))
-            if not est > target or value.size >= max_panels:
-                if est > target:
-                    logger.warning("%s stopped at %d panels (max_panels=%d): error estimate "
-                                   "%.3e above the target %.3e (relative budget %.3e)",
-                                   whats[k], value.size, max_panels, est, target, rel)
-                out[k] = (total, est, value.size, est > target)
-                del live[k]
-                continue
-            split = err > target / value.size
-            split[np.argmax(err)] = True  # the worst panel, should rounding leave none above
-            room = max_panels - value.size
-            if np.count_nonzero(split) > room:  # the worst first, to end at max_panels
-                split = np.isin(np.arange(err.size), np.argsort(-err, kind="stable")[:room])
-            *tags, lo, hi = (a[split] for a in panels)
-            mid = 0.5 * (lo + hi)
-            new[k] = (*(np.tile(t, 2) for t in tags), np.concatenate([lo, mid]),
-                      np.concatenate([mid, hi]))
-            live[k] = (tuple(np.concatenate([a[~split], b]) for a, b in zip(panels, new[k])),
-                       value[~split], err[~split])
-        if not new:
-            return out
-        # each new panel's first occurrence (lexsort is stable), and the distinct ones
-        cat = [np.concatenate(a) for a in zip(*new.values())]
-        srt = np.lexsort(cat)
-        lead = np.r_[True, np.any([a[srt[1:]] != a[srt[:-1]] for a in cat], axis=0)]
-        first = np.empty_like(srt)
-        first[srt] = srt[lead][np.cumsum(lead) - 1]
-        distinct, rows = np.unique(first, return_inverse=True)
-        data = nodes(*(a[distinct] for a in cat))
-        for k, r in zip(new, np.split(rows, np.cumsum([h[-1].size for h in new.values()])[:-1])):
-            panels, value, err = live[k]
-            v, e = sums(k, *(d.take(r, axis=-2) for d in data))
-            live[k] = (panels, np.concatenate([value, v]), np.concatenate([err, e]))
+        total, est = offsets + np.add.reduce(value, axis=1), np.add.reduce(err, axis=1)
+        target, size = rel * np.maximum(np.abs(total), 1e-300), value.shape[1]
+        over = est > target
+        if not over.any() or size >= max_panels:
+            for k in np.flatnonzero(over):
+                logger.warning("%s stopped at %d panels (max_panels=%d): error estimate "
+                               "%.3e above the target %.3e (relative budget %.3e)",
+                               whats[k], size, max_panels, est[k], target[k], rel)
+            return [(float(t), float(e), size, bool(o)) for t, e, o in zip(total, est, over)]
+        worst = err[over]
+        split = (worst > (target[over] / size)[:, None]).any(axis=0)
+        split[worst.argmax(axis=1)] = True  # each one's worst, should rounding leave none above
+        if np.count_nonzero(split) > max_panels - size:  # the worst first, to end at the cap
+            rank = np.argsort(-worst.max(axis=0), kind="stable")
+            split = np.isin(np.arange(size), rank[:max_panels - size])
+        *tags, lo, hi = (a[split] for a in panels)
+        mid = 0.5 * (lo + hi)
+        new = (*(np.tile(t, 2) for t in tags), np.concatenate([lo, mid]),
+               np.concatenate([mid, hi]))
+        v, e = sums(*nodes(*new))
+        panels = tuple(np.concatenate([a[~split], b]) for a, b in zip(panels, new))
+        value, err = (np.concatenate([a[:, ~split], b], axis=1) for a, b in ((value, v), (err, e)))
 
 
 def _adaptive_gk(f, a: float, b: float, tol: float, max_panels: int = 4000):
@@ -176,7 +164,7 @@ def _adaptive_gk(f, a: float, b: float, tol: float, max_panels: int = 4000):
         return half, f(0.5 * (lo + hi)[:, None] + half * _XGK)
 
     edges = np.linspace(a, b, 9)
-    return _gk_refine(nodes, lambda _, half, fx: _gk_sums(half * fx), (edges[:-1], edges[1:]),
+    return _gk_refine(nodes, lambda half, fx: _gk_sums(half * fx[None]), (edges[:-1], edges[1:]),
                       [0.0], tol, max_panels, [f"adaptive GK on [{a!r}, {b!r}]"])[0][:2]
 
 
@@ -187,10 +175,10 @@ def _moments_green(ijs: tuple, ov: Oval, tol: float) -> list:
         half = 0.5 * (hi - lo)[:, None]
         return (half, *ov.point_tangent(0.5 * (lo + hi)[:, None] + half * _XGK))
 
-    def sums(k, half, x, y, dx, dy):
-        i, j = ijs[k]
-        f = x ** (i + 1) * y**j / (i + 1) * dy if i != -1 else -(x**i) * y ** (j + 1) / (j + 1) * dx
-        return _gk_sums(half * f)
+    def sums(half, x, y, dx, dy):
+        return _gk_sums(half * np.stack([
+            x ** (i + 1) * y**j / (i + 1) * dy if i != -1 else -(x**i) * y ** (j + 1) / (j + 1) * dx
+            for i, j in ijs]))
 
     edges = np.linspace(0.0, 2.0 * math.pi, 9)
     return _gk_refine(nodes, sums, (edges[:-1], edges[1:]), [0.0] * len(ijs), tol, 4000,
@@ -241,10 +229,12 @@ AREA2D_MAX_PANELS = 2000
 AREA2D_RUN_PANELS = 4  # equal initial panels on each of the two runs
 
 
-def _panels_gk(i: int, j: int, nodes):
-    """GK15(7) value and error estimate of x^i y^j on each panel."""
+def _panels_gk(ijs: tuple, nodes):
+    """GK15(7) values and error estimates (indices, panels) of x^i y^j,
+    (i, j) in ijs, on each panel."""
     x, w, r1, r2 = nodes
-    return _gk_sums(x**i * w * (r2 ** (j + 1) - r1 ** (j + 1)) / (j + 1))
+    return _gk_sums(np.stack([x**i * w * (r2 ** (j + 1) - r1 ** (j + 1)) / (j + 1)
+                              for i, j in ijs]))
 
 
 def _area2d_panels(ov: Oval) -> tuple:
@@ -272,7 +262,7 @@ def _moments_area2d(ijs: tuple, ov: Oval, tol: float) -> list:
     [x_min, x_max]: one batched GK pass over the two runs' panels, to
     0.02 tol |moment| each."""
     return _gk_refine(lambda *panels: _slice_nodes(ov, *panels),
-                      lambda k, *nodes: _panels_gk(*ijs[k], nodes),
+                      lambda *nodes: _panels_gk(ijs, nodes),
                       _area2d_panels(ov), [0.0] * len(ijs), 0.02 * tol, AREA2D_MAX_PANELS,
                       [f"area2d I_{i}_{j} at h={ov.h!r}" for i, j in ijs])
 
@@ -287,9 +277,9 @@ def moment(index: MomentIndex, h: float, params: ModelParams,
     and at most AREA2D_MAX_PANELS.
 
     A symmetric-form basis index (BASIS_INDICES) brings its five siblings,
-    refined as one batch, each to the value it gets alone.  Results are
-    cached per batch, (indices, h, kappa, form, method, tol): ovals and
-    moments depend on kappa only, never on the perturbation weights.
+    refined as one batch, each to its own budget on the batch's shared
+    panels.  Results are cached per batch, (indices, h, kappa, form, method,
+    tol): ovals and moments depend on kappa only, never on the weights.
     """
     return _moment(index, h, params.kappa, method, tol)
 

@@ -73,7 +73,8 @@ def green_reference(i: int, j: int, ov, tol: float):
 def area2d_reference(i: int, j: int, ov, tol: float):
     """I_ij by area2d, refined alone (see ``gk_refine_reference``)."""
     panels = quad._area2d_panels(ov)
-    evaluate = lambda *panels: quad._panels_gk(i, j, quad._slice_nodes(ov, *panels))
+    evaluate = lambda *panels: tuple(a[0] for a in quad._panels_gk(
+        ((i, j),), quad._slice_nodes(ov, *panels)))
     return gk_refine_reference(evaluate, panels, *evaluate(*panels), 0.0, 0.02 * tol,
                                quad.AREA2D_MAX_PANELS)
 

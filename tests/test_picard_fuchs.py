@@ -178,6 +178,21 @@ class TestClosedFormSolve:
             if q < 1e-5:
                 assert all(e <= 1e-14 * abs(float(w)) for e, w in zip(err, want)), q
 
+    def test_right_hand_side_splits_kappa_once(self, monkeypatch):
+        # DOP853's right-hand side forms (9/4) kappa = c + c_err once per
+        # propagation, not per call, and keeps pf_solve's bits at every level
+        splits, seen = [], []
+        split, solve = pf._two_product, pf._solve_factored
+        monkeypatch.setattr(pf, "_two_product", lambda a, b: (
+            a == 2.25 and splits.append(b)) or split(a, b))
+        monkeypatch.setattr(pf, "_solve_factored", lambda h, v, *a: seen.append(
+            (h, list(v), solve(h, v, *a))) or seen[-1][2])
+        PFPropagation(make_params(4.0))
+        monkeypatch.undo()
+        assert splits == [4.0] and len(seen) > 100
+        for h, v, got in seen:
+            assert type(h) is float and got == pf.pf_solve(h, v, 4.0)
+
     @pytest.mark.parametrize("kappa", KAPPAS_SOLVE)
     def test_refuses_levels_next_to_critical(self, kappa):
         # a grid within 1e-9 of both window ends: refused wherever

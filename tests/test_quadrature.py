@@ -464,14 +464,15 @@ class TestOneGKEngine:
 
 
 class TestBatchedMoments:
-    """The six basis moments of a (level, method, tol) refine as one batch;
-    each keeps its own panels, budget and cap, so each value equals the one
-    it gets refined alone (``conftest``'s per-index reference)."""
+    """The six basis moments of a (level, method, tol) refine as one batch on
+    one shared panel set, split wherever an index above its budget needs it;
+    each index keeps its own budget and saturation flag, and a batch of one
+    is the per-index rule (``conftest``'s reference) bit for bit."""
 
-    @pytest.mark.parametrize("kappa", [1.01, 1.5, 4.0, 9.0, 1000.0])
-    def test_batch_equals_per_index_refinement(self, kappa, monkeypatch):
+    @staticmethod
+    def _ovals(kappa):
+        """The ovals of both forms at five levels, with their basis indices."""
         p = make_params(kappa)
-        compared = 0
         for level in (0.01, 0.08, 0.5, 0.92, 0.99):
             h = interior_levels(p, 1, level, level)[0]
             for form in (HamiltonianForm.SYMMETRIC_FORM, HamiltonianForm.CUBIC_FORM):
@@ -479,52 +480,88 @@ class TestBatchedMoments:
                     ov = oval(h, p, form=form)
                 except DegenerateLevelError:
                     continue
-                ijs = tuple(ij for ij in BASIS if ij[0] >= 0 or ov.min_x > 1e-6)
-                calls = {"nodes": 0, "front": 0, "solve": 0}
-                count = lambda name, f: lambda *a: calls.__setitem__(name, calls[name] + 1) or f(*a)
-                with monkeypatch.context() as m:
-                    m.setattr(quad, "_slice_nodes", count("nodes", quad._slice_nodes))
-                    m.setattr(Oval, "point_tangent", count("front", Oval.point_tangent))
-                    m.setattr(Oval, "_point_tangent", count("solve", Oval._point_tangent))
-                    green = quad._moments_green(ijs, ov, 1e-10)
-                    solves = calls["solve"]
-                    area2d = quad._moments_area2d(ijs, ov, 1e-8)
-                for got, ref_of, name in ((green, green_reference, "front"),
-                                          (area2d, area2d_reference, "nodes")):
-                    refs = [ref_of(*ij, ov, 1e-10 if name == "front" else 1e-8) for ij in ijs]
-                    for ij, (value, err, panels, saturated), ref in zip(ijs, got, refs):
-                        assert (value.hex(), err.hex(), panels) == (
-                            ref[0].hex(), ref[1].hex(), ref[2]), (kappa, level, form, name, ij)
-                        assert not saturated
-                    # one evaluation per round of the slowest index, plus the first
-                    assert calls[name] == 1 + max(ref[3] for ref in refs), (kappa, level, form)
-                # each round's new rows reach the ray solver in one call
-                assert solves == calls["front"]
-                compared += 1
+                yield (level, form), ov, tuple(ij for ij in BASIS if ij[0] >= 0 or ov.min_x > 1e-6)
+
+    @pytest.mark.parametrize("kappa", [1.01, 1.5, 4.0, 9.0, 1000.0])
+    def test_batch_meets_each_budget_on_shared_panels(self, kappa, monkeypatch):
+        # green at 1e-10 and area2d at 1e-8: every index within its own budget,
+        # unsaturated, and within err + err_ref of its per-index reference
+        compared = 0
+        for where, ov, ijs in self._ovals(kappa):
+            seen = {"green": [], "area2d": [], "solve": [], "sums": []}
+            spy = lambda name, f, rows: lambda *a: seen[name].append(rows(*a)) or f(*a)
+            with monkeypatch.context() as m:
+                m.setattr(Oval, "point_tangent", spy("green", Oval.point_tangent,
+                                                     lambda ov, th: th))
+                m.setattr(Oval, "_point_tangent", spy("solve", Oval._point_tangent,
+                                                      lambda ov, th: th))
+                m.setattr(quad, "_slice_nodes", spy("area2d", quad._slice_nodes,
+                                                    lambda ov, *panels: np.stack(panels, 1)))
+                m.setattr(quad, "_gk_sums", spy("sums", quad._gk_sums, lambda fx: fx))
+                green = quad._moments_green(ijs, ov, 1e-10)
+                solves, rounds = len(seen["solve"]), {"green": len(seen["sums"])}
+                area2d = quad._moments_area2d(ijs, ov, 1e-8)
+                rounds["area2d"] = len(seen["sums"]) - rounds["green"]
+            for got, ref_of, name, tol, rel in (
+                    (green, green_reference, "green", 1e-10, 1e-10),
+                    (area2d, area2d_reference, "area2d", 1e-8, 0.02 * 1e-8)):
+                for ij, (value, err, panels, saturated) in zip(ijs, got):
+                    ref_value, ref_err, *_ = ref_of(*ij, ov, tol)
+                    assert err <= rel * abs(value) and not saturated, (kappa, where, name, ij)
+                    assert abs(value - ref_value) <= err + ref_err, (kappa, where, name, ij)
+                # one panel set, reported by every index; each panel evaluated
+                # once, in one node call per round (one sums call each)
+                [size] = {panels for _, _, panels, _ in got}
+                rows = [bytes(row) for call in seen[name] for row in call]
+                assert len(rows) == len(set(rows)) == 2 * size - 8, (kappa, where, name)
+                assert len(seen[name]) == rounds[name], (kappa, where, name)
+            # each round's new rows reach the ray solver in one call
+            assert solves == len(seen["green"])
+            compared += 1
         assert compared >= 6
 
-    def test_saturated_index_leaves_the_others_alone(self, p4, caplog, monkeypatch):
-        # at this level and tol I_-1_0 needs 10 panels, every other index its 8 initial ones
-        h, ijs = interior_levels(p4, 1, 0.86, 0.86)[0], [MomentIndex(*ij) for ij in BASIS]
-        clear_caches()
-        free = [moment(ij, h, p4, "area2d", 1e-12) for ij in ijs]
-        assert not any(m.saturated for m in free)
-        most, cap = sorted(m.panels for m in free)[-2:][::-1]
-        assert most > cap  # one index needs more panels than every other
-        monkeypatch.setattr(quad, "AREA2D_MAX_PANELS", cap)
-        clear_caches()
-        with caplog.at_level(logging.WARNING, logger="q4lab"):
-            capped = [moment(ij, h, p4, "area2d", 1e-12) for ij in ijs]
-        clear_caches()
-        records = [r for r in caplog.records if r.name == "q4lab.quadrature"]
-        [hit] = [n for n, m in enumerate(free) if m.panels == most]
-        assert len(records) == 1
-        assert f"area2d I_{BASIS[hit][0]}_{BASIS[hit][1]} at" in records[0].getMessage()
-        assert [m.saturated for m in capped] == [n == hit for n in range(len(ijs))]
-        assert capped[hit].panels == cap and capped[hit].err_estimate > free[hit].err_estimate
-        for n, (a, b) in enumerate(zip(free, capped)):
-            if n != hit:
-                assert (a.value, a.err_estimate, a.panels) == (b.value, b.err_estimate, b.panels)
+    @pytest.mark.parametrize("kappa", [1.01, 1.5, 4.0, 9.0, 1000.0])
+    def test_batch_of_one_is_the_per_index_rule(self, kappa):
+        for where, ov, ijs in self._ovals(kappa):
+            for ij in ijs:
+                for refine, ref_of, tol in ((quad._moments_green, green_reference, 1e-10),
+                                            (quad._moments_area2d, area2d_reference, 1e-8)):
+                    [(value, err, panels, saturated)] = refine((ij,), ov, tol)
+                    ref = ref_of(*ij, ov, tol)
+                    assert (value.hex(), err.hex(), panels) == (
+                        ref[0].hex(), ref[1].hex(), ref[2]), (kappa, where, ij)
+                    assert not saturated
+
+    def test_cap_flags_exactly_the_indices_above_budget(self, p4, caplog, monkeypatch):
+        # at this level and tol the batch needs 12 panels; capped at 8 (its
+        # first panels), 10 and 11 it stops at the cap with three, two and one
+        # index above its budget
+        ov, tol = oval(interior_levels(p4, 1, 0.86, 0.86)[0], p4), 1e-13
+        free = quad._moments_area2d(tuple(BASIS), ov, tol)
+        assert not any(saturated for *_, saturated in free)
+        assert {panels for _, _, panels, _ in free} == {12}
+        flagged = []
+        for cap in (8, 10, 11):
+            monkeypatch.setattr(quad, "AREA2D_MAX_PANELS", cap)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="q4lab"):
+                capped = quad._moments_area2d(tuple(BASIS), ov, tol)
+            above = [err > 0.02 * tol * abs(value) for value, err, *_ in capped]
+            flagged.append(sum(above))
+            assert [saturated for *_, saturated in capped] == above
+            assert {panels for _, _, panels, _ in capped} == {cap}
+            records = [r for r in caplog.records if r.name == "q4lab.quadrature"]
+            assert all(r.levelno == logging.WARNING and f"max_panels={cap})" in r.getMessage()
+                       for r in records)
+            named = [re.match(r"area2d I_(-?\d)_(\d) at", r.getMessage()).groups()
+                     for r in records]
+            assert sorted(named) == sorted(
+                (str(i), str(j)) for (i, j), hit in zip(BASIS, above) if hit)
+            if cap == 8:  # no round ran: each index is the per-index rule at its cap
+                for ij, (value, err, panels, _) in zip(BASIS, capped):
+                    ref = area2d_reference(*ij, ov, tol)
+                    assert (value.hex(), err.hex(), panels) == (ref[0].hex(), ref[1].hex(), 8)
+        assert flagged == [3, 2, 1]
 
     def test_basis_index_brings_its_siblings(self, p4, monkeypatch):
         # the first basis index refines all six; the others are read back,
@@ -593,6 +630,25 @@ class TestRayGeometryMemo:
         for ij in BASIS:
             quad._moments_green((ij,), ov, 1e-10)
         assert len(solved) == len(set(solved)) == len(asked)
+
+    @pytest.mark.parametrize("form", [HamiltonianForm.SYMMETRIC_FORM, HamiltonianForm.CUBIC_FORM])
+    def test_batch_then_single_indices_solve_each_row_once(self, p4, form, monkeypatch):
+        # a batch asks for no row twice; the store shares rows across batches
+        # on one oval, as reduction asks its single indices one at a time
+        ov = oval(interior_levels(p4, 1, 0.5, 0.5)[0], p4, form=form)
+        solved, asked = [], []
+        solve, memo = Oval._point_tangent, Oval.point_tangent
+        monkeypatch.setattr(Oval, "_point_tangent", lambda self, th: solved.extend(
+            row.tobytes() for row in th) or solve(self, th))
+        monkeypatch.setattr(Oval, "point_tangent", lambda self, th: asked.extend(
+            row.tobytes() for row in th) or memo(self, th))
+        quad._moments_green(tuple(ij for ij in BASIS if ij[0] >= 0 or ov.min_x > 1e-6), ov, 1e-10)
+        batch = len(asked)
+        assert len(set(asked)) == batch
+        for ij in ((0, 3), (2, 1), (3, 0)):
+            quad._moments_green((ij,), ov, 1e-10)
+        assert len(solved) == len(set(solved)) == len(set(asked))
+        assert len(asked) > len(set(asked))  # the singles asked again for rows of the batch
 
     def test_point_tangent_read_only(self, p4, monkeypatch):
         # the memo keeps rows, not arrays: a second request assembles new,

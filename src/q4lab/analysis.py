@@ -32,8 +32,8 @@ boundary only, and ``winding_count`` takes the lower half from its mirror.
 
 One closed form gives J everywhere: ``hypergeometric_J`` (J2 through
 Euler's transformation) on the J table's real interval, on the keyhole, and
-at the scanner's levels through ``MomentBasis``; continuation of (J, W) once
-around the keyhole (``keyhole_by_continuation``) is kept as the check.
+at the scanner's levels through ``MomentBasis``; continuation of W (J its first
+column) once around the keyhole (``keyhole_by_continuation``) is kept as the check.
 
 The Chebyshev probe studies the residue solution f(h) of L2 x = 0 given by
 the residue of the underlying differential at (0, y0(h)): it checks
@@ -73,8 +73,10 @@ from .model import ModelParams, cubic_real_roots, make_params, real_roots_y
 from .picard_fuchs import (
     Arc,
     Line,
+    _Jet,
     _l2_kummer_pair,
     _s_minus_one,
+    _stack,
     _two_product,
     apply_L2,
     continue_state,
@@ -83,7 +85,7 @@ from .picard_fuchs import (
 )
 from .melnikov import CENTER_Z, center_z, extract_R_coeffs, get_moment_basis
 from .quadrature import _adaptive_gk
-from .reduction import mu_G_from_eq211
+from .reduction import G_rows, I_rows, JJ_value, mu_G_from_eq211
 
 J_MARGIN = 1e-3      # JTable spans (1, kappa) less this fraction of kappa - 1 at each end
 SCAN_MARGIN = 1e-6   # the scanner's window: the annulus less this fraction at each end
@@ -500,7 +502,7 @@ class KeyholeContour:
 
 
 def keyhole_by_continuation(params: ModelParams, epsilon: float = 1e-3):
-    """The keyhole samples by continuation of (J, W) once around the
+    """The keyhole samples by continuation of W (J = W[:, 0]) once around the
     boundary from the quadrature oracle at s = sqrt(kappa), the independent
     check of ``KeyholeContour``.  Returns (samples, closure_drift,
     det_drift): the samples at the points of ``_keyhole_pieces``, and the
@@ -680,59 +682,12 @@ def vn_sample_test(n: int, trials: int, params: ModelParams, seed: int,
 # the bound pipeline (empirical bound chain)
 # ---------------------------------------------------------------------------
 
-class _Jet:
-    """A function and its first two h-derivatives, three arrays with one
-    entry per level or per cell.  A signed jet holds the values at levels.
-    A magnitude jet (``mag``) holds upper bounds of |f|, |f'| and |f''| over
-    cells; its arithmetic is the same sum, Leibniz and chain rules with
-    every term counted positive, so its results are bounds again."""
-
-    __slots__ = ("f", "mag")
-    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
-
-    def __init__(self, f, mag: bool):
-        self.f, self.mag = tuple(f), mag
-
-    def _jet(self, o) -> _Jet:
-        return o if isinstance(o, _Jet) else _Jet((abs(o) if self.mag else o, 0.0, 0.0), self.mag)
-
-    def __add__(self, o):
-        return _Jet([a + b for a, b in zip(self.f, self._jet(o).f)], self.mag)
-
-    def __neg__(self):
-        return self if self.mag else _Jet([-a for a in self.f], False)
-
-    def __sub__(self, o):
-        return self + -self._jet(o)
-
-    def __rsub__(self, o):
-        return self._jet(o) - self
-
-    def __mul__(self, o):
-        (a, a1, a2), (b, b1, b2) = self.f, self._jet(o).f
-        return _Jet((a * b, a1 * b + a * b1, a2 * b + 2.0 * a1 * b1 + a * b2), self.mag)
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def of(self, z: _Jet) -> _Jet:
-        """This jet in z composed with z(h), a jet in h."""
-        (g, g1, g2), (_, z1, z2) = self.f, z.f
-        return _Jet((g, g1 * z1, g2 * z1 * z1 + g1 * z2), self.mag)
-
-
 # derivatives of J1 / c = F(1/6, 5/6; 1; z) and of F(5/6, 1/6; 2; z), the second
 # piece of J2, as (scale, a, b, c): d^k/dz^k = scale * F(a, b; c; z)
 _F_DERIVS = (((1.0, 1 / 6, 5 / 6, 1.0), (5 / 36, 7 / 6, 11 / 6, 2.0),
               (5 / 36 * 77 / 72, 13 / 6, 17 / 6, 3.0)),
              ((1.0, 5 / 6, 1 / 6, 2.0), (5 / 72, 11 / 6, 7 / 6, 3.0),
               (5 / 72 * 77 / 108, 17 / 6, 13 / 6, 4.0)))
-
-
-def _stack(jets) -> _Jet:
-    """Jets of one kind stacked into one whose arrays have a leading row axis."""
-    shape = np.broadcast_shapes(*(np.shape(y) for j in jets for y in j.f))
-    return _Jet([np.stack([np.broadcast_to(j.f[c], shape) for j in jets]) for c in range(3)],
-                jets[0].mag)
 
 
 def _series_jet(coef, z, mag: bool) -> _Jet:
@@ -805,9 +760,9 @@ def _row_ingredients(sc: BoundScanner, h, cells=None) -> dict:
         zlo, z = np.minimum(zl, zh), np.maximum(zl, zh)
         one_minus_z = _Jet((1.0 - zlo, 1.0, 0.0), True)
     else:
-        H = _Jet((h, 1.0, 0.0), False)
+        H = _Jet((h, 1.0, 0.0))
         z = center_z(h, k)
-        one_minus_z = _Jet((1.0 - z, -1.0, 0.0), False)
+        one_minus_z = _Jet((1.0 - z, -1.0, 0.0))
     Z = kq - 2.25 * kq * H * H
     F1, F2 = (_Jet([s * hyp2f1(a, b, c, z) for s, a, b, c in rows], mag) for rows in _F_DERIVS)
     cJ = math.pi / math.sqrt(k - 1.0)
@@ -818,7 +773,7 @@ def _row_ingredients(sc: BoundScanner, h, cells=None) -> dict:
             r = 1.0 / np.minimum(*(np.abs(alpha * x * x - 4.0) for x in (lo, hi)))
             return _Jet((r, u.f[1] * r * r, (2.0 * u.f[1] ** 2 * r + u.f[2]) * r * r), True)
         r = 1.0 / u.f[0]
-        return _Jet((r, -u.f[1] * r * r, (2.0 * u.f[1] ** 2 * r - u.f[2]) * r * r), False)
+        return _Jet((r, -u.f[1] * r * r, (2.0 * u.f[1] ** 2 * r - u.f[2]) * r * r))
 
     if mag:
         # every (cell, expansion) pair that meets, bounded on the part it meets
@@ -843,17 +798,17 @@ def _row_ingredients(sc: BoundScanner, h, cells=None) -> dict:
 
 
 def _rows(which: str, L: dict, sc: BoundScanner, center: str = "") -> _Jet:
-    """The four unit-weight rows of I, G or R as one jet of shape (4, n), by
-    the formulas of ``BoundScanner._basis``; for R the direct template or,
+    """The four unit-weight rows of I, G or R as one jet of shape (4, n): I
+    and G by ``reduction``'s ``I_rows``, ``JJ_value`` and ``G_rows``, as
+    ``BoundScanner._basis`` evaluates them; for R the direct template or,
     with ``center`` naming a series of L ("S", or "S_full" on cells), the
     center formula of ``RCoefficients.unit_rows``."""
     k, h, V = sc.params.kappa, L["h"], L["V"]
     if which == "I":
-        return _stack([h * V[0], V[1], V[2], 2.0 * V[4] + 3.0 * k * h * V[5]])
+        return _stack(I_rows(h, V, k))
     J1, J2 = L["J1"], L["J2"]
     if which == "G":
-        JJ = 2.0 * (k * h * V[5] - V[4]) - 2.0 * (k - 1.0) * (V[1] - (2.0 / 3.0) * J2)
-        return _stack([h * h * J1, J2, J1, JJ])
+        return _stack(G_rows(h, J1, J2, JJ_value(h, V, J2, k)))
     if center:
         c = math.pi / math.sqrt(k - 1.0)
         return k * k * c / (16.0 * (k - 1.0) ** 2) * h * L[center] * L["inv2"]
@@ -870,8 +825,7 @@ def _point_rows(sc: BoundScanner, h) -> dict:
     L = _row_ingredients(sc, h)
     out = {which: _rows(which, L, sc) for which in "IGR"}
     near = center_z(h, sc.params.kappa) < CENTER_Z
-    out["R"] = _Jet([np.where(near, c, r) for c, r in zip(_rows("R", L, sc, "S").f, out["R"].f)],
-                    False)
+    out["R"] = _Jet([np.where(near, c, r) for c, r in zip(_rows("R", L, sc, "S").f, out["R"].f)])
     return out
 
 
@@ -957,8 +911,10 @@ class BoundScanner:
     matvec, and ``scan`` counts the zeros of many such rows in one
     ``_count_from_scan``.  Refinement points get the same rows from
     ``_basis``.  The rows come from the per-kappa ``MomentBasis`` (``prop``):
-    R needs only the closed-form J, G also JJ, and I the series values; no
-    ODE is solved.  ``PFPropagation`` is the independent check of these rows.
+    R needs only the closed-form J, G also JJ, and I the series values
+    (``reduction``'s ``G_rows`` and ``I_rows``, which ``_variation`` also
+    differentiates on jets); no ODE is solved.  ``PFPropagation`` is the
+    independent check of these rows.
 
     With the rows come ``var`` and ``mag`` (``_variation``): per row and
     interior node, bounds of how far the row moves over the cell that a
@@ -985,13 +941,11 @@ class BoundScanner:
 
     def _basis(self, which: str, h):
         """Rows of I, G or R for the four unit weights at the levels h."""
-        k = self.params.kappa
         if which == "I":
-            V = self.prop.values(h)
-            return np.stack([h * V[0], V[1], V[2], 2.0 * V[4] + 3.0 * k * h * V[5]])
+            return np.stack(I_rows(h, self.prop.values(h), self.params.kappa))
         J1, J2 = self.prop.J(h)
         if which == "G":
-            return np.stack([h * h * J1, J2, J1, self.prop.JJ(h, J2)])
+            return np.stack(G_rows(h, J1, J2, self.prop.JJ(h, J2)))
         return self.rc.unit_rows(h, J1, J2)
 
     def _f(self, which: str, mu, h):

@@ -63,8 +63,8 @@ class RunConfig:
             raise ValueError("every weight in mu must be finite")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("tol must be finite and positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.mu_mode not in ("explicit", "random_sphere"):

@@ -8,7 +8,8 @@ JJ = -4h I-10' + (3 kappa h^2 - 4) I-11', the normal form is
 
 where (nu1..nu4) are the G-stage weights (see
 :func:`q4lab.reduction.mu_G_from_eq211` for the conversion from the
-canonical stage).  R = L2(G) collapses to
+canonical stage), weighed over ``reduction.G_rows``; ``G_from_chain`` weighs
+them on jets, so G' and G'' follow from ``_Jet``'s Leibniz rule.  R = L2(G) is
 
     R(h) = h [ (a0 + a1 h^2 + a2 h^4 + a3 h^6) J1
              + (b0 + b1 h^2 + b2 h^4) J2 ] / [ (9h^2-4)^2 (9 kappa h^2-4) ]
@@ -42,10 +43,12 @@ from .model import ModelParams, make_params, s_from_h
 from .picard_fuchs import (
     MomentBasis,
     PFPropagation,
+    _Jet,
     apply_L2,
     derivative_formulas,
     hypergeometric_J,
 )
+from .reduction import G_rows, weigh
 
 CENTER_Z = 0.25     # below this z the unit rows of R use the center expansion
 CENTER_TERMS = 30   # its Taylor terms in z
@@ -75,12 +78,11 @@ def _moment_basis(kappa: float) -> MomentBasis:
 
 
 def eval_G(h: float, params: ModelParams) -> float:
-    """G(h) for the G-stage weights stored on ``params``, with J and JJ from
-    the cached ``MomentBasis``."""
-    n1, n2, n3, n4 = params.mu
+    """G(h) for the G-stage weights stored on ``params``: ``weigh`` over the
+    ``G_rows`` of the cached ``MomentBasis``."""
     basis = get_moment_basis(params)
     J1, J2 = basis.J(h)
-    return (n1 * h * h + n3) * J1 + n2 * J2 + n4 * basis.JJ(h, J2)
+    return weigh(params.mu, G_rows(h, J1, J2, basis.JJ(h, J2)))
 
 
 def eval_G_prime(h: float, params: ModelParams):
@@ -90,20 +92,11 @@ def eval_G_prime(h: float, params: ModelParams):
 
 
 def G_from_chain(h: float, chain, params: ModelParams):
-    """(G, G', G'') at h for the weights on ``params``, from ``PFPropagation.chain(h)``."""
-    d1, d2, d3 = chain
-    n1, n2, n3, n4 = params.mu
-    k = params.kappa
-    G = ((n1 * h * h + n3) * d1[0] + n2 * d1[3]
-         + n4 * (-4.0 * h * d1[4] + (3.0 * k * h * h - 4.0) * d1[5]))
-    Gp = (2.0 * n1 * h * d1[0] + (n1 * h * h + n3) * d2[0] + n2 * d2[3]
-          + n4 * (-4.0 * d1[4] - 4.0 * h * d2[4] + 6.0 * k * h * d1[5]
-                  + (3.0 * k * h * h - 4.0) * d2[5]))
-    Gpp = (2.0 * n1 * d1[0] + 4.0 * n1 * h * d2[0] + (n1 * h * h + n3) * d3[0]
-           + n2 * d3[3]
-           + n4 * (-8.0 * d2[4] - 4.0 * h * d3[4] + 6.0 * k * d1[5]
-                   + 12.0 * k * h * d2[5] + (3.0 * k * h * h - 4.0) * d3[5]))
-    return G, Gp, Gpp
+    """(G, G', G'') at h for the weights on ``params``: the ``G_rows`` weighed
+    on jets, V'_i = (d1[i], d2[i], d3[i]) of ``PFPropagation.chain(h)`` and h."""
+    H, D = _Jet((h, 1.0, 0.0)), [_Jet(d) for d in zip(*chain)]
+    JJ = -4.0 * H * D[4] + (3.0 * params.kappa * H * H - 4.0) * D[5]
+    return weigh(params.mu, G_rows(H, D[0], D[3], JJ)).f
 
 
 def eval_R(h: float, params: ModelParams, route: str = "direct") -> float:

@@ -26,13 +26,13 @@ I10' is not a polynomial combination of J1 and J2, nor is JJ modulo the
 kernel of L2 (``MomentBasis``).
 
 Also here: the derived 2x2 second-order system for (J1, J2) =
-(I00', I11'), the closed-form second/third derivative formulas,
-the operators L1 = h d/dh - 1 and
+(I00', I11'), the closed-form second/third derivative formulas, jets
+(``_Jet``: a function and two h-derivatives), the operators L1 = h d/dh - 1 and
 L2 = 5 kappa h - (9 kappa h^2 - 8) d/dh + h (9 kappa h^2 - 4) d^2/dh^2,
 the hypergeometric change of variable s = (9 kappa / 4) h^2, J and the
-Kummer pair of L2 as 2F1 functions of s, and analytic continuation of
-J = (J1, J2) with a fundamental matrix along paths in the complex s-plane
-(the system 6 (s-1)(s-kappa) dJ/ds = N(s) J).
+Kummer pair of L2 as 2F1 functions of s, and analytic continuation of a
+fundamental matrix W, whose first column is J = (J1, J2), along paths in the
+complex s-plane (the system 6 (s-1)(s-kappa) dJ/ds = N(s) J).
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .errors import (
 )
 from .model import ModelParams, h_from_s, make_params, s_from_h
 from .quadrature import basis_values
+from .reduction import JJ_value
 
 SINGULAR_GAP = 1e-10  # distance in h to a critical level within which V' is refused
 # Both moment routes span the annulus less WINDOW_MARGIN at each end and start
@@ -333,14 +334,8 @@ class MomentBasis:
         return out[:, 0] if scalar else out
 
     def JJ(self, h, J2=None):
-        """-4h I-10' + (3 kappa h^2 - 4) I-11' from rows 1, 4 and 5 of
-        V = B V': 2 (kappa h I-11 - I-10) - 2 (kappa - 1)(I10 - (2/3) J2).
-        The 2x2 solve for I-10', I-11' would divide by 9 kappa h^2 - 4, which
-        vanishes at the saddle level; this form does not."""
-        k = self.params.kappa
-        V = self.values(h)
-        J2 = self.J(h)[1] if J2 is None else J2
-        return 2.0 * (k * h * V[5] - V[4]) - 2.0 * (k - 1.0) * (V[1] - (2.0 / 3.0) * J2)
+        """-4h I-10' + (3 kappa h^2 - 4) I-11' at the levels h, by ``JJ_value``."""
+        return JJ_value(h, self.values(h), self.J(h)[1] if J2 is None else J2, self.params.kappa)
 
     def derivs(self, h):
         """V' at a scalar level, shape (6,), or at n levels, shape (6, n):
@@ -408,7 +403,7 @@ def pfs_residuals(h: float, J1: float, J2: float, I200: float, I211: float,
 
 
 # ---------------------------------------------------------------------------
-# the operators
+# the operators, and jets: a function with its first two h-derivatives
 # ---------------------------------------------------------------------------
 
 def apply_L1(I_value: float, I_prime: float, h: float) -> float:
@@ -421,6 +416,53 @@ def apply_L2(g: float, g1: float, g2: float, h: float, params: ModelParams) -> f
     k = params.kappa
     return (5.0 * k * h * g - (9.0 * k * h * h - 8.0) * g1
             + h * (9.0 * k * h * h - 4.0) * g2)
+
+
+class _Jet:
+    """A function and its first two h-derivatives, three arrays with one
+    entry per level or per cell.  A signed jet holds the values at levels.
+    A magnitude jet (``mag``) holds upper bounds of |f|, |f'| and |f''| over
+    cells; its arithmetic is the same sum, Leibniz and chain rules with
+    every term counted positive, so its results are bounds again."""
+
+    __slots__ = ("f", "mag")
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+
+    def __init__(self, f, mag: bool = False):
+        self.f, self.mag = tuple(f), mag
+
+    def _jet(self, o) -> _Jet:
+        return o if isinstance(o, _Jet) else _Jet((abs(o) if self.mag else o, 0.0, 0.0), self.mag)
+
+    def __add__(self, o):
+        return _Jet([a + b for a, b in zip(self.f, self._jet(o).f)], self.mag)
+
+    def __neg__(self):
+        return self if self.mag else _Jet([-a for a in self.f])
+
+    def __sub__(self, o):
+        return self + -self._jet(o)
+
+    def __rsub__(self, o):
+        return self._jet(o) - self
+
+    def __mul__(self, o):
+        (a, a1, a2), (b, b1, b2) = self.f, self._jet(o).f
+        return _Jet((a * b, a1 * b + a * b1, a2 * b + 2.0 * a1 * b1 + a * b2), self.mag)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def of(self, z: _Jet) -> _Jet:
+        """This jet in z composed with z(h), a jet in h."""
+        (g, g1, g2), (_, z1, z2) = self.f, z.f
+        return _Jet((g, g1 * z1, g2 * z1 * z1 + g1 * z2), self.mag)
+
+
+def _stack(jets) -> _Jet:
+    """Jets of one kind stacked into one whose arrays have a leading row axis."""
+    shape = np.broadcast_shapes(*(np.shape(y) for j in jets for y in j.f))
+    return _Jet([np.stack([np.broadcast_to(j.f[c], shape) for j in jets]) for c in range(3)],
+                jets[0].mag)
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +523,16 @@ def _l2_kummer_pair(h, kappa: float) -> np.ndarray:
 
 @dataclass
 class JState:
-    """(J1, J2) = (I00', I11') as functions of s, with a 2x2 fundamental
-    matrix W whose columns are two independent solutions (the first column
-    is J itself); det W is an exact constant of the system."""
+    """(J1, J2) = (I00', I11') as functions of s, held as the first column of
+    a 2x2 fundamental matrix W whose columns are two independent solutions;
+    det W is an exact constant of the system."""
 
     s: complex
-    J: np.ndarray
     W: np.ndarray
+
+    @property
+    def J(self) -> np.ndarray:
+        return self.W[:, 0]
 
     @property
     def det_W(self) -> complex:
@@ -509,9 +554,7 @@ def initial_jstate(s0: float, params: ModelParams) -> JState:
         raise DomainError(f"s0={s0} outside (1, kappa)")
     h0 = h_from_s(s0, params)
     d = pf_derivatives(h0, basis_values(h0, params, tol=ORACLE_TOL), params)
-    J = np.array([d[0], d[3]], dtype=complex)
-    W = np.array([[J[0], 0.0], [J[1], 1.0]], dtype=complex)
-    return JState(s=complex(s0), J=J, W=W)
+    return JState(s=complex(s0), W=np.array([[d[0], 0.0], [d[3], 1.0]], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -600,56 +643,43 @@ def _piece_legal(piece, kappa: float, eps_min: float):
 def continue_state(pieces, state0: JState, params: ModelParams,
                    tol: float = 1e-11, eps_min: float = 1e-4,
                    samples_per_piece: int | None = None):
-    """Analytic continuation of J and W along a sequence of path pieces:
+    """Analytic continuation of W, and with it J = W[:, 0], along path pieces:
     ``Line`` (straight, uniform in s), ``Arc`` (circular, uniform in angle)
     and ``LogLine`` (a segment of a ray from 0, uniform in log s).
 
-    Integrates the realified linear system with an embedded Runge-Kutta
-    pair (DOP853), the step capped by 0.1 / (||A|| |dz/dt|) along each
-    piece.  With ``samples_per_piece`` set, returns per-piece sample arrays
-    (s values, J values) for argument tracking.
+    Integrates the realified dW/dt = A(s) (ds/dt) W with DOP853, the step
+    capped by 0.1 / (||A|| |ds/dt|) along each piece.  With
+    ``samples_per_piece`` set, returns per-piece sample arrays (s values,
+    J values) for argument tracking.
     """
     k = params.kappa
-    X = np.concatenate([state0.J, state0.W.reshape(-1)])
-    Xr = np.concatenate([X.real, X.imag])
+    Wr = np.concatenate([state0.W.real.ravel(), state0.W.imag.ravel()])
     out_samples = []
-    scale0 = np.max(np.abs(X)) + 1e-300
+    scale0 = np.max(np.abs(state0.W)) + 1e-300
 
     for piece in pieces:
         _piece_legal(piece, k, eps_min)
 
         def rhs(t, yr):
-            z = piece.point(t)
-            v = piece.velocity(t)
-            y = yr[:6] + 1j * yr[6:]
-            A = pfs2_matrix(z, k) * v
-            J = A @ y[:2]
-            W = A @ y[2:].reshape(2, 2)
-            dy = np.concatenate([J, W.reshape(-1)])
-            return np.concatenate([dy.real, dy.imag])
+            W = (yr[:4] + 1j * yr[4:]).reshape(2, 2)
+            dW = (pfs2_matrix(piece.point(t), k) * piece.velocity(t)) @ W
+            return np.concatenate([dW.real.ravel(), dW.imag.ravel()])
 
         ts = np.linspace(0.0, 1.0, 65)
-        zs = piece.point(ts)
-        vs = np.broadcast_to(piece.velocity(ts), zs.shape)
-        normA = np.max([np.linalg.norm(pfs2_matrix(z, k)) * abs(v) for z, v in zip(zs, vs)])
+        normA = np.max(np.linalg.norm(pfs2_matrix(piece.point(ts), k), axis=(0, 1))
+                       * np.abs(piece.velocity(ts)))
         max_step = max(0.1 / (normA + 1e-300), 1e-7)
-        t_eval = (np.linspace(0.0, 1.0, samples_per_piece)
-                  if samples_per_piece else None)
-        sol = solve_ivp(rhs, (0.0, 1.0), Xr, method="DOP853", rtol=tol,
-                        atol=tol * scale0 * 1e-2, max_step=max_step, t_eval=t_eval,
-                        dense_output=False)
+        t_eval = np.linspace(0.0, 1.0, samples_per_piece) if samples_per_piece else None
+        sol = solve_ivp(rhs, (0.0, 1.0), Wr, method="DOP853", rtol=tol,
+                        atol=tol * scale0 * 1e-2, max_step=max_step, t_eval=t_eval)
         if not sol.success:
             raise ConvergenceError(f"continuation failed on {piece}: {sol.message}")
-        if samples_per_piece:
-            out_samples.append((piece.point(sol.t), sol.y[:2] + 1j * sol.y[6:8]))
-        Xr = sol.y[:, -1]
+        if samples_per_piece:  # J = W[:, 0] is entries 0 and 2 of the row-major W
+            out_samples.append((piece.point(sol.t), sol.y[0:4:2] + 1j * sol.y[4:8:2]))
+        Wr = sol.y[:, -1]
 
-    Xc = Xr[:6] + 1j * Xr[6:]
-    end = pieces[-1].point(1.0)
-    state = JState(s=complex(end), J=Xc[:2], W=Xc[2:].reshape(2, 2))
-    if samples_per_piece:
-        return state, out_samples
-    return state
+    state = JState(s=complex(pieces[-1].point(1.0)), W=(Wr[:4] + 1j * Wr[4:]).reshape(2, 2))
+    return (state, out_samples) if samples_per_piece else state
 
 
 def propagate_J(path, J0: JState, params: ModelParams, tol: float = 1e-11,
@@ -660,7 +690,7 @@ def propagate_J(path, J0: JState, params: ModelParams, tol: float = 1e-11,
         raise DomainError("path must start at the state's current s")
     pieces = [Line(a, b) for a, b in zip(nodes[:-1], nodes[1:]) if a != b]
     if not pieces:
-        return JState(s=J0.s, J=J0.J.copy(), W=J0.W.copy())
+        return JState(s=J0.s, W=J0.W.copy())
     return continue_state(pieces, J0, params, tol=tol, eps_min=eps_min)
 
 
@@ -680,8 +710,7 @@ def infinity_exponents(params: ModelParams):
     to rounding (the ``Line`` route to about 1e-14)."""
     k = params.kappa
     s0, s1, s2 = 10.0 * k, 1e3 * k, 1e5 * k
-    W = np.eye(2, dtype=complex)
-    state = JState(s=complex(s0), J=W[:, 0].copy(), W=W)
+    state = JState(s=complex(s0), W=np.eye(2, dtype=complex))
     state = continue_state([LogLine(complex(s0), complex(s1))], state, params, tol=1e-12)
     W1 = state.W.copy()
     state = continue_state([LogLine(complex(s1), complex(s2))], state, params, tol=1e-12)

@@ -119,11 +119,10 @@ def _gk_sums(fx: np.ndarray):
     return k, np.abs(k - np.add.reduce(fx[..., 1::2] * _WG, axis=-1))
 
 
-def _gk_refine(nodes, sums, panels: tuple, offsets: list, rel: float, max_panels: int,
-               whats: list) -> list:
-    """Integral k is offsets[k] plus the GK sum over the batch's one panel set,
-    from first panels (arrays of any tags, then the ends lo and hi), to its own
-    budget rel |integral| (QUADPACK's QAG criterion).  Each round halves every
+def _gk_refine(nodes, sums, panels: tuple, rel: float, max_panels: int, whats: list) -> list:
+    """Integral k is the GK sum over the batch's one panel set, from first
+    panels (arrays of any tags, then the ends lo and hi), to its own budget
+    rel |integral| (QUADPACK's QAG criterion).  Each round halves every
     panel where an integral above its budget errs by more than an even share
     of it, and each such integral's worst; the worst by their largest error go
     first when ``max_panels`` has less room.  Stopped there, an integral above
@@ -132,7 +131,7 @@ def _gk_refine(nodes, sums, panels: tuple, offsets: list, rel: float, max_panels
     panels) values and errors.  Returns (value, error, panels, saturated) each."""
     value, err = sums(*nodes(*panels))
     while True:
-        total, est = offsets + np.add.reduce(value, axis=1), np.add.reduce(err, axis=1)
+        total, est = np.add.reduce(value, axis=1), np.add.reduce(err, axis=1)
         target, size = rel * np.maximum(np.abs(total), 1e-300), value.shape[1]
         over = est > target
         if not over.any() or size >= max_panels:
@@ -165,7 +164,7 @@ def _adaptive_gk(f, a: float, b: float, tol: float, max_panels: int = 4000):
 
     edges = np.linspace(a, b, 9)
     return _gk_refine(nodes, lambda half, fx: _gk_sums(half * fx[None]), (edges[:-1], edges[1:]),
-                      [0.0], tol, max_panels, [f"adaptive GK on [{a!r}, {b!r}]"])[0][:2]
+                      tol, max_panels, [f"adaptive GK on [{a!r}, {b!r}]"])[0][:2]
 
 
 def _moments_green(ijs: tuple, ov: Oval, tol: float) -> list:
@@ -181,7 +180,7 @@ def _moments_green(ijs: tuple, ov: Oval, tol: float) -> list:
             for i, j in ijs]))
 
     edges = np.linspace(0.0, 2.0 * math.pi, 9)
-    return _gk_refine(nodes, sums, (edges[:-1], edges[1:]), [0.0] * len(ijs), tol, 4000,
+    return _gk_refine(nodes, sums, (edges[:-1], edges[1:]), tol, 4000,
                       [f"green I_{i}_{j} at h={ov.h!r}" for i, j in ijs])
 
 
@@ -263,7 +262,7 @@ def _moments_area2d(ijs: tuple, ov: Oval, tol: float) -> list:
     0.02 tol |moment| each."""
     return _gk_refine(lambda *panels: _slice_nodes(ov, *panels),
                       lambda *nodes: _panels_gk(ijs, nodes),
-                      _area2d_panels(ov), [0.0] * len(ijs), 0.02 * tol, AREA2D_MAX_PANELS,
+                      _area2d_panels(ov), 0.02 * tol, AREA2D_MAX_PANELS,
                       [f"area2d I_{i}_{j} at h={ov.h!r}" for i, j in ijs])
 
 

@@ -226,6 +226,30 @@ def mu_G_from_eq211(mu, kappa: float) -> np.ndarray:
     ])
 
 
+def I_rows(h, V, kappa: float):
+    """The unit rows of I in the eq211 stage, (h I00, I10, I01, 2 I-10 + 3 kappa
+    h I-11), V the six basis moments; operators only, for floats, arrays, jets."""
+    return h * V[0], V[1], V[2], 2.0 * V[4] + 3.0 * kappa * h * V[5]
+
+
+def JJ_value(h, V, J2, kappa: float):
+    """JJ = -4h I-10' + (3 kappa h^2 - 4) I-11' by rows 1, 4 and 5 of V = B V',
+    without the 2x2 solve for I-10', I-11', which divides by 9 kappa h^2 - 4
+    (zero at the saddle level)."""
+    return 2.0 * (kappa * h * V[5] - V[4]) - 2.0 * (kappa - 1.0) * (V[1] - (2.0 / 3.0) * J2)
+
+
+def G_rows(h, J1, J2, JJ):
+    """The four unit rows of G = L1(I) in the G stage, (h^2 J1, J2, J1, JJ)."""
+    return h * h * J1, J2, J1, JJ
+
+
+def weigh(mu, rows):
+    """sum_m mu[m] rows[m], a left fold in a fixed order: no BLAS dot, and the
+    same on floats, arrays and jets."""
+    return functools.reduce(operator.add, (m * r for m, r in zip(mu, rows)))
+
+
 ROUTES = ("eq22", "eq28", "eq210", "eq211")
 
 
@@ -235,7 +259,8 @@ def assemble_I(h: float, params: ModelParams, route: str = "eq211",
     stored on ``params``, evaluated through the chosen route.
 
     All four routes compute the same function of h; each converts the
-    canonical weights into its own stage internally.
+    canonical weights into its own stage internally.  eq211 is ``weigh``
+    of the weights over ``I_rows``, the scanner's rows of I.
     """
     if route not in ROUTES:
         raise DomainError(f"unknown route {route!r}; expected one of {ROUTES}")
@@ -245,9 +270,8 @@ def assemble_I(h: float, params: ModelParams, route: str = "eq211",
     Ms = lambda i, j: moment_value(i, j, h, params, form=SYM, tol=tol)
 
     if route == "eq211":
-        m1, m2, m3, m4 = mu211
-        return (m1 * h * Ms(0, 0) + m2 * Ms(1, 0) + m3 * Ms(0, 1)
-                + m4 * (2.0 * Ms(-1, 0) + 3.0 * k * h * Ms(-1, 1)))
+        V = [Ms(0, 0), Ms(1, 0), Ms(0, 1), None, Ms(-1, 0), Ms(-1, 1)]  # no I11
+        return weigh(mu211, I_rows(h, V, k))
 
     mu210 = mu_eq210_from_eq211(mu211, k)
     if route == "eq210":

@@ -1,4 +1,7 @@
 import functools
+import os
+import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,27 @@ import q4lab.quadrature as quad
 from q4lab import make_params
 from q4lab.analysis import _keyhole_pieces
 from q4lab.picard_fuchs import hypergeometric_J
+
+
+def openblas_kernels() -> list:
+    """The OpenBLAS kernels this CPU runs, of SkylakeX, Haswell and
+    Prescott, or [] when numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS,
+    whose kernel OPENBLAS_CORETYPE sets at import."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if ("DYNAMIC_ARCH" not in blas.get("openblas configuration", "")
+            or platform.machine().lower() not in ("x86_64", "amd64")):
+        return []
+    from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    need = {"SkylakeX": "AVX512_SKX", "Haswell": "AVX2", "Prescott": "SSE3"}
+    return [core for core, feature in need.items() if cpu.get(feature)]
+
+
+def kernel_env(core: str) -> dict:
+    """The environment of a subprocess that imports this tree's q4lab with
+    OpenBLAS's kernel set to ``core``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
 
 
 def keyhole_reference(params, epsilon: float = 1e-3) -> dict:

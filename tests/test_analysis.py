@@ -1,6 +1,9 @@
 import copy
+import hashlib
 import math
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +15,7 @@ from scipy.optimize import brentq
 
 import frozen_scan
 import q4lab.analysis as an
-from conftest import keyhole_reference
+from conftest import kernel_env, keyhole_reference, openblas_kernels
 from q4lab import (ConsistencyError, ConvergenceError, DomainError, SingularityError,
                    clear_caches, make_params)
 from q4lab.analysis import (
@@ -1187,6 +1190,59 @@ class TestVariationBound:
                     sc.count(which, mu)
         with np.errstate(over="ignore"), pytest.raises(DomainError, match="non-finite"):
             sc.count("R", [1e308, 1e308, 1e308, 1e308])
+
+
+# prints, per kappa, the sha256 of var, mag and reach of I, G and R, joined
+_SCANNER_BOUNDS = """
+import hashlib
+from q4lab.analysis import BoundScanner
+from q4lab.model import make_params
+for kappa in (1.5, 4.0, 9.0):
+    sc = BoundScanner(make_params(kappa), 512)
+    data = b"".join(getattr(sc, n)[w].tobytes() for n in ("var", "mag", "reach") for w in "IGR")
+    print(kappa, hashlib.sha256(data).hexdigest())
+"""
+
+
+class TestScannerBits:
+    """BoundScanner(make_params(kappa), 512) at kappa 1.5, 4 and 9, recorded
+    before its I and G rows and their variation jets moved onto reduction's
+    I_rows, JJ_value and G_rows.  The rows are the same under every kernel;
+    var, mag and reach follow the BLAS kernel of their jets' matrix products,
+    so they are pinned per OpenBLAS kernel."""
+
+    ROWS_SHA256 = {
+        1.5: "3bfd6175d8f94c8cdcc895db68f488fea970c706e8c1cbbdb9883247ba9e5f96",
+        4.0: "b89c13173a32be9d2c7595cb7bbceb006f88be8dafcc19cb1ed2b5bb33ca3636",
+        9.0: "7c504fd3b1d023e3a8fb0149f453cbaa64e3a8020cb30d634b75aa15c0ddf015",
+    }
+    BOUNDS_SHA256 = {
+        "SkylakeX": {1.5: "0f0de916c6698ec499f195cae3fdd4cd6ba111100cc2c0494957e878f6d0a003",
+                     4.0: "43c92a7d13e922333ff3c47ec49d511402302df7d4aad1edea19019e5165e9dd",
+                     9.0: "7f0cfeeaf75ff33eb2af055980e537ed9c7468db894edef2dfb1e1c89cac5f78"},
+        "Haswell": {1.5: "cf8539b9474a90e001b38e354e4ddd856beadac60075196a2cd27fe17b0cc6e7",
+                    4.0: "d7cd5aba979bf361dd60bd9ca366ca1f7e2a02187a0607a18971c518108947ee",
+                    9.0: "fae03e845a694c1b3cf51c072bf3d8f01938d3ab7b9dd6cc835a082d723e90bd"},
+        "Prescott": {1.5: "d12c60095339d6329ebfe34519320edb75c6963b267c643aeeba8f4ed5cabba8",
+                     4.0: "d27e5173e9e9a239452cc03ae58858b8bc2ef84e738b3f2dc5e836e3d7de9b2b",
+                     9.0: "236031557c9952b59d4283f90aef6ed325c7fd1aa6c7603688ec544bdb3be8e5"},
+    }
+
+    def test_rows_unchanged(self):
+        for kappa, want in self.ROWS_SHA256.items():
+            rows = an.bound_scanner(make_params(kappa), 512).rows
+            assert hashlib.sha256(rows.tobytes()).hexdigest() == want, kappa
+
+    def test_bounds_unchanged_under_each_kernel(self):
+        kernels = openblas_kernels()
+        if not kernels:
+            pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS whose kernel can be set")
+        for core in kernels:
+            done = subprocess.run([sys.executable, "-c", _SCANNER_BOUNDS], env=kernel_env(core),
+                                  capture_output=True, text=True)
+            assert done.returncode == 0, (core, done.stderr)
+            got = {float(k): d for k, d in (line.split() for line in done.stdout.splitlines())}
+            assert got == self.BOUNDS_SHA256[core], core
 
 
 class TestKummerPairNearSaddle:

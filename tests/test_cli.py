@@ -1,13 +1,11 @@
 import csv
 import hashlib
-import os
-import platform
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import kernel_env, openblas_kernels
 from q4lab.cli import CSV_NAMES, RunConfig, _mu_draws, main, run
 
 
@@ -42,6 +40,25 @@ class TestConfig:
         cfgfile.write_text("kappa_list = 0.2\n")
         assert main(["verify", "--config", str(cfgfile),
                      "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            RunConfig(tol=tol).validate()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_1(self, tmp_path, capsys, tol):
+        # --tol nan once flagged every agreement row and exited 2, and
+        # --tol inf passed every row and exited 0
+        assert main(["moments", "--kappa", "4", "--tol", tol,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "config error: tol must be finite and positive" in capsys.readouterr().err
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(f"tol = {tol}\n")
+        assert main(["moments", "--config", str(cfgfile), "--kappa", "4",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "config error: tol must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_mu_exits_1(self, tmp_path):
         assert main(["zeros", "--mu", "1,2,3", "--out", str(tmp_path / "o")]) == 1
@@ -172,33 +189,17 @@ class TestCommands:
     # `q4lab sweep --kappa 4 --trials 300 --seed 7`, the sweep that CI pins
     SWEEP_KAPPA4_SHA256 = "e621af73a3af4ed6827c76ecd0f00194898d92af304cdbf7bcde0bbd37eecc8c"
 
-    @staticmethod
-    def _openblas_kernels():
-        """The OpenBLAS kernels this CPU runs, of SkylakeX, Haswell and
-        Prescott, or [] when numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS,
-        whose kernel OPENBLAS_CORETYPE sets at import."""
-        import numpy as np
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        if ("DYNAMIC_ARCH" not in blas.get("openblas configuration", "")
-                or platform.machine().lower() not in ("x86_64", "amd64")):
-            return []
-        from numpy._core._multiarray_umath import __cpu_features__ as cpu
-        need = {"SkylakeX": "AVX512_SKX", "Haswell": "AVX2", "Prescott": "SSE3"}
-        return [core for core, feature in need.items() if cpu.get(feature)]
-
     def _csvs_under_kernels(self, tmp_path, args, exit_code=0):
         """The path of the CSV that ``q4lab <args>`` writes, per OpenBLAS
         kernel, each run in its own process; skips with fewer than two kernels."""
-        kernels = self._openblas_kernels()
+        kernels = openblas_kernels()
         if len(kernels) < 2:
             pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS with two kernels to run")
-        src = str(Path(__file__).resolve().parents[1] / "src")
         paths = {}
         for core in kernels:
-            env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(
-                [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
             done = subprocess.run([sys.executable, "-m", "q4lab.cli", *args,
-                                   "--out", str(tmp_path / core)], env=env, capture_output=True)
+                                   "--out", str(tmp_path / core)], env=kernel_env(core),
+                                  capture_output=True)
             assert done.returncode == exit_code, (core, done.stderr)
             paths[core] = tmp_path / core / CSV_NAMES[args[0]]
         return paths
@@ -308,9 +309,12 @@ class TestCommands:
     # 48 green rows (by at most 6.5e-16 relative) and 28 agreement rows moved,
     # no status; in residuals.csv 31 of 55 rows moved (the 15 pf:* rows, nine
     # reduction rows, five R:dual-route rows, route-equality at -0.4 and
-    # J:wronskian-real), all still passing
+    # J:wronskian-real), all still passing.  residuals.csv re-pinned when
+    # G_from_chain weighed the G rows on jets and the continuation carried W
+    # alone: 9 of 55 rows moved (pf:L2J-identity and R:dual-route at three
+    # levels each, J:wronskian-real and both J:exponent rows), all passing
     MOMENTS_GOLDEN_SHA256 = "97d30468991cffb17ac90a9204e851352434b0f603dd0da0f20c95155c9effe4"
-    RESIDUALS_GOLDEN_SHA256 = "ff0400debfc89f63cb6e20d47d440a40ea15eef00d06c97fcb2c8085f11e7c93"
+    RESIDUALS_GOLDEN_SHA256 = "54418e3b967340b3dee94a15ebead8fe596b3c11779d8f3cd0b904d0231f6b0f"
 
     @pytest.mark.parametrize("command", ["moments", "verify"])
     def test_moments_and_residuals_golden_bytes(self, tmp_path, command):

@@ -13,6 +13,7 @@ from q4lab.melnikov import (
     _A_TABLE,
     _B_TABLE,
     CENTER_TERMS,
+    G_from_chain,
     RCoefficients,
     eval_G,
     eval_G_prime,
@@ -153,6 +154,24 @@ CHECK_KAPPAS = [1.5, 4.0, 9.0, 1.0 + 2.0**-40, 1000.0] + [
     float(k) for k in np.random.default_rng(20261018).uniform(1.01, 50.0, size=10)]
 
 
+def G_from_chain_by_hand(h, chain, params):
+    """(G, G', G'') with the Leibniz rule expanded by hand, as
+    ``G_from_chain`` computed them before it weighed the G rows on jets."""
+    d1, d2, d3 = chain
+    n1, n2, n3, n4 = params.mu
+    k = params.kappa
+    G = ((n1 * h * h + n3) * d1[0] + n2 * d1[3]
+         + n4 * (-4.0 * h * d1[4] + (3.0 * k * h * h - 4.0) * d1[5]))
+    Gp = (2.0 * n1 * h * d1[0] + (n1 * h * h + n3) * d2[0] + n2 * d2[3]
+          + n4 * (-4.0 * d1[4] - 4.0 * h * d2[4] + 6.0 * k * h * d1[5]
+                  + (3.0 * k * h * h - 4.0) * d2[5]))
+    Gpp = (2.0 * n1 * d1[0] + 4.0 * n1 * h * d2[0] + (n1 * h * h + n3) * d3[0]
+           + n2 * d3[3]
+           + n4 * (-8.0 * d2[4] - 4.0 * h * d3[4] + 6.0 * k * d1[5]
+                   + 12.0 * k * h * d2[5] + (3.0 * k * h * h - 4.0) * d3[5]))
+    return G, Gp, Gpp
+
+
 class TestEvalG:
     def test_zero_weights(self, p2):
         assert eval_G(-0.55, replace(p2, mu=(0.0, 0.0, 0.0, 0.0))) == 0.0
@@ -193,6 +212,18 @@ class TestEvalG:
         dh2 = 1e-4  # second difference needs the larger step against roundoff
         fd2 = (eval_G(h + dh2, pG) - 2 * G + eval_G(h - dh2, pG)) / dh2**2
         assert Gpp == pytest.approx(fd2, rel=1e-5)
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_jets_match_the_hand_expanded_leibniz_rule(self, kappa, rng):
+        # the unit weights and four random ones, at 7 levels: each of G, G'
+        # and G'' within 1e-14 of its largest modulus over the levels
+        prop = get_propagation(make_params(kappa))
+        for mu in [*np.eye(4), *rng.normal(size=(4, 4))]:
+            p = make_params(kappa, mu=tuple(mu))
+            hs = interior_levels(p, 7, 0.02, 0.98)
+            got = np.array([G_from_chain(h, prop.chain(h), p) for h in hs])
+            want = np.array([G_from_chain_by_hand(h, prop.chain(h), p) for h in hs])
+            assert np.all(np.abs(got - want) <= 1e-14 * np.max(np.abs(want), axis=0))
 
 
 class TestEvalR:

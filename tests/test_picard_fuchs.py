@@ -399,8 +399,7 @@ class TestContinuation:
     def _exponents_along_lines(p):
         # infinity_exponents as it was, continued along straight Line pieces
         s0, s1, s2 = 10.0 * p.kappa, 1e3 * p.kappa, 1e5 * p.kappa
-        W = np.eye(2, dtype=complex)
-        state = JState(s=complex(s0), J=W[:, 0].copy(), W=W)
+        state = JState(s=complex(s0), W=np.eye(2, dtype=complex))
         state = continue_state([Line(complex(s0), complex(s1))], state, p, tol=1e-12)
         W1 = state.W.copy()
         state = continue_state([Line(complex(s1), complex(s2))], state, p, tol=1e-12)
@@ -433,8 +432,7 @@ class TestContinuation:
         # the ray passes 5e-5 from s = 1, and the nearest of the 257 samples
         # is 1.8e-3 away: only the exact point-to-segment distance sees it
         w = 1.0 + 5e-5j
-        state = JState(s=0.6 * w, J=np.array([1.0, 0.0], dtype=complex),
-                       W=np.eye(2, dtype=complex))
+        state = JState(s=0.6 * w, W=np.eye(2, dtype=complex))
         with pytest.raises(PathProximityError, match="singular point s=\\(1"):
             continue_state([LogLine(0.6 * w, 1.7 * w)], state, p4)
 

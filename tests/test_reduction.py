@@ -4,9 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from q4lab import DomainError, UnsupportedIndexError, make_params
+from q4lab.analysis import bound_scanner
+from q4lab.melnikov import get_moment_basis
 from q4lab.model import HamiltonianForm, interior_levels
+from q4lab.picard_fuchs import _Jet
 from q4lab.quadrature import MomentIndex, moment_value
 from q4lab.reduction import (
+    G_rows,
+    I_rows,
+    JJ_value,
     assemble_I,
     inversion_check,
     moment_reduce,
@@ -18,6 +24,7 @@ from q4lab.reduction import (
     recurrence_residual,
     recurrence_scale,
     reduction_residual,
+    weigh,
 )
 
 H0 = -0.5
@@ -108,6 +115,45 @@ class TestRouteConversions:
         a = mu_G_from_eq211((1, 2, 3, 4), 4.0)
         b = mu_G_from_eq211((2, 4, 6, 8), 4.0)
         assert np.allclose(b, 2 * a)
+
+
+class TestNormalForms:
+    """I_rows, JJ_value and G_rows are written once for floats, arrays and
+    jets; every caller (the scanner's rows, their variation jets, eval_G,
+    assemble_I and G_from_chain) gets the same bits from them."""
+
+    @staticmethod
+    def _rows(h, V, J1, J2, kappa):
+        return (*I_rows(h, V, kappa), *G_rows(h, J1, J2, JJ_value(h, V, J2, kappa)))
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_scalar_level_is_its_column_of_an_array_call(self, kappa):
+        p = make_params(kappa)
+        basis = get_moment_basis(p)
+        hs = bound_scanner(p).hs
+        V, (J1, J2) = basis.values(hs), basis.J(hs)
+        rows = np.stack(self._rows(hs, V, J1, J2, kappa))
+        for i in range(0, hs.size, 7):
+            one = self._rows(float(hs[i]), [float(v) for v in V[:, i]],
+                             float(J1[i]), float(J2[i]), kappa)
+            assert np.array(one).tobytes() == rows[:, i].tobytes()
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_signed_jets_carry_the_float_rows(self, kappa, rng):
+        p = make_params(kappa)
+        basis = get_moment_basis(p)
+        hs = bound_scanner(p).hs[::5]
+        V, (J1, J2) = basis.values(hs), basis.J(hs)
+        jet = lambda x: _Jet((x, *rng.normal(size=(2, *np.shape(x)))))
+        got = self._rows(_Jet((hs, 1.0, 0.0)), [jet(v) for v in V], jet(J1), jet(J2), kappa)
+        for g, want in zip(got, self._rows(hs, V, J1, J2, kappa)):
+            assert g.f[0].tobytes() == want.tobytes()
+
+    def test_weigh_folds_left_in_order(self):
+        # ((1e16 + 1) - 1e16) + 1; a compensated sum gives 2.0, a pairwise one 0.0
+        rows = (1e16, 1.0, -1e16, 1.0)
+        assert weigh((1.0,) * 4, rows) == 1.0
+        assert weigh((1.0,) * 4, [_Jet((r, 0.0, 0.0)) for r in rows]).f[0] == 1.0
 
 
 class TestAssembleI:

@@ -82,10 +82,11 @@ from .picard_fuchs import (
     continue_state,
     hypergeometric_J,
     initial_jstate,
+    series_jet,
 )
 from .melnikov import CENTER_Z, center_z, extract_R_coeffs, get_moment_basis
 from .quadrature import _adaptive_gk
-from .reduction import G_rows, I_rows, JJ_value, mu_G_from_eq211
+from .reduction import G_rows, I_rows, JJ_value, mu_G_from_eq211, weigh
 
 J_MARGIN = 1e-3      # JTable spans (1, kappa) less this fraction of kappa - 1 at each end
 SCAN_MARGIN = 1e-6   # the scanner's window: the annulus less this fraction at each end
@@ -601,7 +602,8 @@ def winding_count(pair: PolyPair, params: ModelParams,
     inc["cut_lower"] = inc["cut_upper"]  # F(conj s) = conj F(s), traversed backwards
     segments = [{"name": name, "arg_increment": inc[name]}
                 for name in ("cut_upper", "small_circle", "cut_lower", "big_circle")]
-    total = sum(seg["arg_increment"] for seg in segments)
+    # a left fold, not sum(): from Python 3.12 sum() compensates float sums
+    total = ((inc["cut_upper"] + inc["small_circle"]) + inc["cut_lower"]) + inc["big_circle"]
     w = int(round(total / (2.0 * math.pi)))
     return WindingReport(n=pair.n, epsilon=epsilon, segments=segments, winding=w,
                          residual=abs(total / (2.0 * math.pi) - w), edge_im_agreement=edge_gap,
@@ -690,16 +692,6 @@ _F_DERIVS = (((1.0, 1 / 6, 5 / 6, 1.0), (5 / 36, 7 / 6, 11 / 6, 2.0),
               (5 / 72 * 77 / 108, 17 / 6, 13 / 6, 4.0)))
 
 
-def _series_jet(coef, z, mag: bool) -> _Jet:
-    """Rows sum_n coef[:, n] z^n and their first two z-derivatives at z,
-    shape (rows, levels); with ``mag``, of |coef| (bounds for |z'| <= z)."""
-    n = np.arange(coef.shape[1])
-    c = np.abs(coef) if mag else coef
-    zp = np.vander(z, n.size, increasing=True)
-    return _Jet([(c * f)[:, k:] @ zp[:, :n.size - k].T
-                 for k, f in enumerate((1.0, n, n * (n - 1.0)))], mag)
-
-
 def _full_center_series(k: float, rc, z) -> _Jet:
     """A magnitude jet in z, at z in [0, 1), of S(z) = sum_{n >= 0} s_n z^n for
     the unit weights: the whole series of which ``center_series`` keeps
@@ -710,23 +702,24 @@ def _full_center_series(k: float, rc, z) -> _Jet:
     ROW_ROUNDING times its terms' moduli added; past that, alpha_j and beta_j
     decrease and |gamma_j| <= alpha_{j-1} + beta_{j-1}, so |s_n| <= sigma =
     sum |A_i| alpha_{N-1} + sum |B_i| (alpha_{N-1} + beta_{N-1}), and the tail
-    is sigma times the derivatives of z^N / (1 - z)."""
+    is sigma times the derivatives of z^N / (1 - z).  No BLAS: folds of ``weigh``."""
     N = SERIES_BOUND_TERMS
     j = np.arange(N + 1.0)
     alpha = np.cumprod(np.append(1.0, (j + 1 / 6) * (j + 5 / 6) / (j + 1) ** 2))
     beta = np.cumprod(np.append(1.0, (j + 5 / 6) * (j + 1 / 6) / ((j + 2) * (j + 1))))
     gamma = np.append(1.0, alpha[1:] - alpha[:-1] + 5 / 6 * beta[:-1])
-    # A and B of each unit weight as polynomials in z, h^2 = (4/9)(1 - (kappa - 1) z / kappa)
-    h2 = [4 / 9, -4 / 9 * (k - 1.0) / k]
-    powers = np.array([np.pad(np.polynomial.polynomial.polypow(h2, i), (0, 3 - i))
-                       for i in range(4)])
-    A, B = rc.a_float.T @ powers, rc.b_float.T @ powers[:3]
-    conv = lambda P, q: np.array([np.convolve(row, q)[2:N + 2] for row in P])
+    # A and B of each unit weight as polynomials in z, h^2 = p + q z
+    p, q = 4 / 9, -4 / 9 * (k - 1.0) / k
+    h2 = np.array([[math.comb(i, t) * p ** (i - t) * q ** t for t in range(4)] for i in range(4)])
+    A, B = weigh(h2, rc.a_float[:, :, None]), weigh(h2[:3], rc.b_float[:, :, None])
+    # (P[m] * c)[2:N + 2] for each row m: column t of P meets c[n - t], c[-1] = 0
+    conv = lambda P, c: weigh(P.T[:, :, None], [np.append(0.0, c)[3 - t:N + 3 - t]
+                                                for t in range(4)])
     s_abs = (np.abs(conv(A, alpha) + conv(B, gamma))
              + ROW_ROUNDING * (conv(np.abs(A), alpha) + conv(np.abs(B), np.abs(gamma))))
     sigma = np.abs(A).sum(axis=1) * alpha[N - 1] + np.abs(B).sum(axis=1) * (alpha[N - 1]
                                                                              + beta[N - 1])
-    head = _series_jet(s_abs, z, True)
+    head = series_jet(s_abs[:, None], z, True)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w = np.where(z < 1.0, 1.0 / (1.0 - z), np.inf)
         zN = z ** (N - 2)
@@ -766,6 +759,9 @@ def _row_ingredients(sc: BoundScanner, h, cells=None) -> dict:
     Z = kq - 2.25 * kq * H * H
     F1, F2 = (_Jet([s * hyp2f1(a, b, c, z) for s, a, b, c in rows], mag) for rows in _F_DERIVS)
     cJ = math.pi / math.sqrt(k - 1.0)
+    J = [cJ * F1.of(Z), cJ * (one_minus_z * F1 + 5.0 / 6.0 * _Jet((z, 1.0, 0.0), mag) * F2).of(Z)]
+    if not mag:  # at levels, J's values are those of ``MomentBasis.J``, as the rows use
+        J = [_Jet((v, *j.f[1:])) for v, j in zip(mb.J(h), J)]
 
     def inverse(alpha):  # 1 / (alpha h^2 - 4)
         u = alpha * H * H - 4.0
@@ -785,24 +781,23 @@ def _row_ingredients(sc: BoundScanner, h, cells=None) -> dict:
         ends = np.concatenate(([-np.inf], mb._breaks, [np.inf]))
         a, b = np.maximum(lo[cell], ends[e]), np.minimum(hi[cell], ends[e + 1])
         far = np.where(np.abs(a - mb._centers[e]) > np.abs(b - mb._centers[e]), a, b)
-        T = np.maximum.reduceat(mb.taylor(far, e, absolute=True), start, axis=-1)
+        T = [np.maximum.reduceat(t, start, axis=-1) for t in mb.taylor(far, e, absolute=True).f]
     else:
-        T = mb.taylor(h, np.searchsorted(mb._breaks, h))
-    out = dict(h=H, J1=cJ * F1.of(Z),
-               J2=cJ * (one_minus_z * F1 + 5.0 / 6.0 * _Jet((z, 1.0, 0.0), mag) * F2).of(Z),
-               V=[_Jet(T[:, j], mag) for j in range(6)], inv1=inverse(9.0),
-               inv2=inverse(9.0 * k), S=_series_jet(sc.rc.center_series, z, mag).of(Z))
+        T = mb.taylor(h, np.searchsorted(mb._breaks, h)).f
+    out = dict(h=H, J1=J[0], J2=J[1], V=[_Jet([t[j] for t in T], mag) for j in range(6)],
+               inv1=inverse(9.0), inv2=inverse(9.0 * k),
+               S=series_jet(sc.rc.center_series[:, None], z, mag).of(Z))
     if mag:
         out["S_full"] = _full_center_series(k, sc.rc, z).of(Z)
     return out
 
 
 def _rows(which: str, L: dict, sc: BoundScanner, center: str = "") -> _Jet:
-    """The four unit-weight rows of I, G or R as one jet of shape (4, n): I
-    and G by ``reduction``'s ``I_rows``, ``JJ_value`` and ``G_rows``, as
-    ``BoundScanner._basis`` evaluates them; for R the direct template or,
-    with ``center`` naming a series of L ("S", or "S_full" on cells), the
-    center formula of ``RCoefficients.unit_rows``."""
+    """The four unit-weight rows of I, G or R as one jet of shape (4, n), by
+    the functions ``BoundScanner._basis`` evaluates: I and G by
+    ``reduction``'s ``I_rows``, ``JJ_value`` and ``G_rows``, R by
+    ``RCoefficients.direct_rows`` or, with ``center`` naming a series of L
+    ("S", or "S_full" on cells), by ``RCoefficients.center_rows``."""
     k, h, V = sc.params.kappa, L["h"], L["V"]
     if which == "I":
         return _stack(I_rows(h, V, k))
@@ -810,13 +805,8 @@ def _rows(which: str, L: dict, sc: BoundScanner, center: str = "") -> _Jet:
     if which == "G":
         return _stack(G_rows(h, J1, J2, JJ_value(h, V, J2, k)))
     if center:
-        c = math.pi / math.sqrt(k - 1.0)
-        return k * k * c / (16.0 * (k - 1.0) ** 2) * h * L[center] * L["inv2"]
-    a, b = sc.rc.a_float[:, :, None], sc.rc.b_float[:, :, None]
-    h2 = h * h
-    return (h * ((a[0] + a[1] * h2 + a[2] * h2 * h2 + a[3] * h2 * h2 * h2) * J1
-                 + (b[0] + b[1] * h2 + b[2] * h2 * h2) * J2)
-            * L["inv1"] * L["inv1"] * L["inv2"])
+        return sc.rc.center_rows(h, L[center], L["inv2"])
+    return sc.rc.direct_rows(h, J1, J2, L["inv1"], L["inv2"])
 
 
 def _point_rows(sc: BoundScanner, h) -> dict:
@@ -866,10 +856,10 @@ def _variation(sc: BoundScanner) -> tuple[dict, dict]:
 
     # the jumps of V at the moment expansions' breaks, as magnitude jets
     e = np.arange(mb._breaks.size)
-    dV = np.abs(mb.taylor(mb._breaks, e + 1) - mb.taylor(mb._breaks, e))
+    dV = [np.abs(u - v) for u, v in zip(mb.taylor(mb._breaks, e + 1).f, mb.taylor(mb._breaks, e).f)]
     zero = _Jet((0.0, 0.0, 0.0), True)
     at_breaks = dict(h=_Jet((np.abs(mb._breaks), 1.0, 0.0), True), J1=zero, J2=zero,
-                     V=[_Jet((dV[0, j], dV[1, j], 0.0), True) for j in range(6)])
+                     V=[_Jet((dV[0][j], dV[1][j], 0.0), True) for j in range(6)])
     first = np.searchsorted(mb._breaks, lo)
     last = np.searchsorted(mb._breaks, hi, side="right")
     # R's switch to the center series
@@ -1184,16 +1174,14 @@ def _bound_reports(sc: BoundScanner, weights, weights_G) -> list[BoundReport]:
 
 def _reconstruction_error(sc: BoundScanner, mu, muG) -> float:
     """Check I(h) = h * int_{-2/3}^h xi^-2 G(xi) d xi against the moment
-    route, at three interior levels.  The weighted rows are summed by numpy's
-    add.reduce in a fixed order: a BLAS gemv's bits vary with the kernel."""
-    hc = sc.params.center_h
-    lo = sc.prop.lo
+    route, at three interior levels, the rows weighed by ``weigh``."""
+    hc, lo = sc.params.center_h, sc.prop.lo
 
     def G_of(h):  # flat, as MomentBasis takes 1-d levels
-        return np.add.reduce(muG[:, None] * sc._basis("G", np.ravel(h)))
+        return weigh(muG, sc._basis("G", np.ravel(h)))
 
     def I_of(h):
-        return float(np.add.reduce(mu * sc._basis("I", np.array([h]))[:, 0]))
+        return float(weigh(mu, sc._basis("I", np.array([h]))[:, 0]))
 
     worst = 0.0
     scale = max(abs(I_of(0.5 * (sc.window[0] + sc.window[1]))), 1e-12)

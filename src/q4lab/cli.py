@@ -63,6 +63,8 @@ class RunConfig:
             raise ValueError("every weight in mu must be finite")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:  # numpy's SeedSequence takes non-negative entropy only
+            raise ValueError("seed must be >= 0")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError("tol must be finite and positive")
         if self.workers < 1:

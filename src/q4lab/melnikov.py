@@ -47,6 +47,7 @@ from .picard_fuchs import (
     apply_L2,
     derivative_formulas,
     hypergeometric_J,
+    series_sum,
 )
 from .reduction import G_rows, weigh
 
@@ -203,10 +204,10 @@ class RCoefficients:
         return np.array(self.b, dtype=float)
 
     def a_values(self, mu) -> np.ndarray:
-        return np.array([sum(c * m for c, m in zip(row, mu)) for row in self.a_float])
+        return np.array([weigh(mu, row) for row in self.a_float])
 
     def b_values(self, mu) -> np.ndarray:
-        return np.array([sum(c * m for c, m in zip(row, mu)) for row in self.b_float])
+        return np.array([weigh(mu, row) for row in self.b_float])
 
     @functools.cached_property
     def center_series(self) -> np.ndarray:
@@ -253,26 +254,31 @@ class RCoefficients:
             rows.append([x / total for x in out[2:]])
         return np.array(rows)
 
+    def direct_rows(self, h, J1, J2, inv1, inv2):
+        """R's template of each unit weight, h (A(h^2) J1 + B(h^2) J2) inv1^2 inv2,
+        inv1 = 1/(9h^2 - 4), inv2 = 1/(9 kappa h^2 - 4); for arrays and jets."""
+        a, b = self.a_float[:, :, None], self.b_float[:, :, None]
+        h2 = h * h
+        return (h * ((a[0] + a[1] * h2 + a[2] * h2 * h2 + a[3] * h2 * h2 * h2) * J1
+                     + (b[0] + b[1] * h2 + b[2] * h2 * h2) * J2) * inv1 * inv1 * inv2)
+
+    def center_rows(self, h, S, inv2):
+        """The template as kappa^2 c h S inv2 / (16 (kappa - 1)^2), S the rows of
+        ``center_series`` summed at ``center_z(h)``; for arrays and jets."""
+        k = self.kappa
+        return k * k * (math.pi / math.sqrt(k - 1.0)) / (16.0 * (k - 1.0) ** 2) * h * S * inv2
+
     def unit_rows(self, h, J1, J2) -> np.ndarray:
         """The R template of each unit weight at the levels h, shape (4, n):
-        from ``center_series`` where z < CENTER_Z, else directly.  A row can
-        differ in its last bits with the layout of h, since ``np.power`` takes
-        other loops on contiguous and on strided arrays; the tests check that
-        rows on the scanner's grid (a reversed view) equal one-level calls."""
-        k = self.kappa
-        A = self.a_float[:, :, None]
-        B = self.b_float[:, :, None]
-        den = (9.0 * h * h - 4.0) ** 2 * (9.0 * k * h * h - 4.0)
-        rows = h * ((A[0] + A[1] * h**2 + A[2] * h**4 + A[3] * h**6) * J1
-                    + (B[0] + B[1] * h**2 + B[2] * h**4) * J2) / den
-        z = center_z(h, k)
+        ``center_rows`` where z < CENTER_Z, else ``direct_rows``.  A level's
+        row depends neither on the layout of h nor on the other levels."""
+        inv1, inv2 = 1.0 / (9.0 * h * h - 4.0), 1.0 / (9.0 * self.kappa * h * h - 4.0)
+        rows = self.direct_rows(h, J1, J2, inv1, inv2)
+        z = center_z(h, self.kappa)
         near = z < CENTER_Z
         if np.any(near):
-            hn, zp = h[near], z[near][:, None, None] ** np.arange(CENTER_TERMS)
-            series = (self.center_series * zp).sum(axis=-1).T
-            c = math.pi / math.sqrt(k - 1.0)
-            rows[:, near] = (hn * k * k * c * series
-                             / (16.0 * (k - 1.0) ** 2 * (9.0 * k * hn * hn - 4.0)))
+            S = series_sum(self.center_series[:, None], z[near])
+            rows[:, near] = self.center_rows(h[near], S, inv2[near])
         return rows
 
     def template(self, h: float, J1: float, J2: float, mu) -> float:

@@ -53,7 +53,7 @@ from .errors import (
 )
 from .model import ModelParams, h_from_s, make_params, s_from_h
 from .quadrature import basis_values
-from .reduction import JJ_value
+from .reduction import JJ_value, weigh
 
 SINGULAR_GAP = 1e-10  # distance in h to a critical level within which V' is refused
 # Both moment routes span the annulus less WINDOW_MARGIN at each end and start
@@ -236,11 +236,11 @@ class MomentBasis:
 
     B is affine in h, so the Taylor coefficients of V about a center c follow
     exactly from (n+1) B(c) v_{n+1} = (1 - n B') v_n.  Each series converges
-    out to the nearest critical level; the expansions are continued from
-    the quadrature oracle at the window midpoint (the call ``PFPropagation``
-    makes) to both window ends in steps of ``SERIES_STEP`` of that radius,
-    and a level is summed about the center nearest in those units (at most
-    a quarter of a radius away).  The other four derivatives follow from
+    out to the nearest critical level; the expansions are continued from the
+    quadrature oracle at the window midpoint (the call ``PFPropagation``
+    makes) to both window ends in steps of ``SERIES_STEP`` of that radius, and
+    ``series_sum`` sums a level about the center nearest in those units (at
+    most a quarter of a radius away).  The other four derivatives follow from
     rows 0, 1, 4 and 5 of V = B V' with J in closed form; rows 2 and 3 are
     checked at the midpoint and at both ends, and a residual above
     ``ROW_CHECK_TOL`` raises ConsistencyError.
@@ -266,27 +266,26 @@ class MomentBasis:
         c = np.array([e[0] for e in chain])
         r = np.array([e[1] for e in chain])
         self._centers, self._radii = c, r
-        self._coef = np.stack([e[2].T for e in chain])  # (centers, 6, order + 1)
+        self._coef = np.stack([e[2] for e in chain], axis=1)  # (6, centers, order + 1)
         # each level goes to the center nearest in units of its radius
         self._breaks = (c[:-1] * r[1:] + c[1:] * r[:-1]) / (r[:-1] + r[1:])
         for h in (self.lo, self.h_mid, self.hi):
             self._check_rows(h)
 
     def _expand(self, c: float, v):
-        """(c, r, a): the scaled Taylor coefficients a_n = v_n r^n, n <= order,
+        """(c, r, a): the scaled Taylor coefficients a[:, n] = v_n r^n, n <= order,
         of V about c, with r the distance from c to the nearest critical level."""
         r = float(np.min(np.abs(self._critical - c)))
-        return c, r, np.array(_taylor(c, v, self.params.kappa, SERIES_ORDER, r))
+        return c, r, np.array(_taylor(c, v, self.params.kappa, SERIES_ORDER, r)).T
 
     def _continue(self, start, end: float) -> list:
         """Expansions from ``start`` toward ``end`` until one covers it, each
-        started from the last one summed by add.reduce, not a BLAS gemv."""
-        powers = np.arange(SERIES_ORDER + 1)
+        started from the last one summed a step away."""
         c, r, a = start
         step = math.copysign(SERIES_STEP, end - c)
         out = []
         while abs(end - c) > SERIES_STEP / (2.0 - SERIES_STEP) * r:
-            c, r, a = self._expand(c + step * r, np.add.reduce(step ** powers[:, None] * a))
+            c, r, a = self._expand(c + step * r, series_sum(a, step))
             out.append((c, r, a))
         return out
 
@@ -298,34 +297,20 @@ class MomentBasis:
         return h.ndim == 0, hv
 
     def values(self, h):
-        """V at a scalar level, shape (6,), or at n levels, shape (6, n).
-        Each level's sum is formed alone, so a level's values do not depend
-        on the other levels in the call."""
+        """V at a scalar level, shape (6,), or at n levels, shape (6, n): the
+        sum of each level's nearest expansion, the value part of ``taylor``."""
         scalar, hv = self._levels(h)
-        out = np.empty((6, hv.size))
-        powers = np.arange(SERIES_ORDER + 1)
-        for a in range(0, hv.size, 64):  # caps the (levels, 6, order + 1) temporary
-            block = hv[a:a + 64]
-            i = np.searchsorted(self._breaks, block)
-            terms = self._coef[i]  # a gathered copy
-            terms *= (((block - self._centers[i]) / self._radii[i])[:, None] ** powers)[:, None, :]
-            out[:, a:a + 64] = terms.sum(axis=-1).T
+        e = np.searchsorted(self._breaks, hv)
+        out = series_sum(self._coef[:, e], (hv - self._centers[e]) / self._radii[e])
         return out[:, 0] if scalar else out
 
-    def taylor(self, h, e, absolute: bool = False) -> np.ndarray:
-        """V, V' and V'' of expansion e (an index per level) at the levels h,
-        shape (3, 6, n): the polynomials that ``values`` sums, differentiated
-        term by term.  With ``absolute``, every term is taken in modulus, so
-        the result bounds |V^(k)| of that expansion wherever |h - c| <= |h_i - c|."""
-        n = np.arange(SERIES_ORDER + 1)
+    def taylor(self, h, e, absolute: bool = False) -> _Jet:
+        """V, V' and V'' of expansion e (an index per level) at the levels h, a
+        jet of shape (6, n) by ``series_jet``: with ``absolute``, a magnitude
+        jet, which bounds |V^(k)| of that expansion wherever |h - c| <= |h_i - c|."""
         r = self._radii[e]
         t = (np.asarray(h, dtype=float) - self._centers[e]) / r
-        coef = np.abs(self._coef[e]) if absolute else self._coef[e]
-        tp = np.vander(np.abs(t) if absolute else t, n.size, increasing=True)
-        out = np.empty((3, 6, t.size))
-        for k, f in enumerate((np.ones(n.size), n, n * (n - 1.0))):
-            out[k] = (coef[:, :, k:] @ (tp[:, :n.size - k] * f[k:])[:, :, None])[..., 0].T / r ** k
-        return out
+        return series_jet(self._coef[:, e], t, absolute).of(_Jet((t, 1.0 / r, 0.0)))
 
     def J(self, h):
         """(J1, J2) in closed form, shape (2,) or (2, n)."""
@@ -356,7 +341,7 @@ class MomentBasis:
         v, d = self.values(h), self.derivs(h)
         for row in (2, 3):
             terms = np.append(B[row] * d, v[row])
-            res = abs(v[row] - B[row] @ d) / np.max(np.abs(terms))
+            res = abs(v[row] - weigh(B[row], d)) / np.max(np.abs(terms))
             if not res <= ROW_CHECK_TOL:
                 raise ConsistencyError(
                     f"row {row} of V = B V' misses by {res:.3e} (relative) at h={h}: "
@@ -456,6 +441,24 @@ class _Jet:
         """This jet in z composed with z(h), a jet in h."""
         (g, g1, g2), (_, z1, z2) = self.f, z.f
         return _Jet((g, g1 * z1, g2 * z1 * z1 + g1 * z2), self.mag)
+
+
+def series_sum(coef, t):
+    """sum_n coef[..., n] t^n, t broadcast against coef[..., 0] (at least one
+    axis): running powers, and a left fold in n by einsum's own loop in Fortran
+    order, so no BLAS kernel, layout or other entry of a call moves a bit."""
+    t = np.asarray(t, dtype=float)
+    tp = np.vander(t.ravel(), coef.shape[-1], increasing=True).reshape(t.shape + (-1,))
+    return np.einsum("...n,...n->...", coef, tp, order="F")
+
+
+def series_jet(coef, t, mag: bool = False) -> _Jet:
+    """``series_sum`` and its first two t-derivatives; with ``mag``, of |coef|
+    at |t|, bounds wherever the argument's modulus is at most |t|."""
+    c, t = (np.abs(coef), np.abs(t)) if mag else (coef, t)
+    n = np.arange(c.shape[-1])
+    f = (None, n[1:], n[2:] * (n[2:] - 1.0))
+    return _Jet([series_sum(c[..., k:] * f[k] if k else c, t) for k in range(3)], mag)
 
 
 def _stack(jets) -> _Jet:

@@ -56,7 +56,7 @@ class MomentCombination:
     def evaluate(self, h: float, params: ModelParams, tol: float = 1e-10) -> float:
         total = 0.0
         for coeffs, idx in self.terms:
-            w = sum(c * h**p for p, c in enumerate(coeffs))
+            w = weigh(coeffs, [h**p for p in range(len(coeffs))])
             total += w * moment_value(idx.i, idx.j, h, params, form=idx.form, tol=tol)
         return total
 

@@ -25,12 +25,13 @@ def openblas_kernels() -> list:
     return [core for core, feature in need.items() if cpu.get(feature)]
 
 
-def kernel_env(core: str) -> dict:
+def kernel_env(core: str | None) -> dict:
     """The environment of a subprocess that imports this tree's q4lab with
-    OpenBLAS's kernel set to ``core``."""
+    OpenBLAS's kernel set to ``core``, or as this process has it (None)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    return dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    return env if core is None else dict(env, OPENBLAS_CORETYPE=core)
 
 
 def keyhole_reference(params, epsilon: float = 1e-3) -> dict:

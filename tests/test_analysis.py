@@ -1,3 +1,4 @@
+import builtins
 import copy
 import hashlib
 import math
@@ -37,8 +38,8 @@ from q4lab.analysis import (
     vn_sample_test,
     winding_count,
 )
-from q4lab.melnikov import get_propagation
-from q4lab.picard_fuchs import initial_jstate, pf_derivatives, pf_matrix
+from q4lab.melnikov import extract_R_coeffs, get_propagation
+from q4lab.picard_fuchs import initial_jstate, pf_derivatives, pf_matrix, series_jet
 
 
 class TestCountZeros:
@@ -1206,26 +1207,21 @@ for kappa in (1.5, 4.0, 9.0):
 
 class TestScannerBits:
     """BoundScanner(make_params(kappa), 512) at kappa 1.5, 4 and 9, recorded
-    before its I and G rows and their variation jets moved onto reduction's
-    I_rows, JJ_value and G_rows.  The rows are the same under every kernel;
-    var, mag and reach follow the BLAS kernel of their jets' matrix products,
-    so they are pinned per OpenBLAS kernel."""
+    when R's rows moved onto ``RCoefficients.direct_rows`` and
+    ``center_rows`` and every expansion sum onto ``series_sum``: against the
+    rows before, R's moved at all three kappas, I's at kappa 1.5 only and G's
+    at none.  No BLAS call forms a row or a bound, so var, mag and reach have
+    one digest per kappa under every kernel."""
 
     ROWS_SHA256 = {
-        1.5: "3bfd6175d8f94c8cdcc895db68f488fea970c706e8c1cbbdb9883247ba9e5f96",
-        4.0: "b89c13173a32be9d2c7595cb7bbceb006f88be8dafcc19cb1ed2b5bb33ca3636",
-        9.0: "7c504fd3b1d023e3a8fb0149f453cbaa64e3a8020cb30d634b75aa15c0ddf015",
+        1.5: "efb7102615a028d9ae004ce3d5e19f5eb1dc7253fd77ab51e19d4e7263270cb9",
+        4.0: "79a093d66549e8b3ee6dbca4da3b53d6be37acb3a59f0bf3502c7c916c0eb211",
+        9.0: "8af13eb13379cac005bacdde0f5470ebc6ea4c565b6cb997d33ab3bfba48bdfa",
     }
     BOUNDS_SHA256 = {
-        "SkylakeX": {1.5: "0f0de916c6698ec499f195cae3fdd4cd6ba111100cc2c0494957e878f6d0a003",
-                     4.0: "43c92a7d13e922333ff3c47ec49d511402302df7d4aad1edea19019e5165e9dd",
-                     9.0: "7f0cfeeaf75ff33eb2af055980e537ed9c7468db894edef2dfb1e1c89cac5f78"},
-        "Haswell": {1.5: "cf8539b9474a90e001b38e354e4ddd856beadac60075196a2cd27fe17b0cc6e7",
-                    4.0: "d7cd5aba979bf361dd60bd9ca366ca1f7e2a02187a0607a18971c518108947ee",
-                    9.0: "fae03e845a694c1b3cf51c072bf3d8f01938d3ab7b9dd6cc835a082d723e90bd"},
-        "Prescott": {1.5: "d12c60095339d6329ebfe34519320edb75c6963b267c643aeeba8f4ed5cabba8",
-                     4.0: "d27e5173e9e9a239452cc03ae58858b8bc2ef84e738b3f2dc5e836e3d7de9b2b",
-                     9.0: "236031557c9952b59d4283f90aef6ed325c7fd1aa6c7603688ec544bdb3be8e5"},
+        1.5: "1679cabe97be9f3ee7a2677ea67ce1e73f6a37bd773921f1d4f7fd78b36141dd",
+        4.0: "6f05e293b0d1ba4ac11de10686846c140b814abebfd018355238b53599276345",
+        9.0: "b7823af9d7f15b68cf495439084f2ec2bd0d51982c809e9a8c58f47ced74fae5",
     }
 
     def test_rows_unchanged(self):
@@ -1234,15 +1230,61 @@ class TestScannerBits:
             assert hashlib.sha256(rows.tobytes()).hexdigest() == want, kappa
 
     def test_bounds_unchanged_under_each_kernel(self):
-        kernels = openblas_kernels()
-        if not kernels:
-            pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS whose kernel can be set")
-        for core in kernels:
+        # a fresh process as this one runs, then one per kernel the CPU runs
+        for core in [None] + openblas_kernels():
             done = subprocess.run([sys.executable, "-c", _SCANNER_BOUNDS], env=kernel_env(core),
                                   capture_output=True, text=True)
             assert done.returncode == 0, (core, done.stderr)
             got = {float(k): d for k, d in (line.split() for line in done.stdout.splitlines())}
-            assert got == self.BOUNDS_SHA256[core], core
+            assert got == self.BOUNDS_SHA256, core
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_jets_carry_the_scanned_rows(self, kappa):
+        # the skip's jets differentiate the very functions the scanner scans
+        sc = an.bound_scanner(make_params(kappa), 512)
+        P = an._point_rows(sc, sc.hs)
+        for which in "IGR":
+            assert np.array_equal(P[which].f[0], sc.basis[which]), which
+        mb = sc.prop
+        e = np.searchsorted(mb._breaks, sc.hs)
+        jet = series_jet(mb._coef[:, e], (sc.hs - mb._centers[e]) / mb._radii[e])
+        assert np.array_equal(jet.f[0], mb.values(sc.hs))
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_rows_do_not_depend_on_the_layout(self, kappa):
+        # the grid is a reversed view; np.power once took other loops on it
+        sc = an.bound_scanner(make_params(kappa), 512)
+        contiguous = np.ascontiguousarray(sc.hs)
+        assert sc.hs.strides[0] < 0 and contiguous.strides[0] > 0
+        for which in "IGR":
+            assert np.array_equal(sc._basis(which, contiguous), sc.basis[which]), which
+
+
+class TestFloatSums:
+    def test_bits_do_not_follow_builtin_sum(self, monkeypatch):
+        # from Python 3.12 sum() compensates float sums; the template's
+        # coefficients and the winding total are left folds, so they keep
+        # their bits under any sum()
+        p = make_params(4.0)
+        rc = extract_R_coeffs(p)
+        mus = unit_sphere_weights(np.random.SeedSequence(3), 50)
+        pair = PolyPair(P=(0.3635365676813111, 0.8642994867575062), Q=(0.3476025908263671,))
+
+        def bits():
+            return ([rc.a_values(mu).tobytes() + rc.b_values(mu).tobytes() for mu in mus],
+                    [rc.template(-0.5, 1.3, 0.7, mu).hex() for mu in mus],
+                    winding_count(pair, p).residual.hex())
+
+        want, plain_sum = bits(), builtins.sum
+
+        def compensated(items, start=0):
+            items = list(items)
+            if items and all(isinstance(x, float) for x in items):
+                return math.fsum([start, *items])
+            return plain_sum(items, start)
+
+        monkeypatch.setattr(builtins, "sum", compensated)
+        assert bits() == want
 
 
 class TestKummerPairNearSaddle:

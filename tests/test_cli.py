@@ -60,6 +60,25 @@ class TestConfig:
         assert "config error: tol must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_seed_must_be_non_negative(self):
+        RunConfig(seed=0).validate()
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            RunConfig(seed=-1).validate()
+
+    @pytest.mark.parametrize("command", ["sweep", "winding"])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, command):
+        # a negative seed once reached numpy's SeedSequence and exited 1
+        # with a traceback, after the output directory was made
+        assert main([command, "--kappa", "4", "--trials", "3", "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("seed = -1\nmu_mode = random_sphere\n")
+        assert main(["zeros", "--config", str(cfgfile), "--kappa", "4",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_mu_exits_1(self, tmp_path):
         assert main(["zeros", "--mu", "1,2,3", "--out", str(tmp_path / "o")]) == 1
 

@@ -36,6 +36,8 @@ from q4lab.picard_fuchs import (
     pf_residuals,
     pfs_residuals,
     propagate_J,
+    series_jet,
+    series_sum,
 )
 
 H0 = -0.5
@@ -501,6 +503,25 @@ class TestHypergeometricJ:
                     worst = max(worst, *(float(abs((mp.mpc(complex(x)) - w) / w))
                                          for x, w in zip(J[:, i], want)))
             assert worst <= (2e-14 if name == "table" else 3e-13), (name, worst)
+
+
+class TestSeriesSum:
+    def test_is_a_left_fold_whatever_the_layout(self):
+        # the reference loop: running powers of t, terms added in order of n
+        rng = np.random.default_rng(5)
+        coef = rng.normal(size=(6, 9, 41)) * 0.5 ** np.arange(41)
+        t = rng.uniform(-0.25, 0.25, size=9)
+        want, power = coef[..., 0].copy(), np.ones(9)
+        for n in range(1, 41):
+            power = power * t
+            want = want + coef[..., n] * power
+        for c in (coef, np.asfortranarray(coef), np.repeat(coef, 2, axis=-1)[..., ::2]):
+            assert np.array_equal(series_sum(c, t), want)
+            assert np.array_equal(series_sum(c[:, ::-1], t[::-1]), want[:, ::-1])
+        jet = series_jet(coef, t)
+        assert np.array_equal(jet.f[0], want)
+        d1 = sum(n * coef[..., n] * t ** (n - 1) for n in range(1, 41))
+        assert np.max(np.abs(jet.f[1] - d1)) <= 1e-14 * np.max(np.abs(d1))
 
 
 class TestMomentBasis:

@@ -73,6 +73,7 @@ from .model import ModelParams, cubic_real_roots, make_params, real_roots_y
 from .picard_fuchs import (
     Arc,
     Line,
+    _either,
     _Jet,
     _l2_kummer_pair,
     _s_minus_one,
@@ -728,22 +729,24 @@ def _full_center_series(k: float, rc, z) -> _Jet:
     return _Jet([hd + sigma[:, None] * tl for hd, tl in zip(head.f, tail)], True)
 
 
-def _row_ingredients(sc: BoundScanner, h, cells=None) -> dict:
+def _row_ingredients(sc: BoundScanner, h, cells=None, side=None) -> dict:
     """Signed jets at the levels h, or, given ``cells`` = (lo, hi), magnitude
     jets over each [lo, hi] (h the levels x_i inside them), of what the rows
     are made of: h, J1, J2, V (six jets), 1/(9h^2 - 4), 1/(9 kappa h^2 - 4),
     and the center series S of the unit weights composed with z(h) (on cells
-    also the whole series, S_full).
+    also the whole series, S_full).  At levels V is summed by the moment
+    series of each level's side of the switch, or of the given ``side``
+    (``MomentBasis.taylor``).
 
     The bounds: J1 / c and F(5/6, 1/6; 2; z) have positive Taylor
     coefficients in z, so they and their derivatives grow with z on [0, 1) and
     are largest at the cell's largest z; J2 / c = (1 - z) J1 / c + (5/6) z
     F(5/6, 1/6; 2; z) is bounded piece by piece.  9h^2 - 4 and 9 kappa h^2 - 4
     are monotone and of one sign on h < 0 between the critical levels, so
-    their smallest moduli are at a cell end.  S and the moment expansions are
-    polynomials, whose absolute series at the largest |z| or |t| bound every
-    derivative; every expansion a cell reaches is bounded on its part of the
-    cell."""
+    their smallest moduli are at a cell end.  S is a polynomial, whose
+    absolute series at the largest |z| bounds every derivative; V's bound is
+    ``MomentBasis.bound``, which does the same for the moment series and
+    takes the log and root factors of the saddle form at the cell's ends."""
     mag, k, mb = cells is not None, sc.params.kappa, sc.prop
     kq = k / (k - 1.0)
     if mag:
@@ -771,20 +774,8 @@ def _row_ingredients(sc: BoundScanner, h, cells=None) -> dict:
         r = 1.0 / u.f[0]
         return _Jet((r, -u.f[1] * r * r, (2.0 * u.f[1] ** 2 * r - u.f[2]) * r * r))
 
-    if mag:
-        # every (cell, expansion) pair that meets, bounded on the part it meets
-        first, last = (np.searchsorted(mb._breaks, x) for x in (lo, hi))
-        count = last - first + 1
-        start = np.cumsum(count) - count
-        cell = np.repeat(np.arange(lo.size), count)
-        e = first[cell] + np.arange(cell.size) - start[cell]
-        ends = np.concatenate(([-np.inf], mb._breaks, [np.inf]))
-        a, b = np.maximum(lo[cell], ends[e]), np.minimum(hi[cell], ends[e + 1])
-        far = np.where(np.abs(a - mb._centers[e]) > np.abs(b - mb._centers[e]), a, b)
-        T = [np.maximum.reduceat(t, start, axis=-1) for t in mb.taylor(far, e, absolute=True).f]
-    else:
-        T = mb.taylor(h, np.searchsorted(mb._breaks, h)).f
-    out = dict(h=H, J1=J[0], J2=J[1], V=[_Jet([t[j] for t in T], mag) for j in range(6)],
+    T = mb.bound(lo, hi) if mag else mb.taylor(h, side)
+    out = dict(h=H, J1=J[0], J2=J[1], V=[_Jet([t[j] for t in T.f], mag) for j in range(6)],
                inv1=inverse(9.0), inv2=inverse(9.0 * k),
                S=series_jet(sc.rc.center_series[:, None], z, mag).of(Z))
     if mag:
@@ -831,11 +822,12 @@ def _variation(sc: BoundScanner) -> tuple[dict, dict]:
 
         |row(x) - row(x_i)| <= |row'(x_i)| d + sup_W |row''| d^2 / 2
 
-    for one representation.  Where W_i crosses a switch of the evaluated
-    function (a break of the moment expansions, or R's switch to its center
-    series at z = CENTER_Z), following the derivative across it adds the
-    jump of the value and d times the jump of the derivative, with sup |row''|
-    taken over every piece.  row'(x_i) is the exact derivative of the
+    for one representation.  Each row has one switch of representation: I's
+    and G's from the center's moment series to the saddle's
+    (``MomentBasis.switch``), R's from its center series to its direct form
+    at z = CENTER_Z.  Where W_i crosses it, following the derivative across
+    adds the jump of the value and d times the jump of the derivative, with
+    sup |row''| taken over both pieces.  row'(x_i) is the exact derivative of the
     representation evaluated at x_i (signed jets); sup |row''| and |row| come
     from magnitude jets, and for R's template sup |row''| is the smaller of
     its direct form's bound and the whole center series' bound.  Floating
@@ -854,15 +846,10 @@ def _variation(sc: BoundScanner) -> tuple[dict, dict]:
     P, M = _point_rows(sc, x), _row_ingredients(sc, x, (lo, hi))
     mb, k = sc.prop, sc.params.kappa
 
-    # the jumps of V at the moment expansions' breaks, as magnitude jets
-    e = np.arange(mb._breaks.size)
-    dV = [np.abs(u - v) for u, v in zip(mb.taylor(mb._breaks, e + 1).f, mb.taylor(mb._breaks, e).f)]
-    zero = _Jet((0.0, 0.0, 0.0), True)
-    at_breaks = dict(h=_Jet((np.abs(mb._breaks), 1.0, 0.0), True), J1=zero, J2=zero,
-                     V=[_Jet((dV[0][j], dV[1][j], 0.0), True) for j in range(6)])
-    first = np.searchsorted(mb._breaks, lo)
-    last = np.searchsorted(mb._breaks, hi, side="right")
-    # R's switch to the center series
+    # the switch of each row's representation: the moment series' for I and
+    # G, R's to its center series
+    sw = mb.switch
+    at_sw = [_row_ingredients(sc, np.array([sw]), side=side) for side in (False, True)]
     b_switch = -(2.0 / 3.0) * math.sqrt(1.0 - CENTER_Z * (k - 1.0) / k)
     at_switch = _row_ingredients(sc, np.array([b_switch]))
     zl, zh = center_z(lo, k), center_z(hi, k)
@@ -873,18 +860,13 @@ def _variation(sc: BoundScanner) -> tuple[dict, dict]:
         p, m = P[which], _rows(which, M, sc)
         if which == "R":
             full = _rows("R", M, sc, "S_full")
-            direct = (m.f[0], m.f[1], np.minimum(m.f[2], full.f[2]))
-            m = _Jet([np.where(has_center & has_direct, np.maximum(c, r), np.where(has_center, c, r))
-                      for c, r in zip(_rows("R", M, sc, "S").f, direct)], True)
-            u, v = _rows("R", at_switch, sc, "S"), _rows("R", at_switch, sc)
-            crosses = (lo <= b_switch) & (b_switch <= hi)
-            jump = np.where(crosses, np.abs(u.f[0] - v.f[0]) + d * np.abs(u.f[1] - v.f[1]), 0.0)
+            direct = _Jet((m.f[0], m.f[1], np.minimum(m.f[2], full.f[2])), True)
+            m = _either(has_center, has_direct, _rows("R", M, sc, "S"), direct)
+            u, v, at = _rows("R", at_switch, sc, "S"), _rows("R", at_switch, sc), b_switch
         else:
-            r = _rows(which, at_breaks, sc)
-            c0, c1 = (np.concatenate((np.zeros((4, 1)),
-                                      np.cumsum(np.broadcast_to(y, (4, e.size)), axis=1)), axis=1)
-                      for y in r.f[:2])
-            jump = c0[:, last] - c0[:, first] + d * (c1[:, last] - c1[:, first])
+            u, v, at = _rows(which, at_sw[0], sc), _rows(which, at_sw[1], sc), sw
+        crosses = (lo <= at) & (at <= hi)
+        jump = np.where(crosses, np.abs(u.f[0] - v.f[0]) + d * np.abs(u.f[1] - v.f[1]), 0.0)
         v = ((1.0 + VAR_SAFETY) * (np.abs(p.f[1]) * d + 0.5 * m.f[2] * d * d
                                    + ROW_ROUNDING * m.f[1] * d + jump)
              + 2.0 * ROW_ROUNDING * m.f[0])

@@ -67,6 +67,11 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError("tol must be finite and positive")
+        if self.grid < analysis.GRID_MIN:  # the fewest nodes of a scan grid
+            raise ValueError(f"a scan grid needs at least {analysis.GRID_MIN} nodes, "
+                             f"got {self.grid}")
+        if not 0.0 < self.epsilon < 0.05:  # the keyhole's range; NaN fails too
+            raise ValueError("epsilon must lie in (0, 0.05)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.mu_mode not in ("explicit", "random_sphere"):

@@ -17,11 +17,12 @@ of any order follow from the Taylor recursion (n+1) B v_{n+1} = (1 - n B') v_n
 of the closed ODE, never by finite differences (FD appears only in
 cross-check tests).
 
-The moments across the annulus come by two independent routes from the
-same quadrature oracle value at the window midpoint: ``MomentBasis``
-(J = (I00', I11') in closed form, V from exact Taylor expansions of
-V = B V'), which the bound pipeline uses, and ``PFPropagation`` (DOP853),
-kept as the check.  The other moments have no closed form of that kind:
+The moments across the annulus come by two independent routes that share
+no input: ``MomentBasis`` (J = (I00', I11') in closed form, V from two
+exact expansions of V = B V' about the singular ends of the annulus, with
+no quadrature), which the bound pipeline uses, and ``PFPropagation``
+(DOP853 from the quadrature oracle at the window midpoint), kept as the
+check.  The other moments have no closed form of that kind:
 I10' is not a polynomial combination of J1 and J2, nor is JJ modulo the
 kernel of L2 (``MomentBasis``).
 
@@ -56,8 +57,8 @@ from .quadrature import basis_values
 from .reduction import JJ_value, weigh
 
 SINGULAR_GAP = 1e-10  # distance in h to a critical level within which V' is refused
-# Both moment routes span the annulus less WINDOW_MARGIN at each end and start
-# from one quadrature oracle call at its midpoint, so they share its cache.
+# Both moment routes span the annulus less WINDOW_MARGIN at each end;
+# PFPropagation starts from a quadrature oracle call at its midpoint.
 WINDOW_MARGIN = 1e-8
 ORACLE_TOL = 1e-10
 PROPAGATION_TOL = 1e-12  # PFPropagation's DOP853 rtol
@@ -110,19 +111,32 @@ def _denominators(h, ck):
     return ((p - 2.0) + e) * ((p + 2.0) + e), 4.0 * _s_minus_one(h, ck)
 
 
-def _solve_factored(h, v, kappa: float, d1, d2):
+def _solve_factored(h, v, kappa: float, d1, d2, pin=None):
     """B(h)^{-1} v given (d1, d2) = ``_denominators(h, kappa)``, by B's
     blocks: rows 1 and 3 over d1, row 0 over d2, row 2 from row 0 of B, and
-    the (I-10, I-11) block, coupled to I10', over d2."""
-    k = kappa
+    the (I-10, I-11) block, coupled to I10', over d2.  At an end of the
+    annulus, where d1 (the center) or d2 (the saddle) vanishes, ``pin`` gives
+    the kernel coordinates of a solution x of B x = v, x1 or (x0, x4), rows 1
+    and 4 of B give x3 or x5, and with x come L v: the numerators over the
+    vanishing factor, zero exactly when v lies in the range of B(h)."""
+    k, end = kappa, -1 if pin is None else len(pin)
     v0, v1, v2, v3, v4, v5 = v
-    x1 = (2.0 * v0 + 9.0 * h * v1 - 8.0 * v3) / d1
-    x3 = (12.0 * h * v3 - 3.0 * h * v0 - 6.0 * v1) / d1
-    x0 = (6.0 * k * (h * v0 - v2) + 4.0 * (k - 1.0) * x3) / d2
-    x2 = v0 - 1.5 * h * x0
-    x4 = (3.0 * k * h * v4 - 4.0 * k * v5 + 4.0 * (k - 1.0) * x1) / d2
-    x5 = (6.0 * k * h * v5 - 2.0 * v4 - 6.0 * (k - 1.0) * h * x1) / d2
-    return x0, x1, x2, x3, x4, x5
+    n1 = 2.0 * v0 + 9.0 * h * v1 - 8.0 * v3
+    if end == 1:
+        x1, x3 = pin[0], 1.5 * (v1 - h * pin[0])
+    else:
+        x1, x3 = n1 / d1, (12.0 * h * v3 - 3.0 * h * v0 - 6.0 * v1) / d1
+    n0 = 6.0 * k * (h * v0 - v2) + 4.0 * (k - 1.0) * x3
+    n4 = 3.0 * k * h * v4 - 4.0 * k * v5 + 4.0 * (k - 1.0) * x1
+    if end == 2:
+        (x0, x4), x5 = pin, 0.5 * (v4 - 3.0 * h * pin[1])
+    else:
+        x0, x4 = n0 / d2, n4 / d2
+        x5 = (6.0 * k * h * v5 - 2.0 * v4 - 6.0 * (k - 1.0) * h * x1) / d2
+    x = (x0, x1, v0 - 1.5 * h * x0, x3, x4, x5)
+    if pin is None:
+        return x
+    return x, [n0, n4] if end == 2 else [n1] if end == 1 else []
 
 
 def pf_solve(h, v, kappa: float):
@@ -144,21 +158,6 @@ def _check_regular(h, kappa: float):
     if not gap[i] >= SINGULAR_GAP:
         raise SingularityError(f"Picard-Fuchs matrix singular at h={float(np.ravel(h)[i])}: "
                                f"{gap[i]:.3e} from a critical level")
-
-
-def _taylor(c: float, v, kappa: float, order: int, r: float = 1.0) -> list:
-    """a_n = v_n r^n, n <= order: the Taylor coefficients v_n of V about the
-    level c, from (n + 1) B(c) v_{n+1} = (1 - n B') v_n (B is affine in h),
-    in plain floats summed in a fixed order, so no BLAS kernel moves a bit."""
-    d1, d2 = _denominators(c, _two_product(2.25, kappa))
-    b_prime = [(i, j, float(b)) for (i, j), b in np.ndenumerate(_B_PRIME) if b]
-    a = [[float(x) for x in v]]
-    for n in range(order):
-        w = list(a[n])
-        for i, j, b in b_prime:
-            w[i] -= n * b * a[n][j]
-        a.append([r / (n + 1) * x for x in _solve_factored(c, w, kappa, d1, d2)])
-    return a
 
 
 def pf_derivatives(h, values, params: ModelParams) -> np.ndarray:
@@ -203,12 +202,8 @@ class PFPropagation:
         hv = np.atleast_1d(h)
         if np.any((hv < self.lo - 1e-12) | (hv > self.hi + 1e-12)):
             raise DomainError("level outside the propagated window")
-        out = np.empty((6, hv.size))
-        left = hv <= self.h_mid
-        if np.any(left):
-            out[:, left] = self._left.sol(hv[left])
-        if np.any(~left):
-            out[:, ~left] = self._right.sol(hv[~left])
+        out = _two_sided(hv, hv > self.h_mid,
+                         lambda x, right: (self._right if right else self._left).sol(x))
         return out[:, 0] if scalar else out
 
     def derivs(self, h):
@@ -217,33 +212,120 @@ class PFPropagation:
         return pf_derivatives(h, self.values(h), self.params)
 
     def chain(self, h: float):
-        """(V', V'', V''') at h: the n! v_n, n = 1, 2, 3, of ``_taylor``."""
+        """(V', V'', V''') at h: n! a_n, n = 1, 2, 3, of ``_frobenius`` at h."""
         h, k = float(h), self.params.kappa
         _check_regular(h, k)
-        a = _taylor(h, self.values(h), k, 3)
-        return tuple(math.factorial(n) * np.array(a[n]) for n in (1, 2, 3))
+        (a, _), = _frobenius(h, k, 0, 3, [self.values(h)])
+        return tuple(math.factorial(n) * a[:, n] for n in (1, 2, 3))
 
 
-SERIES_ORDER = 40     # Taylor terms kept per expansion
-SERIES_STEP = 0.4     # continuation step, as a fraction of the convergence radius
 ROW_CHECK_TOL = 1e-8  # rows 2 and 3 of V = B V' against closed-form J
+
+
+def _frobenius(c: float, kappa: float, d: int, terms: int, starts, r: float = 1.0,
+               rho: float = 0.0, first: float = 0.0, log=None) -> list:
+    """For each start a_0, the coefficients a_n r^n, n <= terms, of the solution
+    |u|^rho sum a_n u^n (+ gamma log|u| sum q_n u^n) of V = B V' about c,
+    u = h - c, where B(c) has a kernel K of dimension d (0 at a regular level,
+    1 at the center, 2 at the saddle).  In t = u / r, order n gives m B(c)
+    a_{n+1} = r ((1 - (n + rho) B') a_n - (1 + B') q_n / (n + 1)), m = n + 1
+    + rho, which fixes a_{n+1} but for its kernel coordinates beta; order
+    n + 1's solvability, L ((1 - m B') a_{n+1} - B' q_{n+1}) = 0, fixes them
+    by forward substitution (L (1 - m B') K is lower triangular).  At m = 1
+    its row 0 vanishes (the exponent 1 of both ends): beta_0 is ``first`` and
+    row 0 fixes gamma, the scale of ``log`` (the exponent-1 series, scaled).
+    Plain floats in a fixed order.  Returns [(coefficients (6, terms + 1), gamma)]."""
+    d1, d2 = (_denominators(c, _two_product(2.25, kappa)), (0.0, 4.0 * (kappa - 1.0)),
+              (-4.0 * (kappa - 1.0) / kappa, 0.0))[d]
+    bp = [(i, j, float(b)) for (i, j), b in np.ndenumerate(_B_PRIME) if b]
+    sb = lambda s: [(i, j, s * b) for i, j, b in bp]  # s B'
+
+    def shift(x, sbp):  # (1 - s B') x, sbp = sb(s)
+        w = list(x)
+        for i, j, b in sbp:
+            w[i] -= b * x[j]
+        return w
+
+    zero, B1 = [0.0] * d, lambda x: [y - z for y, z in zip(x, shift(x, bp))]
+    solve = lambda w, pin=zero: _solve_factored(c, w, kappa, d1, d2, pin)
+    K = [solve([0.0] * 6, [float(i == j) for i in range(d)])[0] for j in range(d)]
+    LK, LBK = [solve(x)[1] for x in K], [solve(B1(x))[1] for x in K]
+    cols, gamma = [[[float(x) for x in a0]] for a0 in starts], [0.0] * len(starts)
+    ws = [shift(a[0], sb(rho)) for a in cols]  # (1 - (n + rho) B') a_n
+    q = None if log is None else log.T.tolist()
+    for n in range(terms):
+        m = n + 1.0 + rho
+        M = [[y - m * z for y, z in zip(*col)] for col in zip(LK, LBK)]  # L (1 - m B') K
+        if q is not None:
+            cq, lq = [y / (n + 1.0) for y in shift(q[n], sb(-1.0))], solve(B1(q[n + 1]))[1]
+        rm, mb = r / m, sb(m)
+        for col, a in enumerate(cols):
+            w = ws[col] if q is None else [y - gamma[col] * z for y, z in zip(ws[col], cq)]
+            x = [rm * y for y in solve(w)[0]]
+            sx = shift(x, mb)
+            if d:
+                res = solve(sx)[1]  # L (1 - m B') x, less gamma L B' q_{n+1}: beta cancels it
+                if q is not None:
+                    gamma[col] = res[0] / lq[0] if m == 1.0 else gamma[col]
+                    res = [e - gamma[col] * y for e, y in zip(res, lq)]
+                beta = []
+                for i in range(d):
+                    rest = -res[i] - (M[0][i] * beta[0] if i else 0.0)
+                    beta.append(first if m == 1.0 and i == 0 else rest / M[i][i])
+                for b, v in zip(beta, K):
+                    x = [y + b * z for y, z in zip(x, v)]
+                sx = shift(x, mb)
+            a.append(x)
+            ws[col] = sx
+    return [(np.array(a).T, g) for a, g in zip(cols, gamma)]
+
+
+def _gauss(A, b):
+    """x with A x = b by Gauss-Jordan elimination with partial pivoting, in
+    plain floats in a fixed order (no LAPACK)."""
+    M = [[float(v) for v in row] + [float(y)] for row, y in zip(A, b)]
+    for i in range(len(M)):
+        p = max(range(i, len(M)), key=lambda r: abs(M[r][i]))
+        M[i], M[p] = M[p], M[i]
+        M = [row if r == i else [u - row[i] / M[i][i] * v for u, v in zip(row, M[i])]
+             for r, row in enumerate(M)]
+    return [row[-1] / row[i] for i, row in enumerate(M)]
+
+
+def _saddle_factors(u, near=None):
+    """log|u| and |u|^(1/2) as jets in u < 0: signed at u, or, given ``near``,
+    magnitude jets over the cells from u to near, their ends farthest from and
+    nearest to the saddle.  For |u| < 1, |log|u||, 1/|u|, 1/u^2 and the
+    derivatives of |u|^(1/2) are largest at the near end, |u|^(1/2) at the far one."""
+    if near is None:
+        x = np.sqrt(-u)
+        return _Jet((np.log(-u), 1.0 / u, -1.0 / (u * u))), _Jet((x, -0.5 / x, 0.25 / (x * u)))
+    b = -near
+    x = np.sqrt(b)
+    return (_Jet((-np.log(b), 1.0 / b, 1.0 / (b * b)), True),
+            _Jet((np.sqrt(-u), 0.5 / x, 0.25 / (x * b)), True))
 
 
 class MomentBasis:
     """The six moments across the same window as ``PFPropagation``, with no
-    ODE solver: J = (I00', I11') in closed form (``hypergeometric_J`` at
-    s = ``s_from_h(h)``) and the values V from Taylor expansions of V = B V'.
+    ODE solver and no quadrature: J = (I00', I11') in closed form
+    (``hypergeometric_J`` at s = ``s_from_h(h)``), and V from two exact
+    expansions of V = B V' (``_frobenius``) about the ends of the annulus.
 
-    B is affine in h, so the Taylor coefficients of V about a center c follow
-    exactly from (n+1) B(c) v_{n+1} = (1 - n B') v_n.  Each series converges
-    out to the nearest critical level; the expansions are continued from the
-    quadrature oracle at the window midpoint (the call ``PFPropagation``
-    makes) to both window ends in steps of ``SERIES_STEP`` of that radius, and
-    ``series_sum`` sums a level about the center nearest in those units (at
-    most a quarter of a radius away).  The other four derivatives follow from
-    rows 0, 1, 4 and 5 of V = B V' with J in closed form; rows 2 and 3 are
-    checked at the midpoint and at both ends, and a residual above
-    ``ROW_CHECK_TOL`` raises ConsistencyError.
+    About the center h_c, V is the Taylor series with V(h_c) = 0 and V'(h_c) =
+    (pi / sqrt(kappa - 1)) (1, ..., 1), the kernel of B(h_c).  About the
+    saddle h_s the residue of B^{-1} has eigenvalues {1, 1/2, 0, 0, 0, 0}, and
+    V = P(u) + Q(u) log|u| + |u|^(1/2) S(u), u = h - h_s, Q the exponent-1
+    solution.  Its six constants (P(0) in the range of B(h_s), a multiple of
+    Q in P, the scale of S; Q's follows from P(0)) match the center series at
+    the switch level, where both converge at the same ratio of their radii:
+    h_s - h_c, and the distance from h_s to h_c or to -h_s, the nearer.
+    Each keeps the terms that take that ratio's powers below eps (1 - ratio),
+    and sums the levels on its side of the switch.
+
+    The other four derivatives follow from rows 0, 1, 4 and 5 of V = B V' with
+    J in closed form; rows 2 and 3 are checked at the midpoint and at both
+    ends, and a residual above ``ROW_CHECK_TOL`` raises ConsistencyError.
 
     The series stand in for closed forms that do not exist: I10' is not
     p J1 + q J2, nor JJ that plus a solution of L2 x = 0, for polynomials
@@ -253,41 +335,64 @@ class MomentBasis:
 
     def __init__(self, params: ModelParams):
         self.params = params
+        k = params.kappa
         hc, hs = params.center_h, params.saddle_h
         self.lo, self.hi = hc + WINDOW_MARGIN, hs - WINDOW_MARGIN
         if not (hc < self.lo < self.hi < hs):
             raise DomainError("MomentBasis window must sit inside the annulus interval")
         self.h_mid = 0.5 * (self.lo + self.hi)
-        root_k = math.sqrt(params.kappa)
-        self._critical = np.array([-2.0 / 3.0, 2.0 / 3.0, -2.0 / (3.0 * root_k),
-                                   2.0 / (3.0 * root_k)])
-        mid = self._expand(self.h_mid, basis_values(self.h_mid, params, tol=ORACLE_TOL))
-        chain = self._continue(mid, self.lo)[::-1] + [mid] + self._continue(mid, self.hi)
-        c = np.array([e[0] for e in chain])
-        r = np.array([e[1] for e in chain])
-        self._centers, self._radii = c, r
-        self._coef = np.stack([e[2] for e in chain], axis=1)  # (6, centers, order + 1)
-        # each level goes to the center nearest in units of its radius
-        self._breaks = (c[:-1] * r[1:] + c[1:] * r[:-1]) / (r[:-1] + r[1:])
+        self._r = rc, rs = hs - hc, min(hs - hc, 4.0 / (3.0 * math.sqrt(k)))
+        self.switch, ratio = (hc * rs + hs * rc) / (rc + rs), rc / (rc + rs)
+        terms = math.ceil(math.log(np.finfo(float).eps * (1.0 - ratio)) / math.log(ratio))
+        (self._center, _), = _frobenius(hc, k, 1, terms, [[0.0] * 6], rc,
+                                        first=rc * math.pi / math.sqrt(k - 1.0))
+        (Q, _), = _frobenius(hs, k, 2, terms, [[0.0] * 6], rs, first=1.0)
+        # S starts on the kernel vector (0, 0, 0, 0, 1, 1 / sqrt(kappa)) of B(h_s)
+        (S, _), = _frobenius(hs, k, 2, terms, [[0.0] * 4 + [1.0, -1.5 * hs]], rs, rho=0.5)
+        # P starts on a basis of the range of B(h_s), L p = 0: e_j, j = 0, 1, 3, 4,
+        # less multiples of e_2 and e_5, which only rows 0 and 1 of L see (B(h_s)'s
+        # columns 1 and 3 grow parallel as kappa -> 1)
+        L = lambda w: _solve_factored(hs, w, k, -4.0 * (k - 1.0) / k, 0.0, [0.0, 0.0])[1]
+        E = np.eye(6)
+        starts = [e - L(e)[0] / L(E[2])[0] * E[2] - L(e)[1] / L(E[5])[1] * E[5]
+                  for e in E[[0, 1, 3, 4]]]
+        P, gamma = zip(*_frobenius(hs, k, 2, terms, starts, rs, log=Q))
+        sw = np.array([self.switch])
+        u = self._u(sw, True)
+        Y = lambda a: series_sum(a[:, None], u / rs)[:, 0]
+        Ys = [Y(p) + g * Y(Q) * np.log(-u) for p, g in zip(P, gamma)] + [Y(Q), np.sqrt(-u) * Y(S)]
+        c = _gauss(np.array(Ys).T, self._form(sw, False)[:, 0])
+        self._saddle = np.array([weigh(c[:4], P) + c[4] * Q, weigh(c[:4], gamma) * Q, c[5] * S])
         for h in (self.lo, self.h_mid, self.hi):
             self._check_rows(h)
 
-    def _expand(self, c: float, v):
-        """(c, r, a): the scaled Taylor coefficients a[:, n] = v_n r^n, n <= order,
-        of V about c, with r the distance from c to the nearest critical level."""
-        r = float(np.min(np.abs(self._critical - c)))
-        return c, r, np.array(_taylor(c, v, self.params.kappa, SERIES_ORDER, r)).T
+    def _u(self, h, saddle: bool):
+        """h - h_c = (3h + 2) / 3 or h - h_s = (s - 1) / ((9 kappa / 4)(h + h_s)),
+        compensated, so the rounding of h_c and h_s does not enter."""
+        k = self.params.kappa
+        if saddle:
+            return _s_minus_one(h, _two_product(2.25, k)) / (2.25 * k * (h + self.params.saddle_h))
+        p, e = _two_product(3.0, h)
+        return ((p + 2.0) + e) / 3.0
 
-    def _continue(self, start, end: float) -> list:
-        """Expansions from ``start`` toward ``end`` until one covers it, each
-        started from the last one summed a step away."""
-        c, r, a = start
-        step = math.copysign(SERIES_STEP, end - c)
-        out = []
-        while abs(end - c) > SERIES_STEP / (2.0 - SERIES_STEP) * r:
-            c, r, a = self._expand(c + step * r, series_sum(a, step))
-            out.append((c, r, a))
-        return out
+    def _form(self, h, saddle: bool, mag=None, near=None):
+        """V at the levels h by the series of one end: an array (6, n) with
+        ``mag`` None, else a jet, signed or (mag True) a magnitude jet over the
+        cells whose ends farthest from and nearest to that end are h and near."""
+        r, u = self._r[saddle], self._u(h, saddle)
+        a = self._saddle if saddle else self._center[None]
+        if mag is None:
+            T = series_sum(a[:, :, None], u / r)
+        else:
+            T = series_jet(a[:, :, None], u / r, mag).of(_Jet((u / r, 1.0 / r, 0.0), mag))
+            T = [_Jet([f[i] for f in T.f], mag) for i in range(len(a))]
+        if not saddle:
+            return T[0]
+        if mag is None:
+            log, root = np.log(-u), np.sqrt(-u)
+        else:
+            log, root = _saddle_factors(u, None if near is None else self._u(near, True))
+        return T[0] + T[1] * log + root * T[2]
 
     def _levels(self, h):
         h = np.asarray(h, dtype=float)
@@ -297,20 +402,29 @@ class MomentBasis:
         return h.ndim == 0, hv
 
     def values(self, h):
-        """V at a scalar level, shape (6,), or at n levels, shape (6, n): the
-        sum of each level's nearest expansion, the value part of ``taylor``."""
+        """V at a scalar level, shape (6,), or at n levels, shape (6, n), each
+        level summed by the series of its side of the switch."""
         scalar, hv = self._levels(h)
-        e = np.searchsorted(self._breaks, hv)
-        out = series_sum(self._coef[:, e], (hv - self._centers[e]) / self._radii[e])
+        out = _two_sided(hv, hv >= self.switch, self._form)
         return out[:, 0] if scalar else out
 
-    def taylor(self, h, e, absolute: bool = False) -> _Jet:
-        """V, V' and V'' of expansion e (an index per level) at the levels h, a
-        jet of shape (6, n) by ``series_jet``: with ``absolute``, a magnitude
-        jet, which bounds |V^(k)| of that expansion wherever |h - c| <= |h_i - c|."""
-        r = self._radii[e]
-        t = (np.asarray(h, dtype=float) - self._centers[e]) / r
-        return series_jet(self._coef[:, e], t, absolute).of(_Jet((t, 1.0 / r, 0.0)))
+    def taylor(self, h, side=None) -> _Jet:
+        """V, V' and V'' at the levels h, a signed jet of shape (6, n): each
+        level by the series of its side of the switch, or all by the center's
+        (side False) or the saddle's (side True)."""
+        hv = np.atleast_1d(np.asarray(h, dtype=float))
+        if side is not None:
+            return self._form(hv, side, False)
+        return _two_sided(hv, hv >= self.switch, lambda x, saddle: self._form(x, saddle, False),
+                          True)
+
+    def bound(self, lo, hi) -> _Jet:
+        """A magnitude jet of shape (6, n) bounding |V|, |V'| and |V''| over each
+        cell [lo, hi]: the absolute series at its largest |t|, the log and root
+        factors at its ends, the larger of both sides' bounds where it meets the switch."""
+        sw = self.switch
+        return _either(lo < sw, hi >= sw, self._form(np.minimum(hi, sw), False, True),
+                       self._form(np.maximum(lo, sw), True, True, near=hi))
 
     def J(self, h):
         """(J1, J2) in closed form, shape (2,) or (2, n)."""
@@ -446,10 +560,15 @@ class _Jet:
 def series_sum(coef, t):
     """sum_n coef[..., n] t^n, t broadcast against coef[..., 0] (at least one
     axis): running powers, and a left fold in n by einsum's own loop in Fortran
-    order, so no BLAS kernel, layout or other entry of a call moves a bit."""
+    order on the other axes reversed, so n runs outermost and the last of them
+    (the levels) innermost; no BLAS kernel, layout or other entry of a call
+    moves a bit."""
     t = np.asarray(t, dtype=float)
     tp = np.vander(t.ravel(), coef.shape[-1], increasing=True).reshape(t.shape + (-1,))
-    return np.einsum("...n,...n->...", coef, tp, order="F")
+    nd = max(coef.ndim, tp.ndim)
+    axes = (*range(nd - 2, -1, -1), nd - 1)
+    c, tp = (x.reshape((1,) * (nd - x.ndim) + x.shape).transpose(axes) for x in (coef, tp))
+    return np.einsum("...n,...n->...", c, tp, order="F").T
 
 
 def series_jet(coef, t, mag: bool = False) -> _Jet:
@@ -459,6 +578,26 @@ def series_jet(coef, t, mag: bool = False) -> _Jet:
     n = np.arange(c.shape[-1])
     f = (None, n[1:], n[2:] * (n[2:] - 1.0))
     return _Jet([series_sum(c[..., k:] * f[k] if k else c, t) for k in range(3)], mag)
+
+
+def _two_sided(hv, right, part, jet: bool = False):
+    """part(levels, side) at the levels hv left (side False) and right (True)
+    of a split, joined in the order of hv: arrays of shape (6, n), or jets."""
+    out = [np.empty((6, hv.size)) for _ in range(3 if jet else 1)]
+    for side in (False, True):
+        m = right == side
+        if m.any():
+            y = part(hv[m], side)
+            for o, f in zip(out, y.f if jet else [y]):
+                o[:, m] = f
+    return _Jet(out) if jet else out[0]
+
+
+def _either(has_a, has_b, a: _Jet, b: _Jet) -> _Jet:
+    """The magnitude jet over cells that meet a, b or both of two pieces: the
+    larger of both bounds where a cell meets both."""
+    return _Jet([np.where(has_a & has_b, np.maximum(x, y), np.where(has_a, x, y))
+                 for x, y in zip(a.f, b.f)], True)
 
 
 def _stack(jets) -> _Jet:

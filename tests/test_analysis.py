@@ -39,7 +39,7 @@ from q4lab.analysis import (
     winding_count,
 )
 from q4lab.melnikov import extract_R_coeffs, get_propagation
-from q4lab.picard_fuchs import initial_jstate, pf_derivatives, pf_matrix, series_jet
+from q4lab.picard_fuchs import initial_jstate, pf_derivatives, pf_matrix
 
 
 class TestCountZeros:
@@ -1193,41 +1193,57 @@ class TestVariationBound:
             sc.count("R", [1e308, 1e308, 1e308, 1e308])
 
 
-# prints, per kappa, the sha256 of var, mag and reach of I, G and R, joined
+# prints, per kappa and function, the sha256 of var, mag and reach, joined
 _SCANNER_BOUNDS = """
 import hashlib
 from q4lab.analysis import BoundScanner
 from q4lab.model import make_params
 for kappa in (1.5, 4.0, 9.0):
     sc = BoundScanner(make_params(kappa), 512)
-    data = b"".join(getattr(sc, n)[w].tobytes() for n in ("var", "mag", "reach") for w in "IGR")
-    print(kappa, hashlib.sha256(data).hexdigest())
+    for w in "IGR":
+        data = b"".join(getattr(sc, n)[w].tobytes() for n in ("var", "mag", "reach"))
+        print(kappa, w, hashlib.sha256(data).hexdigest())
 """
 
 
 class TestScannerBits:
-    """BoundScanner(make_params(kappa), 512) at kappa 1.5, 4 and 9, recorded
-    when R's rows moved onto ``RCoefficients.direct_rows`` and
-    ``center_rows`` and every expansion sum onto ``series_sum``: against the
-    rows before, R's moved at all three kappas, I's at kappa 1.5 only and G's
-    at none.  No BLAS call forms a row or a bound, so var, mag and reach have
-    one digest per kappa under every kernel."""
+    """BoundScanner(make_params(kappa), 512) at kappa 1.5, 4 and 9, per
+    function.  R's entries were recorded when R's rows moved onto
+    ``RCoefficients.direct_rows`` and ``center_rows`` and every expansion sum
+    onto ``series_sum``; I's and G's when ``MomentBasis`` moved from a chain of
+    Taylor expansions seeded by the quadrature oracle to two exact end
+    expansions, which left R's rows and bounds unchanged.  No BLAS call forms
+    a row or a bound, so var, mag and reach have one digest per kappa under
+    every kernel."""
 
     ROWS_SHA256 = {
-        1.5: "efb7102615a028d9ae004ce3d5e19f5eb1dc7253fd77ab51e19d4e7263270cb9",
-        4.0: "79a093d66549e8b3ee6dbca4da3b53d6be37acb3a59f0bf3502c7c916c0eb211",
-        9.0: "8af13eb13379cac005bacdde0f5470ebc6ea4c565b6cb997d33ab3bfba48bdfa",
+        1.5: {"I": "6e268532fc7ad0940ced0fa6e9cd67e68823fec68ad255098aa3efbf2e04eaf6",
+              "G": "5802927dad2b8142755c06214b91f19450a0f7ee0e5099b4cc91ad8485b56908",
+              "R": "75b5e3e266d552cee7079bb362d984960ebbe85d278db2a3bb90fcd675e793fc"},
+        4.0: {"I": "7b591ba11ff8c183372db3121a1319fe3c4e3f15ca8dbc53ef0e2e5ef343cc93",
+              "G": "c092277412a7c45de17749dd8ded4eead8cffa4b36dae93b83af829b19ec2854",
+              "R": "8a128eb7233164a2e31ba107664f7555085618b0f6ab5c808310f873c818a9e5"},
+        9.0: {"I": "1f44c765be0b7f21e6581db5f6fe3fbf8f838088db1c2a2f429fe35e801122f4",
+              "G": "0dfd33b736f1e19b3ea2d6af2bcd6e2bdc6c669878b51285acc7a981f9ec479b",
+              "R": "ad5e6a2be346ed8f5bce529efbbddf7ec4579f586362f9b70e6679ae4cc6a060"},
     }
     BOUNDS_SHA256 = {
-        1.5: "1679cabe97be9f3ee7a2677ea67ce1e73f6a37bd773921f1d4f7fd78b36141dd",
-        4.0: "6f05e293b0d1ba4ac11de10686846c140b814abebfd018355238b53599276345",
-        9.0: "b7823af9d7f15b68cf495439084f2ec2bd0d51982c809e9a8c58f47ced74fae5",
+        1.5: {"I": "c3384eca5065d08e36ca1ea41035a754dbbd233505e62f5143996fea17a25057",
+              "G": "952d416aac2335386ec1bd1a70a85a5bbc3130d1bf8883439c7480842e742f13",
+              "R": "ee9cb1066667ea2d0ac4efe72a3d9f50f18da51a49f8bdb9fe79134263642894"},
+        4.0: {"I": "6665e092f6013ebec9f568cd96a3a641a9aff13f56278933fb012103b61817e0",
+              "G": "93ba2f08748f1bd18d8c9e7b9477fef9e4f5e0df23cc5503ceacec05eb075bd0",
+              "R": "1fdd5b75591c879d40861f5a479bcd9d406668b22ca613c5a3fa684f192d0998"},
+        9.0: {"I": "95cf88fe281847494fa7051b291661ba71401f761a96f071850f74bed15a6080",
+              "G": "c3266c6b0e7ec20732a6bba1a77c2237ecc2da6d9206da6efe406809c177ec87",
+              "R": "6d44d1d58fd8135e50dae6f22374bf964b4f844056b18b6c0054e50563e4e3eb"},
     }
 
     def test_rows_unchanged(self):
         for kappa, want in self.ROWS_SHA256.items():
-            rows = an.bound_scanner(make_params(kappa), 512).rows
-            assert hashlib.sha256(rows.tobytes()).hexdigest() == want, kappa
+            sc = an.bound_scanner(make_params(kappa), 512)
+            got = {w: hashlib.sha256(sc.basis[w].tobytes()).hexdigest() for w in "IGR"}
+            assert got == want, kappa
 
     def test_bounds_unchanged_under_each_kernel(self):
         # a fresh process as this one runs, then one per kernel the CPU runs
@@ -1235,20 +1251,27 @@ class TestScannerBits:
             done = subprocess.run([sys.executable, "-c", _SCANNER_BOUNDS], env=kernel_env(core),
                                   capture_output=True, text=True)
             assert done.returncode == 0, (core, done.stderr)
-            got = {float(k): d for k, d in (line.split() for line in done.stdout.splitlines())}
+            got = {}
+            for line in done.stdout.splitlines():
+                kappa, w, digest = line.split()
+                got.setdefault(float(kappa), {})[w] = digest
             assert got == self.BOUNDS_SHA256, core
 
     @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
     def test_jets_carry_the_scanned_rows(self, kappa):
-        # the skip's jets differentiate the very functions the scanner scans
+        # the skip's jets differentiate the very functions the scanner scans:
+        # the moment jets carry MomentBasis.values on each side of the switch
         sc = an.bound_scanner(make_params(kappa), 512)
         P = an._point_rows(sc, sc.hs)
         for which in "IGR":
             assert np.array_equal(P[which].f[0], sc.basis[which]), which
         mb = sc.prop
-        e = np.searchsorted(mb._breaks, sc.hs)
-        jet = series_jet(mb._coef[:, e], (sc.hs - mb._centers[e]) / mb._radii[e])
-        assert np.array_equal(jet.f[0], mb.values(sc.hs))
+        saddle = sc.hs >= mb.switch
+        assert 0 < saddle.sum() < saddle.size
+        assert np.array_equal(mb.taylor(sc.hs).f[0], mb.values(sc.hs))
+        for side in (False, True):
+            h = sc.hs[saddle == side]
+            assert np.array_equal(mb.taylor(h, side).f[0], mb.values(h)), side
 
     @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
     def test_rows_do_not_depend_on_the_layout(self, kappa):

@@ -79,6 +79,26 @@ class TestConfig:
         assert "config error: seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_grid_and_epsilon_ranges(self):
+        RunConfig(grid=64, epsilon=0.049).validate()
+        with pytest.raises(ValueError, match="a scan grid needs at least 64 nodes, got 63"):
+            RunConfig(grid=63).validate()
+        for eps in (0.0, 0.05, float("nan"), -1e-3):
+            with pytest.raises(ValueError, match="epsilon must lie in"):
+                RunConfig(epsilon=eps).validate()
+
+    @pytest.mark.parametrize("args,message", [
+        (["zeros", "--grid", "10"], "a scan grid needs at least 64 nodes, got 10"),
+        (["sweep", "--trials", "2", "--grid", "63"], "a scan grid needs at least 64 nodes, got 63"),
+        (["cheb", "--grid", "8"], "a scan grid needs at least 64 nodes, got 8"),
+        (["winding", "--trials", "1", "--epsilon", "0.5"], "epsilon must lie in (0, 0.05)")])
+    def test_out_of_range_grid_or_epsilon_exits_1(self, tmp_path, capsys, args, message):
+        # each once raised a DomainError mid-command, after the output
+        # directory was made
+        assert main([*args, "--kappa", "4", "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_mu_exits_1(self, tmp_path):
         assert main(["zeros", "--mu", "1,2,3", "--out", str(tmp_path / "o")]) == 1
 
@@ -256,8 +276,11 @@ class TestCommands:
     # closed form: only the three I-reconstruction rows moved; re-pinned when
     # green's six basis moments came to share one panel set: the same three
     # rows moved again (1.47e-14 -> 1.21e-14, 4.4e-15 -> 3.5e-15, 4.2e-15 ->
-    # 4.6e-15), no count, chain row or status
-    ZEROS_GOLDEN_SHA256 = "b8ee5de7a683d8938fa6b0cf42168e0898bc040114a475e8797d65ee2fd51487"
+    # 4.6e-15), no count, chain row or status; re-pinned when MomentBasis
+    # came to sum two exact end expansions: the same rows moved
+    # (1.2130408344438345e-14 -> 1.0782585195056317e-14, 3.5372057485797957e-15
+    # -> 3.4011593736344214e-15, 4.582930196925236e-15 -> 4.383672362276333e-15)
+    ZEROS_GOLDEN_SHA256 = "015536d51b1e2381b9769282988f5be4a81ad08ec260942fc237d2d6d57ba447"
 
     def test_zeros_bytes_independent_of_blas_kernel(self, tmp_path):
         digests = self._digests_under_kernels(

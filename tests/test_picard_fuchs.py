@@ -460,6 +460,40 @@ class TestContinuation:
         assert abs(st0.J[0].imag) == 0
 
 
+def _mp_center_series(kappa, terms):
+    """V's Taylor coefficients about h_c = -2/3 at 40 digits: V(h_c) = 0,
+    V'(h_c) = pi / sqrt(kappa - 1) (1, ..., 1), and (n + 1) B(h_c) v_{n+1} =
+    (1 - n B') v_n, with row 3 of B(h_c) (a combination of rows 0 and 1 there)
+    replaced by the next order's solvability, (1, -3, 0, -4, 0, 0)
+    (1 - (n + 1) B') v_{n+1} = 0."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        k, h = mp.mpf(kappa), mp.mpf(-2) / 3
+        B = mp.matrix([[1.5 * h, 0, 1, 0, 0, 0], [0, h, 0, mp.mpf(2) / 3, 0, 0],
+                       [2 / (3 * k), 0, h, 2 * (k - 1) / (3 * k), 0, 0],
+                       [3 * h / 8, 0.5, 0.25, 0.75 * h, 0, 0], [0, 0, 0, 0, 3 * h, 2],
+                       [0, (k - 1) / k, 0, 0, 1 / k, 1.5 * h]])
+        Bp = mp.matrix(pf._B_PRIME.tolist())
+        ell = mp.matrix([[1, -3, 0, -4, 0, 0]])
+        v = [mp.matrix(6, 1), mp.pi / mp.sqrt(k - 1) * mp.ones(6, 1)]
+        for n in range(1, terms):
+            A, rhs = B.copy(), (mp.eye(6) - n * Bp) * v[n] / (n + 1)
+            A[3, :], rhs[3] = ell * (mp.eye(6) - (n + 1) * Bp), 0
+            v.append(mp.lu_solve(A, rhs))
+        return v
+
+
+def _mp_sum(series, h):
+    import mpmath as mp
+
+    with mp.workdps(40):
+        u, total = mp.mpf(h) + mp.mpf(2) / 3, mp.matrix(6, 1)
+        for n, v in enumerate(series):
+            total += v * u**n
+        return [total[i] for i in range(6)]
+
+
 def _mp_J_at_s(s, kappa):
     """J at the double (real or complex) s with 40 digits, from the 2F1 forms."""
     import mpmath as mp
@@ -601,14 +635,78 @@ class TestMomentBasis:
             for got, w in zip(d[[0, 3], col], want):
                 assert abs(float((got - w) / w)) <= 2e-9
 
-    def test_midpoint_is_the_oracle_and_shapes(self, p4):
+    def test_builds_without_quadrature_and_shapes(self, p4, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("MomentBasis called the quadrature oracle")
+
+        monkeypatch.setattr(pf, "basis_values", refuse)
         basis = MomentBasis(p4)
-        assert np.array_equal(basis.values(basis.h_mid), basis_values(basis.h_mid, p4))
         assert basis.values(-0.5).shape == (6,) and basis.derivs(-0.5).shape == (6,)
         assert basis.values(np.array([-0.6, -0.5])).shape == (6, 2)
         assert basis.derivs(np.array([-0.6, -0.5])).shape == (6, 2)
         with pytest.raises(DomainError):
             basis.values(p4.saddle_h)
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_matches_green(self, kappa):
+        # both series, the center's below the switch and the saddle form
+        # above it, against the quadrature oracle at tol 1e-13 (at kappa 1.01
+        # the oracle itself is 4.4e-13 off at 0.05 of the window)
+        p = make_params(kappa)
+        basis = MomentBasis(p)
+        for q in (0.05, 0.3, 0.5, 0.7, 0.95):
+            h = basis.lo + q * (basis.hi - basis.lo)
+            want = basis_values(h, p, tol=1e-13)
+            assert np.all(np.abs(basis.values(h) - want) <= 1e-13 * np.abs(want)), q
+
+    @pytest.mark.parametrize("kappa", [1.01, 1.5, 4.0, 9.0, 1000.0])
+    def test_matches_40_digits(self, kappa):
+        # the center series at 40 digits, by its own recursion, converges
+        # across the window: against it the basis sums the saddle form above
+        # the switch (0.5 of the window to kappa 9, 0.94 at kappa 1000).  At
+        # the window's center end (1e-8 from h_c) the relative error stays at
+        # rounding, as h - h_c is formed without the rounding of h_c
+        p = make_params(kappa)
+        basis = MomentBasis(p)
+        series = _mp_center_series(kappa, 520)
+        for q in (0.0, 1e-6, 0.05, 0.3, 0.5, 0.7, 0.9):
+            h = basis.lo + q * (basis.hi - basis.lo)
+            want = _mp_sum(series, h)
+            got = basis.values(h)
+            assert all(abs(float((g - w) / w)) <= 1e-13 for g, w in zip(got, want)), q
+
+    @pytest.mark.parametrize("kappa", [1.5, 9.0, 1000.0])
+    def test_bound_holds_over_cells(self, kappa):
+        # |V|, |V'| and |V''| of the representation at 65 levels of each cell,
+        # against the magnitude jets: cells at both window ends, across the
+        # switch and across the window
+        p = make_params(kappa)
+        basis = MomentBasis(p)
+        lo, hi, sw = basis.lo, basis.hi, basis.switch
+        w = hi - lo
+        edges = np.sort(np.concatenate([
+            lo + w * np.geomspace(1e-8, 1e-2, 7), np.linspace(lo, hi, 8)[1:-1],
+            sw + w * np.array([-1e-3, 1e-3]), hi - w * np.geomspace(1e-2, 1e-8, 7)]))
+        a, b = edges[:-1], edges[1:]
+        assert np.all(b > a) and np.any((a < sw) & (sw < b))
+        bound = basis.bound(a, b)
+        pts = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 65)
+        jet = basis.taylor(pts.ravel())
+        for c in range(3):
+            got = np.abs(jet.f[c]).reshape(6, *pts.shape).max(axis=-1)
+            assert np.all(got <= bound.f[c]), (c, np.max(got / bound.f[c]))
+
+    def test_saddle_factors_bound_their_derivatives(self):
+        # log|u| and |u|^(1/2) with their u-derivatives, over cells between
+        # u and near (|u| < 1), against their magnitude jets
+        far = -np.geomspace(0.6, 1e-9, 25)
+        near = far * 0.3
+        bound = pf._saddle_factors(far, near)
+        u = far[:, None] + (near - far)[:, None] * np.linspace(0.0, 1.0, 33)
+        for signed, mag in zip(pf._saddle_factors(u.ravel()), bound):
+            for c in range(3):
+                got = np.abs(signed.f[c]).reshape(u.shape).max(axis=1)
+                assert np.all(got <= mag.f[c] * (1 + 1e-15)), c
 
     def test_JJ_matches_derivs(self, p4):
         basis = MomentBasis(p4)

@@ -421,10 +421,19 @@ class PolyPair:
         return len(self.P) - 1
 
     def eval_P(self, s):
-        return np.polynomial.polynomial.polyval(s, np.asarray(self.P))
+        return _horner(self.P, s)
 
     def eval_Q(self, s):
-        return np.polynomial.polynomial.polyval(s, np.asarray(self.Q or (0.0,)))
+        return _horner(self.Q or (0.0,), s)
+
+
+def _horner(c: tuple, s):
+    """polyval(s, c) bit for bit, c[-1] + s*0 then c[-i] + acc*s, without its set-up."""
+    c, s = np.asarray(c), np.asarray(s)
+    acc = c[-1] + s * 0
+    for ck in c[-2::-1]:
+        acc = ck + acc * s
+    return acc
 
 
 @dataclass
@@ -473,13 +482,13 @@ def _keyhole_pieces(epsilon: float) -> dict:
 class KeyholeContour:
     """J on the upper half of the keyhole boundary of D_eps (the lower half is
     its mirror), cached per (kappa, eps), with the terms ``winding_count``
-    builds F from.  The half, all of cut_upper and the small circle's first
-    and the big circle's last n // 2 of their n samples, is one array, ``s``
-    and ``J`` = (J1, J2); ``bounds[name]`` is a piece's (start, stop) there,
-    and ``samples[name]`` its (s, J) views.  Beside them: ``min_abs_J1``, rho
-    = J2 / J1, the upper edge's ``ratio`` Im(J2 conj(J1)) / |J1|^2, and s^k as
-    real (2N,) views (``powers``), each formed once as s^(k-1) s when a pair
-    first needs it, so their bits do not depend on which pair came first."""
+    builds F from in one pass.  The half, all of cut_upper and the small
+    circle's first and the big circle's last n // 2 of their n samples, is
+    one array, ``s`` and ``J`` = (J1, J2); ``bounds[name]`` is a piece's
+    (start, stop) there, and ``samples[name]`` its (s, J) views.  Beside them:
+    ``min_abs_J1``, rho = J2 / J1, the upper edge's ``ratio`` Im(J2 conj(J1))
+    / |J1|^2, and s^k as real (2N,) views (``powers``), each formed once as
+    s^(k-1) s when a pair first needs it, so no bit depends on the pair order."""
 
     def __init__(self, params: ModelParams, epsilon: float = 1e-3):
         (lines, n), ((small,), m), _, ((big,), b) = _keyhole_pieces(epsilon).values()
@@ -542,13 +551,13 @@ def _keyhole(kappa: float, epsilon: float) -> KeyholeContour:
 
 
 def _wrap(steps: np.ndarray) -> np.ndarray:
-    """(steps + pi) % (2 pi) - pi bit for bit for steps in [-2 pi, 2 pi], at a
-    tenth of the float %'s cost: x = steps + pi is in [-pi, 3 pi], where the
-    remainder is x - 2 pi from 2 pi up (exact by Sterbenz) and x + 2 pi below 0."""
-    x = steps + np.pi
-    x[x >= 2.0 * np.pi] -= 2.0 * np.pi
-    x[x < 0.0] += 2.0 * np.pi
-    return x - np.pi
+    """(steps + pi) % (2 pi) - pi bit for bit for steps in [-2 pi, 2 pi], in place
+    by ``where=``: x = steps + pi is in [-pi, 3 pi], where the remainder is
+    x - 2 pi from 2 pi up (exact by Sterbenz) and x + 2 pi below 0."""
+    x = np.add(steps, np.pi, out=steps)
+    np.subtract(x, 2.0 * np.pi, out=x, where=x >= 2.0 * np.pi)
+    np.add(x, 2.0 * np.pi, out=x, where=x < 0.0)
+    return np.subtract(x, np.pi, out=x)
 
 
 def _real_sum(c: tuple, cols: list, n: int) -> np.ndarray:
@@ -567,48 +576,45 @@ def winding_count(pair: PolyPair, params: ModelParams,
                   epsilon: float = 1e-3) -> WindingReport:
     """Argument-principle zero count of P J1 + Q J2 on the keyhole domain.
 
-    F = P + Q J2 / J1 on the contour's upper half, with P and Q real sums
-    over its s^k.  On the upper edge Im F is assembled from the pointwise
+    F = P + Q J2 / J1 in one pass over the contour's upper half, P and Q real
+    sums over its s^k.  On the upper edge Im F is assembled from the pointwise
     conjugate-pair fundamental matrix, Im F = Q Im(J2 conj(J1)) / |J1|^2,
     matching the boundary analysis; elsewhere F is used directly.  By the
     mirror, the lower edge has the upper edge's increment, and each circle
     twice its upper half's plus the step across the real axis, F(s_m) to
-    conj F(s_m), which ``max_arg_step`` includes.
+    conj F(s_m); each piece sums its own run of the one array of steps.
     """
     ct = keyhole_contour(params, epsilon)
     if ct.min_abs_J1 == 0.0:
         raise GeometryError("J1 vanishes on the contour; F undefined")
-    powers = ct.powers(pair.n)
-    inc, max_step, edge_gap = {}, 0.0, 0.0
-    for name, (a, b) in ct.bounds.items():
-        cols = [col[2 * a:2 * b] for col in powers]
-        P, Q = (_real_sum(c, cols, b - a) for c in (pair.P, pair.Q))
-        F = P + Q * ct.rho[a:b]
-        im = F.imag
-        if name == "cut_upper":
-            im = Q.real * ct.ratio
-            edge_gap = float(np.max(np.abs(im - F.imag)) / (np.max(np.abs(F)) + 1e-300))
-        th = np.arctan2(im, F.real)
-        # a circle's lower half retraces its upper half's steps, and one more step
-        # crosses the real axis between F(s_m) and conj F(s_m) = F(conj s_m)
-        if name == "small_circle":
-            th = np.append(th, -th[-1])
-        elif name == "big_circle":
-            th = np.insert(th, 0, -th[0])
-        steps = _wrap(np.diff(th))
-        max_step = max(max_step, float(np.max(np.abs(steps))))
-        inc[name] = float(np.sum(steps))
-        if name != "cut_upper":  # both halves, and the crossing step once
-            inc[name] = 2.0 * inc[name] - float(steps[-1] if name == "small_circle" else steps[0])
-    inc["cut_lower"] = inc["cut_upper"]  # F(conj s) = conj F(s), traversed backwards
-    segments = [{"name": name, "arg_increment": inc[name]}
-                for name in ("cut_upper", "small_circle", "cut_lower", "big_circle")]
+    powers, N = ct.powers(pair.n), ct.s.size
+    P, Q = (_real_sum(c, powers, N) for c in (pair.P, pair.Q))
+    (_, e), (_, m), _ = ct.bounds.values()
+    im = Q.real[:e] * ct.ratio
+    F = np.add(np.multiply(Q, ct.rho, out=Q), P, out=Q)  # P + Q rho, in Q's place
+    edge_gap = float(np.max(np.abs(im - F.imag[:e])) / (np.max(np.abs(F[:e])) + 1e-300))
+    F.imag[:e] = im
+    # a circle's lower half retraces its upper half's steps, and one more step
+    # crosses the real axis between F(s_m) and conj F(s_m) = F(conj s_m)
+    th = np.empty(N + 2)
+    np.arctan2(F.imag[:m], F.real[:m], out=th[:m])
+    np.arctan2(F.imag[m:], F.real[m:], out=th[m + 2:])
+    th[m], th[m + 1] = -th[m - 1], -th[m + 2]
+    steps = _wrap(np.subtract(th[1:], th[:-1]))
+    edge, small, big = float(steps[:e - 1].sum()), steps[e:m], steps[m + 1:]
+    # cut_lower is cut_upper traversed backwards, F(conj s) = conj F(s); a
+    # circle counts both halves, and the crossing step once
+    inc = {"cut_upper": edge, "small_circle": 2.0 * float(small.sum()) - float(small[-1]),
+           "cut_lower": edge, "big_circle": 2.0 * float(big.sum()) - float(big[0])}
+    segments = [{"name": name, "arg_increment": v} for name, v in inc.items()]
+    steps[e - 1] = steps[m] = 0.0  # the junction steps belong to no piece
+    top = float(np.max(np.abs(steps, out=steps)))
     # a left fold, not sum(): from Python 3.12 sum() compensates float sums
-    total = ((inc["cut_upper"] + inc["small_circle"]) + inc["cut_lower"]) + inc["big_circle"]
+    total = ((edge + inc["small_circle"]) + edge) + inc["big_circle"]
     w = int(round(total / (2.0 * math.pi)))
     return WindingReport(n=pair.n, epsilon=epsilon, segments=segments, winding=w,
                          residual=abs(total / (2.0 * math.pi) - w), edge_im_agreement=edge_gap,
-                         min_abs_J1=ct.min_abs_J1, bound_ok=w <= 2 * pair.n, max_arg_step=max_step)
+                         min_abs_J1=ct.min_abs_J1, bound_ok=w <= 2 * pair.n, max_arg_step=top)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +644,7 @@ def _j_table(kappa: float) -> JTable:
 
 def random_poly_pair(n: int, rng) -> PolyPair:
     coeffs = rng.normal(size=2 * n + 1)
-    coeffs /= np.linalg.norm(coeffs)
+    coeffs /= np.sqrt(np.add.accumulate(coeffs * coeffs)[-1])  # no BLAS dot: squares in order
     return PolyPair(P=tuple(coeffs[: n + 1]), Q=tuple(coeffs[n + 1:]))
 
 
@@ -650,11 +656,7 @@ def vn_sample_test(n: int, trials: int, params: ModelParams, seed: int,
         raise DomainError("n must be in 1..4")
     tab = j_table(params)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    max_real = 0
-    max_winding = 0
-    worst_residual = 0.0
-    violations = []
-    rows = []
+    violations, rows = [], []
     for t in range(trials):
         pair = random_poly_pair(n, rng)
 
@@ -664,9 +666,6 @@ def vn_sample_test(n: int, trials: int, params: ModelParams, seed: int,
 
         zr = count_zeros(V, (tab.lo, tab.hi), grid=grid)
         wr = winding_count(pair, params, epsilon)
-        max_real = max(max_real, zr.count)
-        max_winding = max(max_winding, wr.winding)
-        worst_residual = max(worst_residual, wr.residual)
         if not wr.bound_ok:
             violations.append({"trial": t, "kind": "winding", "value": wr.winding})
         if zr.count > 2 * n:
@@ -675,8 +674,9 @@ def vn_sample_test(n: int, trials: int, params: ModelParams, seed: int,
                      "residual": wr.residual})
     return {
         "n": n, "trials": trials, "kappa": params.kappa,
-        "max_real_zeros": max_real, "max_winding": max_winding,
-        "worst_residual": worst_residual, "bound": 2 * n,
+        "max_real_zeros": max([0] + [r["real_zeros"] for r in rows]),
+        "max_winding": max([0] + [r["winding"] for r in rows]),
+        "worst_residual": max([0.0] + [r["residual"] for r in rows]), "bound": 2 * n,
         "violations": violations, "rows": rows,
     }
 

@@ -337,6 +337,43 @@ def _winding_count_per_element(pair, params, epsilon):
         bound_ok=w <= 2 * pair.n, max_arg_step=max_step, edge_im_agreement=edge_gap)
 
 
+def _winding_count_per_piece(pair, params, epsilon):
+    """``winding_count`` as it was before it made one pass over the contour's
+    half: each piece's P, Q, F and angles formed on its own, the circles'
+    crossing angles joined by ``np.append``/``np.insert``, and the wrap by
+    the float %, which ``_wrap`` equals bit for bit."""
+    ct = keyhole_contour(params, epsilon)
+    powers = ct.powers(pair.n)
+    inc, max_step, edge_gap = {}, 0.0, 0.0
+    for name, (a, b) in ct.bounds.items():
+        cols = [col[2 * a:2 * b] for col in powers]
+        P, Q = (an._real_sum(c, cols, b - a) for c in (pair.P, pair.Q))
+        F = P + Q * ct.rho[a:b]
+        im = F.imag
+        if name == "cut_upper":
+            im = Q.real * ct.ratio
+            edge_gap = float(np.max(np.abs(im - F.imag)) / (np.max(np.abs(F)) + 1e-300))
+        th = np.arctan2(im, F.real)
+        if name == "small_circle":
+            th = np.append(th, -th[-1])
+        elif name == "big_circle":
+            th = np.insert(th, 0, -th[0])
+        steps = (np.diff(th) + np.pi) % (2.0 * np.pi) - np.pi
+        max_step = max(max_step, float(np.max(np.abs(steps))))
+        inc[name] = float(np.sum(steps))
+        if name != "cut_upper":
+            inc[name] = 2.0 * inc[name] - float(steps[-1] if name == "small_circle" else steps[0])
+    inc["cut_lower"] = inc["cut_upper"]
+    segments = [{"name": name, "arg_increment": inc[name]}
+                for name in ("cut_upper", "small_circle", "cut_lower", "big_circle")]
+    total = ((inc["cut_upper"] + inc["small_circle"]) + inc["cut_lower"]) + inc["big_circle"]
+    w = int(round(total / (2.0 * math.pi)))
+    return an.WindingReport(n=pair.n, epsilon=epsilon, segments=segments, winding=w,
+                            residual=abs(total / (2.0 * math.pi) - w), edge_im_agreement=edge_gap,
+                            min_abs_J1=ct.min_abs_J1, bound_ok=w <= 2 * pair.n,
+                            max_arg_step=max_step)
+
+
 _PI_LD = np.arccos(np.longdouble(-1.0))
 
 
@@ -468,6 +505,35 @@ class TestCachedTerms:
         assert [vars(winding_count(pair, p)) for pair in pairs] == fresh
         clear_caches()
         assert [vars(winding_count(pair, p)) for pair in pairs] == fresh
+
+    @pytest.mark.parametrize("kappa", [1.05, 1.5, 4.0, 9.0, 50.0])
+    @pytest.mark.parametrize("epsilon", [5e-4, 1e-3, 2e-3])
+    def test_one_pass_equals_per_piece_loop(self, kappa, epsilon):
+        # one pass over the half does each piece's elementwise operations and
+        # sums each piece's steps as one contiguous run, so every field of the
+        # report keeps its bits; P-only pairs (Q = ()) included
+        p = make_params(kappa)
+        rng = np.random.default_rng(np.random.SeedSequence([int(kappa * 100), int(epsilon * 1e4), 32]))
+        for t in range(20):
+            pair = random_poly_pair(t % 5, rng)
+            for q in (pair, PolyPair(P=pair.P, Q=())):
+                assert winding_count(q, p, epsilon) == _winding_count_per_piece(q, p, epsilon), (t, q)
+
+    def test_horner_equals_polyval(self):
+        # in-order Horner does polyval's operations, so real and complex
+        # samples, the empty Q and the constant P keep their bits
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=513) * 4.0
+        z = x + 1j * rng.normal(size=513)
+        for n in range(5):
+            pair = random_poly_pair(n, rng)
+            for P, Q in ((pair.P, pair.Q), (pair.P, ())):
+                pp = PolyPair(P=P, Q=Q)
+                for s in (x, z, x[:3], z[:3]):
+                    for got, c in ((pp.eval_P(s), P), (pp.eval_Q(s), Q or (0.0,))):
+                        want = np.polynomial.polynomial.polyval(s, np.asarray(c))
+                        assert got.dtype == want.dtype
+                        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (P, Q)
 
     def test_wrap_equals_float_remainder(self):
         two_pi = 2.0 * np.pi

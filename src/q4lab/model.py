@@ -246,17 +246,21 @@ def h_from_s(s: float, params: ModelParams) -> float:
 # Cubic utilities
 # ---------------------------------------------------------------------------
 
-def cubic_real_roots(a3, a2, a1, a0) -> np.ndarray:
-    """Real roots of a3 x^3 + a2 x^2 + a1 x + a0 (a3 nonzero; scalars or
-    arrays of one shape), flattened: shape (n, 3), ascending, NaN for each
-    complex root (so a single real root sits in column 0).
+def ranked_cubic_roots(a3, a2, a1, a0, ranks) -> np.ndarray:
+    """The real roots of a3 x^3 + a2 x^2 + a1 x + a0 (a3 nonzero; scalars or
+    arrays of one shape) of the given ranks, flattened: shape (n, len(ranks)).
+    Rank 0 is the largest root, 1 the middle one and 2 the smallest; where
+    the cubic has one real root it is rank 0, and ranks 1 and 2 are NaN.
 
     The depressed cubic t^3 + 3 P t + 2 R (x = t - a2 / (3 a3)) is solved in
-    the trigonometric form where D = R^2 + P^3 < 0 (three real roots), else
-    in Cardano's form without cancellation; two Newton steps on the original
-    cubic polish each root.  Every cubic of the lab is solved here.
+    the trigonometric form where D = R^2 + P^3 < 0 (three real roots), whose
+    k-th root is the one of rank k, else in Cardano's form without
+    cancellation; two Newton steps on the original cubic polish each root on
+    its own, so a root's bits do not depend on which others are asked for.
+    Every cubic of the lab is solved here.
     """
     a3, a2, a1, a0 = (np.reshape(a, (-1, 1)) for a in (a3, a2, a1, a0))
+    k = np.asarray(ranks, dtype=float)
     da3, da2 = 3.0 * a3, 2.0 * a2  # the derivative's leading coefficients
     b, c = a2 / da3, a1 / da3
     bb = b * b
@@ -265,17 +269,27 @@ def cubic_real_roots(a3, a2, a1, a0) -> np.ndarray:
     D = R * R + P * P * P
     root = np.sqrt(np.abs(D))
     with np.errstate(divide="ignore", invalid="ignore"):
-        # t = 2 sqrt(-P) cos(phi - 2 pi k / 3), (-P)^1.5 (cos, sin)(3 phi) = (-R, sqrt(-D))
+        # t = 2 sqrt(-P) cos(phi - 2 pi k / 3), (-P)^1.5 (cos, sin)(3 phi) = (-R, sqrt(-D)),
+        # with phi in [0, pi / 3], so the cosines fall with k
         phi = np.arctan2(root, -R) / 3.0
-        trig = 2.0 * np.sqrt(-P) * np.cos(phi - (2.0 * np.pi / 3.0) * np.arange(3))
-        u = np.copysign(np.cbrt(np.abs(R) + root), -R)
-        cardano = np.where(u != 0.0, u - P / u, 0.0) * [1.0, np.nan, np.nan]
-        x = np.where(D < 0.0, trig, cardano) - b
+        x = 2.0 * np.sqrt(-P) * np.cos(phi - (2.0 * np.pi / 3.0) * k)
+        if not np.all(D < 0.0):  # Cardano's form where there is one real root
+            u = np.copysign(np.cbrt(np.abs(R) + root), -R)
+            cardano = np.where(u != 0.0, u - P / u, 0.0) * np.where(k == 0.0, 1.0, np.nan)
+            x = np.where(D < 0.0, x, cardano)
+        x = x - b
         for _ in range(2):
             f = ((a3 * x + a2) * x + a1) * x + a0
             fp = (da3 * x + da2) * x + a1
             x = x - np.where(fp != 0.0, f / fp, 0.0)
-    return np.sort(x, axis=1)  # NaN sorts last
+    return x
+
+
+def cubic_real_roots(a3, a2, a1, a0) -> np.ndarray:
+    """All real roots of the cubic, the three ranks of :func:`ranked_cubic_roots`
+    ascending: shape (n, 3), NaN for each complex root (so a single real root
+    sits in column 0)."""
+    return np.sort(ranked_cubic_roots(a3, a2, a1, a0, (0, 1, 2)), axis=1)  # NaN sorts last
 
 
 def real_roots_y(h: float, params: ModelParams) -> list[tuple[float, int]]:
@@ -307,10 +321,10 @@ def _smallest_positive_roots(C, Q, L, K):
     reversed cubic K u^3 + L u^2 + Q u + C, whose leading coefficient
     K = H(center) - level never vanishes on the annulus (C does, where the
     ray cubic drops to a quadratic), then three guarded Newton steps in r."""
-    u = cubic_real_roots(K, L, Q, C)
-    out = 1.0 / np.fmax.reduce(np.where(u > 0.0, u, np.nan), axis=1)
+    u = ranked_cubic_roots(K, L, Q, C, (0,))[:, 0]
+    out = 1.0 / np.where(u > 0.0, u, np.nan)
 
-    # Newton polish on the original cubic (2 guarded steps, then 1 final)
+    # three guarded Newton steps on the original cubic, each at most half the radius
     dC, dQ = 3.0 * C, 2.0 * Q
     for _ in range(3):
         fval = ((C * out + Q) * out + L) * out + K
@@ -325,19 +339,22 @@ def _smallest_positive_roots(C, Q, L, K):
 # Level ovals
 # ---------------------------------------------------------------------------
 
-def _ray_poly_coeffs(theta, h, params: ModelParams, form: HamiltonianForm, center):
-    """Coefficients (C, Q, L, K) of the restriction of H - level to the ray
-    center + r (cos theta, sin theta); exact because H is cubic, via the
-    Taylor expansion of H at the center."""
+def _center_taylor(h, params: ModelParams, form: HamiltonianForm, center) -> tuple:
+    """The Taylor terms of the level function G at the center: G, its
+    gradient, its Hessian and its third derivatives (xxx, xxy, xyy, yyy)."""
     k = params.kappa
-    c, s = np.cos(theta), np.sin(theta)
     cx, cy = center
-    Hx, Hy = _grad(cx, cy, h, params, form)
-    Hxx, Hxy, Hyy = _hess(cx, cy, h, params, form)
     sym = form is HamiltonianForm.SYMMETRIC_FORM
-    Hxxx, Hxxy = (4.0 * (k - 1.0), -2.0 * (k - 1.0)) if sym else (-6.0 * h, -2.0)
-    Hxyy, Hyyy = 0.0, 2.0 * k
-    K0 = _level_fn(cx, cy, h, params, form)
+    third = (4.0 * (k - 1.0), -2.0 * (k - 1.0)) if sym else (-6.0 * h, -2.0)
+    return (_level_fn(cx, cy, h, params, form), *_grad(cx, cy, h, params, form),
+            *_hess(cx, cy, h, params, form), *third, 0.0, 2.0 * k)
+
+
+def _ray_poly_coeffs(c, s, taylor):
+    """Coefficients (C, Q, L, K) of the restriction of the level function to
+    the rays center + r (c, s), c and s the cosine and sine of their angles;
+    exact because it is cubic, from its Taylor terms at the center."""
+    K0, Hx, Hy, Hxx, Hxy, Hyy, Hxxx, Hxxy, Hxyy, Hyyy = taylor
     K = np.full_like(c, K0)
     L = Hx * c + Hy * s
     Q = 0.5 * (Hxx * c * c + 2.0 * Hxy * c * s + Hyy * s * s)
@@ -387,6 +404,7 @@ class Oval:
     center: tuple[float, float]
     form: HamiltonianForm
     params: ModelParams = field(repr=False)
+    taylor: tuple = field(repr=False)  # G's Taylor terms at the center
     min_x: float = 0.0
     _bbox: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _tangents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -399,12 +417,15 @@ class Oval:
         """Ray radius at each angle, in the shape of an angle array of two or
         more dimensions (a scalar or 1-d array gives a 1-d array)."""
         theta = np.asarray(theta, dtype=float)
-        C, Q, L, K = _ray_poly_coeffs(theta.reshape(-1), self.h, self.params,
-                                      self.form, self.center)
-        r = _smallest_positive_roots(C, Q, L, K)
+        r = self._radii(np.cos(theta), np.sin(theta))
+        return r if theta.ndim > 1 else r.reshape(-1)
+
+    def _radii(self, c, s):
+        """Ray radius for each ray direction (c, s), in their shape."""
+        r = _smallest_positive_roots(*_ray_poly_coeffs(c.reshape(-1), s.reshape(-1), self.taylor))
         if np.any(~np.isfinite(r)):
             raise GeometryError("ray from the center failed to bracket the oval")
-        return r.reshape(theta.shape) if theta.ndim > 1 else r
+        return r.reshape(c.shape)
 
     def point_tangent(self, theta):
         """Point on the oval and d(point)/d(theta), exact to rounding, as
@@ -429,8 +450,8 @@ class Oval:
         return tuple(out)
 
     def _point_tangent(self, theta):
-        r = self.r_theta(theta)
         c, s = np.cos(theta), np.sin(theta)
+        r = self._radii(c, s)
         x = self.center[0] + r * c
         y = self.center[1] + r * s
         Hx, Hy = _grad(x, y, self.h, self.params, self.form)
@@ -451,14 +472,14 @@ class Oval:
         if self._bbox is not None:
             return self._bbox
         vx, vy = self.points[:-1].T
-        on_x = np.array([True, True, False, False])  # x min, x max, y min, y max
         k0 = np.array([np.argmin(vx), np.argmax(vx), np.argmin(vy), np.argmax(vy)])
-        width = np.where(on_x, np.ptp(vx), np.ptp(vy))
+        width = np.repeat([np.ptp(vx), np.ptp(vy)], 2)  # x min, x max, y min, y max
         x, y, args = vx[k0], vy[k0], (self.h, self.params, self.form)
         for _ in range(8):
             (Gx, Gy), (Gxx, Gxy, Gyy) = _grad(x, y, *args), _hess(x, y, *args)
             # the second equation F = dG/dy (x sides) or dG/dx (y sides), and its gradient
-            F, Fx, Fy = np.where(on_x, [Gy, Gxy, Gyy], [Gx, Gxx, Gxy])
+            F, Fx, Fy = (np.concatenate([a[:2], b[2:]])
+                         for a, b in ((Gy, Gx), (Gxy, Gxx), (Gyy, Gxy)))
             G, det = _level_fn(x, y, *args), Gx * Fy - Gy * Fx
             sx, sy = (G * Fy - Gy * F) / det, (Gx * F - Fx * G) / det
             x, y = x - sx, y - sy
@@ -471,7 +492,7 @@ class Oval:
         if not np.all(turns >= 0.0):
             raise GeometryError("Newton left the polyline neighbours of a bounding-box vertex")
         px, py, _, _ = self._point_tangent(np.angle(p))
-        side = np.where(on_x, px, py)  # x0, x1, y0, y1
+        side = np.concatenate([px[:2], py[2:]])  # x0, x1, y0, y1
         pad = 1e-12 * np.repeat(side[1::2] - side[::2], 2) + 1e-300
         self._bbox = tuple(side + pad * [-1.0, 1.0, -1.0, 1.0])
         return self._bbox
@@ -522,20 +543,27 @@ def _check_roots(r, theta):
             f"non-finite or non-positive root r={r[k]:.6g} on the ray at theta={theta[k]:.10g}")
 
 
+def _midpoints(theta):
+    """The angle halfway along each interval of the closed sorted angles."""
+    thm = 0.5 * (theta + np.roll(theta, -1))
+    thm[-1] = 0.5 * (theta[-1] + theta[0] + 2.0 * np.pi)
+    return thm
+
+
 def _ray_oval(theta, h, params, form, center):
     """The oval through ray shooting; raises DegenerateLevelError naming the
     check that failed: a non-finite or non-positive ray root, an O(1) branch
-    jump between neighbouring rays, or a vertex residual above 1e-8*scale."""
-    C, Q, L, K = _ray_poly_coeffs(theta, h, params, form, center)
-    r = _smallest_positive_roots(C, Q, L, K)
+    jump between neighbouring rays, or a vertex residual above 1e-8*scale.
+    Each angle is solved once: the rays and their midpoints in one call, then
+    only the midpoints of each refinement's new intervals."""
+    taylor = _center_taylor(h, params, form, center)
+    solve = lambda th: _smallest_positive_roots(*_ray_poly_coeffs(np.cos(th), np.sin(th), taylor))
+    thm = _midpoints(theta)
+    r, rm = np.split(solve(np.concatenate([theta, thm])), 2)
     _check_roots(r, theta)
+    _check_roots(rm, thm)
     # adaptive angular refinement until the chord midpoint stays on the curve
-    for _ in range(8):
-        thm = 0.5 * (theta + np.roll(theta, -1))
-        thm[-1] = 0.5 * (theta[-1] + theta[0] + 2.0 * np.pi)
-        Cm, Qm, Lm, Km = _ray_poly_coeffs(thm, h, params, form, center)
-        rm = _smallest_positive_roots(Cm, Qm, Lm, Km)
-        _check_roots(rm, thm)
+    for rnd in range(8):
         chord = 0.5 * (r + np.roll(r, -1))
         scale = np.maximum(np.abs(r), np.abs(np.roll(r, -1))) + 1e-300
         defect = np.abs(rm - chord)
@@ -550,9 +578,14 @@ def _ray_oval(theta, h, params, form, center):
                 f"neighbours by {defect[k] / scale[k]:.3g} of the radius (limit 0.45)")
         if not np.any(bad) or theta.size > 65536:
             break
-        theta = np.sort(np.concatenate([theta, thm[bad]]))
-        C, Q, L, K = _ray_poly_coeffs(theta, h, params, form, center)
-        r = _smallest_positive_roots(C, Q, L, K)
+        # the bad chords' midpoints become vertices, with the radii solved for
+        # them; of the next midpoints, only those of their two halves are new
+        at = np.flatnonzero(bad) + 1
+        theta, r = np.insert(theta, at, thm[bad]), np.insert(r, at, rm[bad])
+        if rnd < 7:  # the last round's new midpoints are never checked
+            thm, rm, new = _midpoints(theta), np.repeat(rm, 1 + bad), np.repeat(bad, 1 + bad)
+            rm[new] = solve(thm[new])
+            _check_roots(rm[new], thm[new])
 
     x = center[0] + r * np.cos(theta)
     y = center[1] + r * np.sin(theta)
@@ -572,5 +605,6 @@ def _ray_oval(theta, h, params, form, center):
         center=center,
         form=form,
         params=params,
+        taylor=taylor,
         min_x=float(np.min(x)),
     )

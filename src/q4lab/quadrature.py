@@ -18,9 +18,9 @@ symmetric picture (region {H(x, y) < h}).  Two independent methods:
               I_ij = int x^i (r2^(j+1) - r1^(j+1)) / (j+1) dx.  The two runs
               x = x_min + t^2 and x = x_max - t^2, which meet at the middle,
               make the integrand analytic in t.  The slices are cubics in y,
-              solved like green's rays by ``model.cubic_real_roots``; one
-              check per oval, that the slice at the center's x holds the
-              center, stands for the premise.
+              solved like green's rays by ``model.ranked_cubic_roots``, for
+              their top two roots alone; one check per oval, that the slice
+              at the center's x holds the center, stands for the premise.
 
 Both refine batches of integrals in one GK loop, ``_gk_refine`` (as does the
 I-reconstruction check), on one panel set per batch: a panel is halved
@@ -49,9 +49,9 @@ from .model import (
     HamiltonianForm,
     ModelParams,
     Oval,
-    cubic_real_roots,
     make_params,
     oval,
+    ranked_cubic_roots,
 )
 
 logger = logging.getLogger(__name__)
@@ -201,11 +201,14 @@ def _slice_cubic(ov: Oval):
 def _slice_ends(ov: Oval, x: np.ndarray):
     """The middle and top roots (r1, r2) of the slice cubic at each x, in
     the shape of x: with a > 0, {G < 0} on the line is (-inf, r0) u (r1, r2),
-    and (r1, r2) is the oval's slice.  Where the cubic has one real root
-    (past a fold, to rounding) both ends are 0, an empty slice."""
+    and (r1, r2) is the oval's slice: the roots of rank 1 and 0, ordered
+    after their polish, which can swap them where they nearly merge, next to
+    a fold.  Where the cubic has one real root (past a fold, to rounding),
+    rank 1 is NaN and both ends are 0, an empty slice."""
     a, p, q = _slice_cubic(ov)
     p, q = (np.polynomial.polynomial.polyval(x.ravel(), c) for c in (p, q))
-    r = np.nan_to_num(cubic_real_roots(a, 0.0, p, q)[:, 1:].T)
+    mid, top = ranked_cubic_roots(a, 0.0, p, q, (1, 0)).T
+    r = np.nan_to_num([np.minimum(mid, top), np.maximum(mid, top)])  # NaN propagates
     return tuple(r.reshape((2,) + x.shape))
 
 

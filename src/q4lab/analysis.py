@@ -937,32 +937,41 @@ class BoundScanner:
         each are its own ``mu @ basis[which[j]]``: numpy evaluates the
         stacked (1, 4) @ (4, grid) products one at a time by the same
         matrix-vector product, bit for bit (a (T, 4) @ (4, grid) product is
-        not), so a count does not depend on what is scanned with it."""
+        not), so a count does not depend on what is scanned with it.  Weights
+        are checked only when a row scans non-finite: a non-finite weight
+        always makes its row so."""
         weights = np.asarray(weights, dtype=float)
         T, k = weights.shape[:2]
         names, mus = which * T, weights.reshape(T * k, 4)
-        if not np.isfinite(mus).all():
-            bad = np.isfinite(mus).all(axis=1).argmin()
-            raise DomainError(f"weights must be four finite numbers, got {mus[bad]}")
         basis = self.rows if which == "IGR" else np.stack([self.basis[c] for c in which])
         fs = np.matmul(weights.reshape(T, k, 1, 4), basis).reshape(T * k, -1)
-        return _count_from_scan(
-            self.hs, fs, lambda r: functools.partial(self._f, names[r], mus[r]), self.window,
-            tol, lambda r, i: np.abs(mus[r]) @ self.reach[names[r]][:, i], names)
+        reach = self.reach  # |mu| @ reach[:, i] by weigh on floats: no BLAS dot
+        try:
+            return _count_from_scan(
+                self.hs, fs, lambda r: functools.partial(self._f, names[r], mus[r]), self.window,
+                tol, lambda r, i: weigh(np.abs(mus[r]).tolist(), reach[names[r]][:, i].tolist()),
+                names)
+        except DomainError:
+            if not np.isfinite(mus).all():
+                bad = np.isfinite(mus).all(axis=1).argmin()
+                raise DomainError(f"weights must be four finite numbers, got {mus[bad]}") from None
+            raise
 
 
 def _count_from_scan(xs, fs, fvec, interval, tol, reach=None, names="f") -> list[ZeroReport]:
     """Count the zeros of each row r of fs, the values of the function
     ``fvec(r)`` on the increasing grid xs, by the rules of ``count_zeros``:
-    one report per row.  Sign changes, zero nodes, the scale and the
-    candidate minima (``is_min & ~beside_zero``) of all the rows come from a
-    fixed number of array operations on fs as one flat array, with the pairs
-    across row ends masked out; only the tangency fits evaluate f, row by
-    row.  A row with a non-finite value is refused, named ``names[r]``.  A
-    minimum is also skipped when a tangency already fitted in its row lies
-    between its neighbours, and, given ``reach`` (a function of a candidate's
-    row and node), when |f(x_i)| > reach(r, i) + bound: ``_tangency`` would
-    return None there.
+    one report per row.  A row with a non-finite value is refused, named
+    ``names[r]``.  A fixed handful of numpy calls on fs as one flat array
+    give the scales and two index lists: the sign changes of neighbour
+    products (less the pairs across row ends) and the nodes whose |f| is at
+    most both flat neighbours' (every zero node but the array's two ends).
+    A trial has about one such minimum, so the counts and the fits (minima
+    inside a row, with no sign change or zero node beside) are Python on
+    those lists.  A minimum is also skipped when a tangency already fitted
+    in its row lies between its neighbours, and, given ``reach`` (a function
+    of a candidate's row and node), when |f(x_i)| > reach(r, i) + bound:
+    ``_tangency`` would return None there.
 
     The proof of the skip: on a stencil (x - delta, x, x + delta), t in
     [-delta, delta], the fitted quadratic's value is sum_k L_k f_k with
@@ -975,48 +984,45 @@ def _count_from_scan(xs, fs, fvec, interval, tol, reach=None, names="f") -> list
     M = |f(x_i)| + V_i give fitted values of modulus above |f(x_i)| - REACH
     V_i, and ``BoundScanner.reach`` adds FIT_SLACK for the rounding of the
     matvec and the fit.  The scanner forms |mu| @ reach[:, i] at each
-    candidate alone, a sum of four nonnegative products whose rounding
-    differs from that of a matvec over every node by a few ulps, far inside
-    FIT_SLACK (256 eps), so the skip stays sound.  A fit returns a tangency
-    only for a fitted value within bound of zero.  NaN or inf in reach never
-    skips.  Each report keeps its own row, f and fitted tangencies for
-    ``_locate_zeros``."""
+    candidate alone, a sum of four nonnegative products folded in a fixed
+    order (``weigh``), whose rounding differs from that of any other order by
+    a few ulps, far inside FIT_SLACK (256 eps), so the skip stays sound.  A
+    fit returns a tangency only for a fitted value within bound of zero.
+    NaN or inf in reach never skips.  Each report keeps its own row, f and
+    fitted tangencies for ``_locate_zeros``."""
     n, N = fs.shape
     f = fs.ravel()
     absf = np.abs(f)
-    scale = absf.reshape(n, N).max(axis=1).tolist()
+    scale = np.maximum.reduce(absf.reshape(n, N), axis=1).tolist()
     for r, s in enumerate(scale):
         if not math.isfinite(s):
             raise DomainError(f"{names[r]} evaluated non-finite on the scan grid")
-    change = np.empty(n * N, dtype=bool)  # change[k]: a sign change from node k to k + 1
-    np.less(f[:-1] * f[1:], 0.0, out=change[:-1])
-    change[N - 1::N] = False
-    count = change.reshape(n, N).sum(axis=1)
-    # fits[k - 1]: node k is an interior minimum of |f| (True > False) with no
-    # sign change beside it; the first and last node of each row are not
-    mid = absf[1:-1]
-    fits = (mid <= np.minimum(absf[:-2], absf[2:])) > (change[:-2] | change[1:-1])
-    fits[N - 2::N] = fits[N - 1::N] = False
-    if not f.all():
-        at_node = f == 0.0
-        count += at_node.reshape(n, N).sum(axis=1)
-        fits &= ~(at_node[1:-1] | at_node[:-2] | at_node[2:])
+    # flat indices: node k is node k % N of row k // N; pair k joins nodes k and k + 1
+    change = {k for k in (f[:-1] * f[1:] < 0.0).nonzero()[0].tolist() if k % N != N - 1}
+    mins = [k + 1 for k in (absf[1:-1] <= np.minimum(absf[:-2], absf[2:])).nonzero()[0].tolist()]
+    at_node = {k for k in [0, *mins, n * N - 1] if f[k] == 0.0}
+    count = [0] * n
+    for k in (*change, *at_node):
+        count[k // N] += 1
     tangencies = {}
-    for k in fits.nonzero()[0].tolist():
-        r, idx = divmod(k + 1, N)
+    for k in mins:
+        r, idx = divmod(k, N)
+        if (idx == 0 or idx == N - 1 or k - 1 in change or k in change
+                or at_node and (k - 1 in at_node or k in at_node or k + 1 in at_node)):
+            continue
         bound = max(tol * scale[r], 64 * EPS * scale[r])
-        if reach is not None and abs(fs[r, idx]) > reach(r, idx) + bound:
+        if reach is not None and abs(f[k]) > reach(r, idx) + bound:
             continue
         found = tangencies.setdefault(r, [])
         lo, hi = xs[idx - 1], xs[idx + 1]
         if any(lo <= z["location"] <= hi for z in found):
             continue
-        x0 = _tangency(fvec(r), xs[idx], fs[r, idx], (lo, hi), interval, bound)
+        x0 = _tangency(fvec(r), xs[idx], f[k], (lo, hi), interval, bound)
         if x0 is not None:
             found.append({"location": x0, "multiplicity_estimate": 2})
     xtol = max(tol * (interval[1] - interval[0]), 1e-15)
     reports = []
-    for r, (c, s) in enumerate(zip(count.tolist(), scale)):
+    for r, (c, s) in enumerate(zip(count, scale)):
         if s == 0.0:
             reports.append(ZeroReport(interval=interval, grid_size=N, identically_zero=True))
             continue
@@ -1119,21 +1125,22 @@ def bound_pipeline(params: ModelParams, grid: int = 512,
     test count(R) <= 6, count(G) <= count(R) + 2, count(I) <= count(G) <= 8.
     Violations are reported, never clipped."""
     sc = bound_scanner(params, grid)
-    mu = np.asarray(params.mu, dtype=float)
-    muG = mu_G_from_eq211(mu, params.kappa)
-    br = _bound_reports(sc, mu[None], muG[None])[0]
-    if check_reconstruction and np.any(mu != 0.0):
+    mu = [float(m) for m in params.mu]
+    muG = mu_G_from_eq211(mu, params.kappa).tolist()
+    br = _bound_reports(sc, np.array([[mu, muG, muG]]))[0]
+    if check_reconstruction and any(mu):
         br.reconstruction_rel_err = _reconstruction_error(sc, mu, muG)
     return br
 
 
-def _bound_reports(sc: BoundScanner, weights, weights_G) -> list[BoundReport]:
-    """The bound chain, without the reconstruction check, for each row of
-    ``weights`` (eq211-stage mu) and of ``weights_G`` (its ``mu_G_from_eq211``):
-    the I, G and R rows of every trial in one ``BoundScanner.scan``."""
-    reps = sc.scan(np.concatenate((weights, weights_G, weights_G), axis=1).reshape(-1, 3, 4))
+def _bound_reports(sc: BoundScanner, weights) -> list[BoundReport]:
+    """The bound chain, without the reconstruction check, for each trial t
+    of ``weights``, shape (T, 3, 4): the eq211-stage mu and twice its
+    ``mu_G_from_eq211``, the weights of I, G and R; every trial's rows in one
+    ``BoundScanner.scan``."""
+    reps = sc.scan(weights)
     out = []
-    for t, mu in enumerate(weights):
+    for t, mu in enumerate(weights[:, 0].tolist()):
         rep_I, rep_G, rep_R = reps[3 * t:3 * t + 3]
         violations = []
         if rep_R.count > 6:
@@ -1194,9 +1201,9 @@ def sweep_kappa(kappa: float, seed_seq, trials: int, grid: int = 512) -> list[Bo
     sc = bound_scanner(make_params(kappa), grid)
     weights = unit_sphere_weights(seed_seq, trials)
     weights_G = mu_G_from_eq211(weights.T, kappa).T
+    weights = np.stack((weights, weights_G, weights_G), axis=1)
     return [br for i in range(0, trials, SWEEP_CHUNK)
-            for br in _bound_reports(sc, weights[i:i + SWEEP_CHUNK],
-                                     weights_G[i:i + SWEEP_CHUNK])]
+            for br in _bound_reports(sc, weights[i:i + SWEEP_CHUNK])]
 
 
 def sweep_bounds(kappas, trials: int, seed: int, grid: int = 512) -> list[BoundReport]:

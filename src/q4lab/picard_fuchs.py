@@ -341,6 +341,7 @@ class MomentBasis:
         if not (hc < self.lo < self.hi < hs):
             raise DomainError("MomentBasis window must sit inside the annulus interval")
         self.h_mid = 0.5 * (self.lo + self.hi)
+        self._ck = _two_product(2.25, k)  # once, not per call
         self._r = rc, rs = hs - hc, min(hs - hc, 4.0 / (3.0 * math.sqrt(k)))
         self.switch, ratio = (hc * rs + hs * rc) / (rc + rs), rc / (rc + rs)
         terms = math.ceil(math.log(np.finfo(float).eps * (1.0 - ratio)) / math.log(ratio))
@@ -371,7 +372,7 @@ class MomentBasis:
         compensated, so the rounding of h_c and h_s does not enter."""
         k = self.params.kappa
         if saddle:
-            return _s_minus_one(h, _two_product(2.25, k)) / (2.25 * k * (h + self.params.saddle_h))
+            return _s_minus_one(h, self._ck) / (2.25 * k * (h + self.params.saddle_h))
         p, e = _two_product(3.0, h)
         return ((p + 2.0) + e) / 3.0
 
@@ -582,7 +583,12 @@ def series_jet(coef, t, mag: bool = False) -> _Jet:
 
 def _two_sided(hv, right, part, jet: bool = False):
     """part(levels, side) at the levels hv left (side False) and right (True)
-    of a split, joined in the order of hv: arrays of shape (6, n), or jets."""
+    of a split, joined in the order of hv: arrays of shape (6, n), or jets.
+    When every level falls on one side, part's own result for all of hv (made
+    contiguous, as the split's copies are) is returned."""
+    n_right = np.count_nonzero(right)
+    if n_right in (0, hv.size):
+        return part(np.ascontiguousarray(hv), bool(n_right))
     out = [np.empty((6, hv.size)) for _ in range(3 if jet else 1)]
     for side in (False, True):
         m = right == side

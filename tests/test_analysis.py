@@ -1142,6 +1142,163 @@ class TestBatchedScan:
                                                 muG @ sc.basis["R"]])), t
 
 
+def _poly_row(roots, c=1.0, e=0.0):
+    """x -> c prod (x - roots) + e, vectorised: exactly zero at a root that is
+    a node when e = 0."""
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        out = np.full(x.shape, c)
+        for r in roots:
+            out = out * (x - r)
+        return out + e
+    return f
+
+
+def _special_rows(xs):
+    """Rows on the grid xs = _cheb_grid(-1, 1, N) that exercise each rule of
+    the count: the cases of TestLeanCount."""
+    a = 0.5 * (xs[30] + xs[31])
+    return [
+        _poly_row([xs[10], 0.2, 0.55]),       # an exact zero inside the row
+        _poly_row([xs[0], -0.1, xs[-1]]),     # exact zeros at both of its ends
+        _poly_row([2.0]),                     # negative to its end, then
+        _poly_row([-2.0]),                    # positive from its start: across the boundary
+        _poly_row([0.3], 0.0),                # identically zero
+        _poly_row([0.3], 1e-170),             # every neighbour product underflows, to -0.0 at 0.3
+        _poly_row([0.3, -0.6], 1e-160),       # some products subnormal, some underflowed
+        _poly_row([a, a]),                    # a double zero between nodes: a tangency
+        _poly_row([a, a], 1.0, 1e-6),         # a near miss: the fit runs and finds none
+        _poly_row([xs[20], xs[20]], -1.0),    # a double zero at a node
+        _poly_row([xs[40], xs[41]]),          # zeros at two neighbouring nodes
+        _poly_row([], -1.0),                  # constant: every interior node a minimum
+    ]
+
+
+def _random_rows(xs, n, rng):
+    rows = []
+    for _ in range(n):
+        roots = list(rng.uniform(-1.0, 1.0, rng.integers(0, 5)))
+        if rng.random() < 0.3:
+            roots.append(xs[rng.integers(0, xs.size)])
+        rows.append(_poly_row(roots, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)))
+    return rows
+
+
+class TestLeanCount:
+    """``_count_from_scan`` on many rows at once against the frozen
+    per-function scan, row by row, and the scanner's bound chains and
+    double zeros against the frozen scan's."""
+
+    N = 64
+
+    def _check(self, xs, rows, reach=None):
+        fs = np.stack([f(xs) for f in rows])
+        lean = an._count_from_scan(xs, fs, lambda r: rows[r], (-1.0, 1.0), 1e-9,
+                                   None if reach is None else lambda r, i: reach[r][i])
+        assert len(lean) == len(rows)
+        for r, rep in enumerate(lean):
+            want = frozen_scan.count_from_scan(xs, fs[r], rows[r], (-1.0, 1.0), 1e-9,
+                                               None if reach is None else reach[r])
+            assert (rep.count, rep.zeros, rep.warnings) == want, r
+            assert rep.identically_zero == (not fs[r].any())
+
+    def test_special_rows_equal_the_frozen_scan(self):
+        xs = an._cheb_grid(-1.0, 1.0, self.N)
+        rows = _special_rows(xs)
+        fs = np.stack([f(xs) for f in rows])
+        # the cases are there: zeros at row ends, a negative product across a
+        # row boundary, one that underflowed to -0.0 inside a row
+        assert fs[1, 0] == 0.0 and fs[1, -1] == 0.0
+        assert fs[2, -1] * fs[3, 0] < 0.0
+        prods = fs[5, :-1] * fs[5, 1:]
+        assert np.all(prods == 0.0) and np.any(np.signbit(prods)) and np.any(fs[5] < 0.0)
+        self._check(xs, rows)
+        # each alone, as count_zeros scans one row
+        for f in rows:
+            self._check(xs, [f])
+            rep = count_zeros(f, (-1.0, 1.0), grid=self.N)
+            assert (rep.count, rep.zeros, rep.warnings) == frozen_scan.count_from_scan(
+                xs, f(xs), f, (-1.0, 1.0), 1e-9)
+
+    def test_a_chunk_of_rows_equals_the_frozen_scan(self):
+        # 192 rows, as a SWEEP_CHUNK of three functions scans, the special
+        # rows among random polynomials; then with a reach, NaN and inf in it
+        xs = an._cheb_grid(-1.0, 1.0, self.N)
+        rng = np.random.default_rng(34)
+        rows = _random_rows(xs, 192 - 2 * len(_special_rows(xs)), rng)
+        for k, f in enumerate(_special_rows(xs) * 2):
+            rows.insert(int(rng.integers(0, len(rows) + 1)) if k % 2 else 7 * k, f)
+        assert len(rows) == 3 * an.SWEEP_CHUNK
+        self._check(xs, rows)
+        reach = rng.uniform(0.0, 2.0, (len(rows), self.N)) * np.stack(
+            [np.abs(f(xs)).max() for f in rows])[:, None]
+        reach[rng.random(reach.shape) < 0.05] = np.nan
+        reach[rng.random(reach.shape) < 0.05] = np.inf
+        self._check(xs, rows, reach)
+
+    def test_non_finite_rows_and_weights_keep_their_messages(self, p4):
+        sc = an.bound_scanner(p4, 512)
+        w = unit_sphere_weights(np.random.SeedSequence(3), 10)
+        wG = an.mu_G_from_eq211(w.T, p4.kappa).T
+        weights = np.stack((w, wG, wG), axis=1)
+        bad = weights.copy()
+        bad[6, 1, 2] = np.nan
+        with pytest.raises(DomainError, match=re.escape(
+                f"weights must be four finite numbers, got {bad[6, 1]}")):
+            sc.scan(bad)
+        huge = weights.copy()
+        huge[4, 2] = 1e308  # finite weights of R whose row overflows
+        with np.errstate(over="ignore"), pytest.raises(
+                DomainError, match="^R evaluated non-finite on the scan grid$"):
+            sc.scan(huge)
+        xs = an._cheb_grid(-1.0, 1.0, self.N)
+        fs = np.stack([xs, xs, xs])
+        fs[1, 7] = np.inf
+        with pytest.raises(DomainError, match="^G evaluated non-finite on the scan grid$"):
+            an._count_from_scan(xs, fs, lambda r: None, (-1.0, 1.0), 1e-9, names="IGR")
+
+    def test_bound_chains_with_fits_equal_the_frozen_scan(self, monkeypatch):
+        # 500 single-trial bound chains at kappa 4, some of them with
+        # tangency fits, each equal to the frozen scan's
+        p = make_params(4.0)
+        sc = BoundScanner(p, 512)
+        fits, tangency = [], an._tangency
+
+        def counted_tangency(*args, **kwargs):
+            fits.append(args[1])
+            return tangency(*args, **kwargs)
+
+        monkeypatch.setattr(an, "_tangency", counted_tangency)
+        monkeypatch.setattr(an, "bound_scanner", lambda params, grid: sc)
+        weights = unit_sphere_weights(np.random.SeedSequence(34), 500)
+        got = [bound_pipeline(replace(p, mu=tuple(mu)), check_reconstruction=False)
+               for mu in weights]
+        assert fits
+        monkeypatch.undo()
+        assert [_chain_summary(br) for br in got] == [frozen_scan.bound_chain(sc, mu)
+                                                      for mu in weights]
+
+    @pytest.mark.parametrize("kappa", [1.5, 9.0])
+    def test_double_zeros_at_the_same_nodes_equal_the_frozen_scan(self, kappa):
+        # double zeros of I, G and R at the same mid-cell levels, scanned in
+        # one call: each function's fit there finds its own, and each count
+        # and zero is the frozen scan's
+        sc = BoundScanner(make_params(kappa), 512)
+        nodes, mus = (60, 256, 505), []
+        for i in nodes:
+            P = an._point_rows(sc, np.array([0.5 * (sc.hs[i] + sc.hs[i + 1])]))
+            mus.append([np.linalg.svd(np.stack([P[w].f[0][:, 0], P[w].f[1][:, 0]]))[2][-1]
+                        for w in "IGR"])
+        reps = sc.scan(np.array(mus))
+        for t, i in enumerate(nodes):
+            for j, w in enumerate("IGR"):
+                rep = reps[3 * t + j]
+                want = frozen_scan.count(sc, w, np.array(mus[t][j]))
+                assert (rep.count, rep.zeros, rep.warnings) == want, (i, w)
+                assert any(z["multiplicity_estimate"] == 2 and sc.hs[i - 1] <= z["location"]
+                           <= sc.hs[i + 2] for z in rep.zeros), (i, w, rep.zeros)
+
+
 def _fit_cells(xs, window):
     """(lo, hi) of W_i for the interior nodes: [x_i - s, x_i + s] with
     [x_{i-1} - s/8, x_{i+1} + s/8], s = (x_{i+1} - x_{i-1}) / 2, clipped to the

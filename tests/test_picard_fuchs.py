@@ -715,6 +715,18 @@ class TestMomentBasis:
         JJ = -4.0 * hs * d[4] + (3.0 * p4.kappa * hs * hs - 4.0) * d[5]
         assert np.max(np.abs(basis.JJ(hs) - JJ)) <= 1e-12 * np.max(np.abs(JJ))
 
+    def test_one_sided_values_keep_the_bits(self):
+        # values on one side of the switch (part called on all levels) are
+        # the per-level values, in either layout of the levels
+        for kappa in (1.5, 4.0, 9.0):
+            p = make_params(kappa)
+            basis, hs = MomentBasis(p), bound_scanner(p).hs
+            saddle = hs >= basis.switch
+            for h in (hs, hs[saddle][::-1], hs[~saddle][::-1], hs[3:6].copy()):
+                per_level = np.stack([basis.values(x) for x in h], axis=1)
+                assert np.array_equal(basis.values(h), per_level)
+                assert np.array_equal(basis.values(np.ascontiguousarray(h)), per_level)
+
     def test_perturbed_system_raises(self, p4, monkeypatch):
         # a wrong dB/dh continues the series along another ODE; rows 2 and 3
         # against the closed-form J catch it at the window ends

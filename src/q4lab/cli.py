@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -330,6 +329,9 @@ def _cmd_sweep(cfg: RunConfig, out: Path) -> int:
     jobs = [(kappa, cfg.trials, child, cfg.grid)
             for kappa, child in zip(cfg.kappa_list, children)]
     if cfg.workers > 1:
+        # imported here, not at the top: it adds about 5 ms to every run's import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_sweep_one_kappa, jobs))
     else:

@@ -269,16 +269,22 @@ class RCoefficients:
         return k * k * (math.pi / math.sqrt(k - 1.0)) / (16.0 * (k - 1.0) ** 2) * h * S * inv2
 
     def unit_rows(self, h, J1, J2) -> np.ndarray:
-        """The R template of each unit weight at the levels h, shape (4, n):
-        ``center_rows`` where z < CENTER_Z, else ``direct_rows``.  A level's
-        row depends neither on the layout of h nor on the other levels."""
-        inv1, inv2 = 1.0 / (9.0 * h * h - 4.0), 1.0 / (9.0 * self.kappa * h * h - 4.0)
-        rows = self.direct_rows(h, J1, J2, inv1, inv2)
+        """The R template of each unit weight at the levels h (1-d), shape
+        (4, n): ``center_rows`` where z < CENTER_Z, else ``direct_rows``, each
+        formed on its own levels only.  A level's row depends neither on the
+        layout of h nor on the other levels."""
+        inv2 = 1.0 / (9.0 * self.kappa * h * h - 4.0)
         z = center_z(h, self.kappa)
         near = z < CENTER_Z
-        if np.any(near):
-            S = series_sum(self.center_series[:, None], z[near])
-            rows[:, near] = self.center_rows(h[near], S, inv2[near])
+        if not near.any():  # the saddle side, where most tangency fits run: no copies
+            return self.direct_rows(h, J1, J2, 1.0 / (9.0 * h * h - 4.0), inv2)
+        rows, far = np.empty((4, h.size)), ~near
+        if far.any():
+            hd = h[far]
+            rows[:, far] = self.direct_rows(hd, J1[far], J2[far], 1.0 / (9.0 * hd * hd - 4.0),
+                                            inv2[far])
+        S = series_sum(self.center_series[:, None], z[near])
+        rows[:, near] = self.center_rows(h[near], S, inv2[near])
         return rows
 
     def template(self, h: float, J1: float, J2: float, mu) -> float:

@@ -358,8 +358,23 @@ def _ray_poly_coeffs(c, s, taylor):
     K = np.full_like(c, K0)
     L = Hx * c + Hy * s
     Q = 0.5 * (Hxx * c * c + 2.0 * Hxy * c * s + Hyy * s * s)
-    C = (1.0 / 6.0) * (Hxxx * c**3 + 3.0 * Hxxy * c * c * s + 3.0 * Hxyy * c * s * s + Hyyy * s**3)
+    C = (1.0 / 6.0) * (Hxxx * (c * c * c) + 3.0 * Hxxy * c * c * s + 3.0 * Hxyy * c * s * s
+                       + Hyyy * (s * s * s))
     return C, Q, L, K
+
+
+def _taylor_jet(taylor, u, v):
+    """The level function G and its first and second derivatives (G, Gu, Gv,
+    Guu, Guv, Gvv) at center + (u, v), from its Taylor terms at the center:
+    exact, since G is cubic, and in coordinates where a small oval's terms
+    stay small."""
+    K0, Hx, Hy, Hxx, Hxy, Hyy, Hxxx, Hxxy, Hxyy, Hyyy = taylor
+    Guu, Guv, Gvv = Hxx + Hxxx * u + Hxxy * v, Hxy + Hxxy * u + Hxyy * v, Hyy + Hxyy * u + Hyyy * v
+    G = (K0 + Hx * u + Hy * v + 0.5 * (u * (Hxx * u + 2.0 * Hxy * v) + Hyy * v * v)
+         + (u * u * (Hxxx * u + 3.0 * Hxxy * v) + v * v * (3.0 * Hxyy * u + Hyyy * v)) / 6.0)
+    Gu = Hx + 0.5 * (u * (Hxx + Guu) + v * (Hxy + Guv))
+    Gv = Hy + 0.5 * (u * (Hxy + Guv) + v * (Hyy + Gvv))
+    return G, Gu, Gv, Guu, Guv, Gvv
 
 
 def _level_fn(x, y, h, params: ModelParams, form: HamiltonianForm):
@@ -463,38 +478,41 @@ class Oval:
         return x, y, dx, dy
 
     def bounding_box(self):
-        """Tight box around the oval, padded by 1e-12 of its width.  Newton's
-        method in the plane, from the polyline's extreme vertices, solves
-        {G = 0, dG/dy = 0} for the x extremes and {G = 0, dG/dx = 0} for the
-        y extremes of the level function G; one ray solve at the four angles
-        gives the sides.  Raises GeometryError after 8 steps, or for an angle
-        outside its start vertex's polyline neighbours.  Computed once."""
+        """Tight box around the oval, padded by 1e-12 of its width.  Each side
+        is one scalar Newton solve, from the polyline's extreme vertex, of
+        {G = 0, dG/dy = 0} (the x sides) or {G = 0, dG/dx = 0} (the y sides)
+        for the level function G in coordinates shifted to the center, from
+        its Taylor terms there (``_taylor_jet``); the converged point gives
+        the side.  Raises GeometryError after 8 steps, or for a point outside
+        its start vertex's polyline neighbours.  Computed once."""
         if self._bbox is not None:
             return self._bbox
         vx, vy = self.points[:-1].T
+        cx, cy = self.center
         k0 = np.array([np.argmin(vx), np.argmax(vx), np.argmin(vy), np.argmax(vy)])
         width = np.repeat([np.ptp(vx), np.ptp(vy)], 2)  # x min, x max, y min, y max
-        x, y, args = vx[k0], vy[k0], (self.h, self.params, self.form)
-        for _ in range(8):
-            (Gx, Gy), (Gxx, Gxy, Gyy) = _grad(x, y, *args), _hess(x, y, *args)
-            # the second equation F = dG/dy (x sides) or dG/dx (y sides), and its gradient
-            F, Fx, Fy = (np.concatenate([a[:2], b[2:]])
-                         for a, b in ((Gy, Gx), (Gxy, Gxx), (Gyy, Gxy)))
-            G, det = _level_fn(x, y, *args), Gx * Fy - Gy * Fx
-            sx, sy = (G * Fy - Gy * F) / det, (Gx * F - Fx * G) / det
-            x, y = x - sx, y - sy
-            if np.all(np.hypot(sx, sy) < 1e-8 * width):
-                break
-        else:
-            raise GeometryError("Newton did not locate the bounding box in 8 steps")
-        v, p = vx + 1j * vy - complex(*self.center), x + 1j * y - complex(*self.center)
-        turns = np.angle([p / v[k0 - 1], v[(k0 + 1) % v.size] / p])  # >= 0 between the neighbours
+        p = []
+        for side, k in enumerate(k0.tolist()):
+            u, v = float(vx[k]) - cx, float(vy[k]) - cy
+            for _ in range(8):
+                G, Gu, Gv, Guu, Guv, Gvv = _taylor_jet(self.taylor, u, v)
+                # the second equation F = dG/dv (x sides) or dG/du (y sides), and its gradient
+                F, Fu, Fv = (Gv, Guv, Gvv) if side < 2 else (Gu, Guu, Guv)
+                det = Gu * Fv - Gv * Fu
+                su, sv = (G * Fv - Gv * F) / det, (Gu * F - Fu * G) / det
+                u, v = u - su, v - sv
+                if math.hypot(su, sv) < 1e-8 * width[side]:
+                    break
+            else:
+                raise GeometryError("Newton did not locate the bounding box in 8 steps")
+            p.append(complex(u, v))
+        p, w = np.array(p), vx + 1j * vy - complex(cx, cy)
+        turns = np.angle([p / w[k0 - 1], w[(k0 + 1) % w.size] / p])  # >= 0 between the neighbours
         if not np.all(turns >= 0.0):
             raise GeometryError("Newton left the polyline neighbours of a bounding-box vertex")
-        px, py, _, _ = self._point_tangent(np.angle(p))
-        side = np.concatenate([px[:2], py[2:]])  # x0, x1, y0, y1
-        pad = 1e-12 * np.repeat(side[1::2] - side[::2], 2) + 1e-300
-        self._bbox = tuple(side + pad * [-1.0, 1.0, -1.0, 1.0])
+        x0, x1, y0, y1 = cx + p.real[0], cx + p.real[1], cy + p.imag[2], cy + p.imag[3]
+        px, py = 1e-12 * (x1 - x0) + 1e-300, 1e-12 * (y1 - y0) + 1e-300
+        self._bbox = (x0 - px, x1 + px, y0 - py, y1 + py)
         return self._bbox
 
 

@@ -61,7 +61,13 @@ SINGULAR_GAP = 1e-10  # distance in h to a critical level within which V' is ref
 # PFPropagation starts from a quadrature oracle call at its midpoint.
 WINDOW_MARGIN = 1e-8
 ORACLE_TOL = 1e-10
-PROPAGATION_TOL = 1e-12  # PFPropagation's DOP853 rtol
+# PFPropagation's DOP853 rtol.  Its J at the bound scanner's end nodes rides
+# on DOP853's error there: at 1e-12, moving the oracle's v_mid by one or two
+# ulps put it up to 9e-8 off 40 digits (2e-9 missed in 13% of such draws at
+# kappa 1.5); at 1e-13 in 3% (kappa 1.5) and 0.4% (4 and 9).  1e-13 takes
+# about a third more steps than 1e-12 from kappa 1.5 to 1000, and ten times
+# as many at kappa 1.01
+PROPAGATION_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -176,7 +182,7 @@ class PFPropagation:
     ``chain``), for vectorized evaluation on level grids.  B^{-1} has a pole
     at both window ends (cond(B) reaches 1e7 within 1e-6 of the window of an
     end), so DOP853's error in V is magnified there: J at the bound scanner's
-    end nodes is 1e-10 to 5e-10 off at kappa 1.5, 4 and 9.
+    end nodes is 1e-10 to 7e-10 off at kappa 1.5, 4 and 9 (PROPAGATION_TOL).
     """
 
     def __init__(self, params: ModelParams):

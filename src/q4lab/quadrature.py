@@ -8,10 +8,10 @@ symmetric picture (region {H(x, y) < h}).  Two independent methods:
 
 * ``green``   reduce to a contour integral over the oval by Green's theorem
               and integrate with adaptive Gauss-Kronrod panels in the ray
-              angle; the primary method.  The ray geometry (point and
-              tangent at the 15 nodes of a panel) is stored on the oval per
-              panel, so batches on one oval (a basis batch, then single
-              indices) solve each panel's rays once.
+              angle, from 32 equal ones; the primary method.  The ray
+              geometry (point and tangent at the 15 nodes of a panel) is
+              stored on the oval per panel, so batches on one oval (a basis
+              batch, then single indices) solve each panel's rays once.
 * ``area2d``  one Fubini integral over vertical slices: the oval's slice at
               x is (r1, r2), the top two roots of the slice cubic, for every
               x between the two folds (the x-sides of the bounding box), so
@@ -20,7 +20,8 @@ symmetric picture (region {H(x, y) < h}).  Two independent methods:
               make the integrand analytic in t.  The slices are cubics in y,
               solved like green's rays by ``model.ranked_cubic_roots``, for
               their top two roots alone; one check per oval, that the slice
-              at the center's x holds the center, stands for the premise.
+              at the center's x holds the center, stands for the premise; it
+              is solved in the same call as the first panels' slices.
 
 Both refine batches of integrals in one GK loop, ``_gk_refine`` (as does the
 I-reconstruction check), on one panel set per batch: a panel is halved
@@ -119,9 +120,12 @@ def _gk_sums(fx: np.ndarray):
     return k, np.abs(k - np.add.reduce(fx[..., 1::2] * _WG, axis=-1))
 
 
-def _gk_refine(nodes, sums, panels: tuple, rel: float, max_panels: int, whats: list) -> list:
+def _gk_refine(nodes, sums, panels: tuple, first: tuple, rel: float, max_panels: int,
+               whats: list) -> list:
     """Integral k is the GK sum over the batch's one panel set, from first
-    panels (arrays of any tags, then the ends lo and hi), to its own budget
+    panels (arrays of any tags, then the ends lo and hi) whose node data
+    ``first`` the caller solves (``nodes(*panels)``, or with more points in
+    the same call), to its own budget
     rel |integral| (QUADPACK's QAG criterion).  Each round halves every
     panel where an integral above its budget errs by more than an even share
     of it, and each such integral's worst; the worst by their largest error go
@@ -129,7 +133,7 @@ def _gk_refine(nodes, sums, panels: tuple, rel: float, max_panels: int, whats: l
     its budget logs one WARNING naming whats[k].  ``nodes(*panels)`` gives the
     node data of each round's new panels, ``sums(*data)`` their (integrals,
     panels) values and errors.  Returns (value, error, panels, saturated) each."""
-    value, err = sums(*nodes(*panels))
+    value, err = sums(*first)
     while True:
         total, est = np.add.reduce(value, axis=1), np.add.reduce(err, axis=1)
         target, size = rel * np.maximum(np.abs(total), 1e-300), value.shape[1]
@@ -163,13 +167,19 @@ def _adaptive_gk(f, a: float, b: float, tol: float, max_panels: int = 4000):
         return half, f(0.5 * (lo + hi)[:, None] + half * _XGK)
 
     edges = np.linspace(a, b, 9)
-    return _gk_refine(nodes, lambda half, fx: _gk_sums(half * fx[None]), (edges[:-1], edges[1:]),
+    panels = (edges[:-1], edges[1:])
+    return _gk_refine(nodes, lambda half, fx: _gk_sums(half * fx[None]), panels, nodes(*panels),
                       tol, max_panels, [f"adaptive GK on [{a!r}, {b!r}]"])[0][:2]
 
 
+GREEN_START_PANELS = 32  # equal angle panels green starts from
+
+
 def _moments_green(ijs: tuple, ov: Oval, tol: float) -> list:
-    """The green moments I_ij, (i, j) in ijs, refined as one batch from 8
-    equal angle panels; one ``point_tangent`` call per round."""
+    """The green moments I_ij, (i, j) in ijs, refined as one batch from
+    GREEN_START_PANELS equal angle panels; one ``point_tangent`` call per
+    round.  A ray solve costs about the same for 8 panels' nodes as for 32,
+    and 32 save most levels two rounds."""
     def nodes(lo, hi):
         half = 0.5 * (hi - lo)[:, None]
         return (half, *ov.point_tangent(0.5 * (lo + hi)[:, None] + half * _XGK))
@@ -179,8 +189,9 @@ def _moments_green(ijs: tuple, ov: Oval, tol: float) -> list:
             x ** (i + 1) * y**j / (i + 1) * dy if i != -1 else -(x**i) * y ** (j + 1) / (j + 1) * dx
             for i, j in ijs]))
 
-    edges = np.linspace(0.0, 2.0 * math.pi, 9)
-    return _gk_refine(nodes, sums, (edges[:-1], edges[1:]), tol, 4000,
+    edges = np.linspace(0.0, 2.0 * math.pi, GREEN_START_PANELS + 1)
+    panels = (edges[:-1], edges[1:])
+    return _gk_refine(nodes, sums, panels, nodes(*panels), tol, 4000,
                       [f"green I_{i}_{j} at h={ov.h!r}" for i, j in ijs])
 
 
@@ -213,16 +224,26 @@ def _slice_ends(ov: Oval, x: np.ndarray):
 
 
 def _slice_nodes(ov: Oval, base: np.ndarray, sign: np.ndarray, t_lo: np.ndarray,
-                 t_hi: np.ndarray):
+                 t_hi: np.ndarray, premise: bool = False):
     """GK15 nodes x (P, 15) of the panels [t_lo, t_hi], each on its run
     x = base + sign t^2 from a fold, where the slice length behaves like
     sqrt(|x - base|), so the integrand is analytic in t.  Returns x, the
     weights w (half-width times |dx/dt|) and the slice ends (r1, r2) at the
-    nodes."""
+    nodes.  With ``premise``, the slice at the center's x is solved in the
+    same call (each slice keeps its bits), and GeometryError is raised
+    unless it holds the center: the slice (r1, r2) is then the oval's, for
+    every x between the folds."""
     half = 0.5 * (t_hi - t_lo)[:, None]
     t = 0.5 * (t_lo + t_hi)[:, None] + half * _XGK
     x = base[:, None] + sign[:, None] * (t * t)
-    return (x, 2.0 * half * t, *_slice_ends(ov, x))
+    if not premise:
+        return (x, 2.0 * half * t, *_slice_ends(ov, x))
+    (cx, cy), n = ov.center, x.size
+    r1, r2 = _slice_ends(ov, np.append(x, cx))
+    if not r1[n] < cy < r2[n]:
+        raise GeometryError(f"the slice ({r1[n]!r}, {r2[n]!r}) at x = {cx!r} misses the "
+                            f"center y = {cy!r} (h={ov.h!r})")
+    return x, 2.0 * half * t, r1[:n].reshape(x.shape), r2[:n].reshape(x.shape)
 
 
 # panels after which an area2d moment stops refining; c01's grid ends on
@@ -243,15 +264,8 @@ def _area2d_panels(ov: Oval) -> tuple:
     """The initial panels (base, sign, t_lo, t_hi) of area2d: AREA2D_RUN_PANELS
     equal ones on each of the runs x = x_min + t^2 and x = x_max - t^2, with
     x_min and x_max the x-sides of the bounding box, which are the folds;
-    the runs meet at the middle.  Raises GeometryError unless the slice at
-    the center's x holds the center: the slice (r1, r2) is then the oval's,
-    for every x between the folds."""
+    the runs meet at the middle."""
     x_min, x_max = ov.bounding_box()[:2]
-    cx, cy = ov.center
-    r1, r2 = _slice_ends(ov, np.array([cx]))
-    if not r1[0] < cy < r2[0]:
-        raise GeometryError(f"the slice ({r1[0]!r}, {r2[0]!r}) at x = {cx!r} misses the "
-                            f"center y = {cy!r} (h={ov.h!r})")
     edges = np.linspace(0.0, math.sqrt(0.5 * (x_max - x_min)), AREA2D_RUN_PANELS + 1)
     return (np.repeat([x_min, x_max], AREA2D_RUN_PANELS),
             np.repeat([1.0, -1.0], AREA2D_RUN_PANELS), np.tile(edges[:-1], 2),
@@ -262,10 +276,11 @@ def _moments_area2d(ijs: tuple, ov: Oval, tol: float) -> list:
     """The area2d moments I_ij, (i, j) in ijs, as one Fubini integral over
     vertical slices, I_ij = int x^i (r2^(j+1) - r1^(j+1)) / (j+1) dx on
     [x_min, x_max]: one batched GK pass over the two runs' panels, to
-    0.02 tol |moment| each."""
-    return _gk_refine(lambda *panels: _slice_nodes(ov, *panels),
-                      lambda *nodes: _panels_gk(ijs, nodes),
-                      _area2d_panels(ov), 0.02 * tol, AREA2D_MAX_PANELS,
+    0.02 tol |moment| each.  Raises GeometryError unless the slice at the
+    center's x, solved with the first panels' slices, holds the center."""
+    panels = _area2d_panels(ov)
+    return _gk_refine(lambda *new: _slice_nodes(ov, *new), lambda *nodes: _panels_gk(ijs, nodes),
+                      panels, _slice_nodes(ov, *panels, True), 0.02 * tol, AREA2D_MAX_PANELS,
                       [f"area2d I_{i}_{j} at h={ov.h!r}" for i, j in ijs])
 
 
@@ -275,8 +290,9 @@ def moment(index: MomentIndex, h: float, params: ModelParams,
 
     The tolerance is relative to the whole moment, and each method spends
     it as one error budget shared by all of its panels: green's angle panels
-    get tol |I| and at most 4000 panels, area2d's slice panels 0.02 tol |I|
-    and at most AREA2D_MAX_PANELS.
+    get tol |I| and at most 4000 panels, from GREEN_START_PANELS equal ones;
+    area2d's slice panels 0.02 tol |I| and at most AREA2D_MAX_PANELS, from
+    AREA2D_RUN_PANELS on each of its two runs.
 
     A symmetric-form basis index (BASIS_INDICES) brings its five siblings,
     refined as one batch, each to its own budget on the batch's shared

@@ -90,7 +90,7 @@ def green_reference(i: int, j: int, ov, tol: float):
             return quad._gk_sums(half * (x ** (i + 1) * y**j / (i + 1) * dy))
         return quad._gk_sums(half * (-(x**i) * y ** (j + 1) / (j + 1) * dx))
 
-    edges = np.linspace(0.0, 2.0 * np.pi, 9)
+    edges = np.linspace(0.0, 2.0 * np.pi, quad.GREEN_START_PANELS + 1)
     panels = (edges[:-1], edges[1:])
     return gk_refine_reference(evaluate, panels, *evaluate(*panels), 0.0, tol, 4000)
 

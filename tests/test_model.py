@@ -70,7 +70,8 @@ def _ray_radii_all_roots(theta, h, params, form, center):
     """The ray radii as they were solved before the center's Taylor terms
     were kept on the oval and a ray asked for the top root of its reversed
     cubic alone: the Taylor terms formed per call, all three roots sorted,
-    the largest positive one picked by fmax, then three guarded Newton steps."""
+    the largest positive one picked by fmax, then three guarded Newton steps;
+    the cubes of cos and sin are products, as in ``_ray_poly_coeffs``."""
     k = params.kappa
     c, s = np.cos(theta), np.sin(theta)
     cx, cy = center
@@ -82,7 +83,8 @@ def _ray_radii_all_roots(theta, h, params, form, center):
     K = np.full_like(c, model._level_fn(cx, cy, h, params, form))
     L = Hx * c + Hy * s
     Q = 0.5 * (Hxx * c * c + 2.0 * Hxy * c * s + Hyy * s * s)
-    C = (1.0 / 6.0) * (Hxxx * c**3 + 3.0 * Hxxy * c * c * s + 3.0 * Hxyy * c * s * s + Hyyy * s**3)
+    C = (1.0 / 6.0) * (Hxxx * (c * c * c) + 3.0 * Hxxy * c * c * s + 3.0 * Hxyy * c * s * s
+                       + Hyyy * (s * s * s))
     u = _cubic_real_roots_all_forms(K, L, Q, C)
     out = 1.0 / np.fmax.reduce(np.where(u > 0.0, u, np.nan), axis=1)
     dC, dQ = 3.0 * C, 2.0 * Q

@@ -163,7 +163,7 @@ class TestArea2dGeometry:
                 assert inside.size == 0, (level, form, inside)
                 r1, r2 = quad._slice_ends(ov, np.array([ov.center[0]]))
                 assert r1[0] < ov.center[1] < r2[0], (level, form)
-                quad._area2d_panels(ov)  # the guard passes
+                quad._slice_nodes(ov, *quad._area2d_panels(ov), True)  # the guard passes
                 checked += 1
         assert checked >= 30
 
@@ -237,18 +237,20 @@ class TestArea2dGeometry:
         assert not [r for r in caplog.records if r.name == "q4lab.quadrature"]
 
     def test_bounding_box_computed_once(self, p4, monkeypatch):
-        # Newton works on the level function alone; one ray solve at the four
-        # converged angles gives the sides
+        # Newton works on the level function's Taylor terms alone, and the
+        # converged points give the sides: no ray is solved
         import q4lab.model as model
         ov = oval(-0.5, p4)
-        calls = []
-        kernel = model._smallest_positive_roots
+        rays, jets = [], []
+        kernel, jet = model._smallest_positive_roots, model._taylor_jet
         monkeypatch.setattr(model, "_smallest_positive_roots",
-                            lambda *a: calls.append(1) or kernel(*a))
+                            lambda *a: rays.append(1) or kernel(*a))
+        monkeypatch.setattr(model, "_taylor_jet", lambda *a: jets.append(1) or jet(*a))
         box = ov.bounding_box()
-        assert len(calls) == 1
+        assert not rays and len(jets) >= 4
+        steps = len(jets)
         assert ov.bounding_box() == box
-        assert len(calls) == 1
+        assert not rays and len(jets) == steps
 
     @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
     @pytest.mark.parametrize("level", [0.08, 0.5, 0.92])
@@ -377,8 +379,9 @@ class TestArea2dGeometry:
         with pytest.raises(GeometryError, match="neighbours"):
             ov.bounding_box()
         ov = oval(-0.5, p4)
-        hess = model._hess  # a Jacobian off by half: Newton converges only linearly
-        monkeypatch.setattr(model, "_hess", lambda *a: tuple(0.5 * d for d in hess(*a)))
+        jet = model._taylor_jet  # a Jacobian off by half: Newton converges only linearly
+        monkeypatch.setattr(model, "_taylor_jet", lambda *a: tuple(
+            d if n < 3 else 0.5 * d for n, d in enumerate(jet(*a))))
         with pytest.raises(GeometryError, match="8 steps"):
             ov.bounding_box()
 
@@ -397,35 +400,37 @@ class TestOneGKEngine:
     # and when the quadtree gave way to one slice integral between the
     # folds: 53 of the 54 values moved, by at most 7.0e-14 (342 ulps, I_1_0 at
     # kappa 4, level 0.92), toward the 30-digit moments (worst error 7.0e-14
-    # before, 1.1e-14 after)
+    # before, 1.1e-14 after); and when the box sides came from a scalar Newton
+    # solve in center-shifted coordinates, not a ray solve at its angle: 36
+    # of the 54 values moved, by at most 15 ulps (1.9e-15, kappa 9, level 0.92)
     AREA2D_HEX = {
         (1.5, 0.08): (
             "0x1.66712efb4a4a6p-5", "0x1.63c2ce3cd4dbap-5", "0x1.658e4cfbc15bdp-5",
             "0x1.63c35d126d2f1p-5", "0x1.6be96f3d27965p-5", "0x1.6a1afd1b9625ap-5"),
         (1.5, 0.5): (
-            "0x1.2355b4cfdbdc1p-2", "0x1.13ed3e6f7a75cp-2", "0x1.1e828cf1f7152p-2",
-            "0x1.1400b48f4ddd5p-2", "0x1.475b846bda1a2p-2", "0x1.3c2deeca059a8p-2"),
+            "0x1.2355b4cfdbdc2p-2", "0x1.13ed3e6f7a75dp-2", "0x1.1e828cf1f7154p-2",
+            "0x1.1400b48f4ddd6p-2", "0x1.475b846bda1a3p-2", "0x1.3c2deeca059aap-2"),
         (1.5, 0.92): (
-            "0x1.1ea176e3d6c5cp-1", "0x1.f6ff755cc2e60p-2", "0x1.14a3e7bb9799dp-1",
+            "0x1.1ea176e3d6c5cp-1", "0x1.f6ff755cc2e62p-2", "0x1.14a3e7bb9799ep-1",
             "0x1.f79373520b872p-2", "0x1.8fafd7311e60cp-1", "0x1.70e4cd2322a28p-1"),
         (4.0, 0.08): (
-            "0x1.8f3dac038b3e7p-5", "0x1.8ba212ac75ef4p-5", "0x1.8c8ba0d1cc070p-5",
-            "0x1.8ba42153ba354p-5", "0x1.96a07e3691e8cp-5", "0x1.911c649795075p-5"),
+            "0x1.8f3dac038b3e2p-5", "0x1.8ba212ac75ef0p-5", "0x1.8c8ba0d1cc06ap-5",
+            "0x1.8ba42153ba34ep-5", "0x1.96a07e3691e85p-5", "0x1.911c649795070p-5"),
         (4.0, 0.5): (
-            "0x1.46dac56684fa0p-2", "0x1.3250fe8ccfa94p-2", "0x1.37e93dce5c3eep-2",
-            "0x1.329a8911c8e68p-2", "0x1.781a542708abap-2", "0x1.5471381021acep-2"),
+            "0x1.46dac56684fa0p-2", "0x1.3250fe8ccfa90p-2", "0x1.37e93dce5c3eap-2",
+            "0x1.329a8911c8e64p-2", "0x1.781a542708abap-2", "0x1.5471381021accp-2"),
         (4.0, 0.92): (
-            "0x1.4415635c07ffep-1", "0x1.16769eca14168p-1", "0x1.24a790ba792dcp-1",
-            "0x1.17951fbca36d2p-1", "0x1.df754b457277ep-1", "0x1.7755b7b066be4p-1"),
+            "0x1.4415635c07ffep-1", "0x1.16769eca14168p-1", "0x1.24a790ba792dap-1",
+            "0x1.17951fbca36d2p-1", "0x1.df754b457277bp-1", "0x1.7755b7b066be3p-1"),
         (9.0, 0.08): (
-            "0x1.46496f4b87f5ep-5", "0x1.42f88c468c232p-5", "0x1.43585329bc3b6p-5",
-            "0x1.42fb136a83a7cp-5", "0x1.4d17fd6bec47ap-5", "0x1.470e5ceb75cb4p-5"),
+            "0x1.46496f4b87f60p-5", "0x1.42f88c468c232p-5", "0x1.43585329bc3b6p-5",
+            "0x1.42fb136a83a7bp-5", "0x1.4d17fd6bec47cp-5", "0x1.470e5ceb75cb6p-5"),
         (9.0, 0.5): (
-            "0x1.0ca48c66efc10p-2", "0x1.f3760b5dc3c4cp-3", "0x1.f8318e0ef9423p-3",
-            "0x1.f42e39e80f400p-3", "0x1.3af7655cf8fbep-2", "0x1.128c234a63d1fp-2"),
+            "0x1.0ca48c66efc0fp-2", "0x1.f3760b5dc3c49p-3", "0x1.f8318e0ef9421p-3",
+            "0x1.f42e39e80f3fdp-3", "0x1.3af7655cf8fbep-2", "0x1.128c234a63d1ep-2"),
         (9.0, 0.92): (
-            "0x1.0c410e166fc1ep-1", "0x1.c513afc15fba2p-2", "0x1.d1d77925d8b80p-2",
-            "0x1.c7f0a9c55a839p-2", "0x1.a261139935e68p-1", "0x1.2582f920c04bcp-1"),
+            "0x1.0c410e166fc1fp-1", "0x1.c513afc15fbaap-2", "0x1.d1d77925d8b89p-2",
+            "0x1.c7f0a9c55a848p-2", "0x1.a261139935e67p-1", "0x1.2582f920c04bep-1"),
     }
 
     def test_area2d_bits_unchanged(self):
@@ -459,7 +464,7 @@ class TestOneGKEngine:
         monkeypatch.setattr(Oval, "_point_tangent",
                             lambda self, th: shapes.append(th.shape) or solve(self, th))
         quad._moments_green(((1, 1),), ov, 1e-12)
-        assert shapes[0] == (8, 15)
+        assert shapes[0] == (quad.GREEN_START_PANELS, 15)
         assert len(shapes) > 1 and all(len(sh) == 2 and sh[1] == 15 for sh in shapes)
 
 
@@ -496,15 +501,16 @@ class TestBatchedMoments:
                 m.setattr(Oval, "_point_tangent", spy("solve", Oval._point_tangent,
                                                       lambda ov, th: th))
                 m.setattr(quad, "_slice_nodes", spy("area2d", quad._slice_nodes,
-                                                    lambda ov, *panels: np.stack(panels, 1)))
+                                                    lambda ov, *panels: np.stack(panels[:4], 1)))
                 m.setattr(quad, "_gk_sums", spy("sums", quad._gk_sums, lambda fx: fx))
                 green = quad._moments_green(ijs, ov, 1e-10)
                 solves, rounds = len(seen["solve"]), {"green": len(seen["sums"])}
                 area2d = quad._moments_area2d(ijs, ov, 1e-8)
                 rounds["area2d"] = len(seen["sums"]) - rounds["green"]
-            for got, ref_of, name, tol, rel in (
-                    (green, green_reference, "green", 1e-10, 1e-10),
-                    (area2d, area2d_reference, "area2d", 1e-8, 0.02 * 1e-8)):
+            for got, ref_of, name, tol, rel, first in (
+                    (green, green_reference, "green", 1e-10, 1e-10, quad.GREEN_START_PANELS),
+                    (area2d, area2d_reference, "area2d", 1e-8, 0.02 * 1e-8,
+                     2 * quad.AREA2D_RUN_PANELS)):
                 for ij, (value, err, panels, saturated) in zip(ijs, got):
                     ref_value, ref_err, *_ = ref_of(*ij, ov, tol)
                     assert err <= rel * abs(value) and not saturated, (kappa, where, name, ij)
@@ -513,7 +519,7 @@ class TestBatchedMoments:
                 # once, in one node call per round (one sums call each)
                 [size] = {panels for _, _, panels, _ in got}
                 rows = [bytes(row) for call in seen[name] for row in call]
-                assert len(rows) == len(set(rows)) == 2 * size - 8, (kappa, where, name)
+                assert len(rows) == len(set(rows)) == 2 * size - first, (kappa, where, name)
                 assert len(seen[name]) == rounds[name], (kappa, where, name)
             # each round's new rows reach the ray solver in one call
             assert solves == len(seen["green"])

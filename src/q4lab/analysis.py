@@ -527,13 +527,11 @@ def keyhole_by_continuation(params: ModelParams, epsilon: float = 1e-3):
     pre = [Line(complex(s_mid), complex(s_mid, lift)),
            Line(complex(s_mid, lift), complex(-R, lift)),
            Line(complex(-R, lift), start)]
-    state = continue_state(pre, state, params, tol=1e-11,
-                           eps_min=min(0.5 * epsilon, 1e-4))
+    state = continue_state(pre, state, params, eps_min=min(0.5 * epsilon, 1e-4))
     j0 = state.J
     samples = {}
     for name, (path, n) in pieces.items():
-        state, recs = continue_state(path, state, params, tol=1e-11,
-                                     eps_min=min(0.45 * epsilon, 1e-4),
+        state, recs = continue_state(path, state, params, eps_min=min(0.45 * epsilon, 1e-4),
                                      samples_per_piece=n)
         samples[name] = (np.concatenate([r[0] for r in recs]),
                          np.concatenate([r[1] for r in recs], axis=1))

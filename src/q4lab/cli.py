@@ -221,9 +221,11 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> int:
             rt = rc.template(h, J1, J2, p.mu)
             res = abs(rt - r1) / max(abs(r1), 1e-300)
             rep.add(kappa, h, "R:exact-template", res, 1e-10, res <= 1e-10)
-        # Wronskian and exponents
+        # Wronskian and exponents; the path ends at least twice propagate_J's
+        # eps_min (1e-4) from s = 1
         st0 = picard_fuchs.initial_jstate(math.sqrt(kappa), p)
-        st1 = picard_fuchs.propagate_J([math.sqrt(kappa), 1.0 + 0.01 * (kappa - 1.0)], st0, p)
+        end = 1.0 + max(0.01 * (kappa - 1.0), 2e-4)
+        st1 = picard_fuchs.propagate_J([math.sqrt(kappa), end], st0, p)
         drift = abs(st1.det_W - st0.det_W) / abs(st0.det_W)
         rep.add(kappa, 1.0, "J:wronskian-real", drift, 1e-8, drift <= 1e-8)
         lo, hi = picard_fuchs.infinity_exponents(p)

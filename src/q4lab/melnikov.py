@@ -17,7 +17,7 @@ them on jets, so G' and G'' follow from ``_Jet``'s Leibniz rule.  R = L2(G) is
 with a_j, b_j linear in nu.  Two independent numerical routes to R are
 implemented: the closed-form derivative formulas on the closed-form J
 (``direct``) against differentiation of the six-moment ODE propagated by
-DOP853 (``pf_numeric``).  The exact (a_j, b_j) are integer cubics in kappa
+Taylor steps from the quadrature oracle (``pf_numeric``).  The exact (a_j, b_j) are integer cubics in kappa
 (``_A_TABLE``, ``_B_TABLE``), evaluated at Fraction(kappa); the test suite
 derives the table from the exact substitution into L2(G).  G is
 evaluated on ``MomentBasis`` (closed-form J and series moments), so neither
@@ -88,7 +88,7 @@ def eval_G(h: float, params: ModelParams) -> float:
 
 def eval_G_prime(h: float, params: ModelParams):
     """(G, G', G'') by exact differentiation of the six-moment ODE along the
-    cached DOP853 propagation."""
+    cached Taylor-step propagation (``PFPropagation``)."""
     return G_from_chain(h, get_propagation(params).chain(h), params)
 
 
@@ -109,8 +109,8 @@ def eval_R(h: float, params: ModelParams, route: str = "direct") -> float:
                     L2-image of JJ, on the closed-form J
                     (``hypergeometric_J`` at s = ``s_from_h(h)``).
     ``pf_numeric``  apply_L2 on (G, G', G'') obtained by differentiating
-                    the closed six-moment linear ODE along the cached DOP853
-                    propagation (``eval_G_prime``).
+                    the closed six-moment linear ODE along the cached
+                    Taylor-step propagation (``eval_G_prime``).
     """
     k = params.kappa
     if route == "pf_numeric":

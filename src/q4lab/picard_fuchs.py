@@ -21,10 +21,15 @@ The moments across the annulus come by two independent routes that share
 no input: ``MomentBasis`` (J = (I00', I11') in closed form, V from two
 exact expansions of V = B V' about the singular ends of the annulus, with
 no quadrature), which the bound pipeline uses, and ``PFPropagation``
-(DOP853 from the quadrature oracle at the window midpoint), kept as the
-check.  The other moments have no closed form of that kind:
+(Taylor steps from the quadrature oracle at the window midpoint), kept as
+the check.  The other moments have no closed form of that kind:
 I10' is not a polynomial combination of J1 and J2, nor is JJ modulo the
 kernel of L2 (``MomentBasis``).
+
+Both linear systems here, V = B V' in h and 6 (s - 1)(s - kappa) J' = N(s) J
+in s, have polynomial coefficients and are continued by re-expanding their
+Taylor series from disc to disc (``_Walk``; J. van der Hoeven, Fast
+evaluation of holonomic functions, TCS 210, 1999), with no ODE solver.
 
 Also here: the derived 2x2 second-order system for (J1, J2) =
 (I00', I11'), the closed-form second/third derivative formulas, jets
@@ -33,7 +38,7 @@ L2 = 5 kappa h - (9 kappa h^2 - 8) d/dh + h (9 kappa h^2 - 4) d^2/dh^2,
 the hypergeometric change of variable s = (9 kappa / 4) h^2, J and the
 Kummer pair of L2 as 2F1 functions of s, and analytic continuation of a
 fundamental matrix W, whose first column is J = (J1, J2), along paths in the
-complex s-plane (the system 6 (s-1)(s-kappa) dJ/ds = N(s) J).
+complex s-plane.
 """
 
 from __future__ import annotations
@@ -42,12 +47,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# not called: perfbench/tracing.py counts calls through this name, and tests refuse it
+from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.special import hyp2f1
 
 from .errors import (
     ConsistencyError,
-    ConvergenceError,
     DomainError,
     PathProximityError,
     SingularityError,
@@ -61,13 +66,11 @@ SINGULAR_GAP = 1e-10  # distance in h to a critical level within which V' is ref
 # PFPropagation starts from a quadrature oracle call at its midpoint.
 WINDOW_MARGIN = 1e-8
 ORACLE_TOL = 1e-10
-# PFPropagation's DOP853 rtol.  Its J at the bound scanner's end nodes rides
-# on DOP853's error there: at 1e-12, moving the oracle's v_mid by one or two
-# ulps put it up to 9e-8 off 40 digits (2e-9 missed in 13% of such draws at
-# kappa 1.5); at 1e-13 in 3% (kappa 1.5) and 0.4% (4 and 9).  1e-13 takes
-# about a third more steps than 1e-12 from kappa 1.5 to 1000, and ten times
-# as many at kappa 1.01
-PROPAGATION_TOL = 1e-13
+# A Taylor step's radius over the distance from its center to the nearest
+# singular point, and the order it keeps: STEP_RATIO^n summed past it stays
+# below eps / 2, the rule of MomentBasis (53, so 54 terms)
+STEP_RATIO = 0.5
+STEP_ORDER = math.ceil(math.log(np.finfo(float).eps * (1.0 - STEP_RATIO)) / math.log(STEP_RATIO))
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,9 @@ _B_PRIME = pf_matrix(1.0, make_params(2.0)) - pf_matrix(0.0, make_params(2.0))
 
 
 def pf_residuals(pf: PFVector, params: ModelParams) -> np.ndarray:
-    """Residual of each of the six equations, values - B(h) @ derivs."""
-    return pf.values - pf_matrix(pf.h, params) @ pf.derivs
+    """Residual of each of the six equations, values - B(h) V', each row of
+    B(h) V' a fixed-order fold (``weigh``), not a BLAS product."""
+    return pf.values - np.array([weigh(row, pf.derivs) for row in pf_matrix(pf.h, params)])
 
 
 def _split(x):  # Veltkamp: x = hi + lo, halves of 26 bits
@@ -173,16 +177,28 @@ def pf_derivatives(h, values, params: ModelParams) -> np.ndarray:
     return np.array(pf_solve(h, np.asarray(values, dtype=float), params.kappa))
 
 
+def _window_levels(window, h):
+    """(whether h is a scalar, h as a 1-d array), or DomainError for a level
+    outside ``window``'s [lo, hi] by more than 1e-12 (NaN included)."""
+    h = np.asarray(h, dtype=float)
+    hv = np.atleast_1d(h)
+    if not window.lo - 1e-12 <= hv.min() <= hv.max() <= window.hi + 1e-12:
+        raise DomainError(f"level outside the window [{window.lo}, {window.hi}]")
+    return h.ndim == 0, hv
+
+
 class PFPropagation:
-    """Dense propagation of the six moments across a window, initialized
-    from the quadrature oracle at the window midpoint (both window endpoints
-    are singular levels, the midpoint is maximally conditioned).
+    """The six moments across a window by Taylor steps (``_Walk``) from the
+    quadrature oracle at the window midpoint toward each end (both window
+    endpoints are singular levels, the midpoint is maximally conditioned),
+    each step ``_frobenius``'s series about a regular level; the singular
+    levels are +-h_c and +-h_s.
 
     Provides pointwise values and derivatives up to order three (``derivs``,
     ``chain``), for vectorized evaluation on level grids.  B^{-1} has a pole
     at both window ends (cond(B) reaches 1e7 within 1e-6 of the window of an
-    end), so DOP853's error in V is magnified there: J at the bound scanner's
-    end nodes is 1e-10 to 7e-10 off at kappa 1.5, 4 and 9 (PROPAGATION_TOL).
+    end), so the error in V is magnified in ``derivs`` there, most at the
+    saddle end, where V does not vanish.
     """
 
     def __init__(self, params: ModelParams):
@@ -193,23 +209,15 @@ class PFPropagation:
             raise DomainError("PFPropagation window must sit inside the annulus interval")
         self.h_mid = 0.5 * (self.lo + self.hi)
         self.v_mid = basis_values(self.h_mid, params, tol=ORACLE_TOL)
-        k, ck = params.kappa, _two_product(2.25, params.kappa)  # once, not per call
-        rhs = lambda hh, v: _solve_factored(float(hh), v.tolist(), k, *_denominators(float(hh), ck))
-        kw = dict(method="DOP853", rtol=PROPAGATION_TOL, dense_output=True,
-                  atol=1e-3 * PROPAGATION_TOL * np.max(np.abs(self.v_mid)))
-        self._left = solve_ivp(rhs, (self.h_mid, self.lo), self.v_mid, **kw)
-        self._right = solve_ivp(rhs, (self.h_mid, self.hi), self.v_mid, **kw)
-        if not (self._left.success and self._right.success):
-            raise ConvergenceError("dense propagation failed")
+        k = params.kappa
+        step = lambda c, r, v: _frobenius(c, k, 0, STEP_ORDER, [v], r)[0][0]
+        self._sides = [_Walk(Line(self.h_mid, end), (hc, -hc, hs, -hs), step, self.v_mid)
+                       for end in (self.lo, self.hi)]
 
     def values(self, h):
-        h = np.asarray(h, dtype=float)
-        scalar = h.ndim == 0
-        hv = np.atleast_1d(h)
-        if np.any((hv < self.lo - 1e-12) | (hv > self.hi + 1e-12)):
-            raise DomainError("level outside the propagated window")
-        out = _two_sided(hv, hv > self.h_mid,
-                         lambda x, right: (self._right if right else self._left).sol(x))
+        scalar, hv = _window_levels(self, h)
+        out = _two_sided(hv, hv > self.h_mid, lambda x, right: self._sides[right](
+            (x - self.h_mid) / ((self.hi if right else self.lo) - self.h_mid), x))
         return out[:, 0] if scalar else out
 
     def derivs(self, h):
@@ -401,17 +409,10 @@ class MomentBasis:
             log, root = _saddle_factors(u, None if near is None else self._u(near, True))
         return T[0] + T[1] * log + root * T[2]
 
-    def _levels(self, h):
-        h = np.asarray(h, dtype=float)
-        hv = np.atleast_1d(h)
-        if not self.lo - 1e-12 <= hv.min() <= hv.max() <= self.hi + 1e-12:
-            raise DomainError("level outside the expanded window")
-        return h.ndim == 0, hv
-
     def values(self, h):
         """V at a scalar level, shape (6,), or at n levels, shape (6, n), each
         level summed by the series of its side of the switch."""
-        scalar, hv = self._levels(h)
+        scalar, hv = _window_levels(self, h)
         out = _two_sided(hv, hv >= self.switch, self._form)
         return out[:, 0] if scalar else out
 
@@ -435,7 +436,7 @@ class MomentBasis:
 
     def J(self, h):
         """(J1, J2) in closed form, shape (2,) or (2, n)."""
-        scalar, hv = self._levels(h)
+        scalar, hv = _window_levels(self, h)
         out = hypergeometric_J(s_from_h(hv, self.params), self.params)
         return out[:, 0] if scalar else out
 
@@ -565,12 +566,12 @@ class _Jet:
 
 
 def series_sum(coef, t):
-    """sum_n coef[..., n] t^n, t broadcast against coef[..., 0] (at least one
-    axis): running powers, and a left fold in n by einsum's own loop in Fortran
-    order on the other axes reversed, so n runs outermost and the last of them
-    (the levels) innermost; no BLAS kernel, layout or other entry of a call
-    moves a bit."""
-    t = np.asarray(t, dtype=float)
+    """sum_n coef[..., n] t^n, t real or complex, broadcast against
+    coef[..., 0] (at least one axis): running powers, and a left fold in n by
+    einsum's own loop in Fortran order on the other axes reversed, so n runs
+    outermost and the last of them (the levels) innermost; no BLAS kernel,
+    layout or other entry of a call moves a bit."""
+    t = np.asarray(t, dtype=complex if np.iscomplexobj(t) else float)
     tp = np.vander(t.ravel(), coef.shape[-1], increasing=True).reshape(t.shape + (-1,))
     nd = max(coef.ndim, tp.ndim)
     axes = (*range(nd - 2, -1, -1), nd - 1)
@@ -693,13 +694,6 @@ class JState:
         return self.W[0, 0] * self.W[1, 1] - self.W[0, 1] * self.W[1, 0]
 
 
-def pfs2_matrix(s, kappa: float):
-    """A(s) with dJ/ds = A(s) J, i.e. N(s) / (6 (s-1)(s-kappa))."""
-    one = np.ones_like(np.asarray(s))
-    N = np.array([[1.0 - s, (kappa - 1.0) * one], [1.0 - s, s - 1.0]])
-    return N / (6.0 * (s - 1.0) * (s - kappa))
-
-
 def initial_jstate(s0: float, params: ModelParams) -> JState:
     """JState at a real s0 in (1, kappa) from the quadrature oracle: the
     first column of W is the geometric solution J, the second the unit
@@ -719,8 +713,10 @@ class Line:
     def point(self, t):
         return self.a + (self.b - self.a) * t
 
-    def velocity(self, t):
-        return self.b - self.a
+    def reach(self, t: float, r: float) -> float:
+        """The parameter where the segment leaves the disc of radius r about
+        point(t), or 1."""
+        return min(1.0, t + r / abs(self.b - self.a))
 
 
 @dataclass(frozen=True)
@@ -734,34 +730,60 @@ class Arc:
         th = self.theta0 + (self.theta1 - self.theta0) * t
         return self.center + self.radius * np.exp(1j * th)
 
-    def velocity(self, t):
-        th = self.theta0 + (self.theta1 - self.theta0) * t
-        return 1j * (self.theta1 - self.theta0) * self.radius * np.exp(1j * th)
+    def reach(self, t: float, r: float) -> float:
+        """The parameter where the arc leaves the disc of radius r about
+        point(t), or 1: the chord 2 radius sin(dtheta / 2) grows up to pi."""
+        dth = 2.0 * math.asin(min(1.0, r / (2.0 * self.radius)))
+        return min(1.0, t + dth / abs(self.theta1 - self.theta0))
 
 
-@dataclass(frozen=True)
-class LogLine:
-    """The segment from a to b on one ray from 0, traversed uniformly in
-    log s: s(t) = a (b/a)^t.  b/a must be real and positive in floating
-    point, as it is for two points of the real half-line s > 0."""
+class _Walk:
+    """A linear system's solution along a piece (``Line`` or ``Arc``) by
+    Taylor steps from y, the solution at its start.  A step at the center c =
+    piece.point(t) takes r = STEP_RATIO times the distance from c to the
+    nearest of the system's ``singular`` points, and ``expand(c, r, y)``, the
+    coefficients a_n r^n (..., STEP_ORDER + 1) of the solution through y; the
+    next center is where the piece leaves the disc, y there the step's
+    polynomial summed.  ``end`` is the solution at the piece's end."""
 
-    a: complex
-    b: complex
+    def __init__(self, piece, singular, expand, y):
+        steps, t = [], 0.0
+        while t < 1.0:
+            c = piece.point(t)
+            r = STEP_RATIO * min(abs(c - z) for z in singular)
+            steps.append((t, c, r, expand(c, r, y)))
+            t = piece.reach(t, r)
+            y = series_sum(steps[-1][3], (piece.point(t) - c) / r)
+        self.t, self.c, self.r, self.coef = map(np.array, zip(*steps))
+        self.end = y
 
-    def __post_init__(self):
-        q = self.b / self.a if self.a != 0 else 0j
-        if not (q.imag == 0.0 and q.real > 0.0):
-            raise DomainError(f"LogLine endpoints {self.a} and {self.b} are not on one ray from 0")
+    def __call__(self, t, z):
+        """The solution at the points z = piece.point(t), shape (..., n), each
+        summed by the step whose stretch of the piece holds its t."""
+        k = np.searchsorted(self.t, t, side="right") - 1
+        return series_sum(np.moveaxis(self.coef[k], 0, -2), (z - self.c[k]) / self.r[k])
 
-    @property
-    def ratio(self) -> float:
-        return (self.b / self.a).real
 
-    def point(self, t):
-        return self.a * self.ratio ** np.asarray(t)
-
-    def velocity(self, t):
-        return self.point(t) * math.log(self.ratio)
+def _s_series(c: complex, kappa: float, r: float, W) -> np.ndarray:
+    """The coefficients a_n r^n, n <= STEP_ORDER, of the fundamental matrix
+    about s = c with W(c) = W, shape (2, 2, STEP_ORDER + 1).  With t = s - c,
+    p(s) = 6 (s - 1)(s - kappa) = p0 + p1 t + 6 t^2 and N(s) = N0 + N1 t, N1 =
+    [[-1, 0], [-1, 1]], order n of p W' = N W gives p0 (n + 1) a_{n+1} =
+    (N0 - p1 n) a_n + (N1 - 6 (n - 1)) a_{n-1}, run on each column in plain
+    complex scalars."""
+    c = complex(c)
+    p0, p1 = 6.0 * (c - 1.0) * (c - kappa), 6.0 * (2.0 * c - 1.0 - kappa)
+    e, k1 = 1.0 - c, kappa - 1.0  # N0 = [[e, k1], [e, -e]]
+    cols = []
+    for x, y in np.asarray(W, dtype=complex).T.tolist():
+        col, xp, yp = [(x, y)], 0j, 0j
+        for n in range(STEP_ORDER):
+            g, q, f = p1 * n, 6.0 * (n - 1.0), r / (p0 * (n + 1.0))
+            x, y, xp, yp = (f * ((e - g) * x + k1 * y - r * (1.0 + q) * xp),
+                            f * (e * x - (e + g) * y + r * ((1.0 - q) * yp - xp)), x, y)
+            col.append((x, y))
+        cols.append(col)
+    return np.array(cols).transpose(2, 0, 1)
 
 
 def _piece_legal(piece, kappa: float, eps_min: float):
@@ -769,8 +791,7 @@ def _piece_legal(piece, kappa: float, eps_min: float):
     z = piece.point(ts)
     for sing in (1.0 + 0.0j, complex(kappa)):
         d = np.min(np.abs(z - sing))
-        if isinstance(piece, (Line, LogLine)):
-            # exact point-to-segment distance (both trace the segment a-b)
+        if isinstance(piece, Line):  # the exact point-to-segment distance
             ab = piece.b - piece.a
             t = np.clip(((sing - piece.a) * np.conj(ab)).real / abs(ab) ** 2, 0.0, 1.0)
             d = abs(piece.a + t * ab - sing)
@@ -794,50 +815,28 @@ def _piece_legal(piece, kappa: float, eps_min: float):
                 f"path lands on the cut (-inf, 1) at Re s = {z[idx].real:.6f}")
 
 
-def continue_state(pieces, state0: JState, params: ModelParams,
-                   tol: float = 1e-11, eps_min: float = 1e-4,
+def continue_state(pieces, state0: JState, params: ModelParams, eps_min: float = 1e-4,
                    samples_per_piece: int | None = None):
     """Analytic continuation of W, and with it J = W[:, 0], along path pieces:
-    ``Line`` (straight, uniform in s), ``Arc`` (circular, uniform in angle)
-    and ``LogLine`` (a segment of a ray from 0, uniform in log s).
-
-    Integrates the realified dW/dt = A(s) (ds/dt) W with DOP853, the step
-    capped by 0.1 / (||A|| |ds/dt|) along each piece.  With
-    ``samples_per_piece`` set, returns per-piece sample arrays (s values,
-    J values) for argument tracking.
-    """
-    k = params.kappa
-    Wr = np.concatenate([state0.W.real.ravel(), state0.W.imag.ravel()])
-    out_samples = []
-    scale0 = np.max(np.abs(state0.W)) + 1e-300
-
+    ``Line`` (straight) and ``Arc`` (circular), each walked by Taylor steps in
+    s (``_Walk`` on ``_s_series``) about centers on the piece, the singular
+    points s = 1 and kappa.  With ``samples_per_piece`` set, returns per-piece
+    sample arrays (s values at that many equal parameter steps, J values)
+    for argument tracking."""
+    k, W, out_samples = params.kappa, state0.W, []
     for piece in pieces:
         _piece_legal(piece, k, eps_min)
-
-        def rhs(t, yr):
-            W = (yr[:4] + 1j * yr[4:]).reshape(2, 2)
-            dW = (pfs2_matrix(piece.point(t), k) * piece.velocity(t)) @ W
-            return np.concatenate([dW.real.ravel(), dW.imag.ravel()])
-
-        ts = np.linspace(0.0, 1.0, 65)
-        normA = np.max(np.linalg.norm(pfs2_matrix(piece.point(ts), k), axis=(0, 1))
-                       * np.abs(piece.velocity(ts)))
-        max_step = max(0.1 / (normA + 1e-300), 1e-7)
-        t_eval = np.linspace(0.0, 1.0, samples_per_piece) if samples_per_piece else None
-        sol = solve_ivp(rhs, (0.0, 1.0), Wr, method="DOP853", rtol=tol,
-                        atol=tol * scale0 * 1e-2, max_step=max_step, t_eval=t_eval)
-        if not sol.success:
-            raise ConvergenceError(f"continuation failed on {piece}: {sol.message}")
-        if samples_per_piece:  # J = W[:, 0] is entries 0 and 2 of the row-major W
-            out_samples.append((piece.point(sol.t), sol.y[0:4:2] + 1j * sol.y[4:8:2]))
-        Wr = sol.y[:, -1]
-
-    state = JState(s=complex(pieces[-1].point(1.0)), W=(Wr[:4] + 1j * Wr[4:]).reshape(2, 2))
+        walk = _Walk(piece, (1.0, k), lambda c, r, w: _s_series(c, k, r, w), W)
+        if samples_per_piece:
+            ts = np.linspace(0.0, 1.0, samples_per_piece)
+            s = piece.point(ts)
+            out_samples.append((s, walk(ts, s)[:, 0]))
+        W = walk.end
+    state = JState(s=complex(pieces[-1].point(1.0)), W=W)
     return (state, out_samples) if samples_per_piece else state
 
 
-def propagate_J(path, J0: JState, params: ModelParams, tol: float = 1e-11,
-                eps_min: float = 1e-4) -> JState:
+def propagate_J(path, J0: JState, params: ModelParams, eps_min: float = 1e-4) -> JState:
     """Continuation of a JState along a polyline of complex s-nodes."""
     nodes = [complex(z) for z in path]
     if abs(nodes[0] - J0.s) > 1e-9 * (1.0 + abs(J0.s)):
@@ -845,29 +844,29 @@ def propagate_J(path, J0: JState, params: ModelParams, tol: float = 1e-11,
     pieces = [Line(a, b) for a, b in zip(nodes[:-1], nodes[1:]) if a != b]
     if not pieces:
         return JState(s=J0.s, W=J0.W.copy())
-    return continue_state(pieces, J0, params, tol=tol, eps_min=eps_min)
+    return continue_state(pieces, J0, params, eps_min=eps_min)
 
 
 def infinity_exponents(params: ModelParams):
-    """Growth exponents of the two characteristic solutions at s = infinity,
-    fitted from the eigenvalues of the transfer matrix between the radii
-    1e3 kappa and 1e5 kappa on the real axis (expected {-1/6, +1/6}).
-
-    J is continued from 10 kappa along two ``LogLine`` pieces, uniform in
-    log s.  For large s the system is close to Euler's equation in log s,
-    with exponents +-1/6, so ||A ds/dt|| is nearly flat along them and the
-    step cap 0.1 / (||A|| |ds/dt|) of ``continue_state`` allows long steps
-    (15 to 18 per piece at kappa = 4).  Along a ``Line`` the cap is set by
-    the near end, where ||A|| is largest, and a piece took about 300 steps
-    whatever the tolerance asked.  det W is constant (trace A = 0), so
-    |hi - 1/6| = |lo + 1/6| in exact arithmetic; the log-s route keeps that
-    to rounding (the ``Line`` route to about 1e-14)."""
+    """Growth exponents (lo, hi) of the two characteristic solutions at s =
+    infinity, fitted from the eigenvalues of the transfer matrix T = W2 W1^-1
+    between the radii 1e3 kappa and 1e5 kappa on the real axis (expected
+    {-1/6, +1/6}), W continued from 10 kappa along two ``Line`` pieces (24
+    Taylor steps).  With no LAPACK call: W1^-1 is its adjugate over its
+    determinant, and T's eigenvalue moduli come from its trace and
+    determinant, the smaller as |det T| over the larger.  det W is constant
+    (trace N = 0), so hi + lo = log|det T| / log(100) vanishes to rounding."""
     k = params.kappa
     s0, s1, s2 = 10.0 * k, 1e3 * k, 1e5 * k
     state = JState(s=complex(s0), W=np.eye(2, dtype=complex))
-    state = continue_state([LogLine(complex(s0), complex(s1))], state, params, tol=1e-12)
-    W1 = state.W.copy()
-    state = continue_state([LogLine(complex(s1), complex(s2))], state, params, tol=1e-12)
-    T = state.W @ np.linalg.inv(W1)
-    ev = np.linalg.eigvals(T)
-    return np.sort(np.log(np.abs(ev)) / math.log(s2 / s1))
+    state = continue_state([Line(complex(s0), complex(s1))], state, params)
+    (a, b), (c, d) = state.W.tolist()
+    state = continue_state([Line(complex(s1), complex(s2))], state, params)
+    (e, f), (g, h) = state.W.tolist()
+    det1 = a * d - b * c
+    tr = ((e * d - f * c) + (h * a - g * b)) / det1
+    det = (e * h - f * g) / det1
+    root = (tr * tr - 4.0 * det) ** 0.5
+    big = 0.5 * max(abs(tr + root), abs(tr - root))
+    scale = math.log(s2 / s1)
+    return math.log(abs(det) / big) / scale, math.log(big) / scale

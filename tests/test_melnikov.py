@@ -191,8 +191,8 @@ class TestEvalG:
         basis, prop = get_moment_basis(p4), get_propagation(p4)
         for h in (-0.5, -0.6):
             assert eval_G(h, pG) == basis.J(h)[1]
-            # the DOP853 route carries the propagation's own error: 1.1e-15 at
-            # -0.5, 3.1e-12 at -0.6; the bound leaves a factor of three
+            # the propagation route carries its own error: 1.1e-15 at -0.5 and
+            # 1.6e-15 at -0.6 (DOP853 was 3.1e-12 off at -0.6)
             assert eval_G(h, pG) == pytest.approx(prop.derivs(h)[3], rel=1e-11)
 
     def test_J2_positive_on_annulus(self, p4):
@@ -266,7 +266,7 @@ class TestExtraction:
     def test_reproduces_eval_R(self):
         # the headline cross-check: exact template against the numeric route,
         # with J in closed form as verify's R:exact-template row feeds it
-        # (the DOP853 J of PFPropagation is checked by pf:propagation-vs-oracle)
+        # (the J of PFPropagation is checked by pf:propagation-vs-oracle)
         rng = np.random.default_rng(20241107)
         p = make_params(4.0)
         rc = extract_R_coeffs(p)

@@ -46,6 +46,7 @@ def test_traced_names_exist_and_are_reached():
                  "analysis.j_table", "analysis.count_zeros", "analysis.keyhole_contour",
                  "analysis.winding_count"):
         assert span in seen["spans"], span
-    for count in ("melnikov.get_propagation.calls", "quadrature.moment.calls",
-                  "picard_fuchs.solve_ivp.nfev"):
+    for count in ("melnikov.get_propagation.calls", "quadrature.moment.calls"):
         assert count in seen["counts"], count
+    # the traced propagation build takes Taylor steps: no DOP853 call is counted
+    assert "picard_fuchs.solve_ivp.nfev" not in seen["counts"]

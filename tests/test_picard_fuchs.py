@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 import q4lab.picard_fuchs as pf
 from conftest import keyhole_reference
@@ -21,7 +22,6 @@ from q4lab.picard_fuchs import (
     Arc,
     JState,
     Line,
-    LogLine,
     MomentBasis,
     PFPropagation,
     PFVector,
@@ -181,18 +181,20 @@ class TestClosedFormSolve:
                 assert all(e <= 1e-14 * abs(float(w)) for e, w in zip(err, want)), q
 
     def test_right_hand_side_splits_kappa_once(self, monkeypatch):
-        # DOP853's right-hand side forms (9/4) kappa = c + c_err once per
-        # propagation, not per call, and keeps pf_solve's bits at every level
+        # each Taylor step of the propagation forms (9/4) kappa = c + c_err
+        # once, not once per term, and applies B^-1 at its center with
+        # pf_solve's bits
         splits, seen = [], []
         split, solve = pf._two_product, pf._solve_factored
         monkeypatch.setattr(pf, "_two_product", lambda a, b: (
             a == 2.25 and splits.append(b)) or split(a, b))
         monkeypatch.setattr(pf, "_solve_factored", lambda h, v, *a: seen.append(
             (h, list(v), solve(h, v, *a))) or seen[-1][2])
-        PFPropagation(make_params(4.0))
+        prop = PFPropagation(make_params(4.0))
         monkeypatch.undo()
-        assert splits == [4.0] and len(seen) > 100
-        for h, v, got in seen:
+        steps = sum(side.t.size for side in prop._sides)
+        assert splits == [4.0] * steps and len(seen) == pf.STEP_ORDER * steps
+        for h, v, (got, _) in seen:
             assert type(h) is float and got == pf.pf_solve(h, v, 4.0)
 
     @pytest.mark.parametrize("kappa", KAPPAS_SOLVE)
@@ -227,6 +229,26 @@ class TestPropagation:
             PFPropagation(make_params(1.0 + 1e-12))  # no room between the critical levels
         with pytest.raises(DomainError):
             prop4.values(-0.8)
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_matches_dop853_on_the_scanner_grid(self, kappa):
+        # an independent integrator: scipy's DOP853 on V' = B(h)^-1 V from the
+        # same midpoint oracle, on every other node of the scanner grid and
+        # its last
+        p = make_params(kappa)
+        prop = PFPropagation(p)
+        grid = bound_scanner(p).hs
+        hs = np.append(grid[::2], grid[-1])
+        kw = dict(method="DOP853", rtol=1e-13, atol=1e-16 * np.max(np.abs(prop.v_mid)),
+                  dense_output=True)
+        want = np.empty((6, hs.size))
+        for end, part in ((prop.lo, hs <= prop.h_mid), (prop.hi, hs > prop.h_mid)):
+            sol = solve_ivp(lambda h, v: pf.pf_solve(h, v, kappa), (prop.h_mid, end),
+                            prop.v_mid, **kw)
+            assert sol.success
+            want[:, part] = sol.sol(hs[part])
+        got = prop.values(hs)
+        assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-10 * np.max(np.abs(want), axis=1))
 
     def test_chain_matches_fd(self, p4, prop4):
         d1, d2, d3 = prop4.chain(H0)
@@ -399,44 +421,50 @@ class TestContinuation:
 
     @staticmethod
     def _exponents_along_lines(p):
-        # infinity_exponents as it was, continued along straight Line pieces
-        s0, s1, s2 = 10.0 * p.kappa, 1e3 * p.kappa, 1e5 * p.kappa
-        state = JState(s=complex(s0), W=np.eye(2, dtype=complex))
-        state = continue_state([Line(complex(s0), complex(s1))], state, p, tol=1e-12)
-        W1 = state.W.copy()
-        state = continue_state([Line(complex(s1), complex(s2))], state, p, tol=1e-12)
-        ev = np.linalg.eigvals(state.W @ np.linalg.inv(W1))
+        # an independent route: scipy's DOP853 on the realified dW/ds = A(s) W,
+        # A = N(s) / (6 (s - 1)(s - kappa)), along the real axis, and LAPACK's
+        # inverse and eigenvalues
+        k = p.kappa
+
+        def rhs(s, y):
+            W = (y[:4] + 1j * y[4:]).reshape(2, 2)
+            A = np.array([[1.0 - s, k - 1.0], [1.0 - s, s - 1.0]]) / (6.0 * (s - 1.0) * (s - k))
+            dW = A @ W
+            return np.concatenate([dW.real.ravel(), dW.imag.ravel()])
+
+        s0, s1, s2 = 10.0 * k, 1e3 * k, 1e5 * k
+        kw = dict(method="DOP853", rtol=1e-13, atol=1e-15)
+        y1 = solve_ivp(rhs, (s0, s1), np.eye(2).ravel().tolist() + [0.0] * 4, **kw).y[:, -1]
+        y2 = solve_ivp(rhs, (s1, s2), y1, **kw).y[:, -1]
+        W1, W2 = ((y[:4] + 1j * y[4:]).reshape(2, 2) for y in (y1, y2))
+        ev = np.linalg.eigvals(W2 @ np.linalg.inv(W1))
         return np.sort(np.log(np.abs(ev)) / math.log(s2 / s1))
 
     @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0, 20.0])
     def test_exponents_symmetric_and_match_line_route(self, kappa):
         # det W is constant (trace A = 0), so the exponents are exactly
-        # opposite; the Line route kept that only to 1.2e-14
+        # opposite
         p = make_params(kappa)
         lo, hi = infinity_exponents(p)
         assert abs(hi + lo) <= 1e-15
         assert np.max(np.abs(np.array([lo, hi]) - self._exponents_along_lines(p))) <= 1e-12
 
-    def test_log_line_geometry(self):
-        piece = LogLine(2.0 + 0j, 8.0 + 0j)
-        assert piece.point(0.0) == 2.0 and piece.point(1.0) == pytest.approx(8.0, rel=1e-15)
-        assert piece.point(0.5) == pytest.approx(4.0, rel=1e-15)
-        t, dt = 0.3, 1e-6
-        fd = (piece.point(t + dt) - piece.point(t - dt)) / (2 * dt)
-        assert piece.velocity(t) == pytest.approx(fd, rel=1e-8)
-
-    @pytest.mark.parametrize("a, b", [(2.0, -8.0), (2.0, 8.0j), (1.0 + 1.0j, 3.0), (0.0, 5.0)])
-    def test_log_line_needs_one_ray(self, a, b):
-        with pytest.raises(DomainError, match="one ray"):
-            LogLine(complex(a), complex(b))
-
-    def test_log_line_proximity_guard(self, p4):
-        # the ray passes 5e-5 from s = 1, and the nearest of the 257 samples
-        # is 1.8e-3 away: only the exact point-to-segment distance sees it
+    def test_line_proximity_guard(self, p4):
+        # the segment passes 5e-5 from s = 1, and the nearest of the 257
+        # samples is 3.9e-4 away: only the exact point-to-segment distance sees it
         w = 1.0 + 5e-5j
         state = JState(s=0.6 * w, W=np.eye(2, dtype=complex))
         with pytest.raises(PathProximityError, match="singular point s=\\(1"):
-            continue_state([LogLine(0.6 * w, 1.7 * w)], state, p4)
+            continue_state([Line(0.6 * w, 1.7 * w)], state, p4)
+
+    @pytest.mark.parametrize("kappa", [1.001, 1.005, 1.01])
+    def test_wronskian_path_next_to_kappa_one(self, kappa):
+        # verify's Wronskian path ends at 1 + max(0.01 (kappa - 1), 2 eps_min),
+        # eps_min = 1e-4 from s = 1, where 1 + 0.01 (kappa - 1) was refused
+        p = make_params(kappa)
+        st0 = initial_jstate(math.sqrt(kappa), p)
+        st1 = propagate_J([math.sqrt(kappa), 1.0 + max(0.01 * (kappa - 1.0), 2e-4)], st0, p)
+        assert abs(st1.det_W - st0.det_W) <= 1e-8 * abs(st0.det_W)
 
     def test_proximity_guard(self, p4):
         st0 = initial_jstate(2.5, p4)
@@ -568,8 +596,8 @@ class TestMomentBasis:
         hs = np.append(grid[::2], grid[-1])
         Va, Vb = ode.values(hs), basis.values(hs)
         assert np.all(np.max(np.abs(Vb - Va), axis=1) <= 1e-10 * np.max(np.abs(Va), axis=1))
-        # the DOP853 derivatives are B(h)^-1 of its values, whose error grows
-        # with cond(B) toward both ends; compare where cond(B) <= 1e6 ...
+        # the propagation's derivatives are B(h)^-1 of its values, whose error
+        # grows with cond(B) toward both ends; compare where cond(B) <= 1e6 ...
         Da, Db = ode.derivs(hs), basis.derivs(hs)
         cond = np.array([np.linalg.cond(pf_matrix(h, p)) for h in hs])
         inner = cond <= 1e6
@@ -605,9 +633,9 @@ class TestMomentBasis:
                 assert abs(float((J[0] - want[0]) / want[0])) <= 1e-9
 
     def test_dop853_derivs_do_not_hang_on_the_oracle_bits(self, monkeypatch):
-        # with plain LAPACK solves, moving the midpoint oracle by an ulp or
-        # two put the DOP853 derivatives 1e-10 to 5e-10 of their sup off the
-        # basis in most draws at kappa 1.5 (cond(B) up to 1e6)
+        # with plain LAPACK solves and DOP853, moving the midpoint oracle by an
+        # ulp or two put the propagation's derivatives 1e-10 to 5e-10 of their
+        # sup off the basis in most draws at kappa 1.5 (cond(B) up to 1e6)
         p = make_params(1.5)
         grid = bound_scanner(p).hs
         hs = np.append(grid[::2], grid[-1])
@@ -624,9 +652,11 @@ class TestMomentBasis:
 
     @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
     def test_dop853_J_at_the_scanner_end_nodes(self, kappa):
-        # the end nodes, cond(B) 1e7: J within 2e-9 of 40 digits (5.5e-8 at
-        # kappa 1.5 with plain LAPACK solves; 1e-10 to 5e-10 with B^-1 in
-        # closed form, DOP853's error in V magnified by the pole of B^-1)
+        # the end nodes, cond(B) 1e7: J within 2e-9 of 40 digits.  DOP853 was
+        # 5.5e-8 off at kappa 1.5 with plain LAPACK solves, and 1e-10 to 7e-10
+        # with B^-1 in closed form; the Taylor steps are 4e-16 to 3e-15 off at
+        # the center end and 3e-11 to 9e-11 at the saddle end, where the pole
+        # of B^-1 magnifies the error in V
         p = make_params(kappa)
         grid = bound_scanner(p).hs
         d = PFPropagation(p).derivs(grid[[0, -1]])
@@ -640,9 +670,9 @@ class TestMomentBasis:
         # the end nodes' J must not hang on the last bits of the midpoint
         # oracle: with v_mid moved by -2, -1, 1 or 2 ulps per component (16
         # seeded draws), J stays within the same 2e-9 of 40 digits.  Over 256
-        # draws of this seed the share of draws that miss 2e-9 is 3.1%, 0.4%
-        # and 0.4% at kappa 1.5, 4 and 9 with PROPAGATION_TOL 1e-13, and
-        # 12.9%, 0.8% and 1.6% with 1e-12, which misses on 4 of these 48
+        # draws of this seed the Taylor steps miss none (worst 1.1e-10,
+        # 2.4e-10 and 7.4e-11 at kappa 1.5, 4 and 9); DOP853 missed in 3.1%,
+        # 0.4% and 0.4% of them at rtol 1e-13, and 12.9%, 0.8% and 1.6% at 1e-12
         p = make_params(kappa)
         ends = bound_scanner(p).hs[[0, -1]]
         want = [_mp_J(h, kappa) for h in ends]

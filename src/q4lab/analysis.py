@@ -71,6 +71,7 @@ from scipy.special import hyp2f1
 from .errors import ConsistencyError, ConvergenceError, DomainError, GeometryError
 from .model import ModelParams, cubic_real_roots, make_params, real_roots_y
 from .picard_fuchs import (
+    WINDOW_MARGIN,
     Arc,
     Line,
     _either,
@@ -900,8 +901,8 @@ class BoundScanner:
         self.prop = get_moment_basis(params)
         self.rc = extract_R_coeffs(params)
         hc, hs = params.center_h, params.saddle_h
-        w = hs - hc
-        self.window = (hc + SCAN_MARGIN * w, hs - SCAN_MARGIN * w)
+        margin = max(SCAN_MARGIN * (hs - hc), 2.0 * WINDOW_MARGIN)  # inside MomentBasis
+        self.window = (hc + margin, hs - margin)
         self.hs = _cheb_grid(*self.window, grid)
         self.rows = np.stack([self._basis(which, self.hs) for which in "IGR"])
         self.basis = dict(zip("IGR", self.rows))

@@ -10,10 +10,12 @@ its level ties back to the cubic-picture level through h = -sqrt(Hcal)
 (the annulus corresponds to Hcal in (4/(9 kappa), 4/9), i.e. h in
 (-2/3, -2/(3 sqrt(kappa)))).  This module integrates orbits, detects
 periods by a Poincare section through the initial point, and reports
-conservation drift.  The period search stops at the orbit's first return
-to the section; ``PERIOD_T_MAX`` is only the time at which it gives up.
-Near its edge the annulus is unbounded in the z-plane, so escape is decided
-by the start's level, not its radius (``_escape_events``).
+conservation drift.  Orbits take the Taylor steps of both Picard-Fuchs
+systems (``picard_fuchs._Walk``) on the field's exact Cauchy-product series
+(G. Corliss and Y. F. Chang, ACM TOMS 8, 1982), each STEP_RATIO times the
+root-test radius of its own series (A. Jorba and M. Zou, Exp. Math. 14,
+2005).  Near its edge the annulus is unbounded in the z-plane, so escape is
+decided by the start's level, not its radius (``_off_annulus``).
 """
 
 from __future__ import annotations
@@ -22,124 +24,123 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConvergenceError, DomainError, GeometryError
 from .model import ModelParams, hamiltonian, in_omega
+from .picard_fuchs import STEP_ORDER, STEP_RATIO, Line, _Walk, series_sum, step_order
 
-BLOWUP_RADIUS = 50.0   # a start off the annulus escapes once |z| passes this
-PERIOD_TOL = 1e-12     # find_period's DOP853 rtol and atol
+BLOWUP_RADIUS = 50.0   # a start off the annulus escapes once a step ends past this |z|
+STEP_T_MAX = 1.0       # a Taylor step spans at most a radian of the linear rotation -i z
 PERIOD_T_MAX = 200.0   # find_period gives up if no return comes by this time
-EDGE_R_MAX = 2.0       # basin_edge_radius brackets the separatrix below this radius
+EDGE_R_MAX = 2.0       # basin_edge_radius brackets the separatrix below this * sqrt(kappa)
 
 
 def vector_field_rhs(z: complex, params: ModelParams) -> complex:
     return -1j * z + 4.0 * z * z + 2.0 * (z * z.conjugate()).real + params.alpha * z.conjugate() ** 2
 
 
-def _rhs_xy(t, u, params: ModelParams):
-    z = complex(u[0], u[1])
-    w = vector_field_rhs(z, params)
-    return [w.real, w.imag]
-
-
-def _blowup(t, u, params: ModelParams):
-    """Terminal event: |z| reaches BLOWUP_RADIUS, so the start lies outside
-    the bounded basin."""
-    return u[0] * u[0] + u[1] * u[1] - BLOWUP_RADIUS**2
-
-
-_blowup.terminal = True
-
-
-def _escape_events(z0: complex, params: ModelParams) -> list:
-    """[_blowup] for a start off the period annulus, else [].  Escape is
-    decided by the start's level: a start in Omega whose level -sqrt(Hcal)
-    lies inside the window is on a closed orbit, and near the saddle level
-    such an orbit reaches far past BLOWUP_RADIUS (|z| = 63 at kappa 4 from
-    0.999 of ``basin_edge_radius``)."""
+def _off_annulus(z0: complex, params: ModelParams) -> bool:
+    """Whether a start lies off the period annulus, by its level -sqrt(Hcal):
+    inside the window the orbit is closed, though near the saddle level it
+    reaches far past BLOWUP_RADIUS (|z| = 63 at kappa 4, 0.999 of the edge)."""
     if in_omega(z0.real, z0.imag, params):
         h = -math.sqrt(hamiltonian("original_rational", (z0.real, z0.imag), params))
-        if params.center_h < h < params.saddle_h:
-            return []
-    return [_blowup]
+        return not params.center_h < h < params.saddle_h
+    return True
+
+
+def _field_series(z: complex, alpha: float, order: int) -> list:
+    """The Taylor coefficients a_0 = z, ..., a_order of the orbit through z.
+    On a real time axis conj(z) has the coefficients conj(a_n), so (n + 1)
+    a_{n+1} = -i a_n + 4 (z*z)_n + 2 Re (z*conj z)_n + alpha conj((z*z)_n),
+    each Cauchy product summed over its symmetric pairs in complex scalars."""
+    a = [z]
+    for n in range(order):
+        s, q = 0j, 0.0
+        for k in range((n + 1) // 2):
+            u, v = a[k], a[n - k]
+            s += u * v
+            q += u.real * v.real + u.imag * v.imag
+        s, q, m = 2.0 * s, 2.0 * q, a[n // 2]
+        if n % 2 == 0:
+            s, q = s + m * m, q + (m.real * m.real + m.imag * m.imag)
+        a.append((-1j * a[n] + 4.0 * s + 2.0 * q + alpha * s.conjugate()) / (n + 1.0))
+    return a
+
+
+def _orbit_walk(z0: complex, t_end: float, params: ModelParams, N: int,
+                crossed=lambda coef, x, y: False) -> _Walk:
+    """Taylor steps of order N from z0 over [0, t_end] (``_Walk``), of radius
+    STEP_RATIO times the root test min((|a_0| / |a_n|)^(1/n), n = N - 1, N) of
+    z / z(c), at most the run and STEP_T_MAX (near the center the test allows
+    about 10, over a turn), up to the first for which crossed(coefficients, x,
+    y) holds.  A start off the annulus escapes once a step ends past BLOWUP_RADIUS."""
+    off, span = _off_annulus(z0, params), abs(t_end)
+
+    def step(c, y):
+        a = _field_series(complex(y), params.alpha, N)
+        rho = min((abs(a[0]) / abs(a[n])) ** (1.0 / n) if a[n] else math.inf for n in (N - 1, N))
+        if not (r := min(STEP_RATIO * rho, STEP_T_MAX, span)) > 0.0:
+            raise ConvergenceError(f"the orbit's Taylor series overflows at |z| = {abs(y):.3g}")
+        return r, np.array(a) * np.cumprod([1.0] + [r] * N)
+
+    def until(coef, x, y):
+        if off and abs(y) > BLOWUP_RADIUS:
+            raise GeometryError(f"orbit from {z0} escaped: it blew up past |z| = {BLOWUP_RADIUS}")
+        return crossed(coef, x, y)
+
+    return _Walk(Line(0.0, t_end), step, z0, until)
 
 
 @dataclass
 class Orbit:
-    """Samples (t_k, z_k) of one trajectory; the integrator keeps the local
-    error within integrator_tol per step."""
+    """Samples (t_k, z_k) of one trajectory, by Taylor steps to integrator_tol."""
 
     t: np.ndarray
     z: np.ndarray
     params: ModelParams
     integrator_tol: float
 
-    @property
-    def samples(self):
-        return list(zip(self.t, self.z))
-
 
 def integrate_orbit(z0: complex, t_end: float, params: ModelParams,
                     tol: float = 1e-12, n_samples: int = 1000) -> Orbit:
-    """Adaptive high-order integration with dense sampling at a fixed
-    stride; for a start off the annulus (``_escape_events``), a blow-up
-    event (|z| exceeding the bound) aborts with an error."""
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    z0 = complex(z0)
-    sol = solve_ivp(_rhs_xy, (0.0, t_end), [z0.real, z0.imag], args=(params,),
-                    method="DOP853", rtol=tol, atol=tol,
-                    t_eval=np.linspace(0.0, t_end, n_samples),
-                    events=_escape_events(z0, params))
-    if sol.status == 1:
-        raise GeometryError(f"orbit from {z0} blew up past |z| = {BLOWUP_RADIUS}")
-    if not sol.success:
-        raise ConvergenceError(f"orbit integration failed: {sol.message}")
-    return Orbit(t=sol.t, z=sol.y[0] + 1j * sol.y[1], params=params,
-                 integrator_tol=tol)
+    """Taylor steps of order ``step_order(tol)`` (``_orbit_walk``), sampled at
+    a fixed stride, each sample summed from the step that holds it."""
+    if not 0.0 < tol < 1.0 or t_end == 0.0:
+        raise DomainError("tol must lie in (0, 1) and t_end must be nonzero")
+    walk = _orbit_walk(complex(z0), t_end, params, step_order(tol))
+    t = np.linspace(0.0, t_end, n_samples)
+    return Orbit(t=t, z=walk(t / t_end, t), params=params, integrator_tol=tol)
 
 
 def find_period(z0: complex, params: ModelParams) -> tuple[float, float]:
     """Period of the closed orbit through z0 by a Poincare section through
     z0 (the ray from the origin), and the return gap |z(T) - z0|.
 
-    T is the return's event time less the start time 1e-6.  The integration
-    stops at the second downward crossing of the section: z0 lies on it, so
-    the first step flags the start, and the second crossing is the return.
-    The steps up to the return are those of a run to ``PERIOD_T_MAX``, and
-    the event is located on the same step interpolant, so (T, gap) is that
-    run's answer bit for bit; the search gives up at ``PERIOD_T_MAX``.  A
-    start off the annulus hits the blow-up event of ``integrate_orbit``
-    (``_escape_events``) and raises GeometryError.  The event count needs
-    SciPy's integer ``terminal``; a SciPy that reads 2 as True stops at the
-    start crossing, which raises ConvergenceError."""
+    Taylor steps of order STEP_ORDER (``_orbit_walk``) turn by at most 1.13 rad,
+    so the section Im(z conj z0) = 0 changes sign at most once in one.  They run
+    from t = 0 (on it) to the first that starts above it and ends at or below it
+    (clockwise) with Re(z conj z0) > 0.  T is its root, bisected to adjacent floats."""
     z0 = complex(z0)
     if z0 == 0:
         raise DomainError("the origin is an equilibrium, not a periodic orbit")
+    w, found = z0.conjugate(), []
 
-    def section(t, u, p=params):
-        return u[1] * z0.real - u[0] * z0.imag  # Im(z conj(z0))
+    def crossed(coef, x, y):
+        g = coef.real * w.imag + coef.imag * w.real  # Im(z conj(z0)) on the step
+        lo, hi = 0.0, x
+        if g[0] > 0.0 >= y.real * w.imag + y.imag * w.real:  # the next step's g[0]
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                lo, hi = (mid, hi) if series_sum(g, mid) > 0.0 else (lo, mid)
+            if ((z := complex(series_sum(coef, hi))) * w).real > 0.0:
+                found.append((hi, z))
+        return bool(found)
 
-    section.direction = -1.0  # the rotation near the origin is clockwise
-    section.terminal = 2      # the start crossing, then the return
-
-    sol = solve_ivp(_rhs_xy, (1e-6, PERIOD_T_MAX), [z0.real, z0.imag], args=(params,),
-                    method="DOP853", rtol=PERIOD_TOL, atol=PERIOD_TOL,
-                    events=[section, *_escape_events(z0, params)])
-    if len(sol.t_events) > 1 and len(sol.t_events[1]):
-        raise GeometryError(f"period search from {z0} escaped past |z| = {BLOWUP_RADIUS}")
-    if not sol.success:
-        raise ConvergenceError(f"period search failed: {sol.message}")
-    if sol.status == 1 and len(sol.t_events[0]) < 2:
-        raise ConvergenceError(
-            "period search stopped at the start crossing: this SciPy reads the "
-            "integer event.terminal as True (q4lab needs scipy>=1.17.1)")
-    for te, ue in zip(sol.t_events[0], sol.y_events[0]):
-        if te > 1e-3 and ue[0] * z0.real + ue[1] * z0.imag > 0:
-            gap = abs(complex(ue[0], ue[1]) - z0)
-            return float(te - sol.t[0]), float(gap)
-    raise ConvergenceError(f"no period found through {z0} within t = {PERIOD_T_MAX}")
+    walk = _orbit_walk(z0, PERIOD_T_MAX, params, STEP_ORDER, crossed)
+    if not found:
+        raise ConvergenceError(f"no period found through {z0} within t = {PERIOD_T_MAX}")
+    tau, z = found[0]
+    return float(walk.c[-1] + walk.r[-1] * tau), float(abs(z - z0))
 
 
 @dataclass
@@ -150,63 +151,47 @@ class ConservationReport:
     t_XY: float        # the matching XY-form level, h / (8 (2 - b))
 
 
+def _drift(orbit: Orbit):
+    """Hcal at the start, and the relative Hcal drift at each sample."""
+    H = hamiltonian("original_rational", (orbit.z.real, orbit.z.imag), orbit.params)
+    return H[0], np.abs(H - H[0]) / abs(H[0])
+
+
 def conservation_report(orbit: Orbit) -> ConservationReport:
     """Relative drift of the first integral along the orbit samples.
 
     Requires the orbit to stay inside Omega = {phi < 0 < psi}, where the
     rational first integral is smooth."""
-    p = orbit.params
-    x, y = orbit.z.real, orbit.z.imag
-    inside = in_omega(x, y, p)
-    if not np.all(inside):
-        raise DomainError("orbit leaves Omega; the first integral is not "
-                          "controlled outside")
-    H = hamiltonian("original_rational", (x, y), p)
-    H0 = H[0]
-    drift = float(np.max(np.abs(H - H0)) / abs(H0))
+    if not np.all(in_omega(orbit.z.real, orbit.z.imag, orbit.params)):
+        raise DomainError("orbit leaves Omega; the first integral is not controlled outside")
+    H0, drift = _drift(orbit)
     h_equiv = -float(np.sqrt(H0))
-    return ConservationReport(max_drift=drift, t_level=float(H0),
-                              h_equiv=h_equiv, t_XY=h_equiv / (8.0 * (2.0 - p.b)))
+    return ConservationReport(max_drift=float(drift.max()), t_level=float(H0), h_equiv=h_equiv,
+                              t_XY=h_equiv / (8.0 * (2.0 - orbit.params.b)))
 
 
 def orbit_rows(orbit: Orbit):
     """CSV-ready rows (t, Re z, Im z, relative Hcal drift)."""
-    p = orbit.params
-    H = hamiltonian("original_rational", (orbit.z.real, orbit.z.imag), p)
-    drift = np.abs(H - H[0]) / abs(H[0])
     return [(float(t), float(z.real), float(z.imag), float(d))
-            for t, z, d in zip(orbit.t, orbit.z, drift)]
+            for t, z, d in zip(orbit.t, orbit.z, _drift(orbit)[1])]
 
 
 def basin_edge_radius(theta: float, params: ModelParams) -> float:
     """Radius along the ray arg z = theta where the level -sqrt(Hcal)
     reaches the saddle value, i.e. where the separatrix is crossed."""
-    target = params.saddle_h
     e = complex(np.cos(theta), np.sin(theta))
 
-    def level(r):
+    def past(r):  # off Omega, or at or past the saddle level
         z = r * e
-        if not in_omega(z.real, z.imag, params):
-            return None
-        H = hamiltonian("original_rational", (z.real, z.imag), params)
-        return -float(np.sqrt(H))
+        return not in_omega(z.real, z.imag, params) or -float(
+            np.sqrt(hamiltonian("original_rational", (z.real, z.imag), params))) >= params.saddle_h
 
-    lo, hi = 1e-9, None
-    r = 1e-3
-    while r < EDGE_R_MAX:
-        val = level(r)
-        if val is None or val >= target:
-            hi = r
-            break
-        lo = r
-        r *= 1.3
-    if hi is None:
-        raise GeometryError("separatrix not bracketed along this ray")
+    lo, hi = 1e-9, 1e-3
+    while not past(hi):
+        lo, hi = hi, hi * 1.3
+        if hi >= EDGE_R_MAX * math.sqrt(params.kappa):
+            raise GeometryError("separatrix not bracketed along this ray")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        val = level(mid)
-        if val is None or val >= target:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if past(mid) else (mid, hi)
     return lo

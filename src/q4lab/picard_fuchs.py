@@ -66,11 +66,17 @@ SINGULAR_GAP = 1e-10  # distance in h to a critical level within which V' is ref
 # PFPropagation starts from a quadrature oracle call at its midpoint.
 WINDOW_MARGIN = 1e-8
 ORACLE_TOL = 1e-10
-# A Taylor step's radius over the distance from its center to the nearest
-# singular point, and the order it keeps: STEP_RATIO^n summed past it stays
-# below eps / 2, the rule of MomentBasis (53, so 54 terms)
+# A Taylor step's radius over its series' radius of convergence, and the
+# order it keeps: STEP_RATIO^n summed past it stays below tol / 2, the rule
+# of MomentBasis (53 at tol = eps, so 54 terms)
 STEP_RATIO = 0.5
-STEP_ORDER = math.ceil(math.log(np.finfo(float).eps * (1.0 - STEP_RATIO)) / math.log(STEP_RATIO))
+
+
+def step_order(tol: float) -> int:
+    return math.ceil(math.log(tol * (1.0 - STEP_RATIO)) / math.log(STEP_RATIO))
+
+
+STEP_ORDER = step_order(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -210,8 +216,11 @@ class PFPropagation:
         self.h_mid = 0.5 * (self.lo + self.hi)
         self.v_mid = basis_values(self.h_mid, params, tol=ORACLE_TOL)
         k = params.kappa
-        step = lambda c, r, v: _frobenius(c, k, 0, STEP_ORDER, [v], r)[0][0]
-        self._sides = [_Walk(Line(self.h_mid, end), (hc, -hc, hs, -hs), step, self.v_mid)
+
+        def step(c, v):  # r: STEP_RATIO times the distance to the nearest singular level
+            r = STEP_RATIO * min(abs(c - z) for z in (hc, -hc, hs, -hs))
+            return r, _frobenius(c, k, 0, STEP_ORDER, [v], r)[0][0]
+        self._sides = [_Walk(Line(self.h_mid, end), step, self.v_mid)
                        for end in (self.lo, self.hi)]
 
     def values(self, h):
@@ -738,22 +747,23 @@ class Arc:
 
 
 class _Walk:
-    """A linear system's solution along a piece (``Line`` or ``Arc``) by
-    Taylor steps from y, the solution at its start.  A step at the center c =
-    piece.point(t) takes r = STEP_RATIO times the distance from c to the
-    nearest of the system's ``singular`` points, and ``expand(c, r, y)``, the
-    coefficients a_n r^n (..., STEP_ORDER + 1) of the solution through y; the
-    next center is where the piece leaves the disc, y there the step's
-    polynomial summed.  ``end`` is the solution at the piece's end."""
+    """A system's solution along a piece (``Line`` or ``Arc``) by Taylor steps
+    from y, its value at the piece's start.  At the center c = piece.point(t),
+    step(c, y) gives (r, a_n r^n of the solution through y, shape (..., n));
+    the next center is where the piece leaves the disc of radius r, y there
+    the step's polynomial summed at x.  ``end`` is y at the piece's end, or
+    at that of the first step for which until(coefficients, x, y) holds."""
 
-    def __init__(self, piece, singular, expand, y):
+    def __init__(self, piece, step, y, until=lambda coef, x, y: False):
         steps, t = [], 0.0
         while t < 1.0:
             c = piece.point(t)
-            r = STEP_RATIO * min(abs(c - z) for z in singular)
-            steps.append((t, c, r, expand(c, r, y)))
+            r, coef = step(c, y)
+            steps.append((t, c, r, coef))
             t = piece.reach(t, r)
-            y = series_sum(steps[-1][3], (piece.point(t) - c) / r)
+            y = series_sum(coef, (x := (piece.point(t) - c) / r))
+            if until(coef, x, y):
+                break
         self.t, self.c, self.r, self.coef = map(np.array, zip(*steps))
         self.end = y
 
@@ -824,9 +834,13 @@ def continue_state(pieces, state0: JState, params: ModelParams, eps_min: float =
     sample arrays (s values at that many equal parameter steps, J values)
     for argument tracking."""
     k, W, out_samples = params.kappa, state0.W, []
+
+    def step(c, w):  # r: STEP_RATIO times the distance to the nearer of s = 1, kappa
+        r = STEP_RATIO * min(abs(c - 1.0), abs(c - k))
+        return r, _s_series(c, k, r, w)
     for piece in pieces:
         _piece_legal(piece, k, eps_min)
-        walk = _Walk(piece, (1.0, k), lambda c, r, w: _s_series(c, k, r, w), W)
+        walk = _Walk(piece, step, W)
         if samples_per_piece:
             ts = np.linspace(0.0, 1.0, samples_per_piece)
             s = piece.point(ts)

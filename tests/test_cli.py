@@ -175,17 +175,33 @@ class TestCommands:
             header = fh.readline().strip()
         assert header == "t,re_z,im_z,drift"
 
-    # orbit.csv of the period search that integrated to PERIOD_T_MAX: stopping
-    # at the first return must leave T, and so every sample, bit for bit.
-    # Re-pinned when find_period stopped counting its start time 1e-6 in T:
-    # each run lasts 10 T, so every sample time moved
-    ORBIT_GOLDEN_SHA256 = "a0c5999e2a8b693b01b27c3af2608fe0f76ab445fcc19375454a3189e3420ef7"
+    # orbit.csv of Taylor steps on the field's Cauchy-product series, with the
+    # period from the root of the return step's polynomial.  Re-pinned once
+    # when those steps replaced DOP853: T moved by about 1e-12 relative, so
+    # every sample time and point moved
+    ORBIT_GOLDEN_SHA256 = "fadb8a7fbca4cf4c337b49b28f00758a060785518a53867348188d7afc749191"
 
     def test_dyn_golden_bytes(self, tmp_path):
         cfg = RunConfig(kappa_list=[1.7, 4.0, 8.5], output_dir=str(tmp_path))
         assert run("dyn", cfg) == 0
         data = (tmp_path / "orbit.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == self.ORBIT_GOLDEN_SHA256
+
+    @pytest.mark.parametrize("kappa", ["100", "1000", "10000"])
+    def test_dyn_at_large_kappa(self, tmp_path, kappa):
+        # the separatrix on the ray theta = 0 lies past |z| = 2 from about
+        # kappa 85 up; dyn once exited 1 there
+        assert main(["dyn", "--kappa", kappa, "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("kappa", ["1.001", "1.01"])
+    def test_zeros_and_sweep_next_to_kappa_one(self, tmp_path, kappa):
+        # below kappa 1.03 a margin of 1e-6 of the window is under
+        # MomentBasis' own 1e-8, so the scanner's end nodes once fell outside
+        # its window and both commands exited 1 with an empty directory
+        assert main(["zeros", "--kappa", kappa, "--out", str(tmp_path / "z")]) == 0
+        assert main(["sweep", "--kappa", kappa, "--trials", "4", "--seed", "7",
+                     "--out", str(tmp_path / "s")]) == 0
+        assert len(read_report(tmp_path / "s" / "sweep.csv")) == 4
 
     def test_sweep_deterministic_bytes(self, tmp_path):
         cfg = dict(kappa_list=[2.0], mu_mode="random_sphere", trials=12, seed=42)
@@ -295,6 +311,14 @@ class TestCommands:
         digests = self._digests_under_kernels(
             tmp_path, ["zeros", "--kappa", "1.5", "--kappa", "4", "--kappa", "9"])
         assert digests == dict.fromkeys(digests, self.ZEROS_GOLDEN_SHA256)
+
+    # `q4lab dyn --kappa 4`, the orbit that CI pins under Prescott too: the
+    # Taylor steps' recursion, root test and sums call no BLAS
+    ORBIT_KAPPA4_SHA256 = "8b807c5a7afa9703b087d7d6975433e419d730b5bfe074c32bd0678efae33ece"
+
+    def test_orbit_bytes_independent_of_blas_kernel(self, tmp_path):
+        digests = self._digests_under_kernels(tmp_path, ["dyn", "--kappa", "4"])
+        assert digests == dict.fromkeys(digests, self.ORBIT_KAPPA4_SHA256)
 
     def test_statuses_independent_of_blas_kernel(self, tmp_path):
         # every row of residuals.csv, and so its status, is the same under every

@@ -8,8 +8,6 @@ from q4lab import ConvergenceError, DomainError, GeometryError, make_params
 from q4lab.model import hamiltonian, level_classify
 from q4lab.dynamics import (
     PERIOD_T_MAX,
-    PERIOD_TOL,
-    _rhs_xy,
     basin_edge_radius,
     conservation_report,
     find_period,
@@ -19,23 +17,32 @@ from q4lab.dynamics import (
 )
 
 
-def _find_period_to_t_max(z0, params):
-    """find_period as it was before it stopped at the return: every section
-    crossing up to PERIOD_T_MAX, then the first one that is a return."""
-    from scipy.integrate import solve_ivp
+def _rhs_xy(t, u, params):
+    w = vector_field_rhs(complex(u[0], u[1]), params)
+    return [w.real, w.imag]
 
+
+def _dop853(z0, t_end, params, **kw):
+    """SciPy's DOP853 on the field at rtol = atol = 1e-12: the independent
+    integrator that the Taylor steps are checked against."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(_rhs_xy, (0.0, t_end), [z0.real, z0.imag], args=(params,),
+                     method="DOP853", rtol=1e-12, atol=1e-12, **kw)
+
+
+def _find_period_to_t_max(z0, params):
+    """The period by DOP853 run to PERIOD_T_MAX: every downward crossing of
+    the section, then the first one that is a return (the start's own
+    crossing at t = 0 is skipped)."""
     def section(t, u, p=params):
         return u[1] * z0.real - u[0] * z0.imag
 
     section.direction = -1.0
-    t0 = 1e-6
-    sol = solve_ivp(_rhs_xy, (t0, PERIOD_T_MAX), [z0.real, z0.imag], args=(params,),
-                    method="DOP853", rtol=PERIOD_TOL, atol=PERIOD_TOL, events=section,
-                    dense_output=True)
+    sol = _dop853(z0, PERIOD_T_MAX, params, events=section)
     assert sol.success
     for te, ue in zip(sol.t_events[0], sol.y_events[0]):
         if te > 1e-3 and ue[0] * z0.real + ue[1] * z0.imag > 0:
-            return float(te - t0), float(abs(complex(ue[0], ue[1]) - z0))
+            return float(te), float(abs(complex(ue[0], ue[1]) - z0))
     raise AssertionError(f"no return through {z0}")
 
 
@@ -80,14 +87,17 @@ class TestOrbits:
         assert rep.max_drift <= 1e-8
 
     def test_time_reversal(self, p4):
+        # the field is reversible in time: DOP853 on its own right-hand side,
+        # and the Taylor steps, which run backward for a negative t_end
         from scipy.integrate import solve_ivp
-        from q4lab.dynamics import _rhs_xy
         z0 = 0.07 + 0.02j
-        fwd = solve_ivp(_rhs_xy, (0.0, 3.0), [z0.real, z0.imag], args=(p4,),
-                        method="DOP853", rtol=1e-12, atol=1e-12)
+        fwd = _dop853(z0, 3.0, p4)
         back = solve_ivp(_rhs_xy, (3.0, 0.0), fwd.y[:, -1], args=(p4,),
                          method="DOP853", rtol=1e-12, atol=1e-12)
         assert abs(complex(*back.y[:, -1]) - z0) < 1e-9
+        z3 = integrate_orbit(z0, 3.0, p4).z[-1]
+        assert abs(z3 - complex(*fwd.y[:, -1])) < 1e-9
+        assert abs(integrate_orbit(z3, -3.0, p4).z[-1] - z0) < 1e-9
 
     def test_blowup_detection(self, p4):
         with pytest.raises(GeometryError):
@@ -99,12 +109,28 @@ class TestOrbits:
 
     @pytest.mark.parametrize("kappa", [1.05, 1.7, 4.0, 8.5, 20.0])
     def test_period_equals_run_to_t_max(self, kappa):
-        # stopping at the return keeps the steps and the event root-find, so
-        # (T, gap) is bit for bit that of the run to PERIOD_T_MAX
+        # the period from the root of the return step's polynomial is that of
+        # an independent integrator, DOP853 run to PERIOD_T_MAX, at each start
         p = make_params(kappa)
         r = basin_edge_radius(0.0, p)
         for z0 in (0.05 * r, 0.6 * r, 0.9 * r, 0.3 * r * np.exp(-1.9j)):
-            assert find_period(z0, p) == _find_period_to_t_max(z0, p)
+            (T, gap), (T_ref, _) = find_period(z0, p), _find_period_to_t_max(z0, p)
+            assert abs(T - T_ref) <= 1e-10 * T_ref
+            assert gap <= 1e-6
+
+    @pytest.mark.parametrize("kappa", [1.7, 4.0, 8.5])
+    def test_drift_no_larger_than_dop853(self, kappa):
+        # dyn's run, 10 T from 0.3 of the edge radius at tol 1e-12: the Taylor
+        # steps conserve Hcal at least as well as DOP853 at the same tol
+        p = make_params(kappa)
+        z0 = 0.3 * basin_edge_radius(0.0, p)
+        T, gap = find_period(z0, p)
+        ts = np.linspace(0.0, 10.0 * T, 1000)
+        sol = _dop853(complex(z0), 10.0 * T, p, t_eval=ts)
+        ref = dynamics.Orbit(t=sol.t, z=sol.y[0] + 1j * sol.y[1], params=p, integrator_tol=1e-12)
+        drift = conservation_report(integrate_orbit(z0, 10.0 * T, p, tol=1e-12)).max_drift
+        assert gap <= 1e-6
+        assert drift <= conservation_report(ref).max_drift
 
     @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
     def test_period_equals_moment_derivative(self, kappa):
@@ -138,29 +164,38 @@ class TestOrbits:
         with pytest.raises(GeometryError, match="blew up"):
             integrate_orbit(1.01 * r + 0j, 20.0, p)
 
+    @pytest.mark.parametrize("z0", [1e-6 + 0j, 1e-12 + 0j, 1e-20 + 0j])
+    def test_period_next_to_the_center(self, p4, z0):
+        # the orbit is nearly z0 e^(-i t), whose series alone would allow a
+        # step of about 10: the first return, not a later one, is 2 pi
+        T, gap = find_period(z0, p4)
+        assert abs(T - 2.0 * math.pi) <= 1e-9
+        assert gap <= 1e-12 * abs(z0)
+
     def test_period_without_return_raises(self, p4):
-        # outside the basin the orbit escapes: the blow-up event names that,
-        # before DOP853's step size collapses on the way to infinity
+        # outside the basin the orbit escapes: the search names that once a
+        # step ends past BLOWUP_RADIUS, in a few steps, before the steps
+        # shrink toward the blow-up without end
         with pytest.raises(GeometryError, match="escaped"):
             find_period(2.0 + 0j, p4)
 
-    def test_period_refuses_boolean_terminal(self, p4, monkeypatch):
-        # a SciPy that reads the integer terminal as True stops at the start
-        # crossing; that must be an error, never a period
-        real = dynamics.solve_ivp
+    def test_series_overflow_is_named(self):
+        # at kappa 10^8 the orbit from 0.3 of the edge radius reaches |z| where
+        # the unscaled Taylor coefficients overflow: a named error, not a
+        # step of radius 0 that never advances
+        p = make_params(1e8)
+        with pytest.raises(ConvergenceError, match="overflows"):
+            find_period(0.3 * basin_edge_radius(0.0, p), p)
 
-        def old_scipy(*args, events, **kw):
-            def boolean(ev):
-                def event(t, u, *params):
-                    return ev(t, u, *params)
-                event.direction = getattr(ev, "direction", 0.0)
-                event.terminal = bool(ev.terminal)
-                return event
-            return real(*args, events=[boolean(ev) for ev in events], **kw)
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, 1.0, float("nan")])
+    def test_tolerance_outside_unit_interval_refused(self, p4, tol):
+        with pytest.raises(DomainError):
+            integrate_orbit(0.05 + 0j, 1.0, p4, tol=tol)
 
-        monkeypatch.setattr(dynamics, "solve_ivp", old_scipy)
-        with pytest.raises(ConvergenceError, match="integer event.terminal"):
-            find_period(0.06 + 0j, p4)
+    def test_zero_duration_refused(self, p4):
+        # a run of no time once ended in an IndexError from its samples
+        with pytest.raises(DomainError, match="t_end"):
+            integrate_orbit(0.05 + 0j, 0.0, p4)
 
 
 class TestConservation:

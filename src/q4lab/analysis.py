@@ -86,7 +86,7 @@ from .picard_fuchs import (
     initial_jstate,
     series_jet,
 )
-from .melnikov import CENTER_Z, center_z, extract_R_coeffs, get_moment_basis
+from .melnikov import center_z, extract_R_coeffs, get_moment_basis
 from .quadrature import _adaptive_gk
 from .reduction import G_rows, I_rows, JJ_value, mu_G_from_eq211, weigh
 
@@ -103,6 +103,7 @@ EPS = np.finfo(float).eps
 FIT_SLACK = 256 * EPS  # fit and matvec rounding, relative to |f| bounds
 SERIES_BOUND_TERMS = 256  # terms of R's whole center series summed in its bound
 SWEEP_CHUNK = 64       # trials whose I, G and R rows sweep_kappa scans as one array
+ZERO_TOL = 1e-9        # a tangency's fitted |f| over a row's scale; brentq's step over the interval
 
 # ---------------------------------------------------------------------------
 # real zero counting
@@ -190,8 +191,7 @@ def _eval_f(f, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def count_zeros(f, interval: tuple[float, float], grid: int = 256,
-                tol: float = 1e-9) -> ZeroReport:
+def count_zeros(f, interval: tuple[float, float], grid: int = 256) -> ZeroReport:
     """Count zeros of f on the open interval, with multiplicity heuristics.
 
     Computed at once: each sign change between Chebyshev nodes and each node
@@ -199,9 +199,9 @@ def count_zeros(f, interval: tuple[float, float], grid: int = 256,
     with no sign change in the brackets on either side and no zero at its
     neighbours is fitted by a quadratic through three values of f, and
     counted with multiplicity two when the fitted minimum is below
-    tol * scale.  Found when ``zeros``, ``locations`` or ``warnings`` is
-    first read: each sign change's location, refined by brentq to tol times
-    the interval's length, and an unresolved-cluster warning for zeros
+    ZERO_TOL * scale.  Found when ``zeros``, ``locations`` or ``warnings`` is
+    first read: each sign change's location, refined by brentq to ZERO_TOL
+    times the interval's length, and an unresolved-cluster warning for zeros
     closer than twice that.  The report keeps f and calls it again on that
     first read, so f must not change before then; equality of reports
     compares the count fields only.  The skip rule reads the grid, not the
@@ -215,7 +215,7 @@ def count_zeros(f, interval: tuple[float, float], grid: int = 256,
     xs = _cheb_grid(a, b, grid)
     fs = _eval_f(f, xs)
     fvec = lambda x: _eval_f(f, np.asarray(x, dtype=float))
-    return _count_from_scan(xs, fs[None], lambda r: fvec, (a, b), tol)[0]
+    return _count_from_scan(xs, fs[None], lambda r: fvec, (a, b))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +307,7 @@ class ChebyshevProbeReport:
 
 
 def chebyshev_probe(params: ModelParams, window: tuple[float, float] | None = None,
-                    grid: int = 512, tol: float = 1e-9) -> ChebyshevProbeReport:
+                    grid: int = 512) -> ChebyshevProbeReport:
     """Measure the nonvanishing claim for the residue solution.
 
     The verdicts are reported, never asserted: the closed-form candidate
@@ -350,7 +350,7 @@ def chebyshev_probe(params: ModelParams, window: tuple[float, float] | None = No
     rows = [{"h": hh, "f": ff, "L2f_rel": rr}
             for hh, ff, rr in zip(h.tolist(), f0.tolist(), rel.tolist())]
 
-    zr = count_zeros(lambda h: _residue_at(h, y0_of(h), k), window, grid=grid, tol=tol)
+    zr = count_zeros(lambda h: _residue_at(h, y0_of(h), k), window, grid=grid)
     located, err = None, None
     for z in zr.zeros:
         e = abs(z["location"] - h_star)
@@ -801,19 +801,21 @@ def _rows(which: str, L: dict, sc: BoundScanner, center: str = "") -> _Jet:
 
 def _point_rows(sc: BoundScanner, h) -> dict:
     """Signed jets of the four rows of I, G and R at the levels h, each in
-    the representation that ``BoundScanner._basis`` evaluates there."""
+    the representation that ``BoundScanner._basis`` evaluates there: R's on
+    its side of ``RCoefficients.switch``."""
     L = _row_ingredients(sc, h)
     out = {which: _rows(which, L, sc) for which in "IGR"}
-    near = center_z(h, sc.params.kappa) < CENTER_Z
+    near = h < sc.rc.switch
     out["R"] = _Jet([np.where(near, c, r) for c, r in zip(_rows("R", L, sc, "S").f, out["R"].f)])
     return out
 
 
-def _variation(sc: BoundScanner) -> tuple[dict, dict]:
+def _variation(sc: BoundScanner, slope: dict) -> tuple[dict, dict]:
     """(var, mag) for I, G and R, each of shape (4, grid): var[j, i] bounds
     sup |row_j(x) - row_j(x_i)| over the cell W_i that the tangency fit at an
     interior node x_i can reach, and mag[j, i] bounds |row_j| there (NaN at
-    the two end nodes, which have no fit).
+    the two end nodes, which have no fit).  slope[which] holds row'(x_i) at
+    the interior nodes, from the scanner's ``_point_rows``.
 
     W_i is [x_i - s, x_i + s] with [x_{i-1} - s/8, x_{i+1} + s/8], s =
     (x_{i+1} - x_{i-1}) / 2, clipped to the scan window and widened by four
@@ -824,9 +826,9 @@ def _variation(sc: BoundScanner) -> tuple[dict, dict]:
     for one representation.  Each row has one switch of representation: I's
     and G's from the center's moment series to the saddle's
     (``MomentBasis.switch``), R's from its center series to its direct form
-    at z = CENTER_Z.  Where W_i crosses it, following the derivative across
-    adds the jump of the value and d times the jump of the derivative, with
-    sup |row''| taken over both pieces.  row'(x_i) is the exact derivative of the
+    (``RCoefficients.switch``).  Where W_i crosses it, following the
+    derivative across adds the jump of the value and d times the jump of the
+    derivative, with sup |row''| taken over both pieces.  row'(x_i) is the exact derivative of the
     representation evaluated at x_i (signed jets); sup |row''| and |row| come
     from magnitude jets, and for R's template sup |row''| is the smaller of
     its direct form's bound and the whole center series' bound.  Floating
@@ -842,31 +844,29 @@ def _variation(sc: BoundScanner) -> tuple[dict, dict]:
     lo = np.maximum(a, np.minimum(x - s, xs[:-2] - s / 8.0)) - pad
     hi = np.minimum(b, np.maximum(x + s, xs[2:] + s / 8.0)) + pad
     d = np.maximum(x - lo, hi - x)
-    P, M = _point_rows(sc, x), _row_ingredients(sc, x, (lo, hi))
-    mb, k = sc.prop, sc.params.kappa
+    M = _row_ingredients(sc, x, (lo, hi))
+    mb, rs = sc.prop, sc.rc.switch
 
     # the switch of each row's representation: the moment series' for I and
     # G, R's to its center series
     sw = mb.switch
     at_sw = [_row_ingredients(sc, np.array([sw]), side=side) for side in (False, True)]
-    b_switch = -(2.0 / 3.0) * math.sqrt(1.0 - CENTER_Z * (k - 1.0) / k)
-    at_switch = _row_ingredients(sc, np.array([b_switch]))
-    zl, zh = center_z(lo, k), center_z(hi, k)
-    has_center, has_direct = np.minimum(zl, zh) < CENTER_Z, np.maximum(zl, zh) >= CENTER_Z
+    at_switch = _row_ingredients(sc, np.array([rs]))
+    has_center, has_direct = lo < rs, hi >= rs
 
     var, mag = {}, {}
     for which in "IGR":
-        p, m = P[which], _rows(which, M, sc)
+        m = _rows(which, M, sc)
         if which == "R":
             full = _rows("R", M, sc, "S_full")
             direct = _Jet((m.f[0], m.f[1], np.minimum(m.f[2], full.f[2])), True)
             m = _either(has_center, has_direct, _rows("R", M, sc, "S"), direct)
-            u, v, at = _rows("R", at_switch, sc, "S"), _rows("R", at_switch, sc), b_switch
+            u, v, at = _rows("R", at_switch, sc, "S"), _rows("R", at_switch, sc), rs
         else:
             u, v, at = _rows(which, at_sw[0], sc), _rows(which, at_sw[1], sc), sw
         crosses = (lo <= at) & (at <= hi)
         jump = np.where(crosses, np.abs(u.f[0] - v.f[0]) + d * np.abs(u.f[1] - v.f[1]), 0.0)
-        v = ((1.0 + VAR_SAFETY) * (np.abs(p.f[1]) * d + 0.5 * m.f[2] * d * d
+        v = ((1.0 + VAR_SAFETY) * (np.abs(slope[which]) * d + 0.5 * m.f[2] * d * d
                                    + ROW_ROUNDING * m.f[1] * d + jump)
              + 2.0 * ROW_ROUNDING * m.f[0])
         edge = np.full((4, 1), np.nan)
@@ -880,11 +880,12 @@ class BoundScanner:
     many weight vectors: each function is linear in the weights, so a
     4 x grid basis matrix gives a function's values on the grid as one
     matvec, and ``scan`` counts the zeros of many such rows in one
-    ``_count_from_scan``.  Refinement points get the same rows from
-    ``_basis``.  The rows come from the per-kappa ``MomentBasis`` (``prop``):
-    R needs only the closed-form J, G also JJ, and I the series values
-    (``reduction``'s ``G_rows`` and ``I_rows``, which ``_variation`` also
-    differentiates on jets); no ODE is solved.  ``PFPropagation`` is the
+    ``_count_from_scan``.  The grid's rows are the values of the jets of
+    ``_point_rows``, whose derivatives go to ``_variation``; refinement
+    points get the same rows, bit for bit, from ``_basis``.  The rows come
+    from the per-kappa ``MomentBasis`` (``prop``): R needs only the
+    closed-form J, G also JJ, and I the series values (``reduction``'s
+    ``G_rows`` and ``I_rows``); no ODE is solved.  ``PFPropagation`` is the
     independent check of these rows.
 
     With the rows come ``var`` and ``mag`` (``_variation``): per row and
@@ -904,9 +905,10 @@ class BoundScanner:
         margin = max(SCAN_MARGIN * (hs - hc), 2.0 * WINDOW_MARGIN)  # inside MomentBasis
         self.window = (hc + margin, hs - margin)
         self.hs = _cheb_grid(*self.window, grid)
-        self.rows = np.stack([self._basis(which, self.hs) for which in "IGR"])
+        P = _point_rows(self, self.hs)
+        self.rows = np.stack([P[which].f[0] for which in "IGR"])
         self.basis = dict(zip("IGR", self.rows))
-        self.var, self.mag = _variation(self)
+        self.var, self.mag = _variation(self, {which: P[which].f[1][:, 1:-1] for which in "IGR"})
         self.reach = {which: (REACH + FIT_SLACK) * self.var[which] + FIT_SLACK * self.mag[which]
                       for which in "IGR"}
 
@@ -922,14 +924,14 @@ class BoundScanner:
     def _f(self, which: str, mu, h):
         return mu @ self._basis(which, np.atleast_1d(np.asarray(h, dtype=float)))
 
-    def count(self, which: str, mu, tol: float = 1e-9) -> ZeroReport:
+    def count(self, which: str, mu) -> ZeroReport:
         """Zeros of mu @ rows of I, G or R on the window: ``scan`` of one row."""
         mu = np.asarray(mu, dtype=float)
         if mu.shape != (4,):
             raise DomainError(f"weights must be four finite numbers, got {mu}")
-        return self.scan(mu.reshape(1, 1, 4), which, tol)[0]
+        return self.scan(mu.reshape(1, 1, 4), which)[0]
 
-    def scan(self, weights, which: str = "IGR", tol: float = 1e-9) -> list[ZeroReport]:
+    def scan(self, weights, which: str = "IGR") -> list[ZeroReport]:
         """Zeros on the window of weights[t, j] @ rows of which[j] for every
         trial t and function j of ``weights`` (shape (T, len(which), 4)), in
         that order, by one ``_count_from_scan`` of all of them.  The values of
@@ -948,7 +950,7 @@ class BoundScanner:
         try:
             return _count_from_scan(
                 self.hs, fs, lambda r: functools.partial(self._f, names[r], mus[r]), self.window,
-                tol, lambda r, i: weigh(np.abs(mus[r]).tolist(), reach[names[r]][:, i].tolist()),
+                lambda r, i: weigh(np.abs(mus[r]).tolist(), reach[names[r]][:, i].tolist()),
                 names)
         except DomainError:
             if not np.isfinite(mus).all():
@@ -957,7 +959,7 @@ class BoundScanner:
             raise
 
 
-def _count_from_scan(xs, fs, fvec, interval, tol, reach=None, names="f") -> list[ZeroReport]:
+def _count_from_scan(xs, fs, fvec, interval, reach=None, names="f") -> list[ZeroReport]:
     """Count the zeros of each row r of fs, the values of the function
     ``fvec(r)`` on the increasing grid xs, by the rules of ``count_zeros``:
     one report per row.  A row with a non-finite value is refused, named
@@ -1009,7 +1011,7 @@ def _count_from_scan(xs, fs, fvec, interval, tol, reach=None, names="f") -> list
         if (idx == 0 or idx == N - 1 or k - 1 in change or k in change
                 or at_node and (k - 1 in at_node or k in at_node or k + 1 in at_node)):
             continue
-        bound = max(tol * scale[r], 64 * EPS * scale[r])
+        bound = max(ZERO_TOL * scale[r], 64 * EPS * scale[r])
         if reach is not None and abs(f[k]) > reach(r, idx) + bound:
             continue
         found = tangencies.setdefault(r, [])
@@ -1019,7 +1021,7 @@ def _count_from_scan(xs, fs, fvec, interval, tol, reach=None, names="f") -> list
         x0 = _tangency(fvec(r), xs[idx], f[k], (lo, hi), interval, bound)
         if x0 is not None:
             found.append({"location": x0, "multiplicity_estimate": 2})
-    xtol = max(tol * (interval[1] - interval[0]), 1e-15)
+    xtol = max(ZERO_TOL * (interval[1] - interval[0]), 1e-15)
     reports = []
     for r, (c, s) in enumerate(zip(count, scale)):
         if s == 0.0:

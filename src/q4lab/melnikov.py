@@ -141,7 +141,7 @@ def eval_R(h: float, params: ModelParams, route: str = "direct") -> float:
 
 def center_z(h, kappa: float):
     """z = (kappa - s) / (kappa - 1) at the levels h, the variable of the
-    center series; ``unit_rows`` switches to that series where z < CENTER_Z."""
+    center series; ``RCoefficients.switch`` is the level where z = CENTER_Z."""
     return kappa * (1.0 - 1.5 * h) * (1.0 + 1.5 * h) / (kappa - 1.0)
 
 
@@ -203,11 +203,12 @@ class RCoefficients:
     def b_float(self) -> np.ndarray:
         return np.array(self.b, dtype=float)
 
-    def a_values(self, mu) -> np.ndarray:
-        return np.array([weigh(mu, row) for row in self.a_float])
-
-    def b_values(self, mu) -> np.ndarray:
-        return np.array([weigh(mu, row) for row in self.b_float])
+    @functools.cached_property
+    def switch(self) -> float:
+        """The level where z = CENTER_Z: ``unit_rows`` sums the center series
+        at the levels below it and the direct form from it up."""
+        k = self.kappa
+        return -(2.0 / 3.0) * math.sqrt(1.0 - CENTER_Z * (k - 1.0) / k)
 
     @functools.cached_property
     def center_series(self) -> np.ndarray:
@@ -270,12 +271,11 @@ class RCoefficients:
 
     def unit_rows(self, h, J1, J2) -> np.ndarray:
         """The R template of each unit weight at the levels h (1-d), shape
-        (4, n): ``center_rows`` where z < CENTER_Z, else ``direct_rows``, each
+        (4, n): ``center_rows`` below ``switch``, else ``direct_rows``, each
         formed on its own levels only.  A level's row depends neither on the
         layout of h nor on the other levels."""
         inv2 = 1.0 / (9.0 * self.kappa * h * h - 4.0)
-        z = center_z(h, self.kappa)
-        near = z < CENTER_Z
+        near = h < self.switch
         if not near.any():  # the saddle side, where most tangency fits run: no copies
             return self.direct_rows(h, J1, J2, 1.0 / (9.0 * h * h - 4.0), inv2)
         rows, far = np.empty((4, h.size)), ~near
@@ -283,18 +283,16 @@ class RCoefficients:
             hd = h[far]
             rows[:, far] = self.direct_rows(hd, J1[far], J2[far], 1.0 / (9.0 * hd * hd - 4.0),
                                             inv2[far])
-        S = series_sum(self.center_series[:, None], z[near])
-        rows[:, near] = self.center_rows(h[near], S, inv2[near])
+        hn = h[near]
+        S = series_sum(self.center_series[:, None], center_z(hn, self.kappa))
+        rows[:, near] = self.center_rows(hn, S, inv2[near])
         return rows
 
     def template(self, h: float, J1: float, J2: float, mu) -> float:
-        """Evaluate the rational template of R with these coefficients."""
-        av, bv = self.a_values(mu), self.b_values(mu)
-        h2 = h * h
-        num = h * ((av[0] + av[1] * h2 + av[2] * h2**2 + av[3] * h2**3) * J1
-                   + (bv[0] + bv[1] * h2 + bv[2] * h2**2) * J2)
-        den = (9.0 * h2 - 4.0) ** 2 * (9.0 * self.kappa * h2 - 4.0)
-        return num / den
+        """R's template for the weights mu at the level h: ``weigh`` over the
+        ``unit_rows`` there, the representation the scanner counts on."""
+        rows = self.unit_rows(np.array([h]), np.array([J1]), np.array([J2]))
+        return float(weigh(mu, rows[:, 0]))
 
     def as_text(self) -> str:
         lines = [f"# exact R-template coefficients at kappa = {Fraction(self.kappa)}",

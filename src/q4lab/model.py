@@ -406,16 +406,15 @@ def _hess(x, y, h, params: ModelParams, form: HamiltonianForm):
 class Oval:
     """A closed level oval in one of the cubic pictures, hashed by identity.
 
-    ``points`` is a closed polyline (first vertex repeated at the end) that
-    witnesses the geometry; quadratures never interpolate it but evaluate
-    the curve exactly through :meth:`r_theta` / :meth:`point_tangent`, which
-    solve the exact cubic restricted to each ray from the center.
+    ``points`` is a closed counterclockwise polyline (first vertex repeated
+    at the end) that witnesses the geometry; quadratures never interpolate it
+    but evaluate the curve exactly through :meth:`r_theta` /
+    :meth:`point_tangent`, which solve the exact cubic restricted to each ray
+    from the center.
     """
 
     level: LevelPoint
     points: np.ndarray
-    orientation: str
-    closure_gap: float
     center: tuple[float, float]
     form: HamiltonianForm
     params: ModelParams = field(repr=False)
@@ -618,8 +617,6 @@ def _ray_oval(theta, h, params, form, center):
     return Oval(
         level=level_classify(h, params),
         points=pts,
-        orientation="positive",
-        closure_gap=0.0,
         center=center,
         form=form,
         params=params,

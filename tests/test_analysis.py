@@ -38,8 +38,8 @@ from q4lab.analysis import (
     vn_sample_test,
     winding_count,
 )
-from q4lab.melnikov import extract_R_coeffs, get_propagation
-from q4lab.picard_fuchs import initial_jstate, pf_derivatives, pf_matrix
+from q4lab.melnikov import CENTER_Z, center_z, extract_R_coeffs, get_propagation
+from q4lab.picard_fuchs import initial_jstate, pf_derivatives, pf_matrix, series_sum
 
 
 class TestCountZeros:
@@ -125,7 +125,7 @@ class TestCountZeros:
         xs[0] = a + ulp
         fs = 1.0 + (xs - xs[1]) ** 2
         fvec = lambda x: 1.0 + ((np.asarray(x) - a) / ulp) ** 2
-        zr, = an._count_from_scan(xs, fs[None], lambda r: fvec, (a, b), 1e-9)
+        zr, = an._count_from_scan(xs, fs[None], lambda r: fvec, (a, b))
         assert zr.count == 0 and zr.zeros == []
 
     def test_non_finite_tangency_stencil_is_refused(self):
@@ -1009,7 +1009,7 @@ class TestScannerBatching:
 
                 fs = w @ sc.basis[which]
                 del brentq_calls[:]
-                rep, = an._count_from_scan(sc.hs, fs[None], lambda r: fvec, sc.window, 1e-9)
+                rep, = an._count_from_scan(sc.hs, fs[None], lambda r: fvec, sc.window)
                 # the count evaluates f at single points only when the zeros
                 # are read
                 assert not any(c.size == 1 for c in calls) and not brentq_calls
@@ -1193,7 +1193,7 @@ class TestLeanCount:
 
     def _check(self, xs, rows, reach=None):
         fs = np.stack([f(xs) for f in rows])
-        lean = an._count_from_scan(xs, fs, lambda r: rows[r], (-1.0, 1.0), 1e-9,
+        lean = an._count_from_scan(xs, fs, lambda r: rows[r], (-1.0, 1.0),
                                    None if reach is None else lambda r, i: reach[r][i])
         assert len(lean) == len(rows)
         for r, rep in enumerate(lean):
@@ -1255,7 +1255,7 @@ class TestLeanCount:
         fs = np.stack([xs, xs, xs])
         fs[1, 7] = np.inf
         with pytest.raises(DomainError, match="^G evaluated non-finite on the scan grid$"):
-            an._count_from_scan(xs, fs, lambda r: None, (-1.0, 1.0), 1e-9, names="IGR")
+            an._count_from_scan(xs, fs, lambda r: None, (-1.0, 1.0), names="IGR")
 
     def test_bound_chains_with_fits_equal_the_frozen_scan(self, monkeypatch):
         # 500 single-trial bound chains at kappa 4, some of them with
@@ -1397,7 +1397,7 @@ class TestVariationBound:
         fvec = lambda x: np.where(np.asarray(x) >= xs[i], f0 - V, f0 + V)
         reach = np.full(xs.size, (an.REACH + an.FIT_SLACK) * V + an.FIT_SLACK * (f0 + V))
         scan = lambda fs, f, **kw: an._count_from_scan(xs, fs[None], lambda r: f, (-1.0, 1.0),
-                                                        1e-9, **kw)[0]
+                                                        **kw)[0]
         assert scan(fs, fvec).count == 2
         assert scan(fs, fvec, reach=lambda r, i: reach[i]).count == 2
         # a little further from zero the fit finds nothing, and the skip leaves it out
@@ -1481,6 +1481,24 @@ class TestScannerBits:
             assert got == self.BOUNDS_SHA256, core
 
     @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_R_switches_at_its_level(self, kappa):
+        # RCoefficients.switch, a level, puts each grid node on the side of
+        # R's switch where z < CENTER_Z put it, and unit_rows sums the center
+        # series below it and the direct form from it up
+        sc = an.bound_scanner(make_params(kappa), 512)
+        rc, h = sc.rc, sc.hs
+        near = h < rc.switch
+        assert np.array_equal(near, center_z(h, kappa) < CENTER_Z)
+        assert 0 < near.sum() < near.size
+        J1, J2 = sc.prop.J(h)
+        rows, inv2 = rc.unit_rows(h, J1, J2), 1.0 / (9.0 * kappa * h * h - 4.0)
+        hn, hd = h[near], h[~near]
+        S = series_sum(rc.center_series[:, None], center_z(hn, kappa))
+        assert np.array_equal(rows[:, near], rc.center_rows(hn, S, inv2[near]))
+        direct = rc.direct_rows(hd, J1[~near], J2[~near], 1.0 / (9.0 * hd * hd - 4.0), inv2[~near])
+        assert np.array_equal(rows[:, ~near], direct)
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
     def test_jets_carry_the_scanned_rows(self, kappa):
         # the skip's jets differentiate the very functions the scanner scans:
         # the moment jets carry MomentBasis.values on each side of the switch
@@ -1509,7 +1527,7 @@ class TestScannerBits:
 class TestFloatSums:
     def test_bits_do_not_follow_builtin_sum(self, monkeypatch):
         # from Python 3.12 sum() compensates float sums; the template's
-        # coefficients and the winding total are left folds, so they keep
+        # weighing and the winding total are left folds, so they keep
         # their bits under any sum()
         p = make_params(4.0)
         rc = extract_R_coeffs(p)
@@ -1517,8 +1535,7 @@ class TestFloatSums:
         pair = PolyPair(P=(0.3635365676813111, 0.8642994867575062), Q=(0.3476025908263671,))
 
         def bits():
-            return ([rc.a_values(mu).tobytes() + rc.b_values(mu).tobytes() for mu in mus],
-                    [rc.template(-0.5, 1.3, 0.7, mu).hex() for mu in mus],
+            return ([rc.template(-0.5, 1.3, 0.7, mu).hex() for mu in mus],
                     winding_count(pair, p).residual.hex())
 
         want, plain_sum = bits(), builtins.sum

@@ -8,7 +8,7 @@ from q4lab import make_params
 from q4lab.errors import ConsistencyError, DomainError
 from q4lab.model import interior_levels, s_from_h
 from q4lab.picard_fuchs import apply_L1, hypergeometric_J
-from q4lab.reduction import assemble_I, mu_G_from_eq211
+from q4lab.reduction import assemble_I, mu_G_from_eq211, weigh
 from q4lab.melnikov import (
     _A_TABLE,
     _B_TABLE,
@@ -245,17 +245,31 @@ class TestEvalR:
             eval_R(-0.5, p4, "magic")
 
 
+def _template_levels(p):
+    """Ten levels across the window, on both sides of R's switch, with J."""
+    hs = interior_levels(p, 10, 0.05, 0.95)
+    J1, J2 = hypergeometric_J(s_from_h(hs, p), p)
+    assert 0 < np.count_nonzero(hs < extract_R_coeffs(p).switch) < hs.size
+    return hs, J1, J2
+
+
 class TestExtraction:
     def test_zero_weights_zero_coeffs(self, p4):
         rc = extract_R_coeffs(p4)
-        assert np.all(rc.a_values((0, 0, 0, 0)) == 0)
-        assert np.all(rc.b_values((0, 0, 0, 0)) == 0)
+        for h, J1, J2 in zip(*_template_levels(p4)):
+            assert rc.template(h, J1, J2, (0, 0, 0, 0)) == 0
 
     def test_linearity_exact(self, p4):
+        # the template weighs unit_rows at its level, the scanner's rows; the
+        # weights enter linearly, so doubling them doubles it bit for bit
         rc = extract_R_coeffs(p4)
         mu = (1.0, -2.0, 0.5, 3.0)
-        assert np.array_equal(rc.a_values(tuple(2 * m for m in mu)), 2 * rc.a_values(mu))
-        assert np.array_equal(rc.b_values(tuple(2 * m for m in mu)), 2 * rc.b_values(mu))
+        hs, J1, J2 = _template_levels(p4)
+        rows = rc.unit_rows(hs, J1, J2)
+        for i, h in enumerate(hs):
+            t = rc.template(h, J1[i], J2[i], mu)
+            assert t == weigh(mu, rows[:, i])
+            assert rc.template(h, J1[i], J2[i], tuple(2 * m for m in mu)) == 2 * t
 
     def test_degree_structure(self, p4):
         rc = extract_R_coeffs(p4)

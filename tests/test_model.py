@@ -513,7 +513,6 @@ class TestOval:
         x, y = ov.points[:, 0], ov.points[:, 1]
         resid = np.abs(hamiltonian("symmetric_form", (x, y), p4) + 0.5)
         assert np.max(resid) < 1e-12
-        assert ov.closure_gap == 0.0
 
     def test_point_reflection_duality(self, p4):
         # the dual annulus around (-1, -1) at level -h is the point reflection

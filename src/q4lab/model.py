@@ -409,8 +409,8 @@ class Oval:
     ``points`` is a closed counterclockwise polyline (first vertex repeated
     at the end) that witnesses the geometry; quadratures never interpolate it
     but evaluate the curve exactly through :meth:`r_theta` /
-    :meth:`point_tangent`, which solve the exact cubic restricted to each ray
-    from the center.
+    :meth:`point_tangent` / :meth:`rays`, which solve the exact cubic
+    restricted to each ray from the center.
     """
 
     level: LevelPoint
@@ -419,9 +419,10 @@ class Oval:
     form: HamiltonianForm
     params: ModelParams = field(repr=False)
     taylor: tuple = field(repr=False)  # G's Taylor terms at the center
+    grid_radii: np.ndarray = field(repr=False)  # at the n0 equal angles 2 pi k / n0 of ``oval``
     min_x: float = 0.0
     _bbox: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _tangents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rays: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def h(self) -> float:
@@ -443,29 +444,14 @@ class Oval:
 
     def point_tangent(self, theta):
         """Point on the oval and d(point)/d(theta), exact to rounding, as
-        read-only arrays shaped like theta (a scalar gives shape (1,)).
-
-        The radius derivative comes from implicit differentiation of
-        H(center + r e(theta)) = level.  Stored per oval and row (green's 15
-        GK nodes of one panel), keyed by the row's bytes, the rows not seen
-        before solved in one call: batches on one oval (a basis batch, then
-        single indices) share panels, and each is solved once.
-        """
+        arrays shaped like theta (a scalar gives shape (1,)).  The radius
+        derivative comes from implicit differentiation of
+        H(center + r e(theta)) = level."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        rows = theta.reshape(-1, theta.shape[-1])
-        keys = [row.tobytes() for row in rows]
-        new = {k: n for n, k in enumerate(keys) if k not in self._tangents}
-        if new:
-            solved = np.stack(self._point_tangent(rows[list(new.values())]))
-            self._tangents.update(zip(new, solved.swapaxes(0, 1)))  # (4, n) per row
-        out = (solved if len(new) == len(keys)  # all new: no gather
-               else np.stack([self._tangents[k] for k in keys], axis=1)).reshape((4,) + theta.shape)
-        out.flags.writeable = False
-        return tuple(out)
-
-    def _point_tangent(self, theta):
         c, s = np.cos(theta), np.sin(theta)
-        r = self._radii(c, s)
+        return self._on_rays(c, s, self._radii(c, s))
+
+    def _on_rays(self, c, s, r):
         x = self.center[0] + r * c
         y = self.center[1] + r * s
         Hx, Hy = _grad(x, y, self.h, self.params, self.form)
@@ -475,6 +461,22 @@ class Oval:
         dx = rp * c - r * s
         dy = rp * s + r * c
         return x, y, dx, dy
+
+    def rays(self, level: int) -> np.ndarray:
+        """The points and tangents (x, y, dx, dy), one read-only (4, n) array,
+        at the angles that resolution ``level`` adds to the equal angle grid:
+        at level 0 the n0 = grid_radii.size angles 2 pi k / n0, whose radii
+        ``oval`` has solved, at level l > 0 the n0 2^(l-1) midpoints
+        (2k + 1) 2 pi / (n0 2^l) of the level before.  Stored on the oval, so
+        each ray is solved once, however many batches ask."""
+        while len(self._rays) <= level:
+            n, first = self.grid_radii.size << len(self._rays), not self._rays
+            theta = np.arange(0 if first else 1, n, 1 if first else 2) * (2.0 * math.pi / n)
+            c, s = np.cos(theta), np.sin(theta)
+            out = np.stack(self._on_rays(c, s, self.grid_radii if first else self._radii(c, s)))
+            out.flags.writeable = False
+            self._rays.append(out)
+        return self._rays[level]
 
     def bounding_box(self):
         """Tight box around the oval, padded by 1e-12 of its width.  Each side
@@ -541,9 +543,9 @@ def oval(h: float, params: ModelParams,
             raise DegenerateLevelError(f"level h={h} within {ENDPOINT_EXCLUSION} of an endpoint")
         center = (1.0, 1.0)
 
-    theta = np.linspace(0.0, 2.0 * np.pi, n_min, endpoint=False)
+    grid = np.arange(2 * n_min) * (math.pi / n_min)  # the rays, then their midpoints
     try:
-        return _ray_oval(theta, h, params, form, tuple(center))
+        return _ray_oval(grid, h, params, form, tuple(center))
     except DegenerateLevelError as exc:
         frac = (h - params.center_h) / (params.saddle_h - params.center_h)
         raise DegenerateLevelError(
@@ -567,16 +569,19 @@ def _midpoints(theta):
     return thm
 
 
-def _ray_oval(theta, h, params, form, center):
-    """The oval through ray shooting; raises DegenerateLevelError naming the
-    check that failed: a non-finite or non-positive ray root, an O(1) branch
-    jump between neighbouring rays, or a vertex residual above 1e-8*scale.
-    Each angle is solved once: the rays and their midpoints in one call, then
-    only the midpoints of each refinement's new intervals."""
+def _ray_oval(grid, h, params, form, center):
+    """The oval through ray shooting from the equal angles of ``grid``, the
+    even ones the first vertices, the odd ones their chords' midpoints;
+    raises DegenerateLevelError naming the check that failed: a non-finite
+    or non-positive ray root, an O(1) branch jump between neighbouring rays,
+    or a vertex residual above 1e-8*scale.  Each angle is solved once: the
+    grid in one call, then only the midpoints of each refinement's new
+    intervals.  The grid's radii are kept on the oval (``Oval.rays``)."""
     taylor = _center_taylor(h, params, form, center)
     solve = lambda th: _smallest_positive_roots(*_ray_poly_coeffs(np.cos(th), np.sin(th), taylor))
-    thm = _midpoints(theta)
-    r, rm = np.split(solve(np.concatenate([theta, thm])), 2)
+    radii = solve(grid)
+    radii.flags.writeable = False
+    theta, thm, r, rm = grid[0::2], grid[1::2], radii[0::2], radii[1::2]
     _check_roots(r, theta)
     _check_roots(rm, thm)
     # adaptive angular refinement until the chord midpoint stays on the curve
@@ -621,5 +626,6 @@ def _ray_oval(theta, h, params, form, center):
         form=form,
         params=params,
         taylor=taylor,
+        grid_radii=radii,
         min_x=float(np.min(x)),
     )

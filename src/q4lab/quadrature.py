@@ -6,12 +6,13 @@ where region(h) is the disk bounded by the level oval around the center
 (1, 1), in either the cubic picture (region {H(x, y, h) < 0}) or the
 symmetric picture (region {H(x, y) < h}).  Two independent methods:
 
-* ``green``   reduce to a contour integral over the oval by Green's theorem
-              and integrate with adaptive Gauss-Kronrod panels in the ray
-              angle, from 32 equal ones; the primary method.  The ray
-              geometry (point and tangent at the 15 nodes of a panel) is
-              stored on the oval per panel, so batches on one oval (a basis
-              batch, then single indices) solve each panel's rays once.
+* ``green``   reduce to a contour integral over the oval by Green's theorem,
+              a smooth periodic function of the ray angle, and integrate it
+              with the trapezoidal rule over N equal angle steps, doubling N
+              from the 512 rays ``oval`` has already solved; the primary
+              method.  The rays (point and tangent) of each resolution are
+              stored on the oval, so batches on one oval (a basis batch,
+              then single indices) solve each ray once.
 * ``area2d``  one Fubini integral over vertical slices: the oval's slice at
               x is (r1, r2), the top two roots of the slice cubic, for every
               x between the two folds (the x-sides of the bounding box), so
@@ -23,11 +24,12 @@ symmetric picture (region {H(x, y) < h}).  Two independent methods:
               at the center's x holds the center, stands for the premise; it
               is solved in the same call as the first panels' slices.
 
-Both refine batches of integrals in one GK loop, ``_gk_refine`` (as does the
-I-reconstruction check), on one panel set per batch: a panel is halved
-wherever an integral of the batch needs it, as in DCUHRE and SciPy's
-``quad_vec``, and each integral stops at its own budget.  The six
-symmetric-form basis moments are one batch; any other index is a batch of one.
+Both evaluate batches of integrals: green on one N per batch, area2d in
+the GK loop ``_gk_refine`` (as does the I-reconstruction check), on one
+panel set per batch: a panel is halved wherever an integral of the batch
+needs it, as in DCUHRE and SciPy's ``quad_vec``, and each integral stops at
+its own budget.  The six symmetric-form basis moments are one batch; any
+other index is a batch of one.
 The module also evaluates the residues of the underlying third-kind
 differential and a discriminant detecting singular level curves.
 
@@ -102,8 +104,8 @@ class MomentValue:
     value: float
     method: str
     err_estimate: float
-    panels: int  # GK panels at the end, shared by every moment of its batch
-    saturated: bool  # stopped at the panel cap with the error above its budget
+    panels: int  # green: N, the equal angle steps; area2d: GK panels; shared by the batch
+    saturated: bool  # stopped at the cap (nodes or panels) with the error above its budget
 
 
 @functools.cache
@@ -172,27 +174,58 @@ def _adaptive_gk(f, a: float, b: float, tol: float, max_panels: int = 4000):
                       tol, max_panels, [f"adaptive GK on [{a!r}, {b!r}]"])[0][:2]
 
 
-GREEN_START_PANELS = 32  # equal angle panels green starts from
+GREEN_MAX_NODES = 1 << 16  # equal angle steps at which green stops doubling
+
+
+def _green_terms(ijs: tuple, rays: np.ndarray) -> np.ndarray:
+    """Green's integrands (indices, nodes) of x^i y^j at the nodes' points
+    and tangents: x^(i+1) y^j / (i+1) dy/dtheta, or -x^i y^(j+1) / (j+1)
+    dx/dtheta for i = -1."""
+    x, y, dx, dy = rays
+    return np.stack([x ** (i + 1) * y**j / (i + 1) * dy if i != -1
+                     else -(x**i) * y ** (j + 1) / (j + 1) * dx for i, j in ijs])
 
 
 def _moments_green(ijs: tuple, ov: Oval, tol: float) -> list:
-    """The green moments I_ij, (i, j) in ijs, refined as one batch from
-    GREEN_START_PANELS equal angle panels; one ``point_tangent`` call per
-    round.  A ray solve costs about the same for 8 panels' nodes as for 32,
-    and 32 save most levels two rounds."""
-    def nodes(lo, hi):
-        half = 0.5 * (hi - lo)[:, None]
-        return (half, *ov.point_tangent(0.5 * (lo + hi)[:, None] + half * _XGK))
-
-    def sums(half, x, y, dx, dy):
-        return _gk_sums(half * np.stack([
-            x ** (i + 1) * y**j / (i + 1) * dy if i != -1 else -(x**i) * y ** (j + 1) / (j + 1) * dx
-            for i, j in ijs]))
-
-    edges = np.linspace(0.0, 2.0 * math.pi, GREEN_START_PANELS + 1)
-    panels = (edges[:-1], edges[1:])
-    return _gk_refine(nodes, sums, panels, nodes(*panels), tol, 4000,
-                      [f"green I_{i}_{j} at h={ov.h!r}" for i, j in ijs])
+    """The green moments I_ij, (i, j) in ijs, as one batch, by the composite
+    trapezoidal rule T_N over N equal angle steps, which converges
+    geometrically on a smooth periodic integrand.  N starts at the oval's
+    own grid (``Oval.rays(0)``, whose radii ``oval`` has solved) and doubles,
+    each time on the N new midpoints alone, while an index's |T_N - T_{N/2}|
+    (T_{N/2} sums every other node) is above tol |T_N|; at GREEN_MAX_NODES an
+    index still above its budget logs one WARNING and is flagged saturated.
+    The error reported is that difference, floored by the rounding bound of
+    the sum, log2(N) eps sum |terms| 2 pi / N (the bound of a pairwise sum,
+    numpy's add.reduce, in eps = 2u to cover the terms' own rounding too), so
+    a converged rule never reports 0.  The doubling stops on the difference
+    alone, so where the floor is above tol |T_N| the error reported is too,
+    unsaturated.  Each resolution's nodes are summed by add.reduce and the
+    sums folded in order, so a batch's bits depend on its own indices alone.
+    Returns (value, error, N, saturated) each."""
+    terms = _green_terms(ijs, ov.rays(0))
+    half = np.add.reduce(terms[:, 0::2], axis=1)
+    total = half + np.add.reduce(terms[:, 1::2], axis=1)
+    size = np.add.reduce(np.abs(terms), axis=1)
+    n, level = terms.shape[1], 0
+    while True:
+        step = 2.0 * math.pi / n
+        value = step * total
+        err = np.abs(value - 2.0 * step * half)
+        target = tol * np.maximum(np.abs(value), 1e-300)
+        over = err > target
+        if not over.any() or n >= GREEN_MAX_NODES:
+            break
+        level += 1
+        terms = _green_terms(ijs, ov.rays(level))
+        half, total = total, total + np.add.reduce(terms, axis=1)
+        size = size + np.add.reduce(np.abs(terms), axis=1)
+        n *= 2
+    err = np.maximum(err, math.log2(n) * np.finfo(float).eps * step * size)
+    for (i, j), e, t in zip(np.array(ijs)[over], err[over], target[over]):
+        logger.warning("green I_%d_%d at h=%r stopped at %d nodes (max_nodes=%d): error "
+                       "estimate %.3e above the target %.3e (relative budget %.3e)",
+                       i, j, ov.h, n, GREEN_MAX_NODES, e, t, tol)
+    return [(float(v), float(e), n, bool(o)) for v, e, o in zip(value, err, over)]
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +321,16 @@ def moment(index: MomentIndex, h: float, params: ModelParams,
            method: str = "green", tol: float = 1e-8) -> MomentValue:
     """Evaluate one moment integral at level h to a relative tolerance.
 
-    The tolerance is relative to the whole moment, and each method spends
-    it as one error budget shared by all of its panels: green's angle panels
-    get tol |I| and at most 4000 panels, from GREEN_START_PANELS equal ones;
-    area2d's slice panels 0.02 tol |I| and at most AREA2D_MAX_PANELS, from
-    AREA2D_RUN_PANELS on each of its two runs.
+    The tolerance is relative to the whole moment.  Green's trapezoidal rule
+    doubles its N equal angle steps, from the oval's 512 rays to at most
+    GREEN_MAX_NODES, until |T_N - T_{N/2}| <= tol |I|; ``panels`` is then N.
+    area2d spends 0.02 tol |I| as one error budget shared by its slice
+    panels, at most AREA2D_MAX_PANELS, from AREA2D_RUN_PANELS on each of its
+    two runs; ``panels`` is their number.
 
     A symmetric-form basis index (BASIS_INDICES) brings its five siblings,
-    refined as one batch, each to its own budget on the batch's shared
-    panels.  Results are cached per batch, (indices, h, kappa, form, method,
+    evaluated as one batch, each to its own budget on the batch's shared
+    nodes.  Results are cached per batch, (indices, h, kappa, form, method,
     tol): ovals and moments depend on kappa only, never on the weights.
     """
     return _moment(index, h, params.kappa, method, tol)

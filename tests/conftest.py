@@ -81,8 +81,13 @@ def gk_refine_reference(evaluate, panels: tuple, value, err, offset: float, rel:
         rounds += 1
 
 
+GREEN_REFERENCE_PANELS = 32  # equal angle panels the GK green reference starts from
+
+
 def green_reference(i: int, j: int, ov, tol: float):
-    """I_ij by green, refined alone (see ``gk_refine_reference``)."""
+    """I_ij by green with adaptive GK15 panels in the ray angle, refined
+    alone from GREEN_REFERENCE_PANELS equal ones (see ``gk_refine_reference``):
+    an independent check on the trapezoidal rule that the library uses."""
     def evaluate(lo, hi):
         half = 0.5 * (hi - lo)[:, None]
         x, y, dx, dy = ov.point_tangent(0.5 * (lo + hi)[:, None] + half * quad._XGK)
@@ -90,9 +95,37 @@ def green_reference(i: int, j: int, ov, tol: float):
             return quad._gk_sums(half * (x ** (i + 1) * y**j / (i + 1) * dy))
         return quad._gk_sums(half * (-(x**i) * y ** (j + 1) / (j + 1) * dx))
 
-    edges = np.linspace(0.0, 2.0 * np.pi, quad.GREEN_START_PANELS + 1)
+    edges = np.linspace(0.0, 2.0 * np.pi, GREEN_REFERENCE_PANELS + 1)
     panels = (edges[:-1], edges[1:])
     return gk_refine_reference(evaluate, panels, *evaluate(*panels), 0.0, tol, 4000)
+
+
+def trapezoid_reference(i: int, j: int, ov, tol: float):
+    """I_ij by green's trapezoidal rule, alone, as ``quadrature._moments_green``
+    documents it: (value, error, N, saturated).  Each N's whole equal grid is
+    solved afresh by ``point_tangent`` (not read from the oval's store); its
+    new nodes, every other one, are summed by add.reduce and the sums folded
+    in order."""
+    def terms(n):
+        x, y, dx, dy = ov.point_tangent(np.arange(n) * (2.0 * np.pi / n))
+        return quad._green_terms(((i, j),), np.stack([x, y, dx, dy]))[0]
+
+    n = ov.grid_radii.size
+    f = terms(n)
+    half = np.add.reduce(f[0::2])
+    total, size = half + np.add.reduce(f[1::2]), np.add.reduce(np.abs(f))
+    while True:
+        step = 2.0 * np.pi / n
+        value = step * total
+        err = abs(value - 2.0 * step * half)
+        if not err > tol * abs(value) or n >= quad.GREEN_MAX_NODES:
+            break
+        n *= 2
+        f = terms(n)[1::2]
+        half, total = total, total + np.add.reduce(f)
+        size += np.add.reduce(np.abs(f))
+    saturated = bool(err > tol * abs(value))
+    return value, max(err, np.log2(n) * np.finfo(float).eps * step * size), n, saturated
 
 
 def area2d_reference(i: int, j: int, ov, tol: float):

@@ -289,8 +289,9 @@ class TestCommands:
         assert digests == dict.fromkeys(digests, want)
 
     def test_moments_bytes_independent_of_blas_kernel(self, tmp_path):
-        # the GK sums are numpy's add.reduce, not a BLAS gemv, so every row of
-        # moments.csv, and so its status, is the same under every kernel
+        # green's trapezoid sums and area2d's GK sums are numpy's add.reduce,
+        # not a BLAS gemv, so every row of moments.csv, and so its status, is
+        # the same under every kernel
         digests = self._digests_under_kernels(tmp_path, ["moments", "--kappa", "4"])
         assert digests == dict.fromkeys(digests, self.MOMENTS_GOLDEN_SHA256)
 
@@ -408,9 +409,16 @@ class TestCommands:
     # levels, J:wronskian-real and both J:exponent rows), all still passing.
     # Re-pinned when the R:exact-template reference came to weigh unit_rows:
     # only its five rows moved (2.19e-14 -> 1.44e-14 at -0.633 the largest),
-    # all still passing
-    MOMENTS_GOLDEN_SHA256 = "e131597535908d69a2c582b7d54dabc5992325d30f9d5ff8ba3a23e8367dd338"
-    RESIDUALS_GOLDEN_SHA256 = "64261f4c4195bf5af8eaba0dc3cc2b621133d8f73c8bd69c07957b9946e20331"
+    # all still passing.  Both re-pinned when green went from adaptive GK15
+    # angle panels to the trapezoidal rule on the oval's equal angle rays:
+    # 41 of the 48 green values (by at most 2.5e-15 relative), all 48 green
+    # error estimates (the largest 2.2e-11 -> 2.4e-14) and 41 of the 48
+    # agreement rows moved, no status; in residuals.csv 46 of 55 rows moved
+    # (every row that reads green: the recurrence, reduction, inversion,
+    # route-equality, pf:* and R:dual-route rows, and J:wronskian-real), all
+    # still passing
+    MOMENTS_GOLDEN_SHA256 = "0238fee168e848beca83a8d264f3867140e0524ce4535e824b89e9adadc0eec7"
+    RESIDUALS_GOLDEN_SHA256 = "b2ef78566b3a72db1283f9d7cf0725c82728205ae61ee4715588bb33e15f02ee"
 
     @pytest.mark.parametrize("command", ["moments", "verify"])
     def test_moments_and_residuals_golden_bytes(self, tmp_path, command):

@@ -99,15 +99,19 @@ def _ray_radii_all_roots(theta, h, params, form, center):
 
 def _ray_oval_resolving(h, params, form):
     """The polyline of ``oval`` as it was built when every refinement round
-    re-solved all rays, or the DegenerateLevelError message of its checks."""
+    re-solved all rays, or the DegenerateLevelError message of its checks.
+    The first midpoints are the odd angles of the 512-ray equal grid, the
+    later ones halve their intervals."""
     center = (1.0, 1.0)
     solve = lambda th: _ray_radii_all_roots(th, h, params, form, center)
     theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     r = solve(theta)
     model._check_roots(r, theta)
-    for _ in range(8):
+    for rnd in range(8):
         thm = 0.5 * (theta + np.roll(theta, -1))
         thm[-1] = 0.5 * (theta[-1] + theta[0] + 2.0 * np.pi)
+        if rnd == 0:
+            thm = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)[1::2]
         rm = solve(thm)
         model._check_roots(rm, thm)
         chord = 0.5 * (r + np.roll(r, -1))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import q4lab.quadrature as quad
-from conftest import area2d_reference, green_reference
+from conftest import area2d_reference, green_reference, trapezoid_reference
 from q4lab import (
     DegenerateLevelError,
     DomainError,
@@ -219,6 +219,19 @@ class TestArea2dGeometry:
             assert abs(a - float(r)) <= 1e-12 * abs(float(r)), ij
             assert abs(g - float(r)) <= 1e-13 * abs(float(r)), ij
 
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    @pytest.mark.parametrize("level", [0.08, 0.5, 0.92])
+    def test_green_error_estimate_covers_30_digits(self, kappa, level):
+        # every green error estimate is positive, the rounding floor included,
+        # and covers the error against the 30-digit moments, at tol 1e-10 and
+        # at 1e-13, where the rule converges to rounding
+        p = make_params(kappa)
+        ov = oval(interior_levels(p, 1, level, level)[0], p)
+        ref = self._moments_30_digits(ov, BASIS)
+        for tol in (1e-10, 1e-13):
+            for ij, r, (g, err, *_) in zip(BASIS, ref, quad._moments_green(tuple(BASIS), ov, tol)):
+                assert 0.0 < err and abs(g - float(r)) <= err, (tol, ij)
+
     @pytest.mark.parametrize("kappa", [1.5, 2.0, 4.0, 9.0])
     def test_c01_grid_matches_tight_green_silently(self, kappa, caplog):
         # the global error budget: area2d at 1e-8 within 1e-10 of green at
@@ -387,8 +400,9 @@ class TestArea2dGeometry:
 
 
 class TestOneGKEngine:
-    """green, area2d and the reconstruction check share one batched GK loop
-    (``_gk_refine``); area2d kept its bits through the move."""
+    """area2d and the reconstruction check share one batched GK loop
+    (``_gk_refine``); area2d kept its bits through the move.  Green is the
+    trapezoidal rule on the oval's equal angle rays."""
 
     # area2d at tol 1e-8: (kappa, level fraction of the annulus) -> float.hex
     # of the six BASIS moments.  Recorded before the loop was shared, and
@@ -456,16 +470,18 @@ class TestOneGKEngine:
         clear_caches()
         assert worst <= 1e-13
 
-    def test_green_nodes_go_to_the_ray_solver_per_round(self, p4, monkeypatch):
-        # each round's new panels reach point_tangent as one (P, 15) array
-        ov = oval(-0.5, p4)
-        shapes = []
-        solve = Oval._point_tangent
-        monkeypatch.setattr(Oval, "_point_tangent",
-                            lambda self, th: shapes.append(th.shape) or solve(self, th))
-        quad._moments_green(((1, 1),), ov, 1e-12)
-        assert shapes[0] == (quad.GREEN_START_PANELS, 15)
-        assert len(shapes) > 1 and all(len(sh) == 2 and sh[1] == 15 for sh in shapes)
+    def test_green_nodes_go_to_the_ray_solver_per_round(self, monkeypatch):
+        # N = 512 reads the oval's own rays and solves none; each doubling
+        # solves its N new midpoints in one call.  At kappa 9, level 0.92 and
+        # tol 1e-13 the batch doubles twice, to 2048 nodes
+        p = make_params(9.0)
+        ov = oval(interior_levels(p, 1, 0.92, 0.92)[0], p)
+        sizes, radii = [], Oval._radii
+        monkeypatch.setattr(Oval, "_radii", lambda self, c, s: sizes.append(c.shape) or radii(
+            self, c, s))
+        green = quad._moments_green(tuple(BASIS), ov, 1e-13)
+        assert {n for _, _, n, _ in green} == {2048}
+        assert sizes == [(512,), (1024,)]
 
 
 class TestBatchedMoments:
@@ -490,39 +506,38 @@ class TestBatchedMoments:
     @pytest.mark.parametrize("kappa", [1.01, 1.5, 4.0, 9.0, 1000.0])
     def test_batch_meets_each_budget_on_shared_panels(self, kappa, monkeypatch):
         # green at 1e-10 and area2d at 1e-8: every index within its own budget,
-        # unsaturated, and within err + err_ref of its per-index reference
+        # unsaturated, and within err + err_ref of its per-index GK reference
         compared = 0
         for where, ov, ijs in self._ovals(kappa):
-            seen = {"green": [], "area2d": [], "solve": [], "sums": []}
+            seen = {"rays": [], "area2d": [], "sums": []}
             spy = lambda name, f, rows: lambda *a: seen[name].append(rows(*a)) or f(*a)
             with monkeypatch.context() as m:
-                m.setattr(Oval, "point_tangent", spy("green", Oval.point_tangent,
-                                                     lambda ov, th: th))
-                m.setattr(Oval, "_point_tangent", spy("solve", Oval._point_tangent,
-                                                      lambda ov, th: th))
+                m.setattr(Oval, "_radii", spy("rays", Oval._radii,
+                                              lambda ov, c, s: np.stack([c, s], 1)))
                 m.setattr(quad, "_slice_nodes", spy("area2d", quad._slice_nodes,
                                                     lambda ov, *panels: np.stack(panels[:4], 1)))
                 m.setattr(quad, "_gk_sums", spy("sums", quad._gk_sums, lambda fx: fx))
                 green = quad._moments_green(ijs, ov, 1e-10)
-                solves, rounds = len(seen["solve"]), {"green": len(seen["sums"])}
                 area2d = quad._moments_area2d(ijs, ov, 1e-8)
-                rounds["area2d"] = len(seen["sums"]) - rounds["green"]
-            for got, ref_of, name, tol, rel, first in (
-                    (green, green_reference, "green", 1e-10, 1e-10, quad.GREEN_START_PANELS),
-                    (area2d, area2d_reference, "area2d", 1e-8, 0.02 * 1e-8,
-                     2 * quad.AREA2D_RUN_PANELS)):
+            for got, ref_of, name, tol, rel in (
+                    (green, green_reference, "green", 1e-10, 1e-10),
+                    (area2d, area2d_reference, "area2d", 1e-8, 0.02 * 1e-8)):
                 for ij, (value, err, panels, saturated) in zip(ijs, got):
                     ref_value, ref_err, *_ = ref_of(*ij, ov, tol)
                     assert err <= rel * abs(value) and not saturated, (kappa, where, name, ij)
                     assert abs(value - ref_value) <= err + ref_err, (kappa, where, name, ij)
-                # one panel set, reported by every index; each panel evaluated
-                # once, in one node call per round (one sums call each)
-                [size] = {panels for _, _, panels, _ in got}
-                rows = [bytes(row) for call in seen[name] for row in call]
-                assert len(rows) == len(set(rows)) == 2 * size - first, (kappa, where, name)
-                assert len(seen[name]) == rounds[name], (kappa, where, name)
-            # each round's new rows reach the ray solver in one call
-            assert solves == len(seen["green"])
+            # green: one N for the batch; past the oval's own grid, each node
+            # is solved once, one call per doubling
+            [n] = {n for _, _, n, _ in green}
+            rays = [bytes(row) for call in seen["rays"] for row in call]
+            assert len(rays) == len(set(rays)) == n - ov.grid_radii.size, (kappa, where)
+            assert len(seen["rays"]) == len(ov._rays) - 1 == (n // ov.grid_radii.size).bit_length() - 1
+            # area2d: one panel set, reported by every index; each panel
+            # evaluated once, in one node call per round (one sums call each)
+            [size] = {panels for _, _, panels, _ in area2d}
+            rows = [bytes(row) for call in seen["area2d"] for row in call]
+            assert len(rows) == len(set(rows)) == 2 * size - 2 * quad.AREA2D_RUN_PANELS
+            assert len(seen["area2d"]) == len(seen["sums"]), (kappa, where)
             compared += 1
         assert compared >= 6
 
@@ -530,13 +545,27 @@ class TestBatchedMoments:
     def test_batch_of_one_is_the_per_index_rule(self, kappa):
         for where, ov, ijs in self._ovals(kappa):
             for ij in ijs:
-                for refine, ref_of, tol in ((quad._moments_green, green_reference, 1e-10),
+                for refine, ref_of, tol in ((quad._moments_green, trapezoid_reference, 1e-10),
                                             (quad._moments_area2d, area2d_reference, 1e-8)):
                     [(value, err, panels, saturated)] = refine((ij,), ov, tol)
                     ref = ref_of(*ij, ov, tol)
                     assert (value.hex(), err.hex(), panels) == (
                         ref[0].hex(), ref[1].hex(), ref[2]), (kappa, where, ij)
                     assert not saturated
+
+    @pytest.mark.parametrize("kappa", [1.01, 1.5, 2.0, 4.0, 9.0, 1000.0])
+    def test_green_matches_independent_gk(self, kappa):
+        # the trapezoidal rule against GK15 panels refined alone (conftest's
+        # green_reference), within err + err_ref at tol 1e-10: on c01's 12
+        # levels from kappa 1.5 to 9, mid-window at kappa 1.01 and 1000
+        p = make_params(kappa)
+        grid = (12, 0.08, 0.92) if 1.5 <= kappa <= 9.0 else (1, 0.5, 0.5)
+        for h in interior_levels(p, *grid):
+            ov = oval(h, p)
+            for ij, (value, err, _, saturated) in zip(
+                    BASIS, quad._moments_green(tuple(BASIS), ov, 1e-10)):
+                ref, ref_err, *_ = green_reference(*ij, ov, 1e-10)
+                assert not saturated and abs(value - ref) <= err + ref_err, (h, ij)
 
     def test_cap_flags_exactly_the_indices_above_budget(self, p4, caplog, monkeypatch):
         # at this level and tol the batch needs 12 panels; capped at 8 (its
@@ -589,91 +618,93 @@ class TestBatchedMoments:
 
 
 class TestRayGeometryMemo:
-    """Ovals memoise point_tangent per row of angles (one GK panel), shared
-    by the green integrals of all indices; values must not depend on the
-    memo state."""
+    """Ovals store green's rays per resolution of the equal angle grid
+    (``Oval.rays``), shared by every batch on the oval; a batch's bits must
+    not depend on what the store holds."""
 
     @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
-    def test_green_values_independent_of_memo_state(self, kappa, monkeypatch):
+    def test_green_values_independent_of_memo_state(self, kappa):
+        # a batch gives the same (value, err, N, saturated), bit for bit, on a
+        # fresh oval and after other batches have doubled the stored rays (the
+        # basis at tol 1e-13 doubles once or twice this close to the saddle),
+        # and with every resolution up to the cap stored
         p = make_params(kappa)
-        h = interior_levels(p, 1, 0.5, 0.5)[0]
-
-        def run(indices):
-            return {ij: moment(MomentIndex(*ij), h, p, "green", 1e-10) for ij in indices}
-
+        h = interior_levels(p, 1, 0.92, 0.92)[0]
+        bits = lambda got: [(v.hex(), e.hex(), n, s) for v, e, n, s in got]
+        for ijs, tol in ((tuple(BASIS), 1e-10), (((1, 1),), 1e-10), (((0, 3),), 1e-13)):
+            fresh = bits(quad._moments_green(ijs, oval(h, p), tol))
+            ov = oval(h, p)
+            quad._moments_green(tuple(BASIS), ov, 1e-13)
+            assert len(ov._rays) > 1
+            assert bits(quad._moments_green(ijs, ov, tol)) == fresh, (ijs, tol)
+            ov.rays(7)
+            assert ov.grid_radii.size << (len(ov._rays) - 1) == quad.GREEN_MAX_NODES
+            assert bits(quad._moments_green(ijs, ov, tol)) == fresh, (ijs, tol)
+        # through moment(): the cached oval keeps its stored rays
         clear_caches()
-        forward = run(BASIS)
-        quad._moments.cache_clear()  # the ovals keep their filled memos
-        warm = run(BASIS[::-1])
+        forward = {ij: moment(MomentIndex(*ij), h, p, "green", 1e-10) for ij in BASIS}
+        quad._moments.cache_clear()
+        quad.cached_oval(h, kappa, HamiltonianForm.SYMMETRIC_FORM).rays(7)
+        warm = {ij: moment(MomentIndex(*ij), h, p, "green", 1e-10) for ij in BASIS[::-1]}
         clear_caches()
-        backward = run(BASIS[::-1])
-        clear_caches()
-        alone = run([(1, 1)])
-        # reference: every node solves its rays afresh
-        clear_caches()
-        monkeypatch.setattr(Oval, "point_tangent", Oval._point_tangent)
-        fresh = run(BASIS)
-        clear_caches()
-        for other in (warm, backward, fresh):
-            for ij in BASIS:
-                assert other[ij].value == forward[ij].value
-                assert other[ij].err_estimate == forward[ij].err_estimate
-        assert alone[(1, 1)].value == forward[(1, 1)].value
-        assert alone[(1, 1)].err_estimate == forward[(1, 1)].err_estimate
+        assert warm == forward
 
     @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
     def test_each_panel_solved_once_per_oval(self, kappa, monkeypatch):
-        # the six indices refine different subsets of the same panels; each
-        # distinct row of 15 GK angles reaches the ray solver once
+        # the six indices one at a time, next to the saddle, at tolerances
+        # that need different N, then the store up to N = 4096: each
+        # resolution's new rays reach the ray solver once per oval
         p = make_params(kappa)
-        ov = oval(interior_levels(p, 1, 0.5, 0.5)[0], p)
-        solved, asked = [], set()
-        solve, memo = Oval._point_tangent, Oval.point_tangent
-        monkeypatch.setattr(Oval, "_point_tangent", lambda self, th: solved.extend(
-            row.tobytes() for row in th) or solve(self, th))
-        monkeypatch.setattr(Oval, "point_tangent", lambda self, th: asked.update(
-            row.tobytes() for row in th) or memo(self, th))
-        for ij in BASIS:
-            quad._moments_green((ij,), ov, 1e-10)
-        assert len(solved) == len(set(solved)) == len(asked)
+        ov = oval(interior_levels(p, 1, 0.92, 0.92)[0], p)
+        solved, radii = [], Oval._radii
+        monkeypatch.setattr(Oval, "_radii", lambda self, c, s: solved.append(
+            np.stack([c, s], 1)) or radii(self, c, s))
+        for ij, tol in zip(BASIS, (1e-10, 1e-13, 1e-10, 1e-14, 1e-13, 1e-10)):
+            quad._moments_green((ij,), ov, tol)
+        ov.rays(3)
+        rays = [bytes(row) for call in solved for row in call]
+        assert len(solved) == len(ov._rays) - 1 == 3
+        assert len(rays) == len(set(rays)) == (ov.grid_radii.size << 3) - ov.grid_radii.size
 
     @pytest.mark.parametrize("form", [HamiltonianForm.SYMMETRIC_FORM, HamiltonianForm.CUBIC_FORM])
     def test_batch_then_single_indices_solve_each_row_once(self, p4, form, monkeypatch):
-        # a batch asks for no row twice; the store shares rows across batches
-        # on one oval, as reduction asks its single indices one at a time
+        # the store shares rays across batches on one oval, as reduction asks
+        # its single indices one at a time: the singles read the batch's
+        # resolutions again and solve only the ones it did not reach
         ov = oval(interior_levels(p4, 1, 0.5, 0.5)[0], p4, form=form)
         solved, asked = [], []
-        solve, memo = Oval._point_tangent, Oval.point_tangent
-        monkeypatch.setattr(Oval, "_point_tangent", lambda self, th: solved.extend(
-            row.tobytes() for row in th) or solve(self, th))
-        monkeypatch.setattr(Oval, "point_tangent", lambda self, th: asked.extend(
-            row.tobytes() for row in th) or memo(self, th))
+        radii, rays = Oval._radii, Oval.rays
+        monkeypatch.setattr(Oval, "_radii", lambda self, c, s: solved.append(
+            np.stack([c, s], 1)) or radii(self, c, s))
+        monkeypatch.setattr(Oval, "rays", lambda self, level: asked.append(level) or rays(
+            self, level))
         quad._moments_green(tuple(ij for ij in BASIS if ij[0] >= 0 or ov.min_x > 1e-6), ov, 1e-10)
         batch = len(asked)
-        assert len(set(asked)) == batch
-        for ij in ((0, 3), (2, 1), (3, 0)):
-            quad._moments_green((ij,), ov, 1e-10)
-        assert len(solved) == len(set(solved)) == len(set(asked))
-        assert len(asked) > len(set(asked))  # the singles asked again for rows of the batch
+        assert asked == list(range(batch))
+        for ij, tol in (((0, 3), 1e-10), ((2, 1), 1e-13), ((3, 0), 1e-14)):
+            quad._moments_green((ij,), ov, tol)
+        rows = [bytes(row) for call in solved for row in call]
+        assert len(rows) == len(set(rows)) == (ov.grid_radii.size << (len(ov._rays) - 1)) - ov.grid_radii.size
+        assert len(asked) > len(set(asked)) == len(ov._rays)  # the singles asked again
 
-    def test_point_tangent_read_only(self, p4, monkeypatch):
-        # the memo keeps rows, not arrays: a second request assembles new,
-        # equal arrays from the rows without solving again
+    def test_stored_rays_read_only(self, p4, monkeypatch):
+        # level 0 is the oval's own grid, read without a solve; level 1 its
+        # midpoints; each resolution is solved once and handed out read-only
         ov = oval(-0.5, p4)
-        theta = np.linspace(0.0, 1.0, 7)
-        arrays = ov.point_tangent(theta)
-        first = ov.point_tangent(theta[:1])
-        monkeypatch.setattr(Oval, "_point_tangent", None)  # any solve would raise
-        again = ov.point_tangent(theta.copy())
-        for a, b in zip(arrays, again):
-            assert (a == b).all()
-        for a in (*arrays, *again):
-            assert not a.flags.writeable
+        with monkeypatch.context() as m:
+            m.setattr(Oval, "_radii", None)  # any solve would raise
+            first = ov.rays(0)
+        second = ov.rays(1)
+        monkeypatch.setattr(Oval, "_radii", None)
+        assert ov.rays(0) is first and ov.rays(1) is second
+        for a in (first, second):
+            assert a.shape == (4, 512) and not a.flags.writeable
             with pytest.raises(ValueError):
-                a[0] = 0.0
-        # a scalar is the row of one angle that theta[:1] left in the memo
-        for a, b in zip(first, ov.point_tangent(theta[0])):
-            assert b.shape == (1,) and a == b
+                a[0, 0] = 0.0
+        # the 1024 equal angles 2 pi k / 1024: the even ones first, the odd ones second
+        monkeypatch.undo()
+        both = np.stack(ov.point_tangent(np.arange(1024) * (2.0 * np.pi / 1024)))
+        assert (both[:, 0::2] == first).all() and (both[:, 1::2] == second).all()
 
     def test_clear_caches_drops_memos(self, p4):
         clear_caches()
@@ -681,13 +712,13 @@ class TestRayGeometryMemo:
         moment(MomentIndex(1, 0), h, p4, "green", 1e-10)
         moment(MomentIndex(1, 0), h, p4, "area2d", 1e-8)
         ov = quad.cached_oval(h, p4.kappa, HamiltonianForm.SYMMETRIC_FORM)
-        assert ov._tangents and ov._bbox is not None  # green's rays, area2d's folds
+        assert ov._rays and ov._bbox is not None  # green's rays, area2d's folds
         clear_caches()
         for cache in (quad.cached_oval, quad._moments):
             assert cache.cache_info().currsize == 0
-        # the next caller gets a fresh oval, with an empty memo and no box
+        # the next caller gets a fresh oval, with no stored rays and no box
         fresh = quad.cached_oval(h, p4.kappa, HamiltonianForm.SYMMETRIC_FORM)
-        assert fresh is not ov and not fresh._tangents and fresh._bbox is None
+        assert fresh is not ov and not fresh._rays and fresh._bbox is None
 
 
 class TestPanelSaturation:
@@ -714,20 +745,39 @@ class TestPanelSaturation:
         assert "area2d I_1_1" in records[0].getMessage()
         assert err > 0.02 * 1e-13 * abs(value)
 
-    def test_saturated_green_moment_logs_one_warning(self, p4, caplog):
-        # tol 1e-17 is below rounding, so green runs into its 4000 panels
-        ov = quad.cached_oval(-0.5, p4.kappa, HamiltonianForm.SYMMETRIC_FORM)
+    def test_saturated_green_moment_logs_one_warning(self, caplog):
+        # kappa 1.1, 0.999 of the way to the saddle, cubic form: at tol 1e-13
+        # the trapezoidal rule runs into its GREEN_MAX_NODES
+        p = make_params(1.1)
+        ov = oval(interior_levels(p, 1, 0.999, 0.999)[0], p, form=HamiltonianForm.CUBIC_FORM)
         with caplog.at_level(logging.WARNING, logger="q4lab"):
-            [(value, err, *_)] = quad._moments_green(((1, 1),), ov, 1e-17)
+            [(value, err, n, saturated)] = quad._moments_green(((1, 1),), ov, 1e-13)
         records = [r for r in caplog.records if r.name == "q4lab.quadrature"]
         assert len(records) == 1
         assert records[0].levelno == logging.WARNING
-        assert "max_panels=4000" in records[0].getMessage()
-        # the last round splits only as many panels as the cap has room for
-        panels = int(re.search(r"stopped at (\d+) panels", records[0].getMessage()).group(1))
-        assert panels <= 4000
-        assert err > 1e-17 * abs(value)
-        assert value == pytest.approx(moment_value(1, 1, -0.5, p4), rel=1e-13)
+        message = records[0].getMessage()
+        assert "green I_1_1" in message and f"max_nodes={quad.GREEN_MAX_NODES})" in message
+        assert n == quad.GREEN_MAX_NODES and saturated
+        assert err > 1e-13 * abs(value)
+        [(ref, *_)] = quad._moments_area2d(((1, 1),), ov, 1e-10)
+        assert value == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("kappa, level, nodes", [(1.01, 0.25, 16384), (1.1, 0.01, 512)])
+    def test_cubic_form_cases_converge_below_the_cap(self, kappa, level, nodes, caplog):
+        # GK15 stopped both at its 4,000-panel cap at tol 1e-13, the first
+        # saturated; the trapezoidal rule converges silently, within twice the
+        # tolerance of the 30-digit moments (the rays' rounding at kappa 1.01
+        # leaves up to 1.5e-13, a little above the sum's rounding floor)
+        p = make_params(kappa)
+        ov = oval(interior_levels(p, 1, level, level)[0], p, form=HamiltonianForm.CUBIC_FORM)
+        ijs = tuple(ij for ij in BASIS if ij[0] >= 0 or ov.min_x > 1e-6)
+        with caplog.at_level(logging.WARNING, logger="q4lab"):
+            green = quad._moments_green(ijs, ov, 1e-13)
+        assert not [r for r in caplog.records if r.name == "q4lab.quadrature"]
+        assert {(n, saturated) for _, _, n, saturated in green} == {(nodes, False)}
+        ref = TestArea2dGeometry._moments_30_digits(ov, ijs)
+        for ij, r, (value, *_) in zip(ijs, ref, green):
+            assert abs(value - float(r)) <= 2e-13 * abs(float(r)), ij
 
     def test_converged_call_is_silent(self, caplog):
         with caplog.at_level(logging.WARNING, logger="q4lab"):

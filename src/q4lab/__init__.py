@@ -108,7 +108,7 @@ def clear_caches() -> None:
         cache.cache_clear()
 
 
-# diagnostics (e.g. quadrature panel saturation) go to the "q4lab" logger
+# diagnostics (e.g. quadrature saturation at the node cap) go to the "q4lab" logger
 # and print nothing unless the application configures logging
 _logging.getLogger(__name__).addHandler(_logging.NullHandler())
 

@@ -87,14 +87,13 @@ from .picard_fuchs import (
     series_jet,
 )
 from .melnikov import center_z, extract_R_coeffs, get_moment_basis
-from .quadrature import _adaptive_gk
 from .reduction import G_rows, I_rows, JJ_value, mu_G_from_eq211, weigh
 
 J_MARGIN = 1e-3      # JTable spans (1, kappa) less this fraction of kappa - 1 at each end
 SCAN_MARGIN = 1e-6   # the scanner's window: the annulus less this fraction at each end
 GRID_MIN = 64        # fewest levels of a scan grid; _GridMemo keeps values on such arrays
 RHS_DEGREE = 6       # degree of inhomogeneous_bound_sample's random right-hand sides
-VOP_MAX_DEGREE = 1024  # cap on the Chebyshev degree of its variation integrals
+VOP_MAX_DEGREE = 1024  # cap on the degree of _chebyshev_antiderivative
 # the scanner's skip of tangency fits (``_variation``, ``_count_from_scan``)
 REACH = 1.25           # a fitted value moves at most 1 + 2/8 cell variations from f(x_i)
 ROW_ROUNDING = 1e-12   # a row's float error, relative to the bound of its terms' moduli
@@ -1164,7 +1163,9 @@ def _bound_reports(sc: BoundScanner, weights) -> list[BoundReport]:
 
 def _reconstruction_error(sc: BoundScanner, mu, muG) -> float:
     """Check I(h) = h * int_{-2/3}^h xi^-2 G(xi) d xi against the moment
-    route, at three interior levels, the rows weighed by ``weigh``."""
+    route, at three interior levels, the rows weighed by ``weigh``: the
+    integral from the basis window's edge is one ``_chebyshev_antiderivative``
+    of G(xi) / xi^2 on [edge, top level], read at each level."""
     hc, lo = sc.params.center_h, sc.prop.lo
 
     def G_of(h):  # flat, as MomentBasis takes 1-d levels
@@ -1175,12 +1176,12 @@ def _reconstruction_error(sc: BoundScanner, mu, muG) -> float:
 
     worst = 0.0
     scale = max(abs(I_of(0.5 * (sc.window[0] + sc.window[1]))), 1e-12)
-    for q in (0.3, 0.55, 0.8):
-        h = sc.window[0] + q * (sc.window[1] - sc.window[0])
-        integral, _ = _adaptive_gk(lambda x: G_of(x).reshape(x.shape) / x**2, lo, h, 1e-10)
-        # the sliver between the true endpoint -2/3 and the basis window edge
-        integral += float(G_of(lo)[0]) * (1.0 / hc - 1.0 / lo)
-        rec = h * integral
+    levels = [sc.window[0] + q * (sc.window[1] - sc.window[0]) for q in (0.3, 0.55, 0.8)]
+    integral = _chebyshev_antiderivative(lambda x: G_of(x) / x**2, [lo, levels[-1]], lo)
+    # the sliver between the true endpoint -2/3 and the basis window edge
+    sliver = float(G_of(lo)[0]) * (1.0 / hc - 1.0 / lo)
+    for h in levels:
+        rec = h * (float(integral(h)) + sliver)
         worst = max(worst, abs(rec - I_of(h)) / scale)
     return worst
 
@@ -1219,6 +1220,26 @@ def sweep_bounds(kappas, trials: int, seed: int, grid: int = 512) -> list[BoundR
 # the executable form of the count(G) <= k + 2 criterion
 # ---------------------------------------------------------------------------
 
+def _chebyshev_antiderivative(f, domain, lbnd) -> np.polynomial.Chebyshev:
+    """The antiderivative, zero at lbnd, of the Chebyshev interpolant of f on
+    domain whose degree doubles from 64 until its last four coefficients are
+    below 1e-13 of its largest; ConvergenceError past VOP_MAX_DEGREE.  The
+    coefficients are ``chebinterpolate``'s, summed by numpy's add.reduce, not
+    its BLAS gemv, whose bits vary with the kernel."""
+    C = np.polynomial.chebyshev
+    deg = 64
+    while deg <= VOP_MAX_DEGREE:
+        x = C.chebpts1(deg + 1)
+        y = f(np.polynomial.polyutils.mapdomain(x, [-1.0, 1.0], domain))
+        c = np.add.reduce(C.chebvander(x, deg) * y[:, None], axis=0)
+        c[0] /= deg + 1
+        c[1:] /= 0.5 * (deg + 1)
+        if np.abs(c[-4:]).max() <= 1e-13 * np.abs(c).max():
+            return C.Chebyshev(c, domain=domain).integ(lbnd=lbnd)
+        deg *= 2
+    raise ConvergenceError(f"Chebyshev tail above 1e-13 at degree {deg // 2} on {domain}")
+
+
 def _variation_solution(frame: L2Frame, R, c):
     """The solution G of L2(G) = R with (G, G')(mid) = c, R a polynomial in
     h, by variation of parameters on the frame: G = x1 (c1 - Q1) + x2 (c2 +
@@ -1226,9 +1247,8 @@ def _variation_solution(frame: L2Frame, R, c):
     midpoint, a2 = h (9 kappa h^2 - 4) and W = C h^2 / sqrt(9 kappa h^2 - 4)
     (``L2Frame.abel``).  In t = sqrt(s - 1), h = -(2/3) sqrt((1 + t^2) / kappa)
     and dh / (a2 W) = 9 kappa / (8 C (1 + t^2)^2) dt, so each integrand is
-    analytic on the closed window, and each Q_i is the antiderivative of a
-    Chebyshev interpolant in t whose degree doubles from 64 until its last
-    four coefficients are below 1e-13 of its largest."""
+    analytic on the closed window, and each Q_i is its
+    ``_chebyshev_antiderivative`` in t."""
     k = frame.params.kappa
     t_of = lambda h: np.sqrt(_s_minus_one(np.asarray(h, dtype=float), _two_product(2.25, k)))
     domain = [t_of(frame.window[1]), t_of(frame.window[0])]  # t falls as h rises
@@ -1238,14 +1258,7 @@ def _variation_solution(frame: L2Frame, R, c):
             h = -(2.0 / 3.0) * np.sqrt((1.0 + t * t) / k)
             return frame.frame(h)[row] * R(h) * 9.0 * k / (8.0 * frame.abel * (1.0 + t * t) ** 2)
 
-        deg = 64
-        while deg <= VOP_MAX_DEGREE:
-            p = np.polynomial.Chebyshev.interpolate(f, deg, domain=domain)
-            if np.abs(p.coef[-4:]).max() <= 1e-13 * np.abs(p.coef).max():
-                return p.integ(lbnd=t_of(frame.mid))
-            deg *= 2
-        raise ConvergenceError(f"variation integral's Chebyshev tail above 1e-13 at degree "
-                               f"{deg // 2} on t in {domain}")
+        return _chebyshev_antiderivative(f, domain, t_of(frame.mid))
 
     Q1, Q2 = antiderivative(2), antiderivative(0)
 

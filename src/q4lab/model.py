@@ -47,6 +47,7 @@ from .errors import (
 ENDPOINT_EXCLUSION = 1e-10
 ENDPOINT_TOL = 1e-12      # level_classify's relative width of the two endpoint classes
 CHORD_DEFECT_TOL = 5e-3   # an oval's rays are refined where a chord misses by more (relative)
+OVAL_RAYS = 256           # an oval's first rays from the center, before their midpoints
 
 
 class HamiltonianForm(str, Enum):
@@ -402,6 +403,14 @@ def _hess(x, y, h, params: ModelParams, form: HamiltonianForm):
     return -2.0 * y - 6.0 * h * x, -2.0 * x, 2.0 * k * y
 
 
+def doubling_angles(n0: int, level: int, span: float) -> np.ndarray:
+    """The equal angles on [0, span) that resolution ``level`` adds when N
+    doubles from n0: at level 0 the n0 angles span k / n0, at level l > 0
+    the n0 2^(l-1) midpoints span (2k + 1) / (n0 2^l) of the level before."""
+    n = n0 << level
+    return (np.arange(n) if level == 0 else np.arange(1, n, 2)) * (span / n)
+
+
 @dataclass(eq=False)
 class Oval:
     """A closed level oval in one of the cubic pictures, hashed by identity.
@@ -422,6 +431,7 @@ class Oval:
     grid_radii: np.ndarray = field(repr=False)  # at the n0 equal angles 2 pi k / n0 of ``oval``
     min_x: float = 0.0
     _bbox: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _folds: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _rays: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
@@ -464,16 +474,14 @@ class Oval:
 
     def rays(self, level: int) -> np.ndarray:
         """The points and tangents (x, y, dx, dy), one read-only (4, n) array,
-        at the angles that resolution ``level`` adds to the equal angle grid:
-        at level 0 the n0 = grid_radii.size angles 2 pi k / n0, whose radii
-        ``oval`` has solved, at level l > 0 the n0 2^(l-1) midpoints
-        (2k + 1) 2 pi / (n0 2^l) of the level before.  Stored on the oval, so
-        each ray is solved once, however many batches ask."""
+        at the angles ``doubling_angles(n0, level, 2 pi)`` adds, n0 =
+        grid_radii.size: level 0 is the grid whose radii ``oval`` has solved.
+        Stored on the oval, so each ray is solved once, however many batches
+        ask."""
         while len(self._rays) <= level:
-            n, first = self.grid_radii.size << len(self._rays), not self._rays
-            theta = np.arange(0 if first else 1, n, 1 if first else 2) * (2.0 * math.pi / n)
+            theta = doubling_angles(self.grid_radii.size, len(self._rays), 2.0 * math.pi)
             c, s = np.cos(theta), np.sin(theta)
-            out = np.stack(self._on_rays(c, s, self.grid_radii if first else self._radii(c, s)))
+            out = np.stack(self._on_rays(c, s, self._radii(c, s) if self._rays else self.grid_radii))
             out.flags.writeable = False
             self._rays.append(out)
         return self._rays[level]
@@ -513,14 +521,21 @@ class Oval:
             raise GeometryError("Newton left the polyline neighbours of a bounding-box vertex")
         x0, x1, y0, y1 = cx + p.real[0], cx + p.real[1], cy + p.imag[2], cy + p.imag[3]
         px, py = 1e-12 * (x1 - x0) + 1e-300, 1e-12 * (y1 - y0) + 1e-300
+        self._folds = (x0, x1)
         self._bbox = (x0 - px, x1 + px, y0 - py, y1 + py)
         return self._bbox
+
+    @property
+    def folds(self) -> tuple[float, float]:
+        """The oval's two folds, where its vertical tangents touch: the
+        x-sides of :meth:`bounding_box` before its pad."""
+        self.bounding_box()
+        return self._folds
 
 
 def oval(h: float, params: ModelParams,
          form: HamiltonianForm = HamiltonianForm.SYMMETRIC_FORM,
-         center: tuple[float, float] | None = None,
-         n_min: int = 256) -> Oval:
+         center: tuple[float, float] | None = None) -> Oval:
     """Construct the closed, positively oriented level oval around the center.
 
     On each ray from the center the restriction of the cubic is solved
@@ -543,7 +558,7 @@ def oval(h: float, params: ModelParams,
             raise DegenerateLevelError(f"level h={h} within {ENDPOINT_EXCLUSION} of an endpoint")
         center = (1.0, 1.0)
 
-    grid = np.arange(2 * n_min) * (math.pi / n_min)  # the rays, then their midpoints
+    grid = np.arange(2 * OVAL_RAYS) * (math.pi / OVAL_RAYS)  # the rays, then their midpoints
     try:
         return _ray_oval(grid, h, params, form, tuple(center))
     except DegenerateLevelError as exc:

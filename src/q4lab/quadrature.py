@@ -8,28 +8,30 @@ symmetric picture (region {H(x, y) < h}).  Two independent methods:
 
 * ``green``   reduce to a contour integral over the oval by Green's theorem,
               a smooth periodic function of the ray angle, and integrate it
-              with the trapezoidal rule over N equal angle steps, doubling N
-              from the 512 rays ``oval`` has already solved; the primary
-              method.  The rays (point and tangent) of each resolution are
-              stored on the oval, so batches on one oval (a basis batch,
-              then single indices) solve each ray once.
+              over the full turn, doubling N from the 512 rays ``oval`` has
+              already solved; the primary method.  The rays (point and
+              tangent) of each resolution are stored on the oval, so batches
+              on one oval (a basis batch, then single indices) solve each
+              ray once.
 * ``area2d``  one Fubini integral over vertical slices: the oval's slice at
               x is (r1, r2), the top two roots of the slice cubic, for every
-              x between the two folds (the x-sides of the bounding box), so
-              I_ij = int x^i (r2^(j+1) - r1^(j+1)) / (j+1) dx.  The two runs
-              x = x_min + t^2 and x = x_max - t^2, which meet at the middle,
-              make the integrand analytic in t.  The slices are cubics in y,
-              solved like green's rays by ``model.ranked_cubic_roots``, for
-              their top two roots alone; one check per oval, that the slice
-              at the center's x holds the center, stands for the premise; it
-              is solved in the same call as the first panels' slices.
+              x between the two folds (``Oval.folds``), so
+              I_ij = int x^i (r2^(j+1) - r1^(j+1)) / (j+1) dx.  In the angle
+              x = x_c - (w/2) cos theta between the folds the integrand is
+              sin^2 theta times an even smooth function of theta, integrated
+              over [0, pi].  The slices are cubics in y, solved like green's
+              rays by ``model.ranked_cubic_roots``, for their top two roots
+              alone; one check per oval, that the slice at the center's x
+              holds the center, stands for the premise; it is solved in the
+              same call as the first N's slices.  The error reported adds a
+              bound on the slice ends' rounding, from the cubic's slope.
 
-Both evaluate batches of integrals: green on one N per batch, area2d in
-the GK loop ``_gk_refine`` (as does the I-reconstruction check), on one
-panel set per batch: a panel is halved wherever an integral of the batch
-needs it, as in DCUHRE and SciPy's ``quad_vec``, and each integral stops at
-its own budget.  The six symmetric-form basis moments are one batch; any
-other index is a batch of one.
+Both run one rule, ``_trapezoid``: the composite trapezoidal rule over N
+equal angle steps, N doubling on the new midpoints alone until each
+integral of a batch meets its own budget, which converges geometrically on
+these smooth periodic (green) or even (area2d) integrands.  The six
+symmetric-form basis moments are one batch; any other index is a batch of
+one.
 The module also evaluates the residues of the underlying third-kind
 differential and a discriminant detecting singular level curves.
 
@@ -52,35 +54,13 @@ from .model import (
     HamiltonianForm,
     ModelParams,
     Oval,
+    doubling_angles,
     make_params,
     oval,
     ranked_cubic_roots,
 )
 
 logger = logging.getLogger(__name__)
-
-# Gauss-Kronrod 15 nodes on [-1, 1] and weights, with the embedded Gauss-7
-# weights on the odd-indexed nodes.
-_XGK = np.array([
-    -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
-    -0.7415311855993945, -0.5860872354676911, -0.4058451513773972,
-    -0.2077849550078985, 0.0, 0.2077849550078985, 0.4058451513773972,
-    0.5860872354676911, 0.7415311855993945, 0.8648644233597691,
-    0.9491079123427585, 0.9914553711208126,
-])
-_WGK = np.array([
-    0.0229353220105292, 0.0630920926299786, 0.1047900103222502,
-    0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
-    0.2044329400752989, 0.2094821410847278, 0.2044329400752989,
-    0.1903505780647854, 0.1690047266392679, 0.1406532597155259,
-    0.1047900103222502, 0.0630920926299786, 0.0229353220105292,
-])
-_WG = np.array([
-    0.1294849661688697, 0.2797053914892767, 0.3818300505051189,
-    0.4179591836734694, 0.3818300505051189, 0.2797053914892767,
-    0.1294849661688697,
-])
-
 
 # (i, j) of the six basic moments I00, I10, I01, I11, I-10, I-11
 BASIS_INDICES = ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (-1, 1))
@@ -104,8 +84,8 @@ class MomentValue:
     value: float
     method: str
     err_estimate: float
-    panels: int  # green: N, the equal angle steps; area2d: GK panels; shared by the batch
-    saturated: bool  # stopped at the cap (nodes or panels) with the error above its budget
+    panels: int  # N, the equal angle steps, shared by the batch
+    saturated: bool  # stopped at MAX_NODES with the error above its budget
 
 
 @functools.cache
@@ -113,68 +93,53 @@ def cached_oval(h: float, kappa: float, form: HamiltonianForm) -> Oval:
     return oval(h, make_params(kappa), form=form)
 
 
-def _gk_sums(fx: np.ndarray):
-    """GK15(7) value and error estimate of each panel from its weighted
-    integrand values fx (..., P, 15), the weights holding the half-width,
-    summed over the last axis by numpy's add.reduce: a BLAS gemv's bits vary
-    with the kernel."""
-    k = np.add.reduce(fx * _WGK, axis=-1)
-    return k, np.abs(k - np.add.reduce(fx[..., 1::2] * _WG, axis=-1))
+MAX_NODES = 1 << 16  # nodes at which either method stops doubling
+AREA2D_NODES = 64  # area2d's first N: 32 angles and their midpoints
 
 
-def _gk_refine(nodes, sums, panels: tuple, first: tuple, rel: float, max_panels: int,
-               whats: list) -> list:
-    """Integral k is the GK sum over the batch's one panel set, from first
-    panels (arrays of any tags, then the ends lo and hi) whose node data
-    ``first`` the caller solves (``nodes(*panels)``, or with more points in
-    the same call), to its own budget
-    rel |integral| (QUADPACK's QAG criterion).  Each round halves every
-    panel where an integral above its budget errs by more than an even share
-    of it, and each such integral's worst; the worst by their largest error go
-    first when ``max_panels`` has less room.  Stopped there, an integral above
-    its budget logs one WARNING naming whats[k].  ``nodes(*panels)`` gives the
-    node data of each round's new panels, ``sums(*data)`` their (integrals,
-    panels) values and errors.  Returns (value, error, panels, saturated) each."""
-    value, err = sums(*first)
+def _trapezoid(terms, n0: int, span: float, tol: float, whats: list) -> list:
+    """Integrals over [0, span) of smooth functions, periodic or even about
+    both ends, as one batch, by the composite trapezoidal rule T_N over N
+    equal steps, which converges geometrically on such an integrand.
+    ``terms(level, theta)`` gives the integrands (indices, nodes) at the
+    angles theta that resolution ``level`` adds (``doubling_angles``), and
+    the sum over those nodes of a bound on each integrand's own rounding,
+    per index (or 0.0).  N starts at n0 and doubles, each time on the N new
+    midpoints alone, while an index's |T_N - T_{N/2}| (T_{N/2} sums every
+    other node) is above tol |T_N|; at MAX_NODES an index still above its
+    budget logs one WARNING naming whats[k] and is flagged saturated.  The
+    error reported is that difference, floored by the rounding bound of the
+    sum, log2(N) eps sum |terms| span / N (the bound of a pairwise sum,
+    numpy's add.reduce, in eps = 2u to cover the terms' own arithmetic too),
+    plus the integrands' own bound times span / N, so a converged rule never
+    reports 0.  The doubling stops on the difference alone, so where the
+    floor is above tol |T_N| the error reported is too, unsaturated.  Each
+    resolution's nodes are summed by add.reduce and the sums folded in
+    order, so a batch's bits depend on its own indices alone.  Returns
+    (value, error, N, saturated) each."""
+    f, rounding = terms(0, doubling_angles(n0, 0, span))
+    half = np.add.reduce(f[:, 0::2], axis=1)
+    total = half + np.add.reduce(f[:, 1::2], axis=1)
+    size = np.add.reduce(np.abs(f), axis=1)
+    n, level = n0, 0
     while True:
-        total, est = np.add.reduce(value, axis=1), np.add.reduce(err, axis=1)
-        target, size = rel * np.maximum(np.abs(total), 1e-300), value.shape[1]
-        over = est > target
-        if not over.any() or size >= max_panels:
-            for k in np.flatnonzero(over):
-                logger.warning("%s stopped at %d panels (max_panels=%d): error estimate "
-                               "%.3e above the target %.3e (relative budget %.3e)",
-                               whats[k], size, max_panels, est[k], target[k], rel)
-            return [(float(t), float(e), size, bool(o)) for t, e, o in zip(total, est, over)]
-        worst = err[over]
-        split = (worst > (target[over] / size)[:, None]).any(axis=0)
-        split[worst.argmax(axis=1)] = True  # each one's worst, should rounding leave none above
-        if np.count_nonzero(split) > max_panels - size:  # the worst first, to end at the cap
-            rank = np.argsort(-worst.max(axis=0), kind="stable")
-            split = np.isin(np.arange(size), rank[:max_panels - size])
-        *tags, lo, hi = (a[split] for a in panels)
-        mid = 0.5 * (lo + hi)
-        new = (*(np.tile(t, 2) for t in tags), np.concatenate([lo, mid]),
-               np.concatenate([mid, hi]))
-        v, e = sums(*nodes(*new))
-        panels = tuple(np.concatenate([a[~split], b]) for a, b in zip(panels, new))
-        value, err = (np.concatenate([a[:, ~split], b], axis=1) for a, b in ((value, v), (err, e)))
-
-
-def _adaptive_gk(f, a: float, b: float, tol: float, max_panels: int = 4000):
-    """f over [a, b] to tol |integral| from 8 equal panels; f takes the
-    (P, 15) nodes of each round's P new panels."""
-    def nodes(lo, hi):
-        half = 0.5 * (hi - lo)[:, None]
-        return half, f(0.5 * (lo + hi)[:, None] + half * _XGK)
-
-    edges = np.linspace(a, b, 9)
-    panels = (edges[:-1], edges[1:])
-    return _gk_refine(nodes, lambda half, fx: _gk_sums(half * fx[None]), panels, nodes(*panels),
-                      tol, max_panels, [f"adaptive GK on [{a!r}, {b!r}]"])[0][:2]
-
-
-GREEN_MAX_NODES = 1 << 16  # equal angle steps at which green stops doubling
+        step = span / n
+        value = step * total
+        err = np.abs(value - 2.0 * step * half)
+        target = tol * np.maximum(np.abs(value), 1e-300)
+        over = err > target
+        if not over.any() or n >= MAX_NODES:
+            break
+        level += 1
+        f, more = terms(level, doubling_angles(n0, level, span))
+        half, total = total, total + np.add.reduce(f, axis=1)
+        size, rounding = size + np.add.reduce(np.abs(f), axis=1), rounding + more
+        n *= 2
+    err = np.maximum(err, math.log2(n) * np.finfo(float).eps * step * size + step * rounding)
+    for what, e, t in zip(np.array(whats)[over], err[over], target[over]):
+        logger.warning("%s stopped at %d nodes (max_nodes=%d): error estimate %.3e above "
+                       "the target %.3e (relative budget %.3e)", what, n, MAX_NODES, e, t, tol)
+    return [(float(v), float(e), n, bool(o)) for v, e, o in zip(value, err, over)]
 
 
 def _green_terms(ijs: tuple, rays: np.ndarray) -> np.ndarray:
@@ -187,45 +152,13 @@ def _green_terms(ijs: tuple, rays: np.ndarray) -> np.ndarray:
 
 
 def _moments_green(ijs: tuple, ov: Oval, tol: float) -> list:
-    """The green moments I_ij, (i, j) in ijs, as one batch, by the composite
-    trapezoidal rule T_N over N equal angle steps, which converges
-    geometrically on a smooth periodic integrand.  N starts at the oval's
-    own grid (``Oval.rays(0)``, whose radii ``oval`` has solved) and doubles,
-    each time on the N new midpoints alone, while an index's |T_N - T_{N/2}|
-    (T_{N/2} sums every other node) is above tol |T_N|; at GREEN_MAX_NODES an
-    index still above its budget logs one WARNING and is flagged saturated.
-    The error reported is that difference, floored by the rounding bound of
-    the sum, log2(N) eps sum |terms| 2 pi / N (the bound of a pairwise sum,
-    numpy's add.reduce, in eps = 2u to cover the terms' own rounding too), so
-    a converged rule never reports 0.  The doubling stops on the difference
-    alone, so where the floor is above tol |T_N| the error reported is too,
-    unsaturated.  Each resolution's nodes are summed by add.reduce and the
-    sums folded in order, so a batch's bits depend on its own indices alone.
-    Returns (value, error, N, saturated) each."""
-    terms = _green_terms(ijs, ov.rays(0))
-    half = np.add.reduce(terms[:, 0::2], axis=1)
-    total = half + np.add.reduce(terms[:, 1::2], axis=1)
-    size = np.add.reduce(np.abs(terms), axis=1)
-    n, level = terms.shape[1], 0
-    while True:
-        step = 2.0 * math.pi / n
-        value = step * total
-        err = np.abs(value - 2.0 * step * half)
-        target = tol * np.maximum(np.abs(value), 1e-300)
-        over = err > target
-        if not over.any() or n >= GREEN_MAX_NODES:
-            break
-        level += 1
-        terms = _green_terms(ijs, ov.rays(level))
-        half, total = total, total + np.add.reduce(terms, axis=1)
-        size = size + np.add.reduce(np.abs(terms), axis=1)
-        n *= 2
-    err = np.maximum(err, math.log2(n) * np.finfo(float).eps * step * size)
-    for (i, j), e, t in zip(np.array(ijs)[over], err[over], target[over]):
-        logger.warning("green I_%d_%d at h=%r stopped at %d nodes (max_nodes=%d): error "
-                       "estimate %.3e above the target %.3e (relative budget %.3e)",
-                       i, j, ov.h, n, GREEN_MAX_NODES, e, t, tol)
-    return [(float(v), float(e), n, bool(o)) for v, e, o in zip(value, err, over)]
+    """The green moments I_ij, (i, j) in ijs, as one batch: ``_trapezoid``
+    over the full turn of the ray angle, from the oval's own grid
+    (``Oval.rays(0)``, whose radii ``oval`` has solved); ``Oval.rays``
+    stores the rays at the same angles."""
+    return _trapezoid(lambda level, theta: (_green_terms(ijs, ov.rays(level)), 0.0),
+                      ov.grid_radii.size, 2.0 * math.pi, tol,
+                      [f"green I_{i}_{j} at h={ov.h!r}" for i, j in ijs])
 
 
 # ---------------------------------------------------------------------------
@@ -256,64 +189,54 @@ def _slice_ends(ov: Oval, x: np.ndarray):
     return tuple(r.reshape((2,) + x.shape))
 
 
-def _slice_nodes(ov: Oval, base: np.ndarray, sign: np.ndarray, t_lo: np.ndarray,
-                 t_hi: np.ndarray, premise: bool = False):
-    """GK15 nodes x (P, 15) of the panels [t_lo, t_hi], each on its run
-    x = base + sign t^2 from a fold, where the slice length behaves like
-    sqrt(|x - base|), so the integrand is analytic in t.  Returns x, the
-    weights w (half-width times |dx/dt|) and the slice ends (r1, r2) at the
-    nodes.  With ``premise``, the slice at the center's x is solved in the
-    same call (each slice keeps its bits), and GeometryError is raised
-    unless it holds the center: the slice (r1, r2) is then the oval's, for
-    every x between the folds."""
-    half = 0.5 * (t_hi - t_lo)[:, None]
-    t = 0.5 * (t_lo + t_hi)[:, None] + half * _XGK
-    x = base[:, None] + sign[:, None] * (t * t)
-    if not premise:
-        return (x, 2.0 * half * t, *_slice_ends(ov, x))
-    (cx, cy), n = ov.center, x.size
-    r1, r2 = _slice_ends(ov, np.append(x, cx))
-    if not r1[n] < cy < r2[n]:
-        raise GeometryError(f"the slice ({r1[n]!r}, {r2[n]!r}) at x = {cx!r} misses the "
-                            f"center y = {cy!r} (h={ov.h!r})")
-    return x, 2.0 * half * t, r1[:n].reshape(x.shape), r2[:n].reshape(x.shape)
-
-
-# panels after which an area2d moment stops refining; c01's grid ends on
-# the 8 initial ones at tol 1e-8, and below 1e-13 rounding limits the estimate
-AREA2D_MAX_PANELS = 2000
-AREA2D_RUN_PANELS = 4  # equal initial panels on each of the two runs
-
-
-def _panels_gk(ijs: tuple, nodes):
-    """GK15(7) values and error estimates (indices, panels) of x^i y^j,
-    (i, j) in ijs, on each panel."""
-    x, w, r1, r2 = nodes
-    return _gk_sums(np.stack([x**i * w * (r2 ** (j + 1) - r1 ** (j + 1)) / (j + 1)
-                              for i, j in ijs]))
-
-
-def _area2d_panels(ov: Oval) -> tuple:
-    """The initial panels (base, sign, t_lo, t_hi) of area2d: AREA2D_RUN_PANELS
-    equal ones on each of the runs x = x_min + t^2 and x = x_max - t^2, with
-    x_min and x_max the x-sides of the bounding box, which are the folds;
-    the runs meet at the middle."""
-    x_min, x_max = ov.bounding_box()[:2]
-    edges = np.linspace(0.0, math.sqrt(0.5 * (x_max - x_min)), AREA2D_RUN_PANELS + 1)
-    return (np.repeat([x_min, x_max], AREA2D_RUN_PANELS),
-            np.repeat([1.0, -1.0], AREA2D_RUN_PANELS), np.tile(edges[:-1], 2),
-            np.tile(edges[1:], 2))
+def _slice_term_rounding(ov: Oval, ijs: tuple, x, dx, r1, r2) -> np.ndarray:
+    """A bound (indices, nodes) on the rounding that area2d's integrands
+    x^i (r2^(j+1) - r1^(j+1)) / (j+1) dx take from their slice ends r1, r2
+    at x: |x|^i dx sum |r|^j dr over both ends, with dr the rounding of the
+    cubic at r, eps (a |r|^3 + |p| |r| + |q|) (|p| and |q| summed in
+    absolute value at |x|), over its slope |3 a r^2 + p| there.  Next to a
+    fold the slope falls like the slice length, like sin theta in area2d's
+    angle, and dx cancels it; at theta = 0 (dx = 0) the bound is 0."""
+    a, p, q = _slice_cubic(ov)
+    ax, r = np.abs(x), np.abs([r1, r2])
+    pa, qa = (np.polynomial.polynomial.polyval(ax, np.abs(c)) for c in (p, q))
+    slope = np.abs(3.0 * a * r * r + np.polynomial.polynomial.polyval(x, p))
+    i, j = np.array(ijs).T[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.finfo(float).eps * ((a * r * r + pa) * r + qa) / slope
+        return np.where(dx > 0.0, ax**i * dx * np.add.reduce(r ** j[:, None] * d, axis=1), 0.0)
 
 
 def _moments_area2d(ijs: tuple, ov: Oval, tol: float) -> list:
     """The area2d moments I_ij, (i, j) in ijs, as one Fubini integral over
-    vertical slices, I_ij = int x^i (r2^(j+1) - r1^(j+1)) / (j+1) dx on
-    [x_min, x_max]: one batched GK pass over the two runs' panels, to
-    0.02 tol |moment| each.  Raises GeometryError unless the slice at the
-    center's x, solved with the first panels' slices, holds the center."""
-    panels = _area2d_panels(ov)
-    return _gk_refine(lambda *new: _slice_nodes(ov, *new), lambda *nodes: _panels_gk(ijs, nodes),
-                      panels, _slice_nodes(ov, *panels, True), 0.02 * tol, AREA2D_MAX_PANELS,
+    vertical slices, I_ij = int x^i (r2^(j+1) - r1^(j+1)) / (j+1) dx between
+    the folds x0 and x1 (``Oval.folds``), in the angle x = x_c - (w/2) cos
+    theta, theta in [0, pi], with x_c and w the folds' middle and distance.
+    The slice length is (w/2) sin theta times a smooth function, so the
+    integrand is sin^2 theta times an even smooth function, and ``_trapezoid``
+    over [0, pi) from AREA2D_NODES steps meets 0.02 tol |moment| each (the
+    end theta = pi adds 0).  Each integrand's own rounding is bounded by its
+    slice ends' (``_slice_term_rounding``), so the error reported covers the
+    roots as well as the rule.  The folds must be the unpadded ones: a slice
+    empty at the ends breaks the rule's geometric convergence.  Raises
+    GeometryError unless the slice at the center's x, solved with the first
+    N's slices, holds the center."""
+    x0, x1 = ov.folds
+    xc, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
+    cx, cy = ov.center
+
+    def terms(level, theta):
+        x, dx = xc - half * np.cos(theta), half * np.sin(theta)
+        r1, r2 = _slice_ends(ov, x if level else np.append(x, cx))
+        if not level:
+            if not r1[-1] < cy < r2[-1]:
+                raise GeometryError(f"the slice ({r1[-1]!r}, {r2[-1]!r}) at x = {cx!r} misses "
+                                    f"the center y = {cy!r} (h={ov.h!r})")
+            r1, r2 = r1[:-1], r2[:-1]
+        f = np.stack([x**i * dx * (r2 ** (j + 1) - r1 ** (j + 1)) / (j + 1) for i, j in ijs])
+        return f, np.add.reduce(_slice_term_rounding(ov, ijs, x, dx, r1, r2), axis=1)
+
+    return _trapezoid(terms, AREA2D_NODES, math.pi, 0.02 * tol,
                       [f"area2d I_{i}_{j} at h={ov.h!r}" for i, j in ijs])
 
 
@@ -321,12 +244,11 @@ def moment(index: MomentIndex, h: float, params: ModelParams,
            method: str = "green", tol: float = 1e-8) -> MomentValue:
     """Evaluate one moment integral at level h to a relative tolerance.
 
-    The tolerance is relative to the whole moment.  Green's trapezoidal rule
-    doubles its N equal angle steps, from the oval's 512 rays to at most
-    GREEN_MAX_NODES, until |T_N - T_{N/2}| <= tol |I|; ``panels`` is then N.
-    area2d spends 0.02 tol |I| as one error budget shared by its slice
-    panels, at most AREA2D_MAX_PANELS, from AREA2D_RUN_PANELS on each of its
-    two runs; ``panels`` is their number.
+    The tolerance is relative to the whole moment.  Both methods double
+    their N equal angle steps (``_trapezoid``), to at most MAX_NODES: green
+    from the oval's 512 rays until |T_N - T_{N/2}| <= tol |I|, area2d from
+    AREA2D_NODES slices until that difference is within 0.02 tol |I|;
+    ``panels`` is N.
 
     A symmetric-form basis index (BASIS_INDICES) brings its five siblings,
     evaluated as one batch, each to its own budget on the batch's shared

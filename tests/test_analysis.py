@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 
 import frozen_scan
 import q4lab.analysis as an
-from conftest import kernel_env, keyhole_reference, openblas_kernels
+from conftest import adaptive_gk_reference, kernel_env, keyhole_reference, openblas_kernels
 from q4lab import (ConsistencyError, ConvergenceError, DomainError, SingularityError,
                    clear_caches, make_params)
 from q4lab.analysis import (
@@ -595,6 +595,23 @@ class TestBoundPipeline:
         br = bound_pipeline(p)
         assert br.reconstruction_rel_err is not None
         assert br.reconstruction_rel_err <= 1e-6
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_reconstruction_integral_matches_gk(self, kappa, monkeypatch):
+        # the check integrates G(xi) / xi^2 from the basis window's edge by one
+        # Chebyshev antiderivative; on its span it matches adaptive GK15
+        # (conftest's reference) to 1e-14 of the integral
+        seen, cheb = [], an._chebyshev_antiderivative
+        monkeypatch.setattr(an, "_chebyshev_antiderivative", lambda f, domain, lbnd: seen.append(
+            (f, domain, lbnd, cheb(f, domain, lbnd))) or seen[-1][-1])
+        br = bound_pipeline(make_params(kappa, mu=(0.7, -0.4, 0.5, 0.3)))
+        assert br.reconstruction_rel_err <= 1e-6
+        [(f, (lo, top), lbnd, integral)] = seen
+        assert lbnd == lo
+        for h in (lo + 0.25 * (top - lo), 0.5 * (lo + top), top):
+            ref, ref_err, _ = adaptive_gk_reference(
+                lambda x: f(x.ravel()).reshape(x.shape), lo, h, 1e-15)
+            assert abs(float(integral(h)) - ref) <= 1e-14 * abs(ref), (h, ref_err)
 
     def test_mini_sweep_no_violations(self):
         reports = sweep_bounds([1.5, 4.0], trials=40, seed=314)

@@ -289,7 +289,7 @@ class TestCommands:
         assert digests == dict.fromkeys(digests, want)
 
     def test_moments_bytes_independent_of_blas_kernel(self, tmp_path):
-        # green's trapezoid sums and area2d's GK sums are numpy's add.reduce,
+        # green's and area2d's trapezoid sums are numpy's add.reduce,
         # not a BLAS gemv, so every row of moments.csv, and so its status, is
         # the same under every kernel
         digests = self._digests_under_kernels(tmp_path, ["moments", "--kappa", "4"])
@@ -305,8 +305,13 @@ class TestCommands:
     # 4.6e-15), no count, chain row or status; re-pinned when MomentBasis
     # came to sum two exact end expansions: the same rows moved
     # (1.2130408344438345e-14 -> 1.0782585195056317e-14, 3.5372057485797957e-15
-    # -> 3.4011593736344214e-15, 4.582930196925236e-15 -> 4.383672362276333e-15)
-    ZEROS_GOLDEN_SHA256 = "015536d51b1e2381b9769282988f5be4a81ad08ec260942fc237d2d6d57ba447"
+    # -> 3.4011593736344214e-15, 4.582930196925236e-15 -> 4.383672362276333e-15);
+    # re-pinned when the check's integral moved from adaptive GK15 to one
+    # Chebyshev antiderivative whose coefficients add.reduce sums: the same
+    # three rows moved (1.0782585195056317e-14 -> 1.0306882907039126e-14,
+    # 3.4011593736344214e-15 -> 3.809298498470552e-15, 4.383672362276333e-15
+    # -> 4.582930196925257e-15), no count, chain row or status
+    ZEROS_GOLDEN_SHA256 = "5a36f3e8aa28cf699df25af643e560efbb42c0f24a5401db375e10f89a8e00a4"
 
     def test_zeros_bytes_independent_of_blas_kernel(self, tmp_path):
         digests = self._digests_under_kernels(
@@ -416,8 +421,11 @@ class TestCommands:
     # agreement rows moved, no status; in residuals.csv 46 of 55 rows moved
     # (every row that reads green: the recurrence, reduction, inversion,
     # route-equality, pf:* and R:dual-route rows, and J:wronskian-real), all
-    # still passing
-    MOMENTS_GOLDEN_SHA256 = "0238fee168e848beca83a8d264f3867140e0524ce4535e824b89e9adadc0eec7"
+    # still passing.  moments.csv re-pinned when area2d went from GK15 panels
+    # on the t^2 runs to the trapezoidal rule in the fold angle: 41 of the 48
+    # agreement rows moved (the worst 4.7e-15 -> 2.2e-15), no green row and
+    # no status; residuals.csv kept its bytes
+    MOMENTS_GOLDEN_SHA256 = "0087c08eaa7a96581cfafe8afbac10937116286c0713b58676f825c936818ac0"
     RESIDUALS_GOLDEN_SHA256 = "b2ef78566b3a72db1283f9d7cf0725c82728205ae61ee4715588bb33e15f02ee"
 
     @pytest.mark.parametrize("command", ["moments", "verify"])

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 import q4lab.quadrature as quad
-from conftest import area2d_reference, green_reference, trapezoid_reference
+from conftest import (
+    area2d_reference,
+    area2d_trapezoid_reference,
+    green_reference,
+    green_trapezoid_reference,
+)
 from q4lab import (
     DegenerateLevelError,
     DomainError,
@@ -49,13 +54,15 @@ class TestMomentOracle:
                 b = moment_value(-6, 1, h, p, form=HamiltonianForm.CUBIC_FORM)
                 assert a == pytest.approx(b, rel=1e-6)
 
-    def test_green_independent_of_polyline_density(self, p4):
+    def test_green_independent_of_polyline_density(self, p4, monkeypatch):
         # the contour quadrature evaluates the curve exactly at its own
-        # nodes; the witness polyline density must not affect the value
-        from q4lab.model import oval
+        # nodes; the witness polyline density (OVAL_RAYS) must not affect the value
+        import q4lab.model as model
         from q4lab.quadrature import _moments_green
-        a = oval(-0.47, p4, n_min=256)
-        b = oval(-0.47, p4, n_min=512)
+        a = oval(-0.47, p4)
+        monkeypatch.setattr(model, "OVAL_RAYS", 2 * model.OVAL_RAYS)
+        b = oval(-0.47, p4)
+        assert b.grid_radii.size == 2 * a.grid_radii.size
         [(va, *_)] = _moments_green(((1, 1),), a, 1e-10)
         [(vb, *_)] = _moments_green(((1, 1),), b, 1e-10)
         assert va == pytest.approx(vb, rel=1e-10)
@@ -107,9 +114,9 @@ class TestMomentOracle:
 
 
 class TestArea2dGeometry:
-    """area2d integrates vertical slices between the oval's two folds, the
-    x-sides of its bounding box; the values must not depend on which
-    indices came before."""
+    """area2d integrates vertical slices between the oval's two folds
+    (``Oval.folds``, the x-sides of its bounding box before the pad); the
+    values must not depend on which indices came before."""
 
     @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
     def test_values_independent_of_index_order(self, kappa):
@@ -156,14 +163,16 @@ class TestArea2dGeometry:
                 D = -4.0 * a * P.polypow(pc, 3) - 27.0 * a * a * P.polymul(qc, qc)
                 roots = np.roots(D[::-1])
                 real = roots[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots.real))].real
-                x_min, x_max = ov.bounding_box()[:2]
-                near = 1e-9 * (x_max - x_min)  # the folds, which the box pads by 1e-12
+                x_min, x_max = ov.folds
+                box = ov.bounding_box()
+                assert box[0] < x_min < x_max < box[1]  # the box pads the folds by 1e-12
+                near = 1e-9 * (x_max - x_min)
                 assert np.abs(real - x_min).min() < near and np.abs(real - x_max).min() < near
                 inside = real[(real > x_min + near) & (real < x_max - near)]
                 assert inside.size == 0, (level, form, inside)
                 r1, r2 = quad._slice_ends(ov, np.array([ov.center[0]]))
                 assert r1[0] < ov.center[1] < r2[0], (level, form)
-                quad._slice_nodes(ov, *quad._area2d_panels(ov), True)  # the guard passes
+                quad._moments_area2d(((0, 0),), ov, 1e-8)  # the guard passes
                 checked += 1
         assert checked >= 30
 
@@ -248,6 +257,49 @@ class TestArea2dGeometry:
         clear_caches()
         assert worst <= 1e-10
         assert not [r for r in caplog.records if r.name == "q4lab.quadrature"]
+
+    DOMAIN_LEVELS = (0.01, 0.08, 0.5, 0.92, 0.99, 0.999)
+
+    @pytest.mark.parametrize("kappa", [1.01, 1.5, 4.0, 9.0, 100.0, 1000.0, 1e4])
+    def test_fold_angle_rule_converges_over_the_domain(self, kappa):
+        # the integrand in the fold angle is sin^2 theta times an even smooth
+        # function, so the rule stops unsaturated by N = 512 at tol 1e-8 from
+        # next to the center to next to the saddle, in both forms; the error
+        # reported is within tol, though not always within the rule's 0.02
+        # tol: at kappa 10^4, level 0.01, the slice roots' rounding bound
+        # reads 6.8e-10
+        p = make_params(kappa)
+        checked = 0
+        for level in self.DOMAIN_LEVELS:
+            h = interior_levels(p, 1, level, level)[0]
+            for form in (HamiltonianForm.SYMMETRIC_FORM, HamiltonianForm.CUBIC_FORM):
+                try:
+                    ov = oval(h, p, form=form)
+                except DegenerateLevelError:
+                    continue
+                ijs = tuple(ij for ij in BASIS if ij[0] >= 0 or ov.min_x > 1e-6)
+                for ij, (value, err, n, saturated) in zip(ijs, quad._moments_area2d(ijs, ov, 1e-8)):
+                    assert not saturated and n <= 512, (level, form, ij, n)
+                    assert err <= 1e-8 * abs(value), (level, form, ij)
+                checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("kappa, level, form", [
+        (1.01, 0.08, HamiltonianForm.SYMMETRIC_FORM), (4.0, 0.5, HamiltonianForm.CUBIC_FORM),
+        (1000.0, 0.01, HamiltonianForm.CUBIC_FORM), (1000.0, 0.08, HamiltonianForm.SYMMETRIC_FORM)])
+    def test_area2d_error_estimate_covers_30_digits(self, kappa, level, form):
+        # next to the center the slice roots' own rounding, not the rule, sets
+        # area2d's error: up to 6.7e-14 at kappa 1.01 and 1.0e-12 at kappa
+        # 1000, level 0.08, where |T_N - T_{N/2}| and the sum's floor read
+        # 1e-14 and 1.1e-13.  The error reported, which adds a bound on the
+        # roots' rounding from the cubic's slope, covers it there and at mid
+        # window (kappa 4), within the rule's budget
+        p = make_params(kappa)
+        ov = oval(interior_levels(p, 1, level, level)[0], p, form=form)
+        ijs = tuple(ij for ij in BASIS if ij[0] >= 0 or ov.min_x > 1e-6)
+        ref = self._moments_30_digits(ov, ijs)
+        for ij, r, (a, err, *_) in zip(ijs, ref, quad._moments_area2d(ijs, ov, 1e-8)):
+            assert abs(a - float(r)) <= err <= 0.02 * 1e-8 * abs(a), ij
 
     def test_bounding_box_computed_once(self, p4, monkeypatch):
         # Newton works on the level function's Taylor terms alone, and the
@@ -400,9 +452,9 @@ class TestArea2dGeometry:
 
 
 class TestOneGKEngine:
-    """area2d and the reconstruction check share one batched GK loop
-    (``_gk_refine``); area2d kept its bits through the move.  Green is the
-    trapezoidal rule on the oval's equal angle rays."""
+    """area2d and green share one doubling trapezoidal rule
+    (``_trapezoid``): green on the oval's equal angle rays, area2d in the
+    fold angle."""
 
     # area2d at tol 1e-8: (kappa, level fraction of the annulus) -> float.hex
     # of the six BASIS moments.  Recorded before the loop was shared, and
@@ -416,40 +468,45 @@ class TestOneGKEngine:
     # kappa 4, level 0.92), toward the 30-digit moments (worst error 7.0e-14
     # before, 1.1e-14 after); and when the box sides came from a scalar Newton
     # solve in center-shifted coordinates, not a ray solve at its angle: 36
-    # of the 54 values moved, by at most 15 ulps (1.9e-15, kappa 9, level 0.92)
-    AREA2D_HEX = {
+    # of the 54 values moved, by at most 15 ulps (1.9e-15, kappa 9, level 0.92);
+    # and re-recorded as AREA2D_TRAPEZOID_HEX when area2d left GK15 panels on
+    # the t^2 runs for the trapezoidal rule in the fold angle between the
+    # unpadded folds: 46 of the 54 values moved, by at most 19 ulps (2.7e-15,
+    # I_1_1 at kappa 4, level 0.08), and the worst error against the 30-digit
+    # moments went from 1.04e-14 to 9.7e-15
+    AREA2D_TRAPEZOID_HEX = {
         (1.5, 0.08): (
-            "0x1.66712efb4a4a6p-5", "0x1.63c2ce3cd4dbap-5", "0x1.658e4cfbc15bdp-5",
-            "0x1.63c35d126d2f1p-5", "0x1.6be96f3d27965p-5", "0x1.6a1afd1b9625ap-5"),
+            "0x1.66712efb4a49bp-5", "0x1.63c2ce3cd4daep-5", "0x1.658e4cfbc15b1p-5",
+            "0x1.63c35d126d2e4p-5", "0x1.6be96f3d2795bp-5", "0x1.6a1afd1b9624fp-5"),
         (1.5, 0.5): (
-            "0x1.2355b4cfdbdc2p-2", "0x1.13ed3e6f7a75dp-2", "0x1.1e828cf1f7154p-2",
+            "0x1.2355b4cfdbdc1p-2", "0x1.13ed3e6f7a75dp-2", "0x1.1e828cf1f7154p-2",
             "0x1.1400b48f4ddd6p-2", "0x1.475b846bda1a3p-2", "0x1.3c2deeca059aap-2"),
         (1.5, 0.92): (
-            "0x1.1ea176e3d6c5cp-1", "0x1.f6ff755cc2e62p-2", "0x1.14a3e7bb9799ep-1",
-            "0x1.f79373520b872p-2", "0x1.8fafd7311e60cp-1", "0x1.70e4cd2322a28p-1"),
+            "0x1.1ea176e3d6c5bp-1", "0x1.f6ff755cc2e61p-2", "0x1.14a3e7bb9799ep-1",
+            "0x1.f79373520b874p-2", "0x1.8fafd7311e60cp-1", "0x1.70e4cd2322a27p-1"),
         (4.0, 0.08): (
-            "0x1.8f3dac038b3e2p-5", "0x1.8ba212ac75ef0p-5", "0x1.8c8ba0d1cc06ap-5",
-            "0x1.8ba42153ba34ep-5", "0x1.96a07e3691e85p-5", "0x1.911c649795070p-5"),
+            "0x1.8f3dac038b3f2p-5", "0x1.8ba212ac75f01p-5", "0x1.8c8ba0d1cc07cp-5",
+            "0x1.8ba42153ba361p-5", "0x1.96a07e3691e94p-5", "0x1.911c649795081p-5"),
         (4.0, 0.5): (
-            "0x1.46dac56684fa0p-2", "0x1.3250fe8ccfa90p-2", "0x1.37e93dce5c3eap-2",
-            "0x1.329a8911c8e64p-2", "0x1.781a542708abap-2", "0x1.5471381021accp-2"),
+            "0x1.46dac56684f9dp-2", "0x1.3250fe8ccfa8ep-2", "0x1.37e93dce5c3e8p-2",
+            "0x1.329a8911c8e61p-2", "0x1.781a542708ab7p-2", "0x1.5471381021acbp-2"),
         (4.0, 0.92): (
-            "0x1.4415635c07ffep-1", "0x1.16769eca14168p-1", "0x1.24a790ba792dap-1",
-            "0x1.17951fbca36d2p-1", "0x1.df754b457277bp-1", "0x1.7755b7b066be3p-1"),
+            "0x1.4415635c07ffcp-1", "0x1.16769eca14166p-1", "0x1.24a790ba792d9p-1",
+            "0x1.17951fbca36cfp-1", "0x1.df754b457277cp-1", "0x1.7755b7b066be2p-1"),
         (9.0, 0.08): (
-            "0x1.46496f4b87f60p-5", "0x1.42f88c468c232p-5", "0x1.43585329bc3b6p-5",
-            "0x1.42fb136a83a7bp-5", "0x1.4d17fd6bec47cp-5", "0x1.470e5ceb75cb6p-5"),
+            "0x1.46496f4b87f5fp-5", "0x1.42f88c468c230p-5", "0x1.43585329bc3b3p-5",
+            "0x1.42fb136a83a77p-5", "0x1.4d17fd6bec47ep-5", "0x1.470e5ceb75cb4p-5"),
         (9.0, 0.5): (
-            "0x1.0ca48c66efc0fp-2", "0x1.f3760b5dc3c49p-3", "0x1.f8318e0ef9421p-3",
-            "0x1.f42e39e80f3fdp-3", "0x1.3af7655cf8fbep-2", "0x1.128c234a63d1ep-2"),
+            "0x1.0ca48c66efc15p-2", "0x1.f3760b5dc3c56p-3", "0x1.f8318e0ef942dp-3",
+            "0x1.f42e39e80f40ap-3", "0x1.3af7655cf8fc3p-2", "0x1.128c234a63d23p-2"),
         (9.0, 0.92): (
-            "0x1.0c410e166fc1fp-1", "0x1.c513afc15fbaap-2", "0x1.d1d77925d8b89p-2",
-            "0x1.c7f0a9c55a848p-2", "0x1.a261139935e67p-1", "0x1.2582f920c04bep-1"),
+            "0x1.0c410e166fc1fp-1", "0x1.c513afc15fba2p-2", "0x1.d1d77925d8b81p-2",
+            "0x1.c7f0a9c55a839p-2", "0x1.a261139935e69p-1", "0x1.2582f920c04bdp-1"),
     }
 
     def test_area2d_bits_unchanged(self):
         clear_caches()
-        for (kappa, level), expected in self.AREA2D_HEX.items():
+        for (kappa, level), expected in self.AREA2D_TRAPEZOID_HEX.items():
             p = make_params(kappa)
             h = interior_levels(p, 1, level, level)[0]
             got = tuple(moment(MomentIndex(*ij), h, p, "area2d", 1e-8).value.hex()
@@ -485,10 +542,10 @@ class TestOneGKEngine:
 
 
 class TestBatchedMoments:
-    """The six basis moments of a (level, method, tol) refine as one batch on
-    one shared panel set, split wherever an index above its budget needs it;
-    each index keeps its own budget and saturation flag, and a batch of one
-    is the per-index rule (``conftest``'s reference) bit for bit."""
+    """The six basis moments of a (level, method, tol) double one shared N
+    while an index is above its budget; each index keeps its own budget and
+    saturation flag, and a batch of one is the per-index rule (``conftest``'s
+    trapezoid references) bit for bit."""
 
     @staticmethod
     def _ovals(kappa):
@@ -509,14 +566,13 @@ class TestBatchedMoments:
         # unsaturated, and within err + err_ref of its per-index GK reference
         compared = 0
         for where, ov, ijs in self._ovals(kappa):
-            seen = {"rays": [], "area2d": [], "sums": []}
+            seen = {"rays": [], "area2d": []}
             spy = lambda name, f, rows: lambda *a: seen[name].append(rows(*a)) or f(*a)
             with monkeypatch.context() as m:
                 m.setattr(Oval, "_radii", spy("rays", Oval._radii,
                                               lambda ov, c, s: np.stack([c, s], 1)))
-                m.setattr(quad, "_slice_nodes", spy("area2d", quad._slice_nodes,
-                                                    lambda ov, *panels: np.stack(panels[:4], 1)))
-                m.setattr(quad, "_gk_sums", spy("sums", quad._gk_sums, lambda fx: fx))
+                m.setattr(quad, "_slice_ends", spy("area2d", quad._slice_ends,
+                                                   lambda ov, x: x.copy()))
                 green = quad._moments_green(ijs, ov, 1e-10)
                 area2d = quad._moments_area2d(ijs, ov, 1e-8)
             for got, ref_of, name, tol, rel in (
@@ -532,12 +588,13 @@ class TestBatchedMoments:
             rays = [bytes(row) for call in seen["rays"] for row in call]
             assert len(rays) == len(set(rays)) == n - ov.grid_radii.size, (kappa, where)
             assert len(seen["rays"]) == len(ov._rays) - 1 == (n // ov.grid_radii.size).bit_length() - 1
-            # area2d: one panel set, reported by every index; each panel
-            # evaluated once, in one node call per round (one sums call each)
-            [size] = {panels for _, _, panels, _ in area2d}
-            rows = [bytes(row) for call in seen["area2d"] for row in call]
-            assert len(rows) == len(set(rows)) == 2 * size - 2 * quad.AREA2D_RUN_PANELS
-            assert len(seen["area2d"]) == len(seen["sums"]), (kappa, where)
+            # area2d: one N, reported by every index; each slice solved once,
+            # in one call per resolution, the first with the premise slice
+            [n] = {n for _, _, n, _ in area2d}
+            xs = [x for call in seen["area2d"] for x in call.tolist()]
+            assert len(xs) == len(set(xs)) == n + 1, (kappa, where)
+            assert len(seen["area2d"]) == (n // quad.AREA2D_NODES).bit_length(), (kappa, where)
+            assert seen["area2d"][0][-1] == ov.center[0]
             compared += 1
         assert compared >= 6
 
@@ -545,8 +602,9 @@ class TestBatchedMoments:
     def test_batch_of_one_is_the_per_index_rule(self, kappa):
         for where, ov, ijs in self._ovals(kappa):
             for ij in ijs:
-                for refine, ref_of, tol in ((quad._moments_green, trapezoid_reference, 1e-10),
-                                            (quad._moments_area2d, area2d_reference, 1e-8)):
+                for refine, ref_of, tol in (
+                        (quad._moments_green, green_trapezoid_reference, 1e-10),
+                        (quad._moments_area2d, area2d_trapezoid_reference, 1e-8)):
                     [(value, err, panels, saturated)] = refine((ij,), ov, tol)
                     ref = ref_of(*ij, ov, tol)
                     assert (value.hex(), err.hex(), panels) == (
@@ -567,36 +625,37 @@ class TestBatchedMoments:
                 ref, ref_err, *_ = green_reference(*ij, ov, 1e-10)
                 assert not saturated and abs(value - ref) <= err + ref_err, (h, ij)
 
-    def test_cap_flags_exactly_the_indices_above_budget(self, p4, caplog, monkeypatch):
-        # at this level and tol the batch needs 12 panels; capped at 8 (its
-        # first panels), 10 and 11 it stops at the cap with three, two and one
-        # index above its budget
-        ov, tol = oval(interior_levels(p4, 1, 0.86, 0.86)[0], p4), 1e-13
+    def test_cap_flags_exactly_the_indices_above_budget(self, caplog, monkeypatch):
+        # at kappa 9, level 0.999 and tol 1e-10 the area2d batch needs 256
+        # nodes; capped at 64 (its first N) and 128 it stops at the cap with
+        # four and two indices above their budgets
+        p = make_params(9.0)
+        ov, tol = oval(interior_levels(p, 1, 0.999, 0.999)[0], p), 1e-10
         free = quad._moments_area2d(tuple(BASIS), ov, tol)
         assert not any(saturated for *_, saturated in free)
-        assert {panels for _, _, panels, _ in free} == {12}
+        assert {n for _, _, n, _ in free} == {256}
         flagged = []
-        for cap in (8, 10, 11):
-            monkeypatch.setattr(quad, "AREA2D_MAX_PANELS", cap)
+        for cap in (64, 128):
+            monkeypatch.setattr(quad, "MAX_NODES", cap)
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="q4lab"):
                 capped = quad._moments_area2d(tuple(BASIS), ov, tol)
             above = [err > 0.02 * tol * abs(value) for value, err, *_ in capped]
             flagged.append(sum(above))
             assert [saturated for *_, saturated in capped] == above
-            assert {panels for _, _, panels, _ in capped} == {cap}
+            assert {n for _, _, n, _ in capped} == {cap}
             records = [r for r in caplog.records if r.name == "q4lab.quadrature"]
-            assert all(r.levelno == logging.WARNING and f"max_panels={cap})" in r.getMessage()
+            assert all(r.levelno == logging.WARNING and f"max_nodes={cap})" in r.getMessage()
                        for r in records)
             named = [re.match(r"area2d I_(-?\d)_(\d) at", r.getMessage()).groups()
                      for r in records]
             assert sorted(named) == sorted(
                 (str(i), str(j)) for (i, j), hit in zip(BASIS, above) if hit)
-            if cap == 8:  # no round ran: each index is the per-index rule at its cap
-                for ij, (value, err, panels, _) in zip(BASIS, capped):
-                    ref = area2d_reference(*ij, ov, tol)
-                    assert (value.hex(), err.hex(), panels) == (ref[0].hex(), ref[1].hex(), 8)
-        assert flagged == [3, 2, 1]
+            if cap == 64:  # no doubling ran: each index is the per-index rule at its cap
+                for ij, (value, err, n, _) in zip(BASIS, capped):
+                    ref = area2d_trapezoid_reference(*ij, ov, tol)
+                    assert (value.hex(), err.hex(), n) == (ref[0].hex(), ref[1].hex(), 64)
+        assert flagged == [4, 2]
 
     def test_basis_index_brings_its_siblings(self, p4, monkeypatch):
         # the first basis index refines all six; the others are read back,
@@ -638,7 +697,7 @@ class TestRayGeometryMemo:
             assert len(ov._rays) > 1
             assert bits(quad._moments_green(ijs, ov, tol)) == fresh, (ijs, tol)
             ov.rays(7)
-            assert ov.grid_radii.size << (len(ov._rays) - 1) == quad.GREEN_MAX_NODES
+            assert ov.grid_radii.size << (len(ov._rays) - 1) == quad.MAX_NODES
             assert bits(quad._moments_green(ijs, ov, tol)) == fresh, (ijs, tol)
         # through moment(): the cached oval keeps its stored rays
         clear_caches()
@@ -722,32 +781,37 @@ class TestRayGeometryMemo:
 
 
 class TestPanelSaturation:
-    def test_saturated_call_logs_one_warning(self, caplog):
-        # a kink inside one panel: 9 panels cannot reach 1e-14
+    def test_saturated_call_logs_one_warning(self, caplog, monkeypatch):
+        # |cos| has two kinks on the turn, so the rule converges only like
+        # 1/N^2: 1024 nodes cannot reach 1e-14
+        monkeypatch.setattr(quad, "MAX_NODES", 1024)
         with caplog.at_level(logging.WARNING, logger="q4lab"):
-            value, err = quad._adaptive_gk(np.abs, -1.0, 2.0, 1e-14, max_panels=9)
+            [(value, err, n, saturated)] = quad._trapezoid(
+                lambda level, t: (np.abs(np.cos(t))[None], 0.0), 16, 2.0 * np.pi, 1e-14,
+                ["the kinked integrand"])
         records = [r for r in caplog.records if r.name == "q4lab.quadrature"]
         assert len(records) == 1
         assert records[0].levelno == logging.WARNING
-        assert "max_panels=9" in records[0].getMessage()
-        assert err > 1e-14 * abs(value)
-        assert value == pytest.approx(2.5, rel=1e-4)
+        assert records[0].getMessage().startswith("the kinked integrand stopped at 1024 nodes")
+        assert "max_nodes=1024" in records[0].getMessage()
+        assert n == 1024 and saturated and err > 1e-14 * abs(value)
+        assert value == pytest.approx(4.0, rel=1e-4)
 
     def test_saturated_area2d_moment_logs_one_warning(self, p4, caplog, monkeypatch):
-        # at tol 1e-13 this moment needs 10 panels; it stops at its 8 initial ones
-        monkeypatch.setattr(quad, "AREA2D_MAX_PANELS", 1)
-        ov = quad.cached_oval(-0.5, p4.kappa, HamiltonianForm.SYMMETRIC_FORM)
+        # at tol 1e-13, level 0.999, I_1_1 needs 128 nodes; it stops at its first 64
+        monkeypatch.setattr(quad, "MAX_NODES", quad.AREA2D_NODES)
+        ov = oval(interior_levels(p4, 1, 0.999, 0.999)[0], p4)
         with caplog.at_level(logging.WARNING, logger="q4lab"):
-            [(value, err, *_)] = quad._moments_area2d(((1, 1),), ov, 1e-13)
+            [(value, err, n, saturated)] = quad._moments_area2d(((1, 1),), ov, 1e-13)
         records = [r for r in caplog.records if r.name == "q4lab.quadrature"]
         assert len(records) == 1
         assert records[0].levelno == logging.WARNING
         assert "area2d I_1_1" in records[0].getMessage()
-        assert err > 0.02 * 1e-13 * abs(value)
+        assert n == 64 and saturated and err > 0.02 * 1e-13 * abs(value)
 
     def test_saturated_green_moment_logs_one_warning(self, caplog):
         # kappa 1.1, 0.999 of the way to the saddle, cubic form: at tol 1e-13
-        # the trapezoidal rule runs into its GREEN_MAX_NODES
+        # the trapezoidal rule runs into its MAX_NODES
         p = make_params(1.1)
         ov = oval(interior_levels(p, 1, 0.999, 0.999)[0], p, form=HamiltonianForm.CUBIC_FORM)
         with caplog.at_level(logging.WARNING, logger="q4lab"):
@@ -756,8 +820,8 @@ class TestPanelSaturation:
         assert len(records) == 1
         assert records[0].levelno == logging.WARNING
         message = records[0].getMessage()
-        assert "green I_1_1" in message and f"max_nodes={quad.GREEN_MAX_NODES})" in message
-        assert n == quad.GREEN_MAX_NODES and saturated
+        assert "green I_1_1" in message and f"max_nodes={quad.MAX_NODES})" in message
+        assert n == quad.MAX_NODES and saturated
         assert err > 1e-13 * abs(value)
         [(ref, *_)] = quad._moments_area2d(((1, 1),), ov, 1e-10)
         assert value == pytest.approx(ref, rel=1e-10)
@@ -780,9 +844,15 @@ class TestPanelSaturation:
             assert abs(value - float(r)) <= 2e-13 * abs(float(r)), ij
 
     def test_converged_call_is_silent(self, caplog):
+        # exp(cos) is smooth and periodic: the first 16 steps' doubling meets
+        # 1e-12, and the value is 2 pi I_0(1)
         with caplog.at_level(logging.WARNING, logger="q4lab"):
-            quad._adaptive_gk(np.cos, 0.0, 1.0, 1e-12)
+            [(value, err, n, saturated)] = quad._trapezoid(
+                lambda level, t: (np.exp(np.cos(t))[None], 0.0), 16, 2.0 * np.pi, 1e-12,
+                ["exp(cos)"])
         assert not [r for r in caplog.records if r.name.startswith("q4lab")]
+        assert not saturated and n <= 64 and err <= 1e-12 * value
+        assert value == pytest.approx(2.0 * np.pi * 1.2660658777520082, rel=1e-14)
 
     def test_package_logger_has_null_handler(self):
         handlers = logging.getLogger("q4lab").handlers

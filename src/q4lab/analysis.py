@@ -415,6 +415,10 @@ class PolyPair:
             raise DomainError("P must have at least the constant coefficient")
         if len(self.Q) > len(self.P) - 1 and not (len(self.P) == 1 and len(self.Q) == 0):
             raise DomainError("deg Q must be < deg P bound n")
+        for name, coeffs in (("P", self.P), ("Q", self.Q)):
+            for i, c in enumerate(coeffs):
+                if not math.isfinite(c):
+                    raise DomainError(f"coefficient {name}[{i}] = {c} is not finite")
 
     @property
     def n(self) -> int:
@@ -438,6 +442,12 @@ def _horner(c: tuple, s):
 
 @dataclass
 class WindingReport:
+    """A winding count with fields known when made, and two diagnostics that
+    ``_arg_steps`` forms from the kept ``pair`` and ``contour`` on first read,
+    then kept: ``edge_im_agreement``, max |im - Im F| / max |F| on the upper
+    edge (im as ``_arg_steps`` forms it), and ``max_arg_step``, the largest
+    wrapped step of arg F in a piece.  Equality of reports compares the eager fields only."""
+
     n: int
     epsilon: float
     segments: list[dict]
@@ -445,8 +455,19 @@ class WindingReport:
     residual: float
     min_abs_J1: float
     bound_ok: bool
-    max_arg_step: float
-    edge_im_agreement: float
+    pair: PolyPair = field(repr=False, compare=False)
+    contour: KeyholeContour = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def _diagnostics(self) -> tuple[float, float]:
+        F, im, steps = _arg_steps(self.pair, self.contour)
+        (_, e), (_, m), _ = self.contour.bounds.values()
+        gap = float(np.max(np.abs(im - F.imag[:e])) / (np.max(np.abs(F[:e])) + 1e-300))
+        steps[e - 1] = steps[m] = 0.0  # the junction steps belong to no piece
+        return gap, float(np.max(np.abs(steps, out=steps)))
+
+    edge_im_agreement = property(lambda self: self._diagnostics[0])
+    max_arg_step = property(lambda self: self._diagnostics[1])
 
 
 def _keyhole_pieces(epsilon: float) -> dict:
@@ -570,49 +591,51 @@ def _real_sum(c: tuple, cols: list, n: int) -> np.ndarray:
     return acc.view(complex)
 
 
-def winding_count(pair: PolyPair, params: ModelParams,
-                  epsilon: float = 1e-3) -> WindingReport:
-    """Argument-principle zero count of P J1 + Q J2 on the keyhole domain.
-
-    F = P + Q J2 / J1 in one pass over the contour's upper half, P and Q real
-    sums over its s^k.  On the upper edge Im F is assembled from the pointwise
-    conjugate-pair fundamental matrix, Im F = Q Im(J2 conj(J1)) / |J1|^2,
-    matching the boundary analysis; elsewhere F is used directly.  By the
-    mirror, the lower edge has the upper edge's increment, and each circle
-    twice its upper half's plus the step across the real axis, F(s_m) to
-    conj F(s_m); each piece sums its own run of the one array of steps.
-    """
-    ct = keyhole_contour(params, epsilon)
-    if ct.min_abs_J1 == 0.0:
-        raise GeometryError("J1 vanishes on the contour; F undefined")
+def _arg_steps(pair: PolyPair, ct: KeyholeContour) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, im, steps) on the contour's upper half: F = P + Q J2 / J1, P and Q
+    real sums over its s^k; on the upper edge im = Q Im(J2 conj(J1)) / |J1|^2,
+    Im F from the pointwise conjugate-pair fundamental matrix, as the boundary
+    analysis has it; and the wrapped steps of arg F, with im for Im F there."""
     powers, N = ct.powers(pair.n), ct.s.size
     P, Q = (_real_sum(c, powers, N) for c in (pair.P, pair.Q))
     (_, e), (_, m), _ = ct.bounds.values()
     im = Q.real[:e] * ct.ratio
     F = np.add(np.multiply(Q, ct.rho, out=Q), P, out=Q)  # P + Q rho, in Q's place
-    edge_gap = float(np.max(np.abs(im - F.imag[:e])) / (np.max(np.abs(F[:e])) + 1e-300))
-    F.imag[:e] = im
     # a circle's lower half retraces its upper half's steps, and one more step
     # crosses the real axis between F(s_m) and conj F(s_m) = F(conj s_m)
     th = np.empty(N + 2)
-    np.arctan2(F.imag[:m], F.real[:m], out=th[:m])
+    np.arctan2(im, F.real[:e], out=th[:e])
+    np.arctan2(F.imag[e:m], F.real[e:m], out=th[e:m])
     np.arctan2(F.imag[m:], F.real[m:], out=th[m + 2:])
     th[m], th[m + 1] = -th[m - 1], -th[m + 2]
-    steps = _wrap(np.subtract(th[1:], th[:-1]))
+    return F, im, _wrap(np.subtract(th[1:], th[:-1]))
+
+
+def winding_count(pair: PolyPair, params: ModelParams,
+                  epsilon: float = 1e-3) -> WindingReport:
+    """Argument-principle zero count of P J1 + Q J2 on the keyhole domain.
+
+    The steps of arg F on the contour's upper half come from ``_arg_steps``.
+    By the mirror, the lower edge has the upper edge's increment, and each
+    circle twice its upper half's plus the step across the real axis, F(s_m)
+    to conj F(s_m); each piece sums its own run of the one array of steps."""
+    ct = keyhole_contour(params, epsilon)
+    if ct.min_abs_J1 == 0.0:
+        raise GeometryError("J1 vanishes on the contour; F undefined")
+    (_, e), (_, m), _ = ct.bounds.values()
+    steps = _arg_steps(pair, ct)[2]
     edge, small, big = float(steps[:e - 1].sum()), steps[e:m], steps[m + 1:]
     # cut_lower is cut_upper traversed backwards, F(conj s) = conj F(s); a
     # circle counts both halves, and the crossing step once
     inc = {"cut_upper": edge, "small_circle": 2.0 * float(small.sum()) - float(small[-1]),
            "cut_lower": edge, "big_circle": 2.0 * float(big.sum()) - float(big[0])}
     segments = [{"name": name, "arg_increment": v} for name, v in inc.items()]
-    steps[e - 1] = steps[m] = 0.0  # the junction steps belong to no piece
-    top = float(np.max(np.abs(steps, out=steps)))
     # a left fold, not sum(): from Python 3.12 sum() compensates float sums
     total = ((edge + inc["small_circle"]) + edge) + inc["big_circle"]
     w = int(round(total / (2.0 * math.pi)))
     return WindingReport(n=pair.n, epsilon=epsilon, segments=segments, winding=w,
-                         residual=abs(total / (2.0 * math.pi) - w), edge_im_agreement=edge_gap,
-                         min_abs_J1=ct.min_abs_J1, bound_ok=w <= 2 * pair.n, max_arg_step=top)
+                         residual=abs(total / (2.0 * math.pi) - w), min_abs_J1=ct.min_abs_J1,
+                         bound_ok=w <= 2 * pair.n, pair=pair, contour=ct)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,25 +1062,27 @@ def _tangency(fvec, x0, f0, span, interval, bound) -> float | None:
     x0 + delta (Newton's divided differences on the offsets from x0) moves
     x0 to its vertex, clamped to ``span``, and delta shrinks eightfold.  A
     tangency needs a curvature of f0's sign and a vertex value within
-    ``bound`` of zero (nodes themselves never land on it)."""
-    delta = 0.5 * (span[1] - span[0])
+    ``bound`` of zero (nodes themselves never land on it).  In Python floats,
+    numpy float64's IEEE operations at a fraction of the cost: bit for bit."""
+    x0, f0, (lo, hi), (a, b) = float(x0), float(f0), map(float, span), map(float, interval)
+    delta = 0.5 * (hi - lo)
     fmin, curv = f0, 0.0
     for _ in range(3):
-        delta = min(delta, x0 - interval[0], interval[1] - x0)
+        delta = min(delta, x0 - a, b - x0)
         if not x0 - delta < x0 < x0 + delta:  # the stencil collapsed
             break
         st = np.array([x0 - delta, x0, x0 + delta])
-        fl, fc, fr = fv = fvec(st)
-        if not np.all(np.isfinite(fv)):
+        fl, fc, fr = fv = fvec(st).tolist()
+        if not all(map(math.isfinite, fv)):
             raise DomainError(f"f evaluated non-finite at the tangency stencil {st}")
-        tl, tr = st[0] - x0, st[2] - x0
+        tl, tr = (x0 - delta) - x0, (x0 + delta) - x0
         slope = (fc - fl) / -tl
         c2 = ((fr - fc) / tr - slope) / (tr - tl)
         if c2 == 0.0 or c2 * f0 < 0:
             break
         c1 = slope - c2 * tl
         t = -c1 / (2 * c2)
-        x0 = float(min(max(x0 + t, span[0]), span[1]))
+        x0 = min(max(x0 + t, lo), hi)
         t = min(max(t, -delta), delta)
         fmin, curv = fc + t * (c1 + c2 * t), c2
         delta /= 8.0

@@ -233,3 +233,31 @@ def p15():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+def tangency_reference(fvec, x0, f0, span, interval, bound):
+    """``analysis._tangency`` with its arithmetic on numpy float64 scalars,
+    as it was before it moved to Python floats: the reference that the
+    library's fits are held to bit for bit."""
+    delta = 0.5 * (span[1] - span[0])
+    fmin, curv = f0, 0.0
+    for _ in range(3):
+        delta = min(delta, x0 - interval[0], interval[1] - x0)
+        if not x0 - delta < x0 < x0 + delta:  # the stencil collapsed
+            break
+        st = np.array([x0 - delta, x0, x0 + delta])
+        fl, fc, fr = fv = fvec(st)
+        if not np.all(np.isfinite(fv)):
+            raise ValueError(f"f evaluated non-finite at the tangency stencil {st}")
+        tl, tr = st[0] - x0, st[2] - x0
+        slope = (fc - fl) / -tl
+        c2 = ((fr - fc) / tr - slope) / (tr - tl)
+        if c2 == 0.0 or c2 * f0 < 0:
+            break
+        c1 = slope - c2 * tl
+        t = -c1 / (2 * c2)
+        x0 = float(min(max(x0 + t, span[0]), span[1]))
+        t = min(max(t, -delta), delta)
+        fmin, curv = fc + t * (c1 + c2 * t), c2
+        delta /= 8.0
+    return x0 if curv * f0 > 0 and abs(fmin) <= bound else None

@@ -16,7 +16,8 @@ from scipy.optimize import brentq
 
 import frozen_scan
 import q4lab.analysis as an
-from conftest import adaptive_gk_reference, kernel_env, keyhole_reference, openblas_kernels
+from conftest import (adaptive_gk_reference, kernel_env, keyhole_reference, openblas_kernels,
+                      tangency_reference)
 from q4lab import (ConsistencyError, ConvergenceError, DomainError, SingularityError,
                    clear_caches, make_params)
 from q4lab.analysis import (
@@ -277,6 +278,26 @@ class TestWinding:
         with pytest.raises(DomainError):
             PolyPair(P=(1.0, 2.0), Q=(1.0, 2.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_are_refused(self, bad):
+        # NaN once reached winding_count's int(round(...)) as a bare
+        # ValueError, and inf gave winding 0 with a RuntimeWarning
+        for P, Q, name in (((bad, 1.0), (0.5,), r"P\[0\]"), ((1.0, bad), (0.5,), r"P\[1\]"),
+                           ((1.0, 0.5), (bad,), r"Q\[0\]"),
+                           ((1.0, 0.5, 0.2), (0.3, bad), r"Q\[1\]")):
+            with pytest.raises(DomainError, match=f"^coefficient {name} = {bad} is not finite$"):
+                PolyPair(P=P, Q=Q)
+
+    @pytest.mark.parametrize("kappa", [1.05, 1.5, 4.0, 9.0, 50.0, 1000.0])
+    @pytest.mark.parametrize("epsilon", [5e-4, 1e-3, 2e-3])
+    def test_cut_ratio_is_positive(self, kappa, epsilon):
+        # Im(J2 conj(J1)) / |J1|^2 > 0 on the upper edge: winding_count's edge
+        # formula for Im F rests on this sign.  Smallest measured: 0.0435 at
+        # kappa 1000, eps 5e-4
+        ct = keyhole_contour(make_params(kappa), epsilon)
+        assert ct.ratio.size == 27 * 257
+        assert np.all(ct.ratio > 0.0), float(np.min(ct.ratio))
+
 
 class TestVnSampling:
     def test_n1_kappa4(self, p4):
@@ -310,7 +331,8 @@ def _winding_count_per_element(pair, params, epsilon):
     """``winding_count`` as it was before the contour kept its terms, on the
     whole boundary (``keyhole_reference``): P and Q by Horner,
     F = (P J1 + Q J2) / J1 and every term formed per element from the
-    samples, and the wrap by the float %."""
+    samples, and the wrap by the float %.  Every field of the report, the
+    diagnostics too, by name."""
     segments, total, min_j1, max_step, edge_gap = [], 0.0, math.inf, 0.0, 0.0
     for name, (s, J) in keyhole_reference(params, epsilon).items():
         J1, J2 = J[0], J[1]
@@ -331,17 +353,17 @@ def _winding_count_per_element(pair, params, epsilon):
         total += inc
         segments.append({"name": name, "arg_increment": inc})
     w = int(round(total / (2.0 * math.pi)))
-    return an.WindingReport(
-        n=pair.n, epsilon=epsilon, segments=segments, winding=w,
-        residual=abs(total / (2.0 * math.pi) - w), min_abs_J1=min_j1,
-        bound_ok=w <= 2 * pair.n, max_arg_step=max_step, edge_im_agreement=edge_gap)
+    return dict(n=pair.n, epsilon=epsilon, segments=segments, winding=w,
+                residual=abs(total / (2.0 * math.pi) - w), min_abs_J1=min_j1,
+                bound_ok=w <= 2 * pair.n, max_arg_step=max_step, edge_im_agreement=edge_gap)
 
 
 def _winding_count_per_piece(pair, params, epsilon):
     """``winding_count`` as it was before it made one pass over the contour's
     half: each piece's P, Q, F and angles formed on its own, the circles'
     crossing angles joined by ``np.append``/``np.insert``, and the wrap by
-    the float %, which ``_wrap`` equals bit for bit."""
+    the float %, which ``_wrap`` equals bit for bit.  Every field of the
+    report, the diagnostics too, by name."""
     ct = keyhole_contour(params, epsilon)
     powers = ct.powers(pair.n)
     inc, max_step, edge_gap = {}, 0.0, 0.0
@@ -368,10 +390,17 @@ def _winding_count_per_piece(pair, params, epsilon):
                 for name in ("cut_upper", "small_circle", "cut_lower", "big_circle")]
     total = ((inc["cut_upper"] + inc["small_circle"]) + inc["cut_lower"]) + inc["big_circle"]
     w = int(round(total / (2.0 * math.pi)))
-    return an.WindingReport(n=pair.n, epsilon=epsilon, segments=segments, winding=w,
-                            residual=abs(total / (2.0 * math.pi) - w), edge_im_agreement=edge_gap,
-                            min_abs_J1=ct.min_abs_J1, bound_ok=w <= 2 * pair.n,
-                            max_arg_step=max_step)
+    return dict(n=pair.n, epsilon=epsilon, segments=segments, winding=w,
+                residual=abs(total / (2.0 * math.pi) - w), min_abs_J1=ct.min_abs_J1,
+                bound_ok=w <= 2 * pair.n, max_arg_step=max_step, edge_im_agreement=edge_gap)
+
+
+def _fields(report):
+    """Every value of a WindingReport by name, its diagnostics read, in the
+    form of the references above."""
+    return {name: getattr(report, name) for name in (
+        "n", "epsilon", "segments", "winding", "residual", "min_abs_J1", "bound_ok",
+        "max_arg_step", "edge_im_agreement")}
 
 
 _PI_LD = np.arccos(np.longdouble(-1.0))
@@ -474,12 +503,13 @@ class TestCachedTerms:
         for t in range(23):  # 207 pairs over the nine cases
             pair = random_poly_pair(t % 5, rng)
             got, want = winding_count(pair, p, epsilon), _winding_count_per_element(pair, p, epsilon)
+            got = _fields(got)
             for field in ("winding", "bound_ok", "n", "epsilon", "min_abs_J1"):
-                assert getattr(got, field) == getattr(want, field), (t, pair, field)
-            assert [g["name"] for g in got.segments] == [w["name"] for w in want.segments]
+                assert got[field] == want[field], (t, pair, field)
+            assert [g["name"] for g in got["segments"]] == [w["name"] for w in want["segments"]]
             ref = _arg_increments_longdouble(pair, p, epsilon)
             for report in (got, want):
-                for seg, r in zip(report.segments, ref, strict=True):
+                for seg, r in zip(report["segments"], ref, strict=True):
                     assert abs(seg["arg_increment"] - float(r)) <= 1e-12, (t, pair, seg["name"])
 
     @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
@@ -489,7 +519,7 @@ class TestCachedTerms:
         for t in range(700):  # 2,100 pairs over the three kappas
             pair = random_poly_pair(1 + t % 4, rng)
             got, want = winding_count(pair, p), _winding_count_per_element(pair, p, 1e-3)
-            assert got.winding == want.winding, (t, pair)
+            assert got.winding == want["winding"], (t, pair)
 
     def test_contour_state_leaks_no_bit(self):
         # the columns s^k grow on demand and the caches empty; a pair's report
@@ -498,13 +528,13 @@ class TestCachedTerms:
         rng = np.random.default_rng(33)
         pairs = [random_poly_pair(n, rng) for n in (1, 3)]
         clear_caches()
-        fresh = [vars(winding_count(pair, p)) for pair in pairs]
+        fresh = [_fields(winding_count(pair, p)) for pair in pairs]
         for _ in range(3):
             winding_count(random_poly_pair(4, rng), p)
         assert len(keyhole_contour(p)._powers) == 4
-        assert [vars(winding_count(pair, p)) for pair in pairs] == fresh
+        assert [_fields(winding_count(pair, p)) for pair in pairs] == fresh
         clear_caches()
-        assert [vars(winding_count(pair, p)) for pair in pairs] == fresh
+        assert [_fields(winding_count(pair, p)) for pair in pairs] == fresh
 
     @pytest.mark.parametrize("kappa", [1.05, 1.5, 4.0, 9.0, 50.0])
     @pytest.mark.parametrize("epsilon", [5e-4, 1e-3, 2e-3])
@@ -517,7 +547,40 @@ class TestCachedTerms:
         for t in range(20):
             pair = random_poly_pair(t % 5, rng)
             for q in (pair, PolyPair(P=pair.P, Q=())):
-                assert winding_count(q, p, epsilon) == _winding_count_per_piece(q, p, epsilon), (t, q)
+                want = _winding_count_per_piece(q, p, epsilon)
+                assert _fields(winding_count(q, p, epsilon)) == want, (t, q)
+
+    def test_diagnostics_on_first_read(self, monkeypatch):
+        # winding_count forms F once; the diagnostics form it once more on
+        # their first read, from the pair and contour the report keeps, and
+        # equal the per-piece loop's bit for bit after other pairs grew the
+        # contour's columns and the caches emptied; a second read is kept
+        p = make_params(4.0)
+        rng = np.random.default_rng(42)
+        pairs = [random_poly_pair(n, rng) for n in (1, 2, 3)]
+        calls, arg_steps = [], an._arg_steps
+        monkeypatch.setattr(an, "_arg_steps", lambda *a: calls.append(a) or arg_steps(*a))
+        clear_caches()
+        reports = [winding_count(pair, p) for pair in pairs]
+        assert len(calls) == len(pairs)
+        ct = keyhole_contour(p)
+        for _ in range(3):
+            winding_count(random_poly_pair(4, rng), p)
+        clear_caches()
+        for pair, report in zip(pairs, reports):
+            assert report.pair is pair and report.contour is ct
+            assert not any(isinstance(v, np.ndarray) for v in vars(report).values())
+            before = len(calls)
+            want = _winding_count_per_piece(pair, p, 1e-3)
+            assert len(calls) == before  # the reference forms its own F
+            got = (report.edge_im_agreement, report.max_arg_step)
+            assert len(calls) == before + 1
+            assert [x.hex() for x in got] == [want["edge_im_agreement"].hex(),
+                                              want["max_arg_step"].hex()]
+            assert (report.edge_im_agreement, report.max_arg_step) == got
+            assert len(calls) == before + 1
+            assert not any(isinstance(v, np.ndarray) for v in vars(report).values())
+            assert report == winding_count(pair, p)  # equality reads the eager fields
 
     def test_horner_equals_polyval(self):
         # in-order Horner does polyval's operations, so real and complex
@@ -1539,6 +1602,69 @@ class TestScannerBits:
         assert sc.hs.strides[0] < 0 and contiguous.strides[0] > 0
         for which in "IGR":
             assert np.array_equal(sc._basis(which, contiguous), sc.basis[which]), which
+
+
+def _checked_fits(monkeypatch):
+    """Every fit ``_tangency`` makes from here on, beside the fit of
+    ``tangency_reference`` on the same arguments: (node, got, want)."""
+    fits, fit = [], an._tangency
+
+    def checked(*args):
+        got = fit(*args)
+        fits.append((args[1], got, tangency_reference(*args)))
+        return got
+
+    monkeypatch.setattr(an, "_tangency", checked)
+    return fits
+
+
+def _same_bits(fits):
+    for x, got, want in fits:
+        assert (got is None) == (want is None), x
+        assert got is None or (type(got) is float and got.hex() == want.hex()), (x, got, want)
+
+
+class TestTangencyBits:
+    """``_tangency`` does its arithmetic on Python floats; each fit returns
+    the location that the same arithmetic on numpy float64 scalars
+    (``tangency_reference``) returns, bit for bit, or None in the same cases."""
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.0, 9.0])
+    def test_vn_elements(self, kappa, monkeypatch):
+        # c08's random elements, 200 each for n = 1, 2, 3 at its seeds:
+        # measured 328 to 381 fits per kappa, none a tangency
+        fits = _checked_fits(monkeypatch)
+        for n in (1, 2, 3):
+            vn_sample_test(n, 200, make_params(kappa), seed=800 + n)
+        assert len(fits) > 200
+        _same_bits(fits)
+
+    def test_forced_double_zeros(self, monkeypatch):
+        # a polynomial's double root, and double zeros of I, G and R at mid-cell
+        # levels (as in TestBatchedScan), where the fits find the tangencies
+        fits = _checked_fits(monkeypatch)
+        zr = count_zeros(lambda h: (np.asarray(h) + 0.5) ** 2, (-0.6, -0.4), grid=256)
+        assert zr.count == 2
+        for kappa in (1.5, 4.0, 9.0):
+            sc = an.bound_scanner(make_params(kappa), 512)
+            mus = []
+            for i in (60, 256, 505):
+                P = an._point_rows(sc, np.array([0.5 * (sc.hs[i] + sc.hs[i + 1])]))
+                mus.append([np.linalg.svd(np.stack([P[w].f[0][:, 0], P[w].f[1][:, 0]]))[2][-1]
+                            for w in "IGR"])
+            assert all(rep.count >= 2 for rep in sc.scan(np.array(mus)))
+        assert sum(got is not None for _, got, _ in fits) >= 28
+        _same_bits(fits)
+
+    def test_sweep_fits_by_the_saddle(self, monkeypatch):
+        # the 300-trial sweep of tier1.yml (kappa 1.5, 4 and 9, seed 7): the
+        # fits the skip bound cannot rule out, most of them by the saddle
+        fits = _checked_fits(monkeypatch)
+        sweep_bounds([1.5, 4.0, 9.0], 300, 7)
+        windows = [an.bound_scanner(make_params(k), 512).window for k in (1.5, 4.0, 9.0)]
+        near = [x for x, _, _ in fits if any(0.0 < hi - x < 1e-3 * (hi - lo) for lo, hi in windows)]
+        assert len(fits) >= 10 and len(near) >= 5
+        _same_bits(fits)
 
 
 class TestFloatSums:
